@@ -127,7 +127,7 @@ def _check_credit(world: ChaosWorld, out: list[Finding]) -> None:
         return  # teardown legitimately abandons in-flight credit
     for node_id, incarnations in sorted(world.nodes.items()):
         fc = incarnations[-1].flowcontrol
-        if not fc.active:
+        if fc is None:
             return
         for peer, ledger in sorted(fc._peers.items()):
             out_bytes = ledger.sent_bytes_total - ledger.peer_released_bytes
@@ -137,7 +137,8 @@ def _check_credit(world: ChaosWorld, out: list[Finding]) -> None:
                     "credit-leak",
                     f"node{node_id}->node{peer}: {out_bytes}B / "
                     f"{out_wraps} wrap(s) of credit never released"))
-            peer_view = world.nodes[peer][-1].flowcontrol._peers.get(node_id)
+            peer_fc = world.nodes[peer][-1].flowcontrol
+            peer_view = peer_fc._peers.get(node_id) if peer_fc else None
             released = peer_view.released_bytes_total if peer_view else 0
             if ledger.peer_released_bytes > released:
                 out.append(Finding(

@@ -27,6 +27,7 @@ from repro.bench import (
     run_figure3,
     run_figure4,
 )
+from repro.core.engine import EngineStats
 from repro.netsim import KB, MB, MX_MYRI10G, PROFILES, QUADRICS_QM500
 
 __all__ = ["main", "build_parser"]
@@ -264,40 +265,10 @@ def _profiles(out) -> None:
         ))
 
 
-# The report's engine-stats table, grouped by subsystem.  The groups must
-# jointly cover every EngineStats field (asserted at report time) so a new
-# counter cannot silently fall out of the report.
-REPORT_STAT_GROUPS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("core", (
-        "phys_packets", "items_sent", "aggregated_packets",
-        "aggregated_segments", "anticipated_hits", "eager_bytes",
-        "rdv_bytes", "wire_bytes", "recv_copies", "recv_copy_bytes",
-    )),
-    ("reliability", (
-        "retransmits", "duplicates_suppressed", "failovers",
-        "rails_quarantined", "rails_reprobed", "acks_sent",
-        "corrupt_discards", "transport_failures",
-    )),
-    ("flow_control", (
-        "credit_stalls", "window_full_events", "unexpected_overflows",
-        "credits_granted", "nacks_sent", "nack_resends",
-    )),
-    ("sessions", (
-        "peers_suspected", "peers_dead", "epochs_started",
-        "stale_frames_fenced", "heartbeats_sent",
-    )),
-    # Chaos / partition-tolerance counters: parking while suspected and
-    # recoveries that healed without a teardown.
-    ("partition", (
-        "peers_recovered", "frames_parked",
-    )),
-    # Adaptive-timing counters (rel_timeout_us="auto" and per-request
-    # deadlines): estimator feed, backoff pressure, tail hedging, expiries.
-    ("adaptive", (
-        "rtt_samples", "rto_backoffs", "hedges_sent", "hedges_won",
-        "deadlines_expired",
-    )),
-)
+#: The report's engine-stats table, grouped by subsystem: derived from the
+#: counter declarations themselves (``counter(group)`` next to each layer),
+#: so a new counter cannot fall out of the report.
+REPORT_STAT_GROUPS = EngineStats.groups()
 
 
 def _report_payload(args, pair, messages, stalled) -> dict:
@@ -310,13 +281,10 @@ def _report_payload(args, pair, messages, stalled) -> dict:
         topology_summary,
     )
 
-    grouped_fields = {f for _, fields in REPORT_STAT_GROUPS for f in fields}
     engines = []
     for mpi in pair.ranks:
         engine = mpi.engine
         stats = dataclasses.asdict(engine.stats)
-        missing = sorted(set(stats) - grouped_fields)
-        assert not missing, f"EngineStats fields not in any group: {missing}"
         engines.append({
             "node": engine.node_id,
             "strategy": engine.strategy.describe(),
@@ -335,7 +303,7 @@ def _report_payload(args, pair, messages, stalled) -> dict:
             "rtt": (adaptive_summary(engine.rtt.snapshot())
                     if engine.rtt is not None else {}),
             "rails_ok": [r for r in range(len(engine.node.nics))
-                         if engine.reliability.rail_ok(r)],
+                         if engine.transfer.rail_ok(r)],
         })
     return {
         "config": {

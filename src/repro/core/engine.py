@@ -14,26 +14,32 @@ lives in :mod:`repro.core.interface`.
 from __future__ import annotations
 
 from collections.abc import Generator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.core.collect import CollectLayer
 from repro.core.data import SegmentData
-from repro.core.flowcontrol import FlowControlLayer
+from repro.core.flowcontrol import (
+    FlowControlLayer, FlowControlParams, FlowControlStats,
+)
 from repro.core.matching import Incoming, Matcher
 from repro.core.packet import (
     CancelItem, HeaderSpec, PacketWrap, RdvReqItem, SegItem,
 )
-from repro.core.reliability import ReliabilityLayer
+from repro.core.protocols import Layer, counter
+from repro.core.reliability import (
+    ReliabilityLayer, ReliabilityParams, ReliabilityStats,
+)
 from repro.core.rendezvous import RendezvousManager
 from repro.core.requests import ANY, RecvRequest, SendRequest
 from repro.core.rttstat import RttEstimator
-from repro.core.sessions import SessionLayer
+from repro.core.sessions import SessionLayer, SessionParams, SessionStats
 from repro.core.strategy import Strategy, create
 from repro.core.transfer import TransferLayer
 from repro.core.window import OptimizationWindow
 from repro.errors import (
     DeadlineExceededError, MpiError, PeerDeadError, SimulationError,
+    StrategyError,
 )
 from repro.netsim.node import Node
 from repro.netsim.profiles import NicProfile
@@ -44,7 +50,7 @@ __all__ = ["EngineParams", "EngineStats", "NmadEngine"]
 
 
 @dataclass(frozen=True)
-class EngineParams:
+class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
     """Engine cost model and protocol constants.
 
     The two scheduler costs realize the overhead sources of paper §5.1: an
@@ -54,6 +60,8 @@ class EngineParams:
     through the optimizer's data path (calibrated per driver, which is why
     the large-message bandwidth deficit differs between MX and Quadrics in
     Figure 2).
+
+    The opt-in layers' knobs are inherited from the mixin next to each layer.
     """
 
     hdr: HeaderSpec = field(default_factory=HeaderSpec)
@@ -77,60 +85,6 @@ class EngineParams:
     )
     rdv_chunk_bytes: int = 512 * 1024
     eager_copy_on_recv: bool = True
-    #: Transport reliability (see :mod:`repro.core.reliability`).  The
-    #: paper's engine targets reliable system-area networks and performs no
-    #: retransmission, so ``"off"`` is the default and keeps every benchmark
-    #: number unchanged; ``"ack"`` turns on the sliding-window
-    #: ack/retransmit protocol with rail failover.
-    reliability: str = "off"
-    #: Initial retransmit timeout, doubled (``rel_backoff``) per retry.
-    #: The string ``"auto"`` (requires ``reliability="ack"``) replaces the
-    #: static constant with a measured one: per-peer Jacobson SRTT/RTTVAR
-    #: estimation (see :mod:`repro.core.rttstat`) derives the RTO as
-    #: ``rel_rto_headroom * (srtt + 4*rttvar)`` clamped into
-    #: ``[rel_rto_floor_us, rel_rto_ceiling_us]``.
-    rel_timeout_us: float | str = 200.0
-    rel_backoff: float = 2.0
-    #: Clamp bounds and queueing headroom for the ``"auto"`` RTO.  The
-    #: ceiling doubles as the conservative pre-measurement RTO.
-    rel_rto_floor_us: float = 50.0
-    rel_rto_ceiling_us: float = 10_000.0
-    rel_rto_headroom: float = 2.0
-    #: Opt-in tail hedging (requires ``rel_timeout_us="auto"`` and >= 2
-    #: rails): ``"tail"`` re-sends a frame on the *second-best* rail once
-    #: it has been outstanding past a p99-ish quantile of that rail's
-    #: observed RTT, while the original stays in flight — duplicate
-    #: suppression absorbs whichever copy loses.  ``"off"`` (default)
-    #: never hedges.
-    rel_hedge: str = "off"
-    #: Retransmissions per frame before the send fails with TransportError.
-    rel_retry_budget: int = 8
-    #: Reverse-silence window before a standalone ack frame is emitted.
-    rel_ack_delay_us: float = 25.0
-    #: Consecutive retransmit-timeouts that quarantine a rail (when another
-    #: healthy rail exists).
-    rel_quarantine_threshold: int = 3
-    #: Half-open recovery: delay before a quarantined rail is re-probed.
-    #: ``0`` derives 32x ``rel_timeout_us``; ``float("inf")`` disables
-    #: probing (a quarantined rail then stays out for good, the pre-probe
-    #: behaviour).  The delay doubles per re-quarantine of the same rail.
-    rel_probe_after_us: float = 0.0
-    #: Overload protection (see :mod:`repro.core.flowcontrol`).  The paper's
-    #: engine assumes well-behaved peers and unbounded buffering, so
-    #: ``"off"`` is the default and keeps every benchmark figure
-    #: bit-identical; ``"credit"`` turns on receive-side credit flow control
-    #: for eager traffic (rendezvous traffic is self-paced by its grant).
-    flow_control: str = "off"
-    #: Per-peer eager credit budget: payload bytes and wrap count a sender
-    #: may have outstanding (unconsumed by the receiving application).
-    credit_bytes: int = 256 * 1024
-    credit_wraps: int = 256
-    #: Reverse-silence window before a standalone credit frame carries a
-    #: pending grant (grants otherwise piggyback on any reverse frame).
-    credit_grant_delay_us: float = 25.0
-    #: Base delay before a NACKed (receiver-refused) segment is resent;
-    #: doubles per consecutive refusal from the same peer.
-    nack_delay_us: float = 50.0
     #: Bounded collect layer: caps on the optimization window (0 = the
     #: paper's unbounded window).  When full, ``window_policy`` decides:
     #: ``"block"`` defers the submission FIFO until the window drains,
@@ -138,29 +92,11 @@ class EngineParams:
     max_window_wraps: int = 0
     max_window_bytes: int = 0
     window_policy: str = "block"
-    #: Receiver memory budget: cap on buffered unexpected eager payload
-    #: bytes in the matcher (0 = unbounded).  Requires ``"credit"`` mode —
-    #: overflow takes the NACK-and-resend path, which needs the credit
-    #: machinery.
-    max_unexpected_bytes: int = 0
     #: Progress watchdog period in virtual microseconds (0 = off).  While
     #: the engine has outstanding work, a progress token is sampled every
     #: interval; two consecutive unchanged samples raise
     #: :class:`~repro.errors.ProgressStallError` with a per-peer dump.
     watchdog_interval_us: float = 0.0
-    #: Failure detection and session epochs (see
-    #: :mod:`repro.core.sessions`).  The paper's engine assumes every peer
-    #: stays alive, so ``"off"`` is the default and keeps every benchmark
-    #: figure bit-identical; ``"epoch"`` stamps a session header on every
-    #: frame, runs a hello/welcome handshake per peer, and confirms peers
-    #: dead after ``hb_timeout_us`` of silence.
-    sessions: str = "off"
-    #: Heartbeat/monitor period: how often a watched peer's silence is
-    #: re-examined and (when the line is otherwise idle) probed.
-    hb_interval_us: float = 50.0
-    #: Silence before a peer is confirmed dead; at half of this the peer
-    #: becomes *suspected* (counted, traced, not yet acted on).
-    hb_timeout_us: float = 500.0
 
     def __post_init__(self) -> None:
         if min(self.pull_cost_us, self.per_mtu_cost_us,
@@ -176,61 +112,6 @@ class EngineParams:
             raise ValueError("backlog_flush_threshold must be >= 1")
         if self.rdv_chunk_bytes <= 0:
             raise ValueError("rendezvous chunk must be positive")
-        if self.reliability not in ("off", "ack"):
-            raise ValueError(
-                f"unknown reliability mode {self.reliability!r}; "
-                "expected off | ack"
-            )
-        if isinstance(self.rel_timeout_us, str):
-            if self.rel_timeout_us != "auto":
-                raise ValueError(
-                    f"unknown rel_timeout_us {self.rel_timeout_us!r}; "
-                    "expected a positive number or 'auto'"
-                )
-            if self.reliability != "ack":
-                raise ValueError(
-                    "rel_timeout_us='auto' needs reliability='ack': the "
-                    "RTT estimator samples the ack machinery"
-                )
-        elif self.rel_timeout_us <= 0:
-            raise ValueError("retransmit timeout must be positive")
-        if self.rel_rto_floor_us <= 0:
-            raise ValueError("RTO floor must be positive")
-        if self.rel_rto_ceiling_us < self.rel_rto_floor_us:
-            raise ValueError("RTO ceiling must be >= floor")
-        if self.rel_rto_headroom < 1.0:
-            raise ValueError("RTO headroom must be >= 1")
-        if self.rel_hedge not in ("off", "tail"):
-            raise ValueError(
-                f"unknown rel_hedge mode {self.rel_hedge!r}; "
-                "expected off | tail"
-            )
-        if self.rel_hedge == "tail" and self.rel_timeout_us != "auto":
-            raise ValueError(
-                "rel_hedge='tail' needs rel_timeout_us='auto': the hedge "
-                "delay is a quantile of the measured RTT"
-            )
-        if self.rel_backoff < 1.0:
-            raise ValueError("retransmit backoff must be >= 1")
-        if self.rel_retry_budget < 1:
-            raise ValueError("retry budget must be >= 1")
-        if self.rel_ack_delay_us < 0:
-            raise ValueError("negative ack delay")
-        if self.rel_quarantine_threshold < 1:
-            raise ValueError("quarantine threshold must be >= 1")
-        if not self.rel_probe_after_us >= 0:  # rejects negatives and NaN
-            raise ValueError("rail probe delay must be >= 0")
-        if self.flow_control not in ("off", "credit"):
-            raise ValueError(
-                f"unknown flow control mode {self.flow_control!r}; "
-                "expected off | credit"
-            )
-        if self.credit_bytes < 1 or self.credit_wraps < 1:
-            raise ValueError("credit budgets must be positive")
-        if self.credit_grant_delay_us < 0:
-            raise ValueError("negative credit grant delay")
-        if self.nack_delay_us < 0:
-            raise ValueError("negative nack delay")
         if self.max_window_wraps < 0 or self.max_window_bytes < 0:
             raise ValueError("negative window cap")
         if self.window_policy not in ("block", "fail"):
@@ -238,34 +119,11 @@ class EngineParams:
                 f"unknown window policy {self.window_policy!r}; "
                 "expected block | fail"
             )
-        if self.max_unexpected_bytes < 0:
-            raise ValueError("negative unexpected-bytes budget")
-        if self.max_unexpected_bytes and self.flow_control != "credit":
-            raise ValueError(
-                "max_unexpected_bytes needs flow_control='credit': a "
-                "refused message is only recoverable through the "
-                "NACK-and-resend path"
-            )
         if self.watchdog_interval_us < 0:
             raise ValueError("negative watchdog interval")
-        if self.sessions not in ("off", "epoch"):
-            raise ValueError(
-                f"unknown sessions mode {self.sessions!r}; "
-                "expected off | epoch"
-            )
-        if self.hb_interval_us <= 0:
-            raise ValueError("heartbeat interval must be positive")
-        if self.hb_timeout_us < 2 * self.hb_interval_us:
-            raise ValueError(
-                "hb_timeout_us must be at least 2*hb_interval_us: a "
-                "timeout shorter than two monitor ticks declares a peer "
-                "dead before a single probe could round-trip"
-            )
-
-    @property
-    def rel_adaptive(self) -> bool:
-        """True when the retransmit timeout is measured, not configured."""
-        return self.rel_timeout_us == "auto"
+        self._check_reliability()
+        self._check_flow_control()
+        self._check_sessions()
 
     def per_mtu_cost(self, profile: NicProfile) -> float:
         """Data-path inspection cost per MTU for this driver."""
@@ -276,51 +134,32 @@ class EngineParams:
 
 
 @dataclass
-class EngineStats:
-    """Counters the tests, benches and ablations read."""
+class EngineStats(ReliabilityStats, FlowControlStats, SessionStats):
+    """Counters the tests, benches and ablations read: each declared once
+    with :func:`counter`, here or in the mixin next to its opt-in layer."""
 
-    phys_packets: int = 0
-    items_sent: int = 0
-    aggregated_packets: int = 0    # physical packets carrying >= 2 segments
-    aggregated_segments: int = 0   # segments travelling in such packets
-    anticipated_hits: int = 0      # idle NICs refilled from a prepared packet
-    eager_bytes: int = 0
-    rdv_bytes: int = 0
-    wire_bytes: int = 0
-    recv_copies: int = 0
-    recv_copy_bytes: int = 0
-    # Reliability-layer counters (all zero in "off" mode).
-    retransmits: int = 0
-    duplicates_suppressed: int = 0
-    failovers: int = 0
-    rails_quarantined: int = 0
-    rails_reprobed: int = 0        # half-open probes that lifted a quarantine
-    acks_sent: int = 0
-    corrupt_discards: int = 0
-    transport_failures: int = 0
-    # Flow-control counters (all zero in "off" mode).
-    credit_stalls: int = 0         # destination transitions to credit-blocked
-    window_full_events: int = 0    # submissions deferred or refused at the cap
-    unexpected_overflows: int = 0  # eager arrivals refused by the matcher
-    credits_granted: int = 0       # grants advertising newly released credit
-    nacks_sent: int = 0            # refused segments bounced to their sender
-    nack_resends: int = 0          # bounced segments re-entered the window
-    # Session-layer counters (all zero in "off" mode).
-    peers_suspected: int = 0       # peers that crossed half the hb timeout
-    peers_dead: int = 0            # peers confirmed dead by the detector
-    epochs_started: int = 0        # sessions established (first contact too)
-    stale_frames_fenced: int = 0   # frames discarded for a stale incarnation
-    heartbeats_sent: int = 0       # idle-path probes and probe replies
-    # Partition-tolerance counters (all zero in "off" mode).
-    peers_recovered: int = 0       # suspects that resumed contact (no teardown)
-    frames_parked: int = 0         # outbound frames held while a peer was suspect
-    # Adaptive-timing counters (all zero outside rel_timeout_us="auto",
-    # except deadlines_expired which any deadline_us request can bump).
-    rtt_samples: int = 0           # acks that fed the estimator (Karn-eligible)
-    rto_backoffs: int = 0          # retransmits that doubled an adaptive RTO
-    hedges_sent: int = 0           # tail re-sends on the second-best rail
-    hedges_won: int = 0            # hedged frames whose ack beat the original
-    deadlines_expired: int = 0     # requests failed by their deadline_us
+    phys_packets: int = counter("core")
+    items_sent: int = counter("core")
+    aggregated_packets: int = counter("core")   # packets with >= 2 segments
+    aggregated_segments: int = counter("core")  # segments in such packets
+    anticipated_hits: int = counter("core")     # refills from a prepared packet
+    eager_bytes: int = counter("core")
+    rdv_bytes: int = counter("core")
+    wire_bytes: int = counter("core")
+    recv_copies: int = counter("core")
+    recv_copy_bytes: int = counter("core")
+    deadlines_expired: int = counter("adaptive")  # failed by their deadline_us
+
+    #: Report order; counters keep their declaration order within a group.
+    GROUP_ORDER = ("core", "reliability", "flow_control", "sessions",
+                   "partition", "adaptive")
+
+    @classmethod
+    def groups(cls) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """``(group, counter names)``: what ``repro report`` renders."""
+        return tuple(
+            (g, tuple(f.name for f in fields(cls) if f.metadata["group"] == g))
+            for g in cls.GROUP_ORDER)
 
 
 class NmadEngine:
@@ -344,29 +183,16 @@ class NmadEngine:
             create(strategy) if isinstance(strategy, str) else strategy
         )
         self.stats = EngineStats()
-        credit_on = self.params.flow_control == "credit"
-        # Wraps above the largest rendezvous threshold never travel eagerly
-        # (any rail would announce them), so credit gating exempts them —
-        # and a maximal eager segment must fit the budget, or it could
-        # never be sent at all.
-        exempt_floor = max(n.profile.rdv_threshold for n in node.nics)
-        if credit_on and self.params.credit_bytes < exempt_floor:
-            raise MpiError(
-                f"{node.name}: credit_bytes={self.params.credit_bytes} is "
-                f"smaller than the largest rendezvous threshold "
-                f"({exempt_floor}B); a maximal eager segment could never "
-                "be sent"
-            )
-        self.window = OptimizationWindow(
-            n_rails=len(node.nics),
-            exempt_floor=exempt_floor if credit_on else 0,
-        )
+        #: Some layer retransmits, so replayed frames are dropped, not errors.
+        self.dedup = self.params.reliability != "off"
+        #: Peers confirmed dead (by the session layer; empty without it).
+        self.dead_peers: set[int] = set()
+        self.window = OptimizationWindow(n_rails=len(node.nics))
         self.matcher = Matcher(self._on_match, tracer=self.tracer,
                                name=f"node{self.node_id}.matcher",
-                               dedup=(self.params.reliability != "off"),
+                               dedup=self.dedup,
                                max_unexpected_bytes=
-                                   self.params.max_unexpected_bytes,
-                               on_refuse=self._on_refuse)
+                                   self.params.max_unexpected_bytes)
         self.rendezvous = RendezvousManager(self)
         self.collect = CollectLayer(self)
         # True once this engine's node crashed: every timer closure and
@@ -383,15 +209,27 @@ class NmadEngine:
                 ceiling_us=self.params.rel_rto_ceiling_us,
                 headroom=self.params.rel_rto_headroom,
             )
-        # The session layer must exist before the reliability layer (which
-        # caches it as its transmit gate) and the transfer layer (which
-        # routes the receive funnel through it in "epoch" mode).
-        self.sessions = SessionLayer(self)
-        self.reliability = ReliabilityLayer(self)
-        self.flowcontrol = FlowControlLayer(self)
         self.transfer = TransferLayer(self)
-        if self.params.sessions == "epoch":
-            node.add_crash_hook(self.halt)
+        # The opt-in pipeline: a layer that is off is not constructed, so in
+        # paper mode both tuples are empty and nothing sits between the
+        # transfer layer and the NIC.
+        p = self.params
+        self.sessions = SessionLayer(self) if p.sessions == "epoch" else None
+        self.reliability = (ReliabilityLayer(self)
+                            if p.reliability == "ack" else None)
+        self.flowcontrol = (FlowControlLayer(self)
+                            if p.flow_control == "credit" else None)
+        #: Receive order, wire first.  Halt, quiesce, teardown and the
+        #: diagnostics iterate this tuple too.
+        self.layers: tuple[Layer, ...] = tuple(
+            layer for layer in (self.sessions, self.reliability,
+                                self.flowcontrol) if layer is not None)
+        #: Transmit order.  Not the mirror image: the session gate precedes
+        #: sequencing, so a parked frame draws its sequence number and ack
+        #: snapshot when it actually leaves.
+        self.tx_layers: tuple[Layer, ...] = tuple(
+            layer for layer in (self.flowcontrol, self.sessions,
+                                self.reliability) if layer is not None)
         self.watchdog: Watchdog | None = None
         if self.params.watchdog_interval_us > 0:
             self.watchdog = Watchdog(
@@ -434,7 +272,7 @@ class NmadEngine:
         mid-flight the deadline lapses (too late, like MPI_Cancel on a
         matched send).
         """
-        if self.sessions.is_dead(dest):
+        if dest in self.dead_peers:
             raise PeerDeadError(
                 f"node{self.node_id}: isend to node {dest}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
@@ -464,7 +302,7 @@ class NmadEngine:
         :class:`~repro.errors.DeadlineExceededError`; a receive already
         matched (data landing) completes normally.
         """
-        if src != ANY and self.sessions.is_dead(src):
+        if src in self.dead_peers:
             raise PeerDeadError(
                 f"node{self.node_id}: irecv from node {src}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
@@ -476,9 +314,8 @@ class NmadEngine:
         )
         self.matcher.post(req)
         if src != ANY:
-            # A sourced receive is a liveness interest: watch the peer so
-            # its death fails this request instead of hanging it forever.
-            self.sessions.note_interest(src)
+            for layer in self.layers:
+                layer.on_post(src)
         if deadline_us is not None:
             self._arm_deadline(req, deadline_us)
         self.poke_watchdog()
@@ -558,8 +395,6 @@ class NmadEngine:
         tombstone for its consumed sequence number.  Returns ``False`` —
         and fails nothing — when the data already left the node.
         """
-        from repro.errors import StrategyError
-
         if self.collect.cancel_deferred(wrap):
             # Never admitted: no sequence number consumed, no tombstone due.
             if wrap.completion is not None and not wrap.completion.triggered:
@@ -608,12 +443,8 @@ class NmadEngine:
 
     # -- match dispatch -----------------------------------------------------------
     def _on_match(self, inc: Incoming, req: RecvRequest) -> None:
-        if self.flowcontrol.active and isinstance(inc.item, SegItem):
-            # The eager bytes vacate the receive buffer on the match — every
-            # admitted segment funnels through here exactly once (whether it
-            # matched a posted receive or waited unexpected), so the credit
-            # releases exactly once, truncation failures included.
-            self.flowcontrol.release(inc.src, inc.item.data.nbytes)
+        for layer in self.layers:
+            layer.on_match(inc)
         if req.capacity is not None and inc.nbytes > req.capacity:
             err = MpiError(
                 f"node{self.node_id}: truncation — {inc.nbytes}B message "
@@ -647,16 +478,11 @@ class NmadEngine:
         else:
             req.finish(item.data, src=inc.src, tag=inc.tag)
 
-    def _on_refuse(self, inc: Incoming) -> None:
-        """The matcher's unexpected-bytes budget refused an eager arrival."""
-        self.stats.unexpected_overflows += 1
-        self.flowcontrol.on_local_refuse(inc)
-
     # -- crash / drain lifecycle ---------------------------------------------
     def halt(self) -> None:
         """Silence this engine: its node crashed (fail-stop).
 
-        Registered as a node crash hook in ``sessions="epoch"`` mode.  A
+        Registered as a node crash hook by the session layer.  A
         dead process must not tick into its successor's incarnation, so
         every virtual-time timer of this engine — retransmit and delayed-ack
         timers, credit grant and NACK-resend timers, session monitors, the
@@ -669,9 +495,8 @@ class NmadEngine:
         self.halted = True
         if self.watchdog is not None:
             self.watchdog.disarm()
-        self.sessions.halt()
-        self.reliability.halt()
-        self.flowcontrol.halt()
+        for layer in self.layers:
+            layer.halt()
         self.tracer.emit(self.sim.now, f"node{self.node_id}.engine", "halt")
 
     def quiesce(
@@ -732,38 +557,22 @@ class NmadEngine:
         """
         return (
             self.matcher.n_posted > 0
-            or not self.window.empty
-            or self.transfer.has_anticipated
-            or self.rendezvous.n_pending > 0
-            or self.rendezvous.n_granted > 0
-            or self.rendezvous.n_incoming > 0
-            or self.matcher.n_parked > 0
-            or not self.reliability.quiesced
-            or self.collect.n_deferred > 0
-            or not self.sessions.quiesced
+            or not self._core_drained()
+            or any(layer.has_outstanding() for layer in self.layers)
         )
 
     def _stall_report(self) -> str:
-        """Per-peer credit/window/backlog dump for ProgressStallError."""
+        """Per-peer window/layer dump for ProgressStallError."""
         win = self.window
         m = self.matcher
-        peers: dict[int, None] = {}
-        for d in win.dests():
-            peers[d] = None
-        for d in self.flowcontrol.known_peers():
-            peers[d] = None
         lines = [f"node{self.node_id}: no engine progress "
                  f"(strategy={self.strategy.describe()})"]
-        for peer in sorted(peers):
+        for peer in sorted(set(win.dests()) | set(win.blocked_dests())):
             blocked = " [credit-blocked]" if win.is_blocked(peer) else ""
-            session = ""
-            if self.sessions.active:
-                session = f"; {self.sessions.describe_peer(peer)}"
-            lines.append(
-                f"  peer {peer}: window backlog={win.backlog(peer)} wraps/"
-                f"{win.backlog_bytes(peer)}B{blocked}; "
-                f"{self.flowcontrol.describe_peer(peer)}{session}"
-            )
+            lines.append("; ".join(
+                [f"  peer {peer}: window backlog={win.backlog(peer)} wraps/"
+                 f"{win.backlog_bytes(peer)}B{blocked}"]
+                + [layer.describe_peer(peer) for layer in self.layers]))
         lines.append(
             f"  collect: deferred={self.collect.n_deferred} submissions"
         )
@@ -782,6 +591,11 @@ class NmadEngine:
     # -- introspection ------------------------------------------------------------
     def quiesced(self) -> bool:
         """True when the engine holds no deferred work (end-of-test check)."""
+        return (self._core_drained()
+                and all(layer.quiesced for layer in self.layers))
+
+    def _core_drained(self) -> bool:
+        """The paper's three layers hold no deferred work."""
         return (
             self.window.empty
             and not self.transfer.has_anticipated
@@ -789,10 +603,7 @@ class NmadEngine:
             and self.rendezvous.n_granted == 0
             and self.rendezvous.n_incoming == 0
             and self.matcher.n_parked == 0
-            and self.reliability.quiesced
-            and self.flowcontrol.quiesced
             and self.collect.n_deferred == 0
-            and self.sessions.quiesced
         )
 
     def _deadlock_hint(self) -> str | None:
@@ -806,7 +617,7 @@ class NmadEngine:
             # A crashed node's engine is not stuck; it is dead.  The live
             # side's own hint (dead peers, sessions off) explains the hang.
             return None
-        dead = self.sessions.dead_peers()
+        dead = sorted(self.dead_peers)
         if dead:
             return (
                 f"node{self.node_id}: peer(s) {dead} confirmed dead — "
@@ -821,15 +632,13 @@ class NmadEngine:
             )
         if self.matcher.n_posted == 0 and self.quiesced():
             return None
-        if self.flowcontrol.active:
-            blocked = [p for p in self.flowcontrol.known_peers()
-                       if self.window.is_blocked(p)]
-            if blocked:
-                return (
-                    f"node{self.node_id}: credit-blocked towards peer(s) "
-                    f"{blocked} — the receiver never released credit "
-                    "(application not consuming?)"
-                )
+        blocked = self.window.blocked_dests()
+        if blocked:
+            return (
+                f"node{self.node_id}: credit-blocked towards peer(s) "
+                f"{blocked} — the receiver never released credit "
+                "(application not consuming?)"
+            )
         if self.params.reliability == "off":
             return (
                 f"node{self.node_id}: reliability='off' — no retransmission "

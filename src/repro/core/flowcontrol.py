@@ -3,8 +3,8 @@
 The paper's engine assumes a well-behaved peer: eager traffic is pushed
 as fast as the NICs allow and lands in the receiver's unexpected-message
 state without bound.  The default ``EngineParams.flow_control="off"``
-keeps that paper-faithful behaviour (every hook below degrades to a
-guarded no-op and received frames pass straight to the demultiplexer).
+keeps that paper-faithful behaviour (this layer is then not constructed
+and received frames pass straight to the demultiplexer).
 This module is the opt-in hardening layer (``flow_control="credit"``)
 that bounds both ends of an eager stream:
 
@@ -46,17 +46,82 @@ deadlock the very protocols that release credit.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.packet import PacketWrap, SegItem
-from repro.errors import ProtocolError
+from repro.core.protocols import Layer, counter
+from repro.errors import MpiError, ProtocolError
 from repro.netsim.frames import Frame, FrameKind
+from repro.netsim.nic import Nic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.matching import Incoming
     from repro.core.engine import NmadEngine
+    from repro.core.strategy import SendPlan
 
-__all__ = ["FlowControlLayer"]
+__all__ = ["FlowControlLayer", "FlowControlParams", "FlowControlStats"]
+
+
+@dataclass(frozen=True)
+class FlowControlParams:
+    """Flow-control knobs (``EngineParams`` inherits them)."""
+
+    #: Overload protection.  The paper's engine assumes well-behaved peers
+    #: and unbounded buffering, so ``"off"`` is the default and keeps every
+    #: benchmark figure bit-identical; ``"credit"`` turns on receive-side
+    #: credit flow control for eager traffic (rendezvous traffic is
+    #: self-paced by its grant).
+    flow_control: str = "off"
+    #: Per-peer eager credit budget: payload bytes and wrap count a sender
+    #: may have outstanding (unconsumed by the receiving application).
+    credit_bytes: int = 256 * 1024
+    credit_wraps: int = 256
+    #: Reverse-silence window before a standalone credit frame carries a
+    #: pending grant (grants otherwise piggyback on any reverse frame).
+    credit_grant_delay_us: float = 25.0
+    #: Base delay before a NACKed (receiver-refused) segment is resent;
+    #: doubles per consecutive refusal from the same peer.
+    nack_delay_us: float = 50.0
+    #: Receiver memory budget: cap on buffered unexpected eager payload
+    #: bytes in the matcher (0 = unbounded).  Requires ``"credit"`` mode —
+    #: overflow takes the NACK-and-resend path, which needs the credit
+    #: machinery.
+    max_unexpected_bytes: int = 0
+
+    def _check_flow_control(self) -> None:
+        if self.flow_control not in ("off", "credit"):
+            raise ValueError(
+                f"unknown flow control mode {self.flow_control!r}; "
+                "expected off | credit"
+            )
+        if self.credit_bytes < 1 or self.credit_wraps < 1:
+            raise ValueError("credit budgets must be positive")
+        if self.credit_grant_delay_us < 0:
+            raise ValueError("negative credit grant delay")
+        if self.nack_delay_us < 0:
+            raise ValueError("negative nack delay")
+        if self.max_unexpected_bytes < 0:
+            raise ValueError("negative unexpected-bytes budget")
+        if self.max_unexpected_bytes and self.flow_control != "credit":
+            raise ValueError(
+                "max_unexpected_bytes needs flow_control='credit': a "
+                "refused message is only recoverable through the "
+                "NACK-and-resend path"
+            )
+
+
+@dataclass
+class FlowControlStats:
+    """Overload-protection counters (``EngineStats`` inherits them)."""
+
+    credit_stalls: int = counter("flow_control")    # dest became credit-blocked
+    window_full_events: int = counter("flow_control")  # deferred/refused at cap
+    unexpected_overflows: int = counter("flow_control")  # refused by the matcher
+    credits_granted: int = counter("flow_control")  # grants of released credit
+    nacks_sent: int = counter("flow_control")       # refused segments bounced
+    nack_resends: int = counter("flow_control")     # bounced segments resent
 
 #: Cap on the NACK-resend backoff multiplier (2**6): a peer that keeps
 #: refusing slows the retry loop down to ``64 * nack_delay_us`` but never
@@ -105,16 +170,13 @@ class _PeerCredit:
         self.resend_gen = 0
 
 
-class FlowControlLayer:
+class FlowControlLayer(Layer):
     """Per-engine credit accounting, grant generation and NACK handling.
 
-    Sits between the reliability layer and the demultiplexer on the
-    receive path (:meth:`accept`), and is consulted by the transfer
-    layer on the transmit path (:meth:`consume` / :meth:`stamp`).  In
-    ``"off"`` mode :meth:`accept` is a single attribute check in front
-    of :meth:`~repro.core.transfer.TransferLayer.demux_frame` and no
-    transmit hook is ever invoked, so default-mode runs are bit- and
-    microsecond-identical to the paper engine.
+    Only constructed in ``flow_control="credit"`` mode: the last stage on
+    the receive path (:meth:`accept`), the first on the transmit path
+    (:meth:`send` stamps the grant), and the one layer with plan-level
+    work (:meth:`commit` / :meth:`uncommit` / :meth:`on_match`).
     """
 
     def __init__(self, engine: NmadEngine) -> None:
@@ -122,8 +184,20 @@ class FlowControlLayer:
         self.sim = engine.sim
         self.params = engine.params
         self.nics = list(engine.node.nics)
-        self.mode = engine.params.flow_control
-        self.active = self.mode == "credit"
+        # Wraps above the largest rendezvous threshold never travel eagerly
+        # (any rail would announce them), so credit gating exempts them —
+        # and a maximal eager segment must fit the budget, or it could
+        # never be sent at all.
+        exempt_floor = max(n.profile.rdv_threshold for n in self.nics)
+        if self.params.credit_bytes < exempt_floor:
+            raise MpiError(
+                f"{engine.node.name}: credit_bytes={self.params.credit_bytes} "
+                f"is smaller than the largest rendezvous threshold "
+                f"({exempt_floor}B); a maximal eager segment could never "
+                "be sent"
+            )
+        engine.window.gate_eager(exempt_floor)
+        engine.matcher.on_refuse = self.on_local_refuse
         self._credit_bytes = engine.params.credit_bytes
         self._credit_wraps = engine.params.credit_wraps
         self._grant_delay = engine.params.credit_grant_delay_us
@@ -139,6 +213,23 @@ class FlowControlLayer:
         return st
 
     # -- transmit side: consuming credit ------------------------------------
+    @staticmethod
+    def _charged(plan: SendPlan) -> list[int]:
+        """Lengths of the wraps in ``plan`` that cost credit: announced
+        (rendezvous) wraps are exempt — the grant protocol paces them end
+        to end — and NACK resends were charged when their original went
+        out."""
+        return [w.length for w in plan.taken
+                if not w.is_control and not w.credit_exempt]
+
+    def commit(self, plan: SendPlan) -> None:
+        for nbytes in self._charged(plan):  # credit is spent at commit time
+            self.consume(plan.dest, nbytes)
+
+    def uncommit(self, plan: SendPlan) -> None:
+        for nbytes in self._charged(plan):
+            self.refund(plan.dest, nbytes)
+
     def consume(self, dest: int, nbytes: int) -> None:
         """An eager wrap towards ``dest`` was committed to a packet."""
         st = self._peer(dest)
@@ -154,13 +245,7 @@ class FlowControlLayer:
         self._update_gate(st)
 
     def planning_budget(self, dest: int) -> tuple[int | None, int | None]:
-        """Remaining eager ``(bytes, wraps)`` allowance towards ``dest``.
-
-        ``(None, None)`` in off mode — strategies then plan unconstrained,
-        exactly as in the paper.
-        """
-        if not self.active:
-            return (None, None)
+        """Remaining eager ``(bytes, wraps)`` allowance towards ``dest``."""
         st = self._peers.get(dest)
         if st is None:
             return (self._credit_bytes, self._credit_wraps)
@@ -192,18 +277,19 @@ class FlowControlLayer:
             self.engine.transfer.kick()
 
     # -- receive path --------------------------------------------------------
-    def accept(self, rail: int, frame: Frame) -> None:
-        """Every post-reliability arrival funnels through here before demux."""
-        if self.active:
-            if frame.fc_grant is not None:
-                self._apply_grant(frame.src_node, frame.fc_grant,
-                                  from_nack=frame.kind == FrameKind.NACK)
-            if frame.kind == FrameKind.CREDIT:
-                return  # pure control: nothing to demultiplex
-            if frame.kind == FrameKind.NACK:
-                self._on_nack(frame)
-                return
-        self.engine.transfer.demux_frame(rail, frame)
+    def accept(self, rail: int, frame: Frame) -> bool:
+        """Apply the piggybacked grant; absorb credit and NACK frames."""
+        if frame.fc_grant is not None:
+            self._apply_grant(frame.src_node, frame.fc_grant,
+                              from_nack=frame.kind == FrameKind.NACK)
+        if frame.kind == FrameKind.CREDIT:
+            return False  # pure control: nothing to demultiplex
+        if frame.kind == FrameKind.NACK:
+            self._on_nack(frame)
+            return False
+        return True
+
+    on_frame = accept  # the Layer receive hook
 
     def _apply_grant(self, peer: int, grant: tuple[int, int],
                      from_nack: bool) -> None:
@@ -225,10 +311,16 @@ class FlowControlLayer:
         self._update_gate(st)
         self.engine.transfer.kick()
 
+    def on_match(self, inc: Incoming) -> None:
+        # The eager bytes vacate the receive buffer on the match — every
+        # admitted segment is matched exactly once (whether it found a
+        # posted receive or waited unexpected), so the credit releases
+        # exactly once, truncation failures included.
+        if isinstance(inc.item, SegItem):
+            self.release(inc.src, inc.item.data.nbytes)
+
     def release(self, peer: int, nbytes: int) -> None:
         """The application consumed an eager message from ``peer``."""
-        if not self.active:
-            return
         st = self._peer(peer)
         st.released_bytes_total += nbytes
         st.released_wraps_total += 1
@@ -250,6 +342,17 @@ class FlowControlLayer:
         st = self._peer(frame.dst_node)
         frame.fc_grant = self._advertise(st)
         frame.wire_size += self.params.hdr.credit_header
+
+    def send(
+        self,
+        nic: Nic,
+        frame: Frame,
+        cpu_gap_us: float,
+        on_delivered: Callable[[], None] | None,
+        on_failed: Callable[[BaseException], None] | None,
+    ) -> bool:
+        self.stamp(frame)
+        return False
 
     def _grant_delay_us(self, peer: int) -> float:
         """Coalescing delay before a standalone credit grant to ``peer``.
@@ -302,7 +405,7 @@ class FlowControlLayer:
 
     def _send_credit(self, st: _PeerCredit) -> None:
         hdr = self.params.hdr
-        rail = self.engine.reliability.choose_rail(st.peer, prefer=0)
+        rail = self.engine.transfer.choose_rail(st.peer, prefer=0)
         frame = Frame(
             src_node=self.engine.node_id, dst_node=st.peer,
             kind=FrameKind.CREDIT,
@@ -312,7 +415,7 @@ class FlowControlLayer:
         self.engine.tracer.emit(self.sim.now, self._name, "credit",
                                 peer=st.peer, bytes=st.released_bytes_total,
                                 wraps=st.released_wraps_total, rail=rail)
-        self.engine.reliability.send(self.nics[rail], frame)
+        self.engine.transfer.transmit(self.nics[rail], frame, after=self)
 
     # -- unexpected-buffer overflow: NACK and resend later -------------------
     def on_local_refuse(self, inc: Incoming) -> None:
@@ -329,9 +432,10 @@ class FlowControlLayer:
         """
         item = inc.item
         assert isinstance(item, SegItem)
+        self.engine.stats.unexpected_overflows += 1
         st = self._peer(inc.src)
         hdr = self.params.hdr
-        rail = self.engine.reliability.choose_rail(inc.src, prefer=0)
+        rail = self.engine.transfer.choose_rail(inc.src, prefer=0)
         # payload_size stays 0: the echoed segment stands in for the resend
         # buffer a real sender would have retained, so the bounce only
         # charges control-record bytes on the wire.
@@ -346,7 +450,7 @@ class FlowControlLayer:
         self.engine.tracer.emit(self.sim.now, self._name, "nack",
                                 peer=inc.src, seq=item.seq,
                                 nbytes=item.data.nbytes, rail=rail)
-        self.engine.reliability.send(self.nics[rail], frame)
+        self.engine.transfer.transmit(self.nics[rail], frame, after=self)
 
     def _on_nack(self, frame: Frame) -> None:
         item = frame.payload
@@ -392,7 +496,7 @@ class FlowControlLayer:
         self.engine.transfer.kick()
 
     # -- session-layer hooks --------------------------------------------------
-    def reset_peer(self, peer: int) -> None:
+    def reset_peer(self, peer: int, exc: BaseException) -> None:
         """Zero the credit ledger towards a dead/restarted peer.
 
         The entry stays in place with its generation counters *bumped*
@@ -441,15 +545,13 @@ class FlowControlLayer:
     @property
     def quiesced(self) -> bool:
         """True when no grant or NACK resend is still scheduled."""
-        if not self.active:
-            return True
         if self._pending_resends:
             return False
         return all(not st.grant_pending for st in self._peers.values())
 
-    def known_peers(self) -> list[int]:
-        """Peers with any credit state, in deterministic order."""
-        return sorted(self._peers)
+    def has_outstanding(self, peer: int | None = None) -> bool:
+        """Never: grants and NACK resends are timers that fire on their own."""
+        return False
 
     def describe_peer(self, peer: int) -> str:
         """One-line credit diagnostic for the stall report."""
@@ -468,5 +570,4 @@ class FlowControlLayer:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FlowControlLayer {self._name} mode={self.mode} "
-                f"peers={len(self._peers)}>")
+        return f"<FlowControlLayer {self._name} peers={len(self._peers)}>"

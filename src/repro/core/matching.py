@@ -61,7 +61,6 @@ class Matcher:
         name: str = "matcher",
         dedup: bool = False,
         max_unexpected_bytes: int = 0,
-        on_refuse: Callable[[Incoming], None] | None = None,
     ) -> None:
         self._on_match = on_match
         self.tracer = tracer if tracer is not None else Tracer()
@@ -76,9 +75,9 @@ class Matcher:
         #: finds no posted receive and would overflow is *refused* — handed
         #: to ``on_refuse`` (the engine NACKs it back to its sender) without
         #: advancing the sequence stream, so the delayed resend slots
-        #: straight back in.
+        #: straight back in.  The flow-control layer installs itself here.
         self._max_unexpected = max_unexpected_bytes
-        self._on_refuse = on_refuse
+        self.on_refuse: Callable[[Incoming], None] | None = None
         self._expected: dict[tuple[int, int], int] = {}
         self._parked: dict[tuple[int, int], dict[int, Incoming]] = {}
         self._posted: list[RecvRequest] = []
@@ -165,8 +164,8 @@ class Matcher:
             self.tracer.emit(inc.arrived_at, self.name, "refuse",
                              src=inc.src, flow=inc.flow, tag=inc.tag,
                              seq=inc.seq, buffered=self.unexpected_bytes)
-            if self._on_refuse is not None:
-                self._on_refuse(inc)
+            if self.on_refuse is not None:
+                self.on_refuse(inc)
             return False
         self._expected[key] = inc.seq + 1
         self.delivered += 1

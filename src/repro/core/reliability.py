@@ -45,9 +45,11 @@ so cross-rail replays deduplicate exactly like same-rail ones.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
+from repro.core.protocols import Layer, counter
 from repro.errors import RailDownError, TransportError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -55,7 +57,121 @@ from repro.netsim.nic import Nic
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
 
-__all__ = ["ReliabilityLayer"]
+__all__ = ["ReliabilityLayer", "ReliabilityParams", "ReliabilityStats"]
+
+
+@dataclass(frozen=True)
+class ReliabilityParams:
+    """Reliability knobs (``EngineParams`` inherits them)."""
+
+    #: Transport reliability.  The paper's engine targets reliable
+    #: system-area networks and performs no retransmission, so ``"off"`` is
+    #: the default and keeps every benchmark number unchanged; ``"ack"``
+    #: turns on the sliding-window ack/retransmit protocol with rail
+    #: failover.
+    reliability: str = "off"
+    #: Initial retransmit timeout, doubled (``rel_backoff``) per retry.
+    #: The string ``"auto"`` (requires ``reliability="ack"``) replaces the
+    #: static constant with a measured one: per-peer Jacobson SRTT/RTTVAR
+    #: estimation (see :mod:`repro.core.rttstat`) derives the RTO as
+    #: ``rel_rto_headroom * (srtt + 4*rttvar)`` clamped into
+    #: ``[rel_rto_floor_us, rel_rto_ceiling_us]``.
+    rel_timeout_us: float | str = 200.0
+    rel_backoff: float = 2.0
+    #: Clamp bounds and queueing headroom for the ``"auto"`` RTO.  The
+    #: ceiling doubles as the conservative pre-measurement RTO.
+    rel_rto_floor_us: float = 50.0
+    rel_rto_ceiling_us: float = 10_000.0
+    rel_rto_headroom: float = 2.0
+    #: Opt-in tail hedging (requires ``rel_timeout_us="auto"`` and >= 2
+    #: rails): ``"tail"`` re-sends a frame on the *second-best* rail once
+    #: it has been outstanding past a p99-ish quantile of that rail's
+    #: observed RTT, while the original stays in flight — duplicate
+    #: suppression absorbs whichever copy loses.  ``"off"`` (default)
+    #: never hedges.
+    rel_hedge: str = "off"
+    #: Retransmissions per frame before the send fails with TransportError.
+    rel_retry_budget: int = 8
+    #: Reverse-silence window before a standalone ack frame is emitted.
+    rel_ack_delay_us: float = 25.0
+    #: Consecutive retransmit-timeouts that quarantine a rail (when another
+    #: healthy rail exists).
+    rel_quarantine_threshold: int = 3
+    #: Half-open recovery: delay before a quarantined rail is re-probed.
+    #: ``0`` derives 32x ``rel_timeout_us``; ``float("inf")`` disables
+    #: probing (a quarantined rail then stays out for good, the pre-probe
+    #: behaviour).  The delay doubles per re-quarantine of the same rail.
+    rel_probe_after_us: float = 0.0
+
+    def _check_reliability(self) -> None:
+        if self.reliability not in ("off", "ack"):
+            raise ValueError(
+                f"unknown reliability mode {self.reliability!r}; "
+                "expected off | ack"
+            )
+        if isinstance(self.rel_timeout_us, str):
+            if self.rel_timeout_us != "auto":
+                raise ValueError(
+                    f"unknown rel_timeout_us {self.rel_timeout_us!r}; "
+                    "expected a positive number or 'auto'"
+                )
+            if self.reliability != "ack":
+                raise ValueError(
+                    "rel_timeout_us='auto' needs reliability='ack': the "
+                    "RTT estimator samples the ack machinery"
+                )
+        elif self.rel_timeout_us <= 0:
+            raise ValueError("retransmit timeout must be positive")
+        if self.rel_rto_floor_us <= 0:
+            raise ValueError("RTO floor must be positive")
+        if self.rel_rto_ceiling_us < self.rel_rto_floor_us:
+            raise ValueError("RTO ceiling must be >= floor")
+        if self.rel_rto_headroom < 1.0:
+            raise ValueError("RTO headroom must be >= 1")
+        if self.rel_hedge not in ("off", "tail"):
+            raise ValueError(
+                f"unknown rel_hedge mode {self.rel_hedge!r}; "
+                "expected off | tail"
+            )
+        if self.rel_hedge == "tail" and self.rel_timeout_us != "auto":
+            raise ValueError(
+                "rel_hedge='tail' needs rel_timeout_us='auto': the hedge "
+                "delay is a quantile of the measured RTT"
+            )
+        if self.rel_backoff < 1.0:
+            raise ValueError("retransmit backoff must be >= 1")
+        if self.rel_retry_budget < 1:
+            raise ValueError("retry budget must be >= 1")
+        if self.rel_ack_delay_us < 0:
+            raise ValueError("negative ack delay")
+        if self.rel_quarantine_threshold < 1:
+            raise ValueError("quarantine threshold must be >= 1")
+        if not self.rel_probe_after_us >= 0:  # rejects negatives and NaN
+            raise ValueError("rail probe delay must be >= 0")
+
+    @property
+    def rel_adaptive(self) -> bool:
+        """True when the retransmit timeout is measured, not configured."""
+        return self.rel_timeout_us == "auto"
+
+
+@dataclass
+class ReliabilityStats:
+    """Reliability counters (``EngineStats`` inherits them)."""
+
+    retransmits: int = counter("reliability")
+    duplicates_suppressed: int = counter("reliability")
+    failovers: int = counter("reliability")
+    rails_quarantined: int = counter("reliability")
+    rails_reprobed: int = counter("reliability")  # probes that lifted a quarantine
+    acks_sent: int = counter("reliability")
+    corrupt_discards: int = counter("reliability")  # at the rx entry: any mode
+    transport_failures: int = counter("reliability")
+    # Adaptive timing (all zero outside rel_timeout_us="auto").
+    rtt_samples: int = counter("adaptive")   # acks that fed the estimator
+    rto_backoffs: int = counter("adaptive")  # retransmits doubling an auto RTO
+    hedges_sent: int = counter("adaptive")   # tail re-sends on another rail
+    hedges_won: int = counter("adaptive")    # hedges whose ack beat the original
 
 
 class _Pending:
@@ -105,12 +221,12 @@ class _Channel:
         self.ack_gen = 0
 
 
-class ReliabilityLayer:
-    """Per-engine ack/retransmit protocol and rail-health tracking.
+class ReliabilityLayer(Layer):
+    """Per-engine ack/retransmit protocol and rail-loss scoring.
 
-    In ``"off"`` mode every call degrades to a thin pass-through around
-    :meth:`Nic.post_send` with identical timing, so the default engine is
-    byte-for-byte and microsecond-for-microsecond the paper's.
+    Only constructed in ``reliability="ack"`` mode.  Which rails are in
+    service is the transfer layer's fact; this layer scores losses and
+    asks it to quarantine or readmit a rail.
     """
 
     def __init__(self, engine: NmadEngine) -> None:
@@ -118,9 +234,9 @@ class ReliabilityLayer:
         self.sim = engine.sim
         self.params = engine.params
         self.nics = list(engine.node.nics)
-        self.mode = engine.params.reliability
-        # The session layer gates every transmit (constructed just before
-        # this layer); in sessions="off" mode the gate is never consulted.
+        self._transfer = engine.transfer
+        # Standalone acks bypass the transmit pipeline (no sequence number)
+        # yet need the epoch header to pass the peer's fence, if any.
         self._sessions = engine.sessions
         # Adaptive timing: the engine-owned estimator, or None in static
         # mode.  _static_rto_us is the configured constant when static.
@@ -129,8 +245,6 @@ class ReliabilityLayer:
             None if engine.params.rel_adaptive
             else float(engine.params.rel_timeout_us))
         self._channels: dict[int, _Channel] = {}
-        #: Rails the health tracker has taken out of service.
-        self.quarantined: set[int] = set()
         #: Consecutive retransmit-timeouts per rail (reset on any ack).
         self.rail_losses: dict[int, int] = {}
         # Half-open recovery: each quarantine schedules a re-probe after a
@@ -140,24 +254,22 @@ class ReliabilityLayer:
         self._name = f"node{engine.node_id}.reliability"
 
     # -- introspection ------------------------------------------------------
-    def rail_ok(self, rail: int) -> bool:
-        """May the transfer layer still schedule work on this rail?"""
-        return rail not in self.quarantined
-
     @property
     def n_unacked(self) -> int:
         return sum(len(ch.unacked) for ch in self._channels.values())
 
-    @property
-    def quiesced(self) -> bool:
-        """True when no frame awaits an ack and no ack awaits sending."""
-        return all(not ch.unacked and not ch.ack_pending
-                   for ch in self._channels.values())
-
-    def has_outstanding(self, peer: int) -> bool:
-        """Does this layer still owe or await anything towards ``peer``?"""
+    def has_outstanding(self, peer: int | None = None) -> bool:
+        """Does a frame still await an ack, or an ack sending (towards
+        ``peer``; any peer when ``None``)?"""
+        if peer is None:
+            return any(ch.unacked or ch.ack_pending
+                       for ch in self._channels.values())
         ch = self._channels.get(peer)
         return ch is not None and bool(ch.unacked or ch.ack_pending)
+
+    def describe_peer(self, peer: int) -> str:
+        ch = self._channels.get(peer)
+        return f"reliability: unacked={len(ch.unacked) if ch else 0}"
 
     def _rto_base_us(self, peer: int) -> float:
         """The un-backed-off retransmit timeout towards ``peer``: the
@@ -183,25 +295,13 @@ class ReliabilityLayer:
         cpu_gap_us: float = 0.0,
         on_delivered: Callable[[], None] | None = None,
         on_failed: Callable[[BaseException], None] | None = None,
-    ) -> None:
-        """Transmit ``frame`` on ``nic``, reliably when the layer is on.
+    ) -> bool:
+        """Transmit ``frame`` on ``nic`` reliably (the last transmit stage).
 
-        ``on_delivered`` fires once: at tx completion in ``"off"`` mode
-        (the classic "data left the node" semantics), at ack receipt in
-        ``"ack"`` mode.  ``on_failed`` fires instead (ack mode only) when
-        the retransmit budget is exhausted — or, with ``sessions="epoch"``,
-        when the peer is confirmed dead.
+        ``on_delivered`` fires once, at ack receipt; ``on_failed`` fires
+        instead when the retransmit budget is exhausted or the peer's
+        channel is torn down.
         """
-        if self._sessions.active and self._sessions.defer_tx(
-                nic, frame, cpu_gap_us, on_delivered, on_failed):
-            # Buffered behind the session handshake (it will re-enter here
-            # on flush), or failed because the peer is dead.
-            return
-        if self.mode == "off":
-            done = nic.post_send(frame, cpu_gap_us=cpu_gap_us)
-            if on_delivered is not None:
-                done.add_callback(lambda _evt: on_delivered())
-            return
         ch = self._channel(frame.dst_node)
         hdr = self.params.hdr
         frame.rel_seq = ch.next_seq
@@ -214,6 +314,7 @@ class ReliabilityLayer:
         ch.unacked[pending.seq] = pending
         done = nic.post_send(frame, cpu_gap_us=cpu_gap_us)
         done.add_callback(lambda _evt: self._tx_done(ch, pending))
+        return True
 
     def _tx_done(self, ch: _Channel, pending: _Pending) -> None:
         """A (re)transmission fully left the NIC: start its retry clock."""
@@ -270,11 +371,11 @@ class ReliabilityLayer:
     def _second_best_rail(self, peer: int, exclude: int) -> int | None:
         """Least-congested healthy rail other than ``exclude``, if any."""
         candidates = [r for r, nic in enumerate(self.nics)
-                      if r != exclude and r not in self.quarantined
+                      if r != exclude and self._transfer.rail_ok(r)
                       and nic.has_peer(peer)]
         if not candidates:
             return None
-        return min(candidates, key=self._rail_score)
+        return min(candidates, key=self._transfer.rail_score)
 
     def _arm_timer(self, ch: _Channel) -> None:
         deadlines = [p.deadline for p in ch.unacked.values()
@@ -304,7 +405,7 @@ class ReliabilityLayer:
         pending.retries += 1
         self.engine.stats.retransmits += 1
         self._note_loss(pending.rail)
-        rail = self._choose_rail(ch.peer, prefer=pending.rail)
+        rail = self._transfer.choose_rail(ch.peer, prefer=pending.rail)
         if rail != pending.rail:
             self.engine.stats.failovers += 1
             self.engine.tracer.emit(self.sim.now, self._name, "failover",
@@ -328,8 +429,8 @@ class ReliabilityLayer:
     def _give_up(self, ch: _Channel, pending: _Pending) -> None:
         del ch.unacked[pending.seq]
         self.engine.stats.transport_failures += 1
-        kind = (RailDownError if pending.rail in self.quarantined
-                else TransportError)
+        kind = (TransportError if self._transfer.rail_ok(pending.rail)
+                else RailDownError)
         exc = kind(
             f"node{self.engine.node_id}: frame seq {pending.seq} to node "
             f"{ch.peer} undeliverable after {pending.retries} retransmits "
@@ -344,22 +445,18 @@ class ReliabilityLayer:
     # -- rail health ---------------------------------------------------------
     def _note_loss(self, rail: int) -> None:
         self.rail_losses[rail] = self.rail_losses.get(rail, 0) + 1
-        if (rail not in self.quarantined
+        rail_ok = self._transfer.rail_ok
+        if (rail_ok(rail)
                 and self.rail_losses[rail] >= self.params.rel_quarantine_threshold
-                and any(r not in self.quarantined
+                and any(rail_ok(r)
                         for r in range(len(self.nics)) if r != rail)):
             self._quarantine(rail)
 
     def _quarantine(self, rail: int) -> None:
-        self.quarantined.add(rail)
         self.engine.stats.rails_quarantined += 1
         self.engine.tracer.emit(self.sim.now, self._name, "quarantine",
                                 rail=rail,
                                 losses=self.rail_losses.get(rail, 0))
-        healthy = [r for r in range(len(self.nics))
-                   if r not in self.quarantined]
-        if healthy:
-            self.engine.rendezvous.reroute_rail(rail, healthy[0])
         # Expire everything last sent on the dead rail so failover happens
         # now rather than after the remaining backoff.
         now = self.sim.now
@@ -372,7 +469,7 @@ class ReliabilityLayer:
             if touched:
                 self._arm_timer(ch)
         self._schedule_probe(rail)
-        self.engine.transfer.kick()
+        self._transfer.quarantine(rail)
 
     def _probe_base_us(self) -> float:
         """The first half-open probe delay (0 in params = auto-derive)."""
@@ -412,67 +509,24 @@ class ReliabilityLayer:
         """
         if gen != self._probe_gens.get(rail):
             return  # superseded (halt or a newer quarantine cycle)
-        if rail not in self.quarantined:
+        if self._transfer.rail_ok(rail):
             return
-        self.quarantined.discard(rail)
         self.rail_losses[rail] = self.params.rel_quarantine_threshold - 1
         self.engine.stats.rails_reprobed += 1
         self.engine.tracer.emit(self.sim.now, self._name, "reprobe",
                                 rail=rail)
-        self.engine.transfer.kick()
-
-    def _choose_rail(self, peer: int, prefer: int) -> int:
-        """Least-congested healthy rail with a path to ``peer``.
-
-        Congestion-aware shortest-queue choice: each candidate rail is
-        scored by its NIC's tx occupancy (queued frames, +1 while the card
-        is busy serializing) with the optimization window's O(1) pending-
-        byte index as the tie-break.  ``prefer`` stays sticky unless some
-        other rail is *strictly* less congested, so the uncontended case
-        behaves exactly like the old boolean health check.
-        """
-        candidates = [r for r, nic in enumerate(self.nics)
-                      if r not in self.quarantined and nic.has_peer(peer)]
-        if not candidates:
-            return prefer  # no healthy alternative: keep trying where we were
-        if len(candidates) == 1:
-            return candidates[0]
-        best = min(candidates, key=self._rail_score)
-        if prefer in candidates:
-            if self._rail_score(best) < self._rail_score(prefer):
-                return best
-            return prefer
-        return best
-
-    def _rail_score(self, rail: int) -> tuple[int, int]:
-        """Queue-depth congestion score for one rail (lower is better)."""
-        nic = self.nics[rail]
-        depth = nic.queued + (0 if nic.idle else 1)
-        return depth, self.engine.window.pending_bytes(rail)
-
-    def choose_rail(self, peer: int, prefer: int = 0) -> int:
-        """Public rail election for other control layers (flow control)."""
-        return self._choose_rail(peer, prefer)
+        self._transfer.readmit(rail)
 
     # -- receive side --------------------------------------------------------
-    def on_frame(self, rail: int, frame: Frame) -> None:
-        """Every engine-NIC arrival funnels through here before demux."""
-        if frame.corrupted:
-            # The checksum the sender appended does not match: discard like
-            # a loss (in ack mode the retransmit timer recovers it; in off
-            # mode the stall is the loud surface the tests demand).
-            self.engine.stats.corrupt_discards += 1
-            self.engine.tracer.emit(self.sim.now, self._name, "rx_corrupt",
-                                    frame=frame.frame_id, rail=rail)
-            return
+    def on_frame(self, rail: int, frame: Frame) -> bool:
+        """Ack processing and duplicate suppression ahead of the demux."""
         if frame.rel_ack is not None:
             cum, sacks = frame.rel_ack
             self._handle_ack(frame.src_node, cum, sacks)
         if frame.kind == FrameKind.REL_ACK:
-            return
-        if self.mode == "off" or frame.rel_seq is None:
-            self.engine.flowcontrol.accept(rail, frame)
-            return
+            return False
+        if frame.rel_seq is None:
+            return True  # a peer running reliability="off": tolerate
         ch = self._channel(frame.src_node)
         if not self._record_rx(ch, frame.rel_seq):
             self.engine.stats.duplicates_suppressed += 1
@@ -480,9 +534,9 @@ class ReliabilityLayer:
                                     seq=frame.rel_seq, peer=frame.src_node)
             # The peer is clearly missing our ack: resend it right away.
             self._send_ack(ch)
-            return
+            return False
         self._schedule_delayed_ack(ch)
-        self.engine.flowcontrol.accept(rail, frame)
+        return True
 
     def _record_rx(self, ch: _Channel, seq: int) -> bool:
         if seq < ch.rx_cum or seq in ch.rx_sacks:
@@ -551,16 +605,15 @@ class ReliabilityLayer:
     def _send_ack(self, ch: _Channel) -> None:
         self._cancel_delayed_ack(ch)
         hdr = self.params.hdr
-        rail = self._choose_rail(ch.peer, prefer=0)
+        rail = self._transfer.choose_rail(ch.peer, prefer=0)
         frame = Frame(
             src_node=self.engine.node_id, dst_node=ch.peer,
             kind=FrameKind.REL_ACK,
             wire_size=hdr.rel_header + hdr.checksum,
             rel_ack=self._ack_snapshot(ch),
         )
-        # Standalone acks bypass send() (they must not consume a sequence
-        # number) but still need the epoch stamp to pass the peer's fence.
-        self._sessions.stamp(frame)
+        if self._sessions is not None:
+            self._sessions.stamp(frame)
         self.engine.stats.acks_sent += 1
         self.engine.tracer.emit(self.sim.now, self._name, "ack",
                                 peer=ch.peer, cum=frame.rel_ack[0],
@@ -608,5 +661,5 @@ class ReliabilityLayer:
                 self._probe_gens[rail] += 1  # in-flight probes become no-ops
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ReliabilityLayer {self._name} mode={self.mode} "
-                f"unacked={self.n_unacked} quarantined={sorted(self.quarantined)}>")
+        return (f"<ReliabilityLayer {self._name} unacked={self.n_unacked} "
+                f"quarantined={sorted(self._transfer.quarantined)}>")

@@ -175,7 +175,7 @@ class RendezvousManager:
         """Receiver granted: move the transfer to the streaming queue."""
         state = self._pending.pop(ack.handle, None)
         if state is None:
-            if self.engine.params.reliability != "off":
+            if self.engine.dedup:
                 # A grant replayed across rails after failover; the first
                 # copy already moved the transfer to streaming.
                 return
@@ -275,7 +275,7 @@ class RendezvousManager:
         """A matching receive exists: set up landing and send the grant."""
         key = (req_item.src, req_item.handle)
         if key in self._incoming:
-            if self.engine.params.reliability != "off":
+            if self.engine.dedup:
                 return  # replayed announcement already granted
             raise ProtocolError(
                 f"node{self.engine.node_id}: duplicate rendezvous grant for "
@@ -293,7 +293,7 @@ class RendezvousManager:
         key = (item.src, item.handle)
         state = self._incoming.get(key)
         if state is None:
-            if self.engine.params.reliability != "off":
+            if self.engine.dedup:
                 # Retransmitted chunk of an already-assembled transfer.
                 self.engine.stats.duplicates_suppressed += 1
                 return

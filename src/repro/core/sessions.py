@@ -6,7 +6,7 @@ the opt-in reliability and flow-control layers inherit that — a silently
 crashed peer leaves senders retrying into the void until the retry budget
 burns, leaks credit, and a restarted peer would happily accept stale
 frames from its previous life.  The default ``EngineParams.sessions="off"``
-keeps the paper-faithful behaviour (no hook below is ever installed and
+keeps the paper-faithful behaviour (this layer is then not constructed and
 every figure stays bit-identical).  This module is the opt-in hardening
 layer (``sessions="epoch"``) that gives the engine a ULFM-style notion of
 process failure:
@@ -61,9 +61,11 @@ frame from a *newer* incarnation revives the peer.
 from __future__ import annotations
 
 from collections.abc import Callable
+from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
 
+from repro.core.protocols import Layer, counter
 from repro.errors import PeerDeadError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -71,7 +73,53 @@ from repro.netsim.nic import Nic
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
 
-__all__ = ["SessionLayer"]
+__all__ = ["SessionLayer", "SessionParams", "SessionStats"]
+
+
+@dataclass(frozen=True)
+class SessionParams:
+    """Session knobs (``EngineParams`` inherits them)."""
+
+    #: Failure detection and session epochs.  The paper's engine assumes
+    #: every peer stays alive, so ``"off"`` is the default and keeps every
+    #: benchmark figure bit-identical; ``"epoch"`` stamps a session header
+    #: on every frame, runs a hello/welcome handshake per peer, and
+    #: confirms peers dead after ``hb_timeout_us`` of silence.
+    sessions: str = "off"
+    #: Heartbeat/monitor period: how often a watched peer's silence is
+    #: re-examined and (when the line is otherwise idle) probed.
+    hb_interval_us: float = 50.0
+    #: Silence before a peer is confirmed dead; at half of this the peer
+    #: becomes *suspected* (counted, traced, not yet acted on).
+    hb_timeout_us: float = 500.0
+
+    def _check_sessions(self) -> None:
+        if self.sessions not in ("off", "epoch"):
+            raise ValueError(
+                f"unknown sessions mode {self.sessions!r}; "
+                "expected off | epoch"
+            )
+        if self.hb_interval_us <= 0:
+            raise ValueError("heartbeat interval must be positive")
+        if self.hb_timeout_us < 2 * self.hb_interval_us:
+            raise ValueError(
+                "hb_timeout_us must be at least 2*hb_interval_us: a "
+                "timeout shorter than two monitor ticks declares a peer "
+                "dead before a single probe could round-trip"
+            )
+
+
+@dataclass
+class SessionStats:
+    """Session counters (``EngineStats`` inherits them)."""
+
+    peers_suspected: int = counter("sessions")  # crossed half the hb timeout
+    peers_dead: int = counter("sessions")       # confirmed dead by the detector
+    epochs_started: int = counter("sessions")   # sessions established
+    stale_frames_fenced: int = counter("sessions")  # stale-incarnation discards
+    heartbeats_sent: int = counter("sessions")  # idle probes and probe replies
+    peers_recovered: int = counter("partition")  # suspects that resumed contact
+    frames_parked: int = counter("partition")   # frames held for a suspect peer
 
 #: Frame kinds owned by this layer (never reach reliability or demux).
 _SESSION_KINDS = frozenset({
@@ -109,14 +157,12 @@ class _PeerSession:
         ]] = []
 
 
-class SessionLayer:
+class SessionLayer(Layer):
     """Per-engine session handshakes, epoch fencing and failure detection.
 
-    Sits at the very front of the receive funnel (before the reliability
-    layer) and gates the transmit funnel inside
-    :meth:`~repro.core.reliability.ReliabilityLayer.send`.  In ``"off"``
-    mode neither hook is installed, so default-mode runs are bit- and
-    microsecond-identical to the paper engine.
+    Only constructed in ``sessions="epoch"`` mode: the first stage on the
+    receive path (:meth:`on_frame` fences before anything else looks at a
+    frame) and the admission gate on the transmit path (:meth:`defer_tx`).
     """
 
     def __init__(self, engine: NmadEngine) -> None:
@@ -124,8 +170,8 @@ class SessionLayer:
         self.sim = engine.sim
         self.params = engine.params
         self.nics = list(engine.node.nics)
-        self.mode = engine.params.sessions
-        self.active = self.mode == "epoch"
+        # A dead process must not tick into its successor's incarnation.
+        engine.node.add_crash_hook(engine.halt)
         #: Frozen at construction: a restarted node gets a *new* engine,
         #: whose session layer speaks for the new incarnation.
         self.incarnation = engine.node.incarnation
@@ -142,7 +188,7 @@ class SessionLayer:
     # -- transmit side -------------------------------------------------------
     def stamp(self, frame: Frame) -> None:
         """Attach the session header to an outgoing frame (idempotent)."""
-        if not self.active or frame.session is not None:
+        if frame.session is not None:
             return
         st = self._peer(frame.dst_node)
         frame.session = (self.incarnation, st.peer_incarnation)
@@ -161,10 +207,9 @@ class SessionLayer:
 
         Returns ``True`` when the layer consumed the frame (buffered until
         the handshake completes, or failed because the peer is dead) and
-        ``False`` when the caller should transmit it now (it has been
-        stamped).  Called from the top of ``ReliabilityLayer.send`` so
-        *every* engine frame — data, acks excepted (they stamp directly),
-        credits, NACKs — is epoch-correct.
+        ``False`` when the pipeline should transmit it now (it has been
+        stamped).  *Every* engine frame — data, acks excepted (they stamp
+        directly), credits, NACKs — passes here, ahead of sequencing.
         """
         st = self._peer(frame.dst_node)
         if st.sess_state == "established":
@@ -203,6 +248,8 @@ class SessionLayer:
         self.engine.poke_watchdog()
         return True
 
+    send = defer_tx  # the Layer transmit hook
+
     def _flush(self, st: _PeerSession) -> None:
         """Handshake done: replay buffered frames in submission order."""
         if not st.deferred_tx:
@@ -210,15 +257,17 @@ class SessionLayer:
         deferred, st.deferred_tx = st.deferred_tx, []
         self.engine.tracer.emit(self.sim.now, self._name, "flush",
                                 peer=st.peer, frames=len(deferred))
+        self._arm_monitor(st)
         for nic, frame, gap, ok, fail in deferred:
-            self.engine.reliability.send(nic, frame, cpu_gap_us=gap,
-                                         on_delivered=ok, on_failed=fail)
+            self.stamp(frame)
+            self.engine.transfer.transmit(nic, frame, gap, ok, fail,
+                                          after=self)
 
     def _send_session_frame(self, st: _PeerSession, kind: str,
                             payload: str | None = None) -> None:
         """Emit a handshake/heartbeat frame directly (never retransmitted:
         the monitor re-solicits, so losing one only costs an interval)."""
-        rail = self.engine.reliability.choose_rail(st.peer, prefer=0)
+        rail = self.engine.transfer.choose_rail(st.peer, prefer=0)
         frame = Frame(
             src_node=self.engine.node_id, dst_node=st.peer, kind=kind,
             wire_size=self.params.hdr.global_header, payload=payload,
@@ -231,44 +280,35 @@ class SessionLayer:
         self.nics[rail].post_send(frame)
 
     # -- receive side --------------------------------------------------------
-    def on_frame(self, rail: int, frame: Frame) -> None:
-        """Every engine-NIC arrival funnels through here first."""
-        if frame.corrupted:
-            # Same surface as the reliability layer: a failed checksum is
-            # a loss, whatever the frame claimed to be.
-            self.engine.stats.corrupt_discards += 1
-            self.engine.tracer.emit(self.sim.now, self._name, "rx_corrupt",
-                                    frame=frame.frame_id, rail=rail)
-            return
+    def on_frame(self, rail: int, frame: Frame) -> bool:
+        """Fence stale epochs and absorb handshake/heartbeat frames."""
         if frame.session is None:
-            # A peer running sessions="off": tolerate, pass straight down.
-            self.engine.reliability.on_frame(rail, frame)
-            return
+            return True  # a peer running sessions="off": tolerate
         s_inc, d_inc = frame.session
         st = self._peer(frame.src_node)
         if frame.kind in _SESSION_KINDS:
             self._on_session_frame(st, frame, s_inc, d_inc)
-            return
+            return False
         if d_inc != self.incarnation:
             # Addressed to a previous life of this node: a retransmit or
             # straggler from before our restart.  Fencing it is what keeps
             # the old epoch's sequence/credit state from leaking into ours.
             self._fence(st, frame)
-            return
+            return False
         if st.sess_state == "dead":
             if s_inc <= st.peer_incarnation:
                 self._fence(st, frame)
-                return
+                return False
             self._epoch_change(st, s_inc)     # the peer came back
         elif s_inc < st.peer_incarnation:
             self._fence(st, frame)
-            return
+            return False
         elif s_inc > st.peer_incarnation and st.peer_incarnation != _UNKNOWN:
             self._epoch_change(st, s_inc)     # the peer restarted under us
         elif st.sess_state != "established":
             self._establish(st, s_inc)        # implicit learn from data
         self._note_liveness(st)
-        self.engine.reliability.on_frame(rail, frame)
+        return True
 
     def _on_session_frame(self, st: _PeerSession, frame: Frame,
                           s_inc: int, d_inc: int) -> None:
@@ -319,6 +359,7 @@ class SessionLayer:
         new_epoch = s_inc != st.peer_incarnation
         st.peer_incarnation = s_inc
         st.sess_state = "established"
+        self.engine.dead_peers.discard(st.peer)
         st.suspect = False
         if new_epoch:
             st.epoch += 1
@@ -349,6 +390,7 @@ class SessionLayer:
 
     def _declare_dead(self, st: _PeerSession) -> None:
         st.sess_state = "dead"
+        self.engine.dead_peers.add(st.peer)
         st.mon_armed = False
         st.mon_gen += 1
         self.engine.stats.peers_dead += 1
@@ -378,10 +420,8 @@ class SessionLayer:
         """
         engine = self.engine
         peer = st.peer
-        deferred, st.deferred_tx = st.deferred_tx, []
-        for _nic, _frame, _gap, _ok, fail in deferred:
-            if fail is not None:
-                fail(exc)
+        n_deferred = len(st.deferred_tx)
+        self.reset_peer(peer, exc)
         # Dissolve an anticipated packet first: it restores wraps into the
         # window (drained just below) and refunds credit (reset just after).
         engine.transfer.discard_anticipated_for(peer)
@@ -390,20 +430,29 @@ class SessionLayer:
                 wrap.completion.fail(exc)
                 wrap.completion.defuse()
         engine.collect.reset_dest(peer, exc)
-        engine.reliability.reset_peer(peer, exc)
+        for layer in engine.layers:
+            if layer is not self:
+                layer.reset_peer(peer, exc)
         engine.rendezvous.fail_peer(peer, exc)
-        engine.flowcontrol.reset_peer(peer)
         engine.matcher.reset_peer(peer)
         self.engine.tracer.emit(self.sim.now, self._name, "teardown",
-                                peer=peer, deferred=len(deferred))
+                                peer=peer, deferred=n_deferred)
+
+    def reset_peer(self, peer: int, exc: BaseException) -> None:
+        """Fail every frame still buffered behind the peer's handshake."""
+        st = self._peer(peer)
+        deferred, st.deferred_tx = st.deferred_tx, []
+        for _nic, _frame, _gap, _ok, fail in deferred:
+            if fail is not None:
+                fail(exc)
 
     # -- failure detector ----------------------------------------------------
-    def note_interest(self, peer: int) -> None:
-        """The application awaits ``peer`` (a sourced receive was posted):
+    def on_post(self, src: int) -> None:
+        """The application awaits ``src`` (a sourced receive was posted):
         watch its liveness even though we may never transmit to it."""
-        if not self.active or peer == self.engine.node_id or peer < 0:
+        if src == self.engine.node_id or src < 0:
             return
-        st = self._peer(peer)
+        st = self._peer(src)
         if st.sess_state == "unknown":
             # A pure receiver still needs the handshake: without our hello
             # the peer cannot learn our incarnation, and we cannot tell its
@@ -413,12 +462,10 @@ class SessionLayer:
         self._arm_monitor(st)
 
     def _needs_monitor(self, peer: int) -> bool:
-        st = self._peers[peer]
         engine = self.engine
         return bool(
-            st.deferred_tx
-            or engine.window.backlog(peer)
-            or engine.reliability.has_outstanding(peer)
+            engine.window.backlog(peer)
+            or any(layer.has_outstanding(peer) for layer in engine.layers)
             or engine.rendezvous.involves_peer(peer)
             or engine.collect.has_deferred_to(peer)
             or engine.matcher.has_posted_from(peer)
@@ -497,10 +544,6 @@ class SessionLayer:
             st.deferred_tx.clear()
 
     # -- introspection -------------------------------------------------------
-    def is_dead(self, peer: int) -> bool:
-        st = self._peers.get(peer)
-        return st is not None and st.sess_state == "dead"
-
     def is_suspect(self, peer: int) -> bool:
         """True while the failure detector suspects (but has not yet
         condemned) the peer; outbound traffic is parked meanwhile."""
@@ -511,17 +554,12 @@ class SessionLayer:
         """Currently-suspected peers, in deterministic order."""
         return sorted(p for p, st in self._peers.items() if st.suspect)
 
-    def dead_peers(self) -> list[int]:
-        """Peers confirmed dead, in deterministic order."""
-        return sorted(p for p, st in self._peers.items()
-                      if st.sess_state == "dead")
-
-    @property
-    def quiesced(self) -> bool:
-        """True when no frame is buffered behind a handshake."""
-        if not self.active:
-            return True
-        return all(not st.deferred_tx for st in self._peers.values())
+    def has_outstanding(self, peer: int | None = None) -> bool:
+        """Is a frame (towards ``peer``) still buffered behind a handshake?"""
+        if peer is None:
+            return any(st.deferred_tx for st in self._peers.values())
+        st = self._peers.get(peer)
+        return st is not None and bool(st.deferred_tx)
 
     @property
     def n_deferred_tx(self) -> int:
@@ -545,5 +583,5 @@ class SessionLayer:
                 f"epoch={st.epoch} heard={st.last_heard_us:g}us{flags}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<SessionLayer {self._name} mode={self.mode} "
-                f"inc={self.incarnation} peers={len(self._peers)}>")
+        return (f"<SessionLayer {self._name} inc={self.incarnation} "
+                f"peers={len(self._peers)}>")

@@ -56,8 +56,9 @@ class SchedulingContext:
     now: float
     src_node: int = -1
     sent_wraps: set[int] = field(default_factory=set)
-    #: Credit accounting when ``flow_control="credit"`` is active; ``None``
-    #: in the default mode, where strategies plan unconstrained.
+    #: The credit layer when ``flow_control="credit"`` is on; ``None``
+    #: otherwise (the layer does not exist), and strategies plan
+    #: unconstrained.
     flowcontrol: FlowControlLayer | None = None
 
     @property

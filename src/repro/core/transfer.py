@@ -21,11 +21,18 @@ into the frame's ``cpu_gap``.  When the NIC lacks gather/scatter, building
 an aggregate additionally pays a host copy per extra segment (paper §2's
 "accumulate packets in order to make use of some gather/scatter
 capabilities" — without the capability the accumulation is paid in copies).
+
+The layer is also both ends of the opt-in frame pipeline
+(``engine.layers``, see :meth:`TransferLayer.transmit` /
+:meth:`TransferLayer.receive`) and the owner of rail health: every
+configuration schedules on rails, only the reliability layer ever takes
+one out of service.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import partial
 from typing import TYPE_CHECKING
 
@@ -47,6 +54,7 @@ from repro.netsim.nic import Nic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
+    from repro.core.protocols import Layer
     from repro.core.rendezvous import RdvSendState
 
 __all__ = ["TransferLayer"]
@@ -59,9 +67,8 @@ class TransferLayer:
         self.engine = engine
         self.nics = list(engine.node.nics)
         self.sent_wraps: set[int] = set()
-        # Flow-control hooks are skipped entirely in the default "off" mode
-        # so the hot path stays byte- and microsecond-identical.
-        self._fc_active = engine.flowcontrol.active
+        #: Rails taken out of service (always empty in paper mode).
+        self.quarantined: set[int] = set()
         self._pull_pending = [False] * len(self.nics)
         # One pull thunk and one reusable SchedulingContext per rail: the
         # pull path runs once per NIC refill (the paper's §5.1 critical-path
@@ -74,21 +81,9 @@ class TransferLayer:
         # Paper §3.2's second/third dispatch policies: at most one packet is
         # pre-synthesized while every NIC is busy, waiting to be re-fed.
         self._anticipated: tuple[SendPlan, list] | None = None
-        # Every arrival funnels through the session layer first in "epoch"
-        # mode (epoch fencing, handshake/heartbeat absorption), then the
-        # reliability layer (checksum verification, ack processing,
-        # duplicate suppression), then the flow-control layer (grant
-        # application, credit/nack handling); with every mode "off" that
-        # is a straight pass-through to demux_frame.  The front of the
-        # funnel is chosen once, here, so the default hot path never even
-        # reads the session mode.
-        rx_front = (engine.sessions.on_frame if engine.sessions.active
-                    else engine.reliability.on_frame)
         for nic in self.nics:
             nic.add_idle_callback(self._on_idle)
-            nic.set_receive_handler(
-                lambda frame, rail=nic.rail: rx_front(rail, frame)
-            )
+            nic.set_receive_handler(partial(self.receive, nic.rail))
 
     @property
     def has_anticipated(self) -> bool:
@@ -100,46 +95,33 @@ class TransferLayer:
 
         A wrap inside a pre-synthesized packet has been taken from the
         window but has *not* left the node — no NIC accepted it yet — so a
-        cancellation can still succeed.  The whole prepared packet is
-        dissolved: announcements are retracted from the rendezvous table
-        (the peer never saw them) and every wrap returns to the window for
-        the next pull to re-plan.  Returns ``True`` if ``wrap`` was held.
+        cancellation can still succeed.  Returns ``True`` if ``wrap`` was held.
         """
-        if self._anticipated is None:
-            return False
-        plan, items = self._anticipated
-        held = plan.taken + plan.announced
-        if all(w.wrap_id != wrap.wrap_id for w in held):
-            return False
-        self._anticipated = None
-        for item in items:
-            if isinstance(item, RdvReqItem):
-                self.engine.rendezvous.retract(item.handle)
-        for w in held:
-            self.engine.window.restore(w)
-        if self._fc_active:
-            for w in plan.taken:
-                if not w.is_control and not w.credit_exempt:
-                    self.engine.flowcontrol.refund(plan.dest, w.length)
-        self.engine.tracer.emit(self.engine.sim.now,
-                                f"node{self.engine.node_id}.transfer",
-                                "unanticipate", dest=plan.dest,
-                                items=len(items))
-        return True
+        return self._dissolve_anticipated(
+            lambda plan: any(w.wrap_id == wrap.wrap_id
+                             for w in plan.taken + plan.announced))
 
     def discard_anticipated_for(self, dest: int) -> bool:
         """Dissolve the anticipated packet if it targets ``dest``.
 
         The session layer's peer-teardown path: the prepared packet's wraps
-        go back into the window (where the teardown's drain then collects
-        and fails them) and their credit is refunded (the ledger is zeroed
-        right after) — the same unwind as :meth:`uncommit_anticipated`,
-        keyed by destination instead of by wrap.
+        go back into the window, where the teardown's drain then collects
+        and fails them.
+        """
+        return self._dissolve_anticipated(lambda plan: plan.dest == dest)
+
+    def _dissolve_anticipated(
+        self, concerns: Callable[[SendPlan], bool]
+    ) -> bool:
+        """Dissolve the whole prepared packet if ``concerns(plan)``:
+        announcements are retracted from the rendezvous table (the peer
+        never saw them), every wrap returns to the window for the next pull
+        to re-plan, and the layers take back what the commit spent.
         """
         if self._anticipated is None:
             return False
         plan, items = self._anticipated
-        if plan.dest != dest:
+        if not concerns(plan):
             return False
         self._anticipated = None
         for item in items:
@@ -147,20 +129,63 @@ class TransferLayer:
                 self.engine.rendezvous.retract(item.handle)
         for w in plan.taken + plan.announced:
             self.engine.window.restore(w)
-        if self._fc_active:
-            for w in plan.taken:
-                if not w.is_control and not w.credit_exempt:
-                    self.engine.flowcontrol.refund(dest, w.length)
+        for layer in self.engine.layers:
+            layer.uncommit(plan)
         self.engine.tracer.emit(self.engine.sim.now,
                                 f"node{self.engine.node_id}.transfer",
-                                "unanticipate", dest=dest, items=len(items))
+                                "unanticipate", dest=plan.dest,
+                                items=len(items))
         return True
 
-    # -- refill machinery -----------------------------------------------------
-    def _rail_ok(self, rail: int) -> bool:
+    # -- rail health ----------------------------------------------------------
+    def rail_ok(self, rail: int) -> bool:
         """May work still be scheduled on this rail (not quarantined)?"""
-        return self.engine.reliability.rail_ok(rail)
+        return rail not in self.quarantined
 
+    def quarantine(self, rail: int) -> None:
+        """Take ``rail`` out of service; its granted bulk re-homes."""
+        self.quarantined.add(rail)
+        healthy = [r for r in range(len(self.nics))
+                   if r not in self.quarantined]
+        if healthy:
+            self.engine.rendezvous.reroute_rail(rail, healthy[0])
+        self.kick()
+
+    def readmit(self, rail: int) -> None:
+        """Put a quarantined rail back into the candidate set."""
+        self.quarantined.discard(rail)
+        self.kick()
+
+    def choose_rail(self, peer: int, prefer: int = 0) -> int:
+        """Least-congested healthy rail with a path to ``peer``.
+
+        Congestion-aware shortest-queue choice: each candidate rail is
+        scored by its NIC's tx occupancy (queued frames, +1 while the card
+        is busy serializing) with the optimization window's O(1) pending-
+        byte index as the tie-break.  ``prefer`` stays sticky unless some
+        other rail is *strictly* less congested, so the uncontended case
+        behaves exactly like a boolean health check.
+        """
+        candidates = [r for r, nic in enumerate(self.nics)
+                      if r not in self.quarantined and nic.has_peer(peer)]
+        if not candidates:
+            return prefer  # no healthy alternative: keep trying where we were
+        if len(candidates) == 1:
+            return candidates[0]
+        best = min(candidates, key=self.rail_score)
+        if prefer in candidates:
+            if self.rail_score(best) < self.rail_score(prefer):
+                return best
+            return prefer
+        return best
+
+    def rail_score(self, rail: int) -> tuple[int, int]:
+        """Queue-depth congestion score for one rail (lower is better)."""
+        nic = self.nics[rail]
+        depth = nic.queued + (0 if nic.idle else 1)
+        return depth, self.engine.window.pending_bytes(rail)
+
+    # -- refill machinery -----------------------------------------------------
     def kick(self) -> None:
         """New work exists: schedule a pull on every currently idle NIC."""
         if self.engine.halted:
@@ -168,7 +193,7 @@ class TransferLayer:
         any_idle = False
         schedule = self.engine.sim.schedule
         for nic in self.nics:
-            if not self._rail_ok(nic.rail):
+            if not self.rail_ok(nic.rail):
                 continue
             if nic.idle and not self._pull_pending[nic.rail]:
                 self._pull_pending[nic.rail] = True
@@ -186,7 +211,7 @@ class TransferLayer:
         A prepared packet may be handed to *any* NIC later, so it is sized
         against the most restrictive (smallest) rendezvous threshold.
         """
-        rails = [r for r in range(len(self.nics)) if self._rail_ok(r)]
+        rails = [r for r in range(len(self.nics)) if self.rail_ok(r)]
         if not rails:
             rails = list(range(len(self.nics)))
         return min(rails, key=lambda r: self.nics[r].profile.rdv_threshold)
@@ -205,8 +230,7 @@ class TransferLayer:
                 now=self.engine.sim.now,
                 src_node=self.engine.node_id,
                 sent_wraps=self.sent_wraps,
-                flowcontrol=(self.engine.flowcontrol
-                             if self._fc_active else None),
+                flowcontrol=self.engine.flowcontrol,
             )
             self._contexts[rail] = ctx
         else:
@@ -220,7 +244,7 @@ class TransferLayer:
             return
         if self._anticipated is not None:
             return
-        if any(nic.idle and self._rail_ok(nic.rail) for nic in self.nics):
+        if any(nic.idle and self.rail_ok(nic.rail) for nic in self.nics):
             return  # an idle NIC will pull directly
         if (params.dispatch_policy == "backlog"
                 and len(self.engine.window) < params.backlog_flush_threshold):
@@ -243,7 +267,7 @@ class TransferLayer:
         if self.engine.halted:
             return  # a pull scheduled just before the crash landed
         nic = self.nics[rail]
-        if not nic.idle or not self._rail_ok(rail):
+        if not nic.idle or not self.rail_ok(rail):
             return
         params = self.engine.params
         if self._anticipated is not None:
@@ -284,13 +308,8 @@ class TransferLayer:
         engine = self.engine
         for wrap in plan.taken + plan.announced:
             engine.window.take(wrap)
-        if self._fc_active:
-            # Credit is spent at commit time: announced (rendezvous) wraps
-            # are exempt — the grant protocol paces them end to end — and
-            # NACK resends were charged when their original went out.
-            for wrap in plan.taken:
-                if not wrap.is_control and not wrap.credit_exempt:
-                    engine.flowcontrol.consume(plan.dest, wrap.length)
+        for layer in engine.layers:
+            layer.commit(plan)
         items = list(plan.items)
         for wrap in plan.announced:
             items.append(engine.rendezvous.announce(wrap, rail=rail))
@@ -331,10 +350,8 @@ class TransferLayer:
         engine.tracer.emit(engine.sim.now, f"node{engine.node_id}.transfer",
                            "send_plan", rail=nic.rail, dest=plan.dest,
                            items=len(items), wire=wire)
-        if self._fc_active:
-            engine.flowcontrol.stamp(frame)
-        engine.reliability.send(
-            nic, frame, cpu_gap_us=cpu_gap,
+        self.transmit(
+            nic, frame, cpu_gap,
             on_delivered=lambda: self._plan_sent(plan),
             on_failed=lambda exc: self._plan_failed(plan, items, exc),
         )
@@ -354,7 +371,7 @@ class TransferLayer:
 
     def _plan_failed(self, plan: SendPlan, items: list,
                      exc: BaseException) -> None:
-        """The reliability layer gave up on this packet's frame."""
+        """A pipeline layer gave up on this packet's frame."""
         for wrap in plan.taken:
             if wrap.completion is not None and not wrap.completion.triggered:
                 wrap.completion.fail(exc)
@@ -391,16 +408,57 @@ class TransferLayer:
         engine.tracer.emit(engine.sim.now, f"node{engine.node_id}.transfer",
                            "send_bulk", rail=nic.rail, dest=state.wrap.dest,
                            offset=item.offset, nbytes=item.data.nbytes)
-        if self._fc_active:
-            engine.flowcontrol.stamp(frame)
-        engine.reliability.send(
-            nic, frame, cpu_gap_us=cpu_gap,
+        self.transmit(
+            nic, frame, cpu_gap,
             on_delivered=lambda: engine.rendezvous.chunk_sent(state, item),
             on_failed=lambda exc: engine.rendezvous.chunk_failed(
                 state, item, exc),
         )
 
-    # -- receiving ----------------------------------------------------------------
+    # -- the frame pipeline -------------------------------------------------------
+    def transmit(
+        self,
+        nic: Nic,
+        frame: Frame,
+        cpu_gap_us: float = 0.0,
+        on_delivered: Callable[[], None] | None = None,
+        on_failed: Callable[[BaseException], None] | None = None,
+        after: Layer | None = None,
+    ) -> None:
+        """Run ``frame`` through the transmit hooks and post it on ``nic``.
+
+        ``after`` is how a layer injects a frame of its own: only the
+        stages behind it run.  A layer that takes the frame over owns the
+        callbacks; if none does, ``on_delivered`` fires at tx completion
+        (the paper's "data left the node") and ``on_failed`` never.
+        """
+        layers = self.engine.tx_layers
+        if after is not None:
+            layers = layers[layers.index(after) + 1:]
+        for layer in layers:
+            if layer.send(nic, frame, cpu_gap_us, on_delivered, on_failed):
+                return
+        done = nic.post_send(frame, cpu_gap_us=cpu_gap_us)
+        if on_delivered is not None:
+            done.add_callback(lambda _evt: on_delivered())
+
+    def receive(self, rail: int, frame: Frame) -> None:
+        """NIC upcall: every arrival enters the engine here."""
+        if frame.corrupted:
+            # The checksum the sender appended does not match: discard like
+            # a loss (in ack mode the retransmit timer recovers it; in off
+            # mode the stall is the loud surface the tests demand).
+            self.engine.stats.corrupt_discards += 1
+            self.engine.tracer.emit(self.engine.sim.now,
+                                    f"node{self.engine.node_id}.transfer",
+                                    "rx_corrupt", frame=frame.frame_id,
+                                    rail=rail)
+            return
+        for layer in self.engine.layers:
+            if not layer.on_frame(rail, frame):
+                return
+        self.demux_frame(rail, frame)
+
     def demux_frame(self, rail: int, frame: Frame) -> None:
         pkt = frame.payload
         if not isinstance(pkt, PhysPacket):

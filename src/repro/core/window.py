@@ -34,11 +34,9 @@ __all__ = ["OptimizationWindow"]
 class OptimizationWindow:
     """Accumulates wraps between submission and scheduling."""
 
-    def __init__(self, n_rails: int, exempt_floor: int = 0) -> None:
+    def __init__(self, n_rails: int) -> None:
         if n_rails < 1:
             raise ValueError("window needs at least one rail")
-        if exempt_floor < 0:
-            raise ValueError("negative exempt floor")
         self.n_rails = n_rails
         # Insertion-ordered storage: wrap_id -> wrap.  Python dicts preserve
         # submission order and delete in O(1), which is what the old
@@ -57,12 +55,12 @@ class OptimizationWindow:
         self._dedicated_bytes = [0] * n_rails
         self._dest_bytes: dict[int, int] = {}
         # Credit-gating state (flow_control="credit"): destinations the
-        # flow-control layer blocked, and — only when a nonzero
-        # ``exempt_floor`` enables gating — a per-dest count of gate-exempt
-        # wraps (control records, and wraps above the floor, which travel by
-        # rendezvous and pace themselves through its grant).
-        self._exempt_floor = exempt_floor
-        self._gated = exempt_floor > 0
+        # flow-control layer blocked, and — only once :meth:`gate_eager`
+        # enabled gating — a per-dest count of gate-exempt wraps (control
+        # records, and wraps above the floor, which travel by rendezvous
+        # and pace themselves through its grant).
+        self._exempt_floor = 0
+        self._gated = False
         self._blocked_dests: set[int] = set()
         self._dest_exempt: dict[int, int] = {}
         # Peak-occupancy statistics for the ablation benches.
@@ -138,6 +136,12 @@ class OptimizationWindow:
         return (wrap.is_control or wrap.credit_exempt
                 or wrap.length > self._exempt_floor)
 
+    def gate_eager(self, exempt_floor: int) -> None:
+        """Enable credit gating: wraps above ``exempt_floor`` stay electable
+        while their destination is blocked."""
+        self._exempt_floor = exempt_floor
+        self._gated = True
+
     def block_dest(self, dest: int) -> None:
         """Stop electing credit-gated wraps towards ``dest``."""
         self._blocked_dests.add(dest)
@@ -147,6 +151,10 @@ class OptimizationWindow:
 
     def is_blocked(self, dest: int) -> bool:
         return dest in self._blocked_dests
+
+    def blocked_dests(self) -> list[int]:
+        """Destinations currently credit-blocked, in deterministic order."""
+        return sorted(self._blocked_dests)
 
     # -- inspection (strategy input, paper §3.2) -------------------------------
     def eligible(self, rail: int) -> Iterator[PacketWrap]:

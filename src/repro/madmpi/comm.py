@@ -80,10 +80,10 @@ class Communicator:
     def shrink(self, dead_nodes: Iterable[int]) -> Communicator:
         """MPI_Comm_shrink: a fresh communicator over the surviving nodes.
 
-        ``dead_nodes`` are cluster node ids (e.g. from
-        ``engine.sessions.dead_peers()``); ranks are renumbered densely in
-        the survivors' original order.  The new communicator has a fresh
-        matching scope, so no old-epoch traffic can match into it.
+        ``dead_nodes`` are cluster node ids (e.g. ``engine.dead_peers``);
+        ranks are renumbered densely in the survivors' original order.  The
+        new communicator has a fresh matching scope, so no old-epoch
+        traffic can match into it.
         """
         dead = set(dead_nodes)
         survivors = [n for n in self.ranks_to_nodes if n not in dead]

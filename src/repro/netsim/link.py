@@ -17,9 +17,8 @@ frame, drop a fixed id set, drop bursts, corrupt payloads, slow the link
 down over a time window, take the link permanently down at a given time,
 deliver an arrival twice, hold an arrival back past its successors,
 seeded latency jitter, and timed partition windows).  A bare callable
-``frame -> bool`` is still accepted wherever a plan is (the historical
-``fault_injector`` hook), returning ``True`` to drop.  The engine — like the real
-NewMadeleine, which targets reliable system-area networks (MX, Elan, SCI)
+``frame -> bool`` is accepted wherever a plan is, returning ``True`` to
+drop.  The engine — like the real NewMadeleine, which targets reliable system-area networks (MX, Elan, SCI)
 — performs **no retransmission** by default; fault injection exists so
 tests can prove that a loss surfaces as a visible failure (stuck requests,
 failed conservation check, parked sequence gaps) rather than silent
@@ -311,7 +310,7 @@ class Link:
         dst: Nic | Switch,
         latency_us: float,
         tracer: Tracer | None = None,
-        fault_injector: FaultPlan | Callable[[Frame], bool] | None = None,
+        fault_plan: FaultPlan | Callable[[Frame], bool] | None = None,
     ) -> None:
         if latency_us < 0:
             raise NetworkError(f"negative link latency {latency_us}")
@@ -321,7 +320,7 @@ class Link:
         self.latency_us = latency_us
         self.tracer = tracer if tracer is not None else Tracer()
         #: A :class:`FaultPlan` or a bare ``frame -> bool`` drop callable.
-        self.fault_plan: FaultPlan | Callable[[Frame], bool] | None = fault_injector
+        self.fault_plan = fault_plan
         self.frames_sent = 0
         self.frames_delivered = 0
         self.frames_dropped = 0
@@ -346,18 +345,6 @@ class Link:
         # frames overtake).  At constant latency the clamp never binds.
         self._last_deliver_at = 0.0
         self.name = f"link.{src.name}->{dst.name}"
-
-    # ``fault_injector`` predates FaultPlan; keep it as an alias so existing
-    # code and tests that assign a callable keep working unchanged.
-    @property
-    def fault_injector(self) -> FaultPlan | Callable[[Frame], bool] | None:
-        return self.fault_plan
-
-    @fault_injector.setter
-    def fault_injector(
-        self, fn: FaultPlan | Callable[[Frame], bool] | None
-    ) -> None:
-        self.fault_plan = fn
 
     def _fault_action(self, frame: Frame) -> str:
         if self.fault_plan is None:

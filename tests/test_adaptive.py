@@ -277,8 +277,8 @@ class TestFatTreeFailover:
         assert not sreq.failed
         assert e0.stats.failovers >= 1
         assert e0.stats.rails_quarantined == 1
-        assert e0.reliability.rail_ok(0)          # healthy rail kept
-        assert not e0.reliability.rail_ok(1)      # dead rail quarantined
+        assert e0.transfer.rail_ok(0)          # healthy rail kept
+        assert not e0.transfer.rail_ok(1)      # dead rail quarantined
         assert cluster.conservation_ok(allow_faults=True)
 
     def test_static_default_spuriously_quarantines_the_healthy_rail(self):
@@ -289,8 +289,8 @@ class TestFatTreeFailover:
         sim, cluster, e0, payload, app = self._run(200.0)
         with pytest.raises(SimulationError):
             sim.run_process(app())
-        assert not e0.reliability.rail_ok(0)      # healthy rail condemned
-        assert e0.reliability.rail_ok(1)          # dead rail trusted
+        assert not e0.transfer.rail_ok(0)      # healthy rail condemned
+        assert e0.transfer.rail_ok(1)          # dead rail trusted
         assert e0.stats.retransmits > 2           # spurious, not the 2 real
 
 

@@ -157,16 +157,23 @@ class TestReport:
 
 
 class TestReportPartitionGroup:
-    def test_stat_groups_cover_every_engine_counter(self):
-        # The grouped table is asserted complete against EngineStats at
-        # payload-build time; mirror it here so a new counter that is not
-        # slotted into a group fails loudly in both places.
+    def test_stat_groups_are_derived_from_the_counter_declarations(self):
+        # One declaration (``counter(group)`` next to each layer) feeds the
+        # report, its JSON and the lint: the report's groups and the set
+        # the NM203/NM204 rule reads off the source must both be exactly
+        # the EngineStats fields, each in one group.
         import dataclasses
 
         from repro.core.engine import EngineStats
+        from tools.analysis.counters import STATS_COUNTERS
 
-        grouped = {f for _, fields in REPORT_STAT_GROUPS for f in fields}
-        assert grouped == {f.name for f in dataclasses.fields(EngineStats)}
+        declared = {f.name for f in dataclasses.fields(EngineStats)}
+        grouped = [f for _, fields in REPORT_STAT_GROUPS for f in fields]
+        assert len(grouped) == len(set(grouped)) == 36
+        assert set(grouped) == declared == STATS_COUNTERS
+        assert [g for g, _ in REPORT_STAT_GROUPS] == [
+            "core", "reliability", "flow_control", "sessions", "partition",
+            "adaptive"]
 
     def test_json_report_includes_partition_counters(self):
         code, text = run_cli("report", "--sessions", "epoch",

@@ -9,7 +9,7 @@ the sequence gap.  Corrupted-but-complete results would be a bug.
 
 import pytest
 
-from repro.core import NmadEngine, VirtualData
+from repro.core import EngineParams, NmadEngine, VirtualData
 from repro.errors import NetworkError, SimulationError
 from repro.netsim import Cluster, FaultPlan, MX_MYRI10G
 from repro.netsim.stats import render_fault_summary
@@ -30,7 +30,7 @@ def make_pair_with_drops(drop_frame_ids=(), drop_nth=None):
     # Install the injector on node0 -> node1 links only.
     for link in cluster.links:
         if link.src.node_id == 0:
-            link.fault_injector = injector
+            link.fault_plan = injector
     e0 = NmadEngine(cluster.node(0))
     e1 = NmadEngine(cluster.node(1))
     return sim, cluster, e0, e1
@@ -81,7 +81,7 @@ class TestDropVisibility:
 
         for link in cluster.links:
             if link.src.node_id == 1:
-                link.fault_injector = injector
+                link.fault_plan = injector
         e0 = NmadEngine(cluster.node(0))
         e1 = NmadEngine(cluster.node(1))
 
@@ -110,7 +110,7 @@ class TestDropVisibility:
 
         for link in cluster.links:
             if link.src.node_id == 0 and link.dst.node_id == 1:
-                link.fault_injector = injector
+                link.fault_plan = injector
         engines = [NmadEngine(cluster.node(i)) for i in range(3)]
 
         def app():
@@ -137,6 +137,40 @@ class TestDropVisibility:
         req = sim.run_process(app())
         assert req.data.tobytes() == b"safe"
         assert cluster.conservation_ok()
+
+
+class TestCorruptDiscard:
+    @pytest.mark.parametrize("layers", [
+        {},
+        {"reliability": "ack"},
+        {"reliability": "ack", "sessions": "epoch"},
+    ], ids=["off", "ack", "ack+epoch"])
+    def test_corrupt_nth_is_counted_once_in_every_layer_subset(self, layers):
+        # The checksum discard happens once, at the engine's receive entry
+        # (which exists in paper mode too), whichever layers follow it.
+        sim = Simulator()
+        cluster = Cluster(sim, rails=(MX_MYRI10G,))
+        for link in cluster.links:
+            if link.src.node_id == 0:
+                link.fault_plan = FaultPlan(corrupt_nth=(1,))
+        params = EngineParams(**layers)
+        e0 = NmadEngine(cluster.node(0), params=params)
+        e1 = NmadEngine(cluster.node(1), params=params)
+
+        def app():
+            req = e1.irecv(src=0, tag=0)
+            e0.isend(1, b"checksummed", tag=0)
+            yield req.done
+            return req
+
+        if layers:
+            assert sim.run_process(app()).data.tobytes() == b"checksummed"
+        else:
+            with pytest.raises(SimulationError, match="deadlock"):
+                sim.run_process(app())  # paper mode: the loss is loud
+        assert e1.stats.corrupt_discards == 1
+        assert e0.stats.corrupt_discards == 0
+        assert cluster.links[0].frames_corrupted == 1
 
 
 def run_ping(slow_link=None):

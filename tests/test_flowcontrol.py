@@ -43,7 +43,7 @@ class TestDefaultsStayPaperFaithful:
         sim.run()
         assert cluster.conservation_ok()
         for engine in (e0, e1):
-            assert not engine.flowcontrol.active
+            assert engine.flowcontrol is None
             assert engine.watchdog is None
             for counter in FC_COUNTERS:
                 assert getattr(engine.stats, counter) == 0

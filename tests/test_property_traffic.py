@@ -183,7 +183,7 @@ def test_ack_mode_delivers_exactly_once_under_random_loss(
         return injector
 
     for link in pair.cluster.links:
-        link.fault_injector = make_injector()
+        link.fault_plan = make_injector()
     spec = TrafficSpec(n_messages=20, n_flows=3, n_tags=3,
                        max_size=8 * 1024, large_fraction=0.1,
                        large_max=256 * 1024)

@@ -161,7 +161,7 @@ class TestFailover:
         # no traffic has re-tried the dead rail since — one more timeout on
         # it would re-quarantine instantly.
         assert e0.stats.rails_reprobed == 1
-        assert e0.reliability.rail_ok(0)
+        assert e0.transfer.rail_ok(0)
         assert cluster.conservation_ok(allow_faults=True)
         assert e0.quiesced() and e1.quiesced()
 
@@ -188,7 +188,7 @@ class TestFailover:
                 yield s1.done
             assert e0.stats.rails_quarantined == 1  # the fault bit rail 1
             rail1.fault_plan = None                 # the brownout heals
-            while not e0.reliability.rail_ok(1):  # probe fires post-heal
+            while not e0.transfer.rail_ok(1):  # probe fires post-heal
                 yield sim.timeout(200.0)
             sent = cluster.nodes[0].nic(1).frames_sent
             delivered = rail1.frames_delivered
@@ -208,7 +208,7 @@ class TestFailover:
         # frames were sent on it and actually arrived.
         assert cluster.nodes[0].nic(1).frames_sent > sent
         assert rail1.frames_delivered > delivered
-        assert e0.reliability.rail_ok(0) and e0.reliability.rail_ok(1)
+        assert e0.transfer.rail_ok(0) and e0.transfer.rail_ok(1)
         assert cluster.conservation_ok(allow_faults=True)
 
     def test_reprobe_disabled_with_infinite_delay(self):
@@ -235,7 +235,7 @@ class TestFailover:
         assert req.complete
         assert e0.stats.rails_quarantined == 1
         assert e0.stats.rails_reprobed == 0   # probing opted out
-        assert not e0.reliability.rail_ok(1)  # quarantine is permanent
+        assert not e0.transfer.rail_ok(1)  # quarantine is permanent
 
     def test_congestion_aware_election_prefers_shorter_queue(self):
         # Unit-level: with both rails healthy, the election leaves a sticky
@@ -244,7 +244,7 @@ class TestFailover:
         params = EngineParams(**ACK)
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="multirail")
-        rel = e0.reliability
+        rel = e0.transfer
         assert rel.choose_rail(1, prefer=0) == 0  # idle tie: sticky
         assert rel.choose_rail(1, prefer=1) == 1
         # Pile frames onto rail 0's NIC; rail 1 becomes strictly better.
@@ -285,7 +285,7 @@ class TestFailover:
 
         sreq = sim.run_process(app())
         assert e0.stats.rails_quarantined == 0
-        assert e0.reliability.rail_ok(0)
+        assert e0.transfer.rail_ok(0)
         assert sreq.failed and isinstance(sreq.error, TransportError)
 
 

@@ -59,7 +59,7 @@ class TestDefaultsStayPaperFaithful:
         sim.run()
         assert cluster.conservation_ok()
         for engine in (e0, e1):
-            assert not engine.sessions.active
+            assert engine.sessions is None
             assert engine.halted is False
             for counter in SESSION_COUNTERS:
                 assert getattr(engine.stats, counter) == 0
@@ -97,14 +97,6 @@ class TestDefaultsStayPaperFaithful:
         assert frame.wire_size == 100 + params.hdr.session_header
         e0.sessions.stamp(frame)
         assert frame.wire_size == 100 + params.hdr.session_header
-
-    def test_off_mode_never_stamps(self):
-        sim, cluster, (e0, e1) = make_pair(EngineParams())
-        frame = Frame(src_node=0, dst_node=1, kind=FrameKind.DATA,
-                      wire_size=100)
-        e0.sessions.stamp(frame)
-        assert frame.session is None
-        assert frame.wire_size == 100
 
 
 class TestHandshake:
@@ -154,15 +146,14 @@ class TestFailureDetection:
 
         def driver():
             reqs = [e0.isend(1, VirtualData(2048), tag=i) for i in range(20)]
-            while not e0.sessions.is_dead(1) and sim.now < 5_000.0:
+            while 1 not in e0.dead_peers and sim.now < 5_000.0:
                 yield sim.timeout(5.0)
             outcome["detected_at"] = sim.now
             outcome["reqs"] = reqs
 
         sim.spawn(driver())
         sim.run(until=6_000.0)
-        assert e0.sessions.is_dead(1)
-        assert e0.sessions.dead_peers() == [1]
+        assert e0.dead_peers == {1}
         detected = outcome["detected_at"] - crash_at
         assert detected <= detection_bound(params)
         assert e0.stats.peers_suspected >= 1
@@ -187,7 +178,7 @@ class TestFailureDetection:
 
         def driver():
             e0.isend(1, VirtualData(4096), tag=0)
-            while not e0.sessions.is_dead(1) and sim.now < 5_000.0:
+            while 1 not in e0.dead_peers and sim.now < 5_000.0:
                 yield sim.timeout(5.0)
 
         sim.spawn(driver())
@@ -208,7 +199,7 @@ class TestFailureDetection:
         sim.run(until=2_000.0)
         assert req.failed
         assert isinstance(req.error, PeerDeadError)
-        assert e1.sessions.is_dead(0)
+        assert 0 in e1.dead_peers
         assert e1.stats.peers_dead == 1
 
     def test_crash_mid_rendezvous_aborts_the_transfer(self):
@@ -268,14 +259,14 @@ class TestTeardownTimerHygiene:
                 yield sim.timeout(2.0)
             outcome["nacked_at"] = sim.now
             cluster.node(1).crash()
-            while not e0.sessions.is_dead(1) and sim.now < 1_000.0:
+            while 1 not in e0.dead_peers and sim.now < 1_000.0:
                 yield sim.timeout(5.0)
             outcome["resends_at_death"] = e0.stats.nack_resends
 
         sim.spawn(driver())
         sim.run(until=10_000.0)  # far past the 3ms resend backoff
         assert "nacked_at" in outcome, "overflow never produced a NACK"
-        assert e0.sessions.is_dead(1)
+        assert 1 in e0.dead_peers
         assert e0.stats.nack_resends == outcome["resends_at_death"] == 0
         assert e0.flowcontrol.pending_resends == 0
         assert e0.quiesced()
@@ -304,14 +295,14 @@ class TestTeardownTimerHygiene:
             # 2ms delay.  Kill the peer long before it fires.
             assert "[grant pending]" in e0.flowcontrol.describe_peer(1)
             cluster.node(1).crash()
-            while not e0.sessions.is_dead(1) and sim.now < 1_000.0:
+            while 1 not in e0.dead_peers and sim.now < 1_000.0:
                 yield sim.timeout(5.0)
             outcome["granted_at_death"] = e0.stats.credits_granted
             outcome["pending_req"] = pending
 
         sim.spawn(driver())
         sim.run(until=8_000.0)
-        assert e0.sessions.is_dead(1)
+        assert 1 in e0.dead_peers
         assert e0.stats.credits_granted == outcome["granted_at_death"]
         assert "[grant pending]" not in e0.flowcontrol.describe_peer(1)
         assert e0.flowcontrol.quiesced
@@ -333,7 +324,7 @@ class TestTeardownTimerHygiene:
         # releases: the sender wedges on credit, then the peer dies.
         reqs = [e0.isend(1, VirtualData(4096), tag=i) for i in range(40)]
         sim.run(until=3_000.0)
-        assert e0.sessions.is_dead(1)
+        assert 1 in e0.dead_peers
         assert e0.stats.credit_stalls >= 1
         failed = [r for r in reqs if r.failed]
         assert failed, "the credit-blocked backlog never failed"
@@ -376,7 +367,7 @@ class TestQuiesce:
         sim.run(until=3_000.0)
         # After the detector fires, the deferred frame fails and the
         # engine does reach quiescence.
-        assert e0.sessions.is_dead(1)
+        assert 1 in e0.dead_peers
         assert e0.quiesced()
 
 
@@ -414,7 +405,7 @@ class TestCrashRestartRecovery:
             outcome["first_error"] = req.error
             req2 = None
             while req2 is None and sim.now < 3_000.0:
-                if not e0.sessions.is_dead(1):
+                if 1 not in e0.dead_peers:
                     req2 = e0.isend(1, payload, tag=7)
                 else:
                     yield sim.timeout(20.0)
@@ -435,7 +426,7 @@ class TestCrashRestartRecovery:
         assert e0.stats.peers_dead == 1
         # ...was revived by the new incarnation's hello...
         assert e0.stats.epochs_started >= 2
-        assert not e0.sessions.is_dead(1)
+        assert 1 not in e0.dead_peers
         # ...and the re-send delivered byte-exactly to the new epoch.
         rx = outcome["rx"]
         assert rx.complete and not rx.failed
@@ -547,7 +538,7 @@ class TestUlfmSurface:
             with pytest.raises(CommRevokedError):
                 m1.irecv(source=0)
             # ULFM step 2: shrink to the survivors and carry on.
-            shrunk = world.shrink(engines[0].sessions.dead_peers())
+            shrunk = world.shrink(engines[0].dead_peers)
             assert tuple(shrunk.ranks_to_nodes) == (0, 1)
             rreq = m1.irecv(source=0, tag=0, comm=shrunk)
             m0.isend(b"fresh start", dest=1, tag=0, comm=shrunk)
@@ -560,7 +551,7 @@ class TestUlfmSurface:
         rreq = outcome["rreq"]
         assert rreq.complete and not rreq.failed
         assert rreq.data.tobytes() == b"fresh start"
-        assert engines[0].sessions.dead_peers() == [2]
+        assert engines[0].dead_peers == {2}
 
     def test_shrink_refuses_an_empty_communicator(self):
         world = Communicator([0, 1])

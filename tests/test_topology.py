@@ -343,7 +343,7 @@ class TestSwitchFailover:
         assert not sreq.failed
         assert e0.stats.failovers >= 1
         assert e0.stats.rails_quarantined == 1
-        assert e0.reliability.rail_ok(0)
+        assert e0.transfer.rail_ok(0)
         assert cluster.conservation_ok(allow_faults=True)
 
 

@@ -27,6 +27,8 @@ decision goes wrong under load.  The rules:
 from __future__ import annotations
 
 import ast
+import re
+from pathlib import Path
 
 from tools.analysis.base import Checker, assignment_targets, is_self_access
 
@@ -41,21 +43,16 @@ WINDOW_PRIVATE = frozenset({
 #: Read-only accessor methods of the window (never data attributes).
 WINDOW_ACCESSORS = frozenset({"pending_bytes", "backlog", "backlog_bytes"})
 
-#: The counters of ``repro.core.engine.EngineStats``.
-STATS_COUNTERS = frozenset({
-    "phys_packets", "items_sent", "aggregated_packets", "aggregated_segments",
-    "anticipated_hits", "eager_bytes", "rdv_bytes", "wire_bytes",
-    "recv_copies", "recv_copy_bytes",
-    "retransmits", "duplicates_suppressed", "failovers", "rails_quarantined",
-    "rails_reprobed", "acks_sent", "corrupt_discards", "transport_failures",
-    "credit_stalls", "window_full_events", "unexpected_overflows",
-    "credits_granted", "nacks_sent", "nack_resends",
-    "peers_suspected", "peers_dead", "epochs_started",
-    "stale_frames_fenced", "heartbeats_sent",
-    "peers_recovered", "frames_parked",
-    "rtt_samples", "rto_backoffs", "hedges_sent", "hedges_won",
-    "deadlines_expired",
-})
+#: The counters of ``repro.core.engine.EngineStats``: every ``name: int =
+#: counter(group)`` declaration under repro/core/, read from the source (the
+#: lint runs without the package installed) so a new counter needs no edit
+#: here.
+STATS_COUNTERS = frozenset(
+    name
+    for path in sorted((Path(__file__).resolve().parents[2]
+                        / "src" / "repro" / "core").glob("*.py"))
+    for name in re.findall(r"^    (\w+): int = counter\(",
+                           path.read_text(encoding="utf-8"), re.MULTILINE))
 
 WINDOW_MODULE = "repro/core/window.py"
 

@@ -82,6 +82,11 @@ _WRITE_OWNERS: dict[str, frozenset[str]] = {
         "released_bytes_total", "released_wraps_total",
         "peer_released_bytes", "peer_released_wraps",
     }),
+    # Rail health has exactly one owner, which exists in paper mode too:
+    # the reliability layer asks TransferLayer.quarantine()/readmit().
+    "repro/core/transfer.py": frozenset({
+        "quarantined",
+    }),
     # The matcher's unexpected-byte budget gauge (refusals depend on it).
     "repro/core/matching.py": frozenset({
         "unexpected_bytes",
