@@ -69,15 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--out", default="BENCH_perf.json", metavar="PATH",
                       help="where to write the JSON payload "
                            "(default: BENCH_perf.json)")
-    perf.add_argument("--backlog", type=int, default=1000,
-                      help="held window depth for the window-ops bench")
-    perf.add_argument("--scale-nodes", type=int, default=256,
-                      help="hypercube size for the scale bench "
-                           "(power of two, up to 1024; default: 256)")
     perf.add_argument("--check", metavar="PATH", default=None,
                       help="gate the fresh run against a committed "
-                           "BENCH_perf.json trajectory (host-neutral "
-                           "speedup ratios + simulated-time pins); "
+                           "BENCH_perf.json trajectory (rates per "
+                           "same-host calibration job, storm/serial and "
+                           "window-flatness floors, simulated-time pins); "
                            "exit 1 on regression")
 
     report = sub.add_parser(
@@ -638,21 +634,20 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             write_bench,
         )
 
-        if args.backlog < 1:
-            raise SystemExit("--backlog must be >= 1")
         baseline = None
         if args.check is not None:
             # Read before writing --out: the two paths may be the same
             # file, and the gate must compare against the committed copy.
             with open(args.check, encoding="utf-8") as fh:
                 baseline = _json.load(fh)
-        payload = run_suite(quick=args.quick, backlog=args.backlog,
-                            scale_nodes=args.scale_nodes)
+        payload = run_suite(quick=args.quick)
         _print(out, render_perf(payload))
         path = write_bench(payload, args.out)
         _print(out, f"wrote {path}")
         if baseline is not None:
-            failures = check_bench(payload, baseline)
+            failures, skipped = check_bench(payload, baseline)
+            for line in skipped:
+                _print(out, f"  not compared - {line}")
             if failures:
                 _print(out, f"PERF GATE FAILED vs {args.check}:")
                 for line in failures:

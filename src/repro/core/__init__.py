@@ -21,7 +21,6 @@ from repro.core.packet import (
     SegItem,
     WireItem,
 )
-from repro.core.protocols import NicLike, StrategyLike, TacticLike
 from repro.core.reliability import ReliabilityLayer
 from repro.core.requests import ANY, RecvRequest, SendRequest
 from repro.core.sessions import SessionLayer
@@ -56,7 +55,6 @@ __all__ = [
     "FlowControlLayer",
     "HeaderSpec",
     "MultirailStrategy",
-    "NicLike",
     "NmadEngine",
     "OptimizationWindow",
     "PackMessage",
@@ -74,8 +72,6 @@ __all__ = [
     "SendRequest",
     "SessionLayer",
     "Strategy",
-    "StrategyLike",
-    "TacticLike",
     "UnpackMessage",
     "VirtualData",
     "WireItem",

@@ -239,14 +239,6 @@ class RendezvousManager:
             return state, item
         return None
 
-    def has_bulk(self, rail: int, multirail: bool) -> bool:
-        """Is there a granted transfer this rail may stream from?"""
-        return any(
-            (multirail or s.origin_rail == rail)
-            and (s.wrap.rail is None or s.wrap.rail == rail)
-            for s in self._granted
-        )
-
     def chunk_sent(self, state: RdvSendState, item: RdvDataItem) -> None:
         """A bulk chunk's frame finished transmission (or was acked)."""
         state.bytes_sent += item.data.nbytes

@@ -21,8 +21,8 @@ number breaks ties), which makes every simulation and therefore every
 benchmark series exactly reproducible.
 
 The queue is a three-tier calendar structure rather than the seed's single
-binary heap (frozen as :class:`repro.bench.legacy_kernel.LegacySimulator`
-for comparison benches and the ordering-equivalence property test):
+binary heap (frozen as ``tests/seed_kernel.py``, the oracle of the
+ordering-equivalence property test):
 
 * a **now-queue** — a plain FIFO for occurrences at exactly the current
   timestamp (event activations, zero-delay schedules).  These are by far
@@ -42,7 +42,7 @@ Ordering is exactly heap-equivalent: buckets partition the time axis, so
 cross-bucket order is free, and the per-bucket sort (plus bisect insertion
 for entries scheduled into the in-flight bucket) restores ``(time, seq)``
 within one.  ``tests/test_sim_wheel.py`` pins the equivalence with a
-Hypothesis property against the frozen legacy kernel.
+Hypothesis property against the frozen seed kernel.
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ from repro.sim.sanitizer import SanitizeConfig, active_sanitizer, shake_slot
 
 #: Event/Timeout freelist recycling relies on CPython reference counts to
 #: prove no condition, process, or user closure still holds the object.
+#: Kept because it pays: with the freelist off the serial cascade runs 21%
+#: slower (docs/PERFORMANCE.md).
 _POOLING = sys.implementation.name == "cpython"
 _POOL_CAP = 4096
 _getrefcount: Callable[[Any], int] = getattr(sys, "getrefcount", lambda _o: -1)
@@ -502,8 +504,8 @@ class Simulator:
         # falls back to the REPRO_SANITIZE environment variable so subprocess
         # harnesses can arm it without threading a parameter through every
         # experiment entry point.  The hooks live on cold paths only (mark,
-        # schedule_batch, slot refill) — the inlined hot push paths are
-        # untouched either way.
+        # schedule_batch, slot refill) — the hot push paths are untouched
+        # either way.
         if sanitize is None:
             sanitize = active_sanitizer()
         self._sanitize = sanitize
@@ -595,37 +597,7 @@ class Simulator:
             to = pool.pop()
             to.delay = delay
             to._value = value
-            self._seq = seq = self._seq + 1
-            t = self._now + delay
-            if t <= self._now:
-                self._now_q.append(to)
-            else:  # inlined _push, see schedule()
-                if not t <= _T_MAX:
-                    raise SimulationError(
-                        f"cannot schedule at t={t!r} (beyond the kernel horizon)"
-                    )
-                epoch = int(t * _INV_WIDTH)
-                if epoch == self._batch_epoch:
-                    batch = self._batch
-                    if self._batch_i < len(batch):
-                        insort(batch, (t, seq, to), lo=self._batch_i)
-                        return to
-                    if (
-                        epoch == self._cur_epoch
-                        and not self._n_wheel
-                        and not self._far
-                    ):
-                        batch.clear()
-                        self._batch_i = 0
-                        batch.append((t, seq, to))
-                        return to
-                    # Exhausted batch: fall through to the window check
-                    # (the batch may be a behind-cursor far extraction).
-                if self._cur_epoch <= epoch < self._wheel_end:
-                    self._buckets[epoch & _MASK].append((t, seq, to))
-                    self._n_wheel += 1
-                else:
-                    heappush(self._far, (t, seq, to))
+            self._schedule_event(delay, to)
             return to
         return Timeout(self, delay, value)
 
@@ -642,9 +614,11 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
-    # The push paths inline the tie-breaking sequence increment and the
-    # now-queue fast path: they run once per simulated occurrence, so a
-    # method call per push is measurable on the event-loop throughput bench.
+    # Each entry point does the tie-breaking sequence increment and the
+    # now-queue fast path itself; every timed occurrence then goes through
+    # the one _push.  (A private copy of it in each entry point saves the
+    # method call: ~5% on the serial-cascade micro-bench, nothing on the
+    # storm, nothing resolvable end to end — docs/PERFORMANCE.md.)
     # Every push — including now-queue appends — bumps the sequence counter,
     # which is what keeps mark() an exact "nothing happened in between"
     # witness for the netsim coalescing guards.
@@ -656,34 +630,8 @@ class Simulator:
         t = self._now + delay
         if t <= self._now:
             self._now_q.append(fn)
-        else:  # inlined _push (a call per occurrence is measurable here)
-            if not t <= _T_MAX:
-                raise SimulationError(
-                    f"cannot schedule at t={t!r} (beyond the kernel horizon)"
-                )
-            epoch = int(t * _INV_WIDTH)
-            if epoch == self._batch_epoch:
-                batch = self._batch
-                if self._batch_i < len(batch):
-                    insort(batch, (t, seq, fn), lo=self._batch_i)
-                    return
-                if (
-                    epoch == self._cur_epoch
-                    and not self._n_wheel
-                    and not self._far
-                ):
-                    batch.clear()
-                    self._batch_i = 0
-                    batch.append((t, seq, fn))
-                    return
-                # Exhausted batch: fall through to the window check (the
-                # batch may be a behind-cursor far extraction, whose
-                # epoch's slot now belongs to epoch + _NB).
-            if self._cur_epoch <= epoch < self._wheel_end:
-                self._buckets[epoch & _MASK].append((t, seq, fn))
-                self._n_wheel += 1
-            else:
-                heappush(self._far, (t, seq, fn))
+        else:
+            self._push(t, seq, fn)
 
     def schedule_batch(self, delay: float, fns: list[Callable[[], None]]) -> None:
         """Run ``fns`` back-to-back after ``delay``, as ONE queue entry.
@@ -735,34 +683,8 @@ class Simulator:
         t = self._now + delay
         if t <= self._now:
             self._now_q.append(event)
-        else:  # inlined _push, see schedule()
-            if not t <= _T_MAX:
-                raise SimulationError(
-                    f"cannot schedule at t={t!r} (beyond the kernel horizon)"
-                )
-            epoch = int(t * _INV_WIDTH)
-            if epoch == self._batch_epoch:
-                batch = self._batch
-                if self._batch_i < len(batch):
-                    insort(batch, (t, seq, event), lo=self._batch_i)
-                    return
-                if (
-                    epoch == self._cur_epoch
-                    and not self._n_wheel
-                    and not self._far
-                ):
-                    batch.clear()
-                    self._batch_i = 0
-                    batch.append((t, seq, event))
-                    return
-                # Exhausted batch: fall through to the window check (the
-                # batch may be a behind-cursor far extraction, whose
-                # epoch's slot now belongs to epoch + _NB).
-            if self._cur_epoch <= epoch < self._wheel_end:
-                self._buckets[epoch & _MASK].append((t, seq, event))
-                self._n_wheel += 1
-            else:
-                heappush(self._far, (t, seq, event))
+        else:
+            self._push(t, seq, event)
 
     def _activate(self, event: Event) -> None:
         """Queue a triggered event's callbacks for execution *now*."""
@@ -959,7 +881,10 @@ class Simulator:
                 # Dispatch the whole same-timestamp run before returning to
                 # the now-queue: these entries were pushed earlier (smaller
                 # seq) than anything their dispatch pushes at time t, so
-                # batch-first is exactly the heap's (time, seq) order.
+                # batch-first is exactly the heap's (time, seq) order.  The
+                # dispatch body below repeats the now-queue's on purpose:
+                # moving the run into the now-queue to share one body costs
+                # 10% on the serial cascade (docs/PERFORMANCE.md).
                 while True:
                     if n >= limit:
                         self._batch_i = i

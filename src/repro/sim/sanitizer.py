@@ -29,8 +29,8 @@ dependence while staying observably equivalent for correct code:
 
 Sanitize mode is **opt-in and default-off**: a plain ``Simulator()``
 checks the ``REPRO_SANITIZE`` environment variable once at construction
-(unset in normal runs) and takes zero extra branches on the inlined push
-paths either way.  ``python -m repro sanitize`` is the driver that
+(unset in normal runs) and takes zero extra branches on the push paths
+either way.  ``python -m repro sanitize`` is the driver that
 combines these hooks with forced hash randomization and byte-compares
 the output (see ``repro.cli``).
 """
@@ -40,12 +40,16 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from random import Random
-from typing import Any
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:  # pragma: no cover - core imports this module
+    from repro.sim.core import Simulator
 
 __all__ = [
     "SanitizeConfig",
     "active_sanitizer",
     "parse_sanitize_spec",
+    "post_storm",
     "shake_slot",
     "storm_fingerprint",
 ]
@@ -123,25 +127,18 @@ def shake_slot(slot: list[tuple[float, int, Any]], rng: Random) -> None:
         i = j
 
 
-def storm_fingerprint(
-    config: SanitizeConfig | None,
-    rounds: int = 40,
-    fanout: int = 64,
-    stragglers: int = 8,
-) -> tuple[float, int, int]:
-    """Deterministic fingerprint of a completion-storm run.
+def post_storm(
+    sim: Simulator, rounds: int, fanout: int, stragglers: int
+) -> list[int]:
+    """Post the completion-storm workload on ``sim``; run it with ``sim.run()``.
 
-    The workload mirrors ``bench_kernel_storm``: per round, ``fanout``
-    same-timestamp completions posted through ``schedule_batch`` plus a
-    few straggler timers.  Completions only count — the workload is
-    order-insensitive by construction — so a correct kernel yields the
-    same ``(final clock, events processed, completions)`` triple under
-    every sanitize config, while a kernel whose batching or intra-slot
-    ordering leaks into observable state does not.
+    Per round, ``fanout`` same-timestamp completions go through
+    ``schedule_batch`` (one queue entry, one dispatch — the way the batched
+    NIC refill/rx paths post them) plus ``stragglers`` timers spread across
+    the epoch.  Completions only count, so the workload is order-insensitive
+    by construction.  Returns the one-cell completion counter.  Shared by
+    :func:`storm_fingerprint` and ``repro.bench.perf.bench_kernel_storm``.
     """
-    from repro.sim.core import Simulator
-
-    sim = Simulator(sanitize=config)
     count = [0]
 
     def completion() -> None:
@@ -155,5 +152,25 @@ def storm_fingerprint(
             sim.schedule(1.0, lambda: round_fn(r + 1))
 
     sim.schedule(0.0, lambda: round_fn(0))
+    return count
+
+
+def storm_fingerprint(
+    config: SanitizeConfig | None,
+    rounds: int = 40,
+    fanout: int = 64,
+    stragglers: int = 8,
+) -> tuple[float, int, int]:
+    """Deterministic fingerprint of a :func:`post_storm` run.
+
+    A correct kernel yields the same ``(final clock, events processed,
+    completions)`` triple under every sanitize config, while a kernel
+    whose batching or intra-slot ordering leaks into observable state
+    does not.
+    """
+    from repro.sim.core import Simulator
+
+    sim = Simulator(sanitize=config)
+    count = post_storm(sim, rounds, fanout, stragglers)
     final = sim.run()
     return (final, sim.events_processed, count[0])

@@ -1,13 +1,12 @@
-"""The seed repo's single-heap simulation kernel, frozen for comparison.
+"""The seed repo's single-heap simulation kernel, frozen as a test oracle.
 
 This is the pre-overhaul discrete-event kernel (PR 2 vintage: one binary
 heap, a fresh ``(time, seq, item)`` tuple per occurrence, a fresh
-:class:`LegacyEvent` per timeout) kept verbatim so the perf suite can
-report a *measured* speedup of the live calendar-queue kernel in
-:mod:`repro.sim.core` against it — the same pattern as
-:class:`repro.bench.perf.LegacyWindow` for the optimization window.
+:class:`LegacyEvent` per timeout) kept verbatim next to the tests that
+compare against it (``tests/seed_kernel.py``; nothing under ``src/``
+imports it, and the perf gate measures live code only).
 
-It is also the ordering oracle: the Hypothesis equivalence property in
+It is the ordering oracle: the Hypothesis equivalence property in
 ``tests/test_sim_wheel.py`` replays random schedules on both kernels and
 requires identical dispatch sequences, which pins the timer wheel to the
 heap's exact ``(time, seq)`` FIFO semantics.

@@ -1,0 +1,221 @@
+"""The host-perf gate (``repro perf --check``) and the benches behind it.
+
+``check_bench`` is driven with synthetic payloads, so every verdict here
+is deterministic: nothing asserts on a wall-clock reading.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+
+from repro.bench.perf import (
+    SCHEMA,
+    bench_event_loop,
+    bench_kernel_storm,
+    bench_pingpong,
+    bench_random_traffic,
+    bench_window_ops,
+    calibrate,
+    check_bench,
+    render_perf,
+    run_suite,
+)
+from repro.bench.scale import bench_scale
+from repro.errors import ReproError
+
+
+def _payload() -> dict:
+    """A plausible full-shape suite run (numbers of the order measured)."""
+    cal_s = 0.125
+    results = {
+        "window_ops": {"backlog": 1000, "rounds": 5000, "wall_s": 0.02,
+                       "ops_per_s": 250_000.0, "shallow_backlog": 100,
+                       "shallow_ops_per_s": 290_000.0},
+        "event_loop": {"events": 200_000, "wall_s": 0.2,
+                       "events_per_s": 1_000_000.0},
+        "kernel_storm": {"rounds": 600, "fanout": 1024, "stragglers": 8,
+                         "completions": 619_200, "wall_s": 0.04,
+                         "events_per_s": 16_000_000.0},
+        "pingpong": {"iters": 200, "size": 1024, "wall_s": 0.03,
+                     "exchanges_per_s": 6000.0,
+                     "sim_us_oneway": 5.082577777777872},
+        "random_traffic": {"messages": 300, "seed": 7, "wall_s": 0.015,
+                           "messages_per_s": 20_000.0,
+                           "sim_us_makespan": 8685.436},
+        "scale": {"n_nodes": 256, "n_frames": 20_000, "seed": 11,
+                  "delivered": 20_000, "forwarded": 60_571,
+                  "events": 342_283, "wall_s": 1.5,
+                  "events_per_s": 230_000.0,
+                  "sim_us_makespan": 258.66414708642554},
+    }
+    for res in results.values():
+        for key in [k for k in res if k.endswith("_per_s")]:
+            res[key[:-1] + "cal"] = res[key] * cal_s
+    return {"schema": SCHEMA, "python": "3.11.7", "quick": False,
+            "calibration_s": cal_s, "results": results}
+
+
+def _slowed(payload: dict, bench: str, key: str, factor: float) -> dict:
+    """``payload`` with one rate (and its per-calibration sibling) scaled."""
+    out = copy.deepcopy(payload)
+    res = out["results"][bench]
+    res[key] *= factor
+    res[key[:-1] + "cal"] *= factor
+    return out
+
+
+class TestCheckBench:
+    def test_identical_run_passes_with_nothing_skipped(self):
+        assert check_bench(_payload(), _payload()) == ([], [])
+
+    def test_rate_drop_within_tolerance_passes(self):
+        fresh = _slowed(_payload(), "pingpong", "exchanges_per_s", 0.6)
+        assert check_bench(fresh, _payload()) == ([], [])
+
+    def test_rate_drop_beyond_tolerance_fails(self):
+        fresh = _slowed(_payload(), "pingpong", "exchanges_per_s", 0.4)
+        failures, skipped = check_bench(fresh, _payload())
+        assert len(failures) == 1 and not skipped
+        assert "pingpong: exchanges_per_cal" in failures[0]
+        # The same drop passes a looser tolerance: the bound is the knob.
+        assert check_bench(fresh, _payload(), tolerance=0.7) == ([], [])
+
+    def test_a_slower_host_is_not_a_regression(self):
+        # Every rate halves and the calibration job takes twice as long:
+        # the per-calibration rates are unchanged, so the gate passes.
+        fresh = _payload()
+        fresh["calibration_s"] *= 2
+        for res in fresh["results"].values():
+            for key in [k for k in res if k.endswith("_per_s")]:
+                res[key] /= 2
+                res[key[:-1] + "cal"] = res[key] * fresh["calibration_s"]
+        assert check_bench(fresh, _payload()) == ([], [])
+
+    def test_storm_below_ten_times_serial_fails(self):
+        # A kernel paying a push and a pop per completion: storm ~ serial.
+        fresh = _slowed(_payload(), "kernel_storm", "events_per_s", 0.55)
+        failures, _ = check_bench(fresh, _payload())
+        assert any("kernel_storm" in f and "10x floor" in f for f in failures)
+        # ...and the floor is absolute: recording the slow storm as the
+        # baseline does not make it pass.
+        failures, _ = check_bench(fresh, fresh)
+        assert len(failures) == 1 and "10x floor" in failures[0]
+
+    def test_window_rate_that_falls_with_backlog_fails(self):
+        # An O(n) ``take``: ops/s at backlog 1000 is a fraction of the rate
+        # at backlog 100 (the seed's deque window measured 0.11).
+        fresh = _slowed(_payload(), "window_ops", "ops_per_s", 0.2)
+        failures, _ = check_bench(fresh, fresh)
+        assert len(failures) == 1
+        assert "window_ops" in failures[0] and "0.5x floor" in failures[0]
+
+    def test_moved_simulated_pin_fails(self):
+        for bench, key in (("pingpong", "sim_us_oneway"),
+                           ("random_traffic", "sim_us_makespan"),
+                           ("scale", "sim_us_makespan")):
+            fresh = _payload()
+            fresh["results"][bench][key] += 1e-9
+            failures, skipped = check_bench(fresh, _payload())
+            assert len(failures) == 1 and not skipped
+            assert f"{bench}: {key} drifted" in failures[0]
+
+    def test_shape_mismatch_is_reported_not_compared(self):
+        fresh = _slowed(_payload(), "event_loop", "events_per_s", 0.9)
+        fresh["results"]["event_loop"]["events"] = 20_000
+        fresh["results"]["scale"]["n_frames"] = 2_000
+        fresh["results"]["scale"]["sim_us_makespan"] = 48.0
+        failures, skipped = check_bench(fresh, _payload())
+        assert failures == []
+        assert len(skipped) == 2
+        assert skipped[0].startswith("event_loop:") and "events" in skipped[0]
+        assert skipped[1].startswith("scale:") and "n_frames" in skipped[1]
+
+    def test_schema_mismatch_fails(self):
+        old = _payload()
+        old["schema"] = "repro-perf/1"
+        failures, _ = check_bench(_payload(), old)
+        assert len(failures) == 1 and "schema mismatch" in failures[0]
+        assert "repro-perf/1" in failures[0]
+        failures, _ = check_bench(_payload(), {})
+        assert len(failures) == 1 and "schema mismatch" in failures[0]
+
+    def test_baseline_with_nothing_to_compare_fails(self):
+        failures, _ = check_bench(_payload(), {"schema": SCHEMA})
+        assert len(failures) == 1 and "nothing was compared" in failures[0]
+        # Every benchmark of another shape: all skipped, so still a failure.
+        other = _payload()
+        for res in other["results"].values():
+            res["seed"] = res["rounds"] = res["events"] = res["iters"] = -1
+        failures, skipped = check_bench(_payload(), other)
+        assert len(skipped) == 6
+        assert any("nothing was compared" in f for f in failures)
+
+    def test_benchmark_missing_from_the_fresh_run_fails(self):
+        base = _payload()
+        base["results"]["future_bench"] = {"things_per_cal": 1.0}
+        failures, _ = check_bench(_payload(), base)
+        assert failures == ["future_bench: missing from the fresh run"]
+
+    def test_bad_tolerance_rejected(self):
+        with pytest.raises(ReproError):
+            check_bench(_payload(), _payload(), tolerance=1.0)
+
+
+class TestBenches:
+    """One tiny-shape call of each bench: the keys the gate reads exist."""
+
+    def test_calibrate_times_a_fixed_job(self):
+        assert calibrate() > 0.0
+
+    def test_window_ops(self):
+        res = bench_window_ops(backlog=8, rounds=16)
+        assert set(res) == {"backlog", "rounds", "wall_s", "ops_per_s"}
+        assert (res["backlog"], res["rounds"]) == (8, 16)
+        with pytest.raises(ReproError):
+            bench_window_ops(backlog=0)
+
+    def test_event_loop(self):
+        res = bench_event_loop(n_events=50)
+        assert set(res) == {"events", "wall_s", "events_per_s"}
+        assert res["events"] == 50
+
+    def test_kernel_storm(self):
+        res = bench_kernel_storm(rounds=3, fanout=16, stragglers=2)
+        assert set(res) == {"rounds", "fanout", "stragglers", "completions",
+                            "wall_s", "events_per_s"}
+        assert res["completions"] == 3 * (16 + 2)
+        with pytest.raises(ReproError):
+            bench_kernel_storm(rounds=0)
+
+    def test_pingpong(self):
+        res = bench_pingpong(iters=3, size=64)
+        assert set(res) == {"iters", "size", "wall_s", "exchanges_per_s",
+                            "sim_us_oneway"}
+        assert res["sim_us_oneway"] > 0.0
+
+    def test_random_traffic(self):
+        res = bench_random_traffic(n_messages=10)
+        assert set(res) == {"messages", "seed", "wall_s", "messages_per_s",
+                            "sim_us_makespan"}
+        assert res["sim_us_makespan"] > 0.0
+
+    def test_scale(self):
+        res = bench_scale(n_nodes=4, n_frames=20)
+        assert {"n_nodes", "n_frames", "seed", "events_per_s",
+                "sim_us_makespan"} <= set(res)
+        assert res["delivered"] == 20
+
+    def test_quick_suite_payload(self):
+        payload = run_suite(quick=True)
+        assert payload["schema"] == SCHEMA and payload["quick"] is True
+        cal_s = payload["calibration_s"]
+        assert set(payload["results"]) == set(_payload()["results"])
+        for name, res in payload["results"].items():
+            # Same keys as the synthetic payloads above, so those stand
+            # for real runs; every rate has its per-calibration sibling.
+            assert set(res) == set(_payload()["results"][name]), name
+            for key in [k for k in res if k.endswith("_per_s")]:
+                assert res[key[:-1] + "cal"] == res[key] * cal_s
+        assert "kernel storm" in render_perf(payload)

@@ -14,8 +14,8 @@ three kernel bugfixes that rode along:
   ``limit + 1``, leaves the queue resumable, and reports where it
   stopped.
 
-The seed kernel is kept verbatim in :mod:`repro.bench.legacy_kernel`, so
-the old bugs are *demonstrated* here, not just remembered.
+The seed kernel is kept verbatim in ``tests/seed_kernel.py``, so the old
+bugs are *demonstrated* here, not just remembered.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.legacy_kernel import LegacySimulator
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from tests.seed_kernel import LegacySimulator
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,11 @@ def work_plans(draw):
     """Seed work items, some of which schedule follow-ups when they fire.
 
     Delays span the now-queue (0), the wheel (small) and the far heap
-    (beyond the 2048us wheel horizon), with duplicates likely.
+    (beyond the 2048us wheel horizon), with duplicates likely.  A drawn
+    share of the items (and their follow-ups) is posted as a ``Timeout``
+    with a callback instead of a plain ``schedule``: follow-ups are created
+    mid-run, after earlier timeouts have fired and been recycled, so they
+    come off the freelist.
     """
     delay = st.one_of(
         st.just(0.0),
@@ -361,7 +365,8 @@ def work_plans(draw):
     )
     n = draw(st.integers(1, 25))
     return [
-        (draw(delay), draw(st.none() | delay))  # (delay, follow-up delay)
+        # (delay, follow-up delay, post as Timeout)
+        (draw(delay), draw(st.none() | delay), draw(st.booleans()))
         for _ in range(n)
     ]
 
@@ -370,19 +375,26 @@ def _execute(sim, plan, batch_every=None):
     """Schedule ``plan`` on ``sim``; returns the (time, id) firing log."""
     log = []
 
-    def fire(uid, follow):
+    def post(delay, fn, as_timeout):
+        if as_timeout:
+            sim.timeout(delay).add_callback(lambda _evt: fn())
+        else:
+            sim.schedule(delay, fn)
+
+    def fire(uid, follow, as_timeout):
         log.append((round(sim.now, 9), uid))
         if follow is not None:
-            sim.schedule(follow, lambda: log.append(
-                (round(sim.now, 9), 1000 + uid)))
+            post(follow, lambda: log.append((round(sim.now, 9), 1000 + uid)),
+                 as_timeout)
 
     pending = []
-    for uid, (delay, follow) in enumerate(plan):
-        fn = (lambda uid=uid, follow=follow: fire(uid, follow))
+    for uid, (delay, follow, as_timeout) in enumerate(plan):
+        fn = (lambda uid=uid, follow=follow, as_timeout=as_timeout:
+              fire(uid, follow, as_timeout))
         if batch_every and uid % batch_every == 0:
             pending.append((delay, fn))
         else:
-            sim.schedule(delay, fn)
+            post(delay, fn, as_timeout)
     # Deferred items go in per-delay batches: schedule_batch where the
     # kernel has it, the equivalent consecutive schedules where it doesn't.
     groups: dict[float, list] = {}

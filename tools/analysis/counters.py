@@ -11,7 +11,7 @@ decision goes wrong under load.  The rules:
 * **NM201** — the window's private storage and counters
   (``_common``/``_dedicated``/``_by_dest``/byte totals) may be *written*
   only inside ``repro/core/window.py``, or via ``self`` in a class that
-  owns fields of the same name (the perf harness's legacy window).
+  owns fields of the same name.
 * **NM202** — ``pending_bytes`` / ``backlog`` / ``backlog_bytes`` are
   accessor *methods*; assigning an attribute of that name anywhere
   shadows the accessor and is always a bug.

@@ -51,13 +51,7 @@ EVENT_PRIVATE = frozenset({
     "_ok", "_value", "_exc", "_defused", "_callbacks",
     "_gen", "_waiting_on", "_n_done",
 })
-#: repro/bench/legacy_kernel.py is the seed kernel frozen verbatim as the
-#: perf baseline / ordering oracle; it owns its own (Legacy*) private state
-#: with the same field names, so it is a second sanctioned owner.
-EVENT_MODULES = frozenset({
-    "repro/sim/core.py",
-    "repro/bench/legacy_kernel.py",
-})
+EVENT_MODULES = frozenset({"repro/sim/core.py"})
 
 #: NM302 applies where engine state objects circulate.  The baselines
 #: (repro/baselines/) reimplement a classic library with their own local
