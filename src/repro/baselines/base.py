@@ -103,6 +103,13 @@ class _RdvReq:
     unpack_blocks: list[int] | None = None
 
 
+@dataclass(slots=True)
+class _Arrival(Incoming):
+    """A matcher descriptor that remembers its packed-datatype layout."""
+
+    unpack_blocks: list[int] | None = None
+
+
 @dataclass
 class _RdvAck:
     src: int
@@ -418,17 +425,17 @@ class BaselineMpi:
         if isinstance(msg, _Eager):
             item = SegItem(src=msg.src, flow=msg.flow, tag=msg.tag,
                            seq=msg.seq, data=msg.data)
-            inc = Incoming(src=msg.src, flow=msg.flow, tag=msg.tag,
-                           seq=msg.seq, nbytes=msg.data.nbytes, item=item)
-            inc.unpack_blocks = msg.unpack_blocks  # type: ignore[attr-defined]
+            inc = _Arrival(src=msg.src, flow=msg.flow, tag=msg.tag,
+                           seq=msg.seq, nbytes=msg.data.nbytes, item=item,
+                           unpack_blocks=msg.unpack_blocks)
             self.matcher.deliver(inc, now=now)
         elif isinstance(msg, _RdvReq):
             item = RdvReqItem(src=msg.src, flow=msg.flow, tag=msg.tag,
                               seq=msg.seq, handle=msg.handle,
                               nbytes=msg.nbytes)
-            inc = Incoming(src=msg.src, flow=msg.flow, tag=msg.tag,
-                           seq=msg.seq, nbytes=msg.nbytes, item=item)
-            inc.unpack_blocks = msg.unpack_blocks  # type: ignore[attr-defined]
+            inc = _Arrival(src=msg.src, flow=msg.flow, tag=msg.tag,
+                           seq=msg.seq, nbytes=msg.nbytes, item=item,
+                           unpack_blocks=msg.unpack_blocks)
             self.matcher.deliver(inc, now=now)
         elif isinstance(msg, _RdvAck):
             self._stream_granted(msg)
@@ -440,14 +447,14 @@ class BaselineMpi:
                 f"{type(msg).__name__}"
             )
 
-    def _on_match(self, inc: Incoming, sub: RecvRequest) -> None:
+    def _on_match(self, inc: _Arrival, sub: RecvRequest) -> None:
         if sub.capacity is not None and inc.nbytes > sub.capacity:
             sub.done.fail(MpiError(
                 f"{self.params.name}: truncation — {inc.nbytes}B into "
                 f"{sub.capacity}B receive"
             ))
             return
-        unpack_blocks = getattr(inc, "unpack_blocks", None)
+        unpack_blocks = inc.unpack_blocks
         if isinstance(inc.item, RdvReqItem):
             key = (inc.item.src, inc.item.handle)
             self._rdv_incoming[key] = _RdvRecv(

@@ -24,6 +24,11 @@ The benchmarks:
   simulated exchange), plus the simulated makespan as a fidelity guard.
 * ``random_traffic`` — irregular multi-flow replay wall-clock, the
   closest thing to a real application's host-side profile.
+
+  Both also report ``calls_per_msg``: Python-level calls per message,
+  counted by ``cProfile`` on a second, untimed run.  The count is exact
+  for one interpreter version and independent of host speed, so the gate
+  holds it to a 2 % rise where the wall-clock rates get 50 %.
 * ``scale`` — seeded random frame traffic over a sparse 256-node netsim
   topology (see :mod:`repro.bench.scale`).
 
@@ -39,10 +44,12 @@ old code to race against.
 
 from __future__ import annotations
 
+import cProfile
 import gc
 import heapq
 import json
 import platform
+import pstats
 import sys
 import time
 from collections.abc import Callable
@@ -68,6 +75,7 @@ __all__ = [
     "SCHEMA",
     "STORM_VS_SERIAL_FLOOR",
     "WINDOW_FLATNESS_FLOOR",
+    "CALLS_PER_MSG_TOLERANCE",
 ]
 
 SCHEMA = "repro-perf/2"
@@ -95,6 +103,13 @@ def calibrate() -> float:
         return time.perf_counter() - t0
     finally:
         gc.enable()
+
+
+def _profiled_calls(fn: Callable[[], object]) -> int:
+    """Exact number of calls (Python and builtin) one ``fn()`` makes."""
+    profile = cProfile.Profile()
+    profile.runcall(fn)
+    return pstats.Stats(profile).total_calls
 
 
 def _make_wrap(i: int, n_dests: int, seq: int) -> PacketWrap:
@@ -221,9 +236,12 @@ def bench_pingpong(iters: int = 200, size: int = 1024) -> dict:
     from repro.bench.pingpong import pingpong_single
     from repro.netsim import MX_MYRI10G
 
+    def run() -> float:
+        return pingpong_single("madmpi", MX_MYRI10G, size=size,
+                               iters=iters, warmup=1)
+
     t0 = time.perf_counter()
-    oneway_us = pingpong_single("madmpi", MX_MYRI10G, size=size,
-                                iters=iters, warmup=1)
+    oneway_us = run()
     wall_s = time.perf_counter() - t0
     return {
         "iters": iters,
@@ -231,6 +249,8 @@ def bench_pingpong(iters: int = 200, size: int = 1024) -> dict:
         "wall_s": wall_s,
         "exchanges_per_s": iters / wall_s,
         "sim_us_oneway": oneway_us,
+        # Two messages per exchange, warm-up exchange included.
+        "calls_per_msg": _profiled_calls(run) / (2 * (iters + 1)),
     }
 
 
@@ -244,17 +264,23 @@ def bench_random_traffic(n_messages: int = 300, seed: int = 7) -> dict:
                        min_size=16, max_size=8 * KB, large_fraction=0.05,
                        burst_prob=0.8)
     messages = generate_messages(spec, seed=seed)
-    pair = make_backend_pair("madmpi", rails=(MX_MYRI10G,),
-                             strategy="aggregation")
+
+    def run() -> float:
+        pair = make_backend_pair("madmpi", rails=(MX_MYRI10G,),
+                                 strategy="aggregation")
+        replay(pair, messages, verify_content=False)
+        return pair.sim.now
+
     t0 = time.perf_counter()
-    replay(pair, messages, verify_content=False)
+    makespan_us = run()
     wall_s = time.perf_counter() - t0
     return {
         "messages": n_messages,
         "seed": seed,
         "wall_s": wall_s,
         "messages_per_s": n_messages / wall_s,
-        "sim_us_makespan": pair.sim.now,
+        "sim_us_makespan": makespan_us,
+        "calls_per_msg": _profiled_calls(run) / n_messages,
     }
 
 
@@ -347,6 +373,10 @@ def render_perf(payload: dict) -> str:
         f"{r['scale']['events_per_s']:>12,.0f} events/s   "
         f"({r['scale']['delivered']} frames delivered, sim makespan "
         f"{r['scale']['sim_us_makespan']:.1f} us)",
+        f"  python calls / message:      "
+        f"{r['pingpong']['calls_per_msg']:>12,.1f} ping-pong      "
+        f"{r['random_traffic']['calls_per_msg']:,.1f} random traffic "
+        f"(exact for python {payload['python']})",
     ]
     return "\n".join(lines)
 
@@ -359,6 +389,10 @@ STORM_VS_SERIAL_FLOOR = 10.0
 #: window measures 0.7-1.0; the seed's deque window, whose ``take`` is a
 #: linear ``remove``, measured 0.11 on the same host.
 WINDOW_FLATNESS_FLOOR = 0.5
+
+#: ``calls_per_msg`` may rise this much before the gate fails.  The count
+#: is exact, so the slack is for deliberate small additions, not noise.
+CALLS_PER_MSG_TOLERANCE = 0.02
 
 #: The inputs that fix each workload; two results compare only when these
 #: agree (a ``--quick`` run is another shape).
@@ -387,7 +421,11 @@ def check_bench(
       :data:`WINDOW_FLATNESS_FLOOR`, whatever the baseline recorded, and
     * the deterministic simulated readings (ping-pong one-way latency,
       replay/scale makespans) must match the baseline exactly — a
-      performance PR must not move simulated time.
+      performance PR must not move simulated time, and
+    * ``calls_per_msg`` must not rise by more than
+      :data:`CALLS_PER_MSG_TOLERANCE`; the count depends on the
+      interpreter's minor version, so it is compared only when that
+      matches the baseline's (and named in ``skipped`` otherwise).
 
     Returns ``(failures, skipped)``, both human-readable: an empty
     ``failures`` means pass; ``skipped`` names each benchmark left
@@ -407,6 +445,8 @@ def check_bench(
     skipped: list[str] = []
     compared = 0
     fresh = payload["results"]
+    minor = lambda doc: str(doc.get("python", "")).split(".")[:2]
+    same_python = minor(payload) == minor(baseline)
     for name, want_res in sorted(baseline.get("results", {}).items()):
         got_res = fresh.get(name)
         if got_res is None:
@@ -437,6 +477,23 @@ def check_bench(
                     failures.append(
                         f"{name}: {key} drifted to {got!r} (baseline "
                         f"{want!r}) — simulated time must not move"
+                    )
+            elif key == "calls_per_msg":
+                if not same_python:
+                    skipped.append(
+                        f"{name}: calls_per_msg is exact per interpreter "
+                        f"version (python {payload.get('python')} vs the "
+                        f"baseline's {baseline.get('python')})"
+                    )
+                    continue
+                compared += 1
+                ceiling = want * (1.0 + CALLS_PER_MSG_TOLERANCE)
+                if got is None or got > ceiling:
+                    failures.append(
+                        f"{name}: calls_per_msg {got!r} > {ceiling:.1f} "
+                        f"(baseline {want:.1f} + "
+                        f"{CALLS_PER_MSG_TOLERANCE:.0%}) — the per-message "
+                        f"path grew"
                     )
     if not compared:
         failures.append(

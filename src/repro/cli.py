@@ -185,6 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fingerprint the in-process completion-storm "
                                "workload across every sanitize config "
                                "(default when no target is given)")
+    sanitize.add_argument("--trace", action="store_true",
+                          help="also byte-compare the selected targets "
+                               "(both, when neither is given) with every "
+                               "tracer switched on: tracing must not move "
+                               "simulated time")
     sanitize.add_argument("--hash-seeds", type=int, default=3,
                           dest="hash_seeds", metavar="K",
                           help="how many PYTHONHASHSEED values to sweep "
@@ -561,11 +566,22 @@ def _sanitize(args, out) -> int:
         failures.append("batch-order fixture NOT detected: intra-timestamp "
                         "shaking changed nothing (is the shake hook dead?)")
 
+    if args.trace:
+        probe = run_child(["-c", "from repro.sim import Tracer; "
+                                 "print(Tracer().enabled)"],
+                          hash_seeds[0], spec="trace")
+        if probe.strip() == b"True":
+            _print(out, "selftest: trace hook switches a default Tracer on")
+        else:
+            failures.append("trace hook dead: a default Tracer() stays "
+                            f"disabled under {SANITIZE_ENV}=trace")
+
     # -- byte-equivalence sweeps ----------------------------------------------
+    both = args.trace and not (args.figures or args.chaos)
     targets: list[tuple[str, list[str]]] = []
-    if args.figures:
+    if args.figures or both:
         targets.append(("figures", ["-m", "repro", "figures", "--quick"]))
-    if args.chaos:
+    if args.chaos or both:
         targets.append(("chaos", ["-m", "repro", "chaos",
                                   "--seed", str(args.seed), "--quick"]))
     for label, cmd in targets:
@@ -579,9 +595,15 @@ def _sanitize(args, out) -> int:
             failures.append(f"{label}: output differs under the "
                             "no-coalesce kernel (a coalescing guard is "
                             "not order-equivalent)")
+        if args.trace and \
+                run_child(cmd, hash_seeds[0], spec="trace") != baseline:
+            failures.append(f"{label}: output differs with tracing on "
+                            "(an emit site, or the code computing its "
+                            "details, changes state)")
         if not any(f.startswith(label + ":") for f in failures):
             _print(out, f"{label}: byte-identical over {len(hash_seeds)} "
-                        f"hash seeds + no-coalesce kernel")
+                        f"hash seeds + no-coalesce kernel"
+                        + (" + tracing on" if args.trace else ""))
 
     # -- in-process storm fingerprints ----------------------------------------
     if args.storm or not targets:

@@ -55,6 +55,9 @@ class CollectLayer:
 
     def __init__(self, engine: NmadEngine) -> None:
         self.engine = engine
+        #: Trace source (the engine's cancel/deadline retraction emits
+        #: under it too).
+        self.source = f"node{engine.node_id}.collect"
         self._seq: defaultdict[tuple[int, int], int] = defaultdict(int)
         self._max_wraps = engine.params.max_window_wraps
         self._max_bytes = engine.params.max_window_bytes
@@ -101,20 +104,19 @@ class CollectLayer:
                 )
         # seq=0 is a placeholder: the real per-(dest, flow) sequence number
         # is assigned at admission so a failed submission leaves no hole.
+        sim = self.engine.sim
         wrap = PacketWrap(
-            dest=dest, flow=flow, tag=tag, seq=0, data=seg,
-            priority=priority, allow_reorder=allow_reorder,
-            depends_on=depends_on, rail=rail,
-            submitted_at=self.engine.sim.now,
-            completion=self.engine.sim.event(name=f"send:{dest}/{flow}/{tag}"),
+            dest, flow, tag, 0, seg, priority, allow_reorder, depends_on,
+            rail, sim.now,
+            completion=sim.event(("send:%s/%s/%s", dest, flow, tag)),
         )
         if over:
             self._deferred.append(wrap)
-            self.engine.tracer.emit(self.engine.sim.now,
-                                    f"node{self.engine.node_id}.collect",
-                                    "defer", dest=dest, flow=flow, tag=tag,
-                                    nbytes=seg.nbytes,
-                                    queued=len(self._deferred))
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(sim.now, self.source, "defer", dest=dest,
+                            flow=flow, tag=tag, nbytes=seg.nbytes,
+                            queued=len(self._deferred))
             self.engine.poke_watchdog()
             return wrap
         self._admit(wrap)
@@ -134,17 +136,18 @@ class CollectLayer:
                     and window.pending_bytes() + nbytes > self._max_bytes)
 
     def _admit(self, wrap: PacketWrap) -> None:
+        engine = self.engine
         key = (wrap.dest, wrap.flow)
-        wrap.seq = self._seq[key]
-        self._seq[key] += 1
-        self.engine.window.submit(wrap)
-        self.engine.tracer.emit(self.engine.sim.now,
-                                f"node{self.engine.node_id}.collect",
-                                "submit", dest=wrap.dest, flow=wrap.flow,
-                                tag=wrap.tag, seq=wrap.seq,
-                                nbytes=wrap.length)
-        self.engine.poke_watchdog()
-        self.engine.transfer.kick()
+        wrap.seq = seq = self._seq[key]
+        self._seq[key] = seq + 1
+        engine.window.submit(wrap)
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.emit(engine.sim.now, self.source, "submit",
+                        dest=wrap.dest, flow=wrap.flow, tag=wrap.tag,
+                        seq=seq, nbytes=wrap.length)
+        engine.poke_watchdog()
+        engine.transfer.kick()
 
     def _drain_deferred(self) -> None:
         """Window space freed: admit deferred submissions, oldest first."""
@@ -204,20 +207,22 @@ class CollectLayer:
         window caps: blocking the records that drain the window would
         deadlock it.
         """
+        engine = self.engine
+        sim = engine.sim
         wrap = PacketWrap(
             dest=dest, flow=CONTROL_FLOW, tag=0, seq=0,
             data=VirtualData(0), priority=priority,
             is_control=True, control_item=item,
-            submitted_at=self.engine.sim.now,
-            completion=self.engine.sim.event(name=f"ctrl:{dest}"),
+            submitted_at=sim.now,
+            completion=sim.event(("ctrl:%s", dest)),
         )
-        self.engine.window.submit(wrap)
-        self.engine.tracer.emit(self.engine.sim.now,
-                                f"node{self.engine.node_id}.collect",
-                                "submit_control", dest=dest,
-                                item=type(item).__name__)
-        self.engine.poke_watchdog()
-        self.engine.transfer.kick()
+        engine.window.submit(wrap)
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.emit(sim.now, self.source, "submit_control", dest=dest,
+                        item=type(item).__name__)
+        engine.poke_watchdog()
+        engine.transfer.kick()
         return wrap
 
     def next_seq(self, dest: int, flow: int) -> int:

@@ -17,9 +17,11 @@ __all__ = ["SegmentData", "Bytes", "VirtualData", "as_data"]
 class SegmentData:
     """Interface for a contiguous piece of user data."""
 
-    @property
-    def nbytes(self) -> int:
-        raise NotImplementedError
+    __slots__ = ()
+
+    #: Byte count, stamped once by the subclass constructor: sizes are read
+    #: many times per message (window accounting, wire size, copy cost).
+    nbytes: int
 
     def tobytes(self) -> bytes:
         """Materialize the content (tests); virtual data yields zeros."""
@@ -40,14 +42,11 @@ class SegmentData:
 class Bytes(SegmentData):
     """Real in-memory data (bytes / bytearray / memoryview)."""
 
-    __slots__ = ("_view",)
+    __slots__ = ("_view", "nbytes")
 
     def __init__(self, data: bytes | bytearray | memoryview) -> None:
-        self._view = memoryview(data)
-
-    @property
-    def nbytes(self) -> int:
-        return self._view.nbytes
+        self._view = view = memoryview(data)
+        self.nbytes = view.nbytes
 
     def tobytes(self) -> bytes:
         return self._view.tobytes()
@@ -69,19 +68,15 @@ class VirtualData(SegmentData):
     content).
     """
 
-    __slots__ = ("_nbytes",)
+    __slots__ = ("nbytes",)
 
     def __init__(self, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError(f"negative virtual size {nbytes}")
-        self._nbytes = nbytes
-
-    @property
-    def nbytes(self) -> int:
-        return self._nbytes
+        self.nbytes = nbytes
 
     def tobytes(self) -> bytes:
-        return bytes(self._nbytes)
+        return bytes(self.nbytes)
 
     def slice(self, offset: int, length: int) -> VirtualData:
         self._check_range(offset, length)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Any
 
 from repro.core.collect import CollectLayer
@@ -179,6 +180,7 @@ class NmadEngine:
         self.node_id = node.node_id
         self.params = params if params is not None else EngineParams()
         self.tracer = tracer if tracer is not None else node.tracer
+        self._source = f"node{self.node_id}.engine"
         self.strategy: Strategy = (
             create(strategy) if isinstance(strategy, str) else strategy
         )
@@ -277,10 +279,8 @@ class NmadEngine:
                 f"node{self.node_id}: isend to node {dest}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
             )
-        wrap = self.collect.submit(
-            dest, data, flow=flow, tag=tag, priority=priority, rail=rail,
-            allow_reorder=allow_reorder, depends_on=depends_on,
-        )
+        wrap = self.collect.submit(dest, data, flow, tag, priority, rail,
+                                   allow_reorder, depends_on)
         assert wrap.completion is not None
         req = SendRequest(wrap, wrap.completion)
         if deadline_us is not None:
@@ -307,11 +307,10 @@ class NmadEngine:
                 f"node{self.node_id}: irecv from node {src}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
             )
+        sim = self.sim
         req = RecvRequest(
-            src=src, flow=flow, tag=tag, capacity=nbytes,
-            done=self.sim.event(name=f"recv:{src}/{flow}/{tag}"),
-            posted_at=self.sim.now,
-        )
+            src, flow, tag, nbytes,
+            sim.event(("recv:%s/%s/%s", src, flow, tag)), sim.now)
         self.matcher.post(req)
         if src != ANY:
             for layer in self.layers:
@@ -351,8 +350,9 @@ class NmadEngine:
             self.stats.deadlines_expired += 1
             req.done.fail(err)
             req.done.defuse()
-            self.tracer.emit(self.sim.now, f"node{self.node_id}.engine",
-                             "deadline_expired", side="recv", tag=req.tag)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self._source,
+                                 "deadline_expired", side="recv", tag=req.tag)
             return
         err = DeadlineExceededError(
             f"node{self.node_id}: send {req.wrap!r} still pending after "
@@ -400,8 +400,9 @@ class NmadEngine:
             if wrap.completion is not None and not wrap.completion.triggered:
                 wrap.completion.fail(err)
                 wrap.completion.defuse()
-            self.tracer.emit(self.sim.now, f"node{self.node_id}.collect",
-                             trace, wrap=wrap.wrap_id)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.collect.source, trace,
+                                 wrap=wrap.wrap_id)
             return True
         try:
             self.window.take(wrap)
@@ -417,8 +418,9 @@ class NmadEngine:
         tombstone = CancelItem(src=self.node_id, flow=wrap.flow,
                                tag=wrap.tag, seq=wrap.seq)
         self.collect.submit_control(dest=wrap.dest, item=tombstone)
-        self.tracer.emit(self.sim.now, f"node{self.node_id}.collect",
-                         trace, wrap=wrap.wrap_id)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.collect.source, trace,
+                             wrap=wrap.wrap_id)
         return True
 
     # -- blocking helpers for simulator processes -----------------------------
@@ -463,20 +465,20 @@ class NmadEngine:
             return
         item = inc.item
         assert isinstance(item, SegItem)
-        if self.params.eager_copy_on_recv and item.data.nbytes > 0:
+        data = item.data
+        nbytes = data.nbytes
+        if self.params.eager_copy_on_recv and nbytes > 0:
             # Eager data lands in a driver buffer and is copied out to the
             # user buffer; the request completes after the copy, and copies
             # serialize on the host memory engine.
             delay = self.node.serialize_copy(
-                self.node.memory.copy_time(item.data.nbytes))
+                self.node.memory.copy_time(nbytes))
             self.stats.recv_copies += 1
-            self.stats.recv_copy_bytes += item.data.nbytes
+            self.stats.recv_copy_bytes += nbytes
             self.sim.schedule(
-                delay,
-                lambda: req.finish(item.data, src=inc.src, tag=inc.tag),
-            )
+                delay, partial(req.finish, data, inc.src, inc.tag))
         else:
-            req.finish(item.data, src=inc.src, tag=inc.tag)
+            req.finish(data, inc.src, inc.tag)
 
     # -- crash / drain lifecycle ---------------------------------------------
     def halt(self) -> None:
@@ -497,7 +499,8 @@ class NmadEngine:
             self.watchdog.disarm()
         for layer in self.layers:
             layer.halt()
-        self.tracer.emit(self.sim.now, f"node{self.node_id}.engine", "halt")
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self._source, "halt")
 
     def quiesce(
         self, poll_us: float = 5.0, timeout_us: float = 1_000_000.0

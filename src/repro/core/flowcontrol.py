@@ -266,14 +266,18 @@ class FlowControlLayer(Layer):
             st.blocked = True
             self.engine.window.block_dest(st.peer)
             self.engine.stats.credit_stalls += 1
-            self.engine.tracer.emit(
-                self.sim.now, self._name, "credit_stall", peer=st.peer,
-                outstanding=st.sent_bytes_total - st.peer_released_bytes)
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(
+                    self.sim.now, self._name, "credit_stall", peer=st.peer,
+                    outstanding=st.sent_bytes_total - st.peer_released_bytes)
         elif not exhausted and st.blocked:
             st.blocked = False
             self.engine.window.unblock_dest(st.peer)
-            self.engine.tracer.emit(self.sim.now, self._name,
-                                    "credit_resume", peer=st.peer)
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(self.sim.now, self._name,
+                            "credit_resume", peer=st.peer)
             self.engine.transfer.kick()
 
     # -- receive path --------------------------------------------------------
@@ -412,9 +416,11 @@ class FlowControlLayer(Layer):
             wire_size=hdr.global_header + hdr.credit_header,
             fc_grant=self._advertise(st),
         )
-        self.engine.tracer.emit(self.sim.now, self._name, "credit",
-                                peer=st.peer, bytes=st.released_bytes_total,
-                                wraps=st.released_wraps_total, rail=rail)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "credit",
+                        peer=st.peer, bytes=st.released_bytes_total,
+                        wraps=st.released_wraps_total, rail=rail)
         self.engine.transfer.transmit(self.nics[rail], frame, after=self)
 
     # -- unexpected-buffer overflow: NACK and resend later -------------------
@@ -447,9 +453,11 @@ class FlowControlLayer(Layer):
             fc_grant=self._advertise(st),
         )
         self.engine.stats.nacks_sent += 1
-        self.engine.tracer.emit(self.sim.now, self._name, "nack",
-                                peer=inc.src, seq=item.seq,
-                                nbytes=item.data.nbytes, rail=rail)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "nack",
+                        peer=inc.src, seq=item.seq,
+                        nbytes=item.data.nbytes, rail=rail)
         self.engine.transfer.transmit(self.nics[rail], frame, after=self)
 
     def _on_nack(self, frame: Frame) -> None:
@@ -464,8 +472,10 @@ class FlowControlLayer(Layer):
         st.nack_streak += 1
         backoff = min(2 ** (st.nack_streak - 1), _MAX_NACK_BACKOFF)
         delay = self._nack_resend_base_us(peer) * backoff
-        self.engine.tracer.emit(self.sim.now, self._name, "nack_rx",
-                                peer=peer, seq=item.seq, delay_us=delay)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "nack_rx",
+                        peer=peer, seq=item.seq, delay_us=delay)
         self._pending_resends += 1
         gen = st.resend_gen
         self.sim.schedule(delay, lambda: self._resend(peer, item, gen))
@@ -490,8 +500,10 @@ class FlowControlLayer(Layer):
                           seq=item.seq, data=item.data,
                           submitted_at=self.sim.now, credit_exempt=True)
         self.engine.window.restore(wrap)
-        self.engine.tracer.emit(self.sim.now, self._name, "nack_resend",
-                                peer=peer, seq=item.seq)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "nack_resend",
+                        peer=peer, seq=item.seq)
         self.engine.poke_watchdog()
         self.engine.transfer.kick()
 
@@ -525,8 +537,10 @@ class FlowControlLayer(Layer):
         if st.blocked:
             st.blocked = False
             self.engine.window.unblock_dest(peer)
-        self.engine.tracer.emit(self.sim.now, self._name, "reset_peer",
-                                peer=peer)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "reset_peer",
+                        peer=peer)
 
     def halt(self) -> None:
         """This node crashed: silence every timer, run no callbacks."""

@@ -31,7 +31,7 @@ from repro.sim import Event, Tracer
 __all__ = ["Incoming", "Matcher"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Incoming:
     """One logical incoming message descriptor, pre-matching."""
 
@@ -101,8 +101,9 @@ class Matcher:
         if inc.seq < expected:
             if self.dedup:
                 self.duplicates_dropped += 1
-                self.tracer.emit(now, self.name, "dup_drop",
-                                 src=inc.src, flow=inc.flow, seq=inc.seq)
+                if self.tracer.enabled:
+                    self.tracer.emit(now, self.name, "dup_drop", src=inc.src,
+                                     flow=inc.flow, seq=inc.seq)
                 return
             raise ProtocolError(
                 f"{self.name}: duplicate or replayed seq {inc.seq} from "
@@ -113,8 +114,10 @@ class Matcher:
             if inc.seq in parked:
                 if self.dedup:
                     self.duplicates_dropped += 1
-                    self.tracer.emit(now, self.name, "dup_drop",
-                                     src=inc.src, flow=inc.flow, seq=inc.seq)
+                    if self.tracer.enabled:
+                        self.tracer.emit(now, self.name, "dup_drop",
+                                         src=inc.src, flow=inc.flow,
+                                         seq=inc.seq)
                     return
                 raise ProtocolError(
                     f"{self.name}: two deliveries for seq {inc.seq} "
@@ -122,8 +125,9 @@ class Matcher:
                 )
             parked[inc.seq] = inc
             self.parked_total += 1
-            self.tracer.emit(now, self.name, "park",
-                             src=inc.src, flow=inc.flow, seq=inc.seq)
+            if self.tracer.enabled:
+                self.tracer.emit(now, self.name, "park",
+                                 src=inc.src, flow=inc.flow, seq=inc.seq)
             return
         if not self._admit(inc):
             return
@@ -149,8 +153,9 @@ class Matcher:
         if inc.is_skip:
             self._expected[key] = inc.seq + 1
             self.delivered += 1
-            self.tracer.emit(inc.arrived_at, self.name, "skip",
-                             src=inc.src, flow=inc.flow, seq=inc.seq)
+            if self.tracer.enabled:
+                self.tracer.emit(inc.arrived_at, self.name, "skip",
+                                 src=inc.src, flow=inc.flow, seq=inc.seq)
             return True
         # Find the posted match before mutating any state: a refusal must
         # leave the matcher exactly as it was (sequence stream included).
@@ -161,9 +166,10 @@ class Matcher:
                 break
         if match_idx < 0 and self._over_budget(inc):
             self.refused_total += 1
-            self.tracer.emit(inc.arrived_at, self.name, "refuse",
-                             src=inc.src, flow=inc.flow, tag=inc.tag,
-                             seq=inc.seq, buffered=self.unexpected_bytes)
+            if self.tracer.enabled:
+                self.tracer.emit(inc.arrived_at, self.name, "refuse",
+                                 src=inc.src, flow=inc.flow, tag=inc.tag,
+                                 seq=inc.seq, buffered=self.unexpected_bytes)
             if self.on_refuse is not None:
                 self.on_refuse(inc)
             return False
@@ -175,12 +181,14 @@ class Matcher:
         # the prober still wakes with its metadata — the MPI probe/recv
         # race, where another receive may always steal the probed message —
         # instead of waiting forever on a watcher tuple that leaks.
-        self._wake_watchers(inc)
+        if self._watchers:
+            self._wake_watchers(inc)
         if match_idx >= 0:
             req = self._posted.pop(match_idx)
-            self.tracer.emit(inc.arrived_at, self.name, "match",
-                             src=inc.src, flow=inc.flow, tag=inc.tag,
-                             seq=inc.seq)
+            if self.tracer.enabled:
+                self.tracer.emit(inc.arrived_at, self.name, "match",
+                                 src=inc.src, flow=inc.flow, tag=inc.tag,
+                                 seq=inc.seq)
             self._on_match(inc, req)
             return True
         self._unexpected.append(inc)
@@ -189,8 +197,10 @@ class Matcher:
             self.unexpected_bytes += inc.item.data.nbytes
             if self.unexpected_bytes > self.peak_unexpected_bytes:
                 self.peak_unexpected_bytes = self.unexpected_bytes
-        self.tracer.emit(inc.arrived_at, self.name, "unexpected",
-                         src=inc.src, flow=inc.flow, tag=inc.tag, seq=inc.seq)
+        if self.tracer.enabled:
+            self.tracer.emit(inc.arrived_at, self.name, "unexpected",
+                             src=inc.src, flow=inc.flow, tag=inc.tag,
+                             seq=inc.seq)
         return True
 
     def _over_budget(self, inc: Incoming) -> bool:
@@ -219,8 +229,10 @@ class Matcher:
                 del self._unexpected[idx]
                 if isinstance(inc.item, SegItem):
                     self.unexpected_bytes -= inc.item.data.nbytes
-                self.tracer.emit(req.posted_at, self.name, "match_unexpected",
-                                 src=inc.src, flow=inc.flow, tag=inc.tag)
+                if self.tracer.enabled:
+                    self.tracer.emit(req.posted_at, self.name,
+                                     "match_unexpected", src=inc.src,
+                                     flow=inc.flow, tag=inc.tag)
                 self._on_match(inc, req)
                 return
         self._posted.append(req)
@@ -237,8 +249,9 @@ class Matcher:
             self._posted.remove(req)
         except ValueError:
             return False
-        self.tracer.emit(now, self.name, "unpost",
-                         src=req.src, flow=req.flow, tag=req.tag)
+        if self.tracer.enabled:
+            self.tracer.emit(now, self.name, "unpost",
+                             src=req.src, flow=req.flow, tag=req.tag)
         return True
 
     # -- probing (MPI_Probe / MPI_Iprobe support) ----------------------------
@@ -275,8 +288,6 @@ class Matcher:
         self._watchers.append((src, flow, tag, event))
 
     def _wake_watchers(self, inc: Incoming) -> None:
-        if not self._watchers:
-            return
         kept = []
         for src, flow, tag, event in self._watchers:
             if self._probe_matches(inc, src, flow, tag):
@@ -322,8 +333,9 @@ class Matcher:
             if req.src == src:
                 req.done.fail(exc)
                 req.done.defuse()
-                self.tracer.emit(now, self.name, "fail_src",
-                                 src=src, flow=req.flow, tag=req.tag)
+                if self.tracer.enabled:
+                    self.tracer.emit(now, self.name, "fail_src",
+                                     src=src, flow=req.flow, tag=req.tag)
             else:
                 kept.append(req)
         self._posted = kept

@@ -71,7 +71,7 @@ class HeaderSpec:
 _wrap_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketWrap:
     """One collected application data piece waiting in the window."""
 
@@ -88,19 +88,18 @@ class PacketWrap:
     is_control: bool = False        # engine-internal control traffic
     credit_exempt: bool = False     # bypasses credit gating (NACK resends)
     control_item: WireItem | None = None  # the item a control wrap carries
-    wrap_id: int = field(default_factory=lambda: next(_wrap_ids))
+    wrap_id: int = field(default_factory=_wrap_ids.__next__)
     completion: Event | None = None  # succeeds when the send completes
+    #: Payload byte count, stamped once from ``data`` (which is never
+    #: reassigned): the window, the tactics and the plan check all read it.
+    length: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.dest < 0:
             raise ValueError(f"bad destination {self.dest}")
         if self.seq < 0:
             raise ValueError(f"bad sequence number {self.seq}")
-
-    @property
-    def length(self) -> int:
-        """Payload byte count."""
-        return self.data.nbytes
+        self.length = self.data.nbytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -121,7 +120,7 @@ class WireItem:
         return 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SegItem(WireItem):
     """An eager data segment with its demultiplexing metadata."""
 
@@ -138,7 +137,7 @@ class SegItem(WireItem):
         return self.data.nbytes
 
 
-@dataclass
+@dataclass(slots=True)
 class CancelItem(WireItem):
     """Tombstone for a cancelled send.
 
@@ -158,7 +157,7 @@ class CancelItem(WireItem):
         return hdr.seg_header
 
 
-@dataclass
+@dataclass(slots=True)
 class RdvReqItem(WireItem):
     """Announces a large message; the data follows after the grant.
 
@@ -178,7 +177,7 @@ class RdvReqItem(WireItem):
         return hdr.rdv_req
 
 
-@dataclass
+@dataclass(slots=True)
 class RdvAckItem(WireItem):
     """Grants a rendezvous: the destination is ready for zero-copy landing."""
 
@@ -189,7 +188,7 @@ class RdvAckItem(WireItem):
         return hdr.rdv_ack
 
 
-@dataclass
+@dataclass(slots=True)
 class RdvDataItem(WireItem):
     """One zero-copy bulk chunk of a granted rendezvous transfer."""
 
@@ -206,14 +205,29 @@ class RdvDataItem(WireItem):
         return self.data.nbytes
 
 
-@dataclass
+@dataclass(slots=True)
 class PhysPacket:
     """The payload of one frame: an ordered list of wire items."""
 
     items: list[WireItem]
 
-    def wire_size(self, hdr: HeaderSpec) -> int:
-        return hdr.global_header + sum(i.wire_size(hdr) for i in self.items)
+    def sizes(self, hdr: HeaderSpec) -> tuple[int, int, int]:
+        """``(wire bytes, payload bytes, data segments)`` in one pass.
 
-    def payload_size(self) -> int:
-        return sum(i.payload_size() for i in self.items)
+        Runs once per physical packet; the eager segment — nearly every
+        item — is sized in line, anything else through its own methods.
+        """
+        wire = hdr.global_header
+        seg_header = hdr.seg_header
+        payload = 0
+        n_segments = 0
+        for item in self.items:
+            if item.__class__ is SegItem:
+                nbytes = item.data.nbytes
+                wire += seg_header + nbytes
+                payload += nbytes
+                n_segments += 1
+            else:
+                wire += item.wire_size(hdr)
+                payload += item.payload_size()
+        return wire, payload, n_segments

@@ -361,9 +361,11 @@ class ReliabilityLayer(Layer):
         frame = pending.frame
         frame.rel_ack = self._ack_snapshot(ch)
         self._cancel_delayed_ack(ch)
-        self.engine.tracer.emit(self.sim.now, self._name, "hedge",
-                                seq=pending.seq, peer=ch.peer,
-                                from_rail=pending.rail, to_rail=rail)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "hedge",
+                        seq=pending.seq, peer=ch.peer,
+                        from_rail=pending.rail, to_rail=rail)
         # The original keeps its retry clock and its loss attribution; the
         # hedge copy is fire-and-forget (same seq, so the receiver dedups).
         self.nics[rail].post_send(frame, cpu_gap_us=pending.cpu_gap_us)
@@ -408,9 +410,11 @@ class ReliabilityLayer(Layer):
         rail = self._transfer.choose_rail(ch.peer, prefer=pending.rail)
         if rail != pending.rail:
             self.engine.stats.failovers += 1
-            self.engine.tracer.emit(self.sim.now, self._name, "failover",
-                                    seq=pending.seq, peer=ch.peer,
-                                    from_rail=pending.rail, to_rail=rail)
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(self.sim.now, self._name, "failover",
+                            seq=pending.seq, peer=ch.peer,
+                            from_rail=pending.rail, to_rail=rail)
             pending.rail = rail
         ch.rto_us = min(ch.rto_us * params.rel_backoff,
                         64.0 * self._rto_base_us(ch.peer))
@@ -420,9 +424,11 @@ class ReliabilityLayer(Layer):
         frame = pending.frame
         frame.rel_ack = self._ack_snapshot(ch)
         self._cancel_delayed_ack(ch)
-        self.engine.tracer.emit(self.sim.now, self._name, "retransmit",
-                                seq=pending.seq, peer=ch.peer, rail=rail,
-                                attempt=pending.retries)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "retransmit",
+                        seq=pending.seq, peer=ch.peer, rail=rail,
+                        attempt=pending.retries)
         done = self.nics[rail].post_send(frame, cpu_gap_us=pending.cpu_gap_us)
         done.add_callback(lambda _evt: self._tx_done(ch, pending))
 
@@ -436,9 +442,11 @@ class ReliabilityLayer(Layer):
             f"{ch.peer} undeliverable after {pending.retries} retransmits "
             f"(last rail {pending.rail})"
         )
-        self.engine.tracer.emit(self.sim.now, self._name, "give_up",
-                                seq=pending.seq, peer=ch.peer,
-                                retries=pending.retries)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "give_up",
+                        seq=pending.seq, peer=ch.peer,
+                        retries=pending.retries)
         if pending.on_failed is not None:
             pending.on_failed(exc)
 
@@ -454,9 +462,11 @@ class ReliabilityLayer(Layer):
 
     def _quarantine(self, rail: int) -> None:
         self.engine.stats.rails_quarantined += 1
-        self.engine.tracer.emit(self.sim.now, self._name, "quarantine",
-                                rail=rail,
-                                losses=self.rail_losses.get(rail, 0))
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "quarantine",
+                        rail=rail,
+                        losses=self.rail_losses.get(rail, 0))
         # Expire everything last sent on the dead rail so failover happens
         # now rather than after the remaining backoff.
         now = self.sim.now
@@ -495,8 +505,10 @@ class ReliabilityLayer(Layer):
         self._probe_backoff[rail] = min(backoff * 2.0, 64.0 * base)
         gen = self._probe_gens.get(rail, 0) + 1
         self._probe_gens[rail] = gen
-        self.engine.tracer.emit(self.sim.now, self._name, "probe_armed",
-                                rail=rail, after_us=backoff)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "probe_armed",
+                        rail=rail, after_us=backoff)
         self.sim.schedule(backoff, lambda: self._reprobe(rail, gen))
 
     def _reprobe(self, rail: int, gen: int) -> None:
@@ -513,8 +525,10 @@ class ReliabilityLayer(Layer):
             return
         self.rail_losses[rail] = self.params.rel_quarantine_threshold - 1
         self.engine.stats.rails_reprobed += 1
-        self.engine.tracer.emit(self.sim.now, self._name, "reprobe",
-                                rail=rail)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "reprobe",
+                        rail=rail)
         self._transfer.readmit(rail)
 
     # -- receive side --------------------------------------------------------
@@ -530,8 +544,10 @@ class ReliabilityLayer(Layer):
         ch = self._channel(frame.src_node)
         if not self._record_rx(ch, frame.rel_seq):
             self.engine.stats.duplicates_suppressed += 1
-            self.engine.tracer.emit(self.sim.now, self._name, "dup_suppress",
-                                    seq=frame.rel_seq, peer=frame.src_node)
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(self.sim.now, self._name, "dup_suppress",
+                            seq=frame.rel_seq, peer=frame.src_node)
             # The peer is clearly missing our ack: resend it right away.
             self._send_ack(ch)
             return False
@@ -615,9 +631,11 @@ class ReliabilityLayer(Layer):
         if self._sessions is not None:
             self._sessions.stamp(frame)
         self.engine.stats.acks_sent += 1
-        self.engine.tracer.emit(self.sim.now, self._name, "ack",
-                                peer=ch.peer, cum=frame.rel_ack[0],
-                                sacks=len(frame.rel_ack[1]), rail=rail)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "ack",
+                        peer=ch.peer, cum=frame.rel_ack[0],
+                        sacks=len(frame.rel_ack[1]), rail=rail)
         self.nics[rail].post_send(frame, cpu_gap_us=0.0)
 
     # -- session-layer hooks --------------------------------------------------
@@ -642,8 +660,10 @@ class ReliabilityLayer(Layer):
         if self._rtt is not None:
             # The next incarnation's path may be nothing like this one's.
             self._rtt.forget_peer(peer)
-        self.engine.tracer.emit(self.sim.now, self._name, "reset_peer",
-                                peer=peer, dropped=len(pendings))
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "reset_peer",
+                        peer=peer, dropped=len(pendings))
         for pending in pendings:
             if pending.on_failed is not None:
                 pending.on_failed(exc)

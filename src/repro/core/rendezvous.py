@@ -125,6 +125,7 @@ class RendezvousManager:
 
     def __init__(self, engine: NmadEngine) -> None:
         self.engine = engine
+        self._source = f"node{engine.node_id}.rendezvous"
         self._handles = itertools.count(1)
         self._pending: dict[int, RdvSendState] = {}
         self._granted: list[RdvSendState] = []
@@ -140,10 +141,8 @@ class RendezvousManager:
         state = RdvSendState(wrap, handle, origin_rail=rail)
         self._pending[handle] = state
         self.handshakes += 1
-        return RdvReqItem(
-            src=self.engine.node_id, flow=wrap.flow, tag=wrap.tag,
-            seq=wrap.seq, handle=handle, nbytes=wrap.length,
-        )
+        return RdvReqItem(self.engine.node_id, wrap.flow, wrap.tag, wrap.seq,
+                          handle, wrap.length)
 
     def retract(self, handle: int) -> PacketWrap | None:
         """Undo an announcement whose packet never left the node.
@@ -202,9 +201,10 @@ class RendezvousManager:
         if completion is not None and not completion.triggered:
             completion.fail(exc)
             completion.defuse()
-        self.engine.tracer.emit(self.engine.sim.now,
-                                f"node{self.engine.node_id}.rendezvous",
-                                "abort", handle=handle)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.engine.sim.now, self._source, "abort",
+                        handle=handle)
 
     def reroute_rail(self, rail: int, new_rail: int) -> None:
         """Re-home granted transfers whose origin rail was quarantined.
@@ -229,10 +229,8 @@ class RendezvousManager:
             chunk = min(self.engine.params.rdv_chunk_bytes,
                         state.total - state.next_offset)
             item = RdvDataItem(
-                src=self.engine.node_id, handle=state.handle,
-                offset=state.next_offset, total=state.total,
-                data=state.wrap.data.slice(state.next_offset, chunk),
-            )
+                self.engine.node_id, state.handle, state.next_offset,
+                state.total, state.wrap.data.slice(state.next_offset, chunk))
             state.next_offset += chunk
             if state.fully_carved:
                 self._granted.remove(state)
@@ -257,10 +255,10 @@ class RendezvousManager:
         if completion is not None and not completion.triggered:
             completion.fail(exc)
             completion.defuse()
-        self.engine.tracer.emit(self.engine.sim.now,
-                                f"node{self.engine.node_id}.rendezvous",
-                                "chunk_failed", handle=state.handle,
-                                offset=item.offset)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.engine.sim.now, self._source, "chunk_failed",
+                        handle=state.handle, offset=item.offset)
 
     # -- receiver side -----------------------------------------------------------
     def grant(self, req_item: RdvReqItem, recv_req: RecvRequest) -> None:
@@ -320,10 +318,11 @@ class RendezvousManager:
             if not state.req.done.triggered:
                 state.req.done.fail(exc)
                 state.req.done.defuse()
-            self.engine.tracer.emit(self.engine.sim.now,
-                                    f"node{self.engine.node_id}.rendezvous",
-                                    "fail_incoming", handle=state.handle,
-                                    src=peer, received=state.received)
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(self.engine.sim.now, self._source,
+                            "fail_incoming", handle=state.handle,
+                            src=peer, received=state.received)
 
     def involves_peer(self, peer: int) -> bool:
         """Any live transfer with ``peer`` (liveness interest)?"""

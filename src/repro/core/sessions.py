@@ -221,9 +221,11 @@ class SessionLayer(Layer):
                 st.deferred_tx.append((nic, frame, cpu_gap_us,
                                        on_delivered, on_failed))
                 self.engine.stats.frames_parked += 1
-                self.engine.tracer.emit(self.sim.now, self._name, "park_tx",
-                                        peer=st.peer, frame=frame.frame_id,
-                                        parked=len(st.deferred_tx))
+                tracer = self.engine.tracer
+                if tracer.enabled:
+                    tracer.emit(self.sim.now, self._name, "park_tx",
+                                peer=st.peer, frame=frame.frame_id,
+                                parked=len(st.deferred_tx))
                 self._arm_monitor(st)
                 self.engine.poke_watchdog()
                 return True
@@ -255,8 +257,10 @@ class SessionLayer(Layer):
         if not st.deferred_tx:
             return
         deferred, st.deferred_tx = st.deferred_tx, []
-        self.engine.tracer.emit(self.sim.now, self._name, "flush",
-                                peer=st.peer, frames=len(deferred))
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "flush",
+                        peer=st.peer, frames=len(deferred))
         self._arm_monitor(st)
         for nic, frame, gap, ok, fail in deferred:
             self.stamp(frame)
@@ -275,8 +279,10 @@ class SessionLayer(Layer):
         self.stamp(frame)
         if kind == FrameKind.HEARTBEAT:
             self.engine.stats.heartbeats_sent += 1
-        self.engine.tracer.emit(self.sim.now, self._name, kind,
-                                peer=st.peer, rail=rail, payload=payload)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, kind,
+                        peer=st.peer, rail=rail, payload=payload)
         self.nics[rail].post_send(frame)
 
     # -- receive side --------------------------------------------------------
@@ -336,9 +342,11 @@ class SessionLayer(Layer):
 
     def _fence(self, st: _PeerSession, frame: Frame) -> None:
         self.engine.stats.stale_frames_fenced += 1
-        self.engine.tracer.emit(self.sim.now, self._name, "fence",
-                                peer=st.peer, fkind=frame.kind,
-                                frame=frame.frame_id, session=frame.session)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "fence",
+                        peer=st.peer, fkind=frame.kind,
+                        frame=frame.frame_id, session=frame.session)
 
     def _note_liveness(self, st: _PeerSession) -> None:
         st.last_heard_us = self.sim.now
@@ -348,9 +356,11 @@ class SessionLayer(Layer):
             # whatever parking accumulated, in submission order.
             st.suspect = False
             self.engine.stats.peers_recovered += 1
-            self.engine.tracer.emit(self.sim.now, self._name, "unsuspect",
-                                    peer=st.peer,
-                                    parked=len(st.deferred_tx))
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(self.sim.now, self._name, "unsuspect",
+                            peer=st.peer,
+                            parked=len(st.deferred_tx))
             if st.sess_state == "established":
                 self._flush(st)
 
@@ -364,9 +374,11 @@ class SessionLayer(Layer):
         if new_epoch:
             st.epoch += 1
             self.engine.stats.epochs_started += 1
-            self.engine.tracer.emit(self.sim.now, self._name, "establish",
-                                    peer=st.peer, incarnation=s_inc,
-                                    epoch=st.epoch)
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(self.sim.now, self._name, "establish",
+                            peer=st.peer, incarnation=s_inc,
+                            epoch=st.epoch)
         self._flush(st)
 
     def _epoch_change(self, st: _PeerSession, s_inc: int) -> None:
@@ -382,9 +394,11 @@ class SessionLayer(Layer):
             f"(incarnation {st.peer_incarnation} -> {s_inc}); in-flight "
             "requests towards its old incarnation failed"
         )
-        self.engine.tracer.emit(self.sim.now, self._name, "epoch_change",
-                                peer=st.peer, old=st.peer_incarnation,
-                                new=s_inc)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "epoch_change",
+                        peer=st.peer, old=st.peer_incarnation,
+                        new=s_inc)
         self._teardown_peer(st, exc)
         self._establish(st, s_inc)
 
@@ -399,9 +413,11 @@ class SessionLayer(Layer):
             f"{self.sim.now - st.last_heard_us:g}us of silence "
             f"(hb_timeout_us={self._hb_timeout_us(st.peer):g})"
         )
-        self.engine.tracer.emit(self.sim.now, self._name, "peer_dead",
-                                peer=st.peer,
-                                silence=self.sim.now - st.last_heard_us)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "peer_dead",
+                        peer=st.peer,
+                        silence=self.sim.now - st.last_heard_us)
         self._teardown_peer(st, exc)
         # Death, unlike an epoch change, dashes all hope of delivery:
         # receives awaiting the peer fail too, so waiters surface the
@@ -435,8 +451,10 @@ class SessionLayer(Layer):
                 layer.reset_peer(peer, exc)
         engine.rendezvous.fail_peer(peer, exc)
         engine.matcher.reset_peer(peer)
-        self.engine.tracer.emit(self.sim.now, self._name, "teardown",
-                                peer=peer, deferred=n_deferred)
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.sim.now, self._name, "teardown",
+                        peer=peer, deferred=n_deferred)
 
     def reset_peer(self, peer: int, exc: BaseException) -> None:
         """Fail every frame still buffered behind the peer's handshake."""
@@ -509,8 +527,10 @@ class SessionLayer(Layer):
             # peer with a stale park instead of a fresh observation.
             if st.suspect:
                 st.suspect = False
-                self.engine.tracer.emit(self.sim.now, self._name,
-                                        "suspect_dropped", peer=st.peer)
+                tracer = self.engine.tracer
+                if tracer.enabled:
+                    tracer.emit(self.sim.now, self._name,
+                                "suspect_dropped", peer=st.peer)
             st.mon_armed = False
             return
         now = self.sim.now
@@ -522,8 +542,10 @@ class SessionLayer(Layer):
         if silence >= hb_timeout_us / 2.0 and not st.suspect:
             st.suspect = True
             self.engine.stats.peers_suspected += 1
-            self.engine.tracer.emit(now, self._name, "suspect",
-                                    peer=st.peer, silence=silence)
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(now, self._name, "suspect",
+                            peer=st.peer, silence=silence)
         # Idle-only probing: any frame we sent recently already solicits
         # reverse traffic (acks, grants), so a probe would be redundant.
         if now - st.last_tx_us >= self.params.hb_interval_us:

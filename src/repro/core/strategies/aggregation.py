@@ -99,15 +99,14 @@ class AggregationStrategy(Strategy):
         if choice.empty:
             return None
         items: list[WireItem] = []
+        src = ctx.src_node
         for wrap in choice.eager:
             if wrap.control_item is not None:
                 items.append(wrap.control_item)
             else:
-                items.append(SegItem(src=ctx.src_node, flow=wrap.flow,
-                                     tag=wrap.tag, seq=wrap.seq,
-                                     data=wrap.data))
-        return SendPlan(dest=dest, items=items, taken=choice.eager,
-                        announced=choice.announce)
+                items.append(SegItem(src, wrap.flow, wrap.tag, wrap.seq,
+                                     wrap.data))
+        return SendPlan(dest, items, choice.eager, choice.announce)
 
     def describe(self) -> str:
         opts = []

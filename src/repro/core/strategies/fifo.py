@@ -43,7 +43,7 @@ class FifoStrategy(Strategy):
                 if (max_bytes is not None and max_wraps is not None
                         and (wrap.length > max_bytes or max_wraps < 1)):
                     continue
-            item = SegItem(src=ctx.src_node, flow=wrap.flow, tag=wrap.tag,
-                           seq=wrap.seq, data=wrap.data)
-            return SendPlan(dest=wrap.dest, items=[item], taken=[wrap])
+            item = SegItem(ctx.src_node, wrap.flow, wrap.tag, wrap.seq,
+                           wrap.data)
+            return SendPlan(wrap.dest, [item], [wrap])
         return None

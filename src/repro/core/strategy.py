@@ -80,7 +80,7 @@ class SchedulingContext:
         return self.flowcontrol.planning_budget(dest)
 
 
-@dataclass
+@dataclass(slots=True)
 class SendPlan:
     """A synthesized physical packet, ready for the transfer layer.
 
@@ -103,7 +103,9 @@ class SendPlan:
                 raise StrategyError(
                     f"plan mixes destinations: {wrap!r} vs dest={self.dest}"
                 )
-        eager_payload = sum(w.length for w in self.taken)
+        eager_payload = 0
+        for wrap in self.taken:
+            eager_payload += wrap.length
         if eager_payload > ctx.rdv_threshold and len(self.taken) > 1:
             raise StrategyError(
                 f"aggregate of {eager_payload}B exceeds the rendezvous "

@@ -133,12 +133,17 @@ def plan_aggregate(
         budget = max_eager_bytes
     used = 0
     n_credit = 0  # eager wraps that will consume a credit (non-control)
+    # The aggregate so far, as wrap ids: a running set (and its size) rather
+    # than a fresh eager + announce list per candidate.
+    planned: set[int] = set()
     blocked = False
     for wrap in candidates:
         if wrap.dest != dest:
             continue
-        if not deps_satisfied(wrap, sent, in_plan=choice.all_wraps()):
-            # Unsendable; it also blocks later wraps unless scanning is on.
+        dep = wrap.depends_on
+        if dep is not None and dep not in sent and dep not in planned:
+            # Unsendable (the deps_satisfied rule, against this aggregate);
+            # it also blocks later wraps unless scanning is on.
             if not scan_past_blockage:
                 break
             blocked = True
@@ -146,21 +151,24 @@ def plan_aggregate(
         if blocked and not wrap.allow_reorder:
             # This wrap refuses to overtake the blocked one: stop here.
             break
-        if wrap.length > rdv_threshold:
+        length = wrap.length
+        if length > rdv_threshold:
             choice.announce.append(wrap)
         elif wrap.is_control or wrap.credit_exempt:
             # Control records carry the replenishing grants; NACK resends
             # fill the sequence hole everything behind them waits on.
             choice.eager.append(wrap)
-        elif (used + wrap.length <= budget
+        elif (used + length <= budget
               and (max_eager_items is None or n_credit < max_eager_items)):
             choice.eager.append(wrap)
-            used += wrap.length
+            used += length
             n_credit += 1
         elif not scan_past_blockage:
             break
         else:
             blocked = True
-        if max_items is not None and len(choice.all_wraps()) >= max_items:
+            continue
+        planned.add(wrap.wrap_id)
+        if max_items is not None and len(planned) >= max_items:
             break
     return choice

@@ -66,6 +66,11 @@ class TransferLayer:
     def __init__(self, engine: NmadEngine) -> None:
         self.engine = engine
         self.nics = list(engine.node.nics)
+        self._source = f"node{engine.node_id}.transfer"
+        # Data-path inspection cost per MTU, fixed per rail (frozen params,
+        # fixed driver): looked up once instead of once per packet.
+        self._per_mtu_cost = [engine.params.per_mtu_cost(nic.profile)
+                              for nic in self.nics]
         self.sent_wraps: set[int] = set()
         #: Rails taken out of service (always empty in paper mode).
         self.quarantined: set[int] = set()
@@ -81,6 +86,9 @@ class TransferLayer:
         # Paper §3.2's second/third dispatch policies: at most one packet is
         # pre-synthesized while every NIC is busy, waiting to be re-fed.
         self._anticipated: tuple[SendPlan, list] | None = None
+        # Off in the paper's default policy: then no packet pays a call
+        # into _maybe_prepare just to learn that.
+        self._anticipates = engine.params.dispatch_policy != "on_idle"
         for nic in self.nics:
             nic.add_idle_callback(self._on_idle)
             nic.set_receive_handler(partial(self.receive, nic.rail))
@@ -131,10 +139,10 @@ class TransferLayer:
             self.engine.window.restore(w)
         for layer in self.engine.layers:
             layer.uncommit(plan)
-        self.engine.tracer.emit(self.engine.sim.now,
-                                f"node{self.engine.node_id}.transfer",
-                                "unanticipate", dest=plan.dest,
-                                items=len(items))
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.engine.sim.now, self._source, "unanticipate",
+                        dest=plan.dest, items=len(items))
         return True
 
     # -- rail health ----------------------------------------------------------
@@ -192,14 +200,17 @@ class TransferLayer:
             return
         any_idle = False
         schedule = self.engine.sim.schedule
+        quarantined = self.quarantined
+        pending = self._pull_pending
         for nic in self.nics:
-            if not self.rail_ok(nic.rail):
+            rail = nic.rail
+            if rail in quarantined:
                 continue
-            if nic.idle and not self._pull_pending[nic.rail]:
-                self._pull_pending[nic.rail] = True
-                schedule(0.0, self._pull_fns[nic.rail])
+            if nic.idle and not pending[rail]:
+                pending[rail] = True
+                schedule(0.0, self._pull_fns[rail])
                 any_idle = True
-        if not any_idle:
+        if not any_idle and self._anticipates:
             self._maybe_prepare()
 
     def _on_idle(self, nic: Nic) -> None:
@@ -240,8 +251,6 @@ class TransferLayer:
     def _maybe_prepare(self) -> None:
         """Pre-synthesize one ready-to-send packet (anticipation policies)."""
         params = self.engine.params
-        if params.dispatch_policy == "on_idle":
-            return
         if self._anticipated is not None:
             return
         if any(nic.idle and self.rail_ok(nic.rail) for nic in self.nics):
@@ -257,50 +266,59 @@ class TransferLayer:
         plan.validate(ctx)
         items = self._materialize(plan, rail)
         self._anticipated = (plan, items)
-        self.engine.tracer.emit(self.engine.sim.now,
-                                f"node{self.engine.node_id}.transfer",
-                                "anticipate", dest=plan.dest,
-                                items=len(items))
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.engine.sim.now, self._source, "anticipate",
+                        dest=plan.dest, items=len(items))
 
     def _pull(self, rail: int) -> None:
         self._pull_pending[rail] = False
-        if self.engine.halted:
+        engine = self.engine
+        if engine.halted:
             return  # a pull scheduled just before the crash landed
         nic = self.nics[rail]
-        if not nic.idle or not self.rail_ok(rail):
+        if not nic.idle or rail in self.quarantined:
             return
-        params = self.engine.params
+        params = engine.params
         if self._anticipated is not None:
             # "Immediately re-feed it once it becomes idle" (paper §3.2).
             plan, items = self._anticipated
             self._anticipated = None
             for item in items:
                 if isinstance(item, RdvReqItem):
-                    self.engine.rendezvous.fix_origin(item.handle, rail)
-            self.engine.stats.anticipated_hits += 1
+                    engine.rendezvous.fix_origin(item.handle, rail)
+            engine.stats.anticipated_hits += 1
             self._post_packet(nic, plan, items,
                               pull_cost=params.anticipated_pull_cost_us)
             return
-        ctx = self._context(rail)
-        plan = self.engine.strategy.select(ctx)
-        if plan is not None:
-            plan.validate(ctx)
-            items = self._materialize(plan, rail)
-            self._post_packet(nic, plan, items, pull_cost=params.pull_cost_us)
-            return
-        multirail = getattr(self.engine.strategy, "multirail_bulk", False)
-        bulk = self.engine.rendezvous.next_chunk(rail, multirail)
+        # The idle edge after the last packet finds the window empty: there
+        # is nothing to elect (or hold), so no context is built and the
+        # strategy is not consulted — only granted bulk can still flow.
+        ctx = None
+        if not engine.window.empty:
+            ctx = self._context(rail)
+            plan = engine.strategy.select(ctx)
+            if plan is not None:
+                plan.validate(ctx)
+                items = self._materialize(plan, rail)
+                self._post_packet(nic, plan, items,
+                                  pull_cost=params.pull_cost_us)
+                return
+        multirail = getattr(engine.strategy, "multirail_bulk", False)
+        bulk = engine.rendezvous.next_chunk(rail, multirail)
         if bulk is not None:
             state, item = bulk
             self._send_bulk(nic, state, item)
             return
+        if ctx is None:
+            return
         # Nothing elected: a bandwidth-favoring strategy may be holding the
         # window on purpose — honour its deadline with a future re-pull.
-        deadline = self.engine.strategy.hold_until(ctx)
+        deadline = engine.strategy.hold_until(ctx)
         if deadline is not None and not self._pull_pending[rail]:
             self._pull_pending[rail] = True
-            delay = max(0.0, deadline - self.engine.sim.now)
-            self.engine.sim.schedule(delay, self._pull_fns[rail])
+            delay = max(0.0, deadline - engine.sim.now)
+            engine.sim.schedule(delay, self._pull_fns[rail])
 
     # -- sending --------------------------------------------------------------
     def _materialize(self, plan: SendPlan, rail: int) -> list[WireItem]:
@@ -320,10 +338,8 @@ class TransferLayer:
         engine = self.engine
         params = engine.params
         pkt = PhysPacket(items)
-        wire = pkt.wire_size(params.hdr)
-        payload = pkt.payload_size()
+        wire, payload, n_segments = pkt.sizes(params.hdr)
         gather_cost = 0.0
-        n_segments = sum(1 for i in items if isinstance(i, SegItem))
         if n_segments > 1 and not nic.profile.gather_scatter:
             # No hardware gather: the host stages the aggregate with one
             # copy per segment.
@@ -332,32 +348,34 @@ class TransferLayer:
             )
         cpu_gap = (
             pull_cost
-            + params.per_mtu_cost(nic.profile)
+            + self._per_mtu_cost[nic.rail]
               * math.ceil(max(wire, 1) / nic.profile.mtu_bytes)
             + gather_cost
         )
-        frame = Frame(
-            src_node=engine.node_id, dst_node=plan.dest, kind=FrameKind.DATA,
-            wire_size=wire, payload=pkt, payload_size=payload,
-        )
-        engine.stats.phys_packets += 1
-        engine.stats.items_sent += len(items)
-        engine.stats.eager_bytes += payload
-        engine.stats.wire_bytes += wire
+        frame = Frame(engine.node_id, plan.dest, FrameKind.DATA, wire, pkt,
+                      payload)
+        stats = engine.stats
+        stats.phys_packets += 1
+        stats.items_sent += len(items)
+        stats.eager_bytes += payload
+        stats.wire_bytes += wire
         if n_segments > 1:
-            engine.stats.aggregated_packets += 1
-            engine.stats.aggregated_segments += n_segments
-        engine.tracer.emit(engine.sim.now, f"node{engine.node_id}.transfer",
-                           "send_plan", rail=nic.rail, dest=plan.dest,
-                           items=len(items), wire=wire)
+            stats.aggregated_packets += 1
+            stats.aggregated_segments += n_segments
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.emit(engine.sim.now, self._source, "send_plan",
+                        rail=nic.rail, dest=plan.dest, items=len(items),
+                        wire=wire)
         self.transmit(
             nic, frame, cpu_gap,
-            on_delivered=lambda: self._plan_sent(plan),
-            on_failed=lambda exc: self._plan_failed(plan, items, exc),
+            on_delivered=partial(self._plan_sent, plan),
+            on_failed=partial(self._plan_failed, plan, items),
         )
-        # With an anticipation policy active, the NIC just went busy: start
-        # preparing the next packet off the critical path right away.
-        self._maybe_prepare()
+        if self._anticipates:
+            # The NIC just went busy: start preparing the next packet off
+            # the critical path right away.
+            self._maybe_prepare()
 
     def _plan_sent(self, plan: SendPlan) -> None:
         for wrap in plan.taken:
@@ -380,34 +398,33 @@ class TransferLayer:
             if isinstance(item, RdvReqItem):
                 # The announcement never reached the peer: fail the big send.
                 self.engine.rendezvous.abort(item.handle, exc)
-        self.engine.tracer.emit(self.engine.sim.now,
-                                f"node{self.engine.node_id}.transfer",
-                                "plan_failed", dest=plan.dest,
-                                items=len(items))
+        tracer = self.engine.tracer
+        if tracer.enabled:
+            tracer.emit(self.engine.sim.now, self._source, "plan_failed",
+                        dest=plan.dest, items=len(items))
 
     def _send_bulk(self, nic: Nic, state: RdvSendState,
                    item: RdvDataItem) -> None:
         engine = self.engine
         params = engine.params
         pkt = PhysPacket([item])
-        wire = pkt.wire_size(params.hdr)
+        wire, nbytes, _ = pkt.sizes(params.hdr)
         cpu_gap = (
             params.pull_cost_us
-            + params.per_mtu_cost(nic.profile)
+            + self._per_mtu_cost[nic.rail]
               * math.ceil(wire / nic.profile.mtu_bytes)
         )
-        frame = Frame(
-            src_node=engine.node_id, dst_node=state.wrap.dest,
-            kind=FrameKind.RDV_DATA, wire_size=wire, payload=pkt,
-            payload_size=item.data.nbytes,
-        )
+        frame = Frame(engine.node_id, state.wrap.dest, FrameKind.RDV_DATA,
+                      wire, pkt, nbytes)
         engine.stats.phys_packets += 1
         engine.stats.items_sent += 1
-        engine.stats.rdv_bytes += item.data.nbytes
+        engine.stats.rdv_bytes += nbytes
         engine.stats.wire_bytes += wire
-        engine.tracer.emit(engine.sim.now, f"node{engine.node_id}.transfer",
-                           "send_bulk", rail=nic.rail, dest=state.wrap.dest,
-                           offset=item.offset, nbytes=item.data.nbytes)
+        tracer = engine.tracer
+        if tracer.enabled:
+            tracer.emit(engine.sim.now, self._source, "send_bulk",
+                        rail=nic.rail, dest=state.wrap.dest,
+                        offset=item.offset, nbytes=nbytes)
         self.transmit(
             nic, frame, cpu_gap,
             on_delivered=lambda: engine.rendezvous.chunk_sent(state, item),
@@ -449,10 +466,10 @@ class TransferLayer:
             # a loss (in ack mode the retransmit timer recovers it; in off
             # mode the stall is the loud surface the tests demand).
             self.engine.stats.corrupt_discards += 1
-            self.engine.tracer.emit(self.engine.sim.now,
-                                    f"node{self.engine.node_id}.transfer",
-                                    "rx_corrupt", frame=frame.frame_id,
-                                    rail=rail)
+            tracer = self.engine.tracer
+            if tracer.enabled:
+                tracer.emit(self.engine.sim.now, self._source, "rx_corrupt",
+                            frame=frame.frame_id, rail=rail)
             return
         for layer in self.engine.layers:
             if not layer.on_frame(rail, frame):
@@ -471,34 +488,30 @@ class TransferLayer:
         # order after a per-packet cost plus a per-item increment.
         params = self.engine.params
         delay = params.demux_packet_cost_us
+        item_cost = params.demux_item_cost_us
+        schedule = self.engine.sim.schedule
+        dispatch = self._dispatch_item
         for item in pkt.items:
-            delay += params.demux_item_cost_us
-            self.engine.sim.schedule(
-                delay, lambda item=item: self._dispatch_item(item)
-            )
+            delay += item_cost
+            schedule(delay, partial(dispatch, item))
 
     def _dispatch_item(self, item: WireItem) -> None:
-        if self.engine.halted:
+        engine = self.engine
+        if engine.halted:
             return  # demuxed just before the crash; the item dies with us
-        now = self.engine.sim.now
+        now = engine.sim.now
         if isinstance(item, SegItem):
-            self.engine.matcher.deliver(
-                Incoming(src=item.src, flow=item.flow, tag=item.tag,
-                         seq=item.seq, nbytes=item.data.nbytes, item=item),
-                now=now,
-            )
+            engine.matcher.deliver(
+                Incoming(item.src, item.flow, item.tag, item.seq,
+                         item.data.nbytes, item), now)
         elif isinstance(item, RdvReqItem):
-            self.engine.matcher.deliver(
-                Incoming(src=item.src, flow=item.flow, tag=item.tag,
-                         seq=item.seq, nbytes=item.nbytes, item=item),
-                now=now,
-            )
+            engine.matcher.deliver(
+                Incoming(item.src, item.flow, item.tag, item.seq,
+                         item.nbytes, item), now)
         elif isinstance(item, CancelItem):
-            self.engine.matcher.deliver(
-                Incoming(src=item.src, flow=item.flow, tag=item.tag,
-                         seq=item.seq, nbytes=0, item=None, is_skip=True),
-                now=now,
-            )
+            engine.matcher.deliver(
+                Incoming(item.src, item.flow, item.tag, item.seq, 0, None,
+                         is_skip=True), now)
         elif isinstance(item, RdvAckItem):
             self.engine.rendezvous.on_ack(item)
         elif isinstance(item, RdvDataItem):

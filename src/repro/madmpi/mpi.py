@@ -199,7 +199,7 @@ class MadMpi:
         """Blocking probe (process style): waits for a matching message."""
         comm = self._live_comm(comm)
         src_node = ANY if source == ANY else comm.node_of(source)
-        event = self.sim.event(name=f"probe:{source}/{tag}")
+        event = self.sim.event(("probe:%s/%s", source, tag))
         self.engine.matcher.watch(src_node, comm.id, tag, event)
         inc = yield event
         return comm.rank_of(inc.src), inc.tag, inc.nbytes

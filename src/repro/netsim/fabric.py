@@ -232,9 +232,10 @@ class Switch:
             return None
         if count:
             self.paths_rerouted += 1
-            self.tracer.emit(self.sim.now, self.name, "reroute",
-                             src=src_node, dst=dst_node,
-                             around=self.ports[primary].link.name)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "reroute",
+                                 src=src_node, dst=dst_node,
+                                 around=self.ports[primary].link.name)
         return alive[h % len(alive)]
 
     def _arrive(self, frame: Frame) -> None:
@@ -249,8 +250,9 @@ class Switch:
             # accounted here so conservation audits can explain the loss.
             self.frames_dropped += 1
             self.bytes_dropped += frame.wire_size
-            self.tracer.emit(self.sim.now, self.name, "black_hole",
-                             frame=frame.frame_id, dst=frame.dst_node)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "black_hole",
+                                 frame=frame.frame_id, dst=frame.dst_node)
             return
         self.ports[port_id].push(frame)
 
@@ -271,7 +273,8 @@ class Switch:
             port._queue.clear()
             port._busy = False
             port._current = None
-        self.tracer.emit(self.sim.now, self.name, "switch_down")
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "switch_down")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "DOWN"

@@ -34,7 +34,7 @@ class FrameKind:
 _frame_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One physical packet handed to a NIC for transmission.
 
@@ -78,7 +78,7 @@ class Frame:
     fc_grant: tuple[int, int] | None = None
     session: tuple[int, int] | None = None
     corrupted: bool = False
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    frame_id: int = field(default_factory=_frame_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.wire_size < 0:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Callable, Sequence
+from functools import partial
 from random import Random
 
 from typing import TYPE_CHECKING
@@ -364,7 +365,11 @@ class Link:
             )
         self.frames_sent += 1
         self.bytes_sent += frame.wire_size
-        action = self._fault_action(frame)
+        sim = self.sim
+        now = sim.now
+        tracer = self.tracer
+        plan = self.fault_plan
+        action = DELIVER if plan is None else self._fault_action(frame)
         if action in (DROP, DROP_PARTITION):
             self.frames_dropped += 1
             self.bytes_dropped += frame.wire_size
@@ -372,15 +377,17 @@ class Link:
                 self.frames_partition_dropped += 1
             if frame.corrupted:
                 self.frames_corrupt_dropped += 1
-            if (isinstance(self.fault_plan, FaultPlan)
-                    and self.fault_plan.down_at_us is not None
-                    and self.sim.now >= self.fault_plan.down_at_us):
+            if (isinstance(plan, FaultPlan)
+                    and plan.down_at_us is not None
+                    and now >= plan.down_at_us):
                 if self.down_since is None:
-                    self.down_since = self.sim.now
-                    self.tracer.emit(self.sim.now, self.name, "link_down")
-            self.tracer.emit(self.sim.now, self.name, "wire_drop",
-                             frame=frame.frame_id, size=frame.wire_size,
-                             partition=action == DROP_PARTITION)
+                    self.down_since = now
+                    if tracer.enabled:
+                        tracer.emit(now, self.name, "link_down")
+            if tracer.enabled:
+                tracer.emit(now, self.name, "wire_drop",
+                            frame=frame.frame_id, size=frame.wire_size,
+                            partition=action == DROP_PARTITION)
             return
         if action == CORRUPT:
             # The bytes travel (conservation holds) but the payload checksum
@@ -388,36 +395,40 @@ class Link:
             # retransmit buffer never sees the corruption.
             self.frames_corrupted += 1
             frame = dataclasses.replace(frame, corrupted=True)
-            self.tracer.emit(self.sim.now, self.name, "wire_corrupt",
-                             frame=frame.frame_id, size=frame.wire_size)
+            if tracer.enabled:
+                tracer.emit(now, self.name, "wire_corrupt",
+                            frame=frame.frame_id, size=frame.wire_size)
         latency = self.latency_us
         extra_us = 0.0
         overtake = False
-        if isinstance(self.fault_plan, FaultPlan):
-            factor = self.fault_plan.latency_factor(self.sim.now)
+        if isinstance(plan, FaultPlan):
+            factor = plan.latency_factor(now)
             if factor > 1.0:
                 latency *= factor
                 self.frames_slowed += 1
-                self.tracer.emit(self.sim.now, self.name, "wire_slow",
-                                 frame=frame.frame_id, factor=factor)
-            extra_us, overtake = self.fault_plan.extra_latency(self.sim.now)
-        deliver_at = self.sim.now + latency + extra_us
+                if tracer.enabled:
+                    tracer.emit(now, self.name, "wire_slow",
+                                frame=frame.frame_id, factor=factor)
+            extra_us, overtake = plan.extra_latency(now)
+        deliver_at = now + latency + extra_us
         if overtake:
             # A reordered frame is held back without raising the FIFO floor:
             # successors keep their normal delivery times and overtake it.
             self.frames_reordered += 1
-            floor = max(self._last_deliver_at, self.sim.now + latency)
+            floor = max(self._last_deliver_at, now + latency)
             self._last_deliver_at = floor
-            self.tracer.emit(self.sim.now, self.name, "wire_reorder",
-                             frame=frame.frame_id, delay_us=extra_us)
+            if tracer.enabled:
+                tracer.emit(now, self.name, "wire_reorder",
+                            frame=frame.frame_id, delay_us=extra_us)
         else:
             if extra_us > 0.0:
                 self.frames_jittered += 1
             if deliver_at < self._last_deliver_at:
                 deliver_at = self._last_deliver_at
             self._last_deliver_at = deliver_at
-        self.tracer.emit(self.sim.now, self.name, "wire_enter",
-                         frame=frame.frame_id, size=frame.wire_size)
+        if tracer.enabled:
+            tracer.emit(now, self.name, "wire_enter",
+                        frame=frame.frame_id, size=frame.wire_size)
         if action == DUPLICATE:
             # The wire echoes the frame: a second, independent delivery of
             # the same bytes right behind the first (FIFO tie-break keeps
@@ -426,20 +437,20 @@ class Link:
             # schedule() calls but costs a single push and dispatch.
             self.frames_duplicated += 1
             self.bytes_duplicated += frame.wire_size
-            self.tracer.emit(self.sim.now, self.name, "wire_dup",
-                             frame=frame.frame_id, size=frame.wire_size)
-            deliver: Callable[[], None] = lambda: self._deliver(frame)
-            self.sim.schedule_batch(deliver_at - self.sim.now,
-                                    [deliver, deliver])
+            if tracer.enabled:
+                tracer.emit(now, self.name, "wire_dup",
+                            frame=frame.frame_id, size=frame.wire_size)
+            deliver = partial(self._deliver, frame)
+            sim.schedule_batch(deliver_at - now, [deliver, deliver])
         else:
-            self.sim.schedule(deliver_at - self.sim.now,
-                              lambda: self._deliver(frame))
+            sim.schedule(deliver_at - now, partial(self._deliver, frame))
 
     def _deliver(self, frame: Frame) -> None:
         self.frames_delivered += 1
         self.bytes_delivered += frame.wire_size
-        self.tracer.emit(self.sim.now, self.name, "wire_exit",
-                         frame=frame.frame_id, size=frame.wire_size)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "wire_exit",
+                             frame=frame.frame_id, size=frame.wire_size)
         self.dst._arrive(frame)
 
     @property

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable
+from functools import partial
 from typing import ClassVar
 
 from repro.errors import NetworkError
@@ -174,7 +175,7 @@ class Nic:
             )
         if cpu_gap_us < 0:
             raise NetworkError(f"negative cpu gap {cpu_gap_us}")
-        done = self.sim.event(name=f"txdone:{frame.frame_id}")
+        done = self.sim.event(("txdone:%s", frame.frame_id))
         if not self.up:
             # A send racing the crash is benign: the frame is lost and the
             # completion event never fires, exactly as if the power died
@@ -200,11 +201,12 @@ class Nic:
             # instead of a full fresh injection.
             tx_time += self.profile.pipeline_gap_us - self.profile.send_overhead_us
             tx_time = max(tx_time, 0.0)
-        self.tracer.emit(self.sim.now, self.name, "tx_start",
-                         frame=frame.frame_id, fkind=frame.kind,
-                         size=frame.wire_size, tx_time=round(tx_time, 4))
-        gen = self._gen
-        self.sim.schedule(tx_time, lambda: self._finish_tx(frame, done, gen))
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "tx_start",
+                             frame=frame.frame_id, fkind=frame.kind,
+                             size=frame.wire_size, tx_time=round(tx_time, 4))
+        self.sim.schedule(
+            tx_time, partial(self._finish_tx, frame, done, self._gen))
 
     def _finish_tx(self, frame: Frame, done: Event, gen: int) -> None:
         if gen != self._gen:
@@ -216,7 +218,9 @@ class Nic:
         if link is None:  # pragma: no cover - post_send already validated
             raise NetworkError(f"{self.name}: lost route to {frame.dst_node}")
         link.transmit(frame)
-        self.tracer.emit(self.sim.now, self.name, "tx_done", frame=frame.frame_id)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "tx_done",
+                             frame=frame.frame_id)
         done.succeed(frame)
         if self._queue:
             self._start_next(first_of_burst=False)
@@ -225,7 +229,8 @@ class Nic:
             self._notify_idle()
 
     def _notify_idle(self) -> None:
-        self.tracer.emit(self.sim.now, self.name, "idle")
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "idle")
         if self._idle_callbacks:
             # Deliver via the queue so refill decisions are deterministic
             # and may themselves post sends re-entrantly — but as ONE queued
@@ -259,13 +264,15 @@ class Nic:
         self._rx_batch = None
         self.up = False
         self._gen += 1
-        self.tracer.emit(self.sim.now, self.name, "crash")
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "crash")
 
     def restart(self) -> None:
         """Power the card back up (handlers must be re-installed)."""
         self.up = True
         self._gen += 1
-        self.tracer.emit(self.sim.now, self.name, "restart")
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "restart")
 
     # -- reception -------------------------------------------------------------
     def _arrive(self, frame: Frame) -> None:
@@ -274,9 +281,10 @@ class Nic:
             # cluster fault summary can still account for every byte).
             self.frames_lost += 1
             return
-        self.tracer.emit(self.sim.now, self.name, "rx_start",
-                         frame=frame.frame_id, fkind=frame.kind,
-                         size=frame.wire_size)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "rx_start",
+                             frame=frame.frame_id, fkind=frame.kind,
+                             size=frame.wire_size)
         sim = self.sim
         gen = self._gen
         due = sim.now + self.profile.recv_overhead_us
@@ -300,9 +308,8 @@ class Nic:
         self._rx_batch = batch
         self._rx_gen = gen
         self._rx_due = due
-        sim.schedule(
-            self.profile.recv_overhead_us, lambda: self._handle_batch(batch, gen)
-        )
+        sim.schedule(self.profile.recv_overhead_us,
+                     partial(self._handle_batch, batch, gen))
         self._rx_mark = sim.mark()
 
     def _handle_batch(self, frames: list[Frame], gen: int) -> None:
@@ -319,8 +326,9 @@ class Nic:
                 return  # card crashed mid-batch (a handler can kill the card)
             self.frames_received += 1
             self.bytes_received += frame.wire_size
-            self.tracer.emit(self.sim.now, self.name, "rx_done",
-                             frame=frame.frame_id)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, self.name, "rx_done",
+                                 frame=frame.frame_id)
             if self._rx_handler is None:
                 raise NetworkError(
                     f"{self.name}: frame {frame!r} arrived but no receive "

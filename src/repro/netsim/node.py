@@ -93,7 +93,8 @@ class Node:
         for nic in self.nics:
             nic.crash()
         self._copy_free_at = 0.0
-        self.tracer.emit(self.sim.now, self.name, "crash")
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "crash")
 
     def restart(self) -> None:
         """Bring the host back up as a fresh incarnation.
@@ -107,8 +108,9 @@ class Node:
         self.incarnation += 1
         for nic in self.nics:
             nic.restart()
-        self.tracer.emit(self.sim.now, self.name, "restart",
-                         incarnation=self.incarnation)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "restart",
+                             incarnation=self.incarnation)
 
     def nic(self, rail: int = 0) -> Nic:
         """The NIC on ``rail`` (rail 0 is the default network)."""

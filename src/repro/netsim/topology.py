@@ -198,9 +198,11 @@ class Cluster:
                     f"{link.name} carries a bare callable fault injector; "
                     "partitions compose only with FaultPlan")
             installed += 1
-        self.tracer.emit(self.sim.now, "cluster", "rack_partition",
-                         rack=rack, hosts=list(self.racks[rack]),
-                         from_us=from_us, until_us=until_us, links=installed)
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, "cluster", "rack_partition",
+                             rack=rack, hosts=list(self.racks[rack]),
+                             from_us=from_us, until_us=until_us,
+                             links=installed)
         return installed
 
     def path(self, src: int, dst: int, rail: int = 0) -> list[str]:
@@ -280,10 +282,11 @@ class Cluster:
                     "partitions compose only with FaultPlan")
             installed += 1
         if installed:
-            self.tracer.emit(self.sim.now, "cluster", "partition",
-                             groups=[list(g) for g in groups],
-                             from_us=from_us, until_us=until_us,
-                             one_way=one_way, links=installed)
+            if self.tracer.enabled:
+                self.tracer.emit(self.sim.now, "cluster", "partition",
+                                 groups=[list(g) for g in groups],
+                                 from_us=from_us, until_us=until_us,
+                                 one_way=one_way, links=installed)
         return installed
 
     def rail_index(self, tech_or_name: str) -> int:

@@ -112,13 +112,18 @@ class Event:
     """
 
     __slots__ = (
-        "sim", "_callbacks", "_ok", "_value", "_exc", "_defused", "name",
+        "sim", "_callbacks", "_ok", "_value", "_exc", "_defused", "_name",
         "_pooled",
     )
 
-    def __init__(self, sim: Simulator, name: str = "") -> None:
+    def __init__(
+        self, sim: Simulator, name: str | tuple[Any, ...] = ""
+    ) -> None:
         self.sim = sim
-        self.name = name
+        # A tuple is a lazy label ``(template, *args)``: per-message events
+        # are named for diagnostics only, so the string is built when
+        # somebody reads :attr:`name`, not once per message.
+        self._name = name
         self._callbacks: list[Callable[[Event], None]] | None = []
         self._ok: bool | None = None  # None=pending, True=succeeded, False=failed
         self._value: Any = None
@@ -132,6 +137,14 @@ class Event:
         self._pooled = False
 
     # -- state ----------------------------------------------------------
+    @property
+    def name(self) -> str:
+        """Debug label (a lazy ``(template, *args)`` is rendered here)."""
+        name = self._name
+        if name.__class__ is tuple:
+            return name[0] % name[1:]
+        return name
+
     @property
     def triggered(self) -> bool:
         """True once the event succeeded or failed."""
@@ -198,7 +211,8 @@ class Event:
             if self._ok is None
             else ("ok" if self._ok else f"failed({self._exc!r})")
         )
-        label = f" {self.name!r}" if self.name else ""
+        name = self.name
+        label = f" {name!r}" if name else ""
         return f"<{type(self).__name__}{label} {state}>"
 
 
@@ -584,9 +598,13 @@ class Simulator:
         return self._last_t
 
     # -- event construction ------------------------------------------------
-    def event(self, name: str = "") -> Event:
-        """Create a fresh pending :class:`Event`."""
-        return Event(self, name=name)
+    def event(self, name: str | tuple[Any, ...] = "") -> Event:
+        """Create a fresh pending :class:`Event`.
+
+        ``name`` may be a lazy label ``(template, *args)``, rendered as
+        ``template % args`` only when :attr:`Event.name` is read.
+        """
+        return Event(self, name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers after ``delay`` time units."""

@@ -27,6 +27,12 @@ dependence while staying observably equivalent for correct code:
   workloads that are claimed order-insensitive (the kernel storm profile
   and the sanitizer's own fixtures), not to the figure pipeline.
 
+* ``trace`` — every :class:`~repro.sim.trace.Tracer` is constructed
+  enabled (records are built, then dropped), so each guarded
+  ``tracer.emit(...)`` site evaluates its arguments.  Tracing is
+  observation only: output must stay byte-identical, and a difference
+  means an emit site (or the code computing its details) mutates state.
+
 Sanitize mode is **opt-in and default-off**: a plain ``Simulator()``
 checks the ``REPRO_SANITIZE`` environment variable once at construction
 (unset in normal runs) and takes zero extra branches on the push paths
@@ -64,6 +70,7 @@ class SanitizeConfig:
 
     no_coalesce: bool = False
     shake_seed: int | None = None
+    trace: bool = False
 
     def spec(self) -> str:
         """The ``REPRO_SANITIZE`` string that reproduces this config."""
@@ -72,11 +79,14 @@ class SanitizeConfig:
             parts.append("nocoalesce")
         if self.shake_seed is not None:
             parts.append(f"shake:{self.shake_seed}")
+        if self.trace:
+            parts.append("trace")
         return ",".join(parts)
 
 
 def parse_sanitize_spec(spec: str) -> SanitizeConfig | None:
-    """Parse ``"nocoalesce"``, ``"shake:SEED"``, or a comma combination.
+    """Parse ``"nocoalesce"``, ``"shake:SEED"``, ``"trace"``, or a comma
+    combination.
 
     An empty/blank spec means "not sanitizing" (returns ``None``); an
     unknown token raises, so a typo'd CI variable cannot silently run the
@@ -87,16 +97,20 @@ def parse_sanitize_spec(spec: str) -> SanitizeConfig | None:
         return None
     no_coalesce = False
     shake_seed: int | None = None
+    trace = False
     for token in spec.split(","):
         token = token.strip()
         if token == "nocoalesce":
             no_coalesce = True
         elif token.startswith("shake:"):
             shake_seed = int(token[len("shake:"):])
+        elif token == "trace":
+            trace = True
         else:
-            raise ValueError(f"unknown sanitize token {token!r} "
-                             f"(expected 'nocoalesce' or 'shake:SEED')")
-    return SanitizeConfig(no_coalesce=no_coalesce, shake_seed=shake_seed)
+            raise ValueError(f"unknown sanitize token {token!r} (expected "
+                             "'nocoalesce', 'shake:SEED' or 'trace')")
+    return SanitizeConfig(no_coalesce=no_coalesce, shake_seed=shake_seed,
+                          trace=trace)
 
 
 def active_sanitizer() -> SanitizeConfig | None:

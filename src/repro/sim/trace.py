@@ -9,7 +9,11 @@ purposes in the reproduction:
 * the examples print human-readable timelines, and
 * benchmark debugging (why did a curve move?) without a debugger.
 
-Tracing is disabled by default and costs one predicate check per emit.
+Tracing is disabled by default.  Every call site tests ``tracer.enabled``
+*before* it builds the record's arguments (lint rule NM402 enforces this
+under ``core/``, ``sim/``, ``netsim/`` and ``madmpi/``), so a disabled
+tracer costs one attribute test per site: no call, no keyword dict, no
+source string.  Source strings are built once, at construction.
 """
 
 from __future__ import annotations
@@ -19,7 +23,13 @@ from collections.abc import Callable, Iterator
 
 from typing import Any
 
+from repro.sim.sanitizer import active_sanitizer
+
 __all__ = ["TraceRecord", "Tracer"]
+
+
+def _discard(record: TraceRecord) -> None:
+    """Sink of a tracer that sanitize mode, not its owner, switched on."""
 
 
 @dataclass(frozen=True)
@@ -55,13 +65,26 @@ class Tracer:
         filter: Callable[[TraceRecord], bool] | None = None,
         sink: Callable[[TraceRecord], None] | None = None,
     ) -> None:
+        if not enabled:
+            # Sanitize mode (``REPRO_SANITIZE=trace``, read once here like
+            # the kernel reads it at construction) turns every tracer on to
+            # prove tracing does not move the simulation; the records of a
+            # tracer nobody asked for are dropped.
+            config = active_sanitizer()
+            if config is not None and config.trace:
+                enabled = True
+                sink = sink if sink is not None else _discard
         self.enabled = enabled
         self.filter = filter
         self.sink = sink
         self.records: list[TraceRecord] = []
 
     def emit(self, time: float, source: str, kind: str, **detail: Any) -> None:
-        """Record one occurrence if tracing is enabled and unfiltered."""
+        """Record one occurrence if tracing is enabled and unfiltered.
+
+        Hot-path callers guard the call with ``if tracer.enabled:``; the
+        check here keeps an unguarded call (tests, examples) harmless.
+        """
         if not self.enabled:
             return
         rec = TraceRecord(time=time, source=source, kind=kind, detail=detail)

@@ -12,4 +12,5 @@ def defer(sim, fn, delay: float) -> None:
 
 
 def trace(tracer, now: float, what: str) -> None:
-    tracer.emit(now, "core", what)  # tracer buffers in memory
+    if tracer.enabled:
+        tracer.emit(now, "core", what)  # tracer buffers in memory

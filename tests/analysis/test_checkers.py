@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tools.analysis.engine import check_file
+from tools.analysis.engine import check_file, check_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -164,6 +164,22 @@ def test_bad_blocking_trips_open_sleep_and_print():
 def test_good_blocking_is_clean():
     report = run_fixture("good_blocking.py")
     assert report.ok, codes_of(report)
+
+
+def test_bad_emitgate_trips_every_unguarded_emit():
+    report = run_fixture("bad_emitgate.py")
+    assert codes_of(report) == ["NM402"] * 5
+
+
+def test_good_emitgate_is_clean():
+    report = run_fixture("good_emitgate.py")
+    assert report.ok, codes_of(report)
+
+
+def test_emitgate_binds_madmpi_but_not_the_bench_layer():
+    source = "def f(tracer):\n    tracer.emit(0.0, 'x', 'y')\n"
+    assert codes_of(check_source(source, "repro/madmpi/x.py")) == ["NM402"]
+    assert check_source(source, "repro/bench/x.py").ok
 
 
 # -- scoping ------------------------------------------------------------------

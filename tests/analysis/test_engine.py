@@ -78,7 +78,8 @@ def test_cli_exits_zero_on_clean_tree(capsys):
 def test_cli_exits_nonzero_on_each_bad_fixture(capsys):
     for name in ("bad_determinism.py", "bad_counters.py",
                  "bad_counters_reset.py", "bad_lifecycle.py",
-                 "bad_blocking.py", "bad_suppression.py", "bad_syntax.py"):
+                 "bad_blocking.py", "bad_emitgate.py", "bad_suppression.py",
+                 "bad_syntax.py"):
         rc = main([str(FIXTURES / name)])
         assert rc == 1, f"{name} should fail the pass"
         captured = capsys.readouterr()
@@ -91,7 +92,7 @@ def test_cli_list_describes_every_code(capsys):
     out = capsys.readouterr().out
     for code in ("NM000", "NM001", "NM101", "NM102", "NM103", "NM201",
                  "NM202", "NM203", "NM204", "NM301", "NM302", "NM303",
-                 "NM401", "NM501", "NM502", "NM503", "NM504"):
+                 "NM401", "NM402", "NM501", "NM502", "NM503", "NM504"):
         assert code in out
 
 

@@ -40,10 +40,12 @@ def _payload() -> dict:
                          "events_per_s": 16_000_000.0},
         "pingpong": {"iters": 200, "size": 1024, "wall_s": 0.03,
                      "exchanges_per_s": 6000.0,
-                     "sim_us_oneway": 5.082577777777872},
+                     "sim_us_oneway": 5.082577777777872,
+                     "calls_per_msg": 242.56},
         "random_traffic": {"messages": 300, "seed": 7, "wall_s": 0.015,
                            "messages_per_s": 20_000.0,
-                           "sim_us_makespan": 8685.436},
+                           "sim_us_makespan": 8685.436,
+                           "calls_per_msg": 166.81},
         "scale": {"n_nodes": 256, "n_frames": 20_000, "seed": 11,
                   "delivered": 20_000, "forwarded": 60_571,
                   "events": 342_283, "wall_s": 1.5,
@@ -121,6 +123,32 @@ class TestCheckBench:
             assert len(failures) == 1 and not skipped
             assert f"{bench}: {key} drifted" in failures[0]
 
+    def test_calls_per_message_may_fall_but_not_rise_past_two_percent(self):
+        for bench in ("pingpong", "random_traffic"):
+            fresh = _payload()
+            fresh["results"][bench]["calls_per_msg"] *= 0.8
+            assert check_bench(fresh, _payload()) == ([], [])
+            fresh["results"][bench]["calls_per_msg"] = \
+                _payload()["results"][bench]["calls_per_msg"] * 1.019
+            assert check_bench(fresh, _payload()) == ([], [])
+            fresh["results"][bench]["calls_per_msg"] = \
+                _payload()["results"][bench]["calls_per_msg"] * 1.021
+            failures, skipped = check_bench(fresh, _payload())
+            assert len(failures) == 1 and not skipped
+            assert f"{bench}: calls_per_msg" in failures[0]
+            # A host that is merely slower cannot trip it: no tolerance knob.
+            assert check_bench(fresh, _payload(), tolerance=0.9)[0] == failures
+
+    def test_calls_per_message_is_compared_within_one_python_version(self):
+        fresh = _payload()
+        fresh["python"] = "3.12.1"
+        fresh["results"]["pingpong"]["calls_per_msg"] *= 2
+        failures, skipped = check_bench(fresh, _payload())
+        assert failures == []
+        assert len(skipped) == 2 and all("calls_per_msg" in s for s in skipped)
+        fresh["python"] = "3.11.9"   # a patch release counts the same calls
+        assert len(check_bench(fresh, _payload())[0]) == 1
+
     def test_shape_mismatch_is_reported_not_compared(self):
         fresh = _slowed(_payload(), "event_loop", "events_per_s", 0.9)
         fresh["results"]["event_loop"]["events"] = 20_000
@@ -192,14 +220,19 @@ class TestBenches:
     def test_pingpong(self):
         res = bench_pingpong(iters=3, size=64)
         assert set(res) == {"iters", "size", "wall_s", "exchanges_per_s",
-                            "sim_us_oneway"}
+                            "sim_us_oneway", "calls_per_msg"}
         assert res["sim_us_oneway"] > 0.0
+        # Exact: a second run counts the very same calls.
+        assert res["calls_per_msg"] == \
+            bench_pingpong(iters=3, size=64)["calls_per_msg"] > 0
 
     def test_random_traffic(self):
         res = bench_random_traffic(n_messages=10)
         assert set(res) == {"messages", "seed", "wall_s", "messages_per_s",
-                            "sim_us_makespan"}
+                            "sim_us_makespan", "calls_per_msg"}
         assert res["sim_us_makespan"] > 0.0
+        assert res["calls_per_msg"] == \
+            bench_random_traffic(n_messages=10)["calls_per_msg"] > 0
 
     def test_scale(self):
         res = bench_scale(n_nodes=4, n_frames=20)
@@ -219,3 +252,4 @@ class TestBenches:
             for key in [k for k in res if k.endswith("_per_s")]:
                 assert res[key[:-1] + "cal"] == res[key] * cal_s
         assert "kernel storm" in render_perf(payload)
+        assert "python calls / message" in render_perf(payload)

@@ -57,8 +57,7 @@ class TestHeaderSpec:
             RdvDataItem(src=0, handle=3, offset=0, total=50,
                         data=VirtualData(50)),
         ])
-        assert pkt.wire_size(hdr) == 10 + (5 + 100) + 7 + 3 + (9 + 50)
-        assert pkt.payload_size() == 150
+        assert pkt.sizes(hdr) == (10 + (5 + 100) + 7 + 3 + (9 + 50), 150, 1)
 
 
 class TestPacketWrap:

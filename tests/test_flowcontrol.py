@@ -276,8 +276,7 @@ class TestWatchdog:
         sim, cluster, (e0, e1) = make_pair(params)
         # The receiver never posts and never consumes: credit is never
         # released, the sender wedges with a full backlog.
-        for i in range(30):
-            e0.isend(1, VirtualData(1024), tag=i)
+        reqs = [e0.isend(1, VirtualData(1024), tag=i) for i in range(30)]
         with pytest.raises(ProgressStallError) as exc:
             sim.run()
         text = str(exc.value)
@@ -285,6 +284,13 @@ class TestWatchdog:
         assert "peer 1" in text
         assert "credit" in text
         assert "backlog" in text
+        assert text.splitlines()[1:3] == [
+            "node0: no engine progress (strategy=aggregation)",
+            "  peer 1: window backlog=28 wraps/28672B [credit-blocked]; "
+            "credit: outstanding=2048B/2w of 32768B/2w [blocked], "
+            "released-out=0B/0w"]
+        # A wedged request still names itself (label rendered lazily).
+        assert repr(reqs[-1].done) == "<Event 'send:1/0/29' pending>"
 
     def test_healthy_run_never_trips(self):
         params = EngineParams(flow_control="credit",

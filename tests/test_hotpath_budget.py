@@ -1,0 +1,229 @@
+"""Host-neutral budget for the per-message path (docs/PERFORMANCE.md).
+
+Three pins, none of which depends on how fast the host is:
+
+* tracing off never *enters* ``Tracer.emit`` (the guard is at the call site,
+  not inside ``emit``), in paper mode and with every opt-in layer on;
+* total Python calls per message, counted by ``cProfile`` (exact for a
+  fixed workload), stay under a ceiling set 3 % above the value measured
+  when this file was written;
+* tracing on produces the same record stream as the commit before the gate
+  went in (``hotpath_trace_golden.json``, captured there with
+  ``write_golden()``), and does not move simulated time.
+"""
+
+from __future__ import annotations
+
+import cProfile
+import json
+import pstats
+from pathlib import Path
+
+import pytest
+
+from repro.core import EngineParams, NmadEngine, VirtualData
+from repro.madmpi import Communicator, MadMpi
+from repro.netsim import MX_MYRI10G, Cluster
+from repro.sim import Simulator, Tracer
+
+GOLDEN = Path(__file__).with_name("hotpath_trace_golden.json")
+
+PAPER: dict = {}
+HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
+                rel_timeout_us="auto", hb_interval_us=500.0,
+                hb_timeout_us=5000.0)
+
+#: Measured 225.8 / 112.7 calls per message at this commit on CPython 3.11
+#: (parent commit: 308.8 / 153.3); the ceilings are those values + 3 %.
+PINGPONG_CALLS_PER_MSG = 232.5
+BURST_CALLS_PER_MSG = 116.0
+
+
+class CountingTracer(Tracer):
+    """Counts entries into ``emit`` whether or not tracing is enabled."""
+
+    def __init__(self, enabled: bool = False) -> None:
+        super().__init__(enabled=enabled)
+        self.entered = 0
+
+    def emit(self, time, source, kind, **detail):
+        self.entered += 1
+        super().emit(time, source, kind, **detail)
+
+
+def build(n_ranks: int, tracer: Tracer | None = None, params: dict = PAPER):
+    sim = Simulator()
+    cluster = Cluster(sim, n_nodes=n_ranks, rails=(MX_MYRI10G,),
+                      tracer=tracer)
+    world = Communicator(list(range(n_ranks)), comm_id=0)  # flow in traces
+    mpis = [MadMpi(NmadEngine(cluster.node(i), params=EngineParams(**params)),
+                   world) for i in range(n_ranks)]
+    return sim, mpis
+
+
+def pingpong(sim: Simulator, mpis, rounds: int, size: int = 64) -> int:
+    """``rounds`` round trips between ranks 0 and 1; returns messages sent."""
+    m0, m1 = mpis[0], mpis[1]
+    payload = bytes(size)
+
+    def ping():
+        for r in range(rounds):
+            m0.isend(payload, dest=1, tag=r)
+            yield from m0.recv(source=1, tag=r)
+
+    def pong():
+        for r in range(rounds):
+            yield from m1.recv(source=0, tag=r)
+            m1.isend(payload, dest=0, tag=r)
+
+    procs = [sim.spawn(ping()), sim.spawn(pong())]
+    sim.run()
+    assert all(p.triggered and p.ok for p in procs)
+    return 2 * rounds
+
+
+def burst(sim: Simulator, mpis, depth: int = 64, size: int = 48) -> int:
+    """Every rank posts ``depth`` receives from its left neighbour, then
+    fires ``depth`` sends at its right one; returns messages sent."""
+    n = len(mpis)
+    payload = bytes(size)
+
+    def rank(r: int):
+        mpi = mpis[r]
+        recvs = [mpi.irecv(source=(r - 1) % n, tag=t) for t in range(depth)]
+        sends = [mpi.isend(payload, dest=(r + 1) % n, tag=t)
+                 for t in range(depth)]
+        yield from mpi.wait_all(recvs + sends)
+
+    procs = [sim.spawn(rank(r)) for r in range(n)]
+    sim.run()
+    assert all(p.triggered and p.ok for p in procs)
+    return n * depth
+
+
+# -- (a) tracing off never enters emit ----------------------------------------
+
+@pytest.mark.parametrize("params", [PAPER, HARDENED],
+                         ids=["paper", "hardened"])
+def test_disabled_tracer_is_never_entered(params):
+    tracer = CountingTracer()
+    sim, mpis = build(2, tracer, params)
+    assert pingpong(sim, mpis, rounds=200) == 400
+    assert all(m.engine.tracer is tracer for m in mpis)
+    assert tracer.entered == 0
+
+    tracer = CountingTracer()
+    sim, mpis = build(4, tracer, params)
+    assert burst(sim, mpis, depth=64) == 256
+    assert tracer.entered == 0
+    assert sum(m.engine.stats.aggregated_packets for m in mpis) > 0
+
+
+def test_counting_tracer_counts_when_enabled():
+    # The zero above means "not entered", not "the subclass is never called".
+    tracer = CountingTracer(enabled=True)
+    sim, mpis = build(2, tracer)
+    pingpong(sim, mpis, rounds=2)
+    assert tracer.entered == len(tracer.records) > 0
+
+
+# -- (b) Python calls per message ---------------------------------------------
+
+def _calls_per_message(workload, n_ranks: int, **kwargs) -> float:
+    sim, mpis = build(n_ranks)
+    profile = cProfile.Profile()
+    msgs = profile.runcall(workload, sim, mpis, **kwargs)
+    return pstats.Stats(profile).total_calls / msgs
+
+
+def test_pingpong_calls_per_message_under_budget():
+    calls = _calls_per_message(pingpong, 2, rounds=200)
+    assert calls <= PINGPONG_CALLS_PER_MSG, calls
+
+
+def test_burst_calls_per_message_under_budget():
+    calls = _calls_per_message(burst, 4, depth=64)
+    assert calls <= BURST_CALLS_PER_MSG, calls
+
+
+# -- (c) tracing on: same records as before the gate, same simulated time -----
+
+def golden_scenario(tracer: Tracer):
+    """A tiny ping-pong, one 16-segment aggregate, one rendezvous.
+
+    Returns ``(completion times, engines)``.
+    """
+    sim, mpis = build(2, tracer)
+    m0, m1 = mpis
+    times: list[float] = []
+
+    def sender():
+        for r in range(2):
+            m0.isend(bytes([r]) * 8, dest=1, tag=r)
+            yield from m0.recv(source=1, tag=r)
+            times.append(sim.now)
+        # Submitted in one step while the NIC's first pull is still queued:
+        # all sixteen leave as one physical packet.
+        reqs = [m0.isend(bytes([i]) * 32, dest=1, tag=100 + i)
+                for i in range(16)]
+        yield from m0.wait_all(reqs)
+        times.append(sim.now)
+        req = m0.isend(VirtualData(256 * 1024), dest=1, tag=200)
+        yield from m0.wait(req)
+        times.append(sim.now)
+
+    def receiver():
+        for r in range(2):
+            yield from m1.recv(source=0, tag=r)
+            m1.isend(bytes([r]) * 8, dest=0, tag=r)
+        yield from m1.wait_all([m1.irecv(source=0, tag=100 + i)
+                                for i in range(16)])
+        times.append(sim.now)
+        yield from m1.recv(source=0, tag=200)
+        times.append(sim.now)
+
+    procs = [sim.spawn(sender()), sim.spawn(receiver())]
+    sim.run()
+    assert all(p.triggered and p.ok for p in procs)
+    times.append(sim.now)
+    times.append(float(sim.events_processed))
+    return times, [m.engine for m in mpis]
+
+
+def _record_stream(tracer: Tracer) -> list:
+    """``[time, source, kind, detail]`` rows with the process-global frame
+    and wrap ids rebased to the scenario's first, through JSON so tuples
+    and lists compare equal."""
+    base = {}
+    for key in ("frame", "wrap"):
+        ids = [r.detail[key] for r in tracer.records if key in r.detail]
+        base[key] = min(ids, default=0)
+    rows = []
+    for r in tracer.records:
+        detail = {k: (v - base[k] if k in base else v)
+                  for k, v in r.detail.items()}
+        rows.append([r.time, r.source, r.kind, detail])
+    return json.loads(json.dumps(rows))
+
+
+def write_golden() -> None:
+    """Capture the golden; run at the commit the gate is compared against."""
+    tracer = Tracer(enabled=True)
+    golden_scenario(tracer)
+    rows = ",\n".join(json.dumps(row) for row in _record_stream(tracer))
+    GOLDEN.write_text(f"[\n{rows}\n]\n")
+
+
+def test_enabled_tracer_stream_matches_the_golden():
+    tracer = Tracer(enabled=True)
+    traced_times, engines = golden_scenario(tracer)
+    assert engines[0].stats.aggregated_segments == 16
+    assert engines[0].rendezvous.handshakes == 1
+    stream = _record_stream(tracer)
+    golden = json.loads(GOLDEN.read_text())
+    assert len(stream) == len(golden)
+    for got, want in zip(stream, golden):
+        assert got == want
+
+    untraced_times, _ = golden_scenario(Tracer())
+    assert traced_times == untraced_times

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from repro.core.data import VirtualData
 from repro.core.packet import PacketWrap
-from repro.core.tactics import plan_aggregate, reorder_by_priority
+from repro.core.tactics import (
+    deps_satisfied, plan_aggregate, reorder_by_priority,
+)
 
 
 @st.composite
@@ -134,3 +136,62 @@ class TestAggregateProperties:
         # *set*: exactly the first k dest-1 candidates were chosen.
         assert {w.wrap_id for w in choice.all_wraps()} == \
             {w.wrap_id for w in mine[:k]}
+
+    def test_dependency_on_an_earlier_wrap_of_the_same_aggregate(self):
+        def wrap(seq, depends_on=None, nbytes=100):
+            return PacketWrap(dest=1, flow=0, tag=0, seq=seq,
+                              data=VirtualData(nbytes), depends_on=depends_on)
+
+        head = wrap(0)
+        follower = wrap(1, depends_on=head.wrap_id)
+        big = wrap(2, nbytes=10_000)                    # announced
+        after_big = wrap(3, depends_on=big.wrap_id)     # announce counts too
+        orphan = wrap(4, depends_on=-1)                 # never sent, not here
+        choice = plan_aggregate([head, follower, big, after_big, orphan],
+                                dest=1, rdv_threshold=4096, sent=set())
+        assert choice.eager == [head, follower, after_big]
+        assert choice.announce == [big]
+        # A dependency *later* in the list does not count as planned.
+        late = wrap(5)
+        early = wrap(6, depends_on=late.wrap_id)
+        choice = plan_aggregate([early, late], dest=1, rdv_threshold=4096,
+                                sent=set())
+        assert choice.eager == [late]
+
+    @given(st.lists(st.tuples(st.integers(0, 2000), st.integers(-1, 12),
+                              st.booleans()), max_size=12),
+           st.integers(1, 12), st.booleans())
+    def test_in_plan_dependencies_match_the_list_scanning_rule(
+            self, shape, cap, scan):
+        # Oracle: the dependency rule spelled with deps_satisfied over the
+        # aggregate-so-far, which plan_aggregate tracks as a running id set.
+        wraps = []
+        for i, (nbytes, dep, reorder) in enumerate(shape):
+            wraps.append(PacketWrap(
+                dest=1, flow=0, tag=0, seq=i, data=VirtualData(nbytes),
+                allow_reorder=reorder,
+                depends_on=wraps[dep].wrap_id if 0 <= dep < i else
+                (None if dep < 0 else -1)))
+        choice = plan_aggregate(wraps, dest=1, rdv_threshold=1024,
+                                sent=set(), max_items=cap,
+                                scan_past_blockage=scan)
+        planned, used, blocked = [], 0, False
+        for w in wraps:
+            if not deps_satisfied(w, set(), in_plan=planned):
+                if not scan:
+                    break
+                blocked = True
+                continue
+            if blocked and not w.allow_reorder:
+                break
+            if w.length > 1024 or used + w.length <= 1024:
+                planned.append(w)
+                used += w.length if w.length <= 1024 else 0
+            elif not scan:
+                break
+            else:
+                blocked = True
+            if len(planned) >= cap:
+                break
+        assert sorted(w.wrap_id for w in choice.all_wraps()) == \
+            sorted(w.wrap_id for w in planned)

@@ -340,13 +340,23 @@ class TestDeadlockDiagnosis:
         sim, cluster, (e0, e1) = make_pair(EngineParams())
         link_between(cluster, 0, 1).fault_plan = FaultPlan(drop_nth=(1,))
 
+        held = []
+
         def app():
             req = e1.irecv(src=0, tag=0)
-            e0.isend(1, b"x", tag=0)
+            held.extend([req, e0.isend(1, b"x", tag=0)])
             yield req.done
 
-        with pytest.raises(SimulationError, match="no retransmission"):
+        with pytest.raises(SimulationError, match="no retransmission") as exc:
             sim.run_process(app())
+        assert str(exc.value) == (
+            "process 'app' never finished (deadlock: queue drained while "
+            "the process was still waiting) | node1: reliability='off' — no "
+            "retransmission (paper mode); a lost or corrupted frame stalls "
+            "its stream forever")
+        # The stuck requests still name themselves (label rendered lazily).
+        assert repr(held[0].done) == "<Event 'recv:0/0/0' pending>"
+        assert repr(held[1].done) == "<Event 'send:1/0/0' ok>"
 
     def test_exhausted_budget_named_in_deadlock(self):
         params = EngineParams(reliability="ack", rel_timeout_us=50.0,

@@ -36,6 +36,8 @@ def test_spec_round_trips_through_config():
         SanitizeConfig(no_coalesce=True),
         SanitizeConfig(shake_seed=7),
         SanitizeConfig(no_coalesce=True, shake_seed=3),
+        SanitizeConfig(trace=True),
+        SanitizeConfig(no_coalesce=True, trace=True),
     ):
         assert parse_sanitize_spec(config.spec()) == config
 
@@ -69,6 +71,22 @@ def test_explicit_config_wins_over_the_environment(monkeypatch):
     sim = Simulator(sanitize=SanitizeConfig(no_coalesce=True))
     assert sim._no_coalesce is True
     assert sim._shake_rng is None
+
+
+def test_trace_token_switches_default_tracers_on_and_drops_records(
+        monkeypatch):
+    from repro.sim import Tracer
+
+    monkeypatch.delenv(SANITIZE_ENV, raising=False)
+    assert Tracer().enabled is False
+    monkeypatch.setenv(SANITIZE_ENV, "trace")
+    forced = Tracer()
+    forced.emit(1.0, "x", "k")
+    assert forced.enabled and len(forced) == 0
+    asked = Tracer(enabled=True)     # its owner wants the records
+    asked.emit(1.0, "x", "k")
+    assert len(asked) == 1
+    assert Simulator()._no_coalesce is False   # the kernel is untouched
 
 
 # -- equivalence on a clean workload -------------------------------------------
@@ -129,3 +147,13 @@ def test_cli_sanitize_storm_passes():
     assert rc == 0, text
     assert "SANITIZE FAIL" not in text
     assert "DETECTED" in text  # both planted fixtures must be caught
+
+
+def test_cli_sanitize_trace_compares_both_targets_with_tracing_on():
+    out = io.StringIO()
+    rc = main(["sanitize", "--trace"], out=out)
+    text = out.getvalue()
+    assert rc == 0, text
+    assert "trace hook switches a default Tracer on" in text
+    assert "figures: byte-identical" in text and "chaos: byte-identical" in text
+    assert text.count("+ tracing on") == 2

@@ -79,6 +79,13 @@ class TestClockAndScheduling:
         with pytest.raises(SimulationError, match="max_events"):
             sim.run(max_events=100)
 
+    def test_livelock_report_renders_lazy_event_labels(self, sim):
+        assert sim.event(("send:%s/%s/%s", 1, 0, 5)).succeed().name == \
+            "send:1/0/5"
+        with pytest.raises(SimulationError) as exc:
+            sim.run(max_events=0)
+        assert "next up: (t=0, <Event 'send:1/0/5' ok>)" in str(exc.value)
+
     def test_events_processed_counter(self, sim):
         for _ in range(5):
             sim.schedule(1.0, lambda: None)

@@ -26,7 +26,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from tools.analysis.base import Checker, FileContext, Violation
-from tools.analysis.blocking import BlockingChecker
+from tools.analysis.blocking import BlockingChecker, EmitGateChecker
 from tools.analysis.counters import CounterChecker
 from tools.analysis.determinism import DeterminismChecker
 from tools.analysis.lifecycle import LifecycleChecker
@@ -36,6 +36,7 @@ ALL_CHECKERS: tuple[type[Checker], ...] = (
     CounterChecker,
     LifecycleChecker,
     BlockingChecker,
+    EmitGateChecker,
 )
 
 #: Engine-level codes (not tied to one checker).

@@ -17,9 +17,10 @@ every **registered** kind, resolving evidence across module boundaries:
   structurally by item type in ``TransferLayer.demux_frame``, so the rule
   verifies that function exists rather than expecting a kind comparison.
 * **producer + header accounting** — at least one engine-side
-  (``repro/core/``) ``Frame(kind=...)`` construction whose ``wire_size=``
-  expression traces to header-spec fields or a ``wire_size()`` call
-  (through plain local assignments).  Kind arguments passed as function
+  (``repro/core/``) ``Frame(...)`` construction (``kind``/``wire_size``
+  by keyword or in dataclass position) whose wire-size expression traces
+  to header-spec fields or a ``wire_size()``/``sizes()`` call (through
+  plain or tuple local assignments).  Kind arguments passed as function
   *parameters* (``_send_session_frame(st, FrameKind.SESSION_HELLO)``) are
   resolved through the call graph.  ``rdv_req``/``rdv_ack`` are exempt:
   in the engine they ride as items inside DATA frames; standalone frames
@@ -81,7 +82,7 @@ KIND_STATS: dict[str, str | None] = {
 HEADER_ATTRS = frozenset({
     "global_header", "seg_header", "rdv_req", "rdv_ack", "rdv_data_header",
     "rel_header", "checksum", "credit_header", "session_header",
-    "wire_size",
+    "wire_size", "sizes",
 })
 
 ENGINE_SCOPE = "repro/core/"
@@ -237,8 +238,9 @@ class FrameKindRule:
             func.attr if isinstance(func, ast.Attribute) else "")
         if name != "Frame":
             return
-        kind_expr = None
-        wire_expr = None
+        # Positional order of the Frame dataclass: src, dst, kind, wire_size.
+        kind_expr = node.args[2] if len(node.args) > 2 else None
+        wire_expr = node.args[3] if len(node.args) > 3 else None
         for kw in node.keywords:
             if kw.arg == "kind":
                 kind_expr = kw.value
@@ -332,8 +334,8 @@ class FrameKindRule:
                     for stmt in ast.walk(info.node):
                         if isinstance(stmt, ast.Assign) \
                                 and len(stmt.targets) == 1 \
-                                and isinstance(stmt.targets[0], ast.Name) \
-                                and stmt.targets[0].id == node.id \
+                                and node.id in _assigned_names(
+                                    stmt.targets[0]) \
                                 and check(stmt.value, depth + 1):
                             return True
                         if isinstance(stmt, ast.AugAssign) \
@@ -393,6 +395,15 @@ class FrameKindRule:
                         and node.target.attr == counter:
                     return True
         return False
+
+
+def _assigned_names(target: ast.expr) -> list[str]:
+    """Names bound by ``x = ...`` or ``x, y = ...``."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Tuple):
+        return [e.id for e in target.elts if isinstance(e, ast.Name)]
+    return []
 
 
 def _functions_of(mod: ModuleInfo) -> list[FunctionInfo]:
