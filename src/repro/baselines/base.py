@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from collections.abc import Sequence
 
 from repro.core.data import SegmentData, VirtualData, as_data
 from repro.core.matching import Incoming, Matcher
@@ -48,14 +47,13 @@ from repro.core.requests import ANY, RecvRequest
 from repro.errors import MpiError, ProtocolError
 from repro.madmpi.comm import Communicator
 from repro.madmpi.datatype import Datatype
+from repro.madmpi.endpoint import BufferLike, MpiEndpoint
 from repro.madmpi.request import MpiRequest
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.node import Node
 from repro.sim import Tracer
 
 __all__ = ["BaselineParams", "BaselineMpi"]
-
-BufferLike = SegmentData | bytes | bytearray | memoryview | int
 
 
 @dataclass(frozen=True)
@@ -132,13 +130,14 @@ class _RdvSend:
                  "request", "per_chunk_pack_us", "chunk_size")
 
     def __init__(self, dest: int, data: SegmentData, request: MpiRequest,
-                 per_chunk_pack_us: float = 0.0) -> None:
+                 chunk_size: int, per_chunk_pack_us: float = 0.0) -> None:
         self.dest = dest
         self.data = data
         self.total = data.nbytes
         self.next_offset = 0
         self.bytes_done = 0
         self.request = request
+        self.chunk_size = chunk_size
         self.per_chunk_pack_us = per_chunk_pack_us
 
 
@@ -160,7 +159,7 @@ class _RdvRecv:
         self.unpack_free_at = 0.0
 
 
-class BaselineMpi:
+class BaselineMpi(MpiEndpoint):
     """One rank of a baseline MPI implementation (rail 0 only).
 
     Subclasses provide ``params`` via the constructor; the class itself is
@@ -200,7 +199,7 @@ class BaselineMpi:
         priority: int = 0,  # accepted for interface parity; ignored
     ) -> MpiRequest:
         """Nonblocking send: immediately mapped onto NIC commands."""
-        comm = comm if comm is not None else self.world
+        comm = self._live_comm(comm)
         dest_node = comm.node_of(dest)
         if dest_node == self.node.node_id:
             raise MpiError(f"{self.params.name}: self-send not supported")
@@ -239,20 +238,17 @@ class BaselineMpi:
             return req
         # Rendezvous path.
         handle = next(self._handles)
+        chunk_size = self.params.rdv_chunk_bytes
         per_chunk_pack = 0.0
         if pipeline_chunk is not None:
             # Chunked pack/send overlap: the pack cost is paid per chunk on
             # the critical path of injecting that chunk.
+            chunk_size = pipeline_chunk
             n_chunks = -(-seg.nbytes // pipeline_chunk)
             per_chunk_pack = pack_delay_us / max(n_chunks, 1)
             pack_delay_us = 0.0  # nothing is packed up front
-        state = _RdvSend(dest_node, seg, req, per_chunk_pack_us=per_chunk_pack)
-        if pipeline_chunk is not None:
-            state_chunk = pipeline_chunk
-        else:
-            state_chunk = self.params.rdv_chunk_bytes
-        # Stash the chunk size on the state via closure in _stream_granted.
-        self._rdv_pending[handle] = state
+        self._rdv_pending[handle] = _RdvSend(
+            dest_node, seg, req, chunk_size, per_chunk_pack_us=per_chunk_pack)
         self.rdv_handshakes += 1
         msg = _RdvReq(src=self.node.node_id, flow=flow, tag=tag, seq=seq,
                       handle=handle, nbytes=seg.nbytes,
@@ -261,7 +257,6 @@ class BaselineMpi:
                       kind=FrameKind.RDV_REQ,
                       wire_size=self.params.header_bytes + 24, payload=msg,
                       payload_size=0)
-        state.chunk_size = state_chunk  # type: ignore[attr-defined]
         if pack_delay_us > 0:
             self.sim.schedule(pack_delay_us, lambda: self._post(frame, None))
         else:
@@ -308,7 +303,7 @@ class BaselineMpi:
         datatype: Datatype | None = None,
     ) -> MpiRequest:
         """Post a receive.  Typed receives land packed and pay the unpack."""
-        comm = comm if comm is not None else self.world
+        comm = self._live_comm(comm)
         src_node = ANY if source == ANY else comm.node_of(source)
         capacity = nbytes
         if datatype is not None:
@@ -317,23 +312,17 @@ class BaselineMpi:
                           capacity=capacity, done=self.sim.event(),
                           posted_at=self.sim.now)
         req = MpiRequest(self.sim.event(), kind="recv", datatype=datatype)
+        finish = self._recv_done(req, sub, comm)
+        if datatype is None:
+            sub.done.add_callback(finish)
+        else:
+            def _finish_typed(evt):
+                # The packed stream landed: expose its blocks, then complete.
+                if evt.ok and sub.data is not None:
+                    req.block_data = self._split_blocks(sub.data, datatype)
+                finish(evt)
 
-        def _finish(evt):
-            if not evt.ok:
-                evt.defuse()
-                exc = evt.exception
-                assert exc is not None
-                req.done.fail(exc)
-                return
-            assert sub.actual_src is not None
-            req.data = sub.data
-            if datatype is not None and sub.data is not None:
-                req.block_data = self._split_blocks(sub.data, datatype)
-            req.set_status(source=comm.rank_of(sub.actual_src),
-                           tag=sub.actual_tag, count=sub.actual_len)
-            req.done.succeed(req)
-
-        sub.done.add_callback(_finish)
+            sub.done.add_callback(_finish_typed)
         self.matcher.post(sub)
         return req
 
@@ -346,77 +335,6 @@ class BaselineMpi:
             out.append(data.slice(cursor, length))
             cursor += length
         return out
-
-    # -- probing (same semantics as MAD-MPI) --------------------------------
-    def iprobe(self, source: int = ANY, tag: int = ANY,
-               comm: Communicator | None = None):
-        """Nonblocking probe: (source_rank, tag, nbytes) or None."""
-        comm = comm if comm is not None else self.world
-        src_node = ANY if source == ANY else comm.node_of(source)
-        inc = self.matcher.peek(src_node, comm.id, tag)
-        if inc is None:
-            return None
-        return comm.rank_of(inc.src), inc.tag, inc.nbytes
-
-    def probe(self, source: int = ANY, tag: int = ANY,
-              comm: Communicator | None = None):
-        """Blocking probe (process style)."""
-        comm = comm if comm is not None else self.world
-        src_node = ANY if source == ANY else comm.node_of(source)
-        event = self.sim.event(name=f"probe:{source}/{tag}")
-        self.matcher.watch(src_node, comm.id, tag, event)
-        inc = yield event
-        return comm.rank_of(inc.src), inc.tag, inc.nbytes
-
-    def sendrecv(self, send_data: BufferLike, dest: int, source: int = ANY,
-                 sendtag: int = 0, recvtag: int = ANY,
-                 comm: Communicator | None = None,
-                 nbytes: int | None = None):
-        """MPI_Sendrecv: simultaneous, deadlock-free exchange."""
-        rreq = self.irecv(source=source, tag=recvtag, comm=comm,
-                          nbytes=nbytes)
-        sreq = self.isend(send_data, dest, tag=sendtag, comm=comm)
-        yield self.sim.all_of([rreq.done, sreq.done])
-        return rreq
-
-    def wait_any(self, requests: Sequence[MpiRequest]):
-        """Wait for the first completed request; returns (index, request)."""
-        if not requests:
-            raise MpiError("wait_any on an empty request list")
-        yield self.sim.any_of([r.done for r in requests])
-        for idx, req in enumerate(requests):
-            if req.complete:
-                return idx, req
-        raise MpiError("wait_any woke without a complete request")
-
-    # -- completion (same helpers as MAD-MPI) ------------------------------
-    def wait(self, request: MpiRequest):
-        yield request.done
-        return request
-
-    def wait_all(self, requests: Sequence[MpiRequest]):
-        yield self.sim.all_of([r.done for r in requests])
-        return list(requests)
-
-    @staticmethod
-    def test(request: MpiRequest) -> bool:
-        return request.complete
-
-    def send(self, data: BufferLike, dest: int, tag: int = 0,
-             comm: Communicator | None = None,
-             datatype: Datatype | None = None):
-        req = self.isend(data, dest, tag=tag, comm=comm, datatype=datatype)
-        yield req.done
-        return req
-
-    def recv(self, source: int = ANY, tag: int = ANY,
-             comm: Communicator | None = None,
-             nbytes: int | None = None,
-             datatype: Datatype | None = None):
-        req = self.irecv(source=source, tag=tag, comm=comm, nbytes=nbytes,
-                         datatype=datatype)
-        yield req.done
-        return req
 
     # ----------------------------------------------------------- frame path
     def _on_frame(self, frame: Frame) -> None:
@@ -490,8 +408,7 @@ class BaselineMpi:
             raise ProtocolError(
                 f"{self.params.name}: ACK for unknown handle {ack.handle}"
             )
-        chunk_size = getattr(state, "chunk_size", self.params.rdv_chunk_bytes)
-        self._send_next_chunk(state, ack.handle, chunk_size)
+        self._send_next_chunk(state, ack.handle, state.chunk_size)
 
     def _send_next_chunk(self, state: _RdvSend, handle: int,
                          chunk_size: int) -> None:

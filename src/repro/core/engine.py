@@ -40,7 +40,6 @@ from repro.core.transfer import TransferLayer
 from repro.core.window import OptimizationWindow
 from repro.errors import (
     DeadlineExceededError, MpiError, PeerDeadError, SimulationError,
-    StrategyError,
 )
 from repro.netsim.node import Node
 from repro.netsim.profiles import NicProfile
@@ -364,13 +363,12 @@ class NmadEngine:
     def cancel(self, request: SendRequest) -> bool:
         """Cancel a send that has not been scheduled yet.
 
-        A unique capability of the decoupled design: until a strategy
-        commits a wrap to a physical packet *that a NIC accepted*, the data
-        has not left the node, so cancellation can still succeed.  That
-        covers a wrap sitting in the optimization window and a wrap held in
-        an anticipated (pre-synthesized, paper §3.2) packet — the latter is
-        unwound back into the window first.  Returns ``True`` in both cases
-        (the request's completion then *fails* with :class:`MpiError` so
+        A unique capability of the decoupled design: until a NIC accepts
+        the physical packet a strategy planned a wrap into, the wrap sits in
+        the optimization window and the data has not left the node, so
+        cancellation can still succeed — a plan prepared ahead (paper §3.2
+        anticipation) that names the wrap simply lapses.  Returns ``True``
+        then (the request's completion *fails* with :class:`MpiError` so
         waiters are not left hanging), ``False`` if the data already left
         or is mid-flight (rendezvous announced) — too late, like MPI_Cancel
         on a matched send.
@@ -390,10 +388,9 @@ class NmadEngine:
 
         The shared back-out machinery of :meth:`cancel` and the
         per-request deadline path: a deferred submission is simply
-        dropped; a wrap in the optimization window (or inside an
-        anticipated packet, unwound first) is taken out and replaced by a
-        tombstone for its consumed sequence number.  Returns ``False`` —
-        and fails nothing — when the data already left the node.
+        dropped; a wrap in the optimization window is taken out and
+        replaced by a tombstone for its consumed sequence number.  Returns
+        ``False`` — and fails nothing — when the data already left the node.
         """
         if self.collect.cancel_deferred(wrap):
             # Never admitted: no sequence number consumed, no tombstone due.
@@ -404,14 +401,9 @@ class NmadEngine:
                 self.tracer.emit(self.sim.now, self.collect.source, trace,
                                  wrap=wrap.wrap_id)
             return True
-        try:
-            self.window.take(wrap)
-        except StrategyError:
-            if not self.transfer.uncommit_anticipated(wrap):
-                return False
-            # The wrap (and any packet-mates) are back in the window; the
-            # tombstone submission below re-kicks scheduling for the rest.
-            self.window.take(wrap)
+        if wrap not in self.window:
+            return False
+        self.window.take(wrap)
         if wrap.completion is not None and not wrap.completion.triggered:
             wrap.completion.fail(err)
             wrap.completion.defuse()

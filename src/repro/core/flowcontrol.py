@@ -133,12 +133,9 @@ _MAX_NACK_BACKOFF = 64
 class _PeerCredit:
     """Both directions of the credit state towards one peer.
 
-    All byte/wrap totals are cumulative and monotonic (except for the
-    sender-local ``sent_*`` pair, which :meth:`FlowControlLayer.refund`
-    may wind back when an anticipated packet is dissolved before any NIC
-    accepted it).  Outstanding credit towards the peer is
-    ``sent_* - peer_released_*``; the budget the peer still allows is the
-    configured budget minus that difference.
+    All byte/wrap totals are cumulative and monotonic.  Outstanding credit
+    towards the peer is ``sent_* - peer_released_*``; the budget the peer
+    still allows is the configured budget minus that difference.
     """
 
     __slots__ = (
@@ -176,7 +173,7 @@ class FlowControlLayer(Layer):
     Only constructed in ``flow_control="credit"`` mode: the last stage on
     the receive path (:meth:`accept`), the first on the transmit path
     (:meth:`send` stamps the grant), and the one layer with plan-level
-    work (:meth:`commit` / :meth:`uncommit` / :meth:`on_match`).
+    work (:meth:`commit` / :meth:`on_match`).
     """
 
     def __init__(self, engine: NmadEngine) -> None:
@@ -213,35 +210,22 @@ class FlowControlLayer(Layer):
         return st
 
     # -- transmit side: consuming credit ------------------------------------
-    @staticmethod
-    def _charged(plan: SendPlan) -> list[int]:
-        """Lengths of the wraps in ``plan`` that cost credit: announced
-        (rendezvous) wraps are exempt — the grant protocol paces them end
-        to end — and NACK resends were charged when their original went
-        out."""
-        return [w.length for w in plan.taken
-                if not w.is_control and not w.credit_exempt]
-
     def commit(self, plan: SendPlan) -> None:
-        for nbytes in self._charged(plan):  # credit is spent at commit time
-            self.consume(plan.dest, nbytes)
+        """Spend credit for the eager wraps of a packet a NIC took.
 
-    def uncommit(self, plan: SendPlan) -> None:
-        for nbytes in self._charged(plan):
-            self.refund(plan.dest, nbytes)
+        Announced (rendezvous) wraps are exempt — the grant protocol paces
+        them end to end — and NACK resends were charged when their
+        original went out.
+        """
+        for w in plan.taken:
+            if not w.is_control and not w.credit_exempt:
+                self.consume(plan.dest, w.length)
 
     def consume(self, dest: int, nbytes: int) -> None:
         """An eager wrap towards ``dest`` was committed to a packet."""
         st = self._peer(dest)
         st.sent_bytes_total += nbytes
         st.sent_wraps_total += 1
-        self._update_gate(st)
-
-    def refund(self, dest: int, nbytes: int) -> None:
-        """An anticipated packet was dissolved before a NIC accepted it."""
-        st = self._peer(dest)
-        st.sent_bytes_total -= nbytes
-        st.sent_wraps_total -= 1
         self._update_gate(st)
 
     def planning_budget(self, dest: int) -> tuple[int | None, int | None]:

@@ -35,7 +35,7 @@ class Layer(Protocol):
 
     ``NmadEngine.layers`` holds the layers that are *on*; one that is off
     is never constructed, so paper mode iterates an empty tuple.  The
-    layers subclass this protocol to inherit ``quiesced`` and the last four
+    layers subclass this protocol to inherit ``quiesced`` and the last three
     hooks, datapath stages most layers let pass.
     """
 
@@ -80,10 +80,7 @@ class Layer(Protocol):
         ...
 
     def commit(self, plan: SendPlan) -> None:
-        """``plan``'s wraps left the window into a packet."""
-
-    def uncommit(self, plan: SendPlan) -> None:
-        """That packet was dissolved before any NIC accepted it."""
+        """``plan``'s wraps left the window into a packet a NIC took."""
 
     def on_match(self, inc: Incoming) -> None:
         """The application consumed message ``inc``."""

@@ -144,32 +144,6 @@ class RendezvousManager:
         return RdvReqItem(self.engine.node_id, wrap.flow, wrap.tag, wrap.seq,
                           handle, wrap.length)
 
-    def retract(self, handle: int) -> PacketWrap | None:
-        """Undo an announcement whose packet never left the node.
-
-        Only valid while the announcement sits in an *anticipated*
-        (pre-synthesized, not yet handed to a NIC) packet: the peer has
-        seen nothing, so the transfer simply ceases to exist.  Returns the
-        wrap, or ``None`` if the handle is unknown/already granted.
-        """
-        state = self._pending.pop(handle, None)
-        if state is None:
-            return None
-        self.handshakes -= 1
-        return state.wrap
-
-    def fix_origin(self, handle: int, rail: int) -> None:
-        """Record the rail an *anticipated* announcement actually left on.
-
-        Prepared packets are synthesized before a NIC is chosen (paper §3.2
-        anticipation), so their announcements carry a provisional rail; the
-        transfer layer patches it at hand-over time so non-multirail bulk
-        streaming stays on the announcing rail.
-        """
-        state = self._pending.get(handle)
-        if state is not None:
-            state.origin_rail = rail
-
     def on_ack(self, ack: RdvAckItem) -> None:
         """Receiver granted: move the transfer to the streaming queue."""
         state = self._pending.pop(ack.handle, None)

@@ -428,19 +428,16 @@ class SessionLayer(Layer):
         """Atomically drop every bit of engine state bound to the peer.
 
         Runs with no simulated time passing, so no frame or timer can
-        interleave between the steps: deferred handshake frames, the
-        anticipated packet, window backlog, collect-deferred submissions,
-        reliability windows (and their retransmit/ack timers), rendezvous
-        transfers, credit ledgers (and their grant/resend timers), and
-        the matcher's per-peer sequence state go in one step.
+        interleave between the steps: deferred handshake frames, window
+        backlog (a plan prepared over it lapses), collect-deferred
+        submissions, reliability windows (and their retransmit/ack timers),
+        rendezvous transfers, credit ledgers (and their grant/resend
+        timers), and the matcher's per-peer sequence state go in one step.
         """
         engine = self.engine
         peer = st.peer
         n_deferred = len(st.deferred_tx)
         self.reset_peer(peer, exc)
-        # Dissolve an anticipated packet first: it restores wraps into the
-        # window (drained just below) and refunds credit (reset just after).
-        engine.transfer.discard_anticipated_for(peer)
         for wrap in engine.window.drain_matching(lambda w: w.dest == peer):
             if wrap.completion is not None and not wrap.completion.triggered:
                 wrap.completion.fail(exc)

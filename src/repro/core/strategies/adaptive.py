@@ -39,10 +39,6 @@ class AdaptiveStrategy(Strategy):
         self.fifo_pulls = 0
         self.agg_pulls = 0
 
-    @property
-    def multirail_bulk(self) -> bool:
-        return False
-
     def select(self, ctx: SchedulingContext) -> SendPlan | None:
         # backlog() reads the window's incrementally-maintained wrap count,
         # so the mode decision itself costs O(1) per pull.

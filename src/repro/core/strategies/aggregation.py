@@ -62,9 +62,6 @@ class AggregationStrategy(Strategy):
         self.scan_past_blockage = scan_past_blockage
         self.max_items = max_items
 
-    #: bulk rendezvous chunks stay on the rail that announced them
-    multirail_bulk = False
-
     def select(self, ctx: SchedulingContext) -> SendPlan | None:
         if self.by_priority:
             # Priority reordering is a global permutation of the eligible

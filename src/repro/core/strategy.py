@@ -23,16 +23,14 @@ attributes on the wraps), and the current time.  It returns a
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.core.packet import HeaderSpec, PacketWrap, WireItem
 from repro.core.window import OptimizationWindow
 from repro.errors import StrategyError
 from repro.netsim.profiles import NicProfile
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.flowcontrol import FlowControlLayer
 
 __all__ = [
     "SchedulingContext",
@@ -43,6 +41,10 @@ __all__ = [
     "available_strategies",
     "unregister",
 ]
+
+
+def _unconstrained(dest: int) -> tuple[int | None, int | None]:
+    return (None, None)
 
 
 @dataclass
@@ -56,37 +58,30 @@ class SchedulingContext:
     now: float
     src_node: int = -1
     sent_wraps: set[int] = field(default_factory=set)
-    #: The credit layer when ``flow_control="credit"`` is on; ``None``
-    #: otherwise (the layer does not exist), and strategies plan
-    #: unconstrained.
-    flowcontrol: FlowControlLayer | None = None
+    #: ``eager_budget(dest)``: remaining eager credit ``(bytes, wraps)``
+    #: towards ``dest``; ``(None, None)`` when flow control is off.  A
+    #: credit-aware strategy caps its aggregate below both numbers;
+    #: strategies that ignore the budget may transiently overdraw by at most
+    #: one aggregate — the flow-control layer then blocks the destination
+    #: until credit returns, so the overdraft is self-correcting.
+    eager_budget: Callable[[int], tuple[int | None, int | None]] = \
+        _unconstrained
 
     @property
     def rdv_threshold(self) -> int:
         """The eager/rendezvous switch point of this NIC's driver."""
         return self.nic_profile.rdv_threshold
 
-    def eager_budget(self, dest: int) -> tuple[int | None, int | None]:
-        """Remaining eager credit ``(bytes, wraps)`` towards ``dest``.
-
-        ``(None, None)`` when flow control is off.  A credit-aware strategy
-        caps its aggregate below both numbers; strategies that ignore the
-        budget may transiently overdraw by at most one aggregate — the
-        flow-control layer then blocks the destination until credit
-        returns, so the overdraft is self-correcting.
-        """
-        if self.flowcontrol is None:
-            return (None, None)
-        return self.flowcontrol.planning_budget(dest)
-
 
 @dataclass(slots=True)
 class SendPlan:
-    """A synthesized physical packet, ready for the transfer layer.
+    """One physical packet as a strategy elected it: an inert plan.
 
-    ``taken`` wraps leave the window and complete when the frame is sent;
-    ``announced`` wraps leave the window into the rendezvous-pending table
-    (their RdvReq items are part of ``items``).
+    Nothing is spent by building or holding one.  The transfer layer
+    applies it when a NIC takes the packet: ``taken`` wraps then leave the
+    window and complete when the frame is sent; ``announced`` wraps leave
+    the window into the rendezvous-pending table, each adding its RdvReq
+    record behind ``items``.
     """
 
     dest: int
@@ -124,6 +119,9 @@ class Strategy(ABC):
 
     #: Registry key; subclasses must override.
     name: str = ""
+    #: May a granted rendezvous transfer stream its chunks over every rail
+    #: (paper §4, §7), not only the rail that announced it?
+    multirail_bulk: bool = False
 
     @abstractmethod
     def select(self, ctx: SchedulingContext) -> SendPlan | None:

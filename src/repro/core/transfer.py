@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 from repro.core.matching import Incoming
 from repro.core.packet import (
     CancelItem,
-    PacketWrap,
     PhysPacket,
     RdvAckItem,
     RdvDataItem,
@@ -83,9 +82,10 @@ class TransferLayer:
                           for rail in range(len(self.nics))]
         self._contexts: list[SchedulingContext | None] = \
             [None] * len(self.nics)
-        # Paper §3.2's second/third dispatch policies: at most one packet is
-        # pre-synthesized while every NIC is busy, waiting to be re-fed.
-        self._anticipated: tuple[SendPlan, list] | None = None
+        # Paper §3.2's second/third dispatch policies: at most one plan is
+        # prepared while every NIC is busy.  It is only a plan: its wraps
+        # stay in the window, nothing is spent, until a NIC takes it.
+        self._anticipated: SendPlan | None = None
         # Off in the paper's default policy: then no packet pays a call
         # into _maybe_prepare just to learn that.
         self._anticipates = engine.params.dispatch_policy != "on_idle"
@@ -95,55 +95,8 @@ class TransferLayer:
 
     @property
     def has_anticipated(self) -> bool:
-        """True when a prepared packet is waiting for a NIC (quiesce check)."""
+        """True when a prepared plan is waiting for a NIC."""
         return self._anticipated is not None
-
-    def uncommit_anticipated(self, wrap: PacketWrap) -> bool:
-        """Unwind the anticipated packet if it holds ``wrap``.
-
-        A wrap inside a pre-synthesized packet has been taken from the
-        window but has *not* left the node — no NIC accepted it yet — so a
-        cancellation can still succeed.  Returns ``True`` if ``wrap`` was held.
-        """
-        return self._dissolve_anticipated(
-            lambda plan: any(w.wrap_id == wrap.wrap_id
-                             for w in plan.taken + plan.announced))
-
-    def discard_anticipated_for(self, dest: int) -> bool:
-        """Dissolve the anticipated packet if it targets ``dest``.
-
-        The session layer's peer-teardown path: the prepared packet's wraps
-        go back into the window, where the teardown's drain then collects
-        and fails them.
-        """
-        return self._dissolve_anticipated(lambda plan: plan.dest == dest)
-
-    def _dissolve_anticipated(
-        self, concerns: Callable[[SendPlan], bool]
-    ) -> bool:
-        """Dissolve the whole prepared packet if ``concerns(plan)``:
-        announcements are retracted from the rendezvous table (the peer
-        never saw them), every wrap returns to the window for the next pull
-        to re-plan, and the layers take back what the commit spent.
-        """
-        if self._anticipated is None:
-            return False
-        plan, items = self._anticipated
-        if not concerns(plan):
-            return False
-        self._anticipated = None
-        for item in items:
-            if isinstance(item, RdvReqItem):
-                self.engine.rendezvous.retract(item.handle)
-        for w in plan.taken + plan.announced:
-            self.engine.window.restore(w)
-        for layer in self.engine.layers:
-            layer.uncommit(plan)
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.emit(self.engine.sim.now, self._source, "unanticipate",
-                        dest=plan.dest, items=len(items))
-        return True
 
     # -- rail health ----------------------------------------------------------
     def rail_ok(self, rail: int) -> bool:
@@ -241,8 +194,10 @@ class TransferLayer:
                 now=self.engine.sim.now,
                 src_node=self.engine.node_id,
                 sent_wraps=self.sent_wraps,
-                flowcontrol=self.engine.flowcontrol,
             )
+            fc = self.engine.flowcontrol
+            if fc is not None:
+                ctx.eager_budget = fc.planning_budget
             self._contexts[rail] = ctx
         else:
             ctx.now = self.engine.sim.now
@@ -264,12 +219,12 @@ class TransferLayer:
         if plan is None:
             return
         plan.validate(ctx)
-        items = self._materialize(plan, rail)
-        self._anticipated = (plan, items)
+        self._anticipated = plan
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.emit(self.engine.sim.now, self._source, "anticipate",
-                        dest=plan.dest, items=len(items))
+                        dest=plan.dest,
+                        items=len(plan.items) + len(plan.announced))
 
     def _pull(self, rail: int) -> None:
         self._pull_pending[rail] = False
@@ -280,17 +235,19 @@ class TransferLayer:
         if not nic.idle or rail in self.quarantined:
             return
         params = engine.params
-        if self._anticipated is not None:
-            # "Immediately re-feed it once it becomes idle" (paper §3.2).
-            plan, items = self._anticipated
+        plan = self._anticipated
+        if plan is not None:
             self._anticipated = None
-            for item in items:
-                if isinstance(item, RdvReqItem):
-                    engine.rendezvous.fix_origin(item.handle, rail)
-            engine.stats.anticipated_hits += 1
-            self._post_packet(nic, plan, items,
-                              pull_cost=params.anticipated_pull_cost_us)
-            return
+            window = engine.window
+            # A prepared plan commits nothing: if a cancel, a deadline or a
+            # peer teardown took one of its wraps meanwhile, it lapses and
+            # this pull elects afresh.
+            if all(w in window for w in plan.taken + plan.announced):
+                # "Immediately re-feed it once it becomes idle" (paper §3.2).
+                engine.stats.anticipated_hits += 1
+                self._post_packet(nic, plan, self._materialize(plan, rail),
+                                  pull_cost=params.anticipated_pull_cost_us)
+                return
         # The idle edge after the last packet finds the window empty: there
         # is nothing to elect (or hold), so no context is built and the
         # strategy is not consulted — only granted bulk can still flow.
@@ -304,8 +261,8 @@ class TransferLayer:
                 self._post_packet(nic, plan, items,
                                   pull_cost=params.pull_cost_us)
                 return
-        multirail = getattr(engine.strategy, "multirail_bulk", False)
-        bulk = engine.rendezvous.next_chunk(rail, multirail)
+        bulk = engine.rendezvous.next_chunk(
+            rail, engine.strategy.multirail_bulk)
         if bulk is not None:
             state, item = bulk
             self._send_bulk(nic, state, item)
@@ -322,7 +279,8 @@ class TransferLayer:
 
     # -- sending --------------------------------------------------------------
     def _materialize(self, plan: SendPlan, rail: int) -> list[WireItem]:
-        """Commit a plan: remove wraps from the window, build wire items."""
+        """Apply a plan, now that the NIC on ``rail`` takes its packet:
+        remove the wraps from the window, build the wire items."""
         engine = self.engine
         for wrap in plan.taken + plan.announced:
             engine.window.take(wrap)

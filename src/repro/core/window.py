@@ -82,10 +82,8 @@ class OptimizationWindow:
             self.peak_bytes = self._total_bytes
 
     def restore(self, wrap: PacketWrap) -> None:
-        """Re-insert a wrap that was taken but never left the node.
+        """Insert the resend of a wrap the receiver refused (NACK path).
 
-        Used when an *anticipated* (pre-synthesized but not yet handed to a
-        NIC) packet is unwound, e.g. because one of its wraps was cancelled.
         Unlike :meth:`submit` this does not count as a new submission.
         """
         self._insert(wrap)
@@ -217,6 +215,10 @@ class OptimizationWindow:
 
     def __len__(self) -> int:
         return self._count
+
+    def __contains__(self, wrap: PacketWrap) -> bool:
+        by_dest = self._by_dest.get(wrap.dest)
+        return by_dest is not None and wrap.wrap_id in by_dest
 
     @property
     def empty(self) -> bool:

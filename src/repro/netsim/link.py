@@ -16,13 +16,12 @@ Faults are modelled by a composable :class:`FaultPlan` (drop the nth
 frame, drop a fixed id set, drop bursts, corrupt payloads, slow the link
 down over a time window, take the link permanently down at a given time,
 deliver an arrival twice, hold an arrival back past its successors,
-seeded latency jitter, and timed partition windows).  A bare callable
-``frame -> bool`` is accepted wherever a plan is, returning ``True`` to
-drop.  The engine — like the real NewMadeleine, which targets reliable system-area networks (MX, Elan, SCI)
-— performs **no retransmission** by default; fault injection exists so
-tests can prove that a loss surfaces as a visible failure (stuck requests,
-failed conservation check, parked sequence gaps) rather than silent
-corruption.  The opt-in reliability layer
+seeded latency jitter, and timed partition windows).  The engine — like
+the real NewMadeleine, which targets reliable system-area networks (MX,
+Elan, SCI) — performs **no retransmission** by default; fault injection
+exists so tests can prove that a loss surfaces as a visible failure (stuck
+requests, failed conservation check, parked sequence gaps) rather than
+silent corruption.  The opt-in reliability layer
 (:mod:`repro.core.reliability`) builds recovery on top of these same
 fault hooks.
 """
@@ -30,7 +29,7 @@ fault hooks.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from functools import partial
 from random import Random
 
@@ -253,15 +252,6 @@ class FaultPlan:
             return 1.0
         return factor
 
-    def __call__(self, frame: Frame) -> bool:
-        """Callable-shim view: ``True`` when the frame should be dropped.
-
-        Lets a plan be used anywhere a bare injector callable is expected;
-        corruption and duplication degrade to delivery through this
-        narrower interface.
-        """
-        return self.decide(frame, now=0.0) in (DROP, DROP_PARTITION)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
         if self.drop_nth:
@@ -311,7 +301,7 @@ class Link:
         dst: Nic | Switch,
         latency_us: float,
         tracer: Tracer | None = None,
-        fault_plan: FaultPlan | Callable[[Frame], bool] | None = None,
+        fault_plan: FaultPlan | None = None,
     ) -> None:
         if latency_us < 0:
             raise NetworkError(f"negative link latency {latency_us}")
@@ -320,7 +310,6 @@ class Link:
         self.dst = dst
         self.latency_us = latency_us
         self.tracer = tracer if tracer is not None else Tracer()
-        #: A :class:`FaultPlan` or a bare ``frame -> bool`` drop callable.
         self.fault_plan = fault_plan
         self.frames_sent = 0
         self.frames_delivered = 0
@@ -347,13 +336,6 @@ class Link:
         self._last_deliver_at = 0.0
         self.name = f"link.{src.name}->{dst.name}"
 
-    def _fault_action(self, frame: Frame) -> str:
-        if self.fault_plan is None:
-            return DELIVER
-        if isinstance(self.fault_plan, FaultPlan):
-            return self.fault_plan.decide(frame, now=self.sim.now)
-        return DROP if self.fault_plan(frame) else DELIVER
-
     def transmit(self, frame: Frame) -> None:
         """Accept a fully-serialized frame and deliver it after the latency."""
         if not self.dst.is_forwarder and frame.dst_node != self.dst.node_id:
@@ -369,7 +351,7 @@ class Link:
         now = sim.now
         tracer = self.tracer
         plan = self.fault_plan
-        action = DELIVER if plan is None else self._fault_action(frame)
+        action = DELIVER if plan is None else plan.decide(frame, now=now)
         if action in (DROP, DROP_PARTITION):
             self.frames_dropped += 1
             self.bytes_dropped += frame.wire_size
@@ -377,9 +359,7 @@ class Link:
                 self.frames_partition_dropped += 1
             if frame.corrupted:
                 self.frames_corrupt_dropped += 1
-            if (isinstance(plan, FaultPlan)
-                    and plan.down_at_us is not None
-                    and now >= plan.down_at_us):
+            if plan.down_at_us is not None and now >= plan.down_at_us:
                 if self.down_since is None:
                     self.down_since = now
                     if tracer.enabled:
@@ -401,7 +381,7 @@ class Link:
         latency = self.latency_us
         extra_us = 0.0
         overtake = False
-        if isinstance(plan, FaultPlan):
+        if plan is not None:
             factor = plan.latency_factor(now)
             if factor > 1.0:
                 latency *= factor

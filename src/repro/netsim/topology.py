@@ -191,12 +191,8 @@ class Cluster:
             plan = link.fault_plan
             if plan is None:
                 link.fault_plan = FaultPlan(partitions=((from_us, until_us),))
-            elif isinstance(plan, FaultPlan):
-                plan.add_partition(from_us, until_us)
             else:
-                raise NetworkError(
-                    f"{link.name} carries a bare callable fault injector; "
-                    "partitions compose only with FaultPlan")
+                plan.add_partition(from_us, until_us)
             installed += 1
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "cluster", "rack_partition",
@@ -274,12 +270,8 @@ class Cluster:
             if plan is None:
                 link.fault_plan = FaultPlan(
                     partitions=((from_us, until_us),))
-            elif isinstance(plan, FaultPlan):
-                plan.add_partition(from_us, until_us)
             else:
-                raise NetworkError(
-                    f"{link.name} carries a bare callable fault injector; "
-                    "partitions compose only with FaultPlan")
+                plan.add_partition(from_us, until_us)
             installed += 1
         if installed:
             if self.tracer.enabled:

@@ -100,12 +100,12 @@ class TestCancel:
 
 
 class TestCancelAnticipated:
-    """Cancelling a wrap held in a pre-synthesized (anticipated) packet.
+    """Cancelling a wrap that a prepared (anticipated) plan names.
 
-    The wrap has been taken from the window but no NIC accepted the packet:
-    the data has not left the node, so cancel() must still succeed by
-    unwinding the prepared packet (regression: it returned False, claiming
-    "data already left").
+    No NIC accepted the packet, so the data has not left the node and
+    cancel() must still succeed (regression: it returned False, claiming
+    "data already left").  A prepared plan commits nothing — the wrap is
+    still in the window — so the plan simply lapses.
     """
 
     def make_pair(self, params):
@@ -126,14 +126,13 @@ class TestCancelAnticipated:
             e0.isend(1, VirtualData(24_000), tag=0)   # NIC busy
             yield sim.timeout(0.5)
             victim = e0.isend(1, b"victim", tag=1)
-            # The submit ran the optimizer off the critical path: the wrap
-            # now sits in the anticipated packet, not the window.
+            # The submit ran the optimizer off the critical path; the plan
+            # it prepared is only a plan, the wrap still waits in the window.
             assert e0.transfer.has_anticipated
-            assert e0.window.empty
+            assert victim.wrap in e0.window
             cancelled = e0.cancel(victim)
-            # The tombstone submission re-armed anticipation, but the
-            # victim itself is gone from the engine.
             assert victim.failed
+            assert victim.wrap not in e0.window
             e0.isend(1, b"after", tag=2)
             yield sim.all_of([r0.done, r2.done])
             return cancelled, r2
@@ -143,13 +142,13 @@ class TestCancelAnticipated:
         assert r2.data.tobytes() == b"after"   # stream flows past the hole
         assert e0.quiesced() and e1.quiesced()
 
-    def test_cancel_unwinds_packet_mates_and_announcements(self):
+    def test_cancel_spares_packet_mates_and_announcements(self):
         from repro.core import EngineParams
 
-        # backlog policy with threshold 2: the prepared packet aggregates
+        # backlog policy with threshold 2: the prepared plan aggregates
         # the small victim with the rendezvous announcement of a large
-        # send.  Cancelling the victim must retract the announcement and
-        # re-plan the large transfer, which still completes.
+        # send.  Cancelling the victim lapses the plan; the large transfer
+        # is re-planned and still completes.
         params = EngineParams(dispatch_policy="backlog",
                               backlog_flush_threshold=2)
         sim, e0, e1 = self.make_pair(params)
@@ -162,6 +161,8 @@ class TestCancelAnticipated:
             victim = e0.isend(1, b"victim", tag=1)
             big = e0.isend(1, VirtualData(100_000), tag=3)
             assert e0.transfer.has_anticipated
+            # A plan announces nothing until a NIC takes its packet.
+            assert e0.rendezvous.handshakes == 0
             cancelled = e0.cancel(victim)
             yield sim.all_of([r0.done, rbig.done])
             return cancelled, big, rbig
@@ -170,6 +171,6 @@ class TestCancelAnticipated:
         assert cancelled is True
         assert big.complete and not big.failed
         assert rbig.data.nbytes == 100_000
-        # One retracted announcement + one live re-announcement.
+        # Only the announcement that left the node counts.
         assert e0.rendezvous.handshakes == 1
         assert e0.quiesced() and e1.quiesced()

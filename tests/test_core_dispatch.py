@@ -231,3 +231,32 @@ class TestBacklogPolicy:
         assert sim.run_process(app()) is True
         assert e0.stats.anticipated_hits == 1
         assert e0.quiesced()
+
+
+class TestBoundedWindow:
+    @pytest.mark.parametrize("policy", ["anticipate", "backlog"])
+    def test_prepared_plan_survives_deferred_admissions(self, policy):
+        # Regression: preparing used to take the wraps out of the window,
+        # which let the bounded collect layer admit deferred sends and
+        # re-enter the preparation half-way (StrategyError: "not in the
+        # window").  A prepared plan now leaves the window alone.
+        params = EngineParams(dispatch_policy=policy,
+                              backlog_flush_threshold=2,
+                              max_window_wraps=2, window_policy="block")
+        sim, _, e0, e1 = make(params)
+        n = 12
+
+        def app():
+            recvs = [e1.irecv(src=0) for _ in range(n)]
+            sends = [e0.isend(1, bytes([i]) * 256, tag=i) for i in range(n)]
+            yield sim.all_of([r.done for r in recvs] + [s.done for s in sends])
+            return recvs
+
+        recvs = sim.run_process(app())
+        assert [r.actual_tag for r in recvs] == list(range(n))
+        assert [r.data.tobytes() for r in recvs] == \
+            [bytes([i]) * 256 for i in range(n)]
+        assert e0.stats.window_full_events > 0
+        assert e0.stats.anticipated_hits > 0
+        assert len(e0.window) == 0 and e0.window.peak_wraps <= 2
+        assert e0.quiesced() and e1.quiesced()

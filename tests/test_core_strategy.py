@@ -156,6 +156,19 @@ class TestAggregation:
         assert plan.taken == wraps
         assert len(plan.items) == 8
 
+    def test_plans_within_the_eager_budget_it_is_handed(self):
+        # The budget is a plain function on the context: no flow-control
+        # layer (and no simulator) is needed to test a credit-aware plan.
+        win = OptimizationWindow(1)
+        wraps = [wrap(flow=i, seq=0, size=64) for i in range(8)]
+        for w in wraps:
+            win.submit(w)
+        plan = AggregationStrategy().select(SchedulingContext(
+            window=win, rail=0, nic_profile=MX_MYRI10G, hdr=HeaderSpec(),
+            now=0.0, src_node=0, eager_budget=lambda dest: (200, 5)))
+        assert plan.taken == wraps[:3]        # 3 x 64B fit in 200B
+        assert len(win) == 8                  # a plan takes nothing
+
     def test_one_destination_per_packet(self):
         win = OptimizationWindow(1)
         to1 = wrap(dest=1, size=64)
@@ -216,7 +229,8 @@ class TestMultirail:
         s = MultirailStrategy()
         assert isinstance(s, AggregationStrategy)
         assert s.multirail_bulk is True
-        assert AggregationStrategy().multirail_bulk is False
+        assert Strategy.multirail_bulk is False   # declared once, on the base
+        assert AdaptiveStrategy().multirail_bulk is False
 
 
 class TestAdaptive:

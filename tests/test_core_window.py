@@ -65,8 +65,11 @@ class TestWindow:
         w1, w2 = wrap(), wrap()
         win.submit(w1)
         win.submit(w2)
+        assert w1 in win and w2 in win
         win.take(w1)
         assert list(win.eligible(0)) == [w2]
+        assert w1 not in win and w2 in win
+        assert wrap(dest=9) not in win   # a destination never seen
 
     def test_take_missing_raises(self):
         win = OptimizationWindow(n_rails=1)

@@ -16,21 +16,14 @@ from repro.netsim.stats import render_fault_summary
 from repro.sim import Simulator, Tracer
 
 
-def make_pair_with_drops(drop_frame_ids=(), drop_nth=None):
+def make_pair_with_drops(drop_frame_ids=(), drop_nth=()):
     sim = Simulator()
     cluster = Cluster(sim, rails=(MX_MYRI10G,))
-    counter = {"n": 0}
-
-    def injector(frame):
-        counter["n"] += 1
-        if drop_nth is not None and counter["n"] == drop_nth:
-            return True
-        return frame.frame_id in drop_frame_ids
-
-    # Install the injector on node0 -> node1 links only.
+    plan = FaultPlan(drop_nth=drop_nth, drop_frame_ids=drop_frame_ids)
+    # Install the plan on node0 -> node1 links only.
     for link in cluster.links:
         if link.src.node_id == 0:
-            link.fault_plan = injector
+            link.fault_plan = plan
     e0 = NmadEngine(cluster.node(0))
     e1 = NmadEngine(cluster.node(1))
     return sim, cluster, e0, e1
@@ -38,7 +31,7 @@ def make_pair_with_drops(drop_frame_ids=(), drop_nth=None):
 
 class TestDropVisibility:
     def test_dropped_eager_frame_deadlocks_not_corrupts(self):
-        sim, cluster, e0, e1 = make_pair_with_drops(drop_nth=1)
+        sim, cluster, e0, e1 = make_pair_with_drops(drop_nth=(1,))
 
         def app():
             req = e1.irecv(src=0, tag=0)
@@ -51,7 +44,7 @@ class TestDropVisibility:
         assert cluster.links[0].frames_dropped == 1
 
     def test_later_traffic_parks_behind_the_gap(self):
-        sim, cluster, e0, e1 = make_pair_with_drops(drop_nth=1)
+        sim, cluster, e0, e1 = make_pair_with_drops(drop_nth=(1,))
 
         def app():
             r0 = e1.irecv(src=0, tag=0)
@@ -73,15 +66,9 @@ class TestDropVisibility:
         # Drop the 1st frame from node1 (the ACK direction).
         sim = Simulator()
         cluster = Cluster(sim, rails=(MX_MYRI10G,))
-        dropped = {"n": 0}
-
-        def injector(frame):
-            dropped["n"] += 1
-            return dropped["n"] == 1
-
         for link in cluster.links:
             if link.src.node_id == 1:
-                link.fault_plan = injector
+                link.fault_plan = FaultPlan(drop_nth=(1,))
         e0 = NmadEngine(cluster.node(0))
         e1 = NmadEngine(cluster.node(1))
 
@@ -100,17 +87,9 @@ class TestDropVisibility:
         # A loss on one flow must not block an independent source stream.
         sim = Simulator()
         cluster = Cluster(sim, n_nodes=3, rails=(MX_MYRI10G,))
-        first = {"seen": False}
-
-        def injector(frame):
-            if not first["seen"]:
-                first["seen"] = True
-                return True
-            return False
-
         for link in cluster.links:
             if link.src.node_id == 0 and link.dst.node_id == 1:
-                link.fault_plan = injector
+                link.fault_plan = FaultPlan(drop_nth=(1,))
         engines = [NmadEngine(cluster.node(i)) for i in range(3)]
 
         def app():

@@ -8,11 +8,13 @@ inert (every new counter zero, no behaviour change).
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EngineParams, NmadEngine, VirtualData
-from repro.errors import MpiError, ProgressStallError, WindowFullError
+from repro.errors import (
+    MpiError, PeerDeadError, ProgressStallError, WindowFullError,
+)
 from repro.netsim import Cluster, MX_MYRI10G
 from repro.sim import Simulator
 
@@ -353,3 +355,120 @@ class TestCreditConservation:
         assert snd.peer_released_bytes == rcv.released_bytes_total
         assert snd.peer_released_wraps == rcv.released_wraps_total
         assert not snd.blocked
+
+
+class TestPreparedPlanSpendsNoCredit:
+    """Credit is debited when a NIC takes a packet, never for a plan.
+
+    Under ``dispatch_policy="anticipate"`` a plan is prepared while the
+    NICs are busy; retracting one of its sends, or losing its peer, makes
+    the plan lapse.  Nothing was spent, so nothing is handed back: the
+    sender's cumulative ``sent_*`` totals only ever grow.
+    """
+
+    PARAMS = dict(flow_control="credit", credit_bytes=64 * 1024,
+                  credit_wraps=8, dispatch_policy="anticipate")
+
+    @given(sizes=st.lists(st.integers(min_value=1, max_value=4096),
+                          min_size=1, max_size=8),
+           victims=st.sets(st.integers(min_value=0, max_value=7)),
+           how=st.sampled_from(["cancel", "deadline"]))
+    @example(sizes=[512, 512], victims={0}, how="cancel")
+    @example(sizes=[512, 512], victims={0}, how="deadline")
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_retracted_sends_never_wind_the_ledger_back(
+            self, sizes, victims, how):
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**self.PARAMS))
+        victims = {v for v in victims if v < len(sizes)}
+        kept = [i for i in range(len(sizes)) if i not in victims]
+        ledger = []
+
+        def sample():
+            st_ = e0.flowcontrol._peers.get(1)
+            ledger.append((st_.sent_bytes_total, st_.sent_wraps_total)
+                          if st_ is not None else (0, 0))
+
+        def sampler():
+            while not running.triggered:
+                sample()
+                yield sim.timeout(0.25)
+
+        def app():
+            recvs = [e1.irecv(src=0, tag=t) for t in [100] + kept]
+            e0.isend(1, VirtualData(24_000), tag=100)   # NIC busy ~20us
+            yield sim.timeout(0.5)
+            sends = [
+                e0.isend(1, VirtualData(size), tag=i,
+                         deadline_us=2.0 if how == "deadline" and i in victims
+                         else None)
+                for i, size in enumerate(sizes)]
+            assert e0.transfer.has_anticipated   # over the first send
+            sample()
+            if how == "cancel":
+                for i in victims:
+                    assert e0.cancel(sends[i])
+                    sample()
+            yield sim.all_of([r.done for r in recvs])
+            assert all(sends[i].failed for i in victims)
+            assert all(sends[i].complete for i in kept)
+
+        running = sim.spawn(app())
+        sim.spawn(sampler())
+        sim.run()
+        assert running.ok
+        assert e0.quiesced() and e1.quiesced()
+        assert all(b1 <= b2 and w1 <= w2 for (b1, w1), (b2, w2)
+                   in zip(ledger, ledger[1:]))
+        snd = e0.flowcontrol._peers[1]
+        assert snd.sent_bytes_total == 24_000 + sum(sizes[i] for i in kept)
+        assert snd.sent_wraps_total == 1 + len(kept)
+        assert snd.sent_bytes_total == snd.peer_released_bytes
+        assert snd.sent_wraps_total == snd.peer_released_wraps
+        assert e0.flowcontrol.planning_budget(1) == (64 * 1024, 8)
+
+    def test_peer_teardown_while_a_plan_is_prepared(self):
+        # Node 0's only NIC streams a rendezvous chunk to node 2 (~400us)
+        # while a plan towards node 1 is prepared; node 1 then dies.  Node
+        # 0's heartbeats queue behind that chunk, so only node 0 runs a
+        # short failure-detection timeout.
+        sim = Simulator()
+        cluster = Cluster(sim, n_nodes=3, rails=(MX_MYRI10G,))
+        e0, e1, e2 = (
+            NmadEngine(cluster.node(i), params=EngineParams(
+                sessions="epoch", hb_interval_us=10.0,
+                hb_timeout_us=40.0 if i == 0 else 5_000.0, **self.PARAMS))
+            for i in range(3))
+        outcome = {}
+
+        def app():
+            rbig = e2.irecv(src=0, tag=7)
+            big = e0.isend(2, VirtualData(512 * 1024), tag=7)
+            while not e0.stats.rdv_bytes:   # until the chunk is on the NIC
+                yield sim.timeout(1.0)
+            e0.irecv(src=1, tag=99)   # arms node 0's monitor of node 1
+            small = [e0.isend(1, VirtualData(512), tag=t) for t in (0, 1)]
+            assert e0.transfer.has_anticipated
+            before = e0.flowcontrol.planning_budget(1)
+            cluster.node(1).crash()
+            while 1 not in e0.dead_peers and sim.now < 5_000.0:
+                yield sim.timeout(2.0)
+            outcome["nic_busy_at_death"] = not e0.node.nics[0].idle
+            outcome["budget"] = (before, e0.flowcontrol.planning_budget(1))
+            yield rbig.done
+            outcome["sends"] = small, big
+
+        sim.spawn(app())
+        sim.run(until=5_000.0)
+        small, big = outcome["sends"]
+        assert 1 in e0.dead_peers
+        assert outcome["nic_busy_at_death"]   # the plan was never handed over
+        assert all(isinstance(s.error, PeerDeadError) for s in small)
+        assert big.complete and not big.failed
+        # Nothing had been spent towards node 1, and nothing is owed.
+        assert outcome["budget"] == ((64 * 1024, 8), (64 * 1024, 8))
+        snd = e0.flowcontrol._peers.get(1)
+        assert snd is None or (snd.sent_bytes_total, snd.sent_wraps_total) \
+            == (0, 0)
+        assert e0.stats.anticipated_hits == 0
+        assert e0.quiesced() and e2.quiesced()

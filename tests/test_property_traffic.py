@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.bench.backends import make_backend_pair
 from repro.bench.workloads import Message, TrafficSpec, generate_messages, replay
 from repro.errors import ReproError
-from repro.netsim import GM_MYRINET, MX_MYRI10G, QUADRICS_QM500
+from repro.netsim import FaultPlan, GM_MYRINET, MX_MYRI10G, QUADRICS_QM500
 
 PROFILES = {"mx": MX_MYRI10G, "elan": QUADRICS_QM500, "gm": GM_MYRINET}
 
@@ -172,18 +172,11 @@ def test_ack_mode_delivers_exactly_once_under_random_loss(
     pair = make_backend_pair("madmpi", rails=(MX_MYRI10G,),
                              engine_params=params)
     rng = random.Random(drop_seed)
-    budget = {"left": 12}  # bound total losses so no frame can exhaust retries
-
-    def make_injector():
-        def injector(frame):
-            if budget["left"] > 0 and rng.random() < drop_rate:
-                budget["left"] -= 1
-                return True
-            return False
-        return injector
-
-    for link in pair.cluster.links:
-        link.fault_plan = make_injector()
+    links = pair.cluster.links
+    per_link = 12 // len(links)  # bound losses: no frame exhausts its retries
+    for link in links:
+        lossy = [n for n in range(1, 501) if rng.random() < drop_rate]
+        link.fault_plan = FaultPlan(drop_nth=lossy[:per_link])
     spec = TrafficSpec(n_messages=20, n_flows=3, n_tags=3,
                        max_size=8 * 1024, large_fraction=0.1,
                        large_max=256 * 1024)

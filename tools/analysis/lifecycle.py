@@ -1,13 +1,13 @@
 """Lifecycle-discipline checker (NM3xx).
 
-Wrap, packet and request state transitions (submit → anticipate →
-commit/dissolve → complete/cancel) must happen through the API surface —
-``Event.succeed``/``fail``/``defuse``, ``RecvRequest.finish``,
+Wrap, packet and request state transitions (submit → commit at NIC
+hand-over → complete, or submit → cancel) must happen through the API
+surface — ``Event.succeed``/``fail``/``defuse``, ``RecvRequest.finish``,
 ``RendezvousManager``'s transition methods — never by poking the state
 fields from outside the owning module.  The failure mode is exactly the
-one cancel()/uncommit_anticipated() guards against: a half-applied
-transition that leaves the window, the rendezvous table and the completion
-event telling three different stories.  The rules:
+one cancel() guards against: a half-applied transition that leaves the
+window, the rendezvous table and the completion event telling three
+different stories.  The rules:
 
 * **NM301** — the kernel-private fields of :class:`repro.sim.core.Event`
   (``_ok``/``_value``/``_exc``/``_defused``/``_callbacks``/…) are
@@ -70,7 +70,7 @@ _WRITE_OWNERS: dict[str, frozenset[str]] = {
     }),
     # Credit-conservation totals: monotonic cumulative counters whose
     # idempotence under duplicated grants depends on every mutation going
-    # through FlowControlLayer's consume/refund/release/_apply_grant.
+    # through FlowControlLayer's consume/release/_apply_grant.
     "repro/core/flowcontrol.py": frozenset({
         "sent_bytes_total", "sent_wraps_total",
         "released_bytes_total", "released_wraps_total",
