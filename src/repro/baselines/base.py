@@ -290,7 +290,7 @@ class BaselineMpi(MpiEndpoint):
         self.frames_sent += 1
         done = self.nic.post_send(frame, cpu_gap_us=self.params.sw_overhead_us)
         if req is not None:
-            done.add_callback(lambda _e: req.done.succeed(req)
+            done.add_callback(lambda _e: req.done.succeed()
                               if not req.done.triggered else None)
 
     # -------------------------------------------------------------- receive
@@ -311,18 +311,20 @@ class BaselineMpi(MpiEndpoint):
         sub = RecvRequest(src=src_node, flow=comm.id, tag=tag,
                           capacity=capacity, done=self.sim.event(),
                           posted_at=self.sim.now)
-        req = MpiRequest(self.sim.event(), kind="recv", datatype=datatype)
-        finish = self._recv_done(req, sub, comm)
         if datatype is None:
-            sub.done.add_callback(finish)
+            req = self._mapped_recv(sub, comm)
         else:
-            def _finish_typed(evt):
-                # The packed stream landed: expose its blocks, then complete.
-                if evt.ok and sub.data is not None:
-                    req.block_data = self._split_blocks(sub.data, datatype)
-                finish(evt)
+            req = MpiRequest(self.sim.event(), kind="recv", datatype=datatype)
 
-            sub.done.add_callback(_finish_typed)
+            def _publish() -> None:
+                # The packed stream landed: expose its blocks and status.
+                assert sub.data is not None and sub.actual_src is not None
+                req.block_data = self._split_blocks(sub.data, datatype)
+                req.set_status(source=comm.rank_of(sub.actual_src),
+                               tag=sub.actual_tag, count=sub.actual_len,
+                               data=sub.data)
+
+            sub.done.add_callback(self._recv_done(req, _publish))
         self.matcher.post(sub)
         return req
 
@@ -371,6 +373,10 @@ class BaselineMpi(MpiEndpoint):
                 f"{self.params.name}: truncation — {inc.nbytes}B into "
                 f"{sub.capacity}B receive"
             ))
+            # Defused like the engine's own truncation: the failure reaches
+            # the application through wait/test, and a program that only
+            # polls must not crash at run() end.
+            sub.done.defuse()
             return
         unpack_blocks = inc.unpack_blocks
         if isinstance(inc.item, RdvReqItem):
@@ -433,7 +439,7 @@ class BaselineMpi(MpiEndpoint):
             if state.next_offset < state.total:
                 self._send_next_chunk(state, handle, chunk_size)
             elif state.bytes_done == state.total:
-                state.request.done.succeed(state.request)
+                state.request.done.succeed()
 
         if state.per_chunk_pack_us > 0:
             # Chunked datatype pipeline: pack this chunk before injecting it

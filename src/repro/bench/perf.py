@@ -29,6 +29,13 @@ The benchmarks:
   counted by ``cProfile`` on a second, untimed run.  The count is exact
   for one interpreter version and independent of host speed, so the gate
   holds it to a 2 % rise where the wall-clock rates get 50 %.
+* ``object_census`` — what a finished message leaves behind for the cycle
+  collector, counted with the collector disabled around a fixed exchange:
+  ``objects_per_msg`` (tracked objects still live per message while the
+  application holds both request handles) and ``cyclic_garbage_per_msg``
+  (objects only ``gc.collect()`` can free, during the exchange and after
+  the handles are dropped).  Exact like ``calls_per_msg``, and gated the
+  same way: neither may rise.
 * ``scale`` — seeded random frame traffic over a sparse 256-node netsim
   topology (see :mod:`repro.bench.scale`).
 
@@ -68,6 +75,8 @@ __all__ = [
     "bench_kernel_storm",
     "bench_pingpong",
     "bench_random_traffic",
+    "object_census",
+    "bench_object_census",
     "run_suite",
     "render_perf",
     "write_bench",
@@ -284,6 +293,73 @@ def bench_random_traffic(n_messages: int = 300, seed: int = 7) -> dict:
     }
 
 
+def object_census(exchange: Callable[[list], int]) -> dict:
+    """Exact per-message object budget of ``exchange(held)``.
+
+    ``exchange`` runs a message exchange to completion, appends to ``held``
+    one record per message that keeps both of its request handles alive,
+    and returns the number of messages.  It is called twice: once to let
+    lazily built state settle, then with the cycle collector disabled — so
+    the counts say what the exchange allocated and kept, not when a
+    collection happened to run.  The collector is left as it was found:
+    nothing outside this module's measurements ever switches it.
+    """
+    exchange([])
+    held: list = []
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        messages = exchange(held)
+        # Cycles the exchange itself made are garbage already, handles or no.
+        garbage = gc.collect()
+        live = len(gc.get_objects()) - before
+        held.clear()
+        garbage += gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+    return {
+        "messages": messages,
+        "objects_per_msg": live / messages,
+        "cyclic_garbage_per_msg": garbage / messages,
+    }
+
+
+def bench_object_census(depth: int = 50, rounds: int = 4) -> dict:
+    """Object budget of small MAD-MPI messages, both handles held.
+
+    Two ranks exchange ``rounds`` bursts of ``depth`` 48-byte messages each
+    way (receives posted first, one ``wait_all`` per burst) and keep a
+    ``(send, recv)`` record per message, as a ``wait_all`` program does;
+    that record is one of the objects counted.
+    """
+    from repro.bench.backends import make_backend_pair
+    from repro.netsim import MX_MYRI10G
+
+    pair = make_backend_pair("madmpi", rails=(MX_MYRI10G,))
+    payload = bytes(48)
+
+    def exchange(held: list) -> int:
+        def rank(mpi, peer: int):
+            for _ in range(rounds):
+                recvs = [mpi.irecv(source=peer, tag=t) for t in range(depth)]
+                sends = [mpi.isend(payload, dest=peer, tag=t)
+                         for t in range(depth)]
+                yield from mpi.wait_all(recvs + sends)
+                held.extend(zip(sends, recvs))
+
+        procs = [pair.sim.spawn(rank(mpi, 1 - r))
+                 for r, mpi in enumerate(pair.ranks)]
+        pair.sim.run()
+        if not all(p.triggered and p.ok for p in procs):
+            raise ReproError("object census exchange did not complete")
+        return 2 * rounds * depth
+
+    return object_census(exchange)
+
+
 def run_suite(quick: bool = False) -> dict:
     """Run every microbenchmark; returns the ``BENCH_perf.json`` payload."""
     from repro.bench.scale import bench_scale
@@ -318,6 +394,8 @@ def run_suite(quick: bool = False) -> dict:
             if name not in results or rate(res) > rate(results[name]):
                 results[name] = res
         cal_s = min(cal_s, calibrate())
+    # Exact, so measured once; it has no rate to calibrate.
+    results["object_census"] = bench_object_census()
     shallow = results.pop("window_shallow")
     results["window_ops"]["shallow_backlog"] = shallow["backlog"]
     results["window_ops"]["shallow_ops_per_s"] = shallow["ops_per_s"]
@@ -377,6 +455,10 @@ def render_perf(payload: dict) -> str:
         f"{r['pingpong']['calls_per_msg']:>12,.1f} ping-pong      "
         f"{r['random_traffic']['calls_per_msg']:,.1f} random traffic "
         f"(exact for python {payload['python']})",
+        f"  objects / message:           "
+        f"{r['object_census']['objects_per_msg']:>12,.2f} live, handles held "
+        f"{r['object_census']['cyclic_garbage_per_msg']:,.2f} cyclic garbage "
+        f"(collector disabled, exact)",
     ]
     return "\n".join(lines)
 
@@ -394,6 +476,15 @@ WINDOW_FLATNESS_FLOOR = 0.5
 #: is exact, so the slack is for deliberate small additions, not noise.
 CALLS_PER_MSG_TOLERANCE = 0.02
 
+#: Per-message counts that are exact for one interpreter version: each may
+#: fall, none may rise past the tolerance.  The value says what a rise means.
+_EXACT_COUNTS = {
+    "calls_per_msg": "the per-message path grew",
+    "objects_per_msg": "a finished message keeps more objects alive",
+    "cyclic_garbage_per_msg":
+        "a finished message leaves reference cycles for the collector",
+}
+
 #: The inputs that fix each workload; two results compare only when these
 #: agree (a ``--quick`` run is another shape).
 _SHAPE_KEYS = {
@@ -402,6 +493,7 @@ _SHAPE_KEYS = {
     "kernel_storm": ("rounds", "fanout", "stragglers"),
     "pingpong": ("iters", "size"),
     "random_traffic": ("messages", "seed"),
+    "object_census": ("messages",),
     "scale": ("n_nodes", "n_frames", "seed"),
 }
 
@@ -422,10 +514,12 @@ def check_bench(
     * the deterministic simulated readings (ping-pong one-way latency,
       replay/scale makespans) must match the baseline exactly — a
       performance PR must not move simulated time, and
-    * ``calls_per_msg`` must not rise by more than
-      :data:`CALLS_PER_MSG_TOLERANCE`; the count depends on the
-      interpreter's minor version, so it is compared only when that
-      matches the baseline's (and named in ``skipped`` otherwise).
+    * ``calls_per_msg``, ``objects_per_msg`` and ``cyclic_garbage_per_msg``
+      must not rise by more than :data:`CALLS_PER_MSG_TOLERANCE`; the
+      counts depend on the interpreter's minor version, so they are
+      compared only when that matches the baseline's (and named in
+      ``skipped`` otherwise).  A baseline recorded before a count existed
+      simply does not gate it.
 
     Returns ``(failures, skipped)``, both human-readable: an empty
     ``failures`` means pass; ``skipped`` names each benchmark left
@@ -478,10 +572,10 @@ def check_bench(
                         f"{name}: {key} drifted to {got!r} (baseline "
                         f"{want!r}) — simulated time must not move"
                     )
-            elif key == "calls_per_msg":
+            elif key in _EXACT_COUNTS:
                 if not same_python:
                     skipped.append(
-                        f"{name}: calls_per_msg is exact per interpreter "
+                        f"{name}: {key} is exact per interpreter "
                         f"version (python {payload.get('python')} vs the "
                         f"baseline's {baseline.get('python')})"
                     )
@@ -490,10 +584,10 @@ def check_bench(
                 ceiling = want * (1.0 + CALLS_PER_MSG_TOLERANCE)
                 if got is None or got > ceiling:
                     failures.append(
-                        f"{name}: calls_per_msg {got!r} > {ceiling:.1f} "
-                        f"(baseline {want:.1f} + "
-                        f"{CALLS_PER_MSG_TOLERANCE:.0%}) — the per-message "
-                        f"path grew"
+                        f"{name}: {key} {got!r} > {ceiling:.2f} "
+                        f"(baseline {want:.2f} + "
+                        f"{CALLS_PER_MSG_TOLERANCE:.0%}) — "
+                        f"{_EXACT_COUNTS[key]}"
                     )
     if not compared:
         failures.append(

@@ -40,20 +40,34 @@ class SegmentData:
 
 
 class Bytes(SegmentData):
-    """Real in-memory data (bytes / bytearray / memoryview)."""
+    """Real in-memory data (bytes / bytearray / memoryview).
 
-    __slots__ = ("_view", "nbytes")
+    An immutable ``bytes`` object is held as is: nothing can change under
+    it, so a view would buy nothing and cost two more objects per message
+    that stay alive as long as the receive handle does.  A mutable or
+    foreign buffer (``bytearray``, ``memoryview``) is held through a
+    zero-copy ``memoryview``, so a later write by its owner is still seen.
+    """
+
+    __slots__ = ("_buf", "nbytes")
+
+    _buf: bytes | memoryview
 
     def __init__(self, data: bytes | bytearray | memoryview) -> None:
-        self._view = view = memoryview(data)
-        self.nbytes = view.nbytes
+        if isinstance(data, bytes):
+            self._buf = data
+            self.nbytes = len(data)
+        else:
+            self._buf = view = memoryview(data)
+            self.nbytes = view.nbytes
 
     def tobytes(self) -> bytes:
-        return self._view.tobytes()
+        buf = self._buf
+        return buf if isinstance(buf, bytes) else buf.tobytes()
 
     def slice(self, offset: int, length: int) -> Bytes:
         self._check_range(offset, length)
-        return Bytes(self._view[offset:offset + length])
+        return Bytes(memoryview(self._buf)[offset:offset + length])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Bytes {self.nbytes}B>"

@@ -218,7 +218,7 @@ class RendezvousManager:
         if state.bytes_sent == state.total:
             completion = state.wrap.completion
             if completion is not None and not completion.triggered:
-                completion.succeed(state.wrap)
+                completion.succeed()
 
     def chunk_failed(self, state: RdvSendState, item: RdvDataItem,
                      exc: BaseException) -> None:

@@ -5,6 +5,13 @@ application keeps the handle, the engine completes it.  MAD-MPI's
 ``MPI_Isend``/``MPI_Irecv``/``MPI_Wait``/``MPI_Test`` map one-to-one onto
 these (paper §3.4: "these four operations being directly mapped to the
 equivalent operations of NewMadeleine").
+
+A request's ``done`` event carries an outcome and no value: success, or
+the failure exception.  What was received is read off the request
+(``data``, ``actual_*``), never off the event — an event that pointed back
+at its request (or at the sent wrap) would tie every finished message into
+a reference cycle that only the cycle collector can free, and would pin
+the whole packet wrap for as long as anybody holds the handle.
 """
 
 from __future__ import annotations
@@ -122,7 +129,7 @@ class RecvRequest:
         self.actual_src = src
         self.actual_tag = tag
         self.actual_len = data.nbytes
-        self.done.succeed(self)
+        self.done.succeed()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.complete else "pending"

@@ -339,7 +339,7 @@ class TransferLayer:
         for wrap in plan.taken:
             self.sent_wraps.add(wrap.wrap_id)
             if wrap.completion is not None and not wrap.completion.triggered:
-                wrap.completion.succeed(wrap)
+                wrap.completion.succeed()
         for wrap in plan.announced:
             # The announcement left the node; ordering dependencies on this
             # wrap are satisfied (delivery order is restored by the matcher).

@@ -34,6 +34,11 @@ class Communicator:
         if len(set(ranks_to_nodes)) != len(ranks_to_nodes):
             raise MpiError(f"duplicate nodes in communicator: {ranks_to_nodes}")
         self.ranks_to_nodes = tuple(ranks_to_nodes)
+        # The group is immutable, so both directions are settled here:
+        # rank_of runs on every status read of a completed receive.
+        self._size = len(self.ranks_to_nodes)
+        self._rank_of = {node: rank
+                         for rank, node in enumerate(self.ranks_to_nodes)}
         self.id = next(_comm_ids) if comm_id is None else comm_id
         #: Set by :meth:`revoke`; a revoked communicator refuses new
         #: operations with :class:`~repro.errors.CommRevokedError`.
@@ -41,11 +46,11 @@ class Communicator:
 
     @property
     def size(self) -> int:
-        return len(self.ranks_to_nodes)
+        return self._size
 
     def node_of(self, rank: int) -> int:
         """Cluster node id of ``rank`` (with a helpful error)."""
-        if not 0 <= rank < self.size:
+        if not 0 <= rank < self._size:
             raise MpiError(
                 f"rank {rank} out of range for communicator of size {self.size}"
             )
@@ -54,8 +59,8 @@ class Communicator:
     def rank_of(self, node: int) -> int:
         """Rank of a cluster node in this communicator."""
         try:
-            return self.ranks_to_nodes.index(node)
-        except ValueError:
+            return self._rank_of[node]
+        except KeyError:
             raise MpiError(
                 f"node {node} is not part of this communicator"
             ) from None

@@ -6,6 +6,12 @@ supplies exactly that mapping — ``isend``/``irecv`` plus its ``sim``,
 ``matcher``, ``world`` and ``rank`` — and inherits everything that is
 defined in terms of it, so the benchmark harness drives every backend
 through one interface.
+
+The mapping is direct in the paper's sense: the handle of an untyped
+receive completes on the library request's own event and reads its status
+through to it (:meth:`MpiEndpoint._mapped_recv`), so the library's outcome
+— success, or a failure it already marked as observed — *is* the MPI
+outcome, and wait/test add no event, callback or copy of their own.
 """
 
 from __future__ import annotations
@@ -49,25 +55,35 @@ class MpiEndpoint:
         return comm
 
     @staticmethod
-    def _recv_done(req: MpiRequest, sub: RecvRequest,
-                   comm: Communicator) -> Callable[[Event], None]:
-        """Completion callback of the library receive ``sub``: hand its
-        outcome (data and status, or the failure) to the MPI request."""
+    def _mapped_recv(sub: RecvRequest, comm: Communicator) -> MpiRequest:
+        """The MPI request of the untyped library receive ``sub`` (§3.4's
+        direct mapping): it completes, or fails, when and as ``sub`` does —
+        same event — and reads its status through to it."""
+        return MpiRequest(sub.done, "recv", sub=sub, comm=comm)
 
-        def _finish(evt: Event) -> None:
-            if not evt.ok:
-                evt.defuse()
-                exc = evt.exception
-                assert exc is not None
-                req.done.fail(exc)
+    @staticmethod
+    def _recv_done(req: MpiRequest,
+                   publish: Callable[[], None]) -> Callable[[Event], None]:
+        """Completion callback for a *typed* receive ``req``, which owns its
+        event because it finishes after several library receives, or after
+        an unpack.  On success ``publish()`` stamps blocks and status before
+        ``req.done`` fires; a failure is forwarded already observed, as the
+        engine does for its own requests, so it reaches the application
+        through wait/test and never crashes a run that only polls."""
+
+        def _finish_typed(evt: Event) -> None:
+            done = req.done
+            if evt.ok:
+                publish()
+                done.succeed()
                 return
-            assert sub.actual_src is not None
-            req.data = sub.data
-            req.set_status(source=comm.rank_of(sub.actual_src),
-                           tag=sub.actual_tag, count=sub.actual_len)
-            req.done.succeed(req)
+            evt.defuse()
+            exc = evt.exception
+            assert exc is not None
+            done.fail(exc)
+            done.defuse()
 
-        return _finish
+        return _finish_typed
 
     # -- probing -----------------------------------------------------------------
     def iprobe(self, source: int = ANY, tag: int = ANY,

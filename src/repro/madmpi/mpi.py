@@ -111,11 +111,10 @@ class MadMpi(MpiEndpoint):
         comm = self._live_comm(comm)
         src_node = ANY if source == ANY else comm.node_of(source)
         if datatype is None:
-            sub = self.engine.irecv(src=src_node, tag=tag, flow=comm.id,
-                                    nbytes=nbytes, deadline_us=deadline_us)
-            req = MpiRequest(self.sim.event(), kind="recv")
-            sub.done.add_callback(self._recv_done(req, sub, comm))
-            return req
+            return self._mapped_recv(
+                self.engine.irecv(src=src_node, tag=tag, flow=comm.id,
+                                  nbytes=nbytes, deadline_us=deadline_us),
+                comm)
         blocks = datatype.flatten()
         if not blocks:
             raise MpiError("cannot receive into an empty datatype")
@@ -124,26 +123,18 @@ class MadMpi(MpiEndpoint):
                               nbytes=length, deadline_us=deadline_us)
             for _, length in blocks
         ]
-        done = self.sim.event()
-        req = MpiRequest(done, kind="recv", datatype=datatype)
-        gathered = self.sim.all_of([s.done for s in subs])
+        req = MpiRequest(self.sim.event(), kind="recv", datatype=datatype)
 
-        def _finish_typed(evt):
-            if not evt.ok:
-                evt.defuse()
-                exc = evt.exception
-                assert exc is not None
-                done.fail(exc)
-                return
+        def _publish() -> None:
             req.block_data = [s.data for s in subs]
             first = subs[0]
             assert first.actual_src is not None
             req.set_status(source=comm.rank_of(first.actual_src),
                            tag=first.actual_tag,
                            count=sum(s.actual_len for s in subs))
-            done.succeed(req)
 
-        gathered.add_callback(_finish_typed)
+        self.sim.all_of([s.done for s in subs]).add_callback(
+            self._recv_done(req, _publish))
         return req
 
     # -- helpers --------------------------------------------------------------------

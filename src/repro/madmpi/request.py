@@ -1,42 +1,100 @@
 """MPI request handles (backend-neutral).
 
 Both MAD-MPI and the baseline models hand these to applications, so the
-ping-pong harness can drive any backend through one interface.  A request
-wraps a kernel event (completion) plus status fields; for derived-datatype
-receives it additionally tracks the per-block sub-requests and can scatter
-the result into a user buffer.
+ping-pong harness can drive any backend through one interface.
+
+Paper §3.4 maps isend / irecv / wait / test *directly* onto the library
+underneath, and the handle is that mapping: ``done`` is the library
+request's own completion event, and an untyped receive's status
+(``source`` / ``tag`` / ``count`` / ``data``) reads through to the library
+:class:`~repro.core.requests.RecvRequest` — nothing is copied, no second
+event fires.  Only a derived-datatype receive, which finishes after several
+library receives (or after an unpack), owns an event and has its status and
+per-block data stamped at completion.
+
+A completed handle pins the status and the data, nothing else: the event
+carries no value, so a request is never in a reference cycle with it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 
 from repro.core.data import SegmentData, VirtualData
+from repro.core.requests import RecvRequest
 from repro.errors import MpiError
+from repro.madmpi.comm import Communicator
 from repro.madmpi.datatype import Datatype
 from repro.sim import Event
 
 __all__ = ["MpiRequest"]
 
+#: Status of a request that has none (yet): source, tag, count, data.
+_NO_STATUS: tuple[None, None, None, None] = (None, None, None, None)
+
 
 class MpiRequest:
     """Handle on a nonblocking MPI operation."""
+
+    __slots__ = ("done", "kind", "datatype", "block_data",
+                 "_sub", "_comm", "_status")
 
     def __init__(
         self,
         done: Event,
         kind: str,
         datatype: Datatype | None = None,
+        sub: RecvRequest | None = None,
+        comm: Communicator | None = None,
     ) -> None:
         self.done = done
         self.kind = kind  # "send" | "recv"
         self.datatype = datatype
-        # Status fields, populated at completion (receives only).
-        self.source: int | None = None
-        self.tag: int | None = None
-        self.count: int | None = None
-        self.data: SegmentData | None = None
-        self.block_data: list[SegmentData] = []
+        #: Per-block data of a typed receive (set at completion).
+        self.block_data: Sequence[SegmentData] = ()
+        # Untyped receive: the library request the status reads through to,
+        # and the communicator that turns its node id into a rank.
+        self._sub = sub
+        self._comm = comm
+        # Typed receive: stamped by set_status() at completion.
+        self._status: tuple[int | None, int | None, int | None,
+                            SegmentData | None] = _NO_STATUS
 
+    # -- status (receives only; None until completed successfully) ------------
+    @property
+    def source(self) -> int | None:
+        """Sender's rank in the request's communicator."""
+        sub = self._sub
+        if sub is None:
+            return self._status[0]
+        node = sub.actual_src
+        if node is None:
+            return None
+        assert self._comm is not None
+        return self._comm.rank_of(node)
+
+    @property
+    def tag(self) -> int | None:
+        sub = self._sub
+        return self._status[1] if sub is None else sub.actual_tag
+
+    @property
+    def count(self) -> int | None:
+        """Bytes received."""
+        sub = self._sub
+        return self._status[2] if sub is None else sub.actual_len
+
+    @property
+    def data(self) -> SegmentData | None:
+        sub = self._sub
+        return self._status[3] if sub is None else sub.data
+
+    def set_status(self, source: int, tag: int, count: int,
+                   data: SegmentData | None = None) -> None:
+        """Stamp the outcome of a typed receive (its completion path only)."""
+        self._status = (source, tag, count, data)
+
+    # -- completion ------------------------------------------------------------
     @property
     def complete(self) -> bool:
         """Nonblocking completion test (MPI_Test semantics, no progress)."""
@@ -57,11 +115,6 @@ class MpiRequest:
     def error(self):
         """The failure exception, or ``None`` (nonblocking inspection)."""
         return self.done.exception if self.failed else None
-
-    def set_status(self, source: int, tag: int, count: int) -> None:
-        self.source = source
-        self.tag = tag
-        self.count = count
 
     def scatter_into(self, buffer: bytearray | memoryview) -> None:
         """Scatter a completed typed receive into ``buffer``.

@@ -96,6 +96,83 @@ class TestEager:
             m0.isend(b"x", dest=0)
 
 
+class TestDirectMapping:
+    """The baselines hand out the same mapped receive handle as MAD-MPI
+    (``MpiEndpoint`` owns it): one event, status read through on demand."""
+
+    @staticmethod
+    def status(req):
+        data = req.data
+        return (req.source, req.tag, req.count,
+                None if data is None else data.tobytes())
+
+    def make_trio(self, cls=MpichMpi):
+        # World ranks 0, 1, 2 live on nodes 2, 0, 1.
+        sim = Simulator()
+        cluster = Cluster(sim, n_nodes=3, rails=(MX_MYRI10G,))
+        world = Communicator([2, 0, 1])
+        by_rank = {world.rank_of(n): cls(cluster.node(n), world)
+                   for n in range(3)}
+        return sim, world, [by_rank[r] for r in range(3)]
+
+    @pytest.mark.parametrize("cls", [MpichMpi, OpenMpi])
+    def test_status_in_callback_and_after_wait(self, cls):
+        sim, _, (m0, m1) = make_pair(cls)
+        seen = []
+
+        def app():
+            early = m1.irecv(source=ANY, tag=ANY)
+            assert self.status(early) == (None, None, None, None)
+            assert not early.complete and not hasattr(early, "__dict__")
+            early.done.add_callback(
+                lambda evt: seen.append((evt.ok, self.status(early))))
+            for tag in (1, 2, 3):
+                m0.isend(bytes([tag]) * tag, dest=1, tag=tag)
+            blocking = yield from m1.recv(source=0, tag=2)
+            both = yield from m1.wait_all([early, m1.irecv(source=0, tag=3)])
+            return [blocking] + both
+
+        got = sim.run_process(app())
+        assert seen == [(True, (0, 1, 1, b"\x01"))]
+        assert [self.status(r) for r in got] == [
+            (0, 2, 2, b"\x02\x02"), (0, 1, 1, b"\x01"),
+            (0, 3, 3, b"\x03\x03\x03")]
+        assert all(len(r.block_data) == 0 for r in got)
+
+    def test_source_is_a_rank_of_the_requests_communicator(self):
+        sim, world, (m0, m1, m2) = self.make_trio()
+        dup = world.dup()
+        assert m0.node.node_id == 2 and m2.node.node_id == 1
+        reqs = [m2.irecv(source=ANY, tag=ANY, comm=world),
+                m2.irecv(source=0, tag=5, comm=dup),
+                m2.irecv(source=ANY, tag=ANY, comm=world)]
+        m0.isend(b"w", dest=2, tag=4, comm=world)
+        m0.isend(b"d", dest=2, tag=5, comm=dup)
+        sim.run()
+        m1.isend(b"x", dest=2, tag=6, comm=world)
+        sim.run()
+        # Ranks, not node ids (the senders are nodes 2 and 0); a wildcard
+        # reports what actually arrived.
+        assert [self.status(r) for r in reqs] == [
+            (0, 4, 1, b"w"), (0, 5, 1, b"d"), (1, 6, 1, b"x")]
+
+    def test_typed_receive_keeps_blocks_and_packed_stream(self):
+        sim, _, (m0, m1) = make_pair()
+        dtype = Indexed([3, 5], [0, 6])
+        buf = bytes(range(dtype.extent))
+        typed = m1.irecv(source=0, tag=1, datatype=dtype)
+        assert self.status(typed) == (None, None, None, None)
+        assert len(typed.block_data) == 0
+        m0.isend(buf, dest=1, tag=1, datatype=dtype)
+        sim.run()
+        packed = buf[0:3] + buf[6:11]
+        assert self.status(typed) == (0, 1, 8, packed)
+        assert [d.tobytes() for d in typed.block_data] == [buf[0:3], buf[6:11]]
+        out = bytearray(dtype.extent)
+        typed.scatter_into(out)
+        assert out[0:3] == buf[0:3] and out[6:11] == buf[6:11]
+
+
 class TestRendezvous:
     def test_large_contiguous_roundtrip(self):
         sim, _, (m0, m1) = make_pair()

@@ -14,6 +14,7 @@ from repro.bench.perf import (
     SCHEMA,
     bench_event_loop,
     bench_kernel_storm,
+    bench_object_census,
     bench_pingpong,
     bench_random_traffic,
     bench_window_ops,
@@ -46,6 +47,8 @@ def _payload() -> dict:
                            "messages_per_s": 20_000.0,
                            "sim_us_makespan": 8685.436,
                            "calls_per_msg": 166.81},
+        "object_census": {"messages": 400, "objects_per_msg": 7.0,
+                          "cyclic_garbage_per_msg": 0.0},
         "scale": {"n_nodes": 256, "n_frames": 20_000, "seed": 11,
                   "delivered": 20_000, "forwarded": 60_571,
                   "events": 342_283, "wall_s": 1.5,
@@ -145,9 +148,53 @@ class TestCheckBench:
         fresh["results"]["pingpong"]["calls_per_msg"] *= 2
         failures, skipped = check_bench(fresh, _payload())
         assert failures == []
-        assert len(skipped) == 2 and all("calls_per_msg" in s for s in skipped)
+        assert [s.split(" is exact")[0] for s in skipped] == [
+            "object_census: cyclic_garbage_per_msg",
+            "object_census: objects_per_msg",
+            "pingpong: calls_per_msg", "random_traffic: calls_per_msg"]
         fresh["python"] = "3.11.9"   # a patch release counts the same calls
         assert len(check_bench(fresh, _payload())[0]) == 1
+
+    def test_objects_per_message_may_fall_but_not_rise(self):
+        fresh = _payload()
+        fresh["results"]["object_census"]["objects_per_msg"] = 6.0
+        assert check_bench(fresh, _payload()) == ([], [])
+        # One more object kept per message is far past the 2 %.
+        fresh["results"]["object_census"]["objects_per_msg"] = 8.0
+        failures, skipped = check_bench(fresh, _payload())
+        assert len(failures) == 1 and not skipped
+        assert "object_census: objects_per_msg 8.0 > 7.14" in failures[0]
+        assert check_bench(fresh, _payload(), tolerance=0.9)[0] == failures
+
+    def test_any_cyclic_garbage_fails_against_a_baseline_of_none(self):
+        fresh = _payload()
+        fresh["results"]["object_census"]["cyclic_garbage_per_msg"] = 0.0025
+        failures, skipped = check_bench(fresh, _payload())
+        assert len(failures) == 1 and not skipped
+        assert "object_census: cyclic_garbage_per_msg" in failures[0]
+        assert "reference cycles" in failures[0]
+
+    def test_object_counts_missing_on_one_side(self):
+        # A trajectory recorded before the census existed still checks (and
+        # does not gate what it never measured) ...
+        old = _payload()
+        del old["results"]["object_census"]
+        assert check_bench(_payload(), old) == ([], [])
+        old = _payload()
+        del old["results"]["object_census"]["cyclic_garbage_per_msg"]
+        fresh = _payload()
+        fresh["results"]["object_census"]["cyclic_garbage_per_msg"] = 3.0
+        assert check_bench(fresh, old) == ([], [])
+        # ... but a fresh run that lost a count the baseline has does not.
+        fresh = _payload()
+        del fresh["results"]["object_census"]["objects_per_msg"]
+        failures, _ = check_bench(fresh, _payload())
+        assert len(failures) == 1
+        assert "object_census: objects_per_msg None" in failures[0]
+        fresh = _payload()
+        del fresh["results"]["object_census"]
+        assert check_bench(fresh, _payload())[0] == [
+            "object_census: missing from the fresh run"]
 
     def test_shape_mismatch_is_reported_not_compared(self):
         fresh = _slowed(_payload(), "event_loop", "events_per_s", 0.9)
@@ -175,9 +222,10 @@ class TestCheckBench:
         # Every benchmark of another shape: all skipped, so still a failure.
         other = _payload()
         for res in other["results"].values():
-            res["seed"] = res["rounds"] = res["events"] = res["iters"] = -1
+            res["seed"] = res["rounds"] = res["events"] = res["iters"] = \
+                res["messages"] = -1
         failures, skipped = check_bench(_payload(), other)
-        assert len(skipped) == 6
+        assert len(skipped) == 7
         assert any("nothing was compared" in f for f in failures)
 
     def test_benchmark_missing_from_the_fresh_run_fails(self):
@@ -234,6 +282,25 @@ class TestBenches:
         assert res["calls_per_msg"] == \
             bench_random_traffic(n_messages=10)["calls_per_msg"] > 0
 
+    def test_object_census(self):
+        res = bench_object_census(depth=4, rounds=2)
+        assert set(res) == {"messages", "objects_per_msg",
+                            "cyclic_garbage_per_msg"}
+        assert res["messages"] == 16
+        # Exact, and independent of the exchange's size: a per-message
+        # budget, not a total.
+        full = bench_object_census()
+        assert full["messages"] == _payload()["results"][
+            "object_census"]["messages"]
+        assert (res["objects_per_msg"], res["cyclic_garbage_per_msg"]) == \
+            (full["objects_per_msg"], full["cyclic_garbage_per_msg"])
+
+    def test_object_census_leaves_the_collector_as_it_found_it(self):
+        import gc
+        assert gc.isenabled()
+        bench_object_census(depth=2, rounds=1)
+        assert gc.isenabled()
+
     def test_scale(self):
         res = bench_scale(n_nodes=4, n_frames=20)
         assert {"n_nodes", "n_frames", "seed", "events_per_s",
@@ -253,3 +320,4 @@ class TestBenches:
                 assert res[key[:-1] + "cal"] == res[key] * cal_s
         assert "kernel storm" in render_perf(payload)
         assert "python calls / message" in render_perf(payload)
+        assert "objects / message" in render_perf(payload)

@@ -17,6 +17,34 @@ class TestBytes:
         assert Bytes(bytearray(b"ab")).nbytes == 2
         assert Bytes(memoryview(b"abc")).tobytes() == b"abc"
 
+    @pytest.mark.parametrize("make", [bytes, bytearray, memoryview],
+                             ids=["bytes", "bytearray", "memoryview"])
+    def test_tobytes_round_trips_every_input_kind(self, make):
+        payload = bytes(range(40))
+        b = Bytes(make(payload))
+        assert b.nbytes == 40
+        assert b.tobytes() == payload and type(b.tobytes()) is bytes
+        assert b.slice(3, 30).slice(2, 5).tobytes() == payload[5:10]
+
+    def test_immutable_bytes_are_held_not_viewed(self):
+        # Nothing can change under a bytes object, so no view is built (a
+        # view is two more collector-tracked objects per message): the very
+        # object comes back.
+        payload = b"immutable payload"
+        assert Bytes(payload).tobytes() is payload
+
+    def test_mutable_buffer_is_viewed_not_copied(self):
+        # The zero-copy contract of the mutable path: a write by the
+        # buffer's owner after Bytes() is still seen, whole and sliced.
+        buf = bytearray(b"0123456789")
+        whole = Bytes(buf)
+        part = whole.slice(2, 4)
+        through_view = Bytes(memoryview(buf))
+        buf[3] = ord("X")
+        assert whole.tobytes() == b"012X456789"
+        assert part.tobytes() == b"2X45"
+        assert through_view.tobytes() == b"012X456789"
+
     def test_slice_is_view(self):
         b = Bytes(b"0123456789")
         s = b.slice(2, 4)

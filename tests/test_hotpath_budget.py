@@ -1,12 +1,16 @@
 """Host-neutral budget for the per-message path (docs/PERFORMANCE.md).
 
-Three pins, none of which depends on how fast the host is:
+Four pins, none of which depends on how fast the host is:
 
 * tracing off never *enters* ``Tracer.emit`` (the guard is at the call site,
   not inside ``emit``), in paper mode and with every opt-in layer on;
 * total Python calls per message, counted by ``cProfile`` (exact for a
   fixed workload), stay under a ceiling set 3 % above the value measured
   when this file was written;
+* a finished message leaves only its handles behind: counted with the cycle
+  collector disabled, the objects still alive per message while both
+  handles are held stay under a ceiling, and nothing — no request, event,
+  wrap or payload view — is left for the collector once they are dropped;
 * tracing on produces the same record stream as the commit before the gate
   went in (``hotpath_trace_golden.json``, captured there with
   ``write_golden()``), and does not move simulated time.
@@ -15,16 +19,21 @@ Three pins, none of which depends on how fast the host is:
 from __future__ import annotations
 
 import cProfile
+import gc
 import json
 import pstats
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.core import EngineParams, NmadEngine, VirtualData
-from repro.madmpi import Communicator, MadMpi
+from repro.bench.perf import object_census
+from repro.core import Bytes, EngineParams, NmadEngine, VirtualData
+from repro.core.packet import PacketWrap
+from repro.core.requests import RecvRequest, SendRequest
+from repro.madmpi import Communicator, MadMpi, MpiRequest
 from repro.netsim import MX_MYRI10G, Cluster
-from repro.sim import Simulator, Tracer
+from repro.sim import Event, Simulator, Tracer
 
 GOLDEN = Path(__file__).with_name("hotpath_trace_golden.json")
 
@@ -33,10 +42,16 @@ HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
                 rel_timeout_us="auto", hb_interval_us=500.0,
                 hb_timeout_us=5000.0)
 
-#: Measured 225.8 / 112.7 calls per message at this commit on CPython 3.11
-#: (parent commit: 308.8 / 153.3); the ceilings are those values + 3 %.
-PINGPONG_CALLS_PER_MSG = 232.5
-BURST_CALLS_PER_MSG = 116.0
+#: Measured 207.8 / 96.6 calls per message at this commit on CPython 3.11
+#: (parent commit: 223.8 / 112.6); the ceilings are those values + 3 %.
+#: Lower them when the path gets shorter; never raise them.
+PINGPONG_CALLS_PER_MSG = 214.0
+BURST_CALLS_PER_MSG = 99.5
+#: Tracked objects alive per delivered message while the application holds
+#: both handles: the send request and its event; the receive request, the
+#: engine receive it maps onto, their one event and the payload; and the
+#: application's own ``(send, recv)`` record.  The parent commit kept 11.
+OBJECTS_PER_MSG = 7.0
 
 
 class CountingTracer(Tracer):
@@ -82,9 +97,11 @@ def pingpong(sim: Simulator, mpis, rounds: int, size: int = 64) -> int:
     return 2 * rounds
 
 
-def burst(sim: Simulator, mpis, depth: int = 64, size: int = 48) -> int:
+def burst(sim: Simulator, mpis, depth: int = 64, size: int = 48,
+          held: list | None = None) -> int:
     """Every rank posts ``depth`` receives from its left neighbour, then
-    fires ``depth`` sends at its right one; returns messages sent."""
+    fires ``depth`` sends at its right one; returns messages sent.  With
+    ``held``, one ``(send, recv)`` record per message outlives the run."""
     n = len(mpis)
     payload = bytes(size)
 
@@ -94,6 +111,8 @@ def burst(sim: Simulator, mpis, depth: int = 64, size: int = 48) -> int:
         sends = [mpi.isend(payload, dest=(r + 1) % n, tag=t)
                  for t in range(depth)]
         yield from mpi.wait_all(recvs + sends)
+        if held is not None:
+            held.extend(zip(sends, recvs))
 
     procs = [sim.spawn(rank(r)) for r in range(n)]
     sim.run()
@@ -146,7 +165,46 @@ def test_burst_calls_per_message_under_budget():
     assert calls <= BURST_CALLS_PER_MSG, calls
 
 
-# -- (c) tracing on: same records as before the gate, same simulated time -----
+# -- (c) what a finished message leaves behind ---------------------------------
+
+@pytest.mark.parametrize("params", [PAPER, HARDENED],
+                         ids=["paper", "hardened"])
+def test_finished_message_object_budget(params):
+    sim, mpis = build(4, params=params)
+    census = object_census(
+        lambda held: burst(sim, mpis, depth=32, held=held))
+    assert census["messages"] == 128
+    assert census["objects_per_msg"] <= OBJECTS_PER_MSG, census
+    # No request is in a cycle with its event, held or dropped.
+    assert census["cyclic_garbage_per_msg"] == 0, census
+
+
+@pytest.mark.parametrize("params", [PAPER, HARDENED],
+                         ids=["paper", "hardened"])
+def test_dropped_handles_leave_nothing_for_the_collector(params):
+    kinds = (Event, MpiRequest, RecvRequest, SendRequest, PacketWrap, Bytes,
+             memoryview)
+
+    def instances() -> Counter:
+        return Counter(type(o).__name__ for o in gc.get_objects()
+                       if type(o) in kinds)
+
+    sim, mpis = build(4, params=params)
+    burst(sim, mpis, depth=8)   # lazily built per-peer state exists now
+    gc.collect()
+    gc.disable()
+    try:
+        before = instances()
+        assert burst(sim, mpis, depth=32) == 128
+        # The application dropped every handle and its rank processes are
+        # gone: reference counting alone must have freed the lot.
+        assert instances() == before
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- (d) tracing on: same records as before the gate, same simulated time -----
 
 def golden_scenario(tracer: Tracer):
     """A tiny ping-pong, one 16-segment aggregate, one rendezvous.

@@ -2,14 +2,16 @@
 
 import pytest
 
+from repro.baselines import MpichMpi
 from repro.core import NmadEngine, VirtualData
-from repro.errors import MpiError
+from repro.errors import DeadlineExceededError, MpiError, PeerDeadError
 from repro.madmpi import (
     ANY,
     Communicator,
     Contiguous,
     Indexed,
     MadMpi,
+    MpiRequest,
     indexed_small_large,
 )
 from repro.netsim import Cluster, MX_MYRI10G
@@ -25,6 +27,22 @@ def make_mpi_pair(strategy="aggregation", rails=(MX_MYRI10G,)):
         for i in range(2)
     ]
     return sim, world, mpis
+
+
+def make_mpi_trio(nodes=(2, 0, 1)):
+    """Three ranks whose rank numbers are *not* their node ids."""
+    sim = Simulator()
+    cluster = Cluster(sim, n_nodes=3, rails=(MX_MYRI10G,))
+    world = Communicator(list(nodes))
+    by_rank = {world.rank_of(n): MadMpi(NmadEngine(cluster.node(n)), world)
+               for n in nodes}
+    return sim, world, [by_rank[r] for r in range(3)]
+
+
+def status(req):
+    data = req.data
+    return (req.source, req.tag, req.count,
+            None if data is None else data.tobytes())
 
 
 class TestPointToPoint:
@@ -138,6 +156,31 @@ class TestCommunicators:
         with pytest.raises(MpiError):
             world.rank_of(9)
 
+    def test_rank_and_node_maps_are_per_communicator(self):
+        world = Communicator([5, 3, 8, 1])
+        assert world.size == 4
+        assert [world.rank_of(n) for n in (5, 3, 8, 1)] == [0, 1, 2, 3]
+        assert [world.node_of(r) for r in range(4)] == [5, 3, 8, 1]
+        with pytest.raises(MpiError, match="rank 4 out of range for "
+                                           "communicator of size 4"):
+            world.node_of(4)
+        with pytest.raises(MpiError, match="rank -1 out of range"):
+            world.node_of(-1)
+        with pytest.raises(MpiError,
+                           match="node 2 is not part of this communicator"):
+            world.rank_of(2)
+        # dup() and shrink() describe their own group, not the parent's.
+        dup = world.dup()
+        assert dup.id != world.id and dup.rank_of(8) == 2 and dup.size == 4
+        shrunk = world.shrink([3])
+        assert shrunk.size == 3
+        assert [shrunk.rank_of(n) for n in (5, 8, 1)] == [0, 1, 2]
+        assert shrunk.node_of(1) == 8 and world.node_of(1) == 3
+        with pytest.raises(MpiError, match="node 3 is not part"):
+            shrunk.rank_of(3)
+        with pytest.raises(MpiError, match="of size 3"):
+            shrunk.node_of(3)
+
 
 class TestDatatypes:
     def test_typed_roundtrip_scatters_correctly(self):
@@ -220,3 +263,222 @@ class TestDatatypes:
         req = sim.run_process(app())
         with pytest.raises(MpiError, match="untyped"):
             req.scatter_into(bytearray(4))
+
+
+class TestDirectMapping:
+    """Paper 3.4: irecv/wait/test map directly onto the engine's.  An untyped
+    receive handle completes on the engine request's own event and reads its
+    status through to it."""
+
+    def test_untyped_irecv_shares_the_engine_requests_event(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+        subs = []
+        engine_irecv = m1.engine.irecv
+
+        def spy(**kwargs):
+            subs.append(engine_irecv(**kwargs))
+            return subs[-1]
+
+        m1.engine.irecv = spy
+        req = m1.irecv(source=0, tag=4)
+        assert len(subs) == 1 and req.done is subs[0].done
+        m0.isend(b"one event", dest=1, tag=4)
+        sim.run()
+        assert status(req) == (0, 4, 9, b"one event")
+        assert req.data is subs[0].data
+        # The typed path finishes after its blocks: it owns its event.
+        typed = m1.irecv(source=0, tag=5, datatype=Contiguous(4))
+        assert len(subs) == 2 and typed.done is not subs[1].done
+
+    def test_pending_request_reports_no_status(self):
+        _, _, (m0, m1) = make_mpi_pair()
+        for req in (m1.irecv(source=0), m1.irecv(source=ANY, tag=ANY),
+                    m1.irecv(source=0, datatype=Contiguous(4)),
+                    m0.isend(b"x", dest=1)):
+            assert not req.complete and not req.failed and req.error is None
+            assert status(req) == (None, None, None, None)
+            assert len(req.block_data) == 0
+
+    def test_send_request_never_grows_a_status(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+        sreq = m0.isend(b"x", dest=1)
+        m1.irecv(source=0)
+        sim.run()
+        assert sreq.complete and status(sreq) == (None, None, None, None)
+
+    def test_requests_have_no_instance_dict(self):
+        _, _, (m0, m1) = make_mpi_pair()
+        for req in (m0.isend(b"x", dest=1), m1.irecv(source=0),
+                    m1.irecv(source=0, datatype=Contiguous(4))):
+            assert type(req) is MpiRequest
+            assert not hasattr(req, "__dict__")
+            with pytest.raises(AttributeError):
+                req.scratch = 1
+
+    def test_status_is_already_there_in_a_done_callback(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+        seen = []
+        req = m1.irecv(source=ANY, tag=ANY)
+        # Registered by the application, so after anything the library
+        # itself hangs on the event.
+        req.done.add_callback(
+            lambda evt: seen.append((evt is req.done, evt.ok, status(req))))
+        m0.isend(b"callback", dest=1, tag=6)
+        sim.run()
+        assert seen == [(True, True, (0, 6, 8, b"callback"))]
+
+    def test_status_after_every_completion_call(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+
+        def sender():
+            for tag in range(6):
+                m0.isend(bytes([tag]) * (tag + 1), dest=1, tag=tag)
+            yield from m0.sendrecv(b"ping", dest=1, source=1, sendtag=6,
+                                   recvtag=7)
+
+        def receiver():
+            got = []
+            got.append((yield from m1.recv(source=0, tag=0)))
+            got.append((yield from m1.wait(m1.irecv(source=0, tag=1))))
+            got += yield from m1.wait_all(
+                [m1.irecv(source=0, tag=2), m1.irecv(source=0, tag=3)])
+            idx, first = yield from m1.wait_any(
+                [m1.irecv(source=0, tag=99), m1.irecv(source=0, tag=4)])
+            assert idx == 1
+            got.append(first)
+            req = m1.irecv(source=0, tag=5)
+            while not m1.test(req):          # poll only
+                yield sim.timeout(1.0)
+            got.append(req)
+            got.append((yield from m1.sendrecv(b"pong", dest=0, source=0,
+                                               sendtag=7, recvtag=6)))
+            return got
+
+        sim.spawn(sender())
+        got = sim.run_process(receiver())
+        assert [status(r) for r in got[:6]] == [
+            (0, tag, tag + 1, bytes([tag]) * (tag + 1)) for tag in range(6)]
+        assert status(got[6]) == (0, 6, 4, b"ping")
+
+    def test_wildcard_receive_reports_actual_source_and_tag(self):
+        sim, _, (m0, m1, m2) = make_mpi_trio()
+        reqs = [m2.irecv(source=ANY, tag=ANY) for _ in range(2)]
+        m0.isend(b"from rank 0", dest=2, tag=11)
+        sim.run()
+        m1.isend(b"from rank 1", dest=2, tag=12)
+        sim.run()
+        assert [status(r) for r in reqs] == [(0, 11, 11, b"from rank 0"),
+                                             (1, 12, 11, b"from rank 1")]
+
+    def test_source_is_a_rank_of_the_requests_communicator(self):
+        # World ranks 0, 1, 2 live on nodes 2, 0, 1; in ``rev`` the same
+        # nodes are ranks 1, 2, 0.  One sending node, three communicators:
+        # the status names the sender's rank in each, never its node id.
+        sim, world, (m0, m1, m2) = make_mpi_trio(nodes=(2, 0, 1))
+        dup = world.dup()
+        rev = Communicator([1, 2, 0])
+        assert m0.engine.node_id == 2 and m2.engine.node_id == 1
+        reqs = [m2.irecv(source=ANY, tag=1, comm=world),
+                m2.irecv(source=0, tag=1, comm=dup),
+                m2.irecv(source=ANY, tag=1, comm=rev)]
+        m0.isend(b"w", dest=2, tag=1, comm=world)
+        m0.isend(b"d", dest=2, tag=1, comm=dup)
+        m0.isend(b"r", dest=rev.rank_of(1), tag=1, comm=rev)
+        sim.run()
+        assert [r.source for r in reqs] == [0, 0, 1]
+        assert [r.data.tobytes() for r in reqs] == [b"w", b"d", b"r"]
+        # Typed receives translate the same way.
+        typed = m2.irecv(source=ANY, tag=2, comm=rev, datatype=Contiguous(2))
+        m0.isend(b"ty", dest=0, tag=2, comm=rev, datatype=Contiguous(2))
+        sim.run()
+        assert (typed.source, typed.tag, typed.count) == (1, 2, 2)
+
+    def test_block_data_is_for_typed_receives_only(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+        dtype = Indexed([3, 5], [0, 6])
+        buf = bytes(range(dtype.extent))
+        plain = m1.irecv(source=0, tag=1)
+        typed = m1.irecv(source=0, tag=2, datatype=dtype)
+        m0.isend(b"plain", dest=1, tag=1)
+        m0.isend(buf, dest=1, tag=2, datatype=dtype)
+        sim.run()
+        assert len(plain.block_data) == 0 and plain.data.tobytes() == b"plain"
+        assert [d.tobytes() for d in typed.block_data] == [buf[0:3], buf[6:11]]
+        assert status(typed) == (0, 2, 8, None)
+        out = bytearray(dtype.extent)
+        typed.scatter_into(out)
+        assert out[0:3] == buf[0:3] and out[6:11] == buf[6:11]
+
+
+def _madmpi_pair():
+    sim, _, mpis = make_mpi_pair()
+    return sim, mpis
+
+
+def _mpich_pair():
+    sim = Simulator()
+    cluster = Cluster(sim, n_nodes=2, rails=(MX_MYRI10G,))
+    world = Communicator([0, 1])
+    return sim, [MpichMpi(cluster.node(i), world) for i in range(2)]
+
+
+def _truncate(sim, m0, m1, datatype):
+    """A 64 B message into a 4 B receive."""
+    req = m1.irecv(source=0, tag=1, nbytes=4) if datatype is None \
+        else m1.irecv(source=0, tag=1, datatype=datatype)
+    m0.isend(bytes(64), dest=1, tag=1)
+    return req, MpiError, "truncation"
+
+
+def _expire(sim, m0, m1, datatype):
+    """A deadline with no sender."""
+    req = m1.irecv(source=0, tag=1, deadline_us=5.0, datatype=datatype)
+    return req, DeadlineExceededError, "deadline"
+
+
+def _peer_dies(sim, m0, m1, datatype):
+    """The failure detector's verdict, as ``SessionLayer`` delivers it."""
+    req = m1.irecv(source=0, tag=1, datatype=datatype)
+    sim.schedule(3.0, lambda: m1.matcher.fail_src(
+        0, PeerDeadError("node 0 confirmed dead"), now=sim.now))
+    return req, PeerDeadError, "confirmed dead"
+
+
+_FAILURES = [
+    pytest.param(_madmpi_pair, _truncate, id="madmpi-truncation"),
+    pytest.param(_madmpi_pair, _expire, id="madmpi-deadline"),
+    pytest.param(_madmpi_pair, _peer_dies, id="madmpi-peer-dead"),
+    pytest.param(_mpich_pair, _truncate, id="mpich-truncation"),
+    pytest.param(_mpich_pair, _peer_dies, id="mpich-peer-dead"),
+]
+_SHAPES = [pytest.param(None, id="untyped"),
+           pytest.param(Contiguous(4), id="typed")]
+
+
+@pytest.mark.parametrize("datatype", _SHAPES)
+@pytest.mark.parametrize("make_pair, provoke", _FAILURES)
+class TestFailedReceive:
+    """A receive fails *through* wait/test (the ``irecv`` docstring): the
+    failure belongs to whoever asks, and to nobody if nobody waits."""
+
+    def test_polled_failure_does_not_crash_the_run(self, make_pair, provoke,
+                                                   datatype):
+        sim, (m0, m1) = make_pair()
+        req, kind, text = provoke(sim, m0, m1, datatype)
+        sim.run()   # nobody waits: the simulation itself must not raise
+        assert m1.test(req) and req.complete and req.failed
+        assert isinstance(req.error, kind) and text in str(req.error)
+        assert status(req) == (None, None, None, None)
+        assert len(req.block_data) == 0
+
+    def test_waited_failure_still_raises(self, make_pair, provoke, datatype):
+        sim, (m0, m1) = make_pair()
+        req, kind, text = provoke(sim, m0, m1, datatype)
+
+        def waiter():
+            with pytest.raises(kind, match=text):
+                yield from m1.wait(req)
+            return "raised"
+
+        assert sim.run_process(waiter()) == "raised"
+        assert req.failed and isinstance(req.error, kind)
