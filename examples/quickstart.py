@@ -31,7 +31,7 @@ def main() -> None:
         # aggregate packet for the idle NIC.
         for tag, payload in messages.items():
             sender.isend(1, payload, tag=tag)
-        yield sim.all_of([r.done for r in recvs.values()])
+        yield sim.all_of(recvs.values())   # a request is its own event
         return recvs
 
     recvs = sim.run_process(app())

@@ -48,7 +48,7 @@ from repro.errors import MpiError, ProtocolError
 from repro.madmpi.comm import Communicator
 from repro.madmpi.datatype import Datatype
 from repro.madmpi.endpoint import BufferLike, MpiEndpoint
-from repro.madmpi.request import MpiRequest
+from repro.madmpi.request import MpiRecv, MpiRequest, MpiSend
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.node import Node
 from repro.sim import Tracer
@@ -129,7 +129,7 @@ class _RdvSend:
     __slots__ = ("dest", "data", "total", "next_offset", "bytes_done",
                  "request", "per_chunk_pack_us", "chunk_size")
 
-    def __init__(self, dest: int, data: SegmentData, request: MpiRequest,
+    def __init__(self, dest: int, data: SegmentData, request: MpiSend,
                  chunk_size: int, per_chunk_pack_us: float = 0.0) -> None:
         self.dest = dest
         self.data = data
@@ -197,7 +197,7 @@ class BaselineMpi(MpiEndpoint):
         comm: Communicator | None = None,
         datatype: Datatype | None = None,
         priority: int = 0,  # accepted for interface parity; ignored
-    ) -> MpiRequest:
+    ) -> MpiSend:
         """Nonblocking send: immediately mapped onto NIC commands."""
         comm = self._live_comm(comm)
         dest_node = comm.node_of(dest)
@@ -218,11 +218,11 @@ class BaselineMpi(MpiEndpoint):
         unpack_blocks: list[int] | None,
         pack_delay_us: float,
         pipeline_chunk: int | None = None,
-    ) -> MpiRequest:
+    ) -> MpiSend:
         """Send a contiguous byte stream (raw message or packed datatype)."""
         seq = self._seq[(dest_node, flow)]
         self._seq[(dest_node, flow)] += 1
-        req = MpiRequest(self.sim.event(), kind="send")
+        req = MpiSend(self.sim, dest_node, flow, tag)
         if seg.nbytes <= self.params.eager_threshold:
             msg = _Eager(src=self.node.node_id, flow=flow, tag=tag, seq=seq,
                          data=seg, unpack_blocks=unpack_blocks)
@@ -264,7 +264,7 @@ class BaselineMpi(MpiEndpoint):
         return req
 
     def _isend_typed(self, data: BufferLike, dest_node: int, tag: int,
-                     comm: Communicator, datatype: Datatype) -> MpiRequest:
+                     comm: Communicator, datatype: Datatype) -> MpiSend:
         """Derived datatype: pack into a contiguous stream, then send it."""
         blocks = datatype.flatten()
         if not blocks:
@@ -286,12 +286,11 @@ class BaselineMpi(MpiEndpoint):
             pipeline_chunk=self.params.dt_pipeline_chunk,
         )
 
-    def _post(self, frame: Frame, req: MpiRequest | None) -> None:
+    def _post(self, frame: Frame, req: MpiSend | None) -> None:
         self.frames_sent += 1
         done = self.nic.post_send(frame, cpu_gap_us=self.params.sw_overhead_us)
         if req is not None:
-            done.add_callback(lambda _e: req.done.succeed()
-                              if not req.done.triggered else None)
+            done.add_callback(lambda _e: req.settle())
 
     # -------------------------------------------------------------- receive
     def irecv(
@@ -301,30 +300,28 @@ class BaselineMpi(MpiEndpoint):
         comm: Communicator | None = None,
         nbytes: int | None = None,
         datatype: Datatype | None = None,
-    ) -> MpiRequest:
+    ) -> MpiRecv | MpiRequest:
         """Post a receive.  Typed receives land packed and pay the unpack."""
         comm = self._live_comm(comm)
         src_node = ANY if source == ANY else comm.node_of(source)
-        capacity = nbytes
-        if datatype is not None:
-            capacity = datatype.size
-        sub = RecvRequest(src=src_node, flow=comm.id, tag=tag,
-                          capacity=capacity, done=self.sim.event(),
-                          posted_at=self.sim.now)
         if datatype is None:
-            req = self._mapped_recv(sub, comm)
-        else:
-            req = MpiRequest(self.sim.event(), kind="recv", datatype=datatype)
+            req = MpiRecv(self.sim, src_node, comm.id, tag, nbytes,
+                          self.sim.now)
+            req.comm = comm
+            self.matcher.post(req)
+            return req
+        sub = RecvRequest(self.sim, src_node, comm.id, tag, datatype.size,
+                          self.sim.now)
 
-            def _publish() -> None:
-                # The packed stream landed: expose its blocks and status.
-                assert sub.data is not None and sub.actual_src is not None
-                req.block_data = self._split_blocks(sub.data, datatype)
-                req.set_status(source=comm.rank_of(sub.actual_src),
-                               tag=sub.actual_tag, count=sub.actual_len,
-                               data=sub.data)
+        def _publish(typed: MpiRequest) -> None:
+            # The packed stream landed: expose its blocks and status.
+            typed.block_data = self._split_blocks(sub.data, datatype)
+            typed.source = comm.rank_of(sub.actual_src)
+            typed.tag, typed.count = sub.actual_tag, sub.actual_len
+            typed.data = sub.data
 
-            sub.done.add_callback(self._recv_done(req, _publish))
+        req = MpiRequest(self.sim, "recv", datatype, 1, _publish)
+        sub.add_callback(req.part_done)
         self.matcher.post(sub)
         return req
 
@@ -369,14 +366,14 @@ class BaselineMpi(MpiEndpoint):
 
     def _on_match(self, inc: _Arrival, sub: RecvRequest) -> None:
         if sub.capacity is not None and inc.nbytes > sub.capacity:
-            sub.done.fail(MpiError(
+            sub.fail(MpiError(
                 f"{self.params.name}: truncation — {inc.nbytes}B into "
                 f"{sub.capacity}B receive"
             ))
             # Defused like the engine's own truncation: the failure reaches
             # the application through wait/test, and a program that only
             # polls must not crash at run() end.
-            sub.done.defuse()
+            sub.defuse()
             return
         unpack_blocks = inc.unpack_blocks
         if isinstance(inc.item, RdvReqItem):
@@ -439,7 +436,7 @@ class BaselineMpi(MpiEndpoint):
             if state.next_offset < state.total:
                 self._send_next_chunk(state, handle, chunk_size)
             elif state.bytes_done == state.total:
-                state.request.done.succeed()
+                state.request.settle()
 
         if state.per_chunk_pack_us > 0:
             # Chunked datatype pipeline: pack this chunk before injecting it

@@ -1,8 +1,8 @@
 """Uniform construction of benchmark backends.
 
 Every backend exposes the same interface (``isend``/``irecv``/``wait``/
-``send``/``recv`` generators returning :class:`~repro.madmpi.request.MpiRequest`),
-so the ping-pong programs in :mod:`repro.bench.pingpong` are written once
+``send``/``recv`` generators returning the handles of
+:mod:`repro.madmpi.request`), so the ping-pong programs in :mod:`repro.bench.pingpong` are written once
 and run against MAD-MPI and both baselines — the structure of the paper's
 evaluation.
 """

@@ -32,10 +32,11 @@ The benchmarks:
 * ``object_census`` — what a finished message leaves behind for the cycle
   collector, counted with the collector disabled around a fixed exchange:
   ``objects_per_msg`` (tracked objects still live per message while the
-  application holds both request handles) and ``cyclic_garbage_per_msg``
-  (objects only ``gc.collect()`` can free, during the exchange and after
-  the handles are dropped).  Exact like ``calls_per_msg``, and gated the
-  same way: neither may rise.
+  application holds both request handles), ``retained_bytes_per_msg``
+  (what those handles keep allocated, by ``tracemalloc``) and
+  ``cyclic_garbage_per_msg`` (objects only ``gc.collect()`` can free,
+  during the exchange and after the handles are dropped).  Exact like
+  ``calls_per_msg``, and gated the same way: none may rise.
 * ``scale`` — seeded random frame traffic over a sparse 256-node netsim
   topology (see :mod:`repro.bench.scale`).
 
@@ -115,9 +116,20 @@ def calibrate() -> float:
 
 
 def _profiled_calls(fn: Callable[[], object]) -> int:
-    """Exact number of calls (Python and builtin) one ``fn()`` makes."""
+    """Exact number of calls (Python and builtin) one ``fn()`` makes.
+
+    The collector is kept out of the counted run: whatever is registered in
+    ``gc.callbacks`` (Hypothesis installs such a hook) would be counted
+    once per collection, and how many of those happen is not the code's.
+    """
     profile = cProfile.Profile()
-    profile.runcall(fn)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        profile.runcall(fn)
+    finally:
+        if was_enabled:
+            gc.enable()
     return pstats.Stats(profile).total_calls
 
 
@@ -301,28 +313,40 @@ def object_census(exchange: Callable[[list], int]) -> dict:
     and returns the number of messages.  It is called twice: once to let
     lazily built state settle, then with the cycle collector disabled — so
     the counts say what the exchange allocated and kept, not when a
-    collection happened to run.  The collector is left as it was found:
-    nothing outside this module's measurements ever switches it.
+    collection happened to run.  ``tracemalloc`` watches the same interval:
+    ``retained_bytes_per_msg`` is what the held handles keep allocated, the
+    untracked parts (payload bytes, floats) included.  The collector is
+    left as it was found: nothing outside this module's measurements ever
+    switches it.
     """
+    import tracemalloc  # here only: nothing on the ``import repro`` path
+
     exchange([])
     held: list = []
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
     try:
         before = len(gc.get_objects())
+        bytes_before = tracemalloc.get_traced_memory()[0]
         messages = exchange(held)
         # Cycles the exchange itself made are garbage already, handles or no.
         garbage = gc.collect()
         live = len(gc.get_objects()) - before
+        retained = tracemalloc.get_traced_memory()[0] - bytes_before
         held.clear()
         garbage += gc.collect()
     finally:
+        if not was_tracing:
+            tracemalloc.stop()
         if was_enabled:
             gc.enable()
     return {
         "messages": messages,
         "objects_per_msg": live / messages,
+        "retained_bytes_per_msg": retained / messages,
         "cyclic_garbage_per_msg": garbage / messages,
     }
 
@@ -459,6 +483,9 @@ def render_perf(payload: dict) -> str:
         f"{r['object_census']['objects_per_msg']:>12,.2f} live, handles held "
         f"{r['object_census']['cyclic_garbage_per_msg']:,.2f} cyclic garbage "
         f"(collector disabled, exact)",
+        f"  retained bytes / message:    "
+        f"{r['object_census']['retained_bytes_per_msg']:>12,.2f} "
+        f"allocated, handles held (tracemalloc, exact)",
     ]
     return "\n".join(lines)
 
@@ -481,6 +508,7 @@ CALLS_PER_MSG_TOLERANCE = 0.02
 _EXACT_COUNTS = {
     "calls_per_msg": "the per-message path grew",
     "objects_per_msg": "a finished message keeps more objects alive",
+    "retained_bytes_per_msg": "a finished message keeps more memory allocated",
     "cyclic_garbage_per_msg":
         "a finished message leaves reference cycles for the collector",
 }
@@ -514,8 +542,8 @@ def check_bench(
     * the deterministic simulated readings (ping-pong one-way latency,
       replay/scale makespans) must match the baseline exactly — a
       performance PR must not move simulated time, and
-    * ``calls_per_msg``, ``objects_per_msg`` and ``cyclic_garbage_per_msg``
-      must not rise by more than :data:`CALLS_PER_MSG_TOLERANCE`; the
+    * ``calls_per_msg``, ``objects_per_msg``, ``retained_bytes_per_msg`` and
+      ``cyclic_garbage_per_msg`` must not rise by more than :data:`CALLS_PER_MSG_TOLERANCE`; the
       counts depend on the interpreter's minor version, so they are
       compared only when that matches the baseline's (and named in
       ``skipped`` otherwise).  A baseline recorded before a count existed

@@ -116,17 +116,17 @@ def pingpong_multiseg(
 
     def gather(mpi, source):
         recvs = [mpi.irecv(source=source, comm=comm) for comm in comms]
-        yield sim.all_of([r.done for r in recvs])
+        yield sim.all_of(recvs)
 
     def ping(_it):
         sreqs = yield from burst(m0, dest=1)
         yield from gather(m0, source=1)
-        yield sim.all_of([r.done for r in sreqs])
+        yield sim.all_of(sreqs)
 
     def pong():
         yield from gather(m1, source=0)
         sreqs = yield from burst(m1, dest=0)
-        yield sim.all_of([r.done for r in sreqs])
+        yield sim.all_of(sreqs)
 
     return _measure(pair, ping, pong, iters, warmup)
 
@@ -158,14 +158,14 @@ def pingpong_datatype(
         rreq = m0.irecv(source=1, tag=0, datatype=dtype)
         sreq = m0.isend(VirtualData(dtype.extent), dest=1, tag=0,
                         datatype=dtype)
-        yield rreq.done
-        yield sreq.done
+        yield rreq
+        yield sreq
 
     def pong():
         rreq = m1.irecv(source=0, tag=0, datatype=dtype)
-        yield rreq.done
+        yield rreq
         sreq = m1.isend(VirtualData(dtype.extent), dest=0, tag=0,
                         datatype=dtype)
-        yield sreq.done
+        yield sreq
 
     return _measure(pair, ping, pong, iters, warmup)

@@ -124,7 +124,7 @@ def replay(pair, messages: Sequence[Message], verify_content: bool = True):
                                        comm=comms[msg.flow],
                                        nbytes=msg.size)))
         for msg, req in reqs:
-            yield req.done
+            yield req
             done.append((msg, req))
 
     sim.spawn(sender(), name="traffic-sender")

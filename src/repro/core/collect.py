@@ -33,9 +33,9 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import TYPE_CHECKING
 
-from repro.core.data import SegmentData, as_data
+from repro.core.data import SegmentData, VirtualData, as_data
 from repro.core.packet import PacketWrap, WireItem
-from repro.core.data import VirtualData
+from repro.core.requests import SendRequest
 from repro.errors import NetworkError, WindowFullError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,8 +77,10 @@ class CollectLayer:
         rail: int | None = None,
         allow_reorder: bool = True,
         depends_on: int | None = None,
+        request_cls: type[SendRequest] = SendRequest,
     ) -> PacketWrap:
-        """Encapsulate one data piece and enter it into the window."""
+        """Encapsulate one data piece and enter it into the window; its
+        ``completion`` is the send request, a fresh ``request_cls``."""
         if dest == self.engine.node_id:
             raise NetworkError(
                 f"node{self.engine.node_id}: self-send not supported "
@@ -105,10 +107,10 @@ class CollectLayer:
         # seq=0 is a placeholder: the real per-(dest, flow) sequence number
         # is assigned at admission so a failed submission leaves no hole.
         sim = self.engine.sim
-        wrap = PacketWrap(
+        req = request_cls(sim, dest, flow, tag)
+        req.wrap = wrap = PacketWrap(
             dest, flow, tag, 0, seg, priority, allow_reorder, depends_on,
-            rail, sim.now,
-            completion=sim.event(("send:%s/%s/%s", dest, flow, tag)),
+            rail, sim.now, completion=req,
         )
         if over:
             self._deferred.append(wrap)
@@ -187,9 +189,8 @@ class CollectLayer:
         for wrap in self._deferred:
             if wrap.dest != dest:
                 kept.append(wrap)
-            elif wrap.completion is not None and not wrap.completion.triggered:
-                wrap.completion.fail(exc)
-                wrap.completion.defuse()
+            elif wrap.completion is not None:
+                wrap.completion.settle(exc)
         self._deferred = kept
 
     def has_deferred_to(self, dest: int) -> bool:
@@ -209,12 +210,12 @@ class CollectLayer:
         """
         engine = self.engine
         sim = engine.sim
-        wrap = PacketWrap(
+        req = SendRequest(sim, dest, CONTROL_FLOW, 0)
+        req.wrap = wrap = PacketWrap(
             dest=dest, flow=CONTROL_FLOW, tag=0, seq=0,
             data=VirtualData(0), priority=priority,
             is_control=True, control_item=item,
-            submitted_at=sim.now,
-            completion=sim.event(("ctrl:%s", dest)),
+            submitted_at=sim.now, completion=req,
         )
         engine.window.submit(wrap)
         tracer = engine.tracer

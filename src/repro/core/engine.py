@@ -25,7 +25,7 @@ from repro.core.flowcontrol import (
 )
 from repro.core.matching import Incoming, Matcher
 from repro.core.packet import (
-    CancelItem, HeaderSpec, PacketWrap, RdvReqItem, SegItem,
+    CancelItem, HeaderSpec, RdvReqItem, SegItem,
 )
 from repro.core.protocols import Layer, counter
 from repro.core.reliability import (
@@ -262,9 +262,10 @@ class NmadEngine:
         allow_reorder: bool = True,
         depends_on: int | None = None,
         deadline_us: float | None = None,
+        request_cls: type[SendRequest] = SendRequest,
     ) -> SendRequest:
-        """Nonblocking send; returns a handle whose ``done`` event fires
-        when the data has fully left this node.
+        """Nonblocking send; returns a handle (a ``request_cls``, its own
+        completion event) that fires when the data has fully left this node.
 
         ``deadline_us`` bounds the virtual time the request may stay
         pending: on expiry a send whose data has not left the node is
@@ -278,10 +279,10 @@ class NmadEngine:
                 f"node{self.node_id}: isend to node {dest}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
             )
-        wrap = self.collect.submit(dest, data, flow, tag, priority, rail,
-                                   allow_reorder, depends_on)
-        assert wrap.completion is not None
-        req = SendRequest(wrap, wrap.completion)
+        req = self.collect.submit(dest, data, flow, tag, priority, rail,
+                                  allow_reorder, depends_on,
+                                  request_cls).completion
+        assert req is not None
         if deadline_us is not None:
             self._arm_deadline(req, deadline_us)
         return req
@@ -293,8 +294,10 @@ class NmadEngine:
         flow: int = 0,
         nbytes: int | None = None,
         deadline_us: float | None = None,
+        request_cls: type[RecvRequest] = RecvRequest,
     ) -> RecvRequest:
-        """Nonblocking receive; ``nbytes`` bounds acceptable message size.
+        """Nonblocking receive (the handle is a ``request_cls``); ``nbytes``
+        bounds acceptable message size.
 
         ``deadline_us`` bounds the virtual time the receive may stay
         unmatched: on expiry it is unposted and fails with
@@ -306,10 +309,7 @@ class NmadEngine:
                 f"node{self.node_id}: irecv from node {src}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
             )
-        sim = self.sim
-        req = RecvRequest(
-            src, flow, tag, nbytes,
-            sim.event(("recv:%s/%s/%s", src, flow, tag)), sim.now)
+        req = request_cls(self.sim, src, flow, tag, nbytes, self.sim.now)
         self.matcher.post(req)
         if src != ANY:
             for layer in self.layers:
@@ -336,28 +336,29 @@ class NmadEngine:
     ) -> None:
         # A completed request (either way) or a halted engine makes the
         # timer a no-op — deadlines never fail anything retroactively.
-        if self.halted or req.done.triggered:
+        if self.halted or req.triggered:
             return
         if isinstance(req, RecvRequest):
             if not self.matcher.unpost(req, now=self.sim.now):
                 return  # already matched: the data is landing, let it
             err = DeadlineExceededError(
-                f"node{self.node_id}: receive (src={req.src} "
-                f"flow={req.flow} tag={req.tag}) unmatched after its "
+                f"node{self.node_id}: receive (src={req.posted_src} "
+                f"flow={req.flow} tag={req.posted_tag}) unmatched after its "
                 f"{deadline_us:g}us deadline"
             )
             self.stats.deadlines_expired += 1
-            req.done.fail(err)
-            req.done.defuse()
+            req.fail(err)
+            req.defuse()
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, self._source,
-                                 "deadline_expired", side="recv", tag=req.tag)
+                                 "deadline_expired", side="recv",
+                                 tag=req.posted_tag)
             return
         err = DeadlineExceededError(
             f"node{self.node_id}: send {req.wrap!r} still pending after "
             f"its {deadline_us:g}us deadline"
         )
-        if self._retract_send(req.wrap, err, trace="deadline_expired"):
+        if self._retract_send(req, err, trace="deadline_expired"):
             self.stats.deadlines_expired += 1
 
     def cancel(self, request: SendRequest) -> bool:
@@ -371,20 +372,22 @@ class NmadEngine:
         then (the request's completion *fails* with :class:`MpiError` so
         waiters are not left hanging), ``False`` if the data already left
         or is mid-flight (rendezvous announced) — too late, like MPI_Cancel
-        on a matched send.
+        on a matched send — or the request was settled before.
 
         Because the wrap already consumed a sequence number in its
         (dest, flow) stream, a tiny tombstone record travels in its place
         so the receiver's in-order machinery never stalls on the hole.
         """
-        wrap = request.wrap
+        if request.wrap is None:
+            return False
         return self._retract_send(
-            wrap, MpiError(f"send cancelled: {wrap!r}"), trace="cancel")
+            request, MpiError(f"send cancelled: {request.wrap!r}"),
+            trace="cancel")
 
     def _retract_send(
-        self, wrap: PacketWrap, err: MpiError, trace: str
+        self, req: SendRequest, err: MpiError, trace: str
     ) -> bool:
-        """Pull an unscheduled wrap back out of the engine and fail it.
+        """Pull a pending send's wrap back out of the engine and fail it.
 
         The shared back-out machinery of :meth:`cancel` and the
         per-request deadline path: a deferred submission is simply
@@ -392,11 +395,11 @@ class NmadEngine:
         replaced by a tombstone for its consumed sequence number.  Returns
         ``False`` — and fails nothing — when the data already left the node.
         """
+        wrap = req.wrap
+        assert wrap is not None
         if self.collect.cancel_deferred(wrap):
             # Never admitted: no sequence number consumed, no tombstone due.
-            if wrap.completion is not None and not wrap.completion.triggered:
-                wrap.completion.fail(err)
-                wrap.completion.defuse()
+            req.settle(err)
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, self.collect.source, trace,
                                  wrap=wrap.wrap_id)
@@ -404,9 +407,7 @@ class NmadEngine:
         if wrap not in self.window:
             return False
         self.window.take(wrap)
-        if wrap.completion is not None and not wrap.completion.triggered:
-            wrap.completion.fail(err)
-            wrap.completion.defuse()
+        req.settle(err)
         tombstone = CancelItem(src=self.node_id, flow=wrap.flow,
                                tag=wrap.tag, seq=wrap.seq)
         self.collect.submit_control(dest=wrap.dest, item=tombstone)
@@ -424,7 +425,7 @@ class NmadEngine:
     ) -> Generator[Event, None, SendRequest]:
         """Process-style blocking send: ``yield from engine.send(...)``."""
         req = self.isend(dest, data, **kwargs)
-        yield req.done
+        yield req
         return req
 
     def recv(
@@ -432,7 +433,7 @@ class NmadEngine:
     ) -> Generator[Event, None, RecvRequest]:
         """Process-style blocking receive; returns the completed request."""
         req = self.irecv(src=src, tag=tag, **kwargs)
-        yield req.done
+        yield req
         return req
 
     # -- match dispatch -----------------------------------------------------------
@@ -449,8 +450,8 @@ class NmadEngine:
             # non-raising failed/error API must stay usable — an application
             # polling via test() would otherwise crash at run() end with the
             # unobserved-failure re-raise despite having handled the error.
-            req.done.fail(err)
-            req.done.defuse()
+            req.fail(err)
+            req.defuse()
             return
         if isinstance(inc.item, RdvReqItem):
             self.rendezvous.grant(inc.item, req)

@@ -59,7 +59,7 @@ class PackMessage:
         if self._finalized:
             raise MpiError("end_pack() called twice")
         self._finalized = True
-        return self.engine.sim.all_of([r.done for r in self.requests])
+        return self.engine.sim.all_of(self.requests)
 
 
 class UnpackMessage:
@@ -88,7 +88,7 @@ class UnpackMessage:
         if self._finalized:
             raise MpiError("end_unpack() called twice")
         self._finalized = True
-        return self.engine.sim.all_of([r.done for r in self.requests])
+        return self.engine.sim.all_of(self.requests)
 
 
 def begin_pack(engine: NmadEngine, dest: int, tag: int = 0,

@@ -250,8 +250,8 @@ class Matcher:
         except ValueError:
             return False
         if self.tracer.enabled:
-            self.tracer.emit(now, self.name, "unpost",
-                             src=req.src, flow=req.flow, tag=req.tag)
+            self.tracer.emit(now, self.name, "unpost", src=req.posted_src,
+                             flow=req.flow, tag=req.posted_tag)
         return True
 
     # -- probing (MPI_Probe / MPI_Iprobe support) ----------------------------
@@ -330,19 +330,19 @@ class Matcher:
         """
         kept = []
         for req in self._posted:
-            if req.src == src:
-                req.done.fail(exc)
-                req.done.defuse()
+            if req.posted_src == src:
+                req.fail(exc)
+                req.defuse()
                 if self.tracer.enabled:
-                    self.tracer.emit(now, self.name, "fail_src",
-                                     src=src, flow=req.flow, tag=req.tag)
+                    self.tracer.emit(now, self.name, "fail_src", src=src,
+                                     flow=req.flow, tag=req.posted_tag)
             else:
                 kept.append(req)
         self._posted = kept
 
     def has_posted_from(self, src: int) -> bool:
         """Any posted receive pinned to ``src`` (liveness interest)?"""
-        return any(req.src == src for req in self._posted)
+        return any(req.posted_src == src for req in self._posted)
 
     # -- introspection -------------------------------------------------------
     @property

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.data import SegmentData
-from repro.sim import Event
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.requests import SendRequest
 
 __all__ = [
     "CancelItem",
@@ -89,7 +92,8 @@ class PacketWrap:
     credit_exempt: bool = False     # bypasses credit gating (NACK resends)
     control_item: WireItem | None = None  # the item a control wrap carries
     wrap_id: int = field(default_factory=_wrap_ids.__next__)
-    completion: Event | None = None  # succeeds when the send completes
+    #: Settled when the send is over (``None``: nobody waits, NACK resend).
+    completion: SendRequest | None = None
     #: Payload byte count, stamped once from ``data`` (which is never
     #: reassigned): the window, the tactics and the plan check all read it.
     length: int = field(init=False)

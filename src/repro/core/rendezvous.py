@@ -171,10 +171,8 @@ class RendezvousManager:
                     break
         if state is None:
             return
-        completion = state.wrap.completion
-        if completion is not None and not completion.triggered:
-            completion.fail(exc)
-            completion.defuse()
+        if state.wrap.completion is not None:
+            state.wrap.completion.settle(exc)
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.emit(self.engine.sim.now, self._source, "abort",
@@ -215,20 +213,17 @@ class RendezvousManager:
         """A bulk chunk's frame finished transmission (or was acked)."""
         state.bytes_sent += item.data.nbytes
         self.bulk_bytes_sent += item.data.nbytes
-        if state.bytes_sent == state.total:
-            completion = state.wrap.completion
-            if completion is not None and not completion.triggered:
-                completion.succeed()
+        if (state.bytes_sent == state.total
+                and state.wrap.completion is not None):
+            state.wrap.completion.settle()
 
     def chunk_failed(self, state: RdvSendState, item: RdvDataItem,
                      exc: BaseException) -> None:
         """A bulk chunk exhausted its retransmit budget: fail the send."""
         if state in self._granted:
             self._granted.remove(state)
-        completion = state.wrap.completion
-        if completion is not None and not completion.triggered:
-            completion.fail(exc)
-            completion.defuse()
+        if state.wrap.completion is not None:
+            state.wrap.completion.settle(exc)
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.emit(self.engine.sim.now, self._source, "chunk_failed",
@@ -289,9 +284,9 @@ class RendezvousManager:
             self.abort(state.handle, exc)
         for key in [k for k in self._incoming if k[0] == peer]:
             state = self._incoming.pop(key)
-            if not state.req.done.triggered:
-                state.req.done.fail(exc)
-                state.req.done.defuse()
+            if not state.req.triggered:
+                state.req.fail(exc)
+                state.req.defuse()
             tracer = self.engine.tracer
             if tracer.enabled:
                 tracer.emit(self.engine.sim.now, self._source,

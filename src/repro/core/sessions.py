@@ -439,9 +439,8 @@ class SessionLayer(Layer):
         n_deferred = len(st.deferred_tx)
         self.reset_peer(peer, exc)
         for wrap in engine.window.drain_matching(lambda w: w.dest == peer):
-            if wrap.completion is not None and not wrap.completion.triggered:
-                wrap.completion.fail(exc)
-                wrap.completion.defuse()
+            if wrap.completion is not None:
+                wrap.completion.settle(exc)
         engine.collect.reset_dest(peer, exc)
         for layer in engine.layers:
             if layer is not self:

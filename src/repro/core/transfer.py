@@ -50,6 +50,7 @@ from repro.core.strategy import SchedulingContext, SendPlan
 from repro.errors import ProtocolError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
+from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
@@ -338,8 +339,8 @@ class TransferLayer:
     def _plan_sent(self, plan: SendPlan) -> None:
         for wrap in plan.taken:
             self.sent_wraps.add(wrap.wrap_id)
-            if wrap.completion is not None and not wrap.completion.triggered:
-                wrap.completion.succeed()
+            if wrap.completion is not None:
+                wrap.completion.settle()
         for wrap in plan.announced:
             # The announcement left the node; ordering dependencies on this
             # wrap are satisfied (delivery order is restored by the matcher).
@@ -349,9 +350,8 @@ class TransferLayer:
                      exc: BaseException) -> None:
         """A pipeline layer gave up on this packet's frame."""
         for wrap in plan.taken:
-            if wrap.completion is not None and not wrap.completion.triggered:
-                wrap.completion.fail(exc)
-                wrap.completion.defuse()
+            if wrap.completion is not None:
+                wrap.completion.settle(exc)
         for item in items:
             if isinstance(item, RdvReqItem):
                 # The announcement never reached the peer: fail the big send.
@@ -385,9 +385,8 @@ class TransferLayer:
                         offset=item.offset, nbytes=nbytes)
         self.transmit(
             nic, frame, cpu_gap,
-            on_delivered=lambda: engine.rendezvous.chunk_sent(state, item),
-            on_failed=lambda exc: engine.rendezvous.chunk_failed(
-                state, item, exc),
+            on_delivered=partial(engine.rendezvous.chunk_sent, state, item),
+            on_failed=partial(engine.rendezvous.chunk_failed, state, item),
         )
 
     # -- the frame pipeline -------------------------------------------------------
@@ -415,7 +414,11 @@ class TransferLayer:
                 return
         done = nic.post_send(frame, cpu_gap_us=cpu_gap_us)
         if on_delivered is not None:
-            done.add_callback(lambda _evt: on_delivered())
+            done.add_callback(partial(self._tx_done, on_delivered))
+
+    @staticmethod
+    def _tx_done(on_delivered: Callable[[], None], _evt: Event) -> None:
+        on_delivered()
 
     def receive(self, rail: int, frame: Frame) -> None:
         """NIC upcall: every arrival enters the engine here."""

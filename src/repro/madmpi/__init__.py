@@ -22,7 +22,7 @@ from repro.madmpi.datatype import (
     indexed_small_large,
 )
 from repro.madmpi.mpi import ANY, MadMpi
-from repro.madmpi.request import MpiRequest
+from repro.madmpi.request import MpiRecv, MpiRequest, MpiSend
 
 __all__ = [
     "ANY",
@@ -41,7 +41,9 @@ __all__ = [
     "Hvector",
     "Indexed",
     "MadMpi",
+    "MpiRecv",
     "MpiRequest",
+    "MpiSend",
     "Struct",
     "Vector",
     "indexed_small_large",

@@ -96,7 +96,7 @@ def gather(mpi, data: bytes, root: int = 0,
     reqs = [(r, mpi.irecv(source=r, tag=_TAG_GATHER, comm=comm))
             for r in range(comm.size) if r != root]
     for r, req in reqs:
-        yield req.done
+        yield req
         out[r] = req.data.tobytes()
     return out
 
@@ -174,7 +174,7 @@ def barrier(mpi, comm: Communicator | None = None):
         tag = _TAG_BARRIER + 16 * round_no
         req = mpi.irecv(source=frm, tag=tag, comm=comm)
         yield from mpi.send(b"", dest=to, tag=tag, comm=comm)
-        yield req.done
+        yield req
         step <<= 1
         round_no += 1
     return None
@@ -202,8 +202,8 @@ def alltoall(mpi, chunks: Sequence[bytes],
         sends.append(mpi.isend(chunks[dest], dest=dest, tag=_TAG_ALLTOALL,
                                comm=comm))
     for r, req in recvs:
-        yield req.done
+        yield req
         out[r] = req.data.tobytes()
     for s in sends:
-        yield s.done
+        yield s
     return out

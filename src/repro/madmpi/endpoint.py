@@ -8,24 +8,24 @@ defined in terms of it, so the benchmark harness drives every backend
 through one interface.
 
 The mapping is direct in the paper's sense: the handle of an untyped
-receive completes on the library request's own event and reads its status
-through to it (:meth:`MpiEndpoint._mapped_recv`), so the library's outcome
-— success, or a failure it already marked as observed — *is* the MPI
-outcome, and wait/test add no event, callback or copy of their own.
+operation *is* the library request, which is its own completion event
+(:mod:`repro.madmpi.request`), so the library's outcome — success, or a
+failure it already marked as observed — *is* the MPI outcome, and wait/test
+add no event, callback or copy of their own: they hand the handles to the
+kernel as they are.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 
 from repro.core.data import SegmentData
 from repro.core.matching import Matcher
-from repro.core.requests import ANY, RecvRequest
+from repro.core.requests import ANY, Request
 from repro.errors import CommRevokedError, MpiError
 from repro.madmpi.comm import Communicator
 from repro.madmpi.datatype import Datatype
-from repro.madmpi.request import MpiRequest
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 
 __all__ = ["BufferLike", "MpiEndpoint"]
 
@@ -53,37 +53,6 @@ class MpiEndpoint:
                 "after a peer failure; shrink() it to continue"
             )
         return comm
-
-    @staticmethod
-    def _mapped_recv(sub: RecvRequest, comm: Communicator) -> MpiRequest:
-        """The MPI request of the untyped library receive ``sub`` (§3.4's
-        direct mapping): it completes, or fails, when and as ``sub`` does —
-        same event — and reads its status through to it."""
-        return MpiRequest(sub.done, "recv", sub=sub, comm=comm)
-
-    @staticmethod
-    def _recv_done(req: MpiRequest,
-                   publish: Callable[[], None]) -> Callable[[Event], None]:
-        """Completion callback for a *typed* receive ``req``, which owns its
-        event because it finishes after several library receives, or after
-        an unpack.  On success ``publish()`` stamps blocks and status before
-        ``req.done`` fires; a failure is forwarded already observed, as the
-        engine does for its own requests, so it reaches the application
-        through wait/test and never crashes a run that only polls."""
-
-        def _finish_typed(evt: Event) -> None:
-            done = req.done
-            if evt.ok:
-                publish()
-                done.succeed()
-                return
-            evt.defuse()
-            exc = evt.exception
-            assert exc is not None
-            done.fail(exc)
-            done.defuse()
-
-        return _finish_typed
 
     # -- probing -----------------------------------------------------------------
     def iprobe(self, source: int = ANY, tag: int = ANY,
@@ -118,32 +87,32 @@ class MpiEndpoint:
         rreq = self.irecv(source=source, tag=recvtag, comm=comm,
                           nbytes=nbytes)
         sreq = self.isend(send_data, dest, tag=sendtag, comm=comm)
-        yield self.sim.all_of([rreq.done, sreq.done])
+        yield self.sim.all_of((rreq, sreq))
         return rreq
 
     # -- completion --------------------------------------------------------------
-    def wait_any(self, requests: Sequence[MpiRequest]):
+    def wait_any(self, requests: Sequence[Request]):
         """Wait for the first completed request; returns (index, request)."""
         if not requests:
             raise MpiError("wait_any on an empty request list")
-        yield self.sim.any_of([r.done for r in requests])
+        yield self.sim.any_of(requests)
         for idx, req in enumerate(requests):
             if req.complete:
                 return idx, req
         raise MpiError("wait_any woke without a complete request")
 
-    def wait(self, request: MpiRequest):
+    def wait(self, request: Request):
         """Blocking wait (process style: ``yield from mpi.wait(req)``)."""
-        yield request.done
+        yield request
         return request
 
-    def wait_all(self, requests: Sequence[MpiRequest]):
+    def wait_all(self, requests: Sequence[Request]):
         """Wait for every request in ``requests``."""
-        yield self.sim.all_of([r.done for r in requests])
+        yield self.sim.all_of(requests)
         return list(requests)
 
     @staticmethod
-    def test(request: MpiRequest) -> bool:
+    def test(request: Request) -> bool:
         """Nonblocking completion check (MPI_Test)."""
         return request.complete
 
@@ -152,7 +121,7 @@ class MpiEndpoint:
              comm: Communicator | None = None,
              datatype: Datatype | None = None):
         req = self.isend(data, dest, tag=tag, comm=comm, datatype=datatype)
-        yield req.done
+        yield req
         return req
 
     def recv(self, source: int = ANY, tag: int = ANY,
@@ -161,5 +130,5 @@ class MpiEndpoint:
              datatype: Datatype | None = None):
         req = self.irecv(source=source, tag=tag, comm=comm, nbytes=nbytes,
                          datatype=datatype)
-        yield req.done
+        yield req
         return req

@@ -22,7 +22,7 @@ from repro.errors import MpiError
 from repro.madmpi.comm import Communicator
 from repro.madmpi.datatype import Datatype
 from repro.madmpi.endpoint import BufferLike, MpiEndpoint
-from repro.madmpi.request import MpiRequest
+from repro.madmpi.request import MpiRecv, MpiRequest, MpiSend
 
 __all__ = ["MadMpi", "ANY"]
 
@@ -50,8 +50,9 @@ class MadMpi(MpiEndpoint):
         datatype: Datatype | None = None,
         priority: int = 0,
         deadline_us: float | None = None,
-    ) -> MpiRequest:
-        """Nonblocking send to ``dest`` (a rank in ``comm``).
+    ) -> MpiSend | MpiRequest:
+        """Nonblocking send to ``dest`` (a rank in ``comm``); untyped, the
+        handle is the library's own send request.
 
         Overload protection (:class:`~repro.core.engine.EngineParams`)
         surfaces here: with a bounded window and ``window_policy="block"``
@@ -72,11 +73,10 @@ class MadMpi(MpiEndpoint):
         comm = self._live_comm(comm)
         node = comm.node_of(dest)
         if datatype is None:
-            wrap_req = self.engine.isend(node, data, tag=tag, flow=comm.id,
-                                         priority=priority,
-                                         deadline_us=deadline_us)
-            req = MpiRequest(wrap_req.done, kind="send")
-            return req
+            return self.engine.isend(node, data, tag=tag, flow=comm.id,
+                                     priority=priority,
+                                     deadline_us=deadline_us,
+                                     request_cls=MpiSend)
         # One engine request per datatype block (paper §5.3).
         blocks = datatype.flatten()
         if not blocks:
@@ -87,8 +87,10 @@ class MadMpi(MpiEndpoint):
                               deadline_us=deadline_us)
             for disp, length in blocks
         ]
-        done = self.sim.all_of([s.done for s in sub])
-        return MpiRequest(done, kind="send", datatype=datatype)
+        req = MpiRequest(self.sim, "send", datatype, len(sub))
+        for block in sub:
+            block.add_callback(req.part_done)
+        return req
 
     def irecv(
         self,
@@ -98,8 +100,9 @@ class MadMpi(MpiEndpoint):
         nbytes: int | None = None,
         datatype: Datatype | None = None,
         deadline_us: float | None = None,
-    ) -> MpiRequest:
-        """Nonblocking receive from ``source`` (a rank in ``comm`` or ANY).
+    ) -> MpiRecv | MpiRequest:
+        """Nonblocking receive from ``source`` (a rank in ``comm`` or ANY);
+        untyped, the handle is the library's own receive request.
 
         ``deadline_us`` (relative virtual time) bounds how long the
         receive may stay unmatched: on expiry the posted receive is
@@ -111,10 +114,10 @@ class MadMpi(MpiEndpoint):
         comm = self._live_comm(comm)
         src_node = ANY if source == ANY else comm.node_of(source)
         if datatype is None:
-            return self._mapped_recv(
-                self.engine.irecv(src=src_node, tag=tag, flow=comm.id,
-                                  nbytes=nbytes, deadline_us=deadline_us),
-                comm)
+            req = self.engine.irecv(src_node, tag, comm.id, nbytes,
+                                    deadline_us, MpiRecv)
+            req.comm = comm
+            return req
         blocks = datatype.flatten()
         if not blocks:
             raise MpiError("cannot receive into an empty datatype")
@@ -123,18 +126,17 @@ class MadMpi(MpiEndpoint):
                               nbytes=length, deadline_us=deadline_us)
             for _, length in blocks
         ]
-        req = MpiRequest(self.sim.event(), kind="recv", datatype=datatype)
 
-        def _publish() -> None:
-            req.block_data = [s.data for s in subs]
-            first = subs[0]
-            assert first.actual_src is not None
-            req.set_status(source=comm.rank_of(first.actual_src),
-                           tag=first.actual_tag,
-                           count=sum(s.actual_len for s in subs))
+        def _publish(typed: MpiRequest) -> None:
+            typed.block_data = [s.data for s in subs]
+            typed.source = comm.rank_of(subs[0].actual_src)
+            typed.tag = subs[0].actual_tag
+            typed.count = sum(s.actual_len for s in subs)
 
-        self.sim.all_of([s.done for s in subs]).add_callback(
-            self._recv_done(req, _publish))
+        req = MpiRequest(self.sim, "recv", datatype, 1, _publish)
+        # One part, the blocks' join: the handle fires a hop after the last
+        # block, as it did when it was a separate event.
+        self.sim.all_of(subs).add_callback(req.part_done)
         return req
 
     # -- helpers --------------------------------------------------------------------

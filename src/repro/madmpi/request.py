@@ -4,117 +4,129 @@ Both MAD-MPI and the baseline models hand these to applications, so the
 ping-pong harness can drive any backend through one interface.
 
 Paper §3.4 maps isend / irecv / wait / test *directly* onto the library
-underneath, and the handle is that mapping: ``done`` is the library
-request's own completion event, and an untyped receive's status
-(``source`` / ``tag`` / ``count`` / ``data``) reads through to the library
-:class:`~repro.core.requests.RecvRequest` — nothing is copied, no second
-event fires.  Only a derived-datatype receive, which finishes after several
-library receives (or after an unpack), owns an event and has its status and
-per-block data stamped at completion.
-
-A completed handle pins the status and the data, nothing else: the event
-carries no value, so a request is never in a reference cycle with it.
+underneath, and the handle is that mapping: what an untyped ``isend`` /
+``irecv`` returns *is* the library request — :class:`MpiSend` /
+:class:`MpiRecv` are :class:`~repro.core.requests.SendRequest` /
+:class:`~repro.core.requests.RecvRequest` with the MPI view on them
+(``kind``, and a receive's status ``source`` / ``tag`` / ``count`` /
+``data``, read off the library's own fields) — and the library request is
+its own completion event.  Only a derived-datatype operation, which really
+does finish after several library requests, is a further object
+(:class:`MpiRequest`).  Every handle is an :class:`~repro.sim.Event` whose
+``done`` is itself, so ``yield req``, ``wait_all(mixed)`` and
+``sim.all_of(reqs)`` take handles as they are.  A completed handle pins the
+status and the data, nothing else.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.core.data import SegmentData, VirtualData
-from repro.core.requests import RecvRequest
+from repro.core.requests import RecvRequest, Request, SendRequest
 from repro.errors import MpiError
 from repro.madmpi.comm import Communicator
 from repro.madmpi.datatype import Datatype
-from repro.sim import Event
+from repro.sim import Event, Simulator
 
-__all__ = ["MpiRequest"]
-
-#: Status of a request that has none (yet): source, tag, count, data.
-_NO_STATUS: tuple[None, None, None, None] = (None, None, None, None)
+__all__ = ["MpiRecv", "MpiRequest", "MpiSend"]
 
 
-class MpiRequest:
-    """Handle on a nonblocking MPI operation."""
+class _Untyped:
+    """What the MPI view of an operation without a datatype answers."""
 
-    __slots__ = ("done", "kind", "datatype", "block_data",
-                 "_sub", "_comm", "_status")
+    __slots__ = ()
+    datatype = None
+    block_data: Sequence[SegmentData] = ()
 
-    def __init__(
-        self,
-        done: Event,
-        kind: str,
-        datatype: Datatype | None = None,
-        sub: RecvRequest | None = None,
-        comm: Communicator | None = None,
-    ) -> None:
-        self.done = done
-        self.kind = kind  # "send" | "recv"
-        self.datatype = datatype
-        #: Per-block data of a typed receive (set at completion).
-        self.block_data: Sequence[SegmentData] = ()
-        # Untyped receive: the library request the status reads through to,
-        # and the communicator that turns its node id into a rank.
-        self._sub = sub
-        self._comm = comm
-        # Typed receive: stamped by set_status() at completion.
-        self._status: tuple[int | None, int | None, int | None,
-                            SegmentData | None] = _NO_STATUS
+    def scatter_into(self, buffer: bytearray | memoryview) -> None:
+        raise MpiError("scatter_into() on an untyped request")
 
-    # -- status (receives only; None until completed successfully) ------------
+
+class MpiSend(_Untyped, SendRequest):
+    """An untyped MPI send: the library send request itself."""
+
+    __slots__ = ()
+    kind = "send"
+    #: A send never grows a status.
+    source = tag = count = data = None
+
+
+class MpiRecv(_Untyped, RecvRequest):
+    """An untyped MPI receive: the library receive request itself.  The
+    status is ``None`` until the receive completed successfully; the
+    selectors it was posted with (possibly wildcards) never show through.
+    ``comm``, set by the endpoint that posted it, turns the library's node
+    id into a rank on read.
+    """
+
+    __slots__ = ("comm",)
+    kind = "recv"
+    comm: Communicator
+
     @property
     def source(self) -> int | None:
         """Sender's rank in the request's communicator."""
-        sub = self._sub
-        if sub is None:
-            return self._status[0]
-        node = sub.actual_src
-        if node is None:
-            return None
-        assert self._comm is not None
-        return self._comm.rank_of(node)
+        node = self.actual_src
+        return None if node is None else self.comm.rank_of(node)
 
     @property
     def tag(self) -> int | None:
-        sub = self._sub
-        return self._status[1] if sub is None else sub.actual_tag
+        """The matched message's tag."""
+        return self.actual_tag
 
     @property
     def count(self) -> int | None:
         """Bytes received."""
-        sub = self._sub
-        return self._status[2] if sub is None else sub.actual_len
+        return self.actual_len
 
-    @property
-    def data(self) -> SegmentData | None:
-        sub = self._sub
-        return self._status[3] if sub is None else sub.data
 
-    def set_status(self, source: int, tag: int, count: int,
-                   data: SegmentData | None = None) -> None:
-        """Stamp the outcome of a typed receive (its completion path only)."""
-        self._status = (source, tag, count, data)
+class MpiRequest(Request):
+    """Handle on a derived-datatype operation, which finishes after several
+    library requests: it fires once ``n_parts`` successes were reported to
+    :meth:`part_done`, after ``publish(handle)`` stamped a typed receive's
+    status and ``block_data``.  A failure of any part fails the handle,
+    marked observed like the library's own failures (it reaches the
+    application through wait/test, never crashes a run that only polls).
+    Finished, the handle keeps no part alive.
+    """
 
-    # -- completion ------------------------------------------------------------
-    @property
-    def complete(self) -> bool:
-        """Nonblocking completion test (MPI_Test semantics, no progress)."""
-        return self.done.triggered
+    __slots__ = ("kind", "datatype", "block_data",
+                 "source", "tag", "count", "data", "_waiting", "_publish")
 
-    @property
-    def failed(self) -> bool:
-        """True when the operation ended in an error instead of completing.
+    def __init__(self, sim: Simulator, kind: str, datatype: Datatype,
+                 n_parts: int,
+                 publish: Callable[[MpiRequest], None] | None = None) -> None:
+        Event.__init__(self, sim)
+        self.kind = kind  # "send" | "recv"
+        self.datatype = datatype
+        self.block_data: Sequence[SegmentData] = ()
+        self.source: int | None = None
+        self.tag: int | None = None
+        self.count: int | None = None
+        self.data: SegmentData | None = None
+        self._waiting = n_parts
+        self._publish = publish
 
-        With the engine's reliability layer active, a send whose retransmit
-        budget is exhausted fails with
-        :class:`~repro.errors.TransportError`; this surfaces it through the
-        MPI-level wait/test interface without raising.
-        """
-        return self.done.triggered and not self.done.ok
-
-    @property
-    def error(self):
-        """The failure exception, or ``None`` (nonblocking inspection)."""
-        return self.done.exception if self.failed else None
+    def part_done(self, part: Event) -> None:
+        """Completion callback of every part: the last success completes
+        the handle, the first failure fails it (an ``AllOf`` that holds on
+        to nothing)."""
+        if self.triggered:
+            return
+        if part.ok:
+            self._waiting -= 1
+            if self._waiting:
+                return
+            if self._publish is not None:
+                self._publish(self)
+            self.succeed()
+        else:
+            part.defuse()
+            assert part.exception is not None
+            self.fail(part.exception)
+            self.defuse()
+        self._publish = None
 
     def scatter_into(self, buffer: bytearray | memoryview) -> None:
         """Scatter a completed typed receive into ``buffer``.
@@ -124,8 +136,6 @@ class MpiRequest:
         """
         if not self.complete:
             raise MpiError("scatter_into() before completion")
-        if self.datatype is None:
-            raise MpiError("scatter_into() on an untyped request")
         view = memoryview(buffer)
         flat = self.datatype.flatten()
         if len(flat) != len(self.block_data):
@@ -142,7 +152,3 @@ class MpiRequest:
             if isinstance(data, VirtualData):
                 continue  # benchmark payloads carry no content
             view[disp:disp + length] = data.tobytes()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "done" if self.complete else "pending"
-        return f"<MpiRequest {self.kind} {state}>"

@@ -109,6 +109,15 @@ class Event:
     simulator processes the event; callbacks registered after triggering are
     scheduled to run immediately (still via the event queue, preserving
     determinism).
+
+    Subclassing (an operation that *is* its completion event, like the
+    engine's requests): add ``__slots__``, call :meth:`Event.__init__`, and
+    use the public surface only — ``triggered``/``ok``/``exception``/
+    ``succeed``/``fail``/``defuse``/``add_callback``; the underscored
+    fields stay the kernel's (lint NM301).  A subclass may override
+    :attr:`name` to render its label from its own fields on demand.  Never
+    store a reference to ``self`` in a slot: a one-object cycle is still a
+    cycle only the collector can free.
     """
 
     __slots__ = (

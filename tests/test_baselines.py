@@ -12,9 +12,12 @@ from repro.baselines import (
 )
 from repro.core import VirtualData
 from repro.errors import MpiError
-from repro.madmpi import ANY, Communicator, Indexed, indexed_small_large
+from repro.madmpi import (
+    ANY, Communicator, Indexed, MpiRecv, MpiRequest, MpiSend,
+    indexed_small_large,
+)
 from repro.netsim import Cluster, MX_MYRI10G, QUADRICS_QM500
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 
 
 def make_pair(cls=MpichMpi, rails=(MX_MYRI10G,), params=None):
@@ -97,8 +100,8 @@ class TestEager:
 
 
 class TestDirectMapping:
-    """The baselines hand out the same mapped receive handle as MAD-MPI
-    (``MpiEndpoint`` owns it): one event, status read through on demand."""
+    """The baselines hand out the same handles as MAD-MPI: the request is
+    its own completion event, status read off it on demand."""
 
     @staticmethod
     def status(req):
@@ -138,6 +141,46 @@ class TestDirectMapping:
             (0, 2, 2, b"\x02\x02"), (0, 1, 1, b"\x01"),
             (0, 3, 3, b"\x03\x03\x03")]
         assert all(len(r.block_data) == 0 for r in got)
+
+    @pytest.mark.parametrize("cls", [MpichMpi, OpenMpi])
+    def test_handles_are_their_own_completion_event(self, cls):
+        sim, _, (m0, m1) = make_pair(cls)
+        dtype = Indexed([2, 2], [0, 4])
+        rreq, sreq = m1.irecv(source=0, tag=1), m0.isend(b"ab", dest=1, tag=1)
+        typed = m1.irecv(source=0, tag=2, datatype=dtype)
+        packed = m0.isend(bytes(dtype.extent), dest=1, tag=2, datatype=dtype)
+        assert type(rreq) is MpiRecv and type(sreq) is MpiSend
+        assert type(typed) is MpiRequest and type(packed) is MpiSend
+        for req in (rreq, sreq, typed, packed):
+            assert isinstance(req, Event) and req.done is req
+            assert not hasattr(req, "__dict__")
+        assert (sreq.kind, rreq.kind, typed.kind) == ("send", "recv", "recv")
+        assert sreq.datatype is None and len(sreq.block_data) == 0
+        assert sreq.wrap is None   # no engine underneath, no packet wrap
+
+        def app():
+            yield rreq                      # the short form
+            yield sreq.done                 # the long one: same object
+            idx, first = yield from m1.wait_any(
+                [m1.irecv(source=0, tag=99), typed])
+            assert (idx, first) == (1, typed)
+            yield from m0.wait_all([sreq, packed])
+            again = yield from m1.sendrecv(b"pong", dest=0, source=0,
+                                           sendtag=4, recvtag=3)
+            return again
+
+        def peer():
+            yield from m0.sendrecv(b"ping", dest=1, source=1, sendtag=3,
+                                   recvtag=4)
+
+        sim.spawn(peer())
+        again = sim.run_process(app())
+        assert self.status(rreq) == (0, 1, 2, b"ab")
+        assert self.status(sreq) == self.status(packed) == (None,) * 4
+        assert (typed.source, typed.tag, typed.count) == (0, 2, 4)
+        assert self.status(again) == (0, 3, 4, b"ping")
+        with pytest.raises(MpiError, match="untyped"):
+            rreq.scatter_into(bytearray(4))
 
     def test_source_is_a_rank_of_the_requests_communicator(self):
         sim, world, (m0, m1, m2) = self.make_trio()

@@ -47,7 +47,8 @@ def _payload() -> dict:
                            "messages_per_s": 20_000.0,
                            "sim_us_makespan": 8685.436,
                            "calls_per_msg": 166.81},
-        "object_census": {"messages": 400, "objects_per_msg": 7.0,
+        "object_census": {"messages": 400, "objects_per_msg": 4.0,
+                          "retained_bytes_per_msg": 625.34,
                           "cyclic_garbage_per_msg": 0.0},
         "scale": {"n_nodes": 256, "n_frames": 20_000, "seed": 11,
                   "delivered": 20_000, "forwarded": 60_571,
@@ -151,19 +152,33 @@ class TestCheckBench:
         assert [s.split(" is exact")[0] for s in skipped] == [
             "object_census: cyclic_garbage_per_msg",
             "object_census: objects_per_msg",
+            "object_census: retained_bytes_per_msg",
             "pingpong: calls_per_msg", "random_traffic: calls_per_msg"]
         fresh["python"] = "3.11.9"   # a patch release counts the same calls
         assert len(check_bench(fresh, _payload())[0]) == 1
 
     def test_objects_per_message_may_fall_but_not_rise(self):
         fresh = _payload()
-        fresh["results"]["object_census"]["objects_per_msg"] = 6.0
+        fresh["results"]["object_census"]["objects_per_msg"] = 3.0
         assert check_bench(fresh, _payload()) == ([], [])
         # One more object kept per message is far past the 2 %.
-        fresh["results"]["object_census"]["objects_per_msg"] = 8.0
+        fresh["results"]["object_census"]["objects_per_msg"] = 5.0
         failures, skipped = check_bench(fresh, _payload())
         assert len(failures) == 1 and not skipped
-        assert "object_census: objects_per_msg 8.0 > 7.14" in failures[0]
+        assert "object_census: objects_per_msg 5.0 > 4.08" in failures[0]
+        assert check_bench(fresh, _payload(), tolerance=0.9)[0] == failures
+
+    def test_retained_bytes_per_message_may_fall_but_not_rise(self):
+        fresh = _payload()
+        fresh["results"]["object_census"]["retained_bytes_per_msg"] = 601.26
+        assert check_bench(fresh, _payload()) == ([], [])
+        # Two more slots on each of the two requests.
+        fresh["results"]["object_census"]["retained_bytes_per_msg"] = 657.34
+        failures, skipped = check_bench(fresh, _payload())
+        assert len(failures) == 1 and not skipped
+        assert ("object_census: retained_bytes_per_msg 657.34 > 637.85"
+                in failures[0])
+        assert "keeps more memory allocated" in failures[0]
         assert check_bench(fresh, _payload(), tolerance=0.9)[0] == failures
 
     def test_any_cyclic_garbage_fails_against_a_baseline_of_none(self):
@@ -185,12 +200,22 @@ class TestCheckBench:
         fresh = _payload()
         fresh["results"]["object_census"]["cyclic_garbage_per_msg"] = 3.0
         assert check_bench(fresh, old) == ([], [])
+        old = _payload()   # the trajectory of the commit before the byte count
+        del old["results"]["object_census"]["retained_bytes_per_msg"]
+        fresh = _payload()
+        fresh["results"]["object_census"]["retained_bytes_per_msg"] = 9999.0
+        assert check_bench(fresh, old) == ([], [])
         # ... but a fresh run that lost a count the baseline has does not.
         fresh = _payload()
         del fresh["results"]["object_census"]["objects_per_msg"]
         failures, _ = check_bench(fresh, _payload())
         assert len(failures) == 1
         assert "object_census: objects_per_msg None" in failures[0]
+        fresh = _payload()
+        del fresh["results"]["object_census"]["retained_bytes_per_msg"]
+        failures, _ = check_bench(fresh, _payload())
+        assert len(failures) == 1
+        assert "object_census: retained_bytes_per_msg None" in failures[0]
         fresh = _payload()
         del fresh["results"]["object_census"]
         assert check_bench(fresh, _payload())[0] == [
@@ -285,6 +310,7 @@ class TestBenches:
     def test_object_census(self):
         res = bench_object_census(depth=4, rounds=2)
         assert set(res) == {"messages", "objects_per_msg",
+                            "retained_bytes_per_msg",
                             "cyclic_garbage_per_msg"}
         assert res["messages"] == 16
         # Exact, and independent of the exchange's size: a per-message
@@ -294,11 +320,42 @@ class TestBenches:
             "object_census"]["messages"]
         assert (res["objects_per_msg"], res["cyclic_garbage_per_msg"]) == \
             (full["objects_per_msg"], full["cyclic_garbage_per_msg"])
+        # The byte count repeats exactly too, for one exchange size (sets
+        # and lists that grow in steps make it depend on the size).
+        assert full["retained_bytes_per_msg"] == \
+            bench_object_census()["retained_bytes_per_msg"] > 0
 
     def test_object_census_leaves_the_collector_as_it_found_it(self):
         import gc
-        assert gc.isenabled()
+        import tracemalloc
+        assert gc.isenabled() and not tracemalloc.is_tracing()
         bench_object_census(depth=2, rounds=1)
+        assert gc.isenabled() and not tracemalloc.is_tracing()
+
+    def test_calls_per_message_ignores_what_a_collection_calls(self):
+        # Anything in gc.callbacks runs once per collection; counted, it
+        # would make the "exact" count depend on when collections happen
+        # (Hypothesis installs such a hook for the whole test session).
+        import gc
+        hook_calls = []
+
+        def hook(phase, info):
+            hook_calls.append(len(str(info)))   # a few calls of its own
+
+        quiet = bench_random_traffic(n_messages=40)["calls_per_msg"]
+        gc.callbacks.append(hook)
+        try:
+            first = bench_random_traffic(n_messages=40)["calls_per_msg"]
+            old = gc.get_threshold()
+            gc.set_threshold(50)   # many more collections, same count
+            try:
+                second = bench_random_traffic(n_messages=40)["calls_per_msg"]
+            finally:
+                gc.set_threshold(*old)
+        finally:
+            gc.callbacks.remove(hook)
+        assert hook_calls, "the hook never ran: the test proves nothing"
+        assert quiet == first == second
         assert gc.isenabled()
 
     def test_scale(self):

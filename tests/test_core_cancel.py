@@ -1,8 +1,9 @@
 """Tests for send cancellation (window removal + sequence tombstones)."""
 
+import gc
 
-from repro.core import NmadEngine, VirtualData
-from repro.errors import MpiError
+from repro.core import NmadEngine, PacketWrap, VirtualData
+from repro.errors import DeadlineExceededError, MpiError
 from repro.netsim import Cluster, MX_MYRI10G
 from repro.sim import Simulator
 
@@ -129,10 +130,11 @@ class TestCancelAnticipated:
             # The submit ran the optimizer off the critical path; the plan
             # it prepared is only a plan, the wrap still waits in the window.
             assert e0.transfer.has_anticipated
-            assert victim.wrap in e0.window
+            wrap = victim.wrap
+            assert wrap in e0.window
             cancelled = e0.cancel(victim)
-            assert victim.failed
-            assert victim.wrap not in e0.window
+            assert victim.failed and victim.wrap is None
+            assert wrap not in e0.window
             e0.isend(1, b"after", tag=2)
             yield sim.all_of([r0.done, r2.done])
             return cancelled, r2
@@ -174,3 +176,56 @@ class TestCancelAnticipated:
         # Only the announcement that left the node counts.
         assert e0.rendezvous.handshakes == 1
         assert e0.quiesced() and e1.quiesced()
+
+
+class TestSettledHandle:
+    """A request points at its wrap only while the send is pending: the
+    wrap points back, and a finished message must not be left in a cycle
+    (or pin its wrap) for as long as the application keeps the handle."""
+
+    @staticmethod
+    def live_wraps():
+        gc.collect()
+        return sum(type(o) is PacketWrap for o in gc.get_objects())
+
+    def test_settled_send_handles_reference_no_wrap(self):
+        sim, e0, e1 = make()
+        before = self.live_wraps()
+        for tag, size in enumerate((8, 8, 100_000)):   # eager x2, rendezvous
+            e1.irecv(src=0, tag=tag)
+        held = [e0.isend(1, VirtualData(size), tag=tag)
+                for tag, size in enumerate((8, 8, 100_000))]
+        assert all(req.wrap.completion is req for req in held)
+        assert self.live_wraps() == before + 3
+        sim.run()
+        assert all(req.complete and req.wrap is None for req in held)
+        assert self.live_wraps() == before   # with every handle still held
+        assert e0.quiesced() and e1.quiesced()
+
+    def test_cancel_of_a_settled_request_answers_false(self):
+        sim, e0, e1 = make()
+        e1.irecv(src=0, tag=0)
+        sent = e0.isend(1, VirtualData(20_000), tag=0)     # occupies the NIC
+        sim.run(until=0.1)
+        expired = e0.isend(1, b"late", tag=1, deadline_us=0.5)
+        cancelled = e0.isend(1, b"victim", tag=2)
+        assert e0.cancel(cancelled) is True
+        sim.run()
+        assert sent.complete and not sent.failed
+        assert isinstance(expired.error, DeadlineExceededError)
+        assert isinstance(cancelled.error, MpiError)
+        for req in (sent, expired, cancelled):
+            assert req.wrap is None
+            assert e0.cancel(req) is False   # and does not raise
+        assert e0.quiesced()
+
+    def test_a_dropped_pending_handle_still_completes_its_wrap(self):
+        sim, e0, e1 = make()
+        e1.irecv(src=0, tag=0)
+        wrap = e0.isend(1, b"fire and forget", tag=0).wrap   # handle dropped
+        gc.collect()
+        req = wrap.completion
+        assert req is not None and not req.triggered and req.wrap is wrap
+        sim.run()
+        assert req.complete and not req.failed and req.wrap is None
+        assert wrap.wrap_id in e0.transfer.sent_wraps

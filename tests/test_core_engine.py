@@ -14,18 +14,20 @@ from repro.core import (
     EngineParams,
     FifoStrategy,
     NmadEngine,
+    RecvRequest,
+    SendRequest,
     VirtualData,
     begin_pack,
     begin_unpack,
 )
-from repro.errors import MpiError, NetworkError
+from repro.errors import MpiError, NetworkError, SimulationError
 from repro.netsim import (
     Cluster,
     GM_MYRINET,
     MX_MYRI10G,
     QUADRICS_QM500,
 )
-from repro.sim import Simulator, Tracer
+from repro.sim import Event, Simulator, Tracer
 
 
 def make_pair(rails=(MX_MYRI10G,), strategy="aggregation", params=None,
@@ -514,6 +516,79 @@ class TestPackInterface:
 
         r1 = sim.run_process(app())
         assert r1.data.tobytes() == b"early piece"
+
+
+class TestRequestIsItsCompletionEvent:
+    """A nonblocking operation is one object: the handle the engine returns
+    is its own completion event (``req.done`` is kept as the long form)."""
+
+    def test_native_handles_are_plain_requests_and_events(self):
+        sim, _, (e0, e1) = make_pair()
+        rreq = e1.irecv(src=ANY, tag=ANY, flow=3)
+        sreq = e0.isend(1, b"payload", tag=5, flow=3)
+        assert type(sreq) is SendRequest and type(rreq) is RecvRequest
+        for req in (sreq, rreq):
+            assert isinstance(req, Event) and req.done is req
+            assert not hasattr(req, "__dict__")
+            assert not req.complete and not req.failed and req.error is None
+        # The debug label is rendered from the request's own fields.
+        assert (sreq.name, rreq.name) == ("send:1/3/5", "recv:-1/3/-1")
+        assert repr(rreq) == "<RecvRequest 'recv:-1/3/-1' pending>"
+        # Pending: selectors as posted, no status yet (no wildcard leaks).
+        assert (rreq.posted_src, rreq.posted_tag) == (ANY, ANY)
+        assert (rreq.data, rreq.actual_src, rreq.actual_tag,
+                rreq.actual_len) == (None, None, None, None)
+        assert sreq.wrap.completion is sreq
+        sim.run()
+        assert sreq.complete and rreq.complete and sreq.wrap is None
+        assert (rreq.actual_src, rreq.actual_tag, rreq.actual_len) == (0, 5, 7)
+        assert (rreq.posted_src, rreq.posted_tag) == (ANY, ANY)
+        assert repr(sreq) == "<SendRequest 'send:1/3/5' ok>"
+
+    def test_yield_and_conditions_take_the_handle_itself(self):
+        sim, _, (e0, e1) = make_pair()
+        seen = []
+
+        def app():
+            recvs = [e1.irecv(src=0, tag=t) for t in range(4)]
+            recvs[0].done.add_callback(lambda evt: seen.append(
+                (evt is recvs[0], evt.ok, recvs[0].actual_tag,
+                 recvs[0].data.tobytes())))
+            sends = [e0.isend(1, bytes([t]), tag=t) for t in range(4)]
+            yield recvs[0]                       # short form
+            yield recvs[1].done                  # long form, same object
+            yield sim.all_of(recvs[2:] + sends)  # no ``.done`` pass
+            first = yield sim.any_of([e1.irecv(src=0, tag=9), recvs[3]])
+            assert list(first) == [recvs[3]]
+            return recvs
+
+        recvs = sim.run_process(app())
+        assert [r.data.tobytes() for r in recvs] == [bytes([t])
+                                                     for t in range(4)]
+        assert seen == [(True, True, 0, b"\x00")]
+
+    def test_livelock_report_names_the_requests(self):
+        heads = {}
+        for limit in (4, 8, 9):
+            sim, _, (e0, e1) = make_pair()
+            e1.irecv(src=0, tag=5)
+            e0.isend(1, b"x", tag=5)
+            with pytest.raises(SimulationError) as exc:
+                sim.run(max_events=limit)
+            heads[limit] = str(exc.value).split("next up: ")[1]
+        assert heads[4] == "(t=0.8464, <SendRequest 'send:1/0/5' ok>)"
+        assert "<RecvRequest 'recv:0/0/5' pending>" in heads[8]
+        assert heads[9] == "(t=3.12751, <RecvRequest 'recv:0/0/5' ok>)"
+
+    def test_failed_request_reports_without_raising(self):
+        sim, _, (e0, e1) = make_pair()
+        rreq = e1.irecv(src=0, tag=1, nbytes=2)
+        e0.isend(1, b"too long", tag=1)
+        sim.run()   # polled only: the run must not raise
+        assert rreq.complete and rreq.failed and not rreq.ok
+        assert isinstance(rreq.error, MpiError)
+        assert "truncation" in str(rreq.error)
+        assert rreq.data is None and rreq.actual_src is None
 
 
 class TestEngineManagement:

@@ -24,8 +24,7 @@ def rdv(src=0, flow=0, tag=0, seq=0, nbytes=100_000, handle=1):
 
 
 def recv_req(sim, src=ANY, flow=0, tag=ANY, capacity=None):
-    return RecvRequest(src=src, flow=flow, tag=tag, capacity=capacity,
-                       done=sim.event())
+    return RecvRequest(sim, src=src, flow=flow, tag=tag, capacity=capacity)
 
 
 @pytest.fixture()

@@ -6,7 +6,7 @@ from repro.core import EngineParams, NmadEngine, VirtualData
 from repro.core.data import Bytes
 from repro.core.packet import RdvAckItem, RdvDataItem
 from repro.core.rendezvous import RdvRecvState
-from repro.core.requests import RecvRequest
+from repro.core.requests import RecvRequest, SendRequest
 from repro.errors import ProtocolError
 from repro.netsim import Cluster, MX_MYRI10G
 from repro.sim import Simulator
@@ -48,8 +48,7 @@ class TestSenderSide:
         from repro.core.packet import PacketWrap
 
         wrap = PacketWrap(dest=1, flow=0, tag=0, seq=0,
-                          data=VirtualData(2500),
-                          completion=sim.event())
+                          data=VirtualData(2500))
         req_item = e0.rendezvous.announce(wrap, rail=0)
         e0.rendezvous.on_ack(RdvAckItem(src=1, handle=req_item.handle))
         chunks = []
@@ -66,23 +65,23 @@ class TestSenderSide:
         sim, e0, _ = make_engines(params=params)
         from repro.core.packet import PacketWrap
 
-        wrap = PacketWrap(dest=1, flow=0, tag=0, seq=0,
-                          data=VirtualData(2000), completion=sim.event())
+        req = SendRequest(sim, dest=1, flow=0, tag=0)
+        req.wrap = wrap = PacketWrap(dest=1, flow=0, tag=0, seq=0,
+                                     data=VirtualData(2000), completion=req)
         item = e0.rendezvous.announce(wrap, rail=0)
         e0.rendezvous.on_ack(RdvAckItem(src=1, handle=item.handle))
         state, c1 = e0.rendezvous.next_chunk(0, multirail=False)
         state, c2 = e0.rendezvous.next_chunk(0, multirail=False)
         e0.rendezvous.chunk_sent(state, c1)
-        assert not wrap.completion.triggered
+        assert not req.triggered and req.wrap is wrap
         e0.rendezvous.chunk_sent(state, c2)
-        assert wrap.completion.triggered
+        assert req.complete and not req.failed and req.wrap is None
 
 
 class TestReceiverSide:
     def _state(self, total=1000, capacity=None):
         sim = Simulator()
-        req = RecvRequest(src=0, flow=0, tag=0, capacity=capacity,
-                          done=sim.event())
+        req = RecvRequest(sim, src=0, flow=0, tag=0, capacity=capacity)
         return RdvRecvState(req, src=0, handle=1, total=total, tag=3)
 
     def test_out_of_range_chunk_rejected(self):
@@ -125,8 +124,7 @@ class TestReceiverSide:
 
         item = RdvReqItem(src=0, flow=0, tag=0, seq=0, handle=1,
                           nbytes=100_000)
-        req = RecvRequest(src=0, flow=0, tag=0, capacity=None,
-                          done=sim.event())
+        req = RecvRequest(sim, src=0, flow=0, tag=0, capacity=None)
         e1.rendezvous.grant(item, req)
         with pytest.raises(ProtocolError, match="duplicate"):
             e1.rendezvous.grant(item, req)

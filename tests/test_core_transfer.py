@@ -68,8 +68,9 @@ class TestPullMachinery:
         def app():
             e1.irecv(src=0)
             req = e0.isend(1, b"first")
-            yield req.done
-            return req.wrap.wrap_id
+            wrap_id = req.wrap.wrap_id   # a settled request lets go of it
+            yield req
+            return wrap_id
 
         wrap_id = sim.run_process(app())
         assert wrap_id in e0.transfer.sent_wraps

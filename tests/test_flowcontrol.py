@@ -292,7 +292,7 @@ class TestWatchdog:
             "credit: outstanding=2048B/2w of 32768B/2w [blocked], "
             "released-out=0B/0w"]
         # A wedged request still names itself (label rendered lazily).
-        assert repr(reqs[-1].done) == "<Event 'send:1/0/29' pending>"
+        assert repr(reqs[-1].done) == "<SendRequest 'send:1/0/29' pending>"
 
     def test_healthy_run_never_trips(self):
         params = EngineParams(flow_control="credit",

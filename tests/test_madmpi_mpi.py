@@ -1,21 +1,30 @@
 """Integration tests for MAD-MPI (isend/irecv/wait/test, comms, datatypes)."""
 
+import gc
+
 import pytest
 
 from repro.baselines import MpichMpi
-from repro.core import NmadEngine, VirtualData
-from repro.errors import DeadlineExceededError, MpiError, PeerDeadError
+from repro.core import (
+    EngineParams, NmadEngine, PacketWrap, RecvRequest, SendRequest,
+    VirtualData,
+)
+from repro.errors import (
+    DeadlineExceededError, MpiError, PeerDeadError, TransportError,
+)
 from repro.madmpi import (
     ANY,
     Communicator,
     Contiguous,
     Indexed,
     MadMpi,
+    MpiRecv,
     MpiRequest,
+    MpiSend,
     indexed_small_large,
 )
-from repro.netsim import Cluster, MX_MYRI10G
-from repro.sim import Simulator
+from repro.netsim import Cluster, FaultPlan, MX_MYRI10G
+from repro.sim import Event, Simulator
 
 
 def make_mpi_pair(strategy="aggregation", rails=(MX_MYRI10G,)):
@@ -266,29 +275,108 @@ class TestDatatypes:
 
 
 class TestDirectMapping:
-    """Paper 3.4: irecv/wait/test map directly onto the engine's.  An untyped
-    receive handle completes on the engine request's own event and reads its
-    status through to it."""
+    """Paper 3.4: isend/irecv/wait/test map directly onto the engine's.  An
+    untyped handle *is* the engine request, which is its own completion
+    event; only a derived-datatype handle is a further object."""
 
     def test_untyped_irecv_shares_the_engine_requests_event(self):
         sim, _, (m0, m1) = make_mpi_pair()
         subs = []
         engine_irecv = m1.engine.irecv
 
-        def spy(**kwargs):
-            subs.append(engine_irecv(**kwargs))
+        def spy(*args, **kwargs):
+            subs.append(engine_irecv(*args, **kwargs))
             return subs[-1]
 
         m1.engine.irecv = spy
         req = m1.irecv(source=0, tag=4)
-        assert len(subs) == 1 and req.done is subs[0].done
+        assert len(subs) == 1 and req is subs[0] and req.done is req
+        assert isinstance(req, Event) and isinstance(req, RecvRequest)
         m0.isend(b"one event", dest=1, tag=4)
         sim.run()
         assert status(req) == (0, 4, 9, b"one event")
-        assert req.data is subs[0].data
-        # The typed path finishes after its blocks: it owns its event.
+        # The typed path finishes after its blocks: a handle of its own,
+        # an event like the others.
         typed = m1.irecv(source=0, tag=5, datatype=Contiguous(4))
-        assert len(subs) == 2 and typed.done is not subs[1].done
+        assert len(subs) == 2 and typed is not subs[1]
+        assert isinstance(typed, Event) and typed.done is typed
+
+    def test_untyped_isend_returns_the_engine_request(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+        handed = []
+        engine_isend = m0.engine.isend
+
+        def spy(*args, **kwargs):
+            handed.append(engine_isend(*args, **kwargs))
+            return handed[-1]
+
+        m0.engine.isend = spy
+        sreq = m0.isend(b"x", dest=1, tag=2)
+        assert handed == [sreq] and sreq.done is sreq
+        assert isinstance(sreq, Event) and isinstance(sreq, SendRequest)
+        assert sreq.kind == "send" and sreq.datatype is None
+        # Pending, it is the wrap's completion; settled, it lets go of it.
+        assert sreq.wrap.completion is sreq
+        assert (sreq.wrap.flow, sreq.wrap.seq) == (m0.world.id, 0)
+        m1.irecv(source=0, tag=2)
+        sim.run()
+        assert sreq.complete and sreq.wrap is None
+        typed = m0.isend(b"abcd", dest=1, tag=3, datatype=Contiguous(4))
+        assert len(handed) == 2 and typed is not handed[1]
+        assert isinstance(typed, Event) and typed.done is typed
+
+    def test_every_way_of_waiting_takes_the_handle_itself(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+        dtype = Indexed([2, 2], [0, 4])
+        buf = bytes(range(dtype.extent))
+
+        def sender():
+            for tag in range(4):
+                m0.isend(bytes([tag]), dest=1, tag=tag)
+            yield m0.isend(buf, dest=1, tag=4, datatype=dtype)
+            yield m0.isend(b"!", dest=1, tag=5).done
+
+        def receiver():
+            first = m1.irecv(source=0, tag=0)
+            yield first                        # the short form
+            second = m1.irecv(source=0, tag=1)
+            yield second.done                  # the long form: same object
+            mixed = [m1.irecv(source=0, tag=2),
+                     m1.irecv(source=0, tag=4, datatype=dtype),
+                     m1.irecv(source=0, tag=3)]
+            assert (yield from m1.wait_all(mixed)) == mixed
+            idx, last = yield from m1.wait_any(
+                [m1.irecv(source=0, tag=77, datatype=dtype),
+                 m1.irecv(source=0, tag=5)])
+            assert idx == 1
+            return [first, second, *mixed, last]
+
+        sim.spawn(sender())
+        got = sim.run_process(receiver())
+        assert [status(r) for r in got] == [
+            (0, 0, 1, b"\x00"), (0, 1, 1, b"\x01"), (0, 2, 1, b"\x02"),
+            (0, 4, 4, None), (0, 3, 1, b"\x03"), (0, 5, 1, b"!")]
+        assert [d.tobytes() for d in got[3].block_data] == [buf[0:2],
+                                                            buf[4:6]]
+
+    def test_finished_typed_handle_keeps_no_part_alive(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+        dtype = indexed_small_large(2, large=40_000)   # eager + rendezvous
+
+        def parts():
+            gc.collect()
+            return sum(type(o) in (SendRequest, RecvRequest, PacketWrap)
+                       for o in gc.get_objects())
+
+        before = parts()
+        rreq = m1.irecv(source=0, tag=1, datatype=dtype)
+        sreq = m0.isend(VirtualData(dtype.extent), dest=1, tag=1,
+                        datatype=dtype)
+        assert parts() >= before + 8    # four blocks each way, pending
+        sim.run()
+        assert sreq.complete and rreq.complete and len(rreq.block_data) == 4
+        assert (rreq.source, rreq.tag, rreq.count) == (0, 1, dtype.size)
+        assert parts() == before        # both handles still held
 
     def test_pending_request_reports_no_status(self):
         _, _, (m0, m1) = make_mpi_pair()
@@ -308,9 +396,13 @@ class TestDirectMapping:
 
     def test_requests_have_no_instance_dict(self):
         _, _, (m0, m1) = make_mpi_pair()
-        for req in (m0.isend(b"x", dest=1), m1.irecv(source=0),
-                    m1.irecv(source=0, datatype=Contiguous(4))):
-            assert type(req) is MpiRequest
+        for req, kind in ((m0.isend(b"x", dest=1), MpiSend),
+                          (m1.irecv(source=0), MpiRecv),
+                          (m1.irecv(source=0, datatype=Contiguous(4)),
+                           MpiRequest),
+                          (m0.isend(b"abcd", dest=1,
+                                    datatype=Contiguous(4)), MpiRequest)):
+            assert type(req) is kind
             assert not hasattr(req, "__dict__")
             with pytest.raises(AttributeError):
                 req.scratch = 1
@@ -478,6 +570,61 @@ class TestFailedReceive:
         def waiter():
             with pytest.raises(kind, match=text):
                 yield from m1.wait(req)
+            return "raised"
+
+        assert sim.run_process(waiter()) == "raised"
+        assert req.failed and isinstance(req.error, kind)
+
+
+def _send_past_its_deadline(datatype):
+    """The NIC is busy with 30 kB, so a send queued 0.1 us later is still in
+    the window when its 0.5 us deadline expires."""
+    sim, _, (m0, m1) = make_mpi_pair()
+    m0.isend(bytes(30_000), dest=1, tag=0)
+    made = []
+    sim.schedule(0.1, lambda: made.append(m0.isend(
+        bytes(40_320), dest=1, tag=1, datatype=datatype, deadline_us=0.5)))
+    sim.run(until=0.2)
+    return sim, m0, made[0], DeadlineExceededError, "deadline"
+
+
+def _send_into_dead_links(datatype):
+    """Every link is down from t = 0 and the retry budget is one."""
+    sim = Simulator()
+    cluster = Cluster(sim, n_nodes=2, rails=(MX_MYRI10G,))
+    for link in cluster.links:
+        link.fault_plan = FaultPlan(down_at_us=0.0)
+    world = Communicator([0, 1])
+    params = EngineParams(reliability="ack", rel_retry_budget=1,
+                          rel_timeout_us=20.0)
+    m0 = MadMpi(NmadEngine(cluster.node(0), params=params), world)
+    MadMpi(NmadEngine(cluster.node(1), params=params), world)
+    req = m0.isend(bytes(40_320), dest=1, tag=1, datatype=datatype)
+    return sim, m0, req, TransportError, "undeliverable"
+
+
+@pytest.mark.parametrize("datatype", [
+    pytest.param(None, id="untyped"),
+    pytest.param(indexed_small_large(2, large=20_000), id="typed")])
+@pytest.mark.parametrize("provoke", [
+    pytest.param(_send_past_its_deadline, id="deadline"),
+    pytest.param(_send_into_dead_links, id="retry-budget")])
+class TestFailedSend:
+    """A send fails *through* wait/test too (the ``isend`` docstring), a
+    derived-datatype send — several library sends — included."""
+
+    def test_polled_failure_does_not_crash_the_run(self, provoke, datatype):
+        sim, m0, req, kind, text = provoke(datatype)
+        sim.run()   # nobody waits: the simulation itself must not raise
+        assert m0.test(req) and req.complete and req.failed
+        assert isinstance(req.error, kind) and text in str(req.error)
+
+    def test_waited_failure_still_raises(self, provoke, datatype):
+        sim, m0, req, kind, text = provoke(datatype)
+
+        def waiter():
+            with pytest.raises(kind, match=text):
+                yield from m0.wait(req)
             return "raised"
 
         assert sim.run_process(waiter()) == "raised"

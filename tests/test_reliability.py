@@ -355,8 +355,8 @@ class TestDeadlockDiagnosis:
             "retransmission (paper mode); a lost or corrupted frame stalls "
             "its stream forever")
         # The stuck requests still name themselves (label rendered lazily).
-        assert repr(held[0].done) == "<Event 'recv:0/0/0' pending>"
-        assert repr(held[1].done) == "<Event 'send:1/0/0' ok>"
+        assert repr(held[0].done) == "<RecvRequest 'recv:0/0/0' pending>"
+        assert repr(held[1].done) == "<SendRequest 'send:1/0/0' ok>"
 
     def test_exhausted_budget_named_in_deadlock(self):
         params = EngineParams(reliability="ack", rel_timeout_us=50.0,
