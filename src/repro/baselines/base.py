@@ -366,14 +366,10 @@ class BaselineMpi(MpiEndpoint):
 
     def _on_match(self, inc: _Arrival, sub: RecvRequest) -> None:
         if sub.capacity is not None and inc.nbytes > sub.capacity:
-            sub.fail(MpiError(
+            sub.fail_observed(MpiError(
                 f"{self.params.name}: truncation — {inc.nbytes}B into "
                 f"{sub.capacity}B receive"
             ))
-            # Defused like the engine's own truncation: the failure reaches
-            # the application through wait/test, and a program that only
-            # polls must not crash at run() end.
-            sub.defuse()
             return
         unpack_blocks = inc.unpack_blocks
         if isinstance(inc.item, RdvReqItem):

@@ -347,8 +347,7 @@ class NmadEngine:
                 f"{deadline_us:g}us deadline"
             )
             self.stats.deadlines_expired += 1
-            req.fail(err)
-            req.defuse()
+            req.fail_observed(err)
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, self._source,
                                  "deadline_expired", side="recv",
@@ -446,12 +445,7 @@ class NmadEngine:
                 f"(src={inc.src} flow={inc.flow} tag={inc.tag}) into a "
                 f"{req.capacity}B receive"
             )
-            # Defused like cancel() and TransferLayer._plan_failed: the
-            # non-raising failed/error API must stay usable — an application
-            # polling via test() would otherwise crash at run() end with the
-            # unobserved-failure re-raise despite having handled the error.
-            req.fail(err)
-            req.defuse()
+            req.fail_observed(err)
             return
         if isinstance(inc.item, RdvReqItem):
             self.rendezvous.grant(inc.item, req)
@@ -481,7 +475,7 @@ class NmadEngine:
         dead process must not tick into its successor's incarnation, so
         every virtual-time timer of this engine — retransmit and delayed-ack
         timers, credit grant and NACK-resend timers, session monitors, the
-        progress watchdog — is invalidated through its generation counter.
+        progress watchdog — is cancelled.
         No completion callbacks run: from the dead node's perspective the
         world simply stops, exactly like a real crash.
         """

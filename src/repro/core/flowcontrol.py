@@ -20,7 +20,7 @@ that bounds both ends of an eager stream:
   ``(released_bytes_total, released_wraps_total)`` grants, piggybacked
   on any reverse frame (``fc_grant``, ``credit_header`` wire bytes) or
   as a small standalone ``credit`` frame after ``credit_grant_delay_us``
-  of reverse silence — the same delayed-generation machinery as the
+  of reverse silence — a :class:`~repro.sim.Timer` per ledger, like the
   reliability layer's standalone acks;
 * cumulative totals make grants **idempotent**: a duplicated, reordered
   or retransmitted grant applies as a componentwise max, so the layer
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.packet import PacketWrap, SegItem
@@ -55,6 +56,7 @@ from repro.core.protocols import Layer, counter
 from repro.errors import MpiError, ProtocolError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
+from repro.sim import Timer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.matching import Incoming
@@ -147,10 +149,10 @@ class _PeerCredit:
         # Receive half: what we released, and what we last advertised.
         "released_bytes_total", "released_wraps_total",
         "adv_bytes", "adv_wraps",
-        "grant_pending", "grant_gen", "resend_gen",
+        "grant_timer", "resend_timers",
     )
 
-    def __init__(self, peer: int) -> None:
+    def __init__(self, peer: int, layer: FlowControlLayer) -> None:
         self.peer = peer
         self.sent_bytes_total = 0
         self.sent_wraps_total = 0
@@ -162,9 +164,17 @@ class _PeerCredit:
         self.released_wraps_total = 0
         self.adv_bytes = 0
         self.adv_wraps = 0
-        self.grant_pending = False
-        self.grant_gen = 0
-        self.resend_gen = 0
+        #: Armed while a standalone grant waits out the reverse silence.
+        self.grant_timer = Timer(layer.sim, partial(layer._send_credit, self))
+        #: One armed timer per NACKed segment waiting out its backoff.
+        self.resend_timers: list[Timer] = []
+
+    def silence(self) -> None:
+        """Teardown/halt: no timer of this ledger fires again."""
+        self.grant_timer.cancel()
+        for timer in self.resend_timers:
+            timer.cancel()
+        self.resend_timers.clear()
 
 
 class FlowControlLayer(Layer):
@@ -199,13 +209,12 @@ class FlowControlLayer(Layer):
         self._credit_wraps = engine.params.credit_wraps
         self._grant_delay = engine.params.credit_grant_delay_us
         self._peers: dict[int, _PeerCredit] = {}
-        self._pending_resends = 0
         self._name = f"node{engine.node_id}.flowcontrol"
 
     def _peer(self, peer: int) -> _PeerCredit:
         st = self._peers.get(peer)
         if st is None:
-            st = _PeerCredit(peer)
+            st = _PeerCredit(peer, self)
             self._peers[peer] = st
         return st
 
@@ -312,7 +321,8 @@ class FlowControlLayer(Layer):
         st = self._peer(peer)
         st.released_bytes_total += nbytes
         st.released_wraps_total += 1
-        self._schedule_grant(st)
+        if not st.grant_timer.armed:
+            st.grant_timer.arm(self._grant_delay_us(peer))
 
     # -- grant generation (mirrors the reliability layer's delayed acks) -----
     def _advertise(self, st: _PeerCredit) -> tuple[int, int]:
@@ -322,7 +332,7 @@ class FlowControlLayer(Layer):
             st.adv_bytes = st.released_bytes_total
             st.adv_wraps = st.released_wraps_total
             self.engine.stats.credits_granted += 1
-        self._cancel_grant(st)
+        st.grant_timer.cancel()
         return (st.released_bytes_total, st.released_wraps_total)
 
     def stamp(self, frame: Frame) -> None:
@@ -373,25 +383,9 @@ class FlowControlLayer(Layer):
             return self.params.nack_delay_us
         return max(self.params.nack_delay_us, rtt.rto_us(peer))
 
-    def _schedule_grant(self, st: _PeerCredit) -> None:
-        if st.grant_pending:
-            return
-        st.grant_pending = True
-        st.grant_gen += 1
-        gen = st.grant_gen
-        self.sim.schedule(self._grant_delay_us(st.peer),
-                          lambda: self._grant_fire(st, gen))
-
-    def _grant_fire(self, st: _PeerCredit, gen: int) -> None:
-        if gen != st.grant_gen or not st.grant_pending:
-            return  # a reverse frame piggybacked the grant in the meantime
-        self._send_credit(st)
-
-    def _cancel_grant(self, st: _PeerCredit) -> None:
-        st.grant_pending = False
-        st.grant_gen += 1
-
     def _send_credit(self, st: _PeerCredit) -> None:
+        """Emit a standalone grant (``st.grant_timer``'s callback: a reverse
+        frame that piggybacks the grant first cancels the timer)."""
         hdr = self.params.hdr
         rail = self.engine.transfer.choose_rail(st.peer, prefer=0)
         frame = Frame(
@@ -460,20 +454,18 @@ class FlowControlLayer(Layer):
         if tracer.enabled:
             tracer.emit(self.sim.now, self._name, "nack_rx",
                         peer=peer, seq=item.seq, delay_us=delay)
-        self._pending_resends += 1
-        gen = st.resend_gen
-        self.sim.schedule(delay, lambda: self._resend(peer, item, gen))
+        # A timer per refused segment, owned by the ledger: a peer that
+        # dies (or restarts) while the resend waits out its backoff takes
+        # it along — re-submitting the old-epoch segment would ghost-
+        # deliver into the peer's next incarnation.
+        timer = Timer(self.sim, partial(self._resend, st, item))
+        st.resend_timers.append(timer)
+        timer.arm(delay)
 
-    def _resend(self, peer: int, item: SegItem, gen: int) -> None:
-        if self.engine.halted:
-            return  # halt() already zeroed the pending-resend count
-        self._pending_resends -= 1  # nm: allow[NM503] -- the timer itself fired; its pending-count decrement is epoch-independent
-        st = self._peer(peer)
-        if gen != st.resend_gen:
-            # The peer died (or restarted) while this resend waited out its
-            # backoff: re-submitting the old-epoch segment would ghost-
-            # deliver into the peer's next incarnation.
-            return
+    def _resend(self, st: _PeerCredit, item: SegItem) -> None:
+        # The timer that brought us here is the one no longer armed.
+        st.resend_timers = [t for t in st.resend_timers if t.armed]
+        peer = st.peer
         self.engine.stats.nack_resends += 1
         # Same (flow, tag, seq) stream position as the refused original, so
         # the receiver's in-order machinery treats the resend as *the*
@@ -493,34 +485,19 @@ class FlowControlLayer(Layer):
 
     # -- session-layer hooks --------------------------------------------------
     def reset_peer(self, peer: int, exc: BaseException) -> None:
-        """Zero the credit ledger towards a dead/restarted peer.
+        """Replace the credit ledger towards a dead/restarted peer.
 
-        The entry stays in place with its generation counters *bumped*
-        rather than being deleted: a recreated entry would restart its
-        generations at zero, and a NACK-resend timer armed in the peer's
-        previous life could then falsely match and resurrect an old-epoch
-        segment.  Grant and resend timers are cancelled through the bumps;
-        a credit-blocked window gate is lifted (the new incarnation starts
-        with a full budget).
+        The old ledger's grant and resend timers are cancelled and a
+        credit-blocked window gate is lifted: the new incarnation starts
+        with a fresh ledger and a full budget.
         """
         st = self._peers.get(peer)
         if st is None:
             return
-        st.grant_pending = False
-        st.grant_gen += 1
-        st.resend_gen += 1
-        st.sent_bytes_total = 0
-        st.sent_wraps_total = 0
-        st.peer_released_bytes = 0
-        st.peer_released_wraps = 0
-        st.nack_streak = 0
-        st.released_bytes_total = 0
-        st.released_wraps_total = 0
-        st.adv_bytes = 0
-        st.adv_wraps = 0
+        st.silence()
         if st.blocked:
-            st.blocked = False
             self.engine.window.unblock_dest(peer)
+        self._peers[peer] = _PeerCredit(peer, self)
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.emit(self.sim.now, self._name, "reset_peer",
@@ -529,23 +506,19 @@ class FlowControlLayer(Layer):
     def halt(self) -> None:
         """This node crashed: silence every timer, run no callbacks."""
         for st in self._peers.values():
-            st.grant_pending = False
-            st.grant_gen += 1
-            st.resend_gen += 1
-        self._pending_resends = 0
+            st.silence()
 
     # -- introspection -------------------------------------------------------
     @property
     def pending_resends(self) -> int:
         """NACK resends still waiting out their backoff delay."""
-        return self._pending_resends
+        return sum(len(st.resend_timers) for st in self._peers.values())
 
     @property
     def quiesced(self) -> bool:
         """True when no grant or NACK resend is still scheduled."""
-        if self._pending_resends:
-            return False
-        return all(not st.grant_pending for st in self._peers.values())
+        return not any(st.grant_timer.armed or st.resend_timers
+                       for st in self._peers.values())
 
     def has_outstanding(self, peer: int | None = None) -> bool:
         """Never: grants and NACK resends are timers that fire on their own."""
@@ -564,7 +537,7 @@ class FlowControlLayer(Layer):
             f"{' [blocked]' if st.blocked else ''}, "
             f"released-out={st.released_bytes_total}B/"
             f"{st.released_wraps_total}w"
-            f"{' [grant pending]' if st.grant_pending else ''}"
+            f"{' [grant pending]' if st.grant_timer.armed else ''}"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

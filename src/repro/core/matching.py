@@ -325,14 +325,13 @@ class Matcher:
         """Fail every posted receive pinned to a now-dead ``src``.
 
         Wildcard receives stay posted — another peer may still complete
-        them.  Failures are defused (like truncation): death is reported
-        through the non-raising failed/error API, wait() re-raises it.
+        them.  Death is reported through the non-raising failed/error API;
+        wait() re-raises it.
         """
         kept = []
         for req in self._posted:
             if req.posted_src == src:
-                req.fail(exc)
-                req.defuse()
+                req.fail_observed(exc)
                 if self.tracer.enabled:
                     self.tracer.emit(now, self.name, "fail_src", src=src,
                                      flow=req.flow, tag=req.posted_tag)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from typing import TYPE_CHECKING
 
@@ -53,6 +54,7 @@ from repro.core.protocols import Layer, counter
 from repro.errors import RailDownError, TransportError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
+from repro.sim import Timer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
@@ -203,22 +205,28 @@ class _Pending:
 class _Channel:
     """Both directions of the reliability state towards one peer."""
 
-    __slots__ = ("peer", "next_seq", "unacked", "rto_us", "timer_gen",
-                 "hedge_gen", "rx_cum", "rx_sacks", "ack_pending", "ack_gen")
+    __slots__ = ("peer", "next_seq", "unacked", "rto_us", "retry_timer",
+                 "rx_cum", "rx_sacks", "ack_timer")
 
-    def __init__(self, peer: int, rto_us: float) -> None:
+    def __init__(self, peer: int, layer: ReliabilityLayer) -> None:
         self.peer = peer
         # Transmit half.
         self.next_seq = 0
         self.unacked: dict[int, _Pending] = {}
-        self.rto_us = rto_us
-        self.timer_gen = 0
-        self.hedge_gen = 0
+        self.rto_us = layer._rto_base_us(peer)
+        self.retry_timer = Timer(layer.sim, partial(layer._on_timer, self))
         # Receive half.
         self.rx_cum = 0                 # every seq < rx_cum was received
         self.rx_sacks: set[int] = set() # received beyond the cumulative edge
-        self.ack_pending = False
-        self.ack_gen = 0
+        #: Armed while a standalone ack waits out the reverse silence.
+        self.ack_timer = Timer(layer.sim, partial(layer._send_ack, self))
+
+    def silence(self) -> None:
+        """Teardown/halt: no timer of this channel fires again, and an
+        in-flight hedge finds its frame gone."""
+        self.retry_timer.cancel()
+        self.ack_timer.cancel()
+        self.unacked.clear()
 
 
 class ReliabilityLayer(Layer):
@@ -247,9 +255,10 @@ class ReliabilityLayer(Layer):
         self._channels: dict[int, _Channel] = {}
         #: Consecutive retransmit-timeouts per rail (reset on any ack).
         self.rail_losses: dict[int, int] = {}
-        # Half-open recovery: each quarantine schedules a re-probe after a
-        # per-rail backoff window; generation counters void stale probes.
-        self._probe_gens: dict[int, int] = {}
+        # Half-open recovery: each quarantine arms the rail's re-probe
+        # after a per-rail backoff window.
+        self._probe_timers = [Timer(self.sim, partial(self._reprobe, rail))
+                              for rail in range(len(self.nics))]
         self._probe_backoff: dict[int, float] = {}
         self._name = f"node{engine.node_id}.reliability"
 
@@ -262,10 +271,10 @@ class ReliabilityLayer(Layer):
         """Does a frame still await an ack, or an ack sending (towards
         ``peer``; any peer when ``None``)?"""
         if peer is None:
-            return any(ch.unacked or ch.ack_pending
+            return any(ch.unacked or ch.ack_timer.armed
                        for ch in self._channels.values())
         ch = self._channels.get(peer)
-        return ch is not None and bool(ch.unacked or ch.ack_pending)
+        return ch is not None and bool(ch.unacked or ch.ack_timer.armed)
 
     def describe_peer(self, peer: int) -> str:
         ch = self._channels.get(peer)
@@ -283,7 +292,7 @@ class ReliabilityLayer(Layer):
     def _channel(self, peer: int) -> _Channel:
         ch = self._channels.get(peer)
         if ch is None:
-            ch = _Channel(peer, rto_us=self._rto_base_us(peer))
+            ch = _Channel(peer, self)
             self._channels[peer] = ch
         return ch
 
@@ -308,7 +317,7 @@ class ReliabilityLayer(Layer):
         ch.next_seq += 1
         frame.wire_size += hdr.rel_header + hdr.checksum
         frame.rel_ack = self._ack_snapshot(ch)
-        self._cancel_delayed_ack(ch)
+        ch.ack_timer.cancel()
         pending = _Pending(frame.rel_seq, frame, cpu_gap_us,
                            on_delivered, on_failed, rail=nic.rail)
         ch.unacked[pending.seq] = pending
@@ -344,15 +353,15 @@ class ReliabilityLayer(Layer):
         delay = self._rtt.hedge_delay_us(ch.peer, pending.rail)
         if delay is None:
             return  # estimate too cold to call anything a tail
-        gen = ch.hedge_gen
-        self.sim.schedule(delay, lambda: self._hedge_fire(ch, pending, gen))
+        self.sim.schedule(delay, partial(self._hedge_fire, ch, pending))
 
-    def _hedge_fire(self, ch: _Channel, pending: _Pending, gen: int) -> None:
-        if gen != ch.hedge_gen:
-            return  # peer torn down / node halted since arming
+    def _hedge_fire(self, ch: _Channel, pending: _Pending) -> None:
+        # One-shot per frame and never cancelled: teardown and halt empty
+        # ``ch.unacked`` and a channel never reuses a sequence number, so
+        # a frame still listed here is the live one.
         if (pending.seq not in ch.unacked or pending.retries
                 or pending.hedged_at is not None):
-            return  # acked, already retransmitting, or already hedged
+            return  # gone (acked, torn down), retransmitting, or hedged
         rail = self._second_best_rail(ch.peer, exclude=pending.rail)
         if rail is None:
             return  # no healthy alternative rail to hedge on
@@ -360,7 +369,7 @@ class ReliabilityLayer(Layer):
         self.engine.stats.hedges_sent += 1
         frame = pending.frame
         frame.rel_ack = self._ack_snapshot(ch)
-        self._cancel_delayed_ack(ch)
+        ch.ack_timer.cancel()
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.emit(self.sim.now, self._name, "hedge",
@@ -384,14 +393,9 @@ class ReliabilityLayer(Layer):
                      if p.deadline is not None]
         if not deadlines:
             return
-        ch.timer_gen += 1
-        gen = ch.timer_gen
-        delay = max(0.0, min(deadlines) - self.sim.now)
-        self.sim.schedule(delay, lambda: self._on_timer(ch, gen))
+        ch.retry_timer.arm(max(0.0, min(deadlines) - self.sim.now))
 
-    def _on_timer(self, ch: _Channel, gen: int) -> None:
-        if gen != ch.timer_gen:
-            return  # superseded by a newer arm
+    def _on_timer(self, ch: _Channel) -> None:
         now = self.sim.now
         expired = [p for p in ch.unacked.values()
                    if p.deadline is not None and p.deadline <= now]
@@ -423,7 +427,7 @@ class ReliabilityLayer(Layer):
         pending.deadline = None
         frame = pending.frame
         frame.rel_ack = self._ack_snapshot(ch)
-        self._cancel_delayed_ack(ch)
+        ch.ack_timer.cancel()
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.emit(self.sim.now, self._name, "retransmit",
@@ -503,15 +507,13 @@ class ReliabilityLayer(Layer):
             return
         backoff = self._probe_backoff.get(rail, base)
         self._probe_backoff[rail] = min(backoff * 2.0, 64.0 * base)
-        gen = self._probe_gens.get(rail, 0) + 1
-        self._probe_gens[rail] = gen
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.emit(self.sim.now, self._name, "probe_armed",
                         rail=rail, after_us=backoff)
-        self.sim.schedule(backoff, lambda: self._reprobe(rail, gen))
+        self._probe_timers[rail].arm(backoff)
 
-    def _reprobe(self, rail: int, gen: int) -> None:
+    def _reprobe(self, rail: int) -> None:
         """Half-open the rail: lift the quarantine, one strike re-imposes it.
 
         The rail rejoins the candidate set with its loss score one short of
@@ -519,8 +521,6 @@ class ReliabilityLayer(Layer):
         re-quarantines immediately (and re-arms a longer probe), while a
         single successful ack clears the score and the backoff entirely.
         """
-        if gen != self._probe_gens.get(rail):
-            return  # superseded (halt or a newer quarantine cycle)
         if self._transfer.rail_ok(rail):
             return
         self.rail_losses[rail] = self.params.rel_quarantine_threshold - 1
@@ -551,7 +551,8 @@ class ReliabilityLayer(Layer):
             # The peer is clearly missing our ack: resend it right away.
             self._send_ack(ch)
             return False
-        self._schedule_delayed_ack(ch)
+        if not ch.ack_timer.armed:
+            ch.ack_timer.arm(self.params.rel_ack_delay_us)
         return True
 
     def _record_rx(self, ch: _Channel, seq: int) -> bool:
@@ -600,26 +601,10 @@ class ReliabilityLayer(Layer):
         self._arm_timer(ch)
 
     # -- acknowledgement generation ------------------------------------------
-    def _schedule_delayed_ack(self, ch: _Channel) -> None:
-        if ch.ack_pending:
-            return
-        ch.ack_pending = True
-        ch.ack_gen += 1
-        gen = ch.ack_gen
-        self.sim.schedule(self.params.rel_ack_delay_us,
-                          lambda: self._delayed_ack_fire(ch, gen))
-
-    def _delayed_ack_fire(self, ch: _Channel, gen: int) -> None:
-        if gen != ch.ack_gen or not ch.ack_pending:
-            return  # a reverse frame piggybacked the ack in the meantime
-        self._send_ack(ch)
-
-    def _cancel_delayed_ack(self, ch: _Channel) -> None:
-        ch.ack_pending = False
-        ch.ack_gen += 1
-
     def _send_ack(self, ch: _Channel) -> None:
-        self._cancel_delayed_ack(ch)
+        """Emit a standalone ack now (``ch.ack_timer``'s callback: a
+        reverse frame that piggybacks the ack first cancels the timer)."""
+        ch.ack_timer.cancel()
         hdr = self.params.hdr
         rail = self._transfer.choose_rail(ch.peer, prefer=0)
         frame = Frame(
@@ -642,21 +627,15 @@ class ReliabilityLayer(Layer):
     def reset_peer(self, peer: int, exc: BaseException) -> None:
         """Tear down the channel to a dead/restarted peer atomically.
 
-        Cancels the retransmit and delayed-ack timers through their
-        generation counters *before* dropping the send buffer — the timer
-        closures hold the channel object, so a later tick against a
-        resurrected peer must find a bumped generation, not a stale
-        deadline.  Every unacked frame's requests fail with ``exc``.
+        The channel's timers are cancelled and its send buffer dropped; a
+        resurrected peer gets a fresh channel.  Every unacked frame's
+        requests fail with ``exc``.
         """
-        ch = self._channels.get(peer)
+        ch = self._channels.pop(peer, None)
         if ch is None:
             return
-        ch.timer_gen += 1              # pending _on_timer becomes a no-op
-        ch.hedge_gen += 1              # pending _hedge_fire likewise
-        self._cancel_delayed_ack(ch)   # pending _delayed_ack_fire likewise
         pendings = sorted(ch.unacked.values(), key=lambda p: p.seq)
-        ch.unacked.clear()
-        del self._channels[peer]
+        ch.silence()
         if self._rtt is not None:
             # The next incarnation's path may be nothing like this one's.
             self._rtt.forget_peer(peer)
@@ -671,14 +650,9 @@ class ReliabilityLayer(Layer):
     def halt(self) -> None:
         """This node crashed: silence every timer, run no callbacks."""
         for ch in self._channels.values():
-            ch.timer_gen += 1
-            ch.hedge_gen += 1
-            ch.ack_pending = False
-            ch.ack_gen += 1
-            ch.unacked.clear()
-        for rail in range(len(self.nics)):
-            if rail in self._probe_gens:
-                self._probe_gens[rail] += 1  # in-flight probes become no-ops
+            ch.silence()
+        for probe in self._probe_timers:
+            probe.cancel()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<ReliabilityLayer {self._name} unacked={self.n_unacked} "

@@ -285,8 +285,7 @@ class RendezvousManager:
         for key in [k for k in self._incoming if k[0] == peer]:
             state = self._incoming.pop(key)
             if not state.req.triggered:
-                state.req.fail(exc)
-                state.req.defuse()
+                state.req.fail_observed(exc)
             tracer = self.engine.tracer
             if tracer.enabled:
                 tracer.emit(self.engine.sim.now, self._source,

@@ -64,6 +64,15 @@ class Request(Event):
         """The failure exception, or ``None`` (nonblocking inspection)."""
         return self.exception if self.failed else None
 
+    def fail_observed(self, exc: BaseException) -> None:
+        """Fail with ``exc``, marked observed.  The failure reaches the
+        application through ``failed``/``error``/wait; a program that only
+        polls must not crash at ``run()`` end with the kernel's
+        unobserved-failure re-raise despite having handled the error.
+        """
+        self.fail(exc)
+        self.defuse()
+
 
 class SendRequest(Request):
     """Handle on an in-progress send.
@@ -90,8 +99,6 @@ class SendRequest(Request):
     def settle(self, exc: BaseException | None = None) -> None:
         """The send is over — sent, or failed with ``exc`` (retry budget,
         cancel, deadline, peer teardown): trigger once, let go of the wrap.
-        A failure is marked observed: it reaches the application through
-        ``failed``/``error``/wait, and never crashes a run that only polls.
         """
         if self.triggered:
             return
@@ -99,8 +106,7 @@ class SendRequest(Request):
         if exc is None:
             self.succeed()
         else:
-            self.fail(exc)
-            self.defuse()
+            self.fail_observed(exc)
 
 
 class RecvRequest(Request):

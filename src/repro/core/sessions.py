@@ -43,9 +43,9 @@ process failure:
   matcher sequence state toward the peer are all dropped in one step
   (no simulated time passes), with every affected request failing
   loudly via :class:`~repro.errors.PeerDeadError`;
-* on the node's own crash the engine's :meth:`~NmadEngine.halt` silences
-  its timers through the same generation-bump machinery, so a dead
-  process never ticks into its successor's incarnation.
+* on the node's own crash the engine's :meth:`~NmadEngine.halt` cancels
+  every layer's timers the same way, so a dead process never ticks into
+  its successor's incarnation.
 
 State machine per peer::
 
@@ -62,6 +62,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from typing import TYPE_CHECKING
 
@@ -69,6 +70,7 @@ from repro.core.protocols import Layer, counter
 from repro.errors import PeerDeadError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
+from repro.sim import Timer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
@@ -136,9 +138,10 @@ class _PeerSession:
 
     __slots__ = ("peer", "sess_state", "peer_incarnation", "epoch",
                  "last_heard_us", "last_tx_us", "suspect",
-                 "mon_armed", "mon_gen", "deferred_tx")
+                 "monitor", "deferred_tx")
 
-    def __init__(self, peer: int, now: float) -> None:
+    def __init__(self, peer: int, layer: SessionLayer) -> None:
+        now = layer.sim.now
         self.peer = peer
         #: "unknown" | "hello_sent" | "established" | "dead"
         self.sess_state = "unknown"
@@ -147,8 +150,8 @@ class _PeerSession:
         self.last_heard_us = now
         self.last_tx_us = now
         self.suspect = False
-        self.mon_armed = False
-        self.mon_gen = 0
+        #: The failure detector's periodic tick; un-armed = dormant.
+        self.monitor = Timer(layer.sim, partial(layer._mon_tick, self))
         #: Frames awaiting the handshake: (nic, frame, gap, ok, fail).
         self.deferred_tx: list[tuple[
             Nic, Frame, float,
@@ -181,7 +184,7 @@ class SessionLayer(Layer):
     def _peer(self, peer: int) -> _PeerSession:
         st = self._peers.get(peer)
         if st is None:
-            st = _PeerSession(peer, now=self.sim.now)
+            st = _PeerSession(peer, self)
             self._peers[peer] = st
         return st
 
@@ -405,8 +408,6 @@ class SessionLayer(Layer):
     def _declare_dead(self, st: _PeerSession) -> None:
         st.sess_state = "dead"
         self.engine.dead_peers.add(st.peer)
-        st.mon_armed = False
-        st.mon_gen += 1
         self.engine.stats.peers_dead += 1
         exc = PeerDeadError(
             f"node{self.engine.node_id}: node {st.peer} declared dead after "
@@ -504,17 +505,21 @@ class SessionLayer(Layer):
         return min(eff, self.params.hb_timeout_us)
 
     def _arm_monitor(self, st: _PeerSession) -> None:
-        if st.mon_armed or st.sess_state == "dead":
+        """Wake a dormant monitor, and restart the silence clock with it:
+        a detector can only accuse a peer it has *listened to* for
+        ``hb_timeout_us``.  While dormant nobody solicited the peer, so
+        its silence since an earlier conversation is not evidence."""
+        if st.monitor.armed or st.sess_state == "dead":
             return
-        st.mon_armed = True
-        st.mon_gen += 1
-        gen = st.mon_gen
-        self.sim.schedule(self.params.hb_interval_us,
-                          lambda: self._mon_tick(st, gen))
+        st.last_heard_us = self.sim.now
+        st.monitor.arm(self.params.hb_interval_us)
 
-    def _mon_tick(self, st: _PeerSession, gen: int) -> None:
-        if gen != st.mon_gen or not st.mon_armed or self.engine.halted:
-            return
+    def _mon_tick(self, st: _PeerSession) -> None:
+        # A tick in progress is not dormancy (though ``monitor.armed`` is
+        # false in here): the re-arm at the end goes to the timer directly
+        # and leaves the silence clock running.
+        if self.engine.halted:
+            return  # a post on a crashed engine armed us: stay silent
         if not self._needs_monitor(st.peer):
             # No business with the peer: go dormant so an idle engine's
             # event queue drains (the next send or post re-arms us).
@@ -527,7 +532,6 @@ class SessionLayer(Layer):
                 if tracer.enabled:
                     tracer.emit(self.sim.now, self._name,
                                 "suspect_dropped", peer=st.peer)
-            st.mon_armed = False
             return
         now = self.sim.now
         silence = now - st.last_heard_us
@@ -550,15 +554,13 @@ class SessionLayer(Layer):
                                          payload="ping")
             else:
                 self._send_session_frame(st, FrameKind.SESSION_HELLO)
-        self.sim.schedule(self.params.hb_interval_us,
-                          lambda: self._mon_tick(st, gen))
+        st.monitor.arm(self.params.hb_interval_us)
 
     # -- lifecycle -----------------------------------------------------------
     def halt(self) -> None:
         """This node crashed: silence every timer, drop buffered frames."""
         for st in self._peers.values():
-            st.mon_armed = False
-            st.mon_gen += 1
+            st.monitor.cancel()
             st.deferred_tx.clear()
 
     # -- introspection -------------------------------------------------------
@@ -585,7 +587,7 @@ class SessionLayer(Layer):
 
     @property
     def n_monitors_armed(self) -> int:
-        return sum(1 for st in self._peers.values() if st.mon_armed)
+        return sum(1 for st in self._peers.values() if st.monitor.armed)
 
     def describe_peer(self, peer: int) -> str:
         """One-line session diagnostic for the stall report."""

@@ -124,8 +124,7 @@ class MpiRequest(Request):
         else:
             part.defuse()
             assert part.exception is not None
-            self.fail(part.exception)
-            self.defuse()
+            self.fail_observed(part.exception)
         self._publish = None
 
     def scatter_into(self, buffer: bytearray | memoryview) -> None:

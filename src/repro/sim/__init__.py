@@ -9,6 +9,7 @@ from repro.sim.core import (
     Process,
     Simulator,
     Timeout,
+    Timer,
     Watchdog,
 )
 from repro.sim.trace import TraceRecord, Tracer
@@ -22,6 +23,7 @@ __all__ = [
     "Process",
     "Simulator",
     "Timeout",
+    "Timer",
     "TraceRecord",
     "Tracer",
     "Watchdog",

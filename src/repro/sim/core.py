@@ -51,6 +51,7 @@ import sys
 from bisect import insort
 from collections import deque
 from collections.abc import Callable, Generator, Iterable
+from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
 
@@ -96,6 +97,7 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Interrupt",
+    "Timer",
     "Watchdog",
 ]
 
@@ -422,6 +424,52 @@ class AnyOf(Condition):
             self.fail(evt._exc)
 
 
+class Timer:
+    """One callback on the virtual clock that can be re-armed and cancelled.
+
+    Queue entries cannot be withdrawn, so a superseded or cancelled arming
+    still comes up for dispatch; the generation compare in :meth:`_fire` —
+    written here once, instead of a flag, a counter and a guard per owner —
+    voids it before the callback could touch anything.  :meth:`arm`
+    supersedes any earlier arming, :meth:`cancel` voids it, ``fn()`` runs
+    only for the latest un-cancelled arming.  ``armed`` (owners only read
+    it) is true from ``arm`` until the callback is entered or the timer is
+    cancelled: a periodic user re-arms from inside its callback, a one-shot
+    user tests ``armed`` instead of keeping a flag.  One
+    :meth:`Simulator.schedule` per ``arm``, none per ``cancel``.
+
+    The device-incarnation fences (``Nic._gen`` / ``_rx_gen``,
+    ``Switch.generation``) are a different thing: they void *many*
+    in-flight per-frame closures at once, not one re-armable timer.
+    """
+
+    __slots__ = ("_sim", "_fn", "_gen", "armed")
+
+    def __init__(self, sim: Simulator, fn: Callable[[], None]) -> None:
+        self._sim = sim
+        self._fn = fn
+        self._gen = 0
+        self.armed = False
+
+    def arm(self, delay: float) -> None:
+        """Run ``fn()`` after ``delay``, instead of any earlier arming."""
+        gen = self._gen + 1
+        self._sim.schedule(delay, partial(self._fire, gen))
+        self._gen = gen  # only once the kernel accepted the delay
+        self.armed = True
+
+    def cancel(self) -> None:
+        """Void the pending arming, if any."""
+        self._gen += 1
+        self.armed = False
+
+    def _fire(self, gen: int) -> None:
+        if gen != self._gen:
+            return  # superseded or cancelled since this entry was queued
+        self.armed = False
+        self._fn()
+
+
 class Watchdog:
     """Virtual-time progress watchdog: detects stalls *with work pending*.
 
@@ -445,8 +493,7 @@ class Watchdog:
     """
 
     __slots__ = ("sim", "interval_us", "_progress", "_active", "_diagnose",
-                 "patience", "name", "_armed", "_last_token", "_strikes",
-                 "_gen")
+                 "patience", "name", "_timer", "_last_token", "_strikes")
 
     def __init__(
         self,
@@ -469,34 +516,25 @@ class Watchdog:
         self._diagnose = diagnose
         self.patience = patience
         self.name = name
-        self._armed = False
+        self._timer = Timer(sim, self._tick)
         self._last_token: object = None
         self._strikes = 0
-        self._gen = 0
 
     def arm(self) -> None:
         """Start (or keep) watching; call whenever new work is created."""
-        if self._armed:
+        if self._timer.armed:
             return
-        self._armed = True
-        self._gen += 1
         self._last_token = self._progress()
         self._strikes = 0
-        gen = self._gen
-        self.sim.schedule(self.interval_us, lambda: self._tick(gen))
+        self._timer.arm(self.interval_us)
 
     def disarm(self) -> None:
         """Stop watching now; the pending tick (if any) becomes a no-op."""
-        self._armed = False
-        self._gen += 1
+        self._timer.cancel()
 
-    def _tick(self, gen: int) -> None:
-        if gen != self._gen or not self._armed:
-            return  # disarmed (or re-armed) since this tick was scheduled
+    def _tick(self) -> None:
         if not self._active():
-            # Nothing outstanding: go dormant until the next arm().
-            self._armed = False
-            return
+            return  # nothing outstanding: dormant until the next arm()
         token = self._progress()
         if token != self._last_token:
             self._last_token = token
@@ -509,7 +547,7 @@ class Watchdog:
                     f"{self._strikes * self.interval_us:g}us with work "
                     f"pending at t={self.sim.now:g}us\n{self._diagnose()}"
                 )
-        self.sim.schedule(self.interval_us, lambda: self._tick(gen))
+        self._timer.arm(self.interval_us)
 
 
 class Simulator:

@@ -5,4 +5,4 @@
 def cook_the_books(engine, peer):
     ledger = engine.flowcontrol._peers[peer]  # allowed: audit.py reads
     ledger.sent_bytes_total = 0  # NM302 (flow-control owns the totals)
-    engine.flowcontrol._pending_resends = 0  # NM305 (auditor must not write)
+    engine.flowcontrol._peers = {}  # NM305 (auditor must not write)

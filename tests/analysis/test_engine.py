@@ -92,7 +92,7 @@ def test_cli_list_describes_every_code(capsys):
     out = capsys.readouterr().out
     for code in ("NM000", "NM001", "NM101", "NM102", "NM103", "NM201",
                  "NM202", "NM203", "NM204", "NM301", "NM302", "NM303",
-                 "NM401", "NM402", "NM501", "NM502", "NM503", "NM504"):
+                 "NM401", "NM402", "NM501", "NM502", "NM504"):
         assert code in out
 
 
@@ -126,10 +126,10 @@ def test_cli_json_clean_tree_is_empty_and_exits_zero(capsys):
 
 def test_cli_json_with_interprocedural_includes_nm5xx(capsys):
     rc = main(["--json", "--interprocedural",
-               str(FIXTURES / "interproc" / "bad_timers")])
+               str(FIXTURES / "interproc" / "bad_statsbalance")])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert any(f["code"] == "NM503" for f in payload["violations"])
+    assert any(f["code"] == "NM504" for f in payload["violations"])
 
 
 def test_cli_subprocess_roundtrip():

@@ -9,7 +9,6 @@ from tools.analysis.escape import WriteOwnerEscapeRule
 from tools.analysis.framekinds import FrameKindRule
 from tools.analysis.interproc import INTERPROC_CHECKERS, check_project
 from tools.analysis.statsbalance import StatsBalanceRule
-from tools.analysis.timers import TimerGenRule
 
 FIXTURES = Path(__file__).parent / "fixtures" / "interproc"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -66,21 +65,6 @@ def test_framekinds_resolves_kind_parameters_through_call_sites():
     assert rule.run() == []
 
 
-# -- NM503: timer-generation pairing -------------------------------------------
-
-def test_bad_timers_flags_pre_guard_writes_and_missing_guard():
-    report = run_rule("bad_timers", TimerGenRule)
-    assert codes_of(report) == ["NM503", "NM503"]
-    messages = "\n".join(v.message for v in report.violations)
-    assert "_retry" in messages
-    assert "_probe" in messages
-
-
-def test_good_timers_is_clean():
-    report = run_rule("good_timers", TimerGenRule)
-    assert report.ok, [v.render() for v in report.violations]
-
-
 # -- NM504: stats balance on exception paths -----------------------------------
 
 def test_bad_statsbalance_flags_raise_between_pairs():
@@ -111,17 +95,17 @@ def test_mutation_summaries_reach_fixpoint_through_forwarding():
 
 
 def test_interproc_suppression_applies_on_the_flagged_line(tmp_path):
-    src = (FIXTURES / "bad_timers" / "layer.py").read_text()
+    src = (FIXTURES / "bad_statsbalance" / "transfer.py").read_text()
     src = src.replace(
-        "self.retries += 1  # NM503: write before the generation guard",
-        "self.retries += 1  # nm: allow[NM503] -- fixture: justified",
+        "self.stats.aggregated_packets += 1  # NM504: partner skippable",
+        "self.stats.aggregated_packets += 1  # nm: allow[NM504] -- fixture: justified",
     )
     fixture_dir = tmp_path / "suppressed"
     fixture_dir.mkdir()
-    (fixture_dir / "layer.py").write_text(src)
+    (fixture_dir / "transfer.py").write_text(src)
     report = check_project([str(fixture_dir)], root=str(tmp_path),
-                           checkers=[TimerGenRule])
-    assert codes_of(report) == ["NM503"]  # only _probe remains
+                           checkers=[StatsBalanceRule])
+    assert codes_of(report) == ["NM504"]  # only copy_in remains
     assert len(report.suppressed) == 1
     assert report.suppressed[0].justification == "fixture: justified"
 
@@ -130,9 +114,7 @@ def test_interproc_runs_clean_on_the_real_tree():
     report = check_project([str(REPO_ROOT / "src" / "repro")],
                            root=str(REPO_ROOT))
     assert report.ok, [v.render() for v in report.violations]
-    # The flow-control resend decrement is the one justified suppression.
-    assert any(v.code == "NM503" and "flowcontrol" in v.path
-               for v in report.suppressed)
+    assert report.suppressed == []
 
 
 def test_interproc_checker_codes_are_declared_and_unique():
@@ -141,4 +123,4 @@ def test_interproc_checker_codes_are_declared_and_unique():
         for code in cls.codes:
             assert code not in seen, f"{code} claimed by {seen[code]}"
             seen[code] = cls.name
-    assert set(seen) == {"NM501", "NM502", "NM503", "NM504"}
+    assert set(seen) == {"NM501", "NM502", "NM504"}

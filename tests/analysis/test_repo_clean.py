@@ -7,6 +7,8 @@ These are the teeth of the analysis pass: the fixtures prove the checkers
 
 from __future__ import annotations
 
+import ast
+import re
 import subprocess
 from pathlib import Path
 
@@ -42,6 +44,17 @@ def test_checker_codes_are_unique_across_the_pass():
             assert code not in seen, f"{code} declared by both " \
                 f"{seen[code]} and {cls.name}"
             seen[code] = cls.name
+
+
+def test_no_hand_rolled_timer_generation_in_the_core():
+    # A cancellable timer is a repro.sim.Timer; the flag + counter +
+    # captured-generation protocol it replaced must not come back.
+    for path in sorted((REPO_ROOT / "src" / "repro" / "core").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(getattr(node, "ctx", None), ast.Store):
+                name = getattr(node, "attr", None) or getattr(node, "id", "")
+                assert not re.fullmatch(r"\w*_gens?", name), \
+                    f"{path.name}:{node.lineno} assigns {name}: use Timer"
 
 
 def _git_ls_files(pattern: str) -> list[str] | None:

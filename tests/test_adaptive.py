@@ -238,6 +238,41 @@ class TestTailHedging:
         assert e0.stats.hedges_sent == 0  # no second rail to hedge on
 
 
+    @pytest.mark.parametrize("teardown", [None, "reset_peer", "halt"])
+    def test_armed_hedge_sends_nothing_after_a_teardown(self, teardown):
+        # A hedge is a one-shot entry nobody cancels: once the peer is torn
+        # down or the engine halts, its frame is gone from the send buffer
+        # and the entry must find that out on its own.
+        params = EngineParams(**AUTO, rel_hedge="tail")
+        sim, cluster, (e0, e1) = make_pair(
+            params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="multirail")
+        n_warm = 30
+        for t in range(n_warm + 1):
+            e1.irecv(src=0, tag=t, nbytes=256)
+
+        def hedge_armed():
+            ch = e0.reliability._channels[1]
+            return any(p.sent_at is not None for p in ch.unacked.values())
+
+        def app():
+            for t in range(n_warm):
+                e0.isend(1, bytes(256), tag=t)
+                yield sim.timeout(20.0)
+            link_between(cluster, 0, 1, rail=0).fault_plan = FaultPlan(
+                slow_link=(60.0, sim.now, sim.now + 100_000.0))
+            e0.isend(1, bytes(256), tag=n_warm)
+            while not hedge_armed():
+                yield sim.timeout(0.25)
+            assert e0.stats.hedges_sent == 0  # armed, not yet fired
+            if teardown == "reset_peer":
+                e0.reliability.reset_peer(1, SimulationError("torn down"))
+            elif teardown == "halt":
+                e0.halt()
+
+        sim.run_process(app())
+        assert e0.stats.hedges_sent == (1 if teardown is None else 0)
+
+
 class TestFatTreeFailover:
     """Satellite 1: the PR 9 failover drill without the hand-tuned 2ms."""
 

@@ -28,9 +28,7 @@ from repro.sim import Simulator
 N_NODES = 4
 #: knob -> (EngineParams overrides, layer class), in pipeline order.
 KNOBS = {
-    # Heartbeats sized for a many-to-many mesh (see repro.core.sessions).
-    "epoch": ({"sessions": "epoch", "hb_timeout_us": 5000.0,
-               "hb_interval_us": 500.0}, SessionLayer),
+    "epoch": ({"sessions": "epoch"}, SessionLayer),
     "ack": ({"reliability": "ack"}, ReliabilityLayer),
     "credit": ({"flow_control": "credit"}, FlowControlLayer),
 }

@@ -9,6 +9,8 @@ guarantee the default mode stays inert (every new counter zero, engines
 never halted, no session frames on the wire).
 """
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -234,13 +236,130 @@ class TestFailureDetection:
         assert e1.stats.heartbeats_sent == hb
         assert e1.stats.acks_sent == acks
 
+    def test_post_on_a_halted_engine_starts_no_ticking_monitor(self):
+        params = EngineParams(**EPOCH)
+        sim, cluster, (e0, e1) = make_pair(params)
+        e1.irecv(src=0, tag=0)
+        sim.schedule(100.0, cluster.node(1).crash)
+        sim.run(until=120.0)
+        hb, frames = e1.stats.heartbeats_sent, e1.stats.phys_packets
+        e1.irecv(src=0, tag=1)  # the application has not noticed yet
+        sim.run(until=120.0 + 2 * params.hb_interval_us)
+        # The post may wake the monitor once; it must not keep ticking.
+        ticks = sim.events_processed
+        sim.run(until=3_000.0)
+        assert sim.events_processed == ticks
+        assert e1.stats.heartbeats_sent == hb
+        assert e1.stats.phys_packets == frames
+
+
+class TestSilenceClock:
+    """A detector can only accuse a peer it has *listened to* for
+    ``hb_timeout_us``: the silence clock restarts when a dormant monitor
+    wakes, so a pause between two conversations is not evidence of death.
+    All at the default heartbeat knobs (500/50)."""
+
+    @staticmethod
+    def assert_nobody_accused(engines):
+        for engine in engines:
+            assert engine.stats.peers_dead == 0
+            assert engine.stats.peers_suspected == 0
+            assert engine.dead_peers == set()
+
+    def test_receiver_idle_past_the_timeout_then_awaits_a_late_sender(self):
+        sim, cluster, (e0, e1) = make_pair(EngineParams(sessions="epoch"))
+        out = {}
+
+        def app():
+            e0.isend(1, VirtualData(1024), tag=0)
+            yield from e1.recv(src=0, tag=0)
+            yield sim.timeout(10_000.0)  # both sides idle: monitors dormant
+            out["rx"] = e1.irecv(src=0, tag=1)
+            yield sim.timeout(200.0)     # four monitor ticks with no frame
+            out["tx"] = e0.isend(1, VirtualData(1024), tag=1)
+
+        sim.spawn(app())
+        sim.run()
+        assert out["rx"].complete and not out["rx"].failed
+        assert out["tx"].complete and not out["tx"].failed
+        self.assert_nobody_accused((e0, e1))
+        assert e0.quiesced() and e1.quiesced()
+
+    def test_quiet_rank_returns_while_its_peer_serves_somebody_else(self):
+        params = EngineParams(sessions="epoch", reliability="ack",
+                              flow_control="credit")
+        sim, cluster, (e0, e1, e2) = make_pair(params, n_nodes=3)
+        out = {}
+
+        def pingpong():  # keeps node 0 busy with node 2 throughout
+            for i in range(40):
+                e0.isend(2, VirtualData(512), tag=i)
+                yield from e2.recv(src=0, tag=i)
+                e2.isend(0, VirtualData(512), tag=i)
+                yield from e0.recv(src=2, tag=i)
+                yield sim.timeout(20.0)
+
+        def quiet():
+            e1.isend(0, VirtualData(512), tag=100)
+            yield from e0.recv(src=1, tag=100)
+            yield sim.timeout(1_000.0)
+            # 30 KB eager: wire time plus the ack delay outlasts the first
+            # monitor tick, which used to read 1 ms of "silence".
+            out["tx"] = e1.isend(0, VirtualData(30_000), tag=101)
+            out["rx"] = e1.irecv(src=0, tag=102)
+            yield from e0.recv(src=1, tag=101)
+            yield sim.timeout(100.0)
+            e0.isend(1, VirtualData(512), tag=102)
+
+        procs = [sim.spawn(pingpong()), sim.spawn(quiet())]
+        sim.run()
+        assert all(p.triggered and p.ok for p in procs)
+        assert out["tx"].complete and not out["tx"].failed
+        assert out["rx"].complete and not out["rx"].failed
+        self.assert_nobody_accused((e0, e1, e2))
+
+    def test_phased_all_to_all_re_meets_after_more_than_the_timeout(self):
+        # Rank r talks to r+p in phase p, so a pair re-meets only after a
+        # full round (7 x 250us > hb_timeout_us); receives are posted at
+        # the phase start and the seeded sender jitter regularly exceeds
+        # one monitor tick.
+        n, rounds, phase_us = 8, 2, 250.0
+        params = EngineParams(sessions="epoch", reliability="ack",
+                              flow_control="credit")
+        sim, cluster, engines = make_pair(params, n_nodes=n)
+        rng = random.Random(19)
+        jitter = {(rank, step): rng.uniform(0.0, 150.0)
+                  for rank in range(n) for step in range(rounds * (n - 1))}
+        recvs = []
+
+        def rank_proc(rank):
+            eng = engines[rank]
+            for step in range(rounds * (n - 1)):
+                shift = step % (n - 1) + 1
+                recvs.extend(eng.irecv(src=(rank - shift) % n, tag=step)
+                             for _ in range(3))
+                yield sim.timeout(jitter[rank, step])
+                for _ in range(3):
+                    eng.isend((rank + shift) % n, VirtualData(2048), tag=step)
+                yield sim.timeout(phase_us - jitter[rank, step])
+
+        procs = [sim.spawn(rank_proc(r)) for r in range(n)]
+        sim.run()
+        assert sim.now >= 1_500.0
+        assert all(p.triggered and p.ok for p in procs)
+        assert len(recvs) == n * rounds * (n - 1) * 3
+        assert all(r.complete and not r.failed for r in recvs)
+        self.assert_nobody_accused(engines)
+        assert all(e.quiesced() for e in engines)
+        assert cluster.conservation_ok()
+
 
 class TestTeardownTimerHygiene:
     def test_nack_resend_timer_is_cancelled_on_peer_death(self):
         # Regression for the ghost-resend bug: a NACK-backoff timer armed
         # before the peer died must not re-submit the old-epoch segment
-        # after the teardown.  Without the resend_gen bump in
-        # FlowControlLayer.reset_peer this fails: nack_resends grows after
+        # after the teardown.  Unless FlowControlLayer.reset_peer cancels
+        # the ledger's resend timers this fails: nack_resends grows after
         # the death and the stale wrap re-enters the window.
         params = EngineParams(sessions="epoch", reliability="ack",
                               rel_timeout_us=100.0, rel_ack_delay_us=5.0,
@@ -274,9 +393,9 @@ class TestTeardownTimerHygiene:
 
     def test_credit_grant_timer_is_cancelled_on_peer_death(self):
         # The mirror image on the receiver side: a delayed credit grant
-        # scheduled toward a peer that then dies must never fire.  Without
-        # the grant_gen bump in reset_peer, credits_granted grows at
-        # t = grant_delay and the frame goes to a corpse.
+        # scheduled toward a peer that then dies must never fire.  Unless
+        # reset_peer cancels the ledger's grant timer, credits_granted
+        # grows at t = grant_delay and the frame goes to a corpse.
         params = EngineParams(sessions="epoch", reliability="ack",
                               rel_timeout_us=100.0, rel_ack_delay_us=5.0,
                               hb_interval_us=25.0, hb_timeout_us=50.0,

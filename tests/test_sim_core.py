@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AnyOf, Event, Interrupt, Simulator, Timeout
+from repro.sim import AnyOf, Event, Interrupt, Simulator, Timeout, Timer
 
 
 @pytest.fixture()
@@ -382,6 +382,118 @@ class TestConditions:
         cond = sim.all_of([e1, e2])
         sim.run()
         assert cond.triggered and set(cond.value.values()) == {1, 2}
+
+
+class TestTimer:
+    @pytest.fixture
+    def fired(self):
+        return []
+
+    @pytest.fixture
+    def timer(self, sim, fired):
+        return Timer(sim, lambda: fired.append(sim.now))
+
+    def test_fires_once_at_arm_time_plus_delay(self, sim, timer, fired):
+        sim.schedule(3.0, lambda: timer.arm(4.0))
+        sim.run()
+        assert fired == [7.0]
+        assert sim.peek() == float("inf")
+
+    def test_only_the_latest_arming_fires(self, sim, timer, fired):
+        timer.arm(5.0)
+        timer.arm(9.0)
+        timer.arm(2.0)  # supersedes both, earlier and later alike
+        sim.run()
+        assert fired == [2.0]
+
+    def test_cancel_before_after_and_between_armings(self, sim, timer, fired):
+        timer.cancel()  # never armed: a no-op, and no queue entry
+        assert sim.peek() == float("inf")
+        timer.arm(1.0)
+        timer.cancel()
+        sim.run()
+        assert fired == []
+        timer.arm(1.0)
+        sim.run()
+        assert fired == [2.0]
+        timer.cancel()  # after it fired: a no-op
+        timer.arm(3.0)
+        timer.cancel()
+        timer.arm(4.0)  # cancel between two armings voids only the first
+        sim.run()
+        assert fired == [2.0, 6.0]
+
+    def test_periodic_user_re_arms_from_inside_the_callback(self, sim):
+        ticks = []
+
+        def tick():
+            ticks.append(sim.now)
+            if len(ticks) < 4:
+                timer.arm(2.5)
+
+        timer = Timer(sim, tick)
+        timer.arm(2.5)
+        sim.run()
+        assert ticks == [2.5, 5.0, 7.5, 10.0]
+        assert not timer.armed
+
+    def test_cancel_inside_the_callback_is_harmless(self, sim):
+        fired = []
+
+        def once():
+            fired.append(sim.now)
+            timer.cancel()
+
+        timer = Timer(sim, once)
+        timer.arm(1.0)
+        sim.run()
+        timer.arm(1.0)
+        sim.run()
+        assert fired == [1.0, 2.0]
+
+    def test_armed_truth_table(self, sim):
+        seen_inside = []
+        timer = Timer(sim, lambda: seen_inside.append(timer.armed))
+        assert not timer.armed          # before the first arm
+        timer.arm(1.0)
+        assert timer.armed
+        timer.arm(2.0)
+        assert timer.armed              # re-arming keeps it armed
+        timer.cancel()
+        assert not timer.armed          # after cancel
+        timer.arm(1.0)
+        sim.run(until=0.5)
+        assert timer.armed              # until the callback is entered
+        sim.run()
+        assert seen_inside == [False]   # false inside the callback
+        assert not timer.armed
+
+    def test_one_queue_entry_per_arm_and_none_per_cancel(self, sim, timer,
+                                                         fired):
+        for delay in (5.0, 1.0, 3.0):
+            timer.arm(delay)
+        timer.cancel()
+        timer.cancel()
+        timer.arm(2.0)
+        sim.run(until=2.0)
+        assert fired == [2.0]
+        # The stale entries (t=3, t=5) are still queued; they dispatch as
+        # no-ops and then the queue is drained — what the chaos auditor's
+        # live-timers invariant relies on.
+        assert sim.peek() == 3.0
+        sim.run()
+        assert fired == [2.0]
+        assert sim.events_processed == 4
+        assert sim.peek() == float("inf")
+
+    def test_rejected_delay_leaves_the_earlier_arming_alone(self, sim, timer,
+                                                            fired):
+        timer.arm(1.0)
+        with pytest.raises(SimulationError):
+            timer.arm(-1.0)
+        assert timer.armed
+        sim.run()
+        assert fired == [1.0]
 
 
 class TestDeterminism:

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim import Simulator, Timer
 from tests.seed_kernel import LegacySimulator
 
 
@@ -457,3 +457,50 @@ class TestHeapEquivalence:
         live.run()
         legacy.run()
         assert live_log == legacy_log
+
+
+# ---------------------------------------------------------------------------
+# Property test: Timer against a reference model that needs no queue.
+# ---------------------------------------------------------------------------
+_TIMER_DELAY = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=6.0, allow_nan=False),
+    st.sampled_from([2.0, 2.0, 4.0, 2500.0]),
+)
+_TIMER_STEP = st.one_of(
+    st.tuples(st.just("arm"), _TIMER_DELAY),
+    st.tuples(st.just("cancel"), st.none()),
+    st.tuples(st.just("run"), _TIMER_DELAY),   # run(until=now + value)
+)
+
+
+class TestTimerModel:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(_TIMER_STEP, min_size=1, max_size=30))
+    def test_timer_matches_the_reference_model(self, program):
+        """The callback runs exactly when a timer that *could* withdraw
+        its queue entries would run it: at the due time of the latest
+        un-cancelled arming, once."""
+        sim = Simulator()
+        fired: list[float] = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        # The model: a clock and at most one due time.
+        now, due, expected, arms = 0.0, None, [], 0
+        for op, value in program + [("run", 6000.0)]:
+            if op == "arm":
+                timer.arm(value)
+                due, arms = now + value, arms + 1
+            elif op == "cancel":
+                timer.cancel()
+                due = None
+            else:
+                now = sim.run(until=now + value)
+                if due is not None and due <= now:
+                    expected.append(due)
+                    due = None
+            assert timer.armed == (due is not None)
+            assert fired == expected
+        # One queue entry per arm, stale ones included, and nothing left.
+        assert sim.events_processed == arms
+        assert sim.peek() == float("inf")
+

@@ -24,12 +24,10 @@ from tools.analysis.engine import Report
 from tools.analysis.escape import WriteOwnerEscapeRule
 from tools.analysis.framekinds import FrameKindRule
 from tools.analysis.statsbalance import StatsBalanceRule
-from tools.analysis.timers import TimerGenRule
 
 INTERPROC_CHECKERS = (
     WriteOwnerEscapeRule,
     FrameKindRule,
-    TimerGenRule,
     StatsBalanceRule,
 )
 
