@@ -28,7 +28,10 @@ The benchmarks:
   Both also report ``calls_per_msg``: Python-level calls per message,
   counted by ``cProfile`` on a second, untimed run.  The count is exact
   for one interpreter version and independent of host speed, so the gate
-  holds it to a 2 % rise where the wall-clock rates get 50 %.
+  holds it to a 2 % rise where the wall-clock rates get 50 %.  And
+  ``events_per_msg``: kernel entries the timed run dispatched, per
+  message.  That one is exact on any interpreter, so it is gated across
+  Python versions and with no slack at all.
 * ``object_census`` — what a finished message leaves behind for the cycle
   collector, counted with the collector disabled around a fixed exchange:
   ``objects_per_msg`` (tracked objects still live per message while the
@@ -254,24 +257,28 @@ def bench_pingpong(iters: int = 200, size: int = 1024) -> dict:
     guard: optimization PRs must move ``wall_s`` and leave ``sim_us_oneway``
     untouched.
     """
-    from repro.bench.pingpong import pingpong_single
+    from repro.bench.backends import make_backend_pair
+    from repro.bench.pingpong import pingpong_single_on
     from repro.netsim import MX_MYRI10G
 
-    def run() -> float:
-        return pingpong_single("madmpi", MX_MYRI10G, size=size,
-                               iters=iters, warmup=1)
+    def run() -> tuple[float, int]:
+        pair = make_backend_pair("madmpi", rails=(MX_MYRI10G,))
+        oneway_us = pingpong_single_on(pair, size, iters=iters, warmup=1)
+        return oneway_us, pair.sim.events_processed
 
     t0 = time.perf_counter()
-    oneway_us = run()
+    oneway_us, events = run()
     wall_s = time.perf_counter() - t0
+    # Two messages per exchange, warm-up exchange included.
+    messages = 2 * (iters + 1)
     return {
         "iters": iters,
         "size": size,
         "wall_s": wall_s,
         "exchanges_per_s": iters / wall_s,
         "sim_us_oneway": oneway_us,
-        # Two messages per exchange, warm-up exchange included.
-        "calls_per_msg": _profiled_calls(run) / (2 * (iters + 1)),
+        "calls_per_msg": _profiled_calls(run) / messages,
+        "events_per_msg": events / messages,
     }
 
 
@@ -286,14 +293,14 @@ def bench_random_traffic(n_messages: int = 300, seed: int = 7) -> dict:
                        burst_prob=0.8)
     messages = generate_messages(spec, seed=seed)
 
-    def run() -> float:
+    def run() -> tuple[float, int]:
         pair = make_backend_pair("madmpi", rails=(MX_MYRI10G,),
                                  strategy="aggregation")
         replay(pair, messages, verify_content=False)
-        return pair.sim.now
+        return pair.sim.now, pair.sim.events_processed
 
     t0 = time.perf_counter()
-    makespan_us = run()
+    makespan_us, events = run()
     wall_s = time.perf_counter() - t0
     return {
         "messages": n_messages,
@@ -302,6 +309,7 @@ def bench_random_traffic(n_messages: int = 300, seed: int = 7) -> dict:
         "messages_per_s": n_messages / wall_s,
         "sim_us_makespan": makespan_us,
         "calls_per_msg": _profiled_calls(run) / n_messages,
+        "events_per_msg": events / n_messages,
     }
 
 
@@ -479,6 +487,10 @@ def render_perf(payload: dict) -> str:
         f"{r['pingpong']['calls_per_msg']:>12,.1f} ping-pong      "
         f"{r['random_traffic']['calls_per_msg']:,.1f} random traffic "
         f"(exact for python {payload['python']})",
+        f"  kernel entries / message:    "
+        f"{r['pingpong']['events_per_msg']:>12,.2f} ping-pong      "
+        f"{r['random_traffic']['events_per_msg']:,.2f} random traffic "
+        f"(exact on any interpreter)",
         f"  objects / message:           "
         f"{r['object_census']['objects_per_msg']:>12,.2f} live, handles held "
         f"{r['object_census']['cyclic_garbage_per_msg']:,.2f} cyclic garbage "
@@ -507,11 +519,17 @@ CALLS_PER_MSG_TOLERANCE = 0.02
 #: fall, none may rise past the tolerance.  The value says what a rise means.
 _EXACT_COUNTS = {
     "calls_per_msg": "the per-message path grew",
+    "events_per_msg": "the kernel dispatches more entries per message",
     "objects_per_msg": "a finished message keeps more objects alive",
     "retained_bytes_per_msg": "a finished message keeps more memory allocated",
     "cyclic_garbage_per_msg":
         "a finished message leaves reference cycles for the collector",
 }
+
+#: The exact counts the interpreter has no say in: compared whatever the
+#: Python versions, and with no slack — a count of queue entries has no
+#: noise, and a new entry per message is a decision, not a small addition.
+_INTERPRETER_NEUTRAL = frozenset({"events_per_msg"})
 
 #: The inputs that fix each workload; two results compare only when these
 #: agree (a ``--quick`` run is another shape).
@@ -546,8 +564,9 @@ def check_bench(
       ``cyclic_garbage_per_msg`` must not rise by more than :data:`CALLS_PER_MSG_TOLERANCE`; the
       counts depend on the interpreter's minor version, so they are
       compared only when that matches the baseline's (and named in
-      ``skipped`` otherwise).  A baseline recorded before a count existed
-      simply does not gate it.
+      ``skipped`` otherwise).  ``events_per_msg`` does not, so it is
+      compared always and must not rise at all.  A baseline recorded
+      before a count existed simply does not gate it.
 
     Returns ``(failures, skipped)``, both human-readable: an empty
     ``failures`` means pass; ``skipped`` names each benchmark left
@@ -601,7 +620,8 @@ def check_bench(
                         f"{want!r}) — simulated time must not move"
                     )
             elif key in _EXACT_COUNTS:
-                if not same_python:
+                neutral = key in _INTERPRETER_NEUTRAL
+                if not same_python and not neutral:
                     skipped.append(
                         f"{name}: {key} is exact per interpreter "
                         f"version (python {payload.get('python')} vs the "
@@ -609,12 +629,12 @@ def check_bench(
                     )
                     continue
                 compared += 1
-                ceiling = want * (1.0 + CALLS_PER_MSG_TOLERANCE)
+                slack = 0.0 if neutral else CALLS_PER_MSG_TOLERANCE
+                ceiling = want * (1.0 + slack)
                 if got is None or got > ceiling:
                     failures.append(
                         f"{name}: {key} {got!r} > {ceiling:.2f} "
-                        f"(baseline {want:.2f} + "
-                        f"{CALLS_PER_MSG_TOLERANCE:.0%}) — "
+                        f"(baseline {want:.2f} + {slack:.0%}) — "
                         f"{_EXACT_COUNTS[key]}"
                     )
     if not compared:

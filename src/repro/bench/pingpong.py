@@ -30,6 +30,7 @@ from repro.netsim import NicProfile
 __all__ = [
     "ISEND_CPU_US",
     "pingpong_single",
+    "pingpong_single_on",
     "pingpong_multiseg",
     "pingpong_datatype",
 ]
@@ -72,6 +73,14 @@ def pingpong_single(
 ) -> float:
     """One-way latency (us) for a single contiguous ``size``-byte message."""
     pair = make_backend_pair(backend, rails=(profile,), strategy=strategy)
+    return pingpong_single_on(pair, size, iters, warmup)
+
+
+def pingpong_single_on(
+    pair: BackendPair, size: int, iters: int = 3, warmup: int = 1
+) -> float:
+    """:func:`pingpong_single` in a fresh simulation the caller built (and
+    can read the counters of afterwards)."""
     m0, m1 = pair.m0, pair.m1
 
     def ping(_it):

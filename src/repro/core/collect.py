@@ -148,7 +148,8 @@ class CollectLayer:
             tracer.emit(engine.sim.now, self.source, "submit",
                         dest=wrap.dest, flow=wrap.flow, tag=wrap.tag,
                         seq=seq, nbytes=wrap.length)
-        engine.poke_watchdog()
+        if engine.watchdog is not None:
+            engine.poke_watchdog()
         engine.transfer.kick()
 
     def _drain_deferred(self) -> None:
@@ -222,7 +223,8 @@ class CollectLayer:
         if tracer.enabled:
             tracer.emit(sim.now, self.source, "submit_control", dest=dest,
                         item=type(item).__name__)
-        engine.poke_watchdog()
+        if engine.watchdog is not None:
+            engine.poke_watchdog()
         engine.transfer.kick()
         return wrap
 

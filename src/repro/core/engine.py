@@ -316,7 +316,8 @@ class NmadEngine:
                 layer.on_post(src)
         if deadline_us is not None:
             self._arm_deadline(req, deadline_us)
-        self.poke_watchdog()
+        if self.watchdog is not None:
+            self.poke_watchdog()
         return req
 
     # -- per-request deadlines -----------------------------------------------

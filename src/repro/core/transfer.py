@@ -91,7 +91,7 @@ class TransferLayer:
         # into _maybe_prepare just to learn that.
         self._anticipates = engine.params.dispatch_policy != "on_idle"
         for nic in self.nics:
-            nic.add_idle_callback(self._on_idle)
+            nic.add_idle_callback(self._on_idle, wanted=self._wants_idle)
             nic.set_receive_handler(partial(self.receive, nic.rail))
 
     @property
@@ -169,6 +169,18 @@ class TransferLayer:
 
     def _on_idle(self, nic: Nic) -> None:
         self._pull(nic.rail)
+
+    def _wants_idle(self) -> bool:
+        """Could a pull at this idle edge do anything at all?
+
+        Only with wraps in the window, a prepared plan to hand over (or, if
+        it lapsed, to clear) or granted bulk to stream.  Work that arrives
+        later needs no edge: whatever brings it calls :meth:`kick`, which
+        schedules the pull itself on an idle NIC.
+        """
+        engine = self.engine
+        return (not engine.window.empty or self._anticipated is not None
+                or engine.rendezvous.n_granted > 0)
 
     def _anticipation_rail(self) -> int:
         """Rail whose threshold a prepared aggregate must respect.

@@ -107,8 +107,18 @@ class MpiEndpoint:
         return request
 
     def wait_all(self, requests: Sequence[Request]):
-        """Wait for every request in ``requests``."""
-        yield self.sim.all_of(requests)
+        """Wait for every request in ``requests``; returns them as a list.
+
+        Costs what is still pending: one request is waited on as itself
+        (exactly :meth:`wait` — no condition object, no extra wake-up), and
+        among several, one that had already succeeded and been processed
+        takes no queue entry to say so.  The first failure is raised into
+        the waiter, which counts as observing it.
+        """
+        if len(requests) == 1:
+            yield requests[0]
+        else:
+            yield self.sim.all_of(requests)
         return list(requests)
 
     @staticmethod

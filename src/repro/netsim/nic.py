@@ -72,6 +72,7 @@ class Nic:
         self._transmitting = False
         self._rx_handler: Callable[[Frame], None] | None = None
         self._idle_callbacks: list[Callable[[Nic], None]] = []
+        self._idle_wanted: list[Callable[[], bool] | None] = []
         # Crash/restart lifecycle: a generation counter invalidates the
         # tx/rx completion closures already in the event queue when the
         # card loses power, so a frame half-serialized at crash time never
@@ -135,13 +136,25 @@ class Nic:
         """Install the upper layer's frame-arrival handler."""
         self._rx_handler = fn
 
-    def add_idle_callback(self, fn: Callable[[Nic], None]) -> None:
+    def add_idle_callback(
+        self,
+        fn: Callable[[Nic], None],
+        wanted: Callable[[], bool] | None = None,
+    ) -> None:
         """Register ``fn(nic)`` to run every time the card goes idle.
 
         This is the hook the NewMadeleine transfer layer uses to pull the
         next optimized packet "as soon as a card becomes idle" (paper §3.3).
+        The edge is reported through the event queue, never inline, and only
+        if somebody wants it: ``wanted()`` is asked at the idle edge itself
+        and a false answer is the registrant's promise that ``fn`` would find
+        nothing to do — then the edge costs no queue entry at all.  Without
+        a predicate every edge is wanted.  An edge any registrant wants is
+        delivered to all of them, so ``fn`` must stay correct when called
+        anyway.
         """
         self._idle_callbacks.append(fn)
+        self._idle_wanted.append(wanted)
 
     # -- state ----------------------------------------------------------------
     @property
@@ -231,15 +244,17 @@ class Nic:
     def _notify_idle(self) -> None:
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, self.name, "idle")
-        if self._idle_callbacks:
-            # Deliver via the queue so refill decisions are deterministic
-            # and may themselves post sends re-entrantly — but as ONE queued
-            # dispatch for the whole list instead of one closure per
-            # callback.  _run_idle_callbacks re-checks ``idle`` before each
-            # callback, exactly like the old per-closure guard did: if an
-            # earlier callback posts a send, the rest become no-ops for this
-            # idle edge and fire again at the next one.
-            self.sim.schedule(0.0, self._run_idle_callbacks)
+        # Deliver via the queue so refill decisions are deterministic and may
+        # themselves post sends re-entrantly — but as ONE queued dispatch for
+        # the whole list instead of one closure per callback, and none when
+        # no registrant wants this edge.  _run_idle_callbacks re-checks
+        # ``idle`` before each callback, exactly like the old per-closure
+        # guard did: if an earlier callback posts a send, the rest become
+        # no-ops for this idle edge and fire again at the next one.
+        for wanted in self._idle_wanted:
+            if wanted is None or wanted():
+                self.sim.schedule(0.0, self._run_idle_callbacks)
+                return
 
     def _run_idle_callbacks(self) -> None:
         for fn in self._idle_callbacks:
@@ -261,6 +276,7 @@ class Nic:
         self._transmitting = False
         self._rx_handler = None
         self._idle_callbacks.clear()
+        self._idle_wanted.clear()
         self._rx_batch = None
         self.up = False
         self._gen += 1

@@ -55,7 +55,7 @@ from functools import partial
 from heapq import heappop, heappush
 from itertools import islice
 
-from typing import Any
+from typing import Any, ClassVar
 
 from random import Random
 
@@ -321,22 +321,21 @@ class Process(Event):
             return
         self._waiting_on = None
         if evt._ok:
-            self._step(lambda: self._gen.send(evt._value))
+            self._step(self._gen.send, evt._value)
         else:
             evt._defused = True
-            exc = evt._exc
-            assert exc is not None
-            self._step(lambda: self._gen.throw(exc))
+            assert evt._exc is not None
+            self._step(self._gen.throw, evt._exc)
 
     def _throw(self, exc: BaseException) -> None:
         if not self.is_alive:
             return
         self._waiting_on = None
-        self._step(lambda: self._gen.throw(exc))
+        self._step(self._gen.throw, exc)
 
-    def _step(self, advance: Callable[[], Any]) -> None:
+    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         try:
-            target = advance()
+            target = advance(arg)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -359,9 +358,24 @@ class Process(Event):
 
 
 class Condition(Event):
-    """Base for composite events over a fixed set of child events."""
+    """Base for composite events over a fixed set of child events.
 
-    __slots__ = ("events", "_n_done")
+    A child's outcome is announced to the condition through the queue, in
+    ``(time, seq)`` order with everything else — including the outcome of a
+    child that was processed before the condition was built
+    (:meth:`Event.add_callback` posts it as a fresh occurrence).  The one
+    exception is a subclass whose :attr:`_counts_successes` is true: there a
+    processed *success* can only ever be counted, so when it is counted
+    cannot change what the condition reports, and the constructor counts it
+    on the spot instead of queueing one entry per finished child to
+    announce what it can read.  An outcome that can *decide* the condition
+    (any failure, any ``AnyOf`` child) always takes the queue.
+    """
+
+    __slots__ = ("events", "_n_left")
+
+    #: True when a succeeded child only moves a count (see the class doc).
+    _counts_successes: ClassVar[bool] = False
 
     def __init__(self, sim: Simulator, events: Iterable[Event]) -> None:
         super().__init__(sim, name=type(self).__name__)
@@ -369,12 +383,17 @@ class Condition(Event):
         for evt in self.events:
             if evt.sim is not sim:
                 raise SimulationError("condition mixes events from different simulators")
-        self._n_done = 0
+        self._n_left = len(self.events)
         if not self.events:
             self.succeed(self._collect())
             return
+        child_done = self._child_done
+        counts = self._counts_successes
         for evt in self.events:
-            evt.add_callback(self._child_done)
+            if counts and evt._callbacks is None and evt._ok:
+                child_done(evt)
+            else:
+                evt.add_callback(child_done)
 
     def _collect(self) -> dict[Event, Any]:
         return {e: e._value for e in self.events if e._ok}
@@ -386,13 +405,18 @@ class Condition(Event):
 class AllOf(Condition):
     """Triggers when *every* child event has succeeded.
 
-    Fails fast (with the child's exception) if any child fails.
+    Fails fast (with the child's exception) if any child fails.  Children
+    that had already succeeded and been processed when the condition was
+    built cost no queue entry; if that is all of them, the condition
+    succeeds from its constructor.
     """
 
     __slots__ = ()
 
+    _counts_successes = True
+
     def _child_done(self, evt: Event) -> None:
-        if self.triggered:
+        if self._ok is not None:
             if not evt._ok:
                 evt._defused = True
             return
@@ -401,8 +425,8 @@ class AllOf(Condition):
             assert evt._exc is not None
             self.fail(evt._exc)
             return
-        self._n_done += 1
-        if self._n_done == len(self.events):
+        self._n_left -= 1
+        if not self._n_left:
             self.succeed(self._collect())
 
 
@@ -412,7 +436,7 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def _child_done(self, evt: Event) -> None:
-        if self.triggered:
+        if self._ok is not None:
             if not evt._ok:
                 evt._defused = True
             return
@@ -576,7 +600,11 @@ class Simulator:
             if sanitize is not None and sanitize.shake_seed is not None
             else None
         )
-        self._now = 0.0
+        #: Current simulated time (microseconds by library convention).  A
+        #: plain attribute, because it is the most-read value in the tree;
+        #: only :meth:`run` writes it (lint NM301 holds everyone else to
+        #: reading).
+        self.now = 0.0
         self._seq = 0
         self._running = False
         self._n_processed = 0
@@ -618,11 +646,6 @@ class Simulator:
         self._deadlock_hints.append(fn)
 
     # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time (microseconds by library convention)."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Total number of occurrences processed so far (for stats).
@@ -692,8 +715,8 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         self._seq = seq = self._seq + 1
-        t = self._now + delay
-        if t <= self._now:
+        t = self.now + delay
+        if t <= self.now:
             self._now_q.append(fn)
         else:
             self._push(t, seq, fn)
@@ -722,8 +745,8 @@ class Simulator:
                 self.schedule(delay, fn)
             return
         self._seq = seq = self._seq + 1
-        t = self._now + delay
-        if t <= self._now:
+        t = self.now + delay
+        if t <= self.now:
             self._now_q.append(fns)
         else:
             self._push(t, seq, fns)
@@ -745,8 +768,8 @@ class Simulator:
 
     def _schedule_event(self, delay: float, event: Event) -> None:
         self._seq = seq = self._seq + 1
-        t = self._now + delay
-        if t <= self._now:
+        t = self.now + delay
+        if t <= self.now:
             self._now_q.append(event)
         else:
             self._push(t, seq, event)
@@ -930,7 +953,7 @@ class Simulator:
                         item()
                 self._n_processed = base + n
                 if n:
-                    self._last_t = self._now
+                    self._last_t = self.now
                 # Tier 2/3: advance the clock to the next timed bucket.
                 batch = self._batch
                 i = self._batch_i
@@ -942,7 +965,7 @@ class Simulator:
                 t = batch[i][0]
                 if until is not None and t > until:
                     break
-                self._now = t
+                self.now = t
                 # Dispatch the whole same-timestamp run before returning to
                 # the now-queue: these entries were pushed earlier (smaller
                 # seq) than anything their dispatch pushes at time t, so
@@ -998,9 +1021,9 @@ class Simulator:
                         item()
                     if i >= len(batch) or batch[i][0] != t:
                         break
-            if until is not None and until > self._now:
-                self._now = until
-            return self._now
+            if until is not None and until > self.now:
+                self.now = until
+            return self.now
         finally:
             self._n_processed = base + n
             batch = self._batch
@@ -1032,12 +1055,12 @@ class Simulator:
             + len(self._far)
         )
         heads = [
-            f"(t={self._now:g}, {item!r})" for item in islice(self._now_q, 3)
+            f"(t={self.now:g}, {item!r})" for item in islice(self._now_q, 3)
         ]
         for entry in batch[self._batch_i : self._batch_i + 3 - len(heads)]:
             heads.append(f"(t={entry[0]:g}, {entry[2]!r})")
         return (
-            f"exceeded max_events={limit} at t={self._now:g}us with "
+            f"exceeded max_events={limit} at t={self.now:g}us with "
             f"{pending} entries still queued (likely a livelock); next up: "
             f"{', '.join(heads) if heads else 'n/a'}"
         )
@@ -1060,7 +1083,7 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled item, or ``inf`` if the queue is empty."""
         if self._now_q:
-            return self._now
+            return self.now
         batch = self._batch
         if self._batch_i < len(batch):
             return float(batch[self._batch_i][0])

@@ -87,6 +87,25 @@ def test_good_lifecycle_is_clean():
     assert report.ok, codes_of(report)
 
 
+def test_bad_simclock_trips_on_every_assignment_form():
+    # ``Simulator.now`` is a plain attribute: NM301 is what keeps it
+    # read-only outside the kernel.
+    report = run_fixture("bad_simclock.py")
+    assert codes_of(report) == ["NM301"] * 5
+    assert all("clock" in v.message for v in report.violations)
+
+
+def test_good_simclock_is_clean():
+    report = run_fixture("good_simclock.py")
+    assert report.ok, codes_of(report)
+
+
+def test_the_kernel_itself_may_move_the_clock():
+    source = "def run(self, sim, t):\n    sim.now = t\n"
+    assert check_source(source, "repro/sim/core.py").ok
+    assert not check_source(source, "repro/netsim/nic.py").ok
+
+
 # -- flow-control state machines (PR 4 counters/fields) -----------------------
 
 def test_bad_flowcontrol_trips_every_rule():

@@ -78,8 +78,8 @@ def test_cli_exits_zero_on_clean_tree(capsys):
 def test_cli_exits_nonzero_on_each_bad_fixture(capsys):
     for name in ("bad_determinism.py", "bad_counters.py",
                  "bad_counters_reset.py", "bad_lifecycle.py",
-                 "bad_blocking.py", "bad_emitgate.py", "bad_suppression.py",
-                 "bad_syntax.py"):
+                 "bad_simclock.py", "bad_blocking.py", "bad_emitgate.py",
+                 "bad_suppression.py", "bad_syntax.py"):
         rc = main([str(FIXTURES / name)])
         assert rc == 1, f"{name} should fail the pass"
         captured = capsys.readouterr()

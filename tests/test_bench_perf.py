@@ -42,11 +42,12 @@ def _payload() -> dict:
         "pingpong": {"iters": 200, "size": 1024, "wall_s": 0.03,
                      "exchanges_per_s": 6000.0,
                      "sim_us_oneway": 5.082577777777872,
-                     "calls_per_msg": 242.56},
+                     "calls_per_msg": 242.56, "events_per_msg": 9.51},
         "random_traffic": {"messages": 300, "seed": 7, "wall_s": 0.015,
                            "messages_per_s": 20_000.0,
                            "sim_us_makespan": 8685.436,
-                           "calls_per_msg": 166.81},
+                           "calls_per_msg": 166.81,
+                           "events_per_msg": 10.21},
         "object_census": {"messages": 400, "objects_per_msg": 4.0,
                           "retained_bytes_per_msg": 625.34,
                           "cyclic_garbage_per_msg": 0.0},
@@ -156,6 +157,45 @@ class TestCheckBench:
             "pingpong: calls_per_msg", "random_traffic: calls_per_msg"]
         fresh["python"] = "3.11.9"   # a patch release counts the same calls
         assert len(check_bench(fresh, _payload())[0]) == 1
+
+    def test_events_per_message_may_fall_but_not_rise_at_all(self):
+        for bench in ("pingpong", "random_traffic"):
+            base = _payload()["results"][bench]["events_per_msg"]
+            fresh = _payload()
+            fresh["results"][bench]["events_per_msg"] = base - 1.0
+            assert check_bench(fresh, _payload()) == ([], [])
+            # One more entry in every hundred messages: well inside the 2 %
+            # the call counts get, and still a failure.
+            fresh["results"][bench]["events_per_msg"] = base + 0.01
+            failures, skipped = check_bench(fresh, _payload())
+            assert len(failures) == 1 and not skipped
+            assert f"{bench}: events_per_msg" in failures[0]
+            assert "dispatches more entries per message" in failures[0]
+            assert check_bench(fresh, _payload(), tolerance=0.9)[0] == failures
+
+    def test_events_per_message_is_compared_across_python_versions(self):
+        fresh = _payload()
+        fresh["python"] = "3.12.1"
+        fresh["results"]["pingpong"]["events_per_msg"] += 1.0
+        failures, skipped = check_bench(fresh, _payload())
+        assert len(failures) == 1
+        assert "pingpong: events_per_msg" in failures[0]
+        assert not any("events_per_msg" in s for s in skipped)
+
+    def test_events_per_message_missing_on_one_side(self):
+        # A trajectory recorded before the key existed does not gate it ...
+        old = _payload()
+        for bench in ("pingpong", "random_traffic"):
+            del old["results"][bench]["events_per_msg"]
+        fresh = _payload()
+        fresh["results"]["pingpong"]["events_per_msg"] = 99.0
+        assert check_bench(fresh, old) == ([], [])
+        # ... a fresh run that lost it does.
+        fresh = _payload()
+        del fresh["results"]["pingpong"]["events_per_msg"]
+        failures, _ = check_bench(fresh, _payload())
+        assert len(failures) == 1
+        assert "pingpong: events_per_msg None" in failures[0]
 
     def test_objects_per_message_may_fall_but_not_rise(self):
         fresh = _payload()
@@ -293,19 +333,23 @@ class TestBenches:
     def test_pingpong(self):
         res = bench_pingpong(iters=3, size=64)
         assert set(res) == {"iters", "size", "wall_s", "exchanges_per_s",
-                            "sim_us_oneway", "calls_per_msg"}
+                            "sim_us_oneway", "calls_per_msg",
+                            "events_per_msg"}
         assert res["sim_us_oneway"] > 0.0
-        # Exact: a second run counts the very same calls.
-        assert res["calls_per_msg"] == \
-            bench_pingpong(iters=3, size=64)["calls_per_msg"] > 0
+        # Exact: a second run counts the very same calls and entries.
+        again = bench_pingpong(iters=3, size=64)
+        assert res["calls_per_msg"] == again["calls_per_msg"] > 0
+        assert res["events_per_msg"] == again["events_per_msg"] > 0
 
     def test_random_traffic(self):
         res = bench_random_traffic(n_messages=10)
         assert set(res) == {"messages", "seed", "wall_s", "messages_per_s",
-                            "sim_us_makespan", "calls_per_msg"}
+                            "sim_us_makespan", "calls_per_msg",
+                            "events_per_msg"}
         assert res["sim_us_makespan"] > 0.0
-        assert res["calls_per_msg"] == \
-            bench_random_traffic(n_messages=10)["calls_per_msg"] > 0
+        again = bench_random_traffic(n_messages=10)
+        assert res["calls_per_msg"] == again["calls_per_msg"] > 0
+        assert res["events_per_msg"] == again["events_per_msg"] > 0
 
     def test_object_census(self):
         res = bench_object_census(depth=4, rounds=2)
@@ -377,4 +421,5 @@ class TestBenches:
                 assert res[key[:-1] + "cal"] == res[key] * cal_s
         assert "kernel storm" in render_perf(payload)
         assert "python calls / message" in render_perf(payload)
+        assert "kernel entries / message" in render_perf(payload)
         assert "objects / message" in render_perf(payload)

@@ -88,6 +88,100 @@ class TestPullMachinery:
         assert cluster.node(0).nics[1].frames_sent == 1
 
 
+class TestIdleEdge:
+    """An idle edge posts a hop only if a pull could do something; the work
+    the hop used to do must still get done (docs/PERFORMANCE.md)."""
+
+    @staticmethod
+    def _records(tracer, kind, source="node0"):
+        return [r for r in tracer.records
+                if r.kind == kind and r.source.startswith(source)]
+
+    def test_isend_at_the_timestamp_of_an_unwanted_edge(self):
+        # The first send's completion callback submits the second one at
+        # the very timestamp the NIC drained: the window was empty at the
+        # edge (no hop), so the kick from that isend is the only pull —
+        # and the packet still leaves at that same instant.
+        tracer = Tracer(enabled=True)
+        sim = Simulator()
+        cluster = Cluster(sim, rails=(MX_MYRI10G,), tracer=tracer)
+        e0, e1 = (NmadEngine(cluster.node(i)) for i in range(2))
+        selects = []
+        select = e0.strategy.select
+        e0.strategy.select = lambda ctx: selects.append(sim.now) or select(ctx)
+        recvs = [e1.irecv(src=0, tag=t) for t in (0, 1)]
+        second = []
+        first = e0.isend(1, b"first", tag=0)
+        first.add_callback(
+            lambda _evt: second.append(e0.isend(1, b"second", tag=1)))
+        sim.run()
+        assert all(r.complete and not r.failed for r in recvs + second)
+        drained, _ = [r.time for r in self._records(tracer, "idle")]
+        plans = [r.time for r in self._records(tracer, "send_plan")]
+        starts = [r.time for r in self._records(tracer, "tx_start")]
+        assert plans == starts == [0.0, drained]
+        # One election per packet: no pull found the window empty-handed
+        # before, or found the NIC busy after.
+        assert selects == plans
+        assert e0.quiesced() and e1.quiesced()
+
+    @pytest.mark.parametrize("strategy, rails", [
+        ("aggregation", (MX_MYRI10G,)),
+        ("multirail", (MX_MYRI10G, QUADRICS_QM500)),
+    ])
+    def test_granted_bulk_streams_from_edge_to_edge(self, strategy, rails):
+        # After the announcement left, the window is empty for the whole
+        # transfer: every chunk but the first is pulled by an idle edge
+        # that is wanted only because granted bulk is waiting.
+        tracer = Tracer(enabled=True)
+        sim = Simulator()
+        cluster = Cluster(sim, rails=rails, tracer=tracer)
+        params = EngineParams(rdv_chunk_bytes=16 * 1024)
+        e0, e1 = (NmadEngine(cluster.node(i), strategy=strategy,
+                             params=params) for i in range(2))
+        rreq = e1.irecv(src=0, tag=3)
+        sreq = e0.isend(1, VirtualData(256 * 1024), tag=3)
+        sim.run()
+        assert sreq.complete and rreq.complete and not rreq.failed
+        assert rreq.actual_len == 256 * 1024
+        bulk = self._records(tracer, "send_bulk")
+        assert len(bulk) == 16
+        assert sorted({r.detail["rail"] for r in bulk}) \
+            == list(range(len(rails)))
+        for rail, nic in enumerate(e0.node.nics):
+            # Back to back: every chunk after a card's first is pulled at
+            # the instant the frame before it finished.
+            drained = {r.time for r in tracer.records
+                       if r.source == nic.name and r.kind == "tx_done"}
+            chunks = [r.time for r in bulk if r.detail["rail"] == rail]
+            assert len(chunks) >= 3
+            assert all(t in drained for t in chunks[1:])
+        assert e0.quiesced() and e1.quiesced()
+
+    def test_lapsed_plan_is_cleared_by_the_next_edge(self):
+        # A plan prepared while the NIC was busy lapses when its wrap
+        # leaves the window some other way (here: taken out directly, as a
+        # peer teardown does).  The window is empty at the next edge, yet
+        # the edge must still be wanted: the pull is what drops the plan.
+        params = EngineParams(dispatch_policy="anticipate")
+        sim, _, e0, e1 = make(params=params)
+
+        def app():
+            rbig = e1.irecv(src=0, tag=0)
+            e0.isend(1, VirtualData(24_000), tag=0)   # NIC busy ~20us
+            yield sim.timeout(1.0)
+            small = e0.isend(1, VirtualData(64), tag=1)
+            assert e0.transfer.has_anticipated
+            e0.window.take(small.wrap)
+            assert e0.window.empty and e0.transfer.has_anticipated
+            yield rbig
+
+        sim.run_process(app())
+        assert not e0.transfer.has_anticipated
+        assert e0.stats.anticipated_hits == 0 and e0.stats.phys_packets == 1
+        assert e0.quiesced()
+
+
 class TestCosts:
     def test_pull_cost_on_critical_path(self):
         def one_way(pull_cost):

@@ -1,12 +1,17 @@
 """Host-neutral budget for the per-message path (docs/PERFORMANCE.md).
 
-Four pins, none of which depends on how fast the host is:
+Five pins, none of which depends on how fast the host is:
 
 * tracing off never *enters* ``Tracer.emit`` (the guard is at the call site,
   not inside ``emit``), in paper mode and with every opt-in layer on;
 * total Python calls per message, counted by ``cProfile`` (exact for a
   fixed workload), stay under a ceiling set 3 % above the value measured
   when this file was written;
+* kernel entries per message (``sim.events_processed`` / messages) on the
+  same two workloads, exact on any host and any interpreter, so the
+  ceiling is the measured value itself: an entry either moves the
+  simulated clock, wakes the application or hands work between layers —
+  a new one has to say which;
 * a finished message leaves only its handles behind: counted with the cycle
   collector disabled, the objects still alive (and the bytes still
   allocated) per message while both handles are held stay under a ceiling,
@@ -43,11 +48,18 @@ HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
                 rel_timeout_us="auto", hb_interval_us=500.0,
                 hb_timeout_us=5000.0)
 
-#: Measured 203.8 / 92.6 calls per message at this commit on CPython 3.11
-#: (parent commit: 207.8 / 96.6); the ceilings are those values + 3 %.
+#: Measured 183.8 / 81.4 calls per message at this commit on CPython 3.11
+#: (parent commit: 203.8 / 92.6); the ceilings are those values + 3 %.
 #: Lower them when the path gets shorter; never raise them.
-PINGPONG_CALLS_PER_MSG = 209.9
-BURST_CALLS_PER_MSG = 95.4
+PINGPONG_CALLS_PER_MSG = 189.3
+BURST_CALLS_PER_MSG = 83.9
+#: Kernel entries per message, exactly as measured (parent commit: 10.01 /
+#: 4.140625).  Ping-pong: five timed hops (tx, link, rx, demux, match), the
+#: deferred pull, tx-done, and the completions of the send and the receive
+#: request; the .01 is the two rank processes starting and ending, over 400
+#: messages.  An integer count needs no slack.
+PINGPONG_ENTRIES_PER_MSG = 9.01
+BURST_ENTRIES_PER_MSG = 4.125
 #: Tracked objects alive per delivered message while the application holds
 #: both handles: the send request, the receive request (each its own
 #: completion event and, under MAD-MPI, the MPI handle), the payload
@@ -169,6 +181,18 @@ def test_pingpong_calls_per_message_under_budget():
 def test_burst_calls_per_message_under_budget():
     calls = _calls_per_message(burst, 4, depth=64)
     assert calls <= BURST_CALLS_PER_MSG, calls
+
+
+def test_pingpong_kernel_entries_per_message_exact():
+    sim, mpis = build(2)
+    msgs = pingpong(sim, mpis, rounds=200)
+    assert sim.events_processed / msgs <= PINGPONG_ENTRIES_PER_MSG
+
+
+def test_burst_kernel_entries_per_message_exact():
+    sim, mpis = build(4)
+    msgs = burst(sim, mpis, depth=64)
+    assert sim.events_processed / msgs <= BURST_ENTRIES_PER_MSG
 
 
 # -- (c) what a finished message leaves behind ---------------------------------

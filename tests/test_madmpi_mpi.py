@@ -97,6 +97,79 @@ class TestPointToPoint:
         done = sim.run_process(app())
         assert [r.data.tobytes() for r in done] == [bytes([i]) for i in range(5)]
 
+    def test_wait_all_of_one_request_is_a_plain_wait(self):
+        def entries(waiter):
+            sim, _, (m0, m1) = make_mpi_pair()
+
+            def app():
+                rreq = m1.irecv(source=0, tag=4)
+                m0.isend(b"solo", dest=1, tag=4)
+                got = yield from waiter(m1, rreq)
+                return got, rreq, sim.now
+
+            return sim.run_process(app()), sim.events_processed
+
+        (got, rreq, t_all), n_all = entries(lambda m, r: m.wait_all([r]))
+        assert got == [rreq] and rreq.data.tobytes() == b"solo"
+        (got, rreq, t_one), n_one = entries(lambda m, r: m.wait(r))
+        assert got is rreq
+        # No condition in between: same wake-up time, not one entry more.
+        assert (t_all, n_all) == (t_one, n_one)
+
+    def test_wait_all_of_one_raises_that_requests_error(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+
+        def app():
+            rreq = m1.irecv(source=0, tag=1, nbytes=2)
+            m0.isend(b"too long", dest=1, tag=1)
+            with pytest.raises(MpiError, match="truncation") as exc:
+                yield from m1.wait_all([rreq])
+            return exc.value is rreq.error
+
+        assert sim.run_process(app())
+
+    def test_wait_all_of_one_observes_the_failure(self):
+        # A bare failing event stands in for a request nobody else defused:
+        # raised into the waiter it counts as observed; unwaited, run()
+        # re-raises it.
+        for waited in (True, False):
+            sim, _, (_, m1) = make_mpi_pair()
+            evt = sim.event()
+            sim.schedule(1.0, lambda evt=evt: evt.fail(MpiError("lonely")))
+            caught = []
+
+            def app(evt=evt, caught=caught):
+                try:
+                    yield from m1.wait_all([evt])
+                except MpiError as exc:
+                    caught.append(exc)
+
+            if waited:
+                sim.spawn(app())
+                sim.run()
+                assert caught == [evt.exception]
+            else:
+                with pytest.raises(MpiError, match="lonely"):
+                    sim.run()
+
+    def test_wait_all_shapes(self):
+        sim, _, (m0, m1) = make_mpi_pair()
+
+        def app():
+            assert (yield from m1.wait_all([])) == []
+            t0 = sim.now
+            recvs = tuple(m1.irecv(source=0, tag=i) for i in range(2))
+            sends = [m0.isend(bytes([i]), dest=1, tag=i) for i in range(2)]
+            assert (yield from m1.wait_all(recvs)) == list(recvs)
+            assert (yield from m0.wait_all(sends)) == sends
+            # Both already complete and processed: waiting again is free.
+            before = sim.now
+            assert (yield from m1.wait_all(list(recvs))) == list(recvs)
+            return t0, before, sim.now
+
+        t0, before, after = sim.run_process(app())
+        assert t0 == 0.0 and after == before > 0.0
+
     def test_any_source_status_reports_rank(self):
         sim, _, (m0, m1) = make_mpi_pair()
 

@@ -188,6 +188,78 @@ class TestBusyIdle:
         # Two drains happened; callbacks only ever observed a truly idle NIC.
         assert all(calls)
 
+    def test_unwanted_idle_edge_schedules_nothing(self):
+        # With nobody registered a transmission is four kernel entries (tx
+        # finish, tx-done, link delivery, receive handler).  A registrant
+        # whose predicate says no adds none; one without a predicate — or
+        # whose predicate says yes — adds exactly the queued idle hop.
+        def entries(register):
+            s = Simulator()
+            cluster = make_cluster(s)
+            nic = cluster.node(0).nic()
+            cluster.node(1).nic().set_receive_handler(lambda f: None)
+            calls = []
+            register(nic, calls)
+            nic.post_send(frame(size=1000))
+            s.run()
+            return s.events_processed, len(calls)
+
+        bare, _ = entries(lambda nic, calls: None)
+        assert entries(lambda nic, calls: nic.add_idle_callback(
+            calls.append, wanted=lambda: False)) == (bare, 0)
+        assert entries(lambda nic, calls: nic.add_idle_callback(
+            calls.append, wanted=lambda: True)) == (bare + 1, 1)
+        assert entries(lambda nic, calls: nic.add_idle_callback(
+            calls.append)) == (bare + 1, 1)
+
+    def test_idle_predicate_is_asked_at_the_edge_itself(self, sim):
+        # Not at registration and not when the hop is dispatched: the
+        # answer may change from one drain to the next.
+        cluster = make_cluster(sim)
+        nic = cluster.node(0).nic()
+        cluster.node(1).nic().set_receive_handler(lambda f: None)
+        want = [False]
+        asked, idles = [], []
+        nic.add_idle_callback(
+            lambda n: idles.append(sim.now),
+            wanted=lambda: asked.append(sim.now) or want[0])
+        nic.post_send(frame(size=1000))
+        sim.run()
+        assert len(asked) == 1 and idles == []
+        want[0] = True
+        nic.post_send(frame(size=1000))
+        sim.run()
+        assert len(asked) == 2 and idles == [asked[1]]
+
+    def test_an_edge_one_registrant_wants_reaches_all_of_them(self, sim):
+        cluster = make_cluster(sim)
+        nic = cluster.node(0).nic()
+        cluster.node(1).nic().set_receive_handler(lambda f: None)
+        calls = []
+        nic.add_idle_callback(lambda n: calls.append("a"),
+                              wanted=lambda: False)
+        nic.add_idle_callback(lambda n: calls.append("b"))
+        nic.post_send(frame(size=1000))
+        sim.run()
+        assert calls == ["a", "b"]
+
+    def test_crash_forgets_the_idle_predicate_with_the_callback(self, sim):
+        cluster = make_cluster(sim)
+        nic = cluster.node(0).nic()
+        cluster.node(1).nic().set_receive_handler(lambda f: None)
+        asked = []
+        nic.add_idle_callback(lambda n: asked.append("old fn"),
+                              wanted=lambda: asked.append("old") or True)
+        nic.crash()
+        nic.restart()
+        idles = []
+        nic.add_idle_callback(lambda n: idles.append(sim.now))
+        nic.post_send(frame(size=1000))
+        sim.run()
+        # The dead incarnation's predicate is neither consulted nor allowed
+        # to veto the new registrant's edge.
+        assert asked == [] and len(idles) == 1
+
     def test_pipelined_burst_uses_gap_not_full_overhead(self, sim):
         # A queued burst must be faster than the same frames sent one at a
         # time with a full injection overhead each (MPICH's efficient

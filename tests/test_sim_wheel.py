@@ -460,6 +460,168 @@ class TestHeapEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# Property test: conditions built over children in every state report what
+# the seed kernel reports; an AllOf just pays no queue entry to be told of
+# a success it could read.
+# ---------------------------------------------------------------------------
+_T_BUILD = 4.0   # when the condition is constructed
+_CHILD_STATES = (
+    "processed_ok", "processed_failed",   # dispatched before _T_BUILD
+    "triggered_ok", "triggered_failed",   # in the queue at construction
+    "pending_ok", "pending_failed",       # triggered at or after _T_BUILD
+    "pending_never",
+    "timeout",                            # processed, due or pending: by delay
+)
+
+
+@st.composite
+def condition_programs(draw):
+    """(kind, children, timeouts_first, horizons).
+
+    A child is ``(state, when)``: ``when`` picks the trigger time inside the
+    state's range (and 0.0 the same-timestamp corner of it — a trigger from
+    a callback queued just ahead of the builder, or just behind it).
+    """
+    children = draw(st.lists(
+        st.tuples(st.sampled_from(_CHILD_STATES),
+                  st.sampled_from([0.0, 0.0, 1.0, 2.5])),
+        min_size=1, max_size=7))
+    horizons = draw(st.lists(
+        st.floats(min_value=0.0, max_value=8.0, allow_nan=False),
+        max_size=3))
+    return (draw(st.sampled_from(["all_of", "any_of"])), children,
+            draw(st.booleans()), horizons)
+
+
+class _Boom(Exception):
+    pass
+
+
+def _play_condition(sim, program):
+    """Run ``program`` on ``sim``; returns everything an observer can see."""
+    kind, specs, timeouts_first, horizons = program
+    children = [None] * len(specs)
+    seen = {"outcome": None, "counted": None}
+
+    def trigger(i, ok, defuse=False):
+        if ok:
+            children[i].succeed(i)
+        else:
+            children[i].fail(_Boom(f"child {i}"))
+            if defuse:
+                children[i].defuse()
+
+    def observe(cond):
+        # What a waiting process does on wake-up, minus the process.
+        if cond.ok:
+            seen["outcome"] = (sim.now, "ok", [
+                (children.index(c), v) for c, v in cond.value.items()])
+        else:
+            cond.defuse()
+            seen["outcome"] = (sim.now, "failed", str(cond.exception))
+
+    def build():
+        for i, (state, when) in enumerate(specs):
+            if state.startswith("triggered") and when != 0.0:
+                trigger(i, state.endswith("_ok"))
+        # What an AllOf may count without being told: dispatched successes.
+        seen["counted"] = sum(
+            1 for c in children if c._callbacks is None and c._ok)
+        cond = getattr(sim, kind)(children)
+        seen["cond"] = cond
+        cond.add_callback(observe)   # at once, as ``yield cond`` would
+
+    def post_timeouts():
+        for i, (state, when) in enumerate(specs):
+            if state == "timeout":
+                children[i] = sim.timeout(_T_BUILD - 1.0 + when, i)
+
+    for i, (state, when) in enumerate(specs):
+        if state != "timeout":
+            children[i] = sim.event(f"child{i}")
+    for i, (state, when) in enumerate(specs):
+        if state.startswith("processed"):
+            # Defused where it fails, or run() would re-raise it right there.
+            sim.schedule(when, lambda i=i, ok=state.endswith("_ok"):
+                         trigger(i, ok, defuse=True))
+    if timeouts_first:
+        post_timeouts()
+    for i, (state, when) in enumerate(specs):
+        if state.startswith("triggered") and when == 0.0:
+            sim.schedule(_T_BUILD, lambda i=i, ok=state.endswith("_ok"):
+                         trigger(i, ok))
+    sim.schedule(_T_BUILD, build)
+    if not timeouts_first:
+        post_timeouts()
+    for i, (state, when) in enumerate(specs):
+        if state in ("pending_ok", "pending_failed"):
+            sim.schedule(_T_BUILD + when, lambda i=i, ok=state.endswith("_ok"):
+                         trigger(i, ok))
+
+    raised = []
+    for until in [*sorted(horizons), None]:
+        while True:
+            try:
+                sim.run(until=until)
+                break
+            except _Boom as exc:   # a failure nobody observed
+                raised.append((sim.now, str(exc)))
+    cond = seen.pop("cond")
+    seen.update(
+        raised=raised, entries=sim.events_processed,
+        triggered=cond.triggered,
+        defused=[c._defused for c in children if c._ok is False])
+    return seen
+
+
+class TestConditionEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(condition_programs())
+    def test_conditions_report_what_the_seed_kernel_reports(self, program):
+        live = _play_condition(Simulator(), program)
+        legacy = _play_condition(LegacySimulator(), program)
+        saved = live["counted"] if program[0] == "all_of" else 0
+        assert legacy.pop("entries") - live.pop("entries") == saved
+        # Trigger time, value dict or failure, which failed children were
+        # defused, what run() re-raised: all the same.
+        assert live == legacy
+
+    def test_all_processed_successes_trigger_from_the_constructor(self):
+        sim = Simulator()
+        kids = [sim.event().succeed(i) for i in range(64)]
+        sim.run()
+        before = sim.events_processed
+        cond = sim.all_of(kids)
+        assert cond.triggered and cond.ok
+        sim.run()
+        assert sim.events_processed - before == 1   # the condition itself
+        assert cond.value == {k: i for i, k in enumerate(kids)}
+
+    @pytest.mark.parametrize("factory", [Simulator, LegacySimulator])
+    def test_a_decisive_outcome_still_waits_its_turn(self, factory):
+        # Why only an AllOf's successes are read on the spot: any other
+        # processed child can decide the condition, and then announcing it
+        # ahead of a child already in the queue changes the verdict.
+        sim = factory()
+        done = sim.event().succeed("done long ago")
+        sim.run()
+        queued = sim.event().fail(_Boom("queued first"))
+        cond = sim.any_of([queued, done])
+        cond.add_callback(lambda c: c.defuse())
+        sim.run()
+        assert not cond.ok and str(cond.exception) == "queued first"
+
+        late = sim.event().fail(_Boom("late"))
+        late.defuse()
+        sim.run()
+        queued = sim.event().fail(_Boom("queued first"))
+        cond = sim.all_of([queued, late])
+        cond.add_callback(lambda c: c.defuse())
+        sim.run()
+        assert str(cond.exception) == "queued first"
+
+
+# ---------------------------------------------------------------------------
 # Property test: Timer against a reference model that needs no queue.
 # ---------------------------------------------------------------------------
 _TIMER_DELAY = st.one_of(

@@ -49,9 +49,12 @@ from tools.analysis.counters import WINDOW_MODULE, WINDOW_PRIVATE
 #: Kernel-private Event/Process/Condition state, owner repro/sim/core.py.
 EVENT_PRIVATE = frozenset({
     "_ok", "_value", "_exc", "_defused", "_callbacks",
-    "_gen", "_waiting_on", "_n_done",
+    "_gen", "_waiting_on", "_n_left",
 })
 EVENT_MODULES = frozenset({"repro/sim/core.py"})
+#: What a simulator is called where one is held (``sim.now``,
+#: ``self.sim.now``, ``engine.sim.now``, ``self._sim.now``).
+SIMULATOR_NAMES = frozenset({"sim", "_sim", "simulator"})
 
 #: NM302 applies where engine state objects circulate.  The baselines
 #: (repro/baselines/) reimplement a classic library with their own local
@@ -118,10 +121,19 @@ CHAOS_SCOPE = "repro/chaos/"
 CHAOS_AUDIT_MODULE = "repro/chaos/audit.py"
 
 
+def _names_simulator(receiver: ast.expr) -> bool:
+    """Is ``receiver`` (the ``X`` of ``X.now``) named like a simulator?"""
+    if isinstance(receiver, ast.Name):
+        return receiver.id in SIMULATOR_NAMES
+    return (isinstance(receiver, ast.Attribute)
+            and receiver.attr in SIMULATOR_NAMES)
+
+
 class LifecycleChecker(Checker):
     name = "lifecycle"
     codes = {
-        "NM301": "Event kernel-private state touched outside sim/core.py",
+        "NM301": "Event kernel-private state touched, or the clock "
+                 "assigned, outside sim/core.py",
         "NM302": "lifecycle transition field written outside its owner module",
         "NM303": "window-private storage read outside window.py",
         "NM304": "unregistered frame-kind string literal",
@@ -138,6 +150,13 @@ class LifecycleChecker(Checker):
                         f"access to kernel-private {attr!r} outside the "
                         "simulation kernel; use the public Event API "
                         "(triggered/ok/value/exception/defuse)")
+        if (attr == "now" and not isinstance(node.ctx, ast.Load)
+                and self.ctx.path not in EVENT_MODULES
+                and _names_simulator(node.value)):
+            self.report(node, "NM301",
+                        "assignment to the simulation clock outside the "
+                        "kernel; 'now' is an attribute only Simulator.run "
+                        "writes (schedule a callback instead)")
         if (attr in WINDOW_PRIVATE and self.ctx.path != WINDOW_MODULE
                 and not is_self_access(node)
                 and isinstance(node.ctx, ast.Load)):
