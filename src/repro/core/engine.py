@@ -13,6 +13,7 @@ lives in :mod:`repro.core.interface`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Generator
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -27,7 +28,7 @@ from repro.core.matching import Incoming, Matcher
 from repro.core.packet import (
     CancelItem, HeaderSpec, RdvReqItem, SegItem,
 )
-from repro.core.protocols import Layer, counter
+from repro.core.protocols import Layer, counter, knob
 from repro.core.reliability import (
     ReliabilityLayer, ReliabilityParams, ReliabilityStats,
 )
@@ -42,7 +43,6 @@ from repro.errors import (
     DeadlineExceededError, MpiError, PeerDeadError, SimulationError,
 )
 from repro.netsim.node import Node
-from repro.netsim.profiles import NicProfile
 from repro.sim import Event, Tracer
 from repro.sim.core import Watchdog
 
@@ -53,84 +53,55 @@ __all__ = ["EngineParams", "EngineStats", "NmadEngine"]
 class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
     """Engine cost model and protocol constants.
 
-    The two scheduler costs realize the overhead sources of paper §5.1: an
+    The scheduler costs realize the overhead sources of paper §5.1: an
     extra header per physical packet (``hdr``), and "extra operations on
     the critical path to inspect the 'ready list'" — ``pull_cost_us`` once
-    per synthesized packet plus ``per_mtu_cost_us`` per MTU of data pushed
-    through the optimizer's data path (calibrated per driver, which is why
-    the large-message bandwidth deficit differs between MX and Quadrics in
-    Figure 2).
+    per synthesized packet plus the rail's
+    :attr:`~repro.netsim.profiles.NicProfile.per_mtu_cost_us` per MTU of
+    data pushed through the optimizer's data path.
 
-    The opt-in layers' knobs are inherited from the mixin next to each layer.
+    Every scalar field is a :func:`~repro.core.protocols.knob`, its range
+    checked at construction; the opt-in layers' knobs are inherited from
+    the mixin next to each layer.
     """
 
     hdr: HeaderSpec = field(default_factory=HeaderSpec)
-    pull_cost_us: float = 0.25
-    demux_packet_cost_us: float = 0.30
-    demux_item_cost_us: float = 0.05
-    per_mtu_cost_us: float = 0.10
-    #: When a NIC is refilled from an *anticipated* (pre-synthesized) packet
-    #: the optimization function already ran off the critical path; only a
-    #: hand-over cost remains (paper 3.2, second dispatch policy).
-    anticipated_pull_cost_us: float = 0.05
+    pull_cost_us: float = knob(0.25, lo=0.0)
+    demux_packet_cost_us: float = knob(0.30, lo=0.0)
+    demux_item_cost_us: float = knob(0.05, lo=0.0)
     #: Dispatch policy (paper 3.2): "on_idle" = synthesize when a NIC asks;
     #: "anticipate" = while all NICs are busy keep one ready-to-send packet
     #: prepared and re-feed it instantly; "backlog" = anticipate only once
     #: the window holds at least ``backlog_flush_threshold`` wraps.
-    dispatch_policy: str = "on_idle"
-    backlog_flush_threshold: int = 8
-    per_mtu_cost_by_tech: tuple[tuple[str, float], ...] = (
-        ("mx", 0.12),
-        ("elan", 0.36),
-    )
-    rdv_chunk_bytes: int = 512 * 1024
-    eager_copy_on_recv: bool = True
+    dispatch_policy: str = knob(
+        "on_idle", choices=("on_idle", "anticipate", "backlog"))
+    backlog_flush_threshold: int = knob(8, lo=1)
+    rdv_chunk_bytes: int = knob(512 * 1024, gt=0)
+    eager_copy_on_recv: bool = knob(True, choices=(False, True))
     #: Bounded collect layer: caps on the optimization window (0 = the
     #: paper's unbounded window).  When full, ``window_policy`` decides:
     #: ``"block"`` defers the submission FIFO until the window drains,
     #: ``"fail"`` raises :class:`~repro.errors.WindowFullError`.
-    max_window_wraps: int = 0
-    max_window_bytes: int = 0
-    window_policy: str = "block"
+    max_window_wraps: int = knob(0, lo=0)
+    max_window_bytes: int = knob(0, lo=0)
+    window_policy: str = knob("block", choices=("block", "fail"))
     #: Progress watchdog period in virtual microseconds (0 = off).  While
     #: the engine has outstanding work, a progress token is sampled every
     #: interval; two consecutive unchanged samples raise
     #: :class:`~repro.errors.ProgressStallError` with a per-peer dump.
-    watchdog_interval_us: float = 0.0
+    watchdog_interval_us: float = knob(0.0, lo=0.0)
 
     def __post_init__(self) -> None:
-        if min(self.pull_cost_us, self.per_mtu_cost_us,
-               self.demux_packet_cost_us, self.demux_item_cost_us,
-               self.anticipated_pull_cost_us) < 0:
-            raise ValueError("negative scheduler cost")
-        if self.dispatch_policy not in ("on_idle", "anticipate", "backlog"):
-            raise ValueError(
-                f"unknown dispatch policy {self.dispatch_policy!r}; "
-                "expected on_idle | anticipate | backlog"
-            )
-        if self.backlog_flush_threshold < 1:
-            raise ValueError("backlog_flush_threshold must be >= 1")
-        if self.rdv_chunk_bytes <= 0:
-            raise ValueError("rendezvous chunk must be positive")
-        if self.max_window_wraps < 0 or self.max_window_bytes < 0:
-            raise ValueError("negative window cap")
-        if self.window_policy not in ("block", "fail"):
-            raise ValueError(
-                f"unknown window policy {self.window_policy!r}; "
-                "expected block | fail"
-            )
-        if self.watchdog_interval_us < 0:
-            raise ValueError("negative watchdog interval")
+        for name, spec in _KNOBS:
+            spec.check(name, getattr(self, name))
         self._check_reliability()
         self._check_flow_control()
         self._check_sessions()
 
-    def per_mtu_cost(self, profile: NicProfile) -> float:
-        """Data-path inspection cost per MTU for this driver."""
-        for tech, cost in self.per_mtu_cost_by_tech:
-            if tech == profile.tech:
-                return cost
-        return self.per_mtu_cost_us
+
+#: Every declared knob of :class:`EngineParams`, as ``(name, Knob)``.
+_KNOBS = tuple((f.name, f.metadata["knob"]) for f in fields(EngineParams)
+               if "knob" in f.metadata)
 
 
 @dataclass
@@ -205,11 +176,7 @@ class NmadEngine:
         # check for it, so static-mode behaviour is provably untouched.
         self.rtt: RttEstimator | None = None
         if self.params.rel_adaptive:
-            self.rtt = RttEstimator(
-                floor_us=self.params.rel_rto_floor_us,
-                ceiling_us=self.params.rel_rto_ceiling_us,
-                headroom=self.params.rel_rto_headroom,
-            )
+            self.rtt = RttEstimator(self.params.rel_rto_ceiling_us)
         self.transfer = TransferLayer(self)
         # The opt-in pipeline: a layer that is off is not constructed, so in
         # paper mode both tuples are empty and nothing sits between the
@@ -279,6 +246,8 @@ class NmadEngine:
                 f"node{self.node_id}: isend to node {dest}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
             )
+        if deadline_us is not None:
+            self._check_deadline(deadline_us)
         req = self.collect.submit(dest, data, flow, tag, priority, rail,
                                   allow_reorder, depends_on,
                                   request_cls).completion
@@ -309,6 +278,8 @@ class NmadEngine:
                 f"node{self.node_id}: irecv from node {src}, a peer "
                 "confirmed dead (revoke or shrink the communicator)"
             )
+        if deadline_us is not None:
+            self._check_deadline(deadline_us)
         req = request_cls(self.sim, src, flow, tag, nbytes, self.sim.now)
         self.matcher.post(req)
         if src != ANY:
@@ -321,14 +292,17 @@ class NmadEngine:
         return req
 
     # -- per-request deadlines -----------------------------------------------
+    def _check_deadline(self, deadline_us: float) -> None:
+        """Reject a bad deadline before the request has any side effect."""
+        if not 0 < deadline_us < math.inf:
+            raise MpiError(
+                f"node{self.node_id}: deadline_us must be positive and "
+                f"finite, got {deadline_us}"
+            )
+
     def _arm_deadline(
         self, req: SendRequest | RecvRequest, deadline_us: float
     ) -> None:
-        if deadline_us <= 0:
-            raise MpiError(
-                f"node{self.node_id}: deadline_us must be positive, "
-                f"got {deadline_us}"
-            )
         self.sim.schedule(deadline_us,
                           lambda: self._deadline_fire(req, deadline_us))
 

@@ -52,7 +52,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.packet import PacketWrap, SegItem
-from repro.core.protocols import Layer, counter
+from repro.core.protocols import Layer, counter, knob
 from repro.errors import MpiError, ProtocolError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -75,37 +75,25 @@ class FlowControlParams:
     #: benchmark figure bit-identical; ``"credit"`` turns on receive-side
     #: credit flow control for eager traffic (rendezvous traffic is
     #: self-paced by its grant).
-    flow_control: str = "off"
+    flow_control: str = knob("off", choices=("off", "credit"))
     #: Per-peer eager credit budget: payload bytes and wrap count a sender
     #: may have outstanding (unconsumed by the receiving application).
-    credit_bytes: int = 256 * 1024
-    credit_wraps: int = 256
+    credit_bytes: int = knob(256 * 1024, lo=1)
+    credit_wraps: int = knob(256, lo=1)
     #: Reverse-silence window before a standalone credit frame carries a
     #: pending grant (grants otherwise piggyback on any reverse frame).
-    credit_grant_delay_us: float = 25.0
+    credit_grant_delay_us: float = knob(25.0, lo=0.0)
     #: Base delay before a NACKed (receiver-refused) segment is resent;
     #: doubles per consecutive refusal from the same peer.
-    nack_delay_us: float = 50.0
+    nack_delay_us: float = knob(50.0, lo=0.0)
     #: Receiver memory budget: cap on buffered unexpected eager payload
     #: bytes in the matcher (0 = unbounded).  Requires ``"credit"`` mode —
     #: overflow takes the NACK-and-resend path, which needs the credit
     #: machinery.
-    max_unexpected_bytes: int = 0
+    max_unexpected_bytes: int = knob(0, lo=0)
 
     def _check_flow_control(self) -> None:
-        if self.flow_control not in ("off", "credit"):
-            raise ValueError(
-                f"unknown flow control mode {self.flow_control!r}; "
-                "expected off | credit"
-            )
-        if self.credit_bytes < 1 or self.credit_wraps < 1:
-            raise ValueError("credit budgets must be positive")
-        if self.credit_grant_delay_us < 0:
-            raise ValueError("negative credit grant delay")
-        if self.nack_delay_us < 0:
-            raise ValueError("negative nack delay")
-        if self.max_unexpected_bytes < 0:
-            raise ValueError("negative unexpected-bytes budget")
+        """The rule between fields; each field's own range is its knob."""
         if self.max_unexpected_bytes and self.flow_control != "credit":
             raise ValueError(
                 "max_unexpected_bytes needs flow_control='credit': a "

@@ -6,13 +6,16 @@
   ``isinstance`` (which checks attribute presence, not signatures — the
   signatures are enforced statically by mypy).
 * :func:`counter` — the one-line declaration of an ``EngineStats`` counter.
+* :func:`knob` — the one-line declaration of an ``EngineParams`` field and
+  its admissible range.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
-from dataclasses import field
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Protocol, TypeVar, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.matching import Incoming
@@ -20,13 +23,60 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.frames import Frame
     from repro.netsim.nic import Nic
 
-__all__ = ["Layer", "counter"]
+__all__ = ["Knob", "Layer", "counter", "knob"]
+
+T = TypeVar("T")
 
 
 def counter(group: str) -> int:
     """Declare an ``EngineStats`` counter (starts at 0): the one line
     ``repro report``, its JSON and the NM203/NM204 lint all derive from."""
     return field(default=0, metadata={"group": group})
+
+
+@dataclass(frozen=True, slots=True)
+class Knob:
+    """What one ``EngineParams`` field admits (see :func:`knob`)."""
+
+    numeric: bool                 # the default is a number
+    lo: float | None              # inclusive lower bound
+    gt: float | None              # exclusive lower bound
+    choices: tuple[Any, ...]      # named values accepted as they are
+    inf_ok: bool                  # +inf is a meaningful number here
+
+    def check(self, name: str, value: Any) -> None:
+        """Raise :class:`ValueError` unless ``value`` is admissible."""
+        if value in self.choices:
+            return
+        if not self.numeric or not isinstance(value, (int, float)):
+            expected = [str(c) for c in self.choices]
+            if self.numeric:
+                expected.insert(0, "a number")
+            raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}; "
+                             f"expected {' | '.join(expected)}")
+        if not (math.isfinite(value) or self.inf_ok and value == math.inf):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        # Written so that a comparison with NaN fails.
+        if self.lo is not None and not self.lo <= value:
+            raise ValueError(f"{name} must be >= {self.lo:g}, got {value!r}")
+        if self.gt is not None and not self.gt < value:
+            raise ValueError(f"{name} must be > {self.gt:g}, got {value!r}")
+
+
+def knob(default: T, *, lo: float | None = None, gt: float | None = None,
+         choices: tuple[Any, ...] = (), inf_ok: bool = False) -> T:
+    """Declare an ``EngineParams`` field: its default and what it admits.
+
+    A number must be finite (``+inf`` too when ``inf_ok``), ``>= lo`` and
+    ``> gt``; a value in ``choices`` (a mode string, ``"auto"``) is taken
+    as it is, and a field whose default is not a number admits nothing
+    else.  ``EngineParams.__post_init__`` checks every declaration, so a
+    NaN or an unknown mode fails at construction, never mid-run.
+    """
+    numeric = (isinstance(default, (int, float))
+               and not isinstance(default, bool))
+    return field(default=default, metadata={
+        "knob": Knob(numeric, lo, gt, choices, inf_ok)})
 
 
 @runtime_checkable

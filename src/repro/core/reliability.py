@@ -14,8 +14,8 @@ the engine survive lossy links and failing rails:
   piggybacked on any reverse frame, or as a small standalone ack frame
   after ``rel_ack_delay_us`` of reverse silence;
 * unacked frames are kept in a per-peer send buffer and retransmitted on
-  an **exponential-backoff timer** (``rel_timeout_us`` × ``rel_backoff``
-  per retry), over the healthiest rail with a link to the peer;
+  an **exponential-backoff timer** (``rel_timeout_us``, doubled per
+  retry), over the healthiest rail with a link to the peer;
 * the receive side **suppresses duplicates** before the demultiplexer, so
   the matcher and the rendezvous reassembly never see a frame twice;
 * each retransmit timeout scores a loss against the rail the frame last
@@ -50,7 +50,8 @@ from functools import partial
 
 from typing import TYPE_CHECKING
 
-from repro.core.protocols import Layer, counter
+from repro.core.protocols import Layer, counter, knob
+from repro.core.rttstat import RTO_FLOOR_US
 from repro.errors import RailDownError, TransportError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -60,6 +61,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
 
 __all__ = ["ReliabilityLayer", "ReliabilityParams", "ReliabilityStats"]
+
+#: Retransmit-timeout multiplier per retry (RFC 6298 doubling).
+RTO_BACKOFF = 2.0
 
 
 @dataclass(frozen=True)
@@ -71,85 +75,51 @@ class ReliabilityParams:
     #: the default and keeps every benchmark number unchanged; ``"ack"``
     #: turns on the sliding-window ack/retransmit protocol with rail
     #: failover.
-    reliability: str = "off"
-    #: Initial retransmit timeout, doubled (``rel_backoff``) per retry.
+    reliability: str = knob("off", choices=("off", "ack"))
+    #: Initial retransmit timeout, doubled (:data:`RTO_BACKOFF`) per retry.
     #: The string ``"auto"`` (requires ``reliability="ack"``) replaces the
     #: static constant with a measured one: per-peer Jacobson SRTT/RTTVAR
     #: estimation (see :mod:`repro.core.rttstat`) derives the RTO as
-    #: ``rel_rto_headroom * (srtt + 4*rttvar)`` clamped into
-    #: ``[rel_rto_floor_us, rel_rto_ceiling_us]``.
-    rel_timeout_us: float | str = 200.0
-    rel_backoff: float = 2.0
-    #: Clamp bounds and queueing headroom for the ``"auto"`` RTO.  The
-    #: ceiling doubles as the conservative pre-measurement RTO.
-    rel_rto_floor_us: float = 50.0
-    rel_rto_ceiling_us: float = 10_000.0
-    rel_rto_headroom: float = 2.0
+    #: ``RTO_HEADROOM * (srtt + 4*rttvar)`` clamped into
+    #: ``[RTO_FLOOR_US, rel_rto_ceiling_us]``.
+    rel_timeout_us: float | str = knob(200.0, gt=0.0, choices=("auto",))
+    #: Upper clamp of the ``"auto"`` RTO, and the conservative RTO until a
+    #: peer is measured.
+    rel_rto_ceiling_us: float = knob(10_000.0, gt=0.0)
     #: Opt-in tail hedging (requires ``rel_timeout_us="auto"`` and >= 2
     #: rails): ``"tail"`` re-sends a frame on the *second-best* rail once
     #: it has been outstanding past a p99-ish quantile of that rail's
     #: observed RTT, while the original stays in flight — duplicate
     #: suppression absorbs whichever copy loses.  ``"off"`` (default)
     #: never hedges.
-    rel_hedge: str = "off"
+    rel_hedge: str = knob("off", choices=("off", "tail"))
     #: Retransmissions per frame before the send fails with TransportError.
-    rel_retry_budget: int = 8
+    rel_retry_budget: int = knob(8, lo=1)
     #: Reverse-silence window before a standalone ack frame is emitted.
-    rel_ack_delay_us: float = 25.0
+    rel_ack_delay_us: float = knob(25.0, lo=0.0)
     #: Consecutive retransmit-timeouts that quarantine a rail (when another
     #: healthy rail exists).
-    rel_quarantine_threshold: int = 3
+    rel_quarantine_threshold: int = knob(3, lo=1)
     #: Half-open recovery: delay before a quarantined rail is re-probed.
     #: ``0`` derives 32x ``rel_timeout_us``; ``float("inf")`` disables
     #: probing (a quarantined rail then stays out for good, the pre-probe
     #: behaviour).  The delay doubles per re-quarantine of the same rail.
-    rel_probe_after_us: float = 0.0
+    rel_probe_after_us: float = knob(0.0, lo=0.0, inf_ok=True)
 
     def _check_reliability(self) -> None:
-        if self.reliability not in ("off", "ack"):
+        """The rules between fields; each field's own range is its knob."""
+        if self.rel_timeout_us == "auto" and self.reliability != "ack":
             raise ValueError(
-                f"unknown reliability mode {self.reliability!r}; "
-                "expected off | ack"
+                "rel_timeout_us='auto' needs reliability='ack': the "
+                "RTT estimator samples the ack machinery"
             )
-        if isinstance(self.rel_timeout_us, str):
-            if self.rel_timeout_us != "auto":
-                raise ValueError(
-                    f"unknown rel_timeout_us {self.rel_timeout_us!r}; "
-                    "expected a positive number or 'auto'"
-                )
-            if self.reliability != "ack":
-                raise ValueError(
-                    "rel_timeout_us='auto' needs reliability='ack': the "
-                    "RTT estimator samples the ack machinery"
-                )
-        elif self.rel_timeout_us <= 0:
-            raise ValueError("retransmit timeout must be positive")
-        if self.rel_rto_floor_us <= 0:
-            raise ValueError("RTO floor must be positive")
-        if self.rel_rto_ceiling_us < self.rel_rto_floor_us:
+        if self.rel_rto_ceiling_us < RTO_FLOOR_US:
             raise ValueError("RTO ceiling must be >= floor")
-        if self.rel_rto_headroom < 1.0:
-            raise ValueError("RTO headroom must be >= 1")
-        if self.rel_hedge not in ("off", "tail"):
-            raise ValueError(
-                f"unknown rel_hedge mode {self.rel_hedge!r}; "
-                "expected off | tail"
-            )
         if self.rel_hedge == "tail" and self.rel_timeout_us != "auto":
             raise ValueError(
                 "rel_hedge='tail' needs rel_timeout_us='auto': the hedge "
                 "delay is a quantile of the measured RTT"
             )
-        if self.rel_backoff < 1.0:
-            raise ValueError("retransmit backoff must be >= 1")
-        if self.rel_retry_budget < 1:
-            raise ValueError("retry budget must be >= 1")
-        if self.rel_ack_delay_us < 0:
-            raise ValueError("negative ack delay")
-        if self.rel_quarantine_threshold < 1:
-            raise ValueError("quarantine threshold must be >= 1")
-        if not self.rel_probe_after_us >= 0:  # rejects negatives and NaN
-            raise ValueError("rail probe delay must be >= 0")
 
     @property
     def rel_adaptive(self) -> bool:
@@ -420,7 +390,7 @@ class ReliabilityLayer(Layer):
                             seq=pending.seq, peer=ch.peer,
                             from_rail=pending.rail, to_rail=rail)
             pending.rail = rail
-        ch.rto_us = min(ch.rto_us * params.rel_backoff,
+        ch.rto_us = min(ch.rto_us * RTO_BACKOFF,
                         64.0 * self._rto_base_us(ch.peer))
         if self._rtt is not None:
             self.engine.stats.rto_backoffs += 1
@@ -503,7 +473,7 @@ class ReliabilityLayer(Layer):
         rail is probed ever more lazily while a healed one rejoins fast.
         """
         base = self._probe_base_us()
-        if base != base or base == float("inf"):  # NaN/inf = probing off
+        if base == float("inf"):  # probing off
             return
         backoff = self._probe_backoff.get(rail, base)
         self._probe_backoff[rail] = min(backoff * 2.0, 64.0 * base)

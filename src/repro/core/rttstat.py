@@ -24,8 +24,8 @@ granularities:
   which spans rails; mixing rails inflates the variance term, which only
   makes the derived timeout more conservative, never trigger-happy.
 
-The derived retransmit timeout is ``headroom * (srtt + 4 * rttvar)``
-clamped into ``[floor, ceiling]``; until a peer has accumulated
+The derived retransmit timeout is ``RTO_HEADROOM * (srtt + 4 * rttvar)``
+clamped into ``[RTO_FLOOR_US, ceiling]``; until a peer has accumulated
 :data:`RTO_MIN_SAMPLES` measurements it is the ceiling (RFC 6298's
 "conservative until measured" stance, hardened: trusting the very first
 sample is how a pre-congestion 20us RTT turns into a 116us RTO right as
@@ -48,13 +48,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["RttEstimator", "RttState", "ALPHA", "BETA", "RTO_DEVS",
-           "HEDGE_DEVS", "HEDGE_MIN_SAMPLES", "RTO_MIN_SAMPLES"]
+           "RTO_HEADROOM", "RTO_FLOOR_US", "HEDGE_DEVS", "HEDGE_MIN_SAMPLES",
+           "RTO_MIN_SAMPLES"]
 
 #: EWMA gains (RFC 6298): srtt tracks slowly, rttvar tracks faster.
 ALPHA = 1.0 / 8.0
 BETA = 1.0 / 4.0
 #: Deviation multiplier in the RTO formula (``srtt + 4 * rttvar``).
 RTO_DEVS = 4.0
+#: Multiplier on the Jacobson RTO that absorbs fabric queueing the sample
+#: stream has not seen yet (a freshly-congested switch port delays
+#: *future* frames, not the ones that produced the current estimate).
+RTO_HEADROOM = 2.0
+#: Lower clamp of the derived RTO: no retry clock runs tighter than this.
+RTO_FLOOR_US = 50.0
 #: Deviation multiplier for the hedge (tail) delay — deliberately tighter
 #: than the RTO: a hedge is cheap (duplicate suppression absorbs it), a
 #: retransmit pollutes the loss accounting.
@@ -89,25 +96,18 @@ class RttState:
 class RttEstimator:
     """Measured path timing for one engine: per-peer and per-rail tracks.
 
-    ``floor_us``/``ceiling_us`` clamp every derived timeout; ``headroom``
-    multiplies the Jacobson RTO to absorb fabric queueing that the sample
-    stream has not seen yet (a freshly-congested switch port delays
-    *future* frames, not the ones that produced the current estimate).
+    Every derived timeout lands in ``[RTO_FLOOR_US, ceiling_us]``; the
+    ceiling is the one bound a caller sets (the conservative RTO while a
+    peer is cold), the floor and :data:`RTO_HEADROOM` are constants of the
+    algorithm.
     """
 
-    __slots__ = ("floor_us", "ceiling_us", "headroom", "_peers", "_rails")
+    __slots__ = ("ceiling_us", "_peers", "_rails")
 
-    def __init__(self, floor_us: float, ceiling_us: float,
-                 headroom: float) -> None:
-        if floor_us <= 0:
-            raise ValueError("RTO floor must be positive")
-        if ceiling_us < floor_us:
+    def __init__(self, ceiling_us: float) -> None:
+        if not ceiling_us >= RTO_FLOOR_US:
             raise ValueError("RTO ceiling must be >= floor")
-        if headroom < 1.0:
-            raise ValueError("RTO headroom must be >= 1")
-        self.floor_us = floor_us
         self.ceiling_us = ceiling_us
-        self.headroom = headroom
         self._peers: dict[int, RttState] = {}
         self._rails: dict[tuple[int, int], RttState] = {}
 
@@ -129,7 +129,7 @@ class RttEstimator:
 
     # -- derived timeouts --------------------------------------------------
     def _clamp(self, value_us: float) -> float:
-        return min(self.ceiling_us, max(self.floor_us, value_us))
+        return min(self.ceiling_us, max(RTO_FLOOR_US, value_us))
 
     def warm(self, peer: int) -> bool:
         """True once the peer's estimate is trustworthy — the gate every
@@ -140,15 +140,16 @@ class RttEstimator:
     def rto_us(self, peer: int) -> float:
         """Retransmit timeout for the peer's channel (any rail).
 
-        ``headroom * (srtt + 4 * rttvar)`` clamped to the configured
-        bounds; the ceiling until the peer is :meth:`warm` — a couple of
-        pre-congestion samples must not arm a hair-trigger retry clock.
+        ``RTO_HEADROOM * (srtt + 4 * rttvar)`` clamped into
+        ``[RTO_FLOOR_US, ceiling_us]``; the ceiling until the peer is
+        :meth:`warm` — a couple of pre-congestion samples must not arm a
+        hair-trigger retry clock.
         """
         st = self._peers.get(peer)
         if st is None or st.samples < RTO_MIN_SAMPLES:
             return self.ceiling_us
         return self._clamp(
-            self.headroom * (st.srtt_us + RTO_DEVS * st.rttvar_us))
+            RTO_HEADROOM * (st.srtt_us + RTO_DEVS * st.rttvar_us))
 
     def global_rto_us(self) -> float:
         """Most conservative per-peer RTO (peer-agnostic derivations such
@@ -208,5 +209,4 @@ class RttEstimator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<RttEstimator peers={len(self._peers)} "
-                f"clamp=[{self.floor_us:g},{self.ceiling_us:g}]us "
-                f"headroom={self.headroom:g}>")
+                f"clamp=[{RTO_FLOOR_US:g},{self.ceiling_us:g}]us>")

@@ -66,7 +66,7 @@ from functools import partial
 
 from typing import TYPE_CHECKING
 
-from repro.core.protocols import Layer, counter
+from repro.core.protocols import Layer, counter, knob
 from repro.errors import PeerDeadError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -87,22 +87,16 @@ class SessionParams:
     #: benchmark figure bit-identical; ``"epoch"`` stamps a session header
     #: on every frame, runs a hello/welcome handshake per peer, and
     #: confirms peers dead after ``hb_timeout_us`` of silence.
-    sessions: str = "off"
+    sessions: str = knob("off", choices=("off", "epoch"))
     #: Heartbeat/monitor period: how often a watched peer's silence is
     #: re-examined and (when the line is otherwise idle) probed.
-    hb_interval_us: float = 50.0
+    hb_interval_us: float = knob(50.0, gt=0.0)
     #: Silence before a peer is confirmed dead; at half of this the peer
     #: becomes *suspected* (counted, traced, not yet acted on).
-    hb_timeout_us: float = 500.0
+    hb_timeout_us: float = knob(500.0, gt=0.0)
 
     def _check_sessions(self) -> None:
-        if self.sessions not in ("off", "epoch"):
-            raise ValueError(
-                f"unknown sessions mode {self.sessions!r}; "
-                "expected off | epoch"
-            )
-        if self.hb_interval_us <= 0:
-            raise ValueError("heartbeat interval must be positive")
+        """The rule between fields; each field's own range is its knob."""
         if self.hb_timeout_us < 2 * self.hb_interval_us:
             raise ValueError(
                 "hb_timeout_us must be at least 2*hb_interval_us: a "

@@ -25,14 +25,11 @@ class AdaptiveStrategy(Strategy):
     """Direct mapping under light load, aggregation under backlog."""
 
     name = "adaptive"
+    #: Window backlog (wraps) from which a pull aggregates: below it there
+    #: is a single request and nothing to optimize.
+    BACKLOG_WATERMARK = 2
 
-    def __init__(self, backlog_watermark: int = 2,
-                 **agg_params: Any) -> None:
-        if backlog_watermark < 1:
-            raise ValueError(
-                f"backlog_watermark must be >= 1, got {backlog_watermark}"
-            )
-        self.backlog_watermark = backlog_watermark
+    def __init__(self, **agg_params: Any) -> None:
         self._fifo = FifoStrategy()
         self._agg = AggregationStrategy(**agg_params)
         # Exposed for tests/reports: how often each mode ran.
@@ -42,11 +39,11 @@ class AdaptiveStrategy(Strategy):
     def select(self, ctx: SchedulingContext) -> SendPlan | None:
         # backlog() reads the window's incrementally-maintained wrap count,
         # so the mode decision itself costs O(1) per pull.
-        if ctx.window.backlog() < self.backlog_watermark:
+        if ctx.window.backlog() < self.BACKLOG_WATERMARK:
             self.fifo_pulls += 1
             return self._fifo.select(ctx)
         self.agg_pulls += 1
         return self._agg.select(ctx)
 
     def describe(self) -> str:
-        return f"{self.name}(watermark={self.backlog_watermark})"
+        return f"{self.name}(watermark={self.BACKLOG_WATERMARK})"

@@ -40,27 +40,16 @@ class AggregationStrategy(Strategy):
         aggregating (respecting ``allow_reorder`` pins).  This is the
         "favor an earlier delivery of high priority fragments" behaviour of
         paper §2 (the RPC service-id example).
-    scan_past_blockage:
-        Keep scanning for aggregable wraps after one did not fit (paper §7:
-        reorder "to maximize the number of aggregation operations").
-    max_items:
-        Optional cap on records per physical packet (models a bounded
-        gather/scatter descriptor list on real NICs).
+
+    The scan keeps looking for aggregable wraps after one did not fit
+    (paper §7: reorder "to maximize the number of aggregation operations"),
+    with no cap on records per packet.
     """
 
     name = "aggregation"
 
-    def __init__(
-        self,
-        by_priority: bool = False,
-        scan_past_blockage: bool = True,
-        max_items: int | None = None,
-    ) -> None:
-        if max_items is not None and max_items < 1:
-            raise ValueError(f"max_items must be >= 1, got {max_items}")
+    def __init__(self, by_priority: bool = False) -> None:
         self.by_priority = by_priority
-        self.scan_past_blockage = scan_past_blockage
-        self.max_items = max_items
 
     def select(self, ctx: SchedulingContext) -> SendPlan | None:
         if self.by_priority:
@@ -88,8 +77,6 @@ class AggregationStrategy(Strategy):
             dest=dest,
             rdv_threshold=ctx.rdv_threshold,
             sent=ctx.sent_wraps,
-            max_items=self.max_items,
-            scan_past_blockage=self.scan_past_blockage,
             max_eager_bytes=max_eager_bytes,
             max_eager_items=max_eager_items,
         )
@@ -106,11 +93,4 @@ class AggregationStrategy(Strategy):
         return SendPlan(dest, items, choice.eager, choice.announce)
 
     def describe(self) -> str:
-        opts = []
-        if self.by_priority:
-            opts.append("by_priority")
-        if not self.scan_past_blockage:
-            opts.append("no_scan")
-        if self.max_items is not None:
-            opts.append(f"max_items={self.max_items}")
-        return f"{self.name}({', '.join(opts)})" if opts else self.name
+        return f"{self.name}(by_priority)" if self.by_priority else self.name

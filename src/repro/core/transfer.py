@@ -59,6 +59,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TransferLayer"]
 
+#: Pull cost when a NIC is refilled from an *anticipated* (pre-synthesized)
+#: packet: the optimization function already ran off the critical path,
+#: only the hand-over remains (paper §3.2, second dispatch policy).
+ANTICIPATED_PULL_COST_US = 0.05
+
 
 class TransferLayer:
     """Drives every NIC of one node on behalf of the engine."""
@@ -67,10 +72,6 @@ class TransferLayer:
         self.engine = engine
         self.nics = list(engine.node.nics)
         self._source = f"node{engine.node_id}.transfer"
-        # Data-path inspection cost per MTU, fixed per rail (frozen params,
-        # fixed driver): looked up once instead of once per packet.
-        self._per_mtu_cost = [engine.params.per_mtu_cost(nic.profile)
-                              for nic in self.nics]
         self.sent_wraps: set[int] = set()
         #: Rails taken out of service (always empty in paper mode).
         self.quarantined: set[int] = set()
@@ -259,7 +260,7 @@ class TransferLayer:
                 # "Immediately re-feed it once it becomes idle" (paper §3.2).
                 engine.stats.anticipated_hits += 1
                 self._post_packet(nic, plan, self._materialize(plan, rail),
-                                  pull_cost=params.anticipated_pull_cost_us)
+                                  pull_cost=ANTICIPATED_PULL_COST_US)
                 return
         # The idle edge after the last packet finds the window empty: there
         # is nothing to elect (or hold), so no context is built and the
@@ -319,7 +320,7 @@ class TransferLayer:
             )
         cpu_gap = (
             pull_cost
-            + self._per_mtu_cost[nic.rail]
+            + nic.profile.per_mtu_cost_us
               * math.ceil(max(wire, 1) / nic.profile.mtu_bytes)
             + gather_cost
         )
@@ -381,7 +382,7 @@ class TransferLayer:
         wire, nbytes, _ = pkt.sizes(params.hdr)
         cpu_gap = (
             params.pull_cost_us
-            + self._per_mtu_cost[nic.rail]
+            + nic.profile.per_mtu_cost_us
               * math.ceil(wire / nic.profile.mtu_bytes)
         )
         frame = Frame(engine.node_id, state.wrap.dest, FrameKind.RDV_DATA,

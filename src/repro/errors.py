@@ -21,7 +21,7 @@ class ProgressStallError(SimulationError):
 
     Raised (inside :meth:`~repro.sim.core.Simulator.run`) when an armed
     :class:`~repro.sim.core.Watchdog` sees its progress token unchanged for
-    several consecutive patience intervals while the engine still has work
+    two consecutive watchdog intervals while the engine still has work
     outstanding.  The message carries the owner's diagnostic dump — per-peer
     credit, window, backlog and unexpected-buffer state — so a stall is an
     actionable report instead of a bare deadlock hint.

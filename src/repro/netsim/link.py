@@ -29,6 +29,7 @@ fault hooks.
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections.abc import Sequence
 from functools import partial
 from random import Random
@@ -52,6 +53,15 @@ DELIVER, DROP, CORRUPT = "deliver", "drop", "corrupt"
 #: severed one.
 DROP_PARTITION = "drop_partition"
 DUPLICATE = "duplicate"
+
+
+def _check_finite(*values: float | None) -> None:
+    """Reject NaN and infinities; ``None`` ("never", "forever") passes."""
+    for value in values:
+        if value is not None and not math.isfinite(value):
+            raise NetworkError(
+                f"fault times, factors and delays must be finite, got "
+                f"{value}")
 
 
 class FaultPlan:
@@ -98,9 +108,11 @@ class FaultPlan:
       apply the plan through
       :meth:`~repro.netsim.topology.Cluster.schedule_switch_fault`.
 
-    Plans keep per-instance arrival counters (and a per-instance jitter
-    RNG), so do not share one instance across links.  Drop decisions win
-    over duplication, which wins over corruption, when several match.
+    Every factor, time and delay must be finite; ``None`` is how a plan
+    says "never" or "forever".  Plans keep per-instance arrival counters
+    (and a per-instance jitter RNG), so do not share one instance across
+    links.  Drop decisions win over duplication, which wins over
+    corruption, when several match.
     """
 
     def __init__(
@@ -131,6 +143,7 @@ class FaultPlan:
                 raise NetworkError(f"bad drop_kind_nth ({kind!r}, {n})")
         if slow_link is not None:
             factor, from_us, until_us = slow_link
+            _check_finite(factor, from_us, until_us)
             if factor < 1:
                 raise NetworkError(
                     f"slow_link factor must be >= 1, got {factor}")
@@ -139,10 +152,13 @@ class FaultPlan:
             if until_us is not None and until_us <= from_us:
                 raise NetworkError(
                     f"empty slow_link window [{from_us}, {until_us})")
+        _check_finite(down_at_us, node_crash_at, node_restart_at,
+                      switch_down_at)
         if down_at_us is not None and down_at_us < 0:
             raise NetworkError(f"negative down_at_us {down_at_us}")
         reorder_map: dict[int, float] = {}
         for n, delay_us in reorder:
+            _check_finite(delay_us)
             if n < 1:
                 raise NetworkError(f"fault indices are 1-based, got {n}")
             if delay_us <= 0:
@@ -153,10 +169,12 @@ class FaultPlan:
             reorder_map[n] = delay_us
         if jitter is not None:
             max_us, _seed = jitter
+            _check_finite(max_us)
             if max_us <= 0:
                 raise NetworkError(
                     f"jitter max_us must be positive, got {max_us}")
         for from_us, until_us in partitions:
+            _check_finite(from_us, until_us)
             if from_us < 0:
                 raise NetworkError(f"negative partition from_us {from_us}")
             if until_us is not None and until_us <= from_us:
@@ -196,6 +214,7 @@ class FaultPlan:
 
     def add_partition(self, from_us: float, until_us: float | None) -> None:
         """Append a partition window (``Cluster.partition`` composes here)."""
+        _check_finite(from_us, until_us)
         if from_us < 0:
             raise NetworkError(f"negative partition from_us {from_us}")
         if until_us is not None and until_us <= from_us:

@@ -43,7 +43,9 @@ class NicProfile:
     about each driver (§4): "the threshold for the rendez-vous protocol or
     the availability of the gather/scatter or as well the remote direct
     access (RDMA) functionality" — plus the timing constants the simulator
-    needs.
+    needs, among them the engine's per-MTU data-path cost on this driver
+    (calibrated per driver, which is why the large-message bandwidth
+    deficit of Figure 2 differs between MX and Quadrics).
     """
 
     name: str                    # profile identifier, e.g. "mx_myri10g"
@@ -57,13 +59,15 @@ class NicProfile:
     gather_scatter: bool         # NIC can gather segments without host copy
     rdma: bool                   # remote direct memory access available
     pipeline_gap_us: float       # inter-frame gap when streaming back-to-back
+    per_mtu_cost_us: float = 0.10  # engine data-path cost per MTU pushed
 
     def __post_init__(self) -> None:
         if self.latency_us < 0 or self.bandwidth_mbps <= 0:
             raise ValueError(f"bad latency/bandwidth in profile {self.name!r}")
         if self.mtu_bytes <= 0 or self.rdv_threshold <= 0:
             raise ValueError(f"bad mtu/threshold in profile {self.name!r}")
-        if min(self.send_overhead_us, self.recv_overhead_us, self.pipeline_gap_us) < 0:
+        if min(self.send_overhead_us, self.recv_overhead_us,
+               self.pipeline_gap_us, self.per_mtu_cost_us) < 0:
             raise ValueError(f"negative overhead in profile {self.name!r}")
 
     def with_overrides(self, **kwargs: Any) -> NicProfile:
@@ -92,6 +96,7 @@ MX_MYRI10G = NicProfile(
     gather_scatter=True,
     rdma=True,
     pipeline_gap_us=0.30,
+    per_mtu_cost_us=0.12,
 )
 
 #: Quadrics QM500 with the Elan driver — the paper's second network.
@@ -107,6 +112,7 @@ QUADRICS_QM500 = NicProfile(
     gather_scatter=True,
     rdma=True,
     pipeline_gap_us=0.25,
+    per_mtu_cost_us=0.36,
 )
 
 #: First-generation Myrinet with the GM driver (paper §4 port list).

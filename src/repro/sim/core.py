@@ -502,9 +502,9 @@ class Watchdog:
     ticking (retransmission timers, delayed grants) while no useful work
     completes.  The watchdog samples an engine-supplied ``progress`` token
     every ``interval_us`` of simulated time; if the token is unchanged for
-    ``patience`` consecutive samples while ``active()`` reports outstanding
-    work, it raises :class:`~repro.errors.ProgressStallError` carrying the
-    ``diagnose()`` report.  The exception propagates out of
+    :attr:`PATIENCE` (two) consecutive samples while ``active()`` reports
+    outstanding work, it raises :class:`~repro.errors.ProgressStallError`
+    carrying the ``diagnose()`` report.  The exception propagates out of
     :meth:`Simulator.run` like any unobserved failure, so tests and the CLI
     see the stall as a hard, diagnosable error instead of a hang.
 
@@ -517,7 +517,10 @@ class Watchdog:
     """
 
     __slots__ = ("sim", "interval_us", "_progress", "_active", "_diagnose",
-                 "patience", "name", "_timer", "_last_token", "_strikes")
+                 "name", "_timer", "_last_token", "_strikes")
+
+    #: Consecutive unchanged samples that make a stall.
+    PATIENCE = 2
 
     def __init__(
         self,
@@ -526,19 +529,15 @@ class Watchdog:
         progress: Callable[[], object],
         active: Callable[[], bool],
         diagnose: Callable[[], str],
-        patience: int = 2,
         name: str = "watchdog",
     ) -> None:
         if interval_us <= 0:
             raise SimulationError(f"watchdog interval must be > 0, got {interval_us}")
-        if patience < 1:
-            raise SimulationError(f"watchdog patience must be >= 1, got {patience}")
         self.sim = sim
         self.interval_us = interval_us
         self._progress = progress
         self._active = active
         self._diagnose = diagnose
-        self.patience = patience
         self.name = name
         self._timer = Timer(sim, self._tick)
         self._last_token: object = None
@@ -565,7 +564,7 @@ class Watchdog:
             self._strikes = 0
         else:
             self._strikes += 1
-            if self._strikes >= self.patience:
+            if self._strikes >= self.PATIENCE:
                 raise ProgressStallError(
                     f"{self.name}: no progress for "
                     f"{self._strikes * self.interval_us:g}us with work "

@@ -25,12 +25,15 @@ import pytest
 
 from repro.chaos import ChaosSpec, generate_schedule, run_chaos, run_schedule
 from repro.core import EngineParams, NmadEngine, VirtualData
-from repro.core.rttstat import RTO_MIN_SAMPLES
+from repro.core.rttstat import RTO_FLOOR_US, RTO_MIN_SAMPLES
 from repro.errors import DeadlineExceededError, MpiError, SimulationError
+from repro.madmpi import Communicator, MadMpi, Vector
 from repro.netsim import MX_MYRI10G, QUADRICS_QM500, Cluster, FaultPlan
 from repro.sim import Simulator
 
 AUTO = dict(reliability="ack", rel_timeout_us="auto", rel_ack_delay_us=10.0)
+#: Deadlines a request must refuse before it has any side effect.
+BAD_DEADLINES = [-5.0, 0.0, float("nan"), float("inf")]
 
 
 def make_pair(params, rails=(MX_MYRI10G,), strategy="aggregation",
@@ -69,7 +72,7 @@ class TestAutoMode:
         snap = e0.rtt.snapshot()
         assert list(snap) == [1]
         # The measured RTO left the ceiling and sits in the clamp band.
-        assert (e0.params.rel_rto_floor_us <= snap[1]["rto_us"]
+        assert (RTO_FLOOR_US <= snap[1]["rto_us"]
                 < e0.params.rel_rto_ceiling_us)
         assert e0.quiesced() and e1.quiesced()
 
@@ -85,7 +88,7 @@ class TestAutoMode:
             EngineParams(reliability="ack", rel_timeout_us="bogus")
         with pytest.raises(ValueError):
             EngineParams(reliability="ack", rel_timeout_us="auto",
-                         rel_rto_floor_us=500.0, rel_rto_ceiling_us=100.0)
+                         rel_rto_ceiling_us=RTO_FLOOR_US / 2)
 
     def test_hedge_requires_auto(self):
         with pytest.raises(ValueError):
@@ -182,6 +185,37 @@ class TestDeadlines:
             e1.irecv(src=0, tag=0, nbytes=8, deadline_us=0.0)
         with pytest.raises(MpiError):
             e0.isend(1, b"x", tag=0, deadline_us=-5.0)
+
+    @pytest.mark.parametrize("deadline", BAD_DEADLINES)
+    def test_rejected_send_deadline_sends_nothing(self, deadline):
+        sim, cluster, (e0, e1) = make_pair(EngineParams())
+        rreq = e1.irecv(src=0, tag=1)
+        with pytest.raises(MpiError, match="deadline_us"):
+            e0.isend(1, b"hello", tag=1, deadline_us=deadline)
+        assert e0.window.empty and e0.quiesced()
+        sim.run()
+        assert not rreq.complete
+        assert e0.stats.phys_packets == 0
+
+    @pytest.mark.parametrize("deadline", BAD_DEADLINES)
+    def test_rejected_recv_deadline_posts_nothing(self, deadline):
+        sim, cluster, (e0, e1) = make_pair(EngineParams())
+        posted = e1.matcher.n_posted
+        with pytest.raises(MpiError, match="deadline_us"):
+            e1.irecv(src=0, tag=2, deadline_us=deadline)
+        assert e1.matcher.n_posted == posted
+
+    @pytest.mark.parametrize("deadline", BAD_DEADLINES)
+    def test_rejected_deadline_sends_no_datatype_block(self, deadline):
+        sim, cluster, (e0, e1) = make_pair(EngineParams())
+        world = Communicator([0, 1])
+        m0, _ = MadMpi(e0, world), MadMpi(e1, world)
+        dtype = Vector(3, 2, 4)
+        with pytest.raises(MpiError, match="deadline_us"):
+            m0.isend(VirtualData(dtype.extent), dest=1, datatype=dtype,
+                     deadline_us=deadline)
+        sim.run()
+        assert e0.stats.phys_packets == 0
 
 
 class TestTailHedging:

@@ -155,6 +155,17 @@ class TestReport:
         with pytest.raises(SystemExit):
             run_cli("report", "--slow-link", "0.5", "--messages", "5")
 
+    @pytest.mark.parametrize("flags", [
+        ("--slow-link", "nan"), ("--slow-link", "inf"),
+        ("--link-down-at", "nan"), ("--link-down-at", "inf"),
+    ], ids=" ".join)
+    def test_non_finite_fault_flags_rejected_before_the_replay(self, flags):
+        out = io.StringIO()
+        with pytest.raises(SystemExit, match="invalid fault plan") as exc:
+            main(["report", *flags, "--messages", "5"], out=out)
+        assert exc.value.code != 0
+        assert out.getvalue() == ""  # nothing was replayed
+
 
 class TestReportPartitionGroup:
     def test_stat_groups_are_derived_from_the_counter_declarations(self):

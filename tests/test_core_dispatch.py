@@ -48,10 +48,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             EngineParams(backlog_flush_threshold=0)
 
-    def test_negative_anticipated_cost(self):
-        with pytest.raises(ValueError):
-            EngineParams(anticipated_pull_cost_us=-1.0)
-
 
 class TestAnticipate:
     def test_prepared_packet_used_on_idle(self):
@@ -75,7 +71,6 @@ class TestAnticipate:
             # Receive-side copies are disabled so the serialized copy queue
             # (dominated by the 24KB opener) does not mask the refill delta.
             params = EngineParams(dispatch_policy=policy, pull_cost_us=2.0,
-                                  anticipated_pull_cost_us=0.05,
                                   eager_copy_on_recv=False)
             sim, _, e0, e1 = make(params)
 

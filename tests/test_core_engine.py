@@ -619,10 +619,9 @@ class TestEngineManagement:
             EngineParams(rdv_chunk_bytes=0)
 
     def test_per_mtu_cost_lookup(self):
-        p = EngineParams()
-        assert p.per_mtu_cost(MX_MYRI10G) == 0.12
-        assert p.per_mtu_cost(QUADRICS_QM500) == 0.36
-        assert p.per_mtu_cost(GM_MYRINET) == p.per_mtu_cost_us
+        assert MX_MYRI10G.per_mtu_cost_us == 0.12
+        assert QUADRICS_QM500.per_mtu_cost_us == 0.36
+        assert GM_MYRINET.per_mtu_cost_us == 0.10
 
     def test_engine_requires_nic(self):
         from repro.netsim.node import Node

@@ -202,10 +202,6 @@ class TestAggregation:
         # Both still aggregate; the high-priority one leads the packet.
         assert plan.taken == [high, low]
 
-    def test_max_items_validation(self):
-        with pytest.raises(ValueError):
-            AggregationStrategy(max_items=0)
-
     def test_describe(self):
         assert AggregationStrategy().describe() == "aggregation"
         assert "by_priority" in AggregationStrategy(by_priority=True).describe()
@@ -237,7 +233,7 @@ class TestAdaptive:
     def test_uses_fifo_under_watermark(self):
         win = OptimizationWindow(1)
         win.submit(wrap(size=64))
-        s = AdaptiveStrategy(backlog_watermark=2)
+        s = AdaptiveStrategy()
         plan = s.select(ctx(win))
         assert plan is not None
         assert s.fifo_pulls == 1 and s.agg_pulls == 0
@@ -246,14 +242,10 @@ class TestAdaptive:
         win = OptimizationWindow(1)
         for i in range(4):
             win.submit(wrap(seq=i, size=64))
-        s = AdaptiveStrategy(backlog_watermark=2)
+        s = AdaptiveStrategy()
         plan = s.select(ctx(win))
         assert len(plan.taken) == 4
         assert s.agg_pulls == 1
-
-    def test_watermark_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveStrategy(backlog_watermark=0)
 
     def test_describe(self):
         assert "watermark=2" in AdaptiveStrategy().describe()

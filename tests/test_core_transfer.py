@@ -200,11 +200,8 @@ class TestCosts:
 
     def test_per_mtu_cost_scales_with_frames(self):
         def one_way(cost):
-            params = EngineParams(
-                per_mtu_cost_us=cost,
-                per_mtu_cost_by_tech=(),  # force the generic constant
-            )
-            sim, _, e0, e1 = make(params=params)
+            profile = MX_MYRI10G.with_overrides(per_mtu_cost_us=cost)
+            sim, _, e0, e1 = make(rails=(profile,))
 
             def app():
                 req = e1.irecv(src=0)

@@ -243,3 +243,29 @@ class TestSlowLink:
             FaultPlan(slow_link=(2.0, -1.0, None))
         with pytest.raises(NetworkError, match="empty"):
             FaultPlan(slow_link=(2.0, 10.0, 10.0))
+
+
+class TestFaultPlanValidation:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("plan", [
+        lambda v: FaultPlan(slow_link=(v, 0.0, None)),
+        lambda v: FaultPlan(slow_link=(2.0, v, None)),
+        lambda v: FaultPlan(slow_link=(2.0, 0.0, v)),
+        lambda v: FaultPlan(down_at_us=v),
+        lambda v: FaultPlan(reorder=((1, v),)),
+        lambda v: FaultPlan(jitter=(v, 0)),
+        lambda v: FaultPlan(partitions=((v, None),)),
+        lambda v: FaultPlan(partitions=((0.0, v),)),
+        lambda v: FaultPlan().add_partition(0.0, v),
+        lambda v: FaultPlan(node_crash_at=v),
+        lambda v: FaultPlan(node_crash_at=1.0, node_restart_at=v),
+        lambda v: FaultPlan(switch_down_at=v),
+    ], ids=["slow-factor", "slow-from", "slow-until", "down-at",
+            "reorder-delay", "jitter", "partition-from", "partition-until",
+            "add-partition", "crash-at", "restart-at", "switch-down-at"])
+    def test_non_finite_fault_numbers_are_rejected(self, plan, value):
+        # None is how a plan says "never" or "forever"; a non-finite number
+        # used to replay as no fault at all, or stall the kernel mid-run.
+        with pytest.raises(NetworkError, match="finite"):
+            plan(value)

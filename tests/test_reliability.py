@@ -405,8 +405,6 @@ class TestOffModeUnchanged:
         with pytest.raises(ValueError):
             EngineParams(rel_timeout_us=0.0)
         with pytest.raises(ValueError):
-            EngineParams(rel_backoff=0.5)
-        with pytest.raises(ValueError):
             EngineParams(rel_retry_budget=0)
         with pytest.raises(ValueError):
             EngineParams(rel_quarantine_threshold=0)

@@ -20,18 +20,19 @@ from repro.core.rttstat import (
     HEDGE_DEVS,
     HEDGE_MIN_SAMPLES,
     RTO_DEVS,
+    RTO_FLOOR_US as FLOOR,
+    RTO_HEADROOM as HEADROOM,
     RTO_MIN_SAMPLES,
     RttEstimator,
     RttState,
 )
 from repro.netsim.stats import RTT_SNAPSHOT_KEYS
 
-FLOOR, CEILING, HEADROOM = 50.0, 10_000.0, 2.0
+CEILING = 10_000.0
 
 
 def make():
-    return RttEstimator(floor_us=FLOOR, ceiling_us=CEILING,
-                        headroom=HEADROOM)
+    return RttEstimator(ceiling_us=CEILING)
 
 
 class TestRttState:
@@ -110,11 +111,9 @@ class TestRttEstimator:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RttEstimator(floor_us=0.0, ceiling_us=10.0, headroom=1.0)
+            RttEstimator(ceiling_us=FLOOR / 2)
         with pytest.raises(ValueError):
-            RttEstimator(floor_us=10.0, ceiling_us=5.0, headroom=1.0)
-        with pytest.raises(ValueError):
-            RttEstimator(floor_us=10.0, ceiling_us=20.0, headroom=0.5)
+            RttEstimator(ceiling_us=float("nan"))
         with pytest.raises(ValueError):
             make().sample(1, 0, -1.0)
 
