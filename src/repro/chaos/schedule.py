@@ -248,6 +248,28 @@ def _split_groups(rng: Random, n_nodes: int) -> tuple[tuple[int, ...], ...]:
     return tuple(side_a), tuple(side_b)
 
 
+def _apart(start: float, duration: float,
+           earlier: tuple[float, float] | None, spec: ChaosSpec) -> float:
+    """Start of a partition window that does not merge with ``earlier``.
+
+    Each window alone stays below ``0.7 * hb_timeout_us``, but two windows
+    closer than a heartbeat round read to the failure detector as one
+    silence.  When their union would pass that bound the later window
+    moves to ``2 * hb_interval_us`` past the earlier one's end, so the
+    detector hears the peer between them.  No rng draw: the stream, and
+    every schedule with at most one partition, is unchanged.
+    """
+    if earlier is None:
+        return start
+    lo, hi = earlier
+    gap = 2.0 * spec.hb_interval_us
+    end = start + duration
+    near = start < hi + gap and end > lo - gap
+    if near and max(hi, end) - min(lo, start) > 0.7 * spec.hb_timeout_us:
+        return hi + gap
+    return start
+
+
 def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
     """Expand ``seed`` into a concrete fault list under ``spec``.
 
@@ -267,6 +289,7 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
     faults: list[ChaosFault] = []
     n_faults = rng.randint(spec.min_faults, spec.max_faults)
     n_partitions = 0
+    partitioned: tuple[float, float] | None = None
     n_crashes = 0
     for _ in range(n_faults):
         roll = rng.random()
@@ -277,6 +300,8 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
             # silence, death a full timeout — 0.2..0.7 spans both sides
             # of suspicion while staying clear of the teardown cliff.
             duration = rng.uniform(0.2, 0.7) * spec.hb_timeout_us
+            start = _apart(start, duration, partitioned, spec)
+            partitioned = (start, start + duration)
             if spec.topology == "mesh":
                 faults.append(ChaosFault(
                     kind="partition",

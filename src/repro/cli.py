@@ -295,7 +295,6 @@ def _report_payload(args, pair, messages, stalled) -> dict:
                 "duplicates_dropped": engine.matcher.duplicates_dropped,
                 "unexpected_bytes": engine.matcher.unexpected_bytes,
                 "peak_unexpected_bytes": engine.matcher.peak_unexpected_bytes,
-                "refused_total": engine.matcher.refused_total,
             },
             "window": {"peak_bytes": engine.window.peak_bytes,
                        "deferred": engine.collect.n_deferred},

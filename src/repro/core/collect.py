@@ -20,7 +20,7 @@ at the submission boundary: a submission that would overflow is either
 **deferred** on a FIFO queue until :meth:`~repro.core.window.OptimizationWindow.take`
 frees space (``window_policy="block"`` — backpressure without losing the
 nonblocking ``isend`` API: the caller still gets a request whose completion
-fires late) or refused with :class:`~repro.errors.WindowFullError`
+fires late) or rejected with :class:`~repro.errors.WindowFullError`
 (``"fail"``).  Deferred wraps receive their sequence number at *admission*,
 not submission, so the fail-fast policy leaves no holes in a ``(dest,
 flow)`` stream, and the FIFO order makes admission order equal submission
@@ -127,7 +127,7 @@ class CollectLayer:
     def _fits(self, nbytes: int) -> bool:
         """Would one more wrap of ``nbytes`` respect the window caps?
 
-        The byte cap only refuses a *nonempty* window: a single wrap larger
+        The byte cap only rejects a *nonempty* window: a single wrap larger
         than ``max_window_bytes`` must still be admissible (alone) or it
         could never be sent.
         """

@@ -95,7 +95,6 @@ class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
         for name, spec in _KNOBS:
             spec.check(name, getattr(self, name))
         self._check_reliability()
-        self._check_flow_control()
         self._check_sessions()
 
 
@@ -162,9 +161,7 @@ class NmadEngine:
         self.window = OptimizationWindow(n_rails=len(node.nics))
         self.matcher = Matcher(self._on_match, tracer=self.tracer,
                                name=f"node{self.node_id}.matcher",
-                               dedup=self.dedup,
-                               max_unexpected_bytes=
-                                   self.params.max_unexpected_bytes)
+                               dedup=self.dedup)
         self.rendezvous = RendezvousManager(self)
         self.collect = CollectLayer(self)
         # True once this engine's node crashed: every timer closure and
@@ -449,7 +446,7 @@ class NmadEngine:
         Registered as a node crash hook by the session layer.  A
         dead process must not tick into its successor's incarnation, so
         every virtual-time timer of this engine — retransmit and delayed-ack
-        timers, credit grant and NACK-resend timers, session monitors, the
+        timers, credit grant timers, session monitors, the
         progress watchdog — is cancelled.
         No completion callbacks run: from the dead node's perspective the
         world simply stops, exactly like a real crash.
@@ -498,7 +495,7 @@ class NmadEngine:
         stats = self.stats
         return (
             stats.phys_packets, stats.wire_bytes, stats.recv_copies,
-            stats.credits_granted, stats.nack_resends,
+            stats.credits_granted,
             # Session transitions are progress (a declared death *unblocks*
             # waiters); heartbeats_sent deliberately is not — a probe loop
             # towards a wedged peer must not mask the stall.
@@ -513,12 +510,11 @@ class NmadEngine:
     def _watchdog_active(self) -> bool:
         """Work is outstanding, so a frozen token means a stall.
 
-        Flow-control transients (a delayed grant advertisement, a scheduled
-        NACK resend) are deliberately excluded: they are simulator timers
-        that always fire on their own, so they cannot be stall symptoms —
-        counting them would trip the watchdog on a healthy receiver whose
-        only pending "work" is a coalesced credit grant.  When a resend
-        fires it re-arms the watchdog via :meth:`poke_watchdog`.
+        Flow-control transients (a delayed grant advertisement) are
+        deliberately excluded: they are simulator timers that always fire
+        on their own, so they cannot be stall symptoms — counting them
+        would trip the watchdog on a healthy receiver whose only pending
+        "work" is a coalesced credit grant.
         """
         return (
             self.matcher.n_posted > 0
@@ -543,8 +539,7 @@ class NmadEngine:
         )
         lines.append(
             f"  matcher: posted={m.n_posted} parked={m.n_parked} "
-            f"unexpected={m.n_unexpected} ({m.unexpected_bytes}B buffered, "
-            f"{m.refused_total} refused)"
+            f"unexpected={m.n_unexpected} ({m.unexpected_bytes}B buffered)"
         )
         lines.append(
             f"  rendezvous: pending={self.rendezvous.n_pending} "

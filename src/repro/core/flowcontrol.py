@@ -26,16 +26,10 @@ that bounds both ends of an eager stream:
   or retransmitted grant applies as a componentwise max, so the layer
   composes with ``reliability="ack"`` without extra state.
 
-Overflow of the receiver's unexpected-message budget
-(``max_unexpected_bytes``) takes a **NACK-and-resend-later** path
-instead of unbounded buffering: the refused segment bounces back to the
-sender in a ``nack`` frame, its credit is released (the grant rides on
-the NACK itself), and the sender re-submits the segment after
-``nack_delay_us`` — with exponential backoff while the peer keeps
-refusing — through normal credit gating, keeping its original sequence
-number so the matcher's in-order machinery is undisturbed.  The echoed
-payload models the sender-retained resend buffer of a real stack, so
-only control-record bytes are charged on the wire.
+The budget is also the receiver's memory bound.  Credit is spent when a
+packet commits and released only when the message matches, so a sender
+never has more than ``credit_bytes`` of eager payload buffered unexpected
+at a receiver: at most ``(peers - 1) * credit_bytes`` in all.
 
 Rendezvous traffic is credit-exempt: announcements are tiny control
 records, and the bulk data only flows after the receiver granted it —
@@ -51,9 +45,9 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
-from repro.core.packet import PacketWrap, SegItem
+from repro.core.packet import SegItem
 from repro.core.protocols import Layer, counter, knob
-from repro.errors import MpiError, ProtocolError
+from repro.errors import MpiError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
 from repro.sim import Timer
@@ -83,23 +77,6 @@ class FlowControlParams:
     #: Reverse-silence window before a standalone credit frame carries a
     #: pending grant (grants otherwise piggyback on any reverse frame).
     credit_grant_delay_us: float = knob(25.0, lo=0.0)
-    #: Base delay before a NACKed (receiver-refused) segment is resent;
-    #: doubles per consecutive refusal from the same peer.
-    nack_delay_us: float = knob(50.0, lo=0.0)
-    #: Receiver memory budget: cap on buffered unexpected eager payload
-    #: bytes in the matcher (0 = unbounded).  Requires ``"credit"`` mode —
-    #: overflow takes the NACK-and-resend path, which needs the credit
-    #: machinery.
-    max_unexpected_bytes: int = knob(0, lo=0)
-
-    def _check_flow_control(self) -> None:
-        """The rule between fields; each field's own range is its knob."""
-        if self.max_unexpected_bytes and self.flow_control != "credit":
-            raise ValueError(
-                "max_unexpected_bytes needs flow_control='credit': a "
-                "refused message is only recoverable through the "
-                "NACK-and-resend path"
-            )
 
 
 @dataclass
@@ -107,17 +84,10 @@ class FlowControlStats:
     """Overload-protection counters (``EngineStats`` inherits them)."""
 
     credit_stalls: int = counter("flow_control")    # dest became credit-blocked
-    window_full_events: int = counter("flow_control")  # deferred/refused at cap
-    unexpected_overflows: int = counter("flow_control")  # refused by the matcher
+    window_full_events: int = counter("flow_control")  # deferred/rejected at cap
     credits_granted: int = counter("flow_control")  # grants of released credit
-    nacks_sent: int = counter("flow_control")       # refused segments bounced
-    nack_resends: int = counter("flow_control")     # bounced segments resent
-
-#: Cap on the NACK-resend backoff multiplier (2**6): a peer that keeps
-#: refusing slows the retry loop down to ``64 * nack_delay_us`` but never
-#: stops it — the next successful post on the receiver drains the buffer
-#: and the following resend goes through.
-_MAX_NACK_BACKOFF = 64
+    # Always 0; kept because benchmarks/macro/one_run.py reads it by name.
+    nacks_sent: int = counter("flow_control")
 
 
 class _PeerCredit:
@@ -133,11 +103,11 @@ class _PeerCredit:
         # Transmit half: what we consumed, and what the peer released.
         "sent_bytes_total", "sent_wraps_total",
         "peer_released_bytes", "peer_released_wraps",
-        "blocked", "nack_streak",
+        "blocked",
         # Receive half: what we released, and what we last advertised.
         "released_bytes_total", "released_wraps_total",
         "adv_bytes", "adv_wraps",
-        "grant_timer", "resend_timers",
+        "grant_timer",
     )
 
     def __init__(self, peer: int, layer: FlowControlLayer) -> None:
@@ -147,26 +117,16 @@ class _PeerCredit:
         self.peer_released_bytes = 0
         self.peer_released_wraps = 0
         self.blocked = False
-        self.nack_streak = 0
         self.released_bytes_total = 0
         self.released_wraps_total = 0
         self.adv_bytes = 0
         self.adv_wraps = 0
         #: Armed while a standalone grant waits out the reverse silence.
         self.grant_timer = Timer(layer.sim, partial(layer._send_credit, self))
-        #: One armed timer per NACKed segment waiting out its backoff.
-        self.resend_timers: list[Timer] = []
-
-    def silence(self) -> None:
-        """Teardown/halt: no timer of this ledger fires again."""
-        self.grant_timer.cancel()
-        for timer in self.resend_timers:
-            timer.cancel()
-        self.resend_timers.clear()
 
 
 class FlowControlLayer(Layer):
-    """Per-engine credit accounting, grant generation and NACK handling.
+    """Per-engine credit accounting and grant generation.
 
     Only constructed in ``flow_control="credit"`` mode: the last stage on
     the receive path (:meth:`accept`), the first on the transmit path
@@ -192,7 +152,6 @@ class FlowControlLayer(Layer):
                 "be sent"
             )
         engine.window.gate_eager(exempt_floor)
-        engine.matcher.on_refuse = self.on_local_refuse
         self._credit_bytes = engine.params.credit_bytes
         self._credit_wraps = engine.params.credit_wraps
         self._grant_delay = engine.params.credit_grant_delay_us
@@ -211,11 +170,10 @@ class FlowControlLayer(Layer):
         """Spend credit for the eager wraps of a packet a NIC took.
 
         Announced (rendezvous) wraps are exempt — the grant protocol paces
-        them end to end — and NACK resends were charged when their
-        original went out.
+        them end to end.
         """
         for w in plan.taken:
-            if not w.is_control and not w.credit_exempt:
+            if not w.is_control:
                 self.consume(plan.dest, w.length)
 
     def consume(self, dest: int, nbytes: int) -> None:
@@ -263,21 +221,15 @@ class FlowControlLayer(Layer):
 
     # -- receive path --------------------------------------------------------
     def accept(self, rail: int, frame: Frame) -> bool:
-        """Apply the piggybacked grant; absorb credit and NACK frames."""
+        """Apply the piggybacked grant; absorb credit frames."""
         if frame.fc_grant is not None:
-            self._apply_grant(frame.src_node, frame.fc_grant,
-                              from_nack=frame.kind == FrameKind.NACK)
-        if frame.kind == FrameKind.CREDIT:
-            return False  # pure control: nothing to demultiplex
-        if frame.kind == FrameKind.NACK:
-            self._on_nack(frame)
-            return False
-        return True
+            self._apply_grant(frame.src_node, frame.fc_grant)
+        # A credit frame is pure control: nothing to demultiplex.
+        return frame.kind != FrameKind.CREDIT
 
     on_frame = accept  # the Layer receive hook
 
-    def _apply_grant(self, peer: int, grant: tuple[int, int],
-                     from_nack: bool) -> None:
+    def _apply_grant(self, peer: int, grant: tuple[int, int]) -> None:
         st = self._peer(peer)
         rb, rw = grant
         changed = False
@@ -289,10 +241,6 @@ class FlowControlLayer(Layer):
             changed = True
         if not changed:
             return  # stale or duplicated grant: cumulative totals, no-op
-        if not from_nack:
-            # Real forward progress on the peer (not just a refusal bounce):
-            # drop the resend backoff back to its base delay.
-            st.nack_streak = 0
         self._update_gate(st)
         self.engine.transfer.kick()
 
@@ -358,19 +306,6 @@ class FlowControlLayer(Layer):
             return self._grant_delay
         return min(self._grant_delay, max(1.0, srtt / 2.0))
 
-    def _nack_resend_base_us(self, peer: int) -> float:
-        """Base delay before re-submitting a NACKed segment to ``peer``.
-
-        The configured ``nack_delay_us``, or the peer's adaptive RTO when
-        that is larger: a NACK means the receiver is out of resources, and
-        retrying faster than a round trip can drain anything only earns
-        the next NACK (the exponential streak backoff still multiplies).
-        """
-        rtt = self.engine.rtt
-        if rtt is None or not rtt.warm(peer):
-            return self.params.nack_delay_us
-        return max(self.params.nack_delay_us, rtt.rto_us(peer))
-
     def _send_credit(self, st: _PeerCredit) -> None:
         """Emit a standalone grant (``st.grant_timer``'s callback: a reverse
         frame that piggybacks the grant first cancels the timer)."""
@@ -389,100 +324,18 @@ class FlowControlLayer(Layer):
                         wraps=st.released_wraps_total, rail=rail)
         self.engine.transfer.transmit(self.nics[rail], frame, after=self)
 
-    # -- unexpected-buffer overflow: NACK and resend later -------------------
-    def on_local_refuse(self, inc: Incoming) -> None:
-        """The matcher refused ``inc`` (unexpected budget full): bounce it.
-
-        The bounce moves no credit: the original transmit charged the
-        message once and the eventual match of its resend releases it once.
-        Releasing on refusal instead would let the sender spend the handed-
-        back credit on *fresh* traffic while the refused message still
-        waits out its backoff — widening the very overload the budget is
-        throttling — and a credit-blocked resend could deadlock against a
-        receiver whose buffered messages all sit behind the sequence hole.
-        The resend is therefore gate-exempt (``credit_exempt``) instead.
-        """
-        item = inc.item
-        assert isinstance(item, SegItem)
-        self.engine.stats.unexpected_overflows += 1
-        st = self._peer(inc.src)
-        hdr = self.params.hdr
-        rail = self.engine.transfer.choose_rail(inc.src, prefer=0)
-        # payload_size stays 0: the echoed segment stands in for the resend
-        # buffer a real sender would have retained, so the bounce only
-        # charges control-record bytes on the wire.
-        frame = Frame(
-            src_node=self.engine.node_id, dst_node=inc.src,
-            kind=FrameKind.NACK,
-            wire_size=hdr.global_header + hdr.seg_header + hdr.credit_header,
-            payload=item,
-            fc_grant=self._advertise(st),
-        )
-        self.engine.stats.nacks_sent += 1
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, self._name, "nack",
-                        peer=inc.src, seq=item.seq,
-                        nbytes=item.data.nbytes, rail=rail)
-        self.engine.transfer.transmit(self.nics[rail], frame, after=self)
-
-    def _on_nack(self, frame: Frame) -> None:
-        item = frame.payload
-        if not isinstance(item, SegItem):
-            raise ProtocolError(
-                f"node{self.engine.node_id}: NACK frame without an echoed "
-                f"segment: {frame!r}"
-            )
-        peer = frame.src_node
-        st = self._peer(peer)
-        st.nack_streak += 1
-        backoff = min(2 ** (st.nack_streak - 1), _MAX_NACK_BACKOFF)
-        delay = self._nack_resend_base_us(peer) * backoff
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, self._name, "nack_rx",
-                        peer=peer, seq=item.seq, delay_us=delay)
-        # A timer per refused segment, owned by the ledger: a peer that
-        # dies (or restarts) while the resend waits out its backoff takes
-        # it along — re-submitting the old-epoch segment would ghost-
-        # deliver into the peer's next incarnation.
-        timer = Timer(self.sim, partial(self._resend, st, item))
-        st.resend_timers.append(timer)
-        timer.arm(delay)
-
-    def _resend(self, st: _PeerCredit, item: SegItem) -> None:
-        # The timer that brought us here is the one no longer armed.
-        st.resend_timers = [t for t in st.resend_timers if t.armed]
-        peer = st.peer
-        self.engine.stats.nack_resends += 1
-        # Same (flow, tag, seq) stream position as the refused original, so
-        # the receiver's in-order machinery treats the resend as *the*
-        # message; a fresh wrap_id keeps the window bookkeeping clean.  The
-        # wrap re-enters the window directly (the original submission was
-        # already admitted through the bounded collect layer once).
-        wrap = PacketWrap(dest=peer, flow=item.flow, tag=item.tag,
-                          seq=item.seq, data=item.data,
-                          submitted_at=self.sim.now, credit_exempt=True)
-        self.engine.window.restore(wrap)
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, self._name, "nack_resend",
-                        peer=peer, seq=item.seq)
-        self.engine.poke_watchdog()
-        self.engine.transfer.kick()
-
     # -- session-layer hooks --------------------------------------------------
     def reset_peer(self, peer: int, exc: BaseException) -> None:
         """Replace the credit ledger towards a dead/restarted peer.
 
-        The old ledger's grant and resend timers are cancelled and a
+        The old ledger's grant timer is cancelled and a
         credit-blocked window gate is lifted: the new incarnation starts
         with a fresh ledger and a full budget.
         """
         st = self._peers.get(peer)
         if st is None:
             return
-        st.silence()
+        st.grant_timer.cancel()
         if st.blocked:
             self.engine.window.unblock_dest(peer)
         self._peers[peer] = _PeerCredit(peer, self)
@@ -494,22 +347,16 @@ class FlowControlLayer(Layer):
     def halt(self) -> None:
         """This node crashed: silence every timer, run no callbacks."""
         for st in self._peers.values():
-            st.silence()
+            st.grant_timer.cancel()
 
     # -- introspection -------------------------------------------------------
     @property
-    def pending_resends(self) -> int:
-        """NACK resends still waiting out their backoff delay."""
-        return sum(len(st.resend_timers) for st in self._peers.values())
-
-    @property
     def quiesced(self) -> bool:
-        """True when no grant or NACK resend is still scheduled."""
-        return not any(st.grant_timer.armed or st.resend_timers
-                       for st in self._peers.values())
+        """True when no grant is still scheduled."""
+        return not any(st.grant_timer.armed for st in self._peers.values())
 
     def has_outstanding(self, peer: int | None = None) -> bool:
-        """Never: grants and NACK resends are timers that fire on their own."""
+        """Never: grants are timers that fire on their own."""
         return False
 
     def describe_peer(self, peer: int) -> str:

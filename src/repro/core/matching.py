@@ -60,7 +60,6 @@ class Matcher:
         tracer: Tracer | None = None,
         name: str = "matcher",
         dedup: bool = False,
-        max_unexpected_bytes: int = 0,
     ) -> None:
         self._on_match = on_match
         self.tracer = tracer if tracer is not None else Tracer()
@@ -70,14 +69,6 @@ class Matcher:
         #: of raising: retransmission makes duplicates legitimate, and the
         #: layer's contract is that the application never sees one.
         self.dedup = dedup
-        #: Receiver memory budget: cap on buffered unexpected eager payload
-        #: bytes (0 = the paper's unbounded queue).  An eager arrival that
-        #: finds no posted receive and would overflow is *refused* — handed
-        #: to ``on_refuse`` (the engine NACKs it back to its sender) without
-        #: advancing the sequence stream, so the delayed resend slots
-        #: straight back in.  The flow-control layer installs itself here.
-        self._max_unexpected = max_unexpected_bytes
-        self.on_refuse: Callable[[Incoming], None] | None = None
         self._expected: dict[tuple[int, int], int] = {}
         self._parked: dict[tuple[int, int], dict[int, Incoming]] = {}
         self._posted: list[RecvRequest] = []
@@ -90,7 +81,6 @@ class Matcher:
         self.duplicates_dropped = 0
         self.unexpected_bytes = 0
         self.peak_unexpected_bytes = 0
-        self.refused_total = 0
 
     # -- arrivals ------------------------------------------------------------
     def deliver(self, inc: Incoming, now: float = 0.0) -> None:
@@ -129,26 +119,19 @@ class Matcher:
                 self.tracer.emit(now, self.name, "park",
                                  src=inc.src, flow=inc.flow, seq=inc.seq)
             return
-        if not self._admit(inc):
-            return
+        self._admit(inc)
         # Drain consecutively-parked descriptors.
         parked = self._parked.get(key)
         while parked:
-            nxt = self._expected[key]
-            follower = parked.pop(nxt, None)
+            follower = parked.pop(self._expected[key], None)
             if follower is None:
                 break
-            if not self._admit(follower):
-                # Refused (budget full) and bounced to its sender: the
-                # descriptor is dropped locally — the delayed resend will
-                # redeliver it at this same, still-expected seq — and the
-                # drain stops, as nothing later may overtake it.
-                break
+            self._admit(follower)
         if parked is not None and not parked:
             del self._parked[key]
 
-    def _admit(self, inc: Incoming) -> bool:
-        """Admit an in-sequence descriptor; ``False`` = refused (bounced)."""
+    def _admit(self, inc: Incoming) -> None:
+        """Admit an in-sequence descriptor: match it or queue it unexpected."""
         key = (inc.src, inc.flow)
         if inc.is_skip:
             self._expected[key] = inc.seq + 1
@@ -156,23 +139,13 @@ class Matcher:
             if self.tracer.enabled:
                 self.tracer.emit(inc.arrived_at, self.name, "skip",
                                  src=inc.src, flow=inc.flow, seq=inc.seq)
-            return True
-        # Find the posted match before mutating any state: a refusal must
-        # leave the matcher exactly as it was (sequence stream included).
+            return
+        # Find the posted match before the watchers run.
         match_idx = -1
         for idx, req in enumerate(self._posted):
             if req.flow == inc.flow and req.matches(inc.src, inc.tag):
                 match_idx = idx
                 break
-        if match_idx < 0 and self._over_budget(inc):
-            self.refused_total += 1
-            if self.tracer.enabled:
-                self.tracer.emit(inc.arrived_at, self.name, "refuse",
-                                 src=inc.src, flow=inc.flow, tag=inc.tag,
-                                 seq=inc.seq, buffered=self.unexpected_bytes)
-            if self.on_refuse is not None:
-                self.on_refuse(inc)
-            return False
         self._expected[key] = inc.seq + 1
         self.delivered += 1
         # Watchers fire on *admission*, before matching: a probe reports
@@ -190,7 +163,7 @@ class Matcher:
                                  src=inc.src, flow=inc.flow, tag=inc.tag,
                                  seq=inc.seq)
             self._on_match(inc, req)
-            return True
+            return
         self._unexpected.append(inc)
         self.unexpected_total += 1
         if isinstance(inc.item, SegItem):
@@ -201,25 +174,6 @@ class Matcher:
             self.tracer.emit(inc.arrived_at, self.name, "unexpected",
                              src=inc.src, flow=inc.flow, tag=inc.tag,
                              seq=inc.seq)
-        return True
-
-    def _over_budget(self, inc: Incoming) -> bool:
-        """Would buffering ``inc`` unexpected overflow the byte budget?
-
-        Rendezvous announcements buffer no payload (the data waits on the
-        sender), and an empty buffer always accepts one message regardless
-        of its size — the liveness floor that keeps a budget smaller than
-        one message from wedging the stream.
-        """
-        if not self._max_unexpected:
-            return False
-        item = inc.item
-        if not isinstance(item, SegItem) or item.data.nbytes == 0:
-            return False
-        if not self.unexpected_bytes:
-            return False
-        return (self.unexpected_bytes + item.data.nbytes
-                > self._max_unexpected)
 
     # -- receive posting ----------------------------------------------------
     def post(self, req: RecvRequest) -> None:

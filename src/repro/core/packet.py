@@ -89,10 +89,9 @@ class PacketWrap:
     rail: int | None = None      # pinned rail (dedicated list) or None
     submitted_at: float = 0.0
     is_control: bool = False        # engine-internal control traffic
-    credit_exempt: bool = False     # bypasses credit gating (NACK resends)
     control_item: WireItem | None = None  # the item a control wrap carries
     wrap_id: int = field(default_factory=_wrap_ids.__next__)
-    #: Settled when the send is over (``None``: nobody waits, NACK resend).
+    #: Settled when the send is over (``None``: nobody waits).
     completion: SendRequest | None = None
     #: Payload byte count, stamped once from ``data`` (which is never
     #: reassigned): the window, the tactics and the plan check all read it.

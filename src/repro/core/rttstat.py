@@ -2,7 +2,7 @@
 
 The reliability, session, and flow-control layers all run on virtual-time
 deadlines.  Through PR 9 those were *static* knobs (``rel_timeout_us``,
-``hb_timeout_us``, grant/NACK delays), which forces the operator to
+``hb_timeout_us``, the credit grant delay), which forces the operator to
 hand-budget for path conditions the transport could simply measure — the
 documented fat-tree failure mode: the retry clock starts at transmit
 completion and cannot see switch-port queueing, so a static RTO sized for
@@ -20,7 +20,7 @@ granularities:
   Quadrics) and fault exposure; the hedging decision ("has the original
   rail blown past its own tail?") needs the per-rail view;
 * per peer (every eligible sample, any rail) — the retransmit timeout,
-  session deadlines, and grant/NACK pacing act on the peer's channel,
+  session deadlines, and grant pacing act on the peer's channel,
   which spans rails; mixing rails inflates the variance term, which only
   makes the derived timeout more conservative, never trigger-happy.
 
@@ -133,7 +133,7 @@ class RttEstimator:
 
     def warm(self, peer: int) -> bool:
         """True once the peer's estimate is trustworthy — the gate every
-        adaptive consumer (RTO, session deadlines, NACK pacing) shares."""
+        adaptive consumer (RTO, session deadlines, grant pacing) shares."""
         st = self._peers.get(peer)
         return st is not None and st.samples >= RTO_MIN_SAMPLES
 

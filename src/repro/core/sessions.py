@@ -206,7 +206,7 @@ class SessionLayer(Layer):
         the handshake completes, or failed because the peer is dead) and
         ``False`` when the pipeline should transmit it now (it has been
         stamped).  *Every* engine frame — data, acks excepted (they stamp
-        directly), credits, NACKs — passes here, ahead of sequencing.
+        directly), credits — passes here, ahead of sequencing.
         """
         st = self._peer(frame.dst_node)
         if st.sess_state == "established":

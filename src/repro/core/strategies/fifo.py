@@ -37,12 +37,10 @@ class FifoStrategy(Strategy):
                 return SendPlan(dest=wrap.dest, items=[], announced=[wrap])
             # Partial credit: a destination not (yet) blocked may still lack
             # the credit for this wrap — skip it and try later traffic.
-            # NACK resends are exempt (charged when the original went out).
-            if not wrap.credit_exempt:
-                max_bytes, max_wraps = ctx.eager_budget(wrap.dest)
-                if (max_bytes is not None and max_wraps is not None
-                        and (wrap.length > max_bytes or max_wraps < 1)):
-                    continue
+            max_bytes, max_wraps = ctx.eager_budget(wrap.dest)
+            if (max_bytes is not None and max_wraps is not None
+                    and (wrap.length > max_bytes or max_wraps < 1)):
+                continue
             item = SegItem(ctx.src_node, wrap.flow, wrap.tag, wrap.seq,
                            wrap.data)
             return SendPlan(wrap.dest, [item], [wrap])

@@ -149,14 +149,13 @@ def plan_aggregate(
             blocked = True
             continue
         if blocked and not wrap.allow_reorder:
-            # This wrap refuses to overtake the blocked one: stop here.
+            # This wrap may not overtake the blocked one: stop here.
             break
         length = wrap.length
         if length > rdv_threshold:
             choice.announce.append(wrap)
-        elif wrap.is_control or wrap.credit_exempt:
-            # Control records carry the replenishing grants; NACK resends
-            # fill the sequence hole everything behind them waits on.
+        elif wrap.is_control:
+            # Control records carry the replenishing grants.
             choice.eager.append(wrap)
         elif (used + length <= budget
               and (max_eager_items is None or n_credit < max_eager_items)):

@@ -47,7 +47,7 @@ class OptimizationWindow:
         ]
         # Per-destination index over *all* lists: dest -> {wrap_id: wrap}.
         self._by_dest: dict[int, dict[int, PacketWrap]] = {}
-        # Incremental counters (kept exactly in sync by _insert/_remove; the
+        # Incremental counters (kept exactly in sync by submit/_remove; the
         # property tests compare them against brute-force recomputation).
         self._count = 0
         self._total_bytes = 0
@@ -74,25 +74,6 @@ class OptimizationWindow:
     # -- submission -----------------------------------------------------------
     def submit(self, wrap: PacketWrap) -> None:
         """Insert a wrap on its list (dedicated if ``wrap.rail`` is pinned)."""
-        self._insert(wrap)
-        self.total_submitted += 1
-        if self._count > self.peak_wraps:
-            self.peak_wraps = self._count
-        if self._total_bytes > self.peak_bytes:
-            self.peak_bytes = self._total_bytes
-
-    def restore(self, wrap: PacketWrap) -> None:
-        """Insert the resend of a wrap the receiver refused (NACK path).
-
-        Unlike :meth:`submit` this does not count as a new submission.
-        """
-        self._insert(wrap)
-        if self._count > self.peak_wraps:
-            self.peak_wraps = self._count
-        if self._total_bytes > self.peak_bytes:
-            self.peak_bytes = self._total_bytes
-
-    def _insert(self, wrap: PacketWrap) -> None:
         rail = wrap.rail
         if rail is not None:
             if not 0 <= rail < self.n_rails:
@@ -123,16 +104,16 @@ class OptimizationWindow:
         self._dest_bytes[dest] += length
         if self._gated and self._is_exempt(wrap):
             self._dest_exempt[dest] = self._dest_exempt.get(dest, 0) + 1
+        self.total_submitted += 1
+        if self._count > self.peak_wraps:
+            self.peak_wraps = self._count
+        if self._total_bytes > self.peak_bytes:
+            self.peak_bytes = self._total_bytes
 
     # -- credit gating (flow_control="credit") ---------------------------------
     def _is_exempt(self, wrap: PacketWrap) -> bool:
-        """Control records, rendezvous-bound wraps and NACK resends bypass
-        credit gating.  A resend must always be electable: it fills the
-        sequence hole its refusal opened, and everything behind the hole —
-        including the deliveries whose matches release credit — waits on it.
-        """
-        return (wrap.is_control or wrap.credit_exempt
-                or wrap.length > self._exempt_floor)
+        """Control records and rendezvous-bound wraps bypass credit gating."""
+        return wrap.is_control or wrap.length > self._exempt_floor
 
     def gate_eager(self, exempt_floor: int) -> None:
         """Enable credit gating: wraps above ``exempt_floor`` stay electable

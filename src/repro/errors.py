@@ -128,7 +128,7 @@ class DeadlineExceededError(MpiError):
 
 
 class WindowFullError(MpiError):
-    """A send was refused because the optimization window is at capacity.
+    """A send was rejected because the optimization window is at capacity.
 
     Only raised under ``EngineParams(window_policy="fail")`` when the
     bounded collect layer cannot admit a new wrap without exceeding

@@ -40,7 +40,7 @@ class Communicator:
         self._rank_of = {node: rank
                          for rank, node in enumerate(self.ranks_to_nodes)}
         self.id = next(_comm_ids) if comm_id is None else comm_id
-        #: Set by :meth:`revoke`; a revoked communicator refuses new
+        #: Set by :meth:`revoke`; a revoked communicator rejects new
         #: operations with :class:`~repro.errors.CommRevokedError`.
         self.revoked = False
 

@@ -25,7 +25,6 @@ class FrameKind:
     RDV_DATA = "rdv_data"  # rendezvous bulk data (zero-copy / RDMA path)
     REL_ACK = "rel_ack"    # standalone reliability-layer acknowledgement
     CREDIT = "credit"      # standalone flow-control credit grant
-    NACK = "nack"          # receiver refused an eager segment (overflow)
     SESSION_HELLO = "session_hello"      # session handshake: open/announce
     SESSION_WELCOME = "session_welcome"  # session handshake: accept/confirm
     HEARTBEAT = "heartbeat"              # idle-path liveness probe/reply

@@ -21,7 +21,7 @@ def reset_stats(engine):
 
 
 def bump_from_strategy(engine):
-    engine.stats.nacks_sent += 1  # NM204 (strategies stay side-effect free)
+    engine.stats.credits_granted += 1  # NM204 (strategies stay side-effect free)
 
 
 def make_typo_frame(Frame, peer):

@@ -349,6 +349,22 @@ class TestScheduleGenerator:
                     width = fault.until_us - fault.from_us
                     assert width < 0.75 * spec.hb_timeout_us
 
+    @pytest.mark.parametrize("topology", ["mesh", "fat-tree"])
+    def test_adjacent_partitions_are_healable_together(self, topology):
+        # Two windows less than a heartbeat round apart are one silence to
+        # the detector: their union obeys the single-window bound.  Seeds
+        # 783 and 5908 broke it on the fat-tree spec.
+        spec = ChaosSpec.quick(topology=topology)
+        gap = 2.0 * spec.hb_interval_us
+        for seed in [*range(400), 783, 5908]:
+            windows = sorted(
+                (f.from_us, f.until_us) for f in generate_schedule(seed, spec)
+                if f.kind in ("partition", "rack_partition"))
+            for (lo1, hi1), (lo2, hi2) in zip(windows, windows[1:]):
+                if lo2 < hi1 + gap:
+                    assert (max(hi1, hi2) - lo1
+                            <= 0.7 * spec.hb_timeout_us + 1e-3), seed
+
     def test_fault_bounds_respected(self):
         spec = ChaosSpec(min_faults=1, max_faults=4)
         for seed in range(30):

@@ -180,7 +180,7 @@ class TestReportPartitionGroup:
 
         declared = {f.name for f in dataclasses.fields(EngineStats)}
         grouped = [f for _, fields in REPORT_STAT_GROUPS for f in fields]
-        assert len(grouped) == len(set(grouped)) == 36
+        assert len(grouped) == len(set(grouped)) == 34
         assert set(grouped) == declared == STATS_COUNTERS
         assert [g for g, _ in REPORT_STAT_GROUPS] == [
             "core", "reliability", "flow_control", "sessions", "partition",

@@ -1,8 +1,7 @@
 """Overload protection: credit flow control, bounded windows, watchdog.
 
 Covers the opt-in ``flow_control="credit"`` subsystem end to end — credit
-consumption/blocking/grants, the receiver's unexpected-byte budget with
-the NACK-and-resend path, bounded collect admission under both policies,
+consumption/blocking/grants, bounded collect admission under both policies,
 and the progress watchdog — plus the guarantee the default mode stays
 inert (every new counter zero, no behaviour change).
 """
@@ -27,8 +26,8 @@ def make_pair(params, n_nodes=2):
     return sim, cluster, engines
 
 
-FC_COUNTERS = ("credit_stalls", "window_full_events", "unexpected_overflows",
-               "credits_granted", "nacks_sent", "nack_resends")
+FC_COUNTERS = ("credit_stalls", "window_full_events", "credits_granted",
+               "nacks_sent")
 
 
 class TestDefaultsStayPaperFaithful:
@@ -57,8 +56,6 @@ class TestDefaultsStayPaperFaithful:
             EngineParams(flow_control="credit", credit_bytes=0)
         with pytest.raises(ValueError):
             EngineParams(flow_control="credit", credit_wraps=0)
-        with pytest.raises(ValueError):
-            EngineParams(max_unexpected_bytes=4096)  # needs credit mode
         with pytest.raises(ValueError):
             EngineParams(max_window_wraps=-1)
         with pytest.raises(ValueError):
@@ -237,37 +234,6 @@ class TestBoundedWindow:
         sim.run_process(rx())
         sim.run()
         assert e0.quiesced() and e1.quiesced()
-
-
-class TestUnexpectedBudget:
-    def test_overflow_nacks_and_resends_byte_exact(self):
-        params = EngineParams(flow_control="credit",
-                              credit_bytes=256 * 1024, credit_wraps=64,
-                              max_unexpected_bytes=3072)
-        sim, cluster, (e0, e1) = make_pair(params)
-        n = 50
-        for i in range(n):
-            e0.isend(1, VirtualData(1024), tag=i)
-
-        def rx():
-            yield sim.timeout(500.0)
-            for i in range(n):
-                req = e1.irecv(src=0, tag=i, nbytes=1024)
-                yield req.done
-                assert req.actual_len == 1024
-
-        sim.run_process(rx())
-        sim.run()
-        assert e1.matcher.peak_unexpected_bytes <= 3072
-        assert e1.stats.unexpected_overflows > 0
-        assert e1.stats.nacks_sent == e1.stats.unexpected_overflows
-        assert e0.stats.nack_resends == e1.stats.nacks_sent
-        assert cluster.conservation_ok()
-        assert e0.quiesced() and e1.quiesced()
-
-    def test_budget_requires_credit_mode(self):
-        with pytest.raises(ValueError):
-            EngineParams(flow_control="off", max_unexpected_bytes=1024)
 
 
 class TestWatchdog:

@@ -101,6 +101,8 @@ def test_mode_fields_accept_their_choices_and_nothing_else(
     {"anticipated_pull_cost_us": 0.05},
     {"per_mtu_cost_us": 0.10},
     {"per_mtu_cost_by_tech": ()},
+    {"max_unexpected_bytes": 4096},
+    {"nack_delay_us": 50.0},
 ], ids=lambda kw: next(iter(kw)))
 def test_removed_params_are_gone(removed):
     with pytest.raises(TypeError):

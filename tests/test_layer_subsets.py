@@ -146,10 +146,7 @@ def test_paper_mode_streams_are_in_send_order(paper_mode):
     ({"reliability": "ack", "rel_hedge": "tail"},
      "rel_hedge='tail' needs rel_timeout_us='auto': the hedge delay is a "
      "quantile of the measured RTT"),
-    ({"max_unexpected_bytes": 4096},
-     "max_unexpected_bytes needs flow_control='credit': a refused message "
-     "is only recoverable through the NACK-and-resend path"),
-], ids=["auto-without-ack", "hedge-without-auto", "budget-without-credit"])
+], ids=["auto-without-ack", "hedge-without-auto"])
 def test_invalid_layer_combinations_fail_at_construction(kwargs, message):
     with pytest.raises(ValueError) as exc:
         EngineParams(**kwargs)

@@ -74,8 +74,9 @@ STEP = st.tuples(
 def test_incremental_counters_match_brute_force(steps):
     win = OptimizationWindow(N_RAILS)
     live: list[PacketWrap] = []     # wraps currently in the window
-    parked: list[PacketWrap] = []   # taken wraps eligible for restore()
+    parked: list[PacketWrap] = []   # taken wraps that may come back
     seq = 0
+    resubmitted = 0
 
     for action, dest, rail, size, pick in steps:
         if action < 45 or not live:
@@ -98,9 +99,10 @@ def test_incremental_counters_match_brute_force(steps):
             live = [w for w in live if w.dest != dest]
             parked.extend(gone)
         elif parked:
-            # restore: the cancel path unwinds an anticipated packet
+            # re-submit a wrap the window no longer holds (same wrap_id)
             wrap = parked.pop(pick % len(parked))
-            win.restore(wrap)
+            win.submit(wrap)
+            resubmitted += 1
             live.append(wrap)
 
         _brute_force_check(win, live)
@@ -108,4 +110,4 @@ def test_incremental_counters_match_brute_force(steps):
     # peak_wraps is a high-water mark over the whole history; it can only
     # have been observed at some point, so it bounds the final occupancy.
     assert win.peak_wraps >= len(live)
-    assert win.total_submitted == seq
+    assert win.total_submitted == seq + resubmitted

@@ -72,15 +72,17 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive):
 
     The overload-protection claim in one run: every sender's window stays
     bounded (deferred admission), the receiver's unexpected buffer never
-    exceeds its byte budget (NACK-and-resend on overflow), and despite the
-    stalls, NACKs and resends every byte is delivered exactly once.  The
-    ``rel-auto`` variant stacks the adaptive timing layer on top
-    (``reliability="ack"``, ``rel_timeout_us="auto"``): measured grant
-    and NACK pacing must not break a single overload invariant.
+    exceeds what the senders' credit allows (credit is released only on
+    the match, so each sender has at most ``credit_bytes`` buffered
+    unexpected), and despite the stalls every byte is delivered exactly
+    once.  The ``rel-auto`` variant stacks the adaptive timing layer on
+    top (``reliability="ack"``, ``rel_timeout_us="auto"``): measured grant
+    pacing must not break a single overload invariant.
     """
     n_senders = 4
     n_msgs = 120
-    budget = 16 * 1024
+    credit_bytes = 32 * 1024
+    credit_wraps = 8
     max_wraps = 16
     sim = Simulator()
     cluster = Cluster(sim, n_nodes=n_senders + 1, rails=(MX_MYRI10G,))
@@ -88,10 +90,9 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive):
                "rel_ack_delay_us": 10.0} if adaptive else {})
     params = EngineParams(
         flow_control="credit",
-        credit_bytes=32 * 1024,
-        credit_wraps=8,
+        credit_bytes=credit_bytes,
+        credit_wraps=credit_wraps,
         max_window_wraps=max_wraps,
-        max_unexpected_bytes=budget,
         **timing,
     )
     engines = [NmadEngine(cluster.node(i), params=params)
@@ -127,9 +128,11 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive):
     for engine in engines:
         assert engine.quiesced()
 
-    # Bounded: the unexpected buffer respects its budget, the windows
+    # Bounded: the unexpected buffer holds at most every sender's credit
+    # (here the 8-wrap budget binds before the byte budget), the windows
     # respect their wrap cap (slack covers per-wrap header bytes).
-    assert rx.matcher.peak_unexpected_bytes <= budget
+    assert rx.matcher.peak_unexpected_bytes <= n_senders * credit_bytes
+    assert rx.matcher.peak_unexpected_bytes <= n_senders * credit_wraps * 2048
     assert rx.matcher.n_unexpected == 0 and rx.matcher.unexpected_bytes == 0
     for s in range(n_senders):
         assert engines[s].window.peak_bytes <= max_wraps * (2048 + 256)
@@ -137,22 +140,17 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive):
 
     # Byte-exact despite the overload machinery kicking in: every message
     # was admitted exactly once (the per-request actual_len asserts above
-    # checked the payloads).  Resends re-spend wire bytes, never deliveries.
+    # checked the payloads) and sent exactly once.
     assert rx.matcher.delivered == n_senders * n_msgs
     assert rx.matcher.duplicates_dropped == 0
     for s in range(n_senders):
         total = sum(size for _i, size in plan[s])
-        assert engines[s].stats.eager_bytes >= total
+        assert engines[s].stats.eager_bytes == total
 
-    # The protections were actually exercised, and the NACK ledger balances:
-    # every bounce the receiver refused came back as exactly one resend.
+    # The protections were actually exercised.
     assert sum(engines[s].stats.credit_stalls for s in range(n_senders)) > 0
     assert sum(engines[s].stats.window_full_events
                for s in range(n_senders)) > 0
-    assert rx.stats.unexpected_overflows > 0
-    assert rx.stats.nacks_sent == rx.stats.unexpected_overflows
-    assert rx.stats.nacks_sent == sum(engines[s].stats.nack_resends
-                                      for s in range(n_senders))
 
     if adaptive:
         # The estimator measured the flood, and on a loss-free fabric the

@@ -16,7 +16,7 @@ Covers the PR's tentpole end to end:
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EngineParams, NmadEngine
@@ -398,6 +398,10 @@ class TestChaosDrills:
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(0, 10_000))
+    # Two rack partitions a few microseconds apart whose union outlasted
+    # hb_timeout_us: the generator now keeps such windows apart.
+    @example(seed=783)
+    @example(seed=5908)
     def test_exactly_once_under_random_switch_kills(self, seed):
         # Any seeded fat-tree schedule with a spine kill must pass the full
         # invariant audit: every message delivered exactly once, byte-exact,

@@ -3,7 +3,7 @@
 PR 2 replaced the window's linear accounting with incrementally-maintained
 counters (global/per-rail byte totals, per-destination backlog).  Those
 counters are only correct while **every** mutation goes through the paired
-mutator methods (``OptimizationWindow._insert`` / ``take``) — one stray
+mutator methods (``OptimizationWindow.submit`` / ``take``) — one stray
 ``window._count = 0`` from a strategy and the O(1) bookkeeping silently
 diverges from the real contents, which no test catches until a scheduling
 decision goes wrong under load.  The rules:
@@ -89,9 +89,8 @@ class CounterChecker(Checker):
             if self.ctx.path != WINDOW_MODULE and not is_self_access(target):
                 self.report(target, "NM201",
                             f"write to window-private {attr!r} outside "
-                            "repro/core/window.py; use submit()/take()/"
-                            "restore() so the incremental counters stay "
-                            "paired")
+                            "repro/core/window.py; use submit()/take() "
+                            "so the incremental counters stay paired")
         if attr in WINDOW_ACCESSORS:
             self.report(target, "NM202",
                         f"assignment to {attr!r} shadows the window's O(1) "

@@ -69,7 +69,6 @@ KIND_STATS: dict[str, str | None] = {
     "rdv_data": "rdv_bytes",
     "rel_ack": "acks_sent",
     "credit": "credits_granted",
-    "nack": "nacks_sent",
     "heartbeat": "heartbeats_sent",
     "rdv_req": None,
     "rdv_ack": None,

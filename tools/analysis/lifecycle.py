@@ -84,7 +84,7 @@ _WRITE_OWNERS: dict[str, frozenset[str]] = {
     "repro/core/transfer.py": frozenset({
         "quarantined",
     }),
-    # The matcher's unexpected-byte budget gauge (refusals depend on it).
+    # The matcher's unexpected-byte gauge (the credit bound is read off it).
     "repro/core/matching.py": frozenset({
         "unexpected_bytes",
     }),
@@ -98,12 +98,12 @@ _WRITE_OWNERS: dict[str, frozenset[str]] = {
 }
 
 #: Registered on-wire frame kinds; mirrors ``repro.netsim.frames.FrameKind``.
-#: A new protocol (like PR 1's ``rel_ack`` or this PR's flow-control
-#: ``credit``/``nack`` frames) registers its kinds here so a typo'd kind
+#: A new protocol (like the reliability layer's ``rel_ack`` or the
+#: flow-control ``credit`` frame) registers its kinds here so a typo'd kind
 #: literal cannot create a frame that every dispatcher silently ignores.
 FRAME_KINDS = frozenset({
     "data", "rdv_req", "rdv_ack", "rdv_data",
-    "rel_ack", "credit", "nack",
+    "rel_ack", "credit",
     "session_hello", "session_welcome", "heartbeat",
 })
 
