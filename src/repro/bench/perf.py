@@ -40,8 +40,6 @@ The benchmarks:
   ``cyclic_garbage_per_msg`` (objects only ``gc.collect()`` can free,
   during the exchange and after the handles are dropped).  Exact like
   ``calls_per_msg``, and gated the same way: none may rise.
-* ``scale`` — seeded random frame traffic over a sparse 256-node netsim
-  topology (see :mod:`repro.bench.scale`).
 
 All workloads are deterministic (seeded); only the wall-clock readings
 vary between hosts and runs.  :func:`check_bench` compares a fresh run
@@ -394,8 +392,6 @@ def bench_object_census(depth: int = 50, rounds: int = 4) -> dict:
 
 def run_suite(quick: bool = False) -> dict:
     """Run every microbenchmark; returns the ``BENCH_perf.json`` payload."""
-    from repro.bench.scale import bench_scale
-
     rounds = 500 if quick else 5000
     benches: dict[str, Callable[[], dict]] = {
         "window_ops": lambda: bench_window_ops(1000, rounds),
@@ -407,7 +403,6 @@ def run_suite(quick: bool = False) -> dict:
         "kernel_storm": lambda: bench_kernel_storm(rounds=600),
         "pingpong": lambda: bench_pingpong(iters=30 if quick else 200),
         "random_traffic": lambda: bench_random_traffic(60 if quick else 300),
-        "scale": lambda: bench_scale(n_frames=2_000 if quick else 20_000),
     }
 
     def rate(res: dict) -> float:
@@ -479,10 +474,6 @@ def render_perf(payload: dict) -> str:
         f"  random traffic:              "
         f"{r['random_traffic']['messages_per_s']:>12,.1f} msgs/s     "
         f"(sim makespan {r['random_traffic']['sim_us_makespan']:.1f} us)",
-        f"  scale ({r['scale']['n_nodes']} nodes):           "
-        f"{r['scale']['events_per_s']:>12,.0f} events/s   "
-        f"({r['scale']['delivered']} frames delivered, sim makespan "
-        f"{r['scale']['sim_us_makespan']:.1f} us)",
         f"  python calls / message:      "
         f"{r['pingpong']['calls_per_msg']:>12,.1f} ping-pong      "
         f"{r['random_traffic']['calls_per_msg']:,.1f} random traffic "
@@ -540,7 +531,6 @@ _SHAPE_KEYS = {
     "pingpong": ("iters", "size"),
     "random_traffic": ("messages", "seed"),
     "object_census": ("messages",),
-    "scale": ("n_nodes", "n_frames", "seed"),
 }
 
 
@@ -558,7 +548,7 @@ def check_bench(
     * the fresh run must clear :data:`STORM_VS_SERIAL_FLOOR` and
       :data:`WINDOW_FLATNESS_FLOOR`, whatever the baseline recorded, and
     * the deterministic simulated readings (ping-pong one-way latency,
-      replay/scale makespans) must match the baseline exactly — a
+      replay makespan) must match the baseline exactly — a
       performance PR must not move simulated time, and
     * ``calls_per_msg``, ``objects_per_msg``, ``retained_bytes_per_msg`` and
       ``cyclic_garbage_per_msg`` must not rise by more than :data:`CALLS_PER_MSG_TOLERANCE`; the

@@ -119,7 +119,6 @@ class CollectLayer:
                 tracer.emit(sim.now, self.source, "defer", dest=dest,
                             flow=flow, tag=tag, nbytes=seg.nbytes,
                             queued=len(self._deferred))
-            self.engine.poke_watchdog()
             return wrap
         self._admit(wrap)
         return wrap
@@ -148,8 +147,6 @@ class CollectLayer:
             tracer.emit(engine.sim.now, self.source, "submit",
                         dest=wrap.dest, flow=wrap.flow, tag=wrap.tag,
                         seq=seq, nbytes=wrap.length)
-        if engine.watchdog is not None:
-            engine.poke_watchdog()
         engine.transfer.kick()
 
     def _drain_deferred(self) -> None:
@@ -223,8 +220,6 @@ class CollectLayer:
         if tracer.enabled:
             tracer.emit(sim.now, self.source, "submit_control", dest=dest,
                         item=type(item).__name__)
-        if engine.watchdog is not None:
-            engine.poke_watchdog()
         engine.transfer.kick()
         return wrap
 

@@ -44,7 +44,6 @@ from repro.errors import (
 )
 from repro.netsim.node import Node
 from repro.sim import Event, Tracer
-from repro.sim.core import Watchdog
 
 __all__ = ["EngineParams", "EngineStats", "NmadEngine"]
 
@@ -67,8 +66,6 @@ class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
 
     hdr: HeaderSpec = field(default_factory=HeaderSpec)
     pull_cost_us: float = knob(0.25, lo=0.0)
-    demux_packet_cost_us: float = knob(0.30, lo=0.0)
-    demux_item_cost_us: float = knob(0.05, lo=0.0)
     #: Dispatch policy (paper 3.2): "on_idle" = synthesize when a NIC asks;
     #: "anticipate" = while all NICs are busy keep one ready-to-send packet
     #: prepared and re-feed it instantly; "backlog" = anticipate only once
@@ -77,7 +74,6 @@ class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
         "on_idle", choices=("on_idle", "anticipate", "backlog"))
     backlog_flush_threshold: int = knob(8, lo=1)
     rdv_chunk_bytes: int = knob(512 * 1024, gt=0)
-    eager_copy_on_recv: bool = knob(True, choices=(False, True))
     #: Bounded collect layer: caps on the optimization window (0 = the
     #: paper's unbounded window).  When full, ``window_policy`` decides:
     #: ``"block"`` defers the submission FIFO until the window drains,
@@ -85,11 +81,6 @@ class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
     max_window_wraps: int = knob(0, lo=0)
     max_window_bytes: int = knob(0, lo=0)
     window_policy: str = knob("block", choices=("block", "fail"))
-    #: Progress watchdog period in virtual microseconds (0 = off).  While
-    #: the engine has outstanding work, a progress token is sampled every
-    #: interval; two consecutive unchanged samples raise
-    #: :class:`~repro.errors.ProgressStallError` with a per-peer dump.
-    watchdog_interval_us: float = knob(0.0, lo=0.0)
 
     def __post_init__(self) -> None:
         for name, spec in _KNOBS:
@@ -195,15 +186,6 @@ class NmadEngine:
         self.tx_layers: tuple[Layer, ...] = tuple(
             layer for layer in (self.flowcontrol, self.sessions,
                                 self.reliability) if layer is not None)
-        self.watchdog: Watchdog | None = None
-        if self.params.watchdog_interval_us > 0:
-            self.watchdog = Watchdog(
-                self.sim, self.params.watchdog_interval_us,
-                progress=self._progress_token,
-                active=self._watchdog_active,
-                diagnose=self._stall_report,
-                name=f"node{self.node_id}.watchdog",
-            )
         self.sim.add_deadlock_hint(self._deadlock_hint)
 
     # -- strategy management (paper abstract: dynamically extensible) -----
@@ -284,8 +266,6 @@ class NmadEngine:
                 layer.on_post(src)
         if deadline_us is not None:
             self._arm_deadline(req, deadline_us)
-        if self.watchdog is not None:
-            self.poke_watchdog()
         return req
 
     # -- per-request deadlines -----------------------------------------------
@@ -426,7 +406,7 @@ class NmadEngine:
         assert isinstance(item, SegItem)
         data = item.data
         nbytes = data.nbytes
-        if self.params.eager_copy_on_recv and nbytes > 0:
+        if nbytes > 0:
             # Eager data lands in a driver buffer and is copied out to the
             # user buffer; the request completes after the copy, and copies
             # serialize on the host memory engine.
@@ -446,16 +426,13 @@ class NmadEngine:
         Registered as a node crash hook by the session layer.  A
         dead process must not tick into its successor's incarnation, so
         every virtual-time timer of this engine — retransmit and delayed-ack
-        timers, credit grant timers, session monitors, the
-        progress watchdog — is cancelled.
+        timers, credit grant timers, session monitors — is cancelled.
         No completion callbacks run: from the dead node's perspective the
         world simply stops, exactly like a real crash.
         """
         if self.halted:
             return
         self.halted = True
-        if self.watchdog is not None:
-            self.watchdog.disarm()
         for layer in self.layers:
             layer.halt()
         if self.tracer.enabled:
@@ -482,72 +459,6 @@ class NmadEngine:
                 )
             yield self.sim.timeout(poll_us)
 
-    # -- progress watchdog ---------------------------------------------------
-    def poke_watchdog(self) -> None:
-        """(Re)arm the watchdog on new work; no-op when it is disabled."""
-        wd = self.watchdog
-        if wd is not None:
-            wd.arm()
-
-    def _progress_token(self) -> object:
-        """Changes whenever the engine makes any observable forward progress:
-        a frame leaves or lands, a message matches, or credit moves."""
-        stats = self.stats
-        return (
-            stats.phys_packets, stats.wire_bytes, stats.recv_copies,
-            stats.credits_granted,
-            # Session transitions are progress (a declared death *unblocks*
-            # waiters); heartbeats_sent deliberately is not — a probe loop
-            # towards a wedged peer must not mask the stall.
-            stats.peers_dead, stats.epochs_started, stats.stale_frames_fenced,
-            # Parking and recovery are progress too: a healing partition
-            # must not read as a stall while parked traffic drains.
-            stats.peers_recovered, stats.frames_parked,
-            self.matcher.delivered, self.matcher.n_posted,
-            self.rendezvous.n_pending, self.rendezvous.n_granted,
-        )
-
-    def _watchdog_active(self) -> bool:
-        """Work is outstanding, so a frozen token means a stall.
-
-        Flow-control transients (a delayed grant advertisement) are
-        deliberately excluded: they are simulator timers that always fire
-        on their own, so they cannot be stall symptoms — counting them
-        would trip the watchdog on a healthy receiver whose only pending
-        "work" is a coalesced credit grant.
-        """
-        return (
-            self.matcher.n_posted > 0
-            or not self._core_drained()
-            or any(layer.has_outstanding() for layer in self.layers)
-        )
-
-    def _stall_report(self) -> str:
-        """Per-peer window/layer dump for ProgressStallError."""
-        win = self.window
-        m = self.matcher
-        lines = [f"node{self.node_id}: no engine progress "
-                 f"(strategy={self.strategy.describe()})"]
-        for peer in sorted(set(win.dests()) | set(win.blocked_dests())):
-            blocked = " [credit-blocked]" if win.is_blocked(peer) else ""
-            lines.append("; ".join(
-                [f"  peer {peer}: window backlog={win.backlog(peer)} wraps/"
-                 f"{win.backlog_bytes(peer)}B{blocked}"]
-                + [layer.describe_peer(peer) for layer in self.layers]))
-        lines.append(
-            f"  collect: deferred={self.collect.n_deferred} submissions"
-        )
-        lines.append(
-            f"  matcher: posted={m.n_posted} parked={m.n_parked} "
-            f"unexpected={m.n_unexpected} ({m.unexpected_bytes}B buffered)"
-        )
-        lines.append(
-            f"  rendezvous: pending={self.rendezvous.n_pending} "
-            f"granted={self.rendezvous.n_granted} "
-            f"incoming={self.rendezvous.n_incoming}"
-        )
-        return "\n".join(lines)
-
     # -- introspection ------------------------------------------------------------
     def quiesced(self) -> bool:
         """True when the engine holds no deferred work (end-of-test check)."""
@@ -567,11 +478,15 @@ class NmadEngine:
         )
 
     def _deadlock_hint(self) -> str | None:
-        """Engine-specific diagnosis appended to the kernel's deadlock error.
+        """Engine-specific diagnosis appended to the kernel's deadlock and
+        livelock errors.
 
         A dropped frame is invisible to the engines themselves (both sides
         can be fully quiesced while the application hangs), so the stall
-        signal is an outstanding posted receive or unquiesced state.
+        signal is an outstanding posted receive or unquiesced state.  An
+        unquiesced engine adds a dump of where its work is held: each
+        peer's window backlog and per-layer state, then the collect,
+        matcher and rendezvous queues.
         """
         if self.halted:
             # A crashed node's engine is not stuck; it is dead.  The live
@@ -590,23 +505,46 @@ class NmadEngine:
                 f"{self.stats.transport_failures} frame(s) — the affected "
                 "requests failed with TransportError"
             )
-        if self.matcher.n_posted == 0 and self.quiesced():
+        quiesced = self.quiesced()
+        if self.matcher.n_posted == 0 and quiesced:
             return None
         blocked = self.window.blocked_dests()
         if blocked:
-            return (
+            cause = (
                 f"node{self.node_id}: credit-blocked towards peer(s) "
                 f"{blocked} — the receiver never released credit "
                 "(application not consuming?)"
             )
-        if self.params.reliability == "off":
-            return (
+        elif self.params.reliability == "off":
+            cause = (
                 f"node{self.node_id}: reliability='off' — no retransmission "
                 "(paper mode); a lost or corrupted frame stalls its stream "
                 "forever"
             )
-        return (f"node{self.node_id}: reliability='ack' still awaiting "
-                "delivery")
+        else:
+            cause = (f"node{self.node_id}: reliability='ack' still awaiting "
+                     "delivery")
+        if quiesced:
+            return cause
+        # Deferred work is held somewhere: dump where, peer by peer.
+        win = self.window
+        m = self.matcher
+        rdv = self.rendezvous
+        lines = [cause, f"  strategy={self.strategy.describe()}"]
+        for peer in sorted(set(win.dests()) | set(blocked)):
+            flag = " [credit-blocked]" if win.is_blocked(peer) else ""
+            lines.append("; ".join(
+                [f"  peer {peer}: window backlog={win.backlog(peer)} wraps/"
+                 f"{win.backlog_bytes(peer)}B{flag}"]
+                + [layer.describe_peer(peer) for layer in self.layers]))
+        lines += [
+            f"  collect: deferred={self.collect.n_deferred} submissions",
+            f"  matcher: posted={m.n_posted} parked={m.n_parked} "
+            f"unexpected={m.n_unexpected} ({m.unexpected_bytes}B buffered)",
+            f"  rendezvous: pending={rdv.n_pending} granted={rdv.n_granted} "
+            f"incoming={rdv.n_incoming}",
+        ]
+        return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

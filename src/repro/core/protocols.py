@@ -116,8 +116,8 @@ class Layer(Protocol):
 
     def has_outstanding(self, peer: int | None = None) -> bool:
         """Is something owed or awaited (towards ``peer``) that only the
-        peer can resolve?  Self-firing timers do not count: the watchdog
-        and the failure detector poll this."""
+        peer can resolve?  Self-firing timers do not count: the failure
+        detector and the engine's quiesce check poll this."""
         ...
 
     @property
@@ -126,7 +126,7 @@ class Layer(Protocol):
         return not self.has_outstanding()
 
     def describe_peer(self, peer: int) -> str:
-        """One-line per-peer diagnostic for the stall report."""
+        """One-line per-peer diagnostic for the engine's stall report."""
         ...
 
     def commit(self, plan: SendPlan) -> None:

@@ -224,7 +224,6 @@ class SessionLayer(Layer):
                                 peer=st.peer, frame=frame.frame_id,
                                 parked=len(st.deferred_tx))
                 self._arm_monitor(st)
-                self.engine.poke_watchdog()
                 return True
             self.stamp(frame)
             self._arm_monitor(st)
@@ -244,7 +243,6 @@ class SessionLayer(Layer):
             st.sess_state = "hello_sent"
             self._send_session_frame(st, FrameKind.SESSION_HELLO)
         self._arm_monitor(st)
-        self.engine.poke_watchdog()
         return True
 
     send = defer_tx  # the Layer transmit hook

@@ -63,6 +63,11 @@ __all__ = ["TransferLayer"]
 #: packet: the optimization function already ran off the critical path,
 #: only the hand-over remains (paper §3.2, second dispatch policy).
 ANTICIPATED_PULL_COST_US = 0.05
+#: Host CPU to decode one packet's multiplexing header, plus the increment
+#: per item walked — part of the paper's §5.1 overhead.  Items dispatch in
+#: order, the k-th after ``DEMUX_PACKET_COST_US + k * DEMUX_ITEM_COST_US``.
+DEMUX_PACKET_COST_US = 0.30
+DEMUX_ITEM_COST_US = 0.05
 
 
 class TransferLayer:
@@ -457,16 +462,11 @@ class TransferLayer:
                 f"node{self.engine.node_id}: non-engine frame {frame!r} on "
                 "an engine-managed NIC"
             )
-        # Decoding the multiplexing header and walking the item list costs
-        # host CPU — part of the paper's 5.1 overhead.  Items dispatch in
-        # order after a per-packet cost plus a per-item increment.
-        params = self.engine.params
-        delay = params.demux_packet_cost_us
-        item_cost = params.demux_item_cost_us
+        delay = DEMUX_PACKET_COST_US
         schedule = self.engine.sim.schedule
         dispatch = self._dispatch_item
         for item in pkt.items:
-            delay += item_cost
+            delay += DEMUX_ITEM_COST_US
             schedule(delay, partial(dispatch, item))
 
     def _dispatch_item(self, item: WireItem) -> None:

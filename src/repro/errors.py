@@ -16,18 +16,6 @@ class SimulationError(ReproError):
     """Misuse or internal inconsistency of the discrete-event kernel."""
 
 
-class ProgressStallError(SimulationError):
-    """The progress watchdog observed no forward progress for too long.
-
-    Raised (inside :meth:`~repro.sim.core.Simulator.run`) when an armed
-    :class:`~repro.sim.core.Watchdog` sees its progress token unchanged for
-    two consecutive watchdog intervals while the engine still has work
-    outstanding.  The message carries the owner's diagnostic dump — per-peer
-    credit, window, backlog and unexpected-buffer state — so a stall is an
-    actionable report instead of a bare deadlock hint.
-    """
-
-
 class NetworkError(ReproError):
     """Invalid network configuration or transfer-layer misuse."""
 

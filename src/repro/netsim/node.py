@@ -76,7 +76,7 @@ class Node:
         """Register ``fn()`` to run (once) when this node crashes.
 
         The engine registers its :meth:`~repro.core.engine.NmadEngine.halt`
-        here so a crash silences the dead process's timers and watchdog.
+        here so a crash silences the dead process's timers.
         Hooks are consumed by :meth:`crash` — a restarted node's new engine
         must register its own.
         """

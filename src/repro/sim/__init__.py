@@ -10,7 +10,6 @@ from repro.sim.core import (
     Simulator,
     Timeout,
     Timer,
-    Watchdog,
 )
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -26,5 +25,4 @@ __all__ = [
     "Timer",
     "TraceRecord",
     "Tracer",
-    "Watchdog",
 ]

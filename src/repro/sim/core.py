@@ -59,7 +59,7 @@ from typing import Any, ClassVar
 
 from random import Random
 
-from repro.errors import ProgressStallError, SimulationError
+from repro.errors import SimulationError
 from repro.sim.sanitizer import SanitizeConfig, active_sanitizer, shake_slot
 
 #: Event/Timeout freelist recycling relies on CPython reference counts to
@@ -98,7 +98,6 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "Timer",
-    "Watchdog",
 ]
 
 
@@ -494,85 +493,6 @@ class Timer:
         self._fn()
 
 
-class Watchdog:
-    """Virtual-time progress watchdog: detects stalls *with work pending*.
-
-    A deadlock (event queue drained while a process waits) is caught by
-    :meth:`Simulator.run_process`; a *livelock* is not — the queue keeps
-    ticking (retransmission timers, delayed grants) while no useful work
-    completes.  The watchdog samples an engine-supplied ``progress`` token
-    every ``interval_us`` of simulated time; if the token is unchanged for
-    :attr:`PATIENCE` (two) consecutive samples while ``active()`` reports
-    outstanding work, it raises :class:`~repro.errors.ProgressStallError`
-    carrying the ``diagnose()`` report.  The exception propagates out of
-    :meth:`Simulator.run` like any unobserved failure, so tests and the CLI
-    see the stall as a hard, diagnosable error instead of a hang.
-
-    When ``active()`` is false the watchdog goes dormant (so a finished
-    simulation can drain its queue); :meth:`arm` re-arms it and is called
-    from the engine's work-creating entry points.  ``arm`` is idempotent.
-    :meth:`disarm` kills the watchdog immediately — including the tick
-    already sitting in the event queue — which the engine uses when its
-    node crashes (a dead process must not diagnose the survivors).
-    """
-
-    __slots__ = ("sim", "interval_us", "_progress", "_active", "_diagnose",
-                 "name", "_timer", "_last_token", "_strikes")
-
-    #: Consecutive unchanged samples that make a stall.
-    PATIENCE = 2
-
-    def __init__(
-        self,
-        sim: Simulator,
-        interval_us: float,
-        progress: Callable[[], object],
-        active: Callable[[], bool],
-        diagnose: Callable[[], str],
-        name: str = "watchdog",
-    ) -> None:
-        if interval_us <= 0:
-            raise SimulationError(f"watchdog interval must be > 0, got {interval_us}")
-        self.sim = sim
-        self.interval_us = interval_us
-        self._progress = progress
-        self._active = active
-        self._diagnose = diagnose
-        self.name = name
-        self._timer = Timer(sim, self._tick)
-        self._last_token: object = None
-        self._strikes = 0
-
-    def arm(self) -> None:
-        """Start (or keep) watching; call whenever new work is created."""
-        if self._timer.armed:
-            return
-        self._last_token = self._progress()
-        self._strikes = 0
-        self._timer.arm(self.interval_us)
-
-    def disarm(self) -> None:
-        """Stop watching now; the pending tick (if any) becomes a no-op."""
-        self._timer.cancel()
-
-    def _tick(self) -> None:
-        if not self._active():
-            return  # nothing outstanding: dormant until the next arm()
-        token = self._progress()
-        if token != self._last_token:
-            self._last_token = token
-            self._strikes = 0
-        else:
-            self._strikes += 1
-            if self._strikes >= self.PATIENCE:
-                raise ProgressStallError(
-                    f"{self.name}: no progress for "
-                    f"{self._strikes * self.interval_us:g}us with work "
-                    f"pending at t={self.sim.now:g}us\n{self._diagnose()}"
-                )
-        self._timer.arm(self.interval_us)
-
-
 class Simulator:
     """The event loop: a clock plus a deterministic priority queue.
 
@@ -639,8 +559,10 @@ class Simulator:
 
         Each callback returns a short explanation string (or ``None`` for
         "nothing to add"); engines use this to distinguish a paper-mode
-        stall (no retransmission) from an exhausted retry budget in the
-        deadlock message of :meth:`run_process`.
+        stall (no retransmission) from an exhausted retry budget and to
+        name the wedged peer.  Both stall reports carry them: the deadlock
+        message of :meth:`run_process` (the queue drained) and the
+        ``max_events`` livelock message of :meth:`run` (it did not).
         """
         self._deadlock_hints.append(fn)
 
@@ -877,14 +799,14 @@ class Simulator:
 
         ``max_events`` is a livelock backstop: the run stops *before*
         dispatching entry ``max_events + 1``, leaving it queued, with a
-        diagnostic carrying the current time, queue depth, and the next
-        few pending entries.
+        diagnostic carrying the current time, queue depth, the next few
+        pending entries and the deadlock hints' diagnoses.
 
         Hot loop notes: the now-queue, Event class and Timeout freelist are
         bound to locals, and the processed counter is mirrored in a local
         that flushes to ``_n_processed`` at every timestamp boundary — so
-        ``events_processed`` read from any timed callback (watchdog ticks,
-        chaos audits) is exact for all prior timestamps, while the
+        ``events_processed`` read from any timed callback (chaos audits,
+        heartbeat monitors) is exact for all prior timestamps, while the
         per-event cost stays one integer add.  Monotonicity needs no
         explicit check: delays are validated non-negative at push time and
         the calendar pops in (time, seq) order.
@@ -1061,22 +983,23 @@ class Simulator:
         return (
             f"exceeded max_events={limit} at t={self.now:g}us with "
             f"{pending} entries still queued (likely a livelock); next up: "
-            f"{', '.join(heads) if heads else 'n/a'}"
+            f"{', '.join(heads) if heads else 'n/a'}{self._hints()}"
         )
+
+    def _hints(self) -> str:
+        """The registered hints' diagnoses, as a `` | ``-led suffix."""
+        hints = [h for fn in self._deadlock_hints if (h := fn())]
+        return " | " + "; ".join(hints) if hints else ""
 
     def run_process(self, gen: Generator, name: str = "") -> Any:
         """Convenience: spawn ``gen``, run to completion, return its value."""
         proc = self.spawn(gen, name=name)
         self.run()
         if not proc.triggered:
-            msg = (
+            raise SimulationError(
                 f"process {proc.name!r} never finished (deadlock: queue "
-                "drained while the process was still waiting)"
+                f"drained while the process was still waiting){self._hints()}"
             )
-            hints = [h for fn in self._deadlock_hints if (h := fn())]
-            if hints:
-                msg += " | " + "; ".join(hints)
-            raise SimulationError(msg)
         return proc.value
 
     def peek(self) -> float:

@@ -23,7 +23,6 @@ from repro.bench.perf import (
     render_perf,
     run_suite,
 )
-from repro.bench.scale import bench_scale
 from repro.errors import ReproError
 
 
@@ -51,11 +50,6 @@ def _payload() -> dict:
         "object_census": {"messages": 400, "objects_per_msg": 4.0,
                           "retained_bytes_per_msg": 625.34,
                           "cyclic_garbage_per_msg": 0.0},
-        "scale": {"n_nodes": 256, "n_frames": 20_000, "seed": 11,
-                  "delivered": 20_000, "forwarded": 60_571,
-                  "events": 342_283, "wall_s": 1.5,
-                  "events_per_s": 230_000.0,
-                  "sim_us_makespan": 258.66414708642554},
     }
     for res in results.values():
         for key in [k for k in res if k.endswith("_per_s")]:
@@ -120,8 +114,7 @@ class TestCheckBench:
 
     def test_moved_simulated_pin_fails(self):
         for bench, key in (("pingpong", "sim_us_oneway"),
-                           ("random_traffic", "sim_us_makespan"),
-                           ("scale", "sim_us_makespan")):
+                           ("random_traffic", "sim_us_makespan")):
             fresh = _payload()
             fresh["results"][bench][key] += 1e-9
             failures, skipped = check_bench(fresh, _payload())
@@ -264,13 +257,14 @@ class TestCheckBench:
     def test_shape_mismatch_is_reported_not_compared(self):
         fresh = _slowed(_payload(), "event_loop", "events_per_s", 0.9)
         fresh["results"]["event_loop"]["events"] = 20_000
-        fresh["results"]["scale"]["n_frames"] = 2_000
-        fresh["results"]["scale"]["sim_us_makespan"] = 48.0
+        fresh["results"]["random_traffic"]["messages"] = 60
+        fresh["results"]["random_traffic"]["sim_us_makespan"] = 48.0
         failures, skipped = check_bench(fresh, _payload())
         assert failures == []
         assert len(skipped) == 2
         assert skipped[0].startswith("event_loop:") and "events" in skipped[0]
-        assert skipped[1].startswith("scale:") and "n_frames" in skipped[1]
+        assert (skipped[1].startswith("random_traffic:")
+                and "messages" in skipped[1])
 
     def test_schema_mismatch_fails(self):
         old = _payload()
@@ -290,7 +284,7 @@ class TestCheckBench:
             res["seed"] = res["rounds"] = res["events"] = res["iters"] = \
                 res["messages"] = -1
         failures, skipped = check_bench(_payload(), other)
-        assert len(skipped) == 7
+        assert len(skipped) == 6
         assert any("nothing was compared" in f for f in failures)
 
     def test_benchmark_missing_from_the_fresh_run_fails(self):
@@ -401,12 +395,6 @@ class TestBenches:
         assert hook_calls, "the hook never ran: the test proves nothing"
         assert quiet == first == second
         assert gc.isenabled()
-
-    def test_scale(self):
-        res = bench_scale(n_nodes=4, n_frames=20)
-        assert {"n_nodes", "n_frames", "seed", "events_per_s",
-                "sim_us_makespan"} <= set(res)
-        assert res["delivered"] == 20
 
     def test_quick_suite_payload(self):
         payload = run_suite(quick=True)

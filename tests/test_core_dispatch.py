@@ -68,16 +68,16 @@ class TestAnticipate:
         # measure when the *burst* lands (the big send's receive copy would
         # otherwise dominate the makespan and hide the refill saving).
         def run(policy):
-            # Receive-side copies are disabled so the serialized copy queue
-            # (dominated by the 24KB opener) does not mask the refill delta.
-            params = EngineParams(dispatch_policy=policy, pull_cost_us=2.0,
-                                  eager_copy_on_recv=False)
+            # The opener is rendezvous-sized: an eager one's receive copy
+            # would occupy the serialized copy queue and mask the refill
+            # delta.
+            params = EngineParams(dispatch_policy=policy, pull_cost_us=2.0)
             sim, _, e0, e1 = make(params)
 
             def app():
                 e1.irecv(src=0, tag=0)
                 burst_recvs = [e1.irecv(src=0, tag=i) for i in range(1, 7)]
-                e0.isend(1, VirtualData(24_000), tag=0)
+                e0.isend(1, VirtualData(64_000), tag=0)
                 yield sim.timeout(1.0)
                 for i in range(1, 7):
                     e0.isend(1, VirtualData(128), tag=i)

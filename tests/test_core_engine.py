@@ -148,27 +148,19 @@ class TestEagerTransfer:
 
     def test_recv_copy_cost_charged(self):
         # 16 KB stays below the MX rendezvous threshold, so it travels
-        # eagerly and pays (or skips) the receive-side copy.
-        params = EngineParams(eager_copy_on_recv=True)
-        sim, _, (e0, e1) = make_pair(params=params)
+        # eagerly and completes one receive-side copy after it matches.
+        tracer = Tracer(enabled=True)
+        sim, _, (e0, e1) = make_pair(tracer=tracer)
 
         def app():
             e0.isend(1, VirtualData(16_384), tag=1)
-            req = yield from e1.recv(src=0, tag=1)
+            yield from e1.recv(src=0, tag=1)
             return sim.now
 
-        t_with = sim.run_process(app())
-
-        params2 = EngineParams(eager_copy_on_recv=False)
-        sim2, _, (f0, f1) = make_pair(params=params2)
-
-        def app2():
-            f0.isend(1, VirtualData(16_384), tag=1)
-            req = yield from f1.recv(src=0, tag=1)
-            return sim2.now
-
-        t_without = sim2.run_process(app2())
-        assert t_with > t_without
+        t_done = sim.run_process(app())
+        match, = tracer.of_kind("match")
+        assert t_done - match.time == pytest.approx(
+            e1.node.memory.copy_time(16_384))
         assert e1.stats.recv_copies == 1
         assert e1.stats.recv_copy_bytes == 16_384
 
@@ -575,7 +567,8 @@ class TestRequestIsItsCompletionEvent:
             e0.isend(1, b"x", tag=5)
             with pytest.raises(SimulationError) as exc:
                 sim.run(max_events=limit)
-            heads[limit] = str(exc.value).split("next up: ")[1]
+            heads[limit] = (str(exc.value).split("next up: ")[1]
+                            .split(" | ")[0])
         assert heads[3] == "(t=0.8464, <SendRequest 'send:1/0/5' ok>)"
         assert "<RecvRequest 'recv:0/0/5' pending>" in heads[7]
         assert heads[8] == "(t=3.12751, <RecvRequest 'recv:0/0/5' ok>)"

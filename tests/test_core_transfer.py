@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import EngineParams, NmadEngine, VirtualData
+from repro.core import EngineParams, NmadEngine, VirtualData, transfer
 from repro.errors import ProtocolError
 from repro.netsim import Cluster, GM_MYRINET, MX_MYRI10G, QUADRICS_QM500
 from repro.netsim.frames import Frame
@@ -261,11 +261,9 @@ class TestReceivePath:
         with pytest.raises(ProtocolError, match="non-engine frame"):
             sim.run()
 
-    def test_demux_cost_delays_completion(self):
-        def one_way(demux):
-            params = EngineParams(demux_packet_cost_us=demux,
-                                  demux_item_cost_us=0.0)
-            sim, _, e0, e1 = make(params=params)
+    def test_demux_cost_delays_completion(self, monkeypatch):
+        def one_way():
+            sim, _, e0, e1 = make()
 
             def app():
                 r = e1.irecv(src=0)
@@ -275,7 +273,14 @@ class TestReceivePath:
 
             return sim.run_process(app())
 
-        assert one_way(3.0) == pytest.approx(one_way(0.0) + 3.0)
+        packet = transfer.DEMUX_PACKET_COST_US
+        item = transfer.DEMUX_ITEM_COST_US
+        assert (packet, item) == (0.30, 0.05)
+        t = one_way()
+        monkeypatch.setattr(transfer, "DEMUX_PACKET_COST_US", 0.0)
+        monkeypatch.setattr(transfer, "DEMUX_ITEM_COST_US", 0.0)
+        # One packet carrying one item: one header decode, one item step.
+        assert t == pytest.approx(one_way() + packet + item)
 
     def test_stats_wire_bytes_include_headers(self):
         sim, _, e0, e1 = make()

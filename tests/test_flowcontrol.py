@@ -1,9 +1,9 @@
-"""Overload protection: credit flow control, bounded windows, watchdog.
+"""Overload protection: credit flow control, bounded windows, stall reports.
 
 Covers the opt-in ``flow_control="credit"`` subsystem end to end — credit
 consumption/blocking/grants, bounded collect admission under both policies,
-and the progress watchdog — plus the guarantee the default mode stays
-inert (every new counter zero, no behaviour change).
+and the kernel's stall reports naming a wedged peer — plus the guarantee
+the default mode stays inert (every new counter zero, no behaviour change).
 """
 
 import pytest
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core import EngineParams, NmadEngine, VirtualData
 from repro.errors import (
-    MpiError, PeerDeadError, ProgressStallError, WindowFullError,
+    MpiError, PeerDeadError, SimulationError, WindowFullError,
 )
 from repro.netsim import Cluster, MX_MYRI10G
 from repro.sim import Simulator
@@ -45,7 +45,6 @@ class TestDefaultsStayPaperFaithful:
         assert cluster.conservation_ok()
         for engine in (e0, e1):
             assert engine.flowcontrol is None
-            assert engine.watchdog is None
             for counter in FC_COUNTERS:
                 assert getattr(engine.stats, counter) == 0
 
@@ -60,8 +59,6 @@ class TestDefaultsStayPaperFaithful:
             EngineParams(max_window_wraps=-1)
         with pytest.raises(ValueError):
             EngineParams(max_window_wraps=4, window_policy="explode")
-        with pytest.raises(ValueError):
-            EngineParams(watchdog_interval_us=-1.0)
 
     def test_credit_budget_must_fit_one_eager_segment(self):
         sim = Simulator()
@@ -236,50 +233,67 @@ class TestBoundedWindow:
         assert e0.quiesced() and e1.quiesced()
 
 
-class TestWatchdog:
-    def test_stall_raises_with_per_peer_diagnostics(self):
+class TestStallDiagnosis:
+    """A credit-wedged sender is named peer by peer by whichever kernel
+    backstop sees the stall: the deadlock report when the queue drains,
+    the ``max_events`` livelock report when heartbeats keep it alive."""
+
+    PEER_LINE = ("  peer 1: window backlog=28 wraps/28672B [credit-blocked]; "
+                 "credit: outstanding=2048B/2w of 32768B/2w [blocked], "
+                 "released-out=0B/0w")
+
+    def wedge(self, **extra):
         params = EngineParams(flow_control="credit",
-                              credit_bytes=32 * 1024, credit_wraps=2,
-                              watchdog_interval_us=10_000.0)
+                              credit_bytes=32 * 1024, credit_wraps=2, **extra)
         sim, cluster, (e0, e1) = make_pair(params)
         # The receiver never posts and never consumes: credit is never
         # released, the sender wedges with a full backlog.
         reqs = [e0.isend(1, VirtualData(1024), tag=i) for i in range(30)]
-        with pytest.raises(ProgressStallError) as exc:
-            sim.run()
+        return sim, reqs
+
+    def test_drained_queue_names_the_wedged_peer(self):
+        sim, reqs = self.wedge()
+
+        def waiter():
+            yield reqs[-1].done
+
+        with pytest.raises(SimulationError) as exc:
+            sim.run_process(waiter())
         text = str(exc.value)
-        assert "node0.watchdog" in text
-        assert "peer 1" in text
-        assert "credit" in text
-        assert "backlog" in text
-        assert text.splitlines()[1:3] == [
-            "node0: no engine progress (strategy=aggregation)",
-            "  peer 1: window backlog=28 wraps/28672B [credit-blocked]; "
-            "credit: outstanding=2048B/2w of 32768B/2w [blocked], "
-            "released-out=0B/0w"]
+        assert "deadlock" in text
+        assert "node0: credit-blocked towards peer(s) [1]" in text
+        assert self.PEER_LINE in text.splitlines()
         # A wedged request still names itself (label rendered lazily).
         assert repr(reqs[-1].done) == "<SendRequest 'send:1/0/29' pending>"
 
-    def test_healthy_run_never_trips(self):
-        params = EngineParams(flow_control="credit",
-                              watchdog_interval_us=5.0)
-        sim, cluster, (e0, e1) = make_pair(params)
+    def test_live_queue_names_the_wedged_peer(self):
+        # Heartbeats keep the queue ticking; the livelock backstop must
+        # still point at the peer, not just at the next heartbeat frame.
+        sim, reqs = self.wedge(sessions="epoch")
+        with pytest.raises(SimulationError) as exc:
+            sim.run(max_events=200_000)
+        text = str(exc.value)
+        assert "likely a livelock" in text
+        # Same line as above, with the session layer's segment in between.
+        window, credit = self.PEER_LINE.split("; ")
+        line, = [ln for ln in text.splitlines() if ln.startswith(window)]
+        assert "; session: established inc=0 epoch=1 " in line
+        assert line.endswith("; " + credit)
+
+    def test_healthy_slow_receiver_runs_clean(self):
+        sim, cluster, (e0, e1) = make_pair(EngineParams(flow_control="credit"))
         n = 30
         for i in range(n):
             e0.isend(1, VirtualData(1024), tag=i)
 
         def rx():
             for i in range(n):
-                yield sim.timeout(50.0)  # slower than the watchdog interval
+                yield sim.timeout(50.0)
                 yield from e1.recv(src=0, tag=i)
 
         sim.run_process(rx())
-        sim.run()  # drains the dormant watchdog without raising
+        sim.run()
         assert e0.quiesced() and e1.quiesced()
-
-    def test_watchdog_off_by_default(self):
-        sim, cluster, (e0, e1) = make_pair(EngineParams())
-        assert e0.watchdog is None
 
 
 class TestCreditConservation:

@@ -4,14 +4,17 @@ The module walks ``dataclasses.fields(EngineParams)``, so a knob added
 later is covered without editing it: every scalar field must carry a
 ``knob()`` declaration, and every declaration must hold at construction —
 non-finite numbers, values past a declared bound and unknown mode strings
-all fail with :class:`ValueError`, never mid-run.
+all fail with :class:`ValueError`, never mid-run.  A knob exists only if a
+caller outside the tests sets it, or :data:`TEST_ONLY` says why not.
 """
 
+import ast
 import io
 import math
 import signal
 import time
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
@@ -19,8 +22,6 @@ from repro.cli import main
 from repro.core import EngineParams
 from repro.core.rttstat import RttEstimator
 from repro.core.strategies import AdaptiveStrategy, AggregationStrategy
-from repro.sim import Simulator
-from repro.sim.core import Watchdog
 
 NAN, INF = float("nan"), float("inf")
 
@@ -30,20 +31,38 @@ NUMERIC = [k for k in KNOBS if k[1].numeric]
 BOUNDED = [k for k in NUMERIC if k[1].lo is not None or k[1].gt is not None]
 MODES = [k for k in KNOBS if k[1].choices]
 
-#: Knobs deleted with the NACK-and-resend overflow path (the credit budget
-#: bounds the eager buffer alone). Each keeps its case in the per-knob checks
-#: below, where it must now be refused as an unknown name.
-RETIRED = ["max_unexpected_bytes", "nack_delay_us"]
+#: Deleted knobs: the NACK-and-resend overflow path's two (the credit budget
+#: bounds the eager buffer alone), the progress watchdog's period (the
+#: kernel's deadlock and livelock reports carry its per-peer dump) and three
+#: receive-path costs only tests turned (now a copy on every eager receive
+#: and ``transfer.DEMUX_*_COST_US``). Each keeps its case in the per-knob
+#: checks below, where it must now be refused as an unknown name.
+RETIRED = ["max_unexpected_bytes", "nack_delay_us", "watchdog_interval_us",
+           "eager_copy_on_recv", "demux_packet_cost_us",
+           "demux_item_cost_us"]
+
+#: Knobs no caller outside the tests sets, each with the reason it stays.
+#: Any other field must be set somewhere under :data:`CALLER_ROOTS`.
+TEST_ONLY = {
+    "pull_cost_us": "the paper's 5.1 pull cost, a measured constant",
+    "max_window_wraps": "a ROADMAP 3(a) lattice dimension (bounded window)",
+    "max_window_bytes": "a ROADMAP 3(a) lattice dimension (bounded window)",
+    "window_policy": "a ROADMAP 3(a) lattice dimension (bounded window)",
+    "credit_bytes": "tests shrink it to provoke credit stalls at small scale",
+    "credit_wraps": "tests shrink it to provoke credit stalls at small scale",
+    "credit_grant_delay_us": "tests stretch it to provoke grant coalescing",
+    "rel_quarantine_threshold": "tests lower it to quarantine a rail quickly",
+    "rel_probe_after_us": "tests shorten it to probe a quarantined rail",
+}
+
+#: Where the non-test callers live, relative to the repository root.
+CALLER_ROOTS = ("src/repro", "benchmarks", "examples")
 
 #: What a value needs from the other fields to pass the cross-field rules.
 CONTEXT = {
     "auto": {"reliability": "ack"},
     "tail": {"reliability": "ack", "rel_timeout_us": "auto"},
 }
-
-
-def ids(knobs):
-    return [name for name, _, _ in knobs]
 
 
 def with_retired(knobs):
@@ -113,9 +132,12 @@ def test_first_value_past_the_bound_is_rejected(name, spec, default):
         rejected(name, spec.gt)
 
 
-@pytest.mark.parametrize("name, spec, default", MODES, ids=ids(MODES))
+@pytest.mark.parametrize("name, spec, default", with_retired(MODES))
 def test_mode_fields_accept_their_choices_and_nothing_else(
         name, spec, default):
+    if spec is None:
+        retired(name, "bogus")
+        return
     rejected(name, "bogus")
     for choice in spec.choices:
         params = EngineParams(**CONTEXT.get(choice, {}), **{name: choice})
@@ -144,9 +166,6 @@ def test_removed_constructor_params_are_gone():
         AdaptiveStrategy(backlog_watermark=2)
     with pytest.raises(TypeError):
         RttEstimator(ceiling_us=100.0, floor_us=50.0, headroom=2.0)
-    with pytest.raises(TypeError):
-        Watchdog(Simulator(), 10.0, progress=lambda: 0, active=lambda: True,
-                 diagnose=lambda: "", patience=2)
 
 
 def test_report_rejects_a_nan_timeout_instead_of_livelocking():
@@ -166,3 +185,33 @@ def test_report_rejects_a_nan_timeout_instead_of_livelocking():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def names_set_by_callers():
+    """Every name a non-test caller could hand to ``EngineParams``: call
+    keywords, plus string keys of mappings later splatted with ``**``
+    (dict literals and ``mapping["key"] = ...`` stores)."""
+    root = Path(__file__).resolve().parent.parent
+    names = set()
+    for top in CALLER_ROOTS:
+        for path in sorted((root / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Call):
+                    names.update(k.arg for k in node.keywords if k.arg)
+                elif isinstance(node, ast.Dict):
+                    names.update(k.value for k in node.keys
+                                 if isinstance(k, ast.Constant))
+                elif (isinstance(node, ast.Subscript)
+                      and isinstance(node.ctx, ast.Store)
+                      and isinstance(node.slice, ast.Constant)):
+                    names.add(node.slice.value)
+    return names
+
+
+def test_every_knob_is_set_outside_the_tests_or_says_why_not():
+    fields_ = {f.name for f in fields(EngineParams)}
+    assert set(TEST_ONLY) <= fields_, set(TEST_ONLY) - fields_
+    set_by_callers = names_set_by_callers()
+    assert fields_ - set_by_callers == set(TEST_ONLY), (
+        "a knob only tests set needs a TEST_ONLY reason (or a constant); "
+        "a TEST_ONLY knob a caller now sets leaves the table")
