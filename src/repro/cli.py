@@ -292,7 +292,6 @@ def _report_payload(args, pair, messages, stalled) -> dict:
             **{group: {f: stats[f] for f in fields}
                for group, fields in REPORT_STAT_GROUPS},
             "matcher": {
-                "duplicates_dropped": engine.matcher.duplicates_dropped,
                 "unexpected_bytes": engine.matcher.unexpected_bytes,
                 "peak_unexpected_bytes": engine.matcher.peak_unexpected_bytes,
             },

@@ -145,14 +145,11 @@ class NmadEngine:
             create(strategy) if isinstance(strategy, str) else strategy
         )
         self.stats = EngineStats()
-        #: Some layer retransmits, so replayed frames are dropped, not errors.
-        self.dedup = self.params.reliability != "off"
         #: Peers confirmed dead (by the session layer; empty without it).
         self.dead_peers: set[int] = set()
         self.window = OptimizationWindow(n_rails=len(node.nics))
         self.matcher = Matcher(self._on_match, tracer=self.tracer,
-                               name=f"node{self.node_id}.matcher",
-                               dedup=self.dedup)
+                               name=f"node{self.node_id}.matcher")
         self.rendezvous = RendezvousManager(self)
         self.collect = CollectLayer(self)
         # True once this engine's node crashed: every timer closure and

@@ -52,23 +52,22 @@ class Incoming:
 
 
 class Matcher:
-    """Orders, matches, and queues incoming message descriptors."""
+    """Orders, matches, and queues incoming message descriptors.
+
+    A replayed seq (below the expected one, or parked twice) raises
+    :class:`ProtocolError` in every configuration: the reliability layer's
+    transport filter drops every replay before the demultiplexer.
+    """
 
     def __init__(
         self,
         on_match: Callable[[Incoming, RecvRequest], None],
         tracer: Tracer | None = None,
         name: str = "matcher",
-        dedup: bool = False,
     ) -> None:
         self._on_match = on_match
         self.tracer = tracer if tracer is not None else Tracer()
         self.name = name
-        #: With ``dedup=True`` (set by engines running the reliability
-        #: layer) a replayed sequence number is silently discarded instead
-        #: of raising: retransmission makes duplicates legitimate, and the
-        #: layer's contract is that the application never sees one.
-        self.dedup = dedup
         self._expected: dict[tuple[int, int], int] = {}
         self._parked: dict[tuple[int, int], dict[int, Incoming]] = {}
         self._posted: list[RecvRequest] = []
@@ -78,7 +77,6 @@ class Matcher:
         self.delivered = 0
         self.parked_total = 0
         self.unexpected_total = 0
-        self.duplicates_dropped = 0
         self.unexpected_bytes = 0
         self.peak_unexpected_bytes = 0
 
@@ -89,12 +87,6 @@ class Matcher:
         key = (inc.src, inc.flow)
         expected = self._expected.get(key, 0)
         if inc.seq < expected:
-            if self.dedup:
-                self.duplicates_dropped += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(now, self.name, "dup_drop", src=inc.src,
-                                     flow=inc.flow, seq=inc.seq)
-                return
             raise ProtocolError(
                 f"{self.name}: duplicate or replayed seq {inc.seq} from "
                 f"src={inc.src} flow={inc.flow} (expected {expected})"
@@ -102,13 +94,6 @@ class Matcher:
         if inc.seq > expected:
             parked = self._parked.setdefault(key, {})
             if inc.seq in parked:
-                if self.dedup:
-                    self.duplicates_dropped += 1
-                    if self.tracer.enabled:
-                        self.tracer.emit(now, self.name, "dup_drop",
-                                         src=inc.src, flow=inc.flow,
-                                         seq=inc.seq)
-                    return
                 raise ProtocolError(
                     f"{self.name}: two deliveries for seq {inc.seq} "
                     f"(src={inc.src} flow={inc.flow})"

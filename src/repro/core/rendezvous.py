@@ -60,8 +60,7 @@ class RdvSendState:
 class RdvRecvState:
     """Receiver-side bookkeeping for one granted transfer."""
 
-    __slots__ = ("req", "src", "handle", "total", "received", "pieces", "tag",
-                 "_offsets")
+    __slots__ = ("req", "src", "handle", "total", "received", "pieces", "tag")
 
     def __init__(
         self, req: RecvRequest, src: int, handle: int, total: int, tag: int = -1
@@ -73,24 +72,16 @@ class RdvRecvState:
         self.tag = tag
         self.received = 0
         self.pieces: list[tuple[int, SegmentData]] = []
-        self._offsets: dict[int, int] = {}  # offset -> chunk length landed
 
-    def land(self, offset: int, data: SegmentData) -> bool:
-        """Record one chunk; returns ``False`` for an exact duplicate.
-
-        Duplicates arise only under the reliability layer (a chunk whose
-        acknowledgement was lost is retransmitted); landing is idempotent
-        per offset so reassembly stays byte-exact.
-        """
+    def land(self, offset: int, data: SegmentData) -> None:
+        """Record one chunk, in any order (the transport filter lands each
+        once; :meth:`assemble` catches one that landed twice)."""
         if offset < 0 or offset + data.nbytes > self.total:
             raise ProtocolError(
                 f"rendezvous chunk [{offset}, {offset + data.nbytes}) outside "
                 f"transfer of {self.total}B (src={self.src} "
                 f"handle={self.handle})"
             )
-        if self._offsets.get(offset) == data.nbytes:
-            return False  # exact retransmit duplicate
-        self._offsets[offset] = data.nbytes
         self.pieces.append((offset, data))
         self.received += data.nbytes
         if self.received > self.total:
@@ -98,26 +89,26 @@ class RdvRecvState:
                 f"rendezvous transfer overran: {self.received}B > "
                 f"{self.total}B (src={self.src} handle={self.handle})"
             )
-        return True
 
     @property
     def complete(self) -> bool:
         return self.received == self.total
 
     def assemble(self) -> SegmentData:
-        """Reconstruct the full message from the landed chunks."""
+        """Reconstruct the message; the chunks must tile ``[0, total)``."""
         if not self.complete:
             raise ProtocolError("assembling an incomplete rendezvous transfer")
-        if any(isinstance(d, VirtualData) for _, d in self.pieces):
+        pieces = sorted(self.pieces, key=lambda piece: piece[0])
+        end = 0
+        for offset, data in pieces:
+            if offset != end:  # ``complete`` only counts bytes
+                raise ProtocolError(
+                    f"rendezvous chunks do not tile the transfer "
+                    f"(src={self.src} handle={self.handle})")
+            end += data.nbytes
+        if any(isinstance(d, VirtualData) for _, d in pieces):
             return VirtualData(self.total)
-        buf = bytearray(self.total)
-        covered = 0
-        for offset, data in self.pieces:
-            buf[offset:offset + data.nbytes] = data.tobytes()
-            covered += data.nbytes
-        if covered != self.total:  # overlaps would have tripped land()
-            raise ProtocolError("rendezvous chunks do not tile the transfer")
-        return Bytes(bytes(buf))
+        return Bytes(b"".join(d.tobytes() for _, d in pieces))
 
 
 class RendezvousManager:
@@ -132,7 +123,6 @@ class RendezvousManager:
         self._incoming: dict[tuple[int, int], RdvRecvState] = {}
         # Statistics.
         self.handshakes = 0
-        self.bulk_bytes_sent = 0
 
     # -- sender side --------------------------------------------------------
     def announce(self, wrap: PacketWrap, rail: int) -> RdvReqItem:
@@ -148,10 +138,6 @@ class RendezvousManager:
         """Receiver granted: move the transfer to the streaming queue."""
         state = self._pending.pop(ack.handle, None)
         if state is None:
-            if self.engine.dedup:
-                # A grant replayed across rails after failover; the first
-                # copy already moved the transfer to streaming.
-                return
             raise ProtocolError(
                 f"node{self.engine.node_id}: rendezvous ACK for unknown "
                 f"handle {ack.handle} (from node {ack.src})"
@@ -212,7 +198,6 @@ class RendezvousManager:
     def chunk_sent(self, state: RdvSendState, item: RdvDataItem) -> None:
         """A bulk chunk's frame finished transmission (or was acked)."""
         state.bytes_sent += item.data.nbytes
-        self.bulk_bytes_sent += item.data.nbytes
         if (state.bytes_sent == state.total
                 and state.wrap.completion is not None):
             state.wrap.completion.settle()
@@ -234,8 +219,6 @@ class RendezvousManager:
         """A matching receive exists: set up landing and send the grant."""
         key = (req_item.src, req_item.handle)
         if key in self._incoming:
-            if self.engine.dedup:
-                return  # replayed announcement already granted
             raise ProtocolError(
                 f"node{self.engine.node_id}: duplicate rendezvous grant for "
                 f"{key}"
@@ -252,17 +235,11 @@ class RendezvousManager:
         key = (item.src, item.handle)
         state = self._incoming.get(key)
         if state is None:
-            if self.engine.dedup:
-                # Retransmitted chunk of an already-assembled transfer.
-                self.engine.stats.duplicates_suppressed += 1
-                return
             raise ProtocolError(
                 f"node{self.engine.node_id}: bulk data for unknown "
                 f"rendezvous {key}"
             )
-        if not state.land(item.offset, item.data):
-            self.engine.stats.duplicates_suppressed += 1
-            return
+        state.land(item.offset, item.data)
         if state.complete:
             del self._incoming[key]
             state.req.finish(state.assemble(), src=item.src, tag=state.tag)

@@ -173,13 +173,9 @@ class FaultPlan:
             if max_us <= 0:
                 raise NetworkError(
                     f"jitter max_us must be positive, got {max_us}")
+        self.partitions: list[tuple[float, float | None]] = []
         for from_us, until_us in partitions:
-            _check_finite(from_us, until_us)
-            if from_us < 0:
-                raise NetworkError(f"negative partition from_us {from_us}")
-            if until_us is not None and until_us <= from_us:
-                raise NetworkError(
-                    f"empty partition window [{from_us}, {until_us})")
+            self.add_partition(from_us, until_us)
         if node_crash_at is not None and node_crash_at < 0:
             raise NetworkError(f"negative node_crash_at {node_crash_at}")
         if node_restart_at is not None:
@@ -205,7 +201,6 @@ class FaultPlan:
         self.jitter = jitter
         self._jitter_rng: Random | None = (
             Random(jitter[1]) if jitter is not None else None)
-        self.partitions: list[tuple[float, float | None]] = list(partitions)
         self.node_crash_at = node_crash_at
         self.node_restart_at = node_restart_at
         self.switch_down_at = switch_down_at
@@ -213,7 +208,7 @@ class FaultPlan:
         self._kind_counts: dict[str, int] = {}
 
     def add_partition(self, from_us: float, until_us: float | None) -> None:
-        """Append a partition window (``Cluster.partition`` composes here)."""
+        """Validate and append one partition window (the constructor's too)."""
         _check_finite(from_us, until_us)
         if from_us < 0:
             raise NetworkError(f"negative partition from_us {from_us}")
@@ -354,6 +349,12 @@ class Link:
         # frames overtake).  At constant latency the clamp never binds.
         self._last_deliver_at = 0.0
         self.name = f"link.{src.name}->{dst.name}"
+
+    def add_partition(self, from_us: float, until_us: float | None) -> None:
+        """Drop every frame in ``[from_us, until_us)``, atop any fault plan."""
+        plan = self.fault_plan if self.fault_plan is not None else FaultPlan()
+        plan.add_partition(from_us, until_us)
+        self.fault_plan = plan
 
     def transmit(self, frame: Frame) -> None:
         """Accept a fully-serialized frame and deliver it after the latency."""

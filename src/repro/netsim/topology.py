@@ -188,11 +188,7 @@ class Cluster:
             inside_dst = link.dst.node_id in interior
             if inside_src == inside_dst:
                 continue
-            plan = link.fault_plan
-            if plan is None:
-                link.fault_plan = FaultPlan(partitions=((from_us, until_us),))
-            else:
-                plan.add_partition(from_us, until_us)
+            link.add_partition(from_us, until_us)
             installed += 1
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, "cluster", "rack_partition",
@@ -266,12 +262,7 @@ class Cluster:
                 continue
             if one_way and ga > gb:
                 continue
-            plan = link.fault_plan
-            if plan is None:
-                link.fault_plan = FaultPlan(
-                    partitions=((from_us, until_us),))
-            else:
-                plan.add_partition(from_us, until_us)
+            link.add_partition(from_us, until_us)
             installed += 1
         if installed:
             if self.tracer.enabled:

@@ -6,7 +6,32 @@ Random exploration stays available through Hypothesis's own pytest flag —
 loads after this file and wins.
 """
 
+import pytest
 from hypothesis import settings
+
+from repro.core import EngineParams, NmadEngine
+from repro.netsim import MX_MYRI10G, Cluster
+from repro.sim import Simulator
 
 settings.register_profile("tier1", derandomize=True)
 settings.load_profile("tier1")
+
+#: The reliability layer's sequence filter is the engine's only duplicate
+#: filter, so above the transport a replay must be loud in paper mode, with
+#: the reliability layer alone, and with the whole hardened stack.
+REPLAY_CONFIGS = {
+    "paper": {},
+    "ack": {"reliability": "ack"},
+    "ack-credit-epoch": {"reliability": "ack", "flow_control": "credit",
+                         "sessions": "epoch"},
+}
+
+
+@pytest.fixture(params=list(REPLAY_CONFIGS))
+def replay_pair(request):
+    """``(sim, e0, e1)`` on one MX rail, once per :data:`REPLAY_CONFIGS`."""
+    sim = Simulator()
+    cluster = Cluster(sim, rails=(MX_MYRI10G,))
+    params = EngineParams(**REPLAY_CONFIGS[request.param])
+    return (sim, NmadEngine(cluster.node(0), params=params),
+            NmadEngine(cluster.node(1), params=params))

@@ -223,6 +223,14 @@ class TestPartitionWindows:
             cluster.partition([[0], [0, 1]], 0.0, 10.0)
         with pytest.raises(NetworkError):
             cluster.partition([[0], [7]], 0.0, 10.0)
+        # The window is checked where FaultPlan checks its own, with the
+        # same messages, and a refused window installs no plan at all.
+        with pytest.raises(NetworkError,
+                           match=r"empty partition window \[10.0, 10.0\)"):
+            cluster.partition([[0], [1]], 10.0, 10.0)
+        with pytest.raises(NetworkError, match="negative partition from_us"):
+            cluster.partition([[0], [1]], -1.0, 10.0)
+        assert all(link.fault_plan is None for link in cluster.links)
 
     def test_partition_drops_are_counted_separately(self):
         params = EngineParams(**EPOCH)

@@ -144,6 +144,17 @@ class TestSequenceParking:
         with pytest.raises(ProtocolError, match="two deliveries"):
             matcher.deliver(seg(seq=3))
 
+    def test_engine_matcher_replay_raises_in_every_config(self, replay_pair):
+        # ``replay_pair`` is parametrized in conftest: paper mode, ack, and
+        # ack + credit + epoch sessions all build the same strict matcher.
+        matcher = replay_pair[2].matcher
+        matcher.deliver(seg(seq=0))
+        with pytest.raises(ProtocolError, match="duplicate or replayed"):
+            matcher.deliver(seg(seq=0))
+        matcher.deliver(seg(seq=3))
+        with pytest.raises(ProtocolError, match="two deliveries"):
+            matcher.deliver(seg(seq=3))
+
     def test_rdv_descriptor_ordered_with_segments(self, sim, matcher, matched):
         matcher.post(recv_req(sim))
         matcher.post(recv_req(sim))

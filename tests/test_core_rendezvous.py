@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import EngineParams, NmadEngine, VirtualData
 from repro.core.data import Bytes
-from repro.core.packet import RdvAckItem, RdvDataItem
+from repro.core.packet import RdvAckItem, RdvDataItem, RdvReqItem
 from repro.core.rendezvous import RdvRecvState
 from repro.core.requests import RecvRequest, SendRequest
 from repro.errors import ProtocolError
@@ -120,14 +120,57 @@ class TestReceiverSide:
 
     def test_duplicate_grant_rejected(self):
         sim, e0, e1 = make_engines()
-        from repro.core.packet import RdvReqItem
-
         item = RdvReqItem(src=0, flow=0, tag=0, seq=0, handle=1,
                           nbytes=100_000)
         req = RecvRequest(sim, src=0, flow=0, tag=0, capacity=None)
         e1.rendezvous.grant(item, req)
         with pytest.raises(ProtocolError, match="duplicate"):
             e1.rendezvous.grant(item, req)
+
+
+class TestReplayAboveTheTransport:
+    """Every configuration raises where paper mode does (``replay_pair``
+    is parametrized in conftest): no layer above the transport forgives a
+    replayed grant or chunk."""
+
+    @staticmethod
+    def _granted(sim, e1, total):
+        item = RdvReqItem(src=0, flow=0, tag=0, seq=0, handle=1, nbytes=total)
+        req = RecvRequest(sim, src=0, flow=0, tag=0, capacity=None)
+        e1.rendezvous.grant(item, req)
+        return item, req
+
+    def test_second_grant_for_one_handle(self, replay_pair):
+        sim, _, e1 = replay_pair
+        item, req = self._granted(sim, e1, 100_000)
+        with pytest.raises(ProtocolError, match="duplicate rendezvous grant"):
+            e1.rendezvous.grant(item, req)
+
+    def test_ack_for_unknown_handle(self, replay_pair):
+        _, e0, _ = replay_pair
+        with pytest.raises(ProtocolError, match="ACK for unknown handle"):
+            e0.rendezvous.on_ack(RdvAckItem(src=1, handle=777))
+
+    def test_data_for_unknown_transfer(self, replay_pair):
+        _, _, e1 = replay_pair
+        with pytest.raises(ProtocolError, match="unknown rendezvous"):
+            e1.rendezvous.on_data(RdvDataItem(src=0, handle=9, offset=0,
+                                              total=10, data=VirtualData(10)))
+
+    def test_chunk_landed_twice_is_never_assembled(self, replay_pair):
+        # Chunks 0, 0, 2: the byte count reaches the total, the offsets do
+        # not tile it.
+        sim, _, e1 = replay_pair
+        _, req = self._granted(sim, e1, 3000)
+        first = RdvDataItem(src=0, handle=1, offset=0, total=3000,
+                            data=Bytes(b"a" * 1000))
+        e1.rendezvous.on_data(first)
+        e1.rendezvous.on_data(first)  # the replay
+        with pytest.raises(ProtocolError, match="do not tile"):
+            e1.rendezvous.on_data(RdvDataItem(src=0, handle=1, offset=2000,
+                                              total=3000,
+                                              data=Bytes(b"c" * 1000)))
+        assert not req.triggered
 
 
 class TestEndToEndEdgeCases:

@@ -191,3 +191,72 @@ def test_ack_mode_delivers_exactly_once_under_random_loss(
     assert pair.cluster.conservation_ok(allow_faults=True)
     for mpi in pair.ranks:
         assert mpi.engine.quiesced()
+
+
+#: Message ``tag`` carries ``PATTERN[tag:tag + size]``: no two payloads are
+#: equal, and a 512 KiB chunk landed at a wrong offset changes the bytes.
+PATTERN = bytes(range(251)) * 3200
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_two_rail_replays_stop_at_the_transport(data):
+    """Exactly-once over two rails with nothing but the transport's filter.
+
+    Drops, wire echoes and reorders on every link of both rails make the
+    reliability layer retransmit, fail over and hedge, so grants, eager
+    segments and bulk chunks are replayed on either rail.  The per-peer
+    sequence filter is the only duplicate filter in the engine; above it
+    a replay would raise out of ``run()``.
+    """
+    from repro.core import EngineParams, NmadEngine
+    from repro.netsim import Cluster
+    from repro.sim import Simulator
+
+    params = EngineParams(reliability="ack", rel_timeout_us="auto",
+                          rel_hedge="tail")
+    sim = Simulator()
+    cluster = Cluster(sim, rails=(MX_MYRI10G, QUADRICS_QM500))
+    e0, e1 = (NmadEngine(cluster.node(i), strategy="multirail", params=params)
+              for i in range(2))
+    nth = st.integers(1, 32)
+    # One link also loses a run of consecutive frames: timeouts in a row
+    # quarantine its rail, and what was in flight replays on the other one.
+    cut = data.draw(st.sampled_from(cluster.links), label="cut")
+    cut_from = data.draw(nth, label="cut_from")
+    for link in cluster.links:
+        drops = data.draw(st.sets(nth, max_size=3), label="drop")
+        if link is cut:
+            drops |= set(range(cut_from, cut_from + 4))
+        link.fault_plan = FaultPlan(
+            drop_nth=drops,
+            dup_nth=data.draw(st.sets(nth, max_size=4), label="dup"),
+            reorder=data.draw(st.dictionaries(nth, st.floats(5.0, 300.0),
+                                              max_size=3),
+                              label="reorder").items())
+    eager = data.draw(st.lists(st.integers(1, 4096), min_size=1, max_size=24),
+                      label="eager")
+    bulk = data.draw(st.lists(st.integers(65 * 1024, 768 * 1024),
+                              min_size=1, max_size=3), label="bulk")
+    sizes = data.draw(st.permutations(eager + bulk), label="order")
+    gaps = data.draw(st.lists(st.floats(0.0, 50.0), min_size=len(sizes),
+                              max_size=len(sizes)), label="gaps")
+    payloads = [PATTERN[tag:tag + size] for tag, size in enumerate(sizes)]
+    recvs = [e1.irecv(src=0, tag=tag) for tag in range(len(sizes))]
+    sends = []
+
+    def sender():
+        for tag, (gap, payload) in enumerate(zip(gaps, payloads)):
+            yield sim.timeout(gap)
+            sends.append(e0.isend(1, payload, tag=tag))
+
+    sim.spawn(sender())
+    sim.run()
+    for recv, send, payload in zip(recvs, sends, payloads, strict=True):
+        assert recv.complete and not recv.failed
+        assert recv.data.tobytes() == payload
+        assert send.complete and not send.failed
+    assert e1.matcher.delivered == len(sizes)
+    assert e0.quiesced() and e1.quiesced()
+    assert cluster.conservation_ok(allow_faults=True)

@@ -142,7 +142,6 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive):
     # was admitted exactly once (the per-request actual_len asserts above
     # checked the payloads) and sent exactly once.
     assert rx.matcher.delivered == n_senders * n_msgs
-    assert rx.matcher.duplicates_dropped == 0
     for s in range(n_senders):
         total = sum(size for _i, size in plan[s])
         assert engines[s].stats.eager_bytes == total
