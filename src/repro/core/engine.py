@@ -183,6 +183,12 @@ class NmadEngine:
         self.tx_layers: tuple[Layer, ...] = tuple(
             layer for layer in (self.flowcontrol, self.sessions,
                                 self.reliability) if layer is not None)
+        #: The per-packet and per-message hooks, in ``layers`` order: the
+        #: bound method of each layer that overrides the ``Layer`` default.
+        self.commit_hooks, self.match_hooks, self.post_hooks = (
+            tuple(getattr(layer, hook) for layer in self.layers
+                  if getattr(type(layer), hook) is not getattr(Layer, hook))
+            for hook in ("commit", "on_match", "on_post"))
         self.sim.add_deadlock_hint(self._deadlock_hint)
 
     # -- strategy management (paper abstract: dynamically extensible) -----
@@ -259,8 +265,8 @@ class NmadEngine:
         req = request_cls(self.sim, src, flow, tag, nbytes, self.sim.now)
         self.matcher.post(req)
         if src != ANY:
-            for layer in self.layers:
-                layer.on_post(src)
+            for hook in self.post_hooks:
+                hook(src)
         if deadline_us is not None:
             self._arm_deadline(req, deadline_us)
         return req
@@ -386,8 +392,8 @@ class NmadEngine:
 
     # -- match dispatch -----------------------------------------------------------
     def _on_match(self, inc: Incoming, req: RecvRequest) -> None:
-        for layer in self.layers:
-            layer.on_match(inc)
+        for hook in self.match_hooks:
+            hook(inc)
         if req.capacity is not None and inc.nbytes > req.capacity:
             err = MpiError(
                 f"node{self.node_id}: truncation — {inc.nbytes}B message "

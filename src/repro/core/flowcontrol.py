@@ -46,7 +46,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.packet import SegItem
-from repro.core.protocols import Layer, counter, knob
+from repro.core.protocols import Layer, PeerTable, counter, knob
 from repro.errors import MpiError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -155,32 +155,27 @@ class FlowControlLayer(Layer):
         self._credit_bytes = engine.params.credit_bytes
         self._credit_wraps = engine.params.credit_wraps
         self._grant_delay = engine.params.credit_grant_delay_us
-        self._peers: dict[int, _PeerCredit] = {}
+        self._peers = PeerTable(partial(_PeerCredit, layer=self))
         self._name = f"node{engine.node_id}.flowcontrol"
-
-    def _peer(self, peer: int) -> _PeerCredit:
-        st = self._peers.get(peer)
-        if st is None:
-            st = _PeerCredit(peer, self)
-            self._peers[peer] = st
-        return st
 
     # -- transmit side: consuming credit ------------------------------------
     def commit(self, plan: SendPlan) -> None:
-        """Spend credit for the eager wraps of a packet a NIC took.
+        """Spend credit for the eager wraps of a packet a NIC took, once for
+        the packet: they all go to ``plan.dest``.
 
         Announced (rendezvous) wraps are exempt — the grant protocol paces
         them end to end.
         """
-        for w in plan.taken:
-            if not w.is_control:
-                self.consume(plan.dest, w.length)
+        eager = [w.length for w in plan.taken if not w.is_control]
+        if eager:
+            self.consume(plan.dest, sum(eager), len(eager))
 
-    def consume(self, dest: int, nbytes: int) -> None:
-        """An eager wrap towards ``dest`` was committed to a packet."""
-        st = self._peer(dest)
+    def consume(self, dest: int, nbytes: int, nwraps: int = 1) -> None:
+        """``nwraps`` eager wraps towards ``dest``, ``nbytes`` in all, were
+        committed to a packet."""
+        st = self._peers[dest]
         st.sent_bytes_total += nbytes
-        st.sent_wraps_total += 1
+        st.sent_wraps_total += nwraps
         self._update_gate(st)
 
     def planning_budget(self, dest: int) -> tuple[int | None, int | None]:
@@ -196,6 +191,13 @@ class FlowControlLayer(Layer):
         )
 
     def _update_gate(self, st: _PeerCredit) -> None:
+        """Block or unblock ``st.peer`` to match its outstanding credit.
+
+        Runs once per committed packet: spending within a packet only grows
+        the outstanding total, so the transitions are a per-wrap check's,
+        but a ``credit_stall`` record's ``outstanding`` is the total after
+        the packet, not after the wrap that tipped it.
+        """
         exhausted = (
             st.sent_bytes_total - st.peer_released_bytes >= self._credit_bytes
             or st.sent_wraps_total - st.peer_released_wraps
@@ -230,7 +232,7 @@ class FlowControlLayer(Layer):
     on_frame = accept  # the Layer receive hook
 
     def _apply_grant(self, peer: int, grant: tuple[int, int]) -> None:
-        st = self._peer(peer)
+        st = self._peers[peer]
         rb, rw = grant
         changed = False
         if rb > st.peer_released_bytes:
@@ -254,7 +256,7 @@ class FlowControlLayer(Layer):
 
     def release(self, peer: int, nbytes: int) -> None:
         """The application consumed an eager message from ``peer``."""
-        st = self._peer(peer)
+        st = self._peers[peer]
         st.released_bytes_total += nbytes
         st.released_wraps_total += 1
         if not st.grant_timer.armed:
@@ -273,7 +275,7 @@ class FlowControlLayer(Layer):
 
     def stamp(self, frame: Frame) -> None:
         """Piggyback the current grant on an outgoing engine frame."""
-        st = self._peer(frame.dst_node)
+        st = self._peers[frame.dst_node]
         frame.fc_grant = self._advertise(st)
         frame.wire_size += self.params.hdr.credit_header
 

@@ -8,6 +8,7 @@
 * :func:`counter` — the one-line declaration of an ``EngineStats`` counter.
 * :func:`knob` — the one-line declaration of an ``EngineParams`` field and
   its admissible range.
+* :class:`PeerTable` — a layer's per-peer state, built on first lookup.
 """
 
 from __future__ import annotations
@@ -23,9 +24,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.frames import Frame
     from repro.netsim.nic import Nic
 
-__all__ = ["Knob", "Layer", "counter", "knob"]
+__all__ = ["Knob", "Layer", "PeerTable", "counter", "knob"]
 
 T = TypeVar("T")
+
+
+class PeerTable(dict[int, T]):
+    """A layer's per-peer state: ``table[peer]`` builds the entry on the
+    peer's first lookup; ``get`` and iteration never build one."""
+
+    __slots__ = ("_new",)
+
+    def __init__(self, new: Callable[[int], T]) -> None:
+        super().__init__()
+        self._new = new
+
+    def __missing__(self, peer: int) -> T:
+        st = self[peer] = self._new(peer)
+        return st
 
 
 def counter(group: str) -> int:
@@ -86,7 +102,8 @@ class Layer(Protocol):
     ``NmadEngine.layers`` holds the layers that are *on*; one that is off
     is never constructed, so paper mode iterates an empty tuple.  The
     layers subclass this protocol to inherit ``quiesced`` and the last three
-    hooks, datapath stages most layers let pass.
+    hooks, datapath stages most layers let pass.  A hook a layer does not
+    override is never called: the engine collects the overrides once.
     """
 
     def send(

@@ -50,7 +50,7 @@ from functools import partial
 
 from typing import TYPE_CHECKING
 
-from repro.core.protocols import Layer, counter, knob
+from repro.core.protocols import Layer, PeerTable, counter, knob
 from repro.core.rttstat import RTO_FLOOR_US
 from repro.errors import RailDownError, TransportError
 from repro.netsim.frames import Frame, FrameKind
@@ -222,7 +222,7 @@ class ReliabilityLayer(Layer):
         self._static_rto_us: float | None = (
             None if engine.params.rel_adaptive
             else float(engine.params.rel_timeout_us))
-        self._channels: dict[int, _Channel] = {}
+        self._channels = PeerTable(partial(_Channel, layer=self))
         #: Consecutive retransmit-timeouts per rail (reset on any ack).
         self.rail_losses: dict[int, int] = {}
         # Half-open recovery: each quarantine arms the rail's re-probe
@@ -259,13 +259,6 @@ class ReliabilityLayer(Layer):
         assert self._static_rto_us is not None
         return self._static_rto_us
 
-    def _channel(self, peer: int) -> _Channel:
-        ch = self._channels.get(peer)
-        if ch is None:
-            ch = _Channel(peer, self)
-            self._channels[peer] = ch
-        return ch
-
     # -- transmit side ------------------------------------------------------
     def send(
         self,
@@ -281,7 +274,7 @@ class ReliabilityLayer(Layer):
         instead when the retransmit budget is exhausted or the peer's
         channel is torn down.
         """
-        ch = self._channel(frame.dst_node)
+        ch = self._channels[frame.dst_node]
         hdr = self.params.hdr
         frame.rel_seq = ch.next_seq
         ch.next_seq += 1
@@ -362,6 +355,8 @@ class ReliabilityLayer(Layer):
         deadlines = [p.deadline for p in ch.unacked.values()
                      if p.deadline is not None]
         if not deadlines:
+            # Nothing on a retry clock: void the arming, nothing can expire.
+            ch.retry_timer.cancel()
             return
         ch.retry_timer.arm(max(0.0, min(deadlines) - self.sim.now))
 
@@ -511,7 +506,7 @@ class ReliabilityLayer(Layer):
             return False
         if frame.rel_seq is None:
             return True  # a peer running reliability="off": tolerate
-        ch = self._channel(frame.src_node)
+        ch = self._channels[frame.src_node]
         if not self._record_rx(ch, frame.rel_seq):
             self.engine.stats.duplicates_suppressed += 1
             tracer = self.engine.tracer
@@ -538,7 +533,7 @@ class ReliabilityLayer(Layer):
         return ch.rx_cum, tuple(sorted(ch.rx_sacks))
 
     def _handle_ack(self, peer: int, cum: int, sacks: tuple[int, ...]) -> None:
-        ch = self._channel(peer)
+        ch = self._channels[peer]
         sackset = set(sacks)
         acked = sorted(s for s in ch.unacked if s < cum or s in sackset)
         if not acked:

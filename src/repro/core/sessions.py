@@ -66,7 +66,7 @@ from functools import partial
 
 from typing import TYPE_CHECKING
 
-from repro.core.protocols import Layer, counter, knob
+from repro.core.protocols import Layer, PeerTable, counter, knob
 from repro.errors import PeerDeadError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -172,22 +172,15 @@ class SessionLayer(Layer):
         #: Frozen at construction: a restarted node gets a *new* engine,
         #: whose session layer speaks for the new incarnation.
         self.incarnation = engine.node.incarnation
-        self._peers: dict[int, _PeerSession] = {}
+        self._peers = PeerTable(partial(_PeerSession, layer=self))
         self._name = f"node{engine.node_id}.sessions"
-
-    def _peer(self, peer: int) -> _PeerSession:
-        st = self._peers.get(peer)
-        if st is None:
-            st = _PeerSession(peer, self)
-            self._peers[peer] = st
-        return st
 
     # -- transmit side -------------------------------------------------------
     def stamp(self, frame: Frame) -> None:
         """Attach the session header to an outgoing frame (idempotent)."""
         if frame.session is not None:
             return
-        st = self._peer(frame.dst_node)
+        st = self._peers[frame.dst_node]
         frame.session = (self.incarnation, st.peer_incarnation)
         frame.wire_size += self.params.hdr.session_header
         st.last_tx_us = self.sim.now
@@ -208,7 +201,7 @@ class SessionLayer(Layer):
         stamped).  *Every* engine frame — data, acks excepted (they stamp
         directly), credits — passes here, ahead of sequencing.
         """
-        st = self._peer(frame.dst_node)
+        st = self._peers[frame.dst_node]
         if st.sess_state == "established":
             if st.suspect:
                 # Graceful degradation: the peer may be on the far side of
@@ -286,7 +279,7 @@ class SessionLayer(Layer):
         if frame.session is None:
             return True  # a peer running sessions="off": tolerate
         s_inc, d_inc = frame.session
-        st = self._peer(frame.src_node)
+        st = self._peers[frame.src_node]
         if frame.kind in _SESSION_KINDS:
             self._on_session_frame(st, frame, s_inc, d_inc)
             return False
@@ -447,7 +440,7 @@ class SessionLayer(Layer):
 
     def reset_peer(self, peer: int, exc: BaseException) -> None:
         """Fail every frame still buffered behind the peer's handshake."""
-        st = self._peer(peer)
+        st = self._peers[peer]
         deferred, st.deferred_tx = st.deferred_tx, []
         for _nic, _frame, _gap, _ok, fail in deferred:
             if fail is not None:
@@ -459,7 +452,9 @@ class SessionLayer(Layer):
         watch its liveness even though we may never transmit to it."""
         if src == self.engine.node_id or src < 0:
             return
-        st = self._peer(src)
+        st = self._peers[src]
+        if st.monitor.armed:
+            return  # already watched, so past "unknown" too
         if st.sess_state == "unknown":
             # A pure receiver still needs the handshake: without our hello
             # the peer cannot learn our incarnation, and we cannot tell its

@@ -303,8 +303,8 @@ class TransferLayer:
         engine = self.engine
         for wrap in plan.taken + plan.announced:
             engine.window.take(wrap)
-        for layer in engine.layers:
-            layer.commit(plan)
+        for hook in engine.commit_hooks:
+            hook(plan)
         items = list(plan.items)
         for wrap in plan.announced:
             items.append(engine.rendezvous.announce(wrap, rail=rail))

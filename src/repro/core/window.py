@@ -102,7 +102,7 @@ class OptimizationWindow:
             self._dest_bytes[dest] = 0
         by_dest[wid] = wrap
         self._dest_bytes[dest] += length
-        if self._gated and self._is_exempt(wrap):
+        if self._gated and (wrap.is_control or length > self._exempt_floor):
             self._dest_exempt[dest] = self._dest_exempt.get(dest, 0) + 1
         self.total_submitted += 1
         if self._count > self.peak_wraps:
@@ -262,7 +262,7 @@ class OptimizationWindow:
         else:
             del self._by_dest[dest]
             del self._dest_bytes[dest]
-        if self._gated and self._is_exempt(wrap):
+        if self._gated and (wrap.is_control or length > self._exempt_floor):
             left = self._dest_exempt[dest] - 1
             if left:
                 self._dest_exempt[dest] = left

@@ -35,13 +35,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, ClassVar, Union
 
 from repro.errors import NetworkError
 from repro.netsim.frames import Frame
 from repro.netsim.link import FaultPlan, Link
 from repro.netsim.profiles import NicProfile
-from repro.netsim.units import wire_time_us
 from repro.sim import Simulator, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -122,11 +122,10 @@ class _Port:
         frame = self._queue.popleft()
         self._busy = True
         self._current = frame
-        gen = self.switch.generation
-        self.switch.sim.schedule(
-            wire_time_us(frame.wire_size, self.bandwidth_mbps),
-            lambda: self._finish(frame, gen),
-        )
+        switch = self.switch
+        # ``wire_time_us``, inlined: both operands are validated upstream.
+        switch.sim.schedule(frame.wire_size / self.bandwidth_mbps,
+                            partial(self._finish, frame, switch.generation))
 
     def _finish(self, frame: Frame, gen: int) -> None:
         if gen != self.switch.generation:
@@ -175,21 +174,19 @@ class Switch:
         self.salt = salt
         self.tracer = tracer if tracer is not None else Tracer()
         self.up = True
-        self._gen = 0
+        #: Incarnation counter; bumping it voids in-flight port closures.
+        self.generation = 0
         self.ports: list[_Port] = []
         #: dst host id -> candidate egress port ids (ECMP set).
         self.routes: dict[int, tuple[int, ...]] = {}
+        # (src, dst) -> the flow's primary port, hashed on its first lookup.
+        self._primary: dict[tuple[int, int], _Port] = {}
         # Counters (mirrored by stats.SWITCH_COUNTERS into the report).
         self.frames_forwarded = 0
         self.bytes_forwarded = 0
         self.frames_dropped = 0
         self.bytes_dropped = 0
         self.paths_rerouted = 0
-
-    @property
-    def generation(self) -> int:
-        """Incarnation counter; bumping it voids in-flight port closures."""
-        return self._gen
 
     # -- wiring -------------------------------------------------------------
     def add_port(self, link: Link, bandwidth_mbps: float,
@@ -209,25 +206,33 @@ class Switch:
         if not port_ids:
             raise NetworkError(f"{self.name}: empty ECMP set for {dst_node}")
         self.routes[dst_node] = port_ids
+        self._primary.clear()
 
     # -- forwarding ---------------------------------------------------------
     def select_port(self, src_node: int, dst_node: int,
                     count: bool = True) -> int | None:
         """Pick the egress port for a flow; ``None`` when no live path.
 
-        The primary choice hashes the flow over the full ECMP set; when the
-        primary's next hop is down the flow re-hashes over the survivors (a
-        *reroute*, counted when ``count`` is true).  ``count=False`` gives a
-        side-effect-free peek for path walks and tests.
+        The primary choice hashes the flow over the full ECMP set, once per
+        flow: the port is remembered until the route table changes.  When
+        the primary's next hop is down the flow re-hashes over the survivors
+        (a *reroute*, counted when ``count`` is true).  ``count=False`` gives
+        a side-effect-free peek for path walks and tests.
         """
-        candidates = self.routes.get(dst_node)
-        if candidates is None:
-            raise NetworkError(f"{self.name}: no route to node {dst_node}")
-        h = flow_hash(src_node, dst_node, self.salt)
-        primary = candidates[h % len(candidates)]
-        if self.ports[primary].alive:
-            return primary
-        alive = [p for p in candidates if self.ports[p].alive]
+        try:
+            port = self._primary[src_node, dst_node]
+        except KeyError:
+            candidates = self.routes.get(dst_node)
+            if candidates is None:
+                raise NetworkError(
+                    f"{self.name}: no route to node {dst_node}") from None
+            h = flow_hash(src_node, dst_node, self.salt)
+            port = self.ports[candidates[h % len(candidates)]]
+            self._primary[src_node, dst_node] = port
+        hop = port.next_hop
+        if hop is None or hop.up:  # ``port.alive``
+            return port.port_id
+        alive = [p for p in self.routes[dst_node] if self.ports[p].alive]
         if not alive:
             return None
         if count:
@@ -235,8 +240,8 @@ class Switch:
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, self.name, "reroute",
                                  src=src_node, dst=dst_node,
-                                 around=self.ports[primary].link.name)
-        return alive[h % len(alive)]
+                                 around=port.link.name)
+        return alive[flow_hash(src_node, dst_node, self.salt) % len(alive)]
 
     def _arrive(self, frame: Frame) -> None:
         """Link delivery endpoint: forward or drop (same duck type as Nic)."""
@@ -262,7 +267,7 @@ class Switch:
         if not self.up:
             return
         self.up = False
-        self._gen += 1
+        self.generation += 1
         for port in self.ports:
             for frame in port._queue:
                 self.frames_dropped += 1

@@ -225,12 +225,14 @@ class FaultPlan:
         self._kind_counts[frame.kind] = kind_n
         if self.down_at_us is not None and now >= self.down_at_us:
             return DROP
-        if any(from_us <= now and (until_us is None or now < until_us)
-               for from_us, until_us in self.partitions):
+        if self.partitions and any(
+                from_us <= now and (until_us is None or now < until_us)
+                for from_us, until_us in self.partitions):
             return DROP_PARTITION
         if n in self.drop_nth or frame.frame_id in self.drop_frame_ids:
             return DROP
-        if any(first <= n < first + length for first, length in self.bursts):
+        if self.bursts and any(first <= n < first + length
+                               for first, length in self.bursts):
             return DROP
         if (frame.kind, kind_n) in self.drop_kind_nth:
             return DROP
@@ -402,14 +404,17 @@ class Link:
         extra_us = 0.0
         overtake = False
         if plan is not None:
-            factor = plan.latency_factor(now)
-            if factor > 1.0:
-                latency *= factor
-                self.frames_slowed += 1
-                if tracer.enabled:
-                    tracer.emit(now, self.name, "wire_slow",
-                                frame=frame.frame_id, factor=factor)
-            extra_us, overtake = plan.extra_latency(now)
+            # A fault plan costs what it uses: each helper only if configured.
+            if plan.slow_link is not None:
+                factor = plan.latency_factor(now)
+                if factor > 1.0:
+                    latency *= factor
+                    self.frames_slowed += 1
+                    if tracer.enabled:
+                        tracer.emit(now, self.name, "wire_slow",
+                                    frame=frame.frame_id, factor=factor)
+            if plan.jitter is not None or plan.reorder:
+                extra_us, overtake = plan.extra_latency(now)
         deliver_at = now + latency + extra_us
         if overtake:
             # A reordered frame is held back without raising the FIFO floor:

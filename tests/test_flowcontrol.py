@@ -337,6 +337,95 @@ class TestCreditConservation:
         assert not snd.blocked
 
 
+class TestPerPacketCreditGate:
+    """Credit is spent once per committed packet, for all of its eager
+    wraps at once; the window gate must still track the ledger exactly."""
+
+    @given(credit_bytes=st.integers(min_value=MX_MYRI10G.rdv_threshold,
+                                    max_value=4 * MX_MYRI10G.rdv_threshold),
+           credit_wraps=st.integers(min_value=1, max_value=24),
+           bursts=st.lists(
+               st.tuples(st.integers(min_value=1, max_value=2),  # dest
+                         st.lists(st.integers(min_value=1, max_value=6_000),
+                                  min_size=1, max_size=24),
+                         st.floats(min_value=0.0, max_value=40.0)),  # gap
+               min_size=1, max_size=6),
+           recv_gap=st.floats(min_value=0.0, max_value=8.0))
+    # Aggregated packets tipping a four-wrap budget, and a byte budget that
+    # eight 4 KiB wraps fill exactly (the planner never overfills it),
+    # towards both peers.
+    @example(credit_bytes=MX_MYRI10G.rdv_threshold, credit_wraps=4,
+             bursts=[(1, [64] * 16, 0.0), (2, [64] * 16, 5.0)], recv_gap=2.0)
+    @example(credit_bytes=MX_MYRI10G.rdv_threshold, credit_wraps=24,
+             bursts=[(1, [4_096] * 12, 0.0), (2, [4_096] * 12, 0.0)],
+             recv_gap=8.0)
+    @example(credit_bytes=MX_MYRI10G.rdv_threshold, credit_wraps=1,
+             bursts=[(1, [100] * 5, 0.0)], recv_gap=0.0)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_gate_matches_the_ledger_after_every_packet(
+            self, credit_bytes, credit_wraps, bursts, recv_gap):
+        params = EngineParams(flow_control="credit", credit_bytes=credit_bytes,
+                              credit_wraps=credit_wraps)
+        sim, cluster, engines = make_pair(params, n_nodes=3)
+        e0 = engines[0]
+        fc, window = e0.flowcontrol, e0.window
+        stalls = []
+
+        def exhausted(dest):
+            led = fc._peers.get(dest)
+            return led is not None and (
+                led.sent_bytes_total - led.peer_released_bytes >= credit_bytes
+                or led.sent_wraps_total - led.peer_released_wraps
+                >= credit_wraps)
+
+        def checked(hook):
+            def commit(plan):
+                was = window.is_blocked(plan.dest)
+                hook(plan)
+                for dest in (1, 2):
+                    assert window.is_blocked(dest) == exhausted(dest), dest
+                if window.is_blocked(plan.dest) and not was:
+                    stalls.append(plan.dest)
+            return commit
+
+        e0.commit_hooks = tuple(checked(h) for h in e0.commit_hooks)
+        sent = {1: [], 2: []}
+        for dest, sizes, _gap in bursts:
+            sent[dest].extend(sizes)
+
+        def app():
+            tags = {1: 0, 2: 0}
+            for dest, sizes, gap in bursts:
+                for size in sizes:
+                    e0.isend(dest, VirtualData(size), tag=tags[dest])
+                    tags[dest] += 1
+                yield sim.timeout(gap)
+
+        def rx(dest):
+            got = []
+            for tag in range(len(sent[dest])):
+                if recv_gap:
+                    yield sim.timeout(recv_gap)
+                req = engines[dest].irecv(src=0, tag=tag)
+                yield req.done
+                got.append(req.actual_len)
+            return got
+
+        sim.spawn(app())
+        receivers = [sim.spawn(rx(dest)) for dest in (1, 2)]
+        sim.run()
+        # Exactly once: every receive got its own message, nothing more.
+        for dest, proc in zip((1, 2), receivers):
+            assert proc.ok and proc.value == sent[dest]
+        if credit_wraps == 1:
+            assert stalls  # a single wrap exhausts the budget
+        assert e0.stats.credit_stalls == len(stalls)
+        assert not window.is_blocked(1) and not window.is_blocked(2)
+        assert all(e.quiesced() for e in engines)
+        assert cluster.conservation_ok()
+
+
 class TestPreparedPlanSpendsNoCredit:
     """Credit is debited when a NIC takes a packet, never for a plan.
 

@@ -22,6 +22,8 @@ from repro.core import (
     ReliabilityLayer,
     SessionLayer,
 )
+from repro.core import engine as engine_module
+from repro.core.protocols import Layer
 from repro.netsim import Cluster, MX_MYRI10G
 from repro.sim import Simulator
 
@@ -132,6 +134,60 @@ def test_every_layer_subset_delivers_what_paper_mode_delivers(
         assert tuple(type(layer) for layer in engine.layers) == expected
         if not subset:
             assert engine.layers == () and engine.tx_layers == ()
+
+
+HOOKS = {"commit": "commit_hooks", "on_match": "match_hooks",
+         "on_post": "post_hooks"}
+
+
+@pytest.mark.parametrize("subset", SUBSETS, ids=lambda s: "+".join(s) or "off")
+def test_hooks_are_exactly_the_overrides(subset):
+    overrides = {}
+    for knob in subset:
+        overrides.update(KNOBS[knob][0])
+    cluster = Cluster(Simulator(), n_nodes=2, rails=(MX_MYRI10G,))
+    engine = NmadEngine(cluster.node(0), params=EngineParams(**overrides))
+    for hook, attr in HOOKS.items():
+        default = getattr(Layer, hook)
+        want = tuple(getattr(layer, hook) for layer in engine.layers
+                     if getattr(type(layer), hook) is not default)
+        assert getattr(engine, attr) == want, (hook, subset)
+        if not subset:
+            assert getattr(engine, attr) == ()
+    # The overrides today: credit spends and releases, sessions watch.
+    for attr in ("commit_hooks", "match_hooks"):
+        assert [h.__self__ for h in getattr(engine, attr)] \
+            == [engine.flowcontrol] * ("credit" in subset)
+    assert [h.__self__ for h in engine.post_hooks] \
+        == [engine.sessions] * ("epoch" in subset)
+
+
+def test_inherited_hook_defaults_are_never_entered(monkeypatch):
+    # Count every entry into the ``Layer`` defaults, and into the override
+    # a counting subclass adds to a layer that inherits the default: only
+    # the override may run, once per sourced receive.
+    entered = Counter()
+
+    def counting(name):
+        def hook(self, arg):
+            entered[name] += 1
+        return hook
+
+    for hook in HOOKS:
+        monkeypatch.setattr(Layer, hook, counting(f"Layer.{hook}"))
+
+    class CountingReliability(ReliabilityLayer):
+        def on_post(self, src):
+            entered["CountingReliability.on_post"] += 1
+
+    monkeypatch.setattr(engine_module, "ReliabilityLayer", CountingReliability)
+    engines, delivered = run_plan(tuple(KNOBS))
+    assert len(delivered) == len(PLAN)
+    for engine in engines:
+        assert type(engine.reliability) is CountingReliability
+        assert [h.__self__ for h in engine.post_hooks] \
+            == [engine.sessions, engine.reliability]
+    assert entered == {"CountingReliability.on_post": len(PLAN)}
 
 
 def test_paper_mode_streams_are_in_send_order(paper_mode):

@@ -9,7 +9,7 @@ undeliverable frame fails only its own request.
 
 import pytest
 
-from repro.core import EngineParams, NmadEngine
+from repro.core import EngineParams, NmadEngine, ReliabilityLayer
 from repro.errors import SimulationError, TransportError
 from repro.netsim import MX_MYRI10G, QUADRICS_QM500, Cluster, FaultPlan
 from repro.sim import Simulator
@@ -371,6 +371,42 @@ class TestDeadlockDiagnosis:
 
         with pytest.raises(SimulationError, match="retry budget exhausted"):
             sim.run_process(app())
+
+
+class TestRetryTimer:
+    def test_acked_out_channel_disarms_its_retry_timer(self, monkeypatch):
+        # A clean run never expires a retry clock.  Once the last ack
+        # empties the channel the timer is cancelled, so its stale queue
+        # entry is voided by the Timer and never reaches _on_timer.
+        entered = []
+        on_timer = ReliabilityLayer._on_timer
+
+        def counting_on_timer(self, ch):
+            entered.append(ch.peer)
+            on_timer(self, ch)
+
+        monkeypatch.setattr(ReliabilityLayer, "_on_timer", counting_on_timer)
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK))
+        channels = []
+
+        def app():
+            for i in range(3):
+                req = e1.irecv(src=0, tag=i)
+                sreq = e0.isend(1, b"tick" * 8, tag=i)
+                yield req.done
+                if not sreq.complete:
+                    yield sreq.done
+                ch = e0.reliability._channels[1]
+                assert not ch.unacked
+                assert not ch.retry_timer.armed
+                channels.append(ch)
+
+        sim.run_process(app())
+        sim.run()
+        assert len(channels) == 3 and e0.stats.retransmits == 0
+        assert not channels[-1].retry_timer.armed
+        assert entered == []
+        assert e0.quiesced() and e1.quiesced()
 
 
 class TestOffModeUnchanged:

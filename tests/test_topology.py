@@ -187,6 +187,93 @@ class TestEcmp:
         assert all_paths(1) != all_paths(2)
 
 
+class TestEcmpMemo:
+    """``select_port`` hashes a flow once and remembers its primary port;
+    the memo must agree with the hash, leave rerouting as it was, and
+    follow the route table."""
+
+    @staticmethod
+    def hashed(sw: Switch, src: int, dst: int) -> int:
+        candidates = sw.routes[dst]
+        return candidates[flow_hash(src, dst, sw.salt) % len(candidates)]
+
+    @pytest.mark.parametrize("spec", [
+        FatTree(k=4),
+        Dragonfly(groups=3, routers=2, hosts_per_router=2, global_links=1),
+    ], ids=["fat-tree", "dragonfly"])
+    def test_memoized_primary_equals_the_hash(self, spec):
+        n = spec.capacity()
+        cluster = Cluster(Simulator(), n_nodes=n, rails=(MX_MYRI10G,),
+                          topology=spec)
+        assert cluster.switches
+        for sw in cluster.switches:
+            for src in range(n):
+                for dst in range(n):
+                    if src == dst:
+                        continue
+                    want = self.hashed(sw, src, dst)
+                    # The first lookup hashes and remembers, the second
+                    # reads the memo: both are the hash's choice.
+                    assert sw.select_port(src, dst, count=False) == want
+                    assert sw.select_port(src, dst, count=False) == want
+            assert sw.paths_rerouted == 0
+
+    def test_each_rerouted_frame_counts_once(self, monkeypatch):
+        # Oracle: a frame is rerouted when the hash's primary next hop is
+        # down and some candidate is alive.  Count those at every arrival,
+        # independently of the memo, and compare with the switches' count.
+        rerouted = []
+        arrive = Switch._arrive
+
+        def counting_arrive(sw, frame):
+            if sw.up:
+                ports = [sw.ports[p] for p in sw.routes[frame.dst_node]]
+                primary = sw.ports[self.hashed(sw, frame.src_node,
+                                               frame.dst_node)]
+                if not primary.alive and any(p.alive for p in ports):
+                    rerouted.append(sw.name)
+            arrive(sw, frame)
+
+        monkeypatch.setattr(Switch, "_arrive", counting_arrive)
+        n = 8
+        sim, cluster, engines = make_pair(EngineParams(**ACK),
+                                          FatTree(k=4, seed=1), n_nodes=n)
+        core = next(s for s in cluster.switches
+                    if s.tier == "core" and s.name in cluster.path(0, 1))
+        cluster.schedule_switch_fault(core.switch_id,
+                                      FaultPlan(switch_down_at=30.0))
+        recvs = []
+        for src in range(n):
+            for dst in range(n):
+                if src != dst:
+                    recvs.append(engines[dst].irecv(src=src, tag=0))
+                    engines[src].isend(dst, bytes(4096), tag=0)
+        sim.run()
+        assert all(r.complete and not r.failed for r in recvs)
+        assert not core.up
+        assert rerouted
+        assert sum(s.paths_rerouted for s in cluster.switches) \
+            == len(rerouted)
+
+    def test_add_route_after_traffic_invalidates_the_memo(self):
+        sim, cluster, (e0, e1) = make_pair(EngineParams(), FatTree(k=4))
+        req = e1.irecv(src=0, tag=0, nbytes=64)
+        e0.isend(1, bytes(64), tag=0)
+        sim.run()
+        assert req.complete
+        # The first hop's uplink ECMP set for the flow, now memoized.
+        edge = next(s for s in cluster.switches
+                    if s.name == cluster.path(0, 1)[0])
+        before = edge.select_port(0, 1, count=False)
+        assert len(edge.routes[1]) == 2
+        other, = [p for p in edge.routes[1] if p != before]
+        edge.add_route(1, (other,))
+        assert edge.select_port(0, 1, count=False) == other
+        edge.add_route(1, (other, before))
+        assert edge.select_port(0, 1, count=False) \
+            == self.hashed(edge, 0, 1)
+
+
 # -- fault domains ------------------------------------------------------------
 
 class TestFaultDomains:
@@ -361,7 +448,7 @@ class TestTopologyReporting:
                   if isinstance(value, int) and not isinstance(value, bool)
                   and not name.startswith("_")
                   and name not in ("switch_id", "node_id", "rail", "group",
-                                   "salt")}
+                                   "salt", "generation")}
         assert actual == set(SWITCH_COUNTERS)
 
     def test_chaos_fault_kinds_mirror(self):
