@@ -295,8 +295,7 @@ def _report_payload(args, pair, messages, stalled) -> dict:
                 "unexpected_bytes": engine.matcher.unexpected_bytes,
                 "peak_unexpected_bytes": engine.matcher.peak_unexpected_bytes,
             },
-            "window": {"peak_bytes": engine.window.peak_bytes,
-                       "deferred": engine.collect.n_deferred},
+            "window": {"peak_bytes": engine.window.peak_bytes},
             # Per-peer RTT estimates: empty outside rel_timeout_us="auto",
             # so the JSON shape is mode-independent.
             "rtt": (adaptive_summary(engine.rtt.snapshot())
@@ -658,8 +657,13 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         if args.check is not None:
             # Read before writing --out: the two paths may be the same
             # file, and the gate must compare against the committed copy.
-            with open(args.check, encoding="utf-8") as fh:
-                baseline = _json.load(fh)
+            try:
+                with open(args.check, encoding="utf-8") as fh:
+                    baseline = _json.load(fh)
+            except (OSError, ValueError) as exc:
+                raise SystemExit(
+                    f"cannot read perf baseline {args.check}: {exc}"
+                ) from None
         payload = run_suite(quick=args.quick)
         _print(out, render_perf(payload))
         path = write_bench(payload, args.out)

@@ -54,8 +54,9 @@ class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
 
     The scheduler costs realize the overhead sources of paper §5.1: an
     extra header per physical packet (``hdr``), and "extra operations on
-    the critical path to inspect the 'ready list'" — ``pull_cost_us`` once
-    per synthesized packet plus the rail's
+    the critical path to inspect the 'ready list'" —
+    :data:`~repro.core.transfer.PULL_COST_US` once per synthesized packet
+    plus the rail's
     :attr:`~repro.netsim.profiles.NicProfile.per_mtu_cost_us` per MTU of
     data pushed through the optimizer's data path.
 
@@ -65,7 +66,6 @@ class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
     """
 
     hdr: HeaderSpec = field(default_factory=HeaderSpec)
-    pull_cost_us: float = knob(0.25, lo=0.0)
     #: Dispatch policy (paper 3.2): "on_idle" = synthesize when a NIC asks;
     #: "anticipate" = while all NICs are busy keep one ready-to-send packet
     #: prepared and re-feed it instantly; "backlog" = anticipate only once
@@ -74,13 +74,6 @@ class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
         "on_idle", choices=("on_idle", "anticipate", "backlog"))
     backlog_flush_threshold: int = knob(8, lo=1)
     rdv_chunk_bytes: int = knob(512 * 1024, gt=0)
-    #: Bounded collect layer: caps on the optimization window (0 = the
-    #: paper's unbounded window).  When full, ``window_policy`` decides:
-    #: ``"block"`` defers the submission FIFO until the window drains,
-    #: ``"fail"`` raises :class:`~repro.errors.WindowFullError`.
-    max_window_wraps: int = knob(0, lo=0)
-    max_window_bytes: int = knob(0, lo=0)
-    window_policy: str = knob("block", choices=("block", "fail"))
 
     def __post_init__(self) -> None:
         for name, spec in _KNOBS:
@@ -344,20 +337,13 @@ class NmadEngine:
         """Pull a pending send's wrap back out of the engine and fail it.
 
         The shared back-out machinery of :meth:`cancel` and the
-        per-request deadline path: a deferred submission is simply
-        dropped; a wrap in the optimization window is taken out and
-        replaced by a tombstone for its consumed sequence number.  Returns
-        ``False`` — and fails nothing — when the data already left the node.
+        per-request deadline path: a wrap in the optimization window is
+        taken out and replaced by a tombstone for its consumed sequence
+        number.  Returns ``False`` — and fails nothing — when the data
+        already left the node.
         """
         wrap = req.wrap
         assert wrap is not None
-        if self.collect.cancel_deferred(wrap):
-            # Never admitted: no sequence number consumed, no tombstone due.
-            req.settle(err)
-            if self.tracer.enabled:
-                self.tracer.emit(self.sim.now, self.collect.source, trace,
-                                 wrap=wrap.wrap_id)
-            return True
         if wrap not in self.window:
             return False
         self.window.take(wrap)
@@ -477,7 +463,6 @@ class NmadEngine:
             and self.rendezvous.n_granted == 0
             and self.rendezvous.n_incoming == 0
             and self.matcher.n_parked == 0
-            and self.collect.n_deferred == 0
         )
 
     def _deadlock_hint(self) -> str | None:
@@ -488,8 +473,8 @@ class NmadEngine:
         can be fully quiesced while the application hangs), so the stall
         signal is an outstanding posted receive or unquiesced state.  An
         unquiesced engine adds a dump of where its work is held: each
-        peer's window backlog and per-layer state, then the collect,
-        matcher and rendezvous queues.
+        peer's window backlog and per-layer state, then the matcher and
+        rendezvous queues.
         """
         if self.halted:
             # A crashed node's engine is not stuck; it is dead.  The live
@@ -541,7 +526,6 @@ class NmadEngine:
                  f"{win.backlog_bytes(peer)}B{flag}"]
                 + [layer.describe_peer(peer) for layer in self.layers]))
         lines += [
-            f"  collect: deferred={self.collect.n_deferred} submissions",
             f"  matcher: posted={m.n_posted} parked={m.n_parked} "
             f"unexpected={m.n_unexpected} ({m.unexpected_bytes}B buffered)",
             f"  rendezvous: pending={rdv.n_pending} granted={rdv.n_granted} "

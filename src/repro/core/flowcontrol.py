@@ -84,7 +84,6 @@ class FlowControlStats:
     """Overload-protection counters (``EngineStats`` inherits them)."""
 
     credit_stalls: int = counter("flow_control")    # dest became credit-blocked
-    window_full_events: int = counter("flow_control")  # deferred/rejected at cap
     credits_granted: int = counter("flow_control")  # grants of released credit
     # Always 0; kept because benchmarks/macro/one_run.py reads it by name.
     nacks_sent: int = counter("flow_control")

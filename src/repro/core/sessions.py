@@ -415,8 +415,8 @@ class SessionLayer(Layer):
 
         Runs with no simulated time passing, so no frame or timer can
         interleave between the steps: deferred handshake frames, window
-        backlog (a plan prepared over it lapses), collect-deferred
-        submissions, reliability windows (and their retransmit/ack timers),
+        backlog (a plan prepared over it lapses), collect sequencing,
+        reliability windows (and their retransmit/ack timers),
         rendezvous transfers, credit ledgers (and their grant/resend
         timers), and the matcher's per-peer sequence state go in one step.
         """
@@ -427,7 +427,7 @@ class SessionLayer(Layer):
         for wrap in engine.window.drain_matching(lambda w: w.dest == peer):
             if wrap.completion is not None:
                 wrap.completion.settle(exc)
-        engine.collect.reset_dest(peer, exc)
+        engine.collect.reset_dest(peer)
         for layer in engine.layers:
             if layer is not self:
                 layer.reset_peer(peer, exc)
@@ -469,7 +469,6 @@ class SessionLayer(Layer):
             engine.window.backlog(peer)
             or any(layer.has_outstanding(peer) for layer in engine.layers)
             or engine.rendezvous.involves_peer(peer)
-            or engine.collect.has_deferred_to(peer)
             or engine.matcher.has_posted_from(peer)
         )
 

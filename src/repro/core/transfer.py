@@ -59,6 +59,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["TransferLayer"]
 
+#: Pull cost of synthesizing one packet on a NIC's idle edge: the paper's
+#: "extra operations on the critical path to inspect the 'ready list'"
+#: (§5.1), charged once per packet before the rail's per-MTU cost.
+PULL_COST_US = 0.25
 #: Pull cost when a NIC is refilled from an *anticipated* (pre-synthesized)
 #: packet: the optimization function already ran off the critical path,
 #: only the hand-over remains (paper §3.2, second dispatch policy).
@@ -253,7 +257,6 @@ class TransferLayer:
         nic = self.nics[rail]
         if not nic.idle or rail in self.quarantined:
             return
-        params = engine.params
         plan = self._anticipated
         if plan is not None:
             self._anticipated = None
@@ -278,7 +281,7 @@ class TransferLayer:
                 plan.validate(ctx)
                 items = self._materialize(plan, rail)
                 self._post_packet(nic, plan, items,
-                                  pull_cost=params.pull_cost_us)
+                                  pull_cost=PULL_COST_US)
                 return
         bulk = engine.rendezvous.next_chunk(
             rail, engine.strategy.multirail_bulk)
@@ -386,7 +389,7 @@ class TransferLayer:
         pkt = PhysPacket([item])
         wire, nbytes, _ = pkt.sizes(params.hdr)
         cpu_gap = (
-            params.pull_cost_us
+            PULL_COST_US
             + nic.profile.per_mtu_cost_us
               * math.ceil(wire / nic.profile.mtu_bytes)
         )

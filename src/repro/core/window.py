@@ -67,9 +67,6 @@ class OptimizationWindow:
         self.peak_wraps = 0
         self.peak_bytes = 0
         self.total_submitted = 0
-        #: Fired after every :meth:`take` — the bounded collect layer hooks
-        #: this to admit deferred submissions as soon as space frees up.
-        self.on_space: Callable[[], None] | None = None
 
     # -- submission -----------------------------------------------------------
     def submit(self, wrap: PacketWrap) -> None:
@@ -268,8 +265,6 @@ class OptimizationWindow:
                 self._dest_exempt[dest] = left
             else:
                 del self._dest_exempt[dest]
-        if self.on_space is not None:
-            self.on_space()
 
     def drain_matching(self, pred: Callable[[PacketWrap], bool]) -> list[PacketWrap]:
         """Remove and return every wrap satisfying ``pred`` (error paths)."""

@@ -53,8 +53,8 @@ class PeerDeadError(TransportError):
     (``EngineParams.sessions="epoch"``): when the heartbeat failure
     detector confirms a peer dead, or an epoch change reveals the peer
     restarted, every request bound to the old incarnation fails with this
-    error — in-flight sends, deferred submissions and posted receives
-    alike — while traffic to other peers keeps progressing.  Never raised
+    error — in-flight sends, queued sends and posted receives alike —
+    while traffic to other peers keeps progressing.  Never raised
     in the default ``sessions="off"`` (paper-faithful) mode.
     """
 
@@ -112,15 +112,4 @@ class DeadlineExceededError(MpiError):
     error — surfaced through ``wait``/``test`` like every other
     request-level failure.  A request that already completed, or a send
     whose data already left the node, is never failed retroactively.
-    """
-
-
-class WindowFullError(MpiError):
-    """A send was rejected because the optimization window is at capacity.
-
-    Only raised under ``EngineParams(window_policy="fail")`` when the
-    bounded collect layer cannot admit a new wrap without exceeding
-    ``max_window_wraps``/``max_window_bytes``.  Under the default
-    ``"block"`` policy the submission is instead deferred (FIFO) until the
-    window drains, so this error is never seen.
     """

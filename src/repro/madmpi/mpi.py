@@ -54,14 +54,6 @@ class MadMpi(MpiEndpoint):
         """Nonblocking send to ``dest`` (a rank in ``comm``); untyped, the
         handle is the library's own send request.
 
-        Overload protection (:class:`~repro.core.engine.EngineParams`)
-        surfaces here: with a bounded window and ``window_policy="block"``
-        an over-cap send is *deferred* — the request is returned as usual
-        and simply completes later (backpressure shows up as ``wait``
-        latency); with ``window_policy="fail"`` this call raises
-        :class:`~repro.errors.WindowFullError` (an :class:`MpiError`)
-        synchronously, like an MPI implementation out of request slots.
-
         ``deadline_us`` (relative virtual time) bounds how long the send
         may stay pending: if it expires while the data has not left the
         node the request fails with

@@ -30,6 +30,8 @@ from repro.chaos import (
 )
 from repro.core import EngineParams, NmadEngine
 from repro.core.flowcontrol import FlowControlLayer
+from repro.core.sessions import SessionLayer
+from repro.core.strategies import AggregationStrategy
 from repro.errors import NetworkError, ReproError
 from repro.netsim import MX_MYRI10G, Cluster, FaultPlan
 from repro.netsim.link import Link
@@ -467,6 +469,30 @@ class TestChaosHarness:
         world = run_schedule(3, spec, generate_schedule(3, spec))
         codes = {f.code for f in audit_run(world)}
         assert "credit-leak" in codes
+
+    def test_auditor_catches_a_timer_that_never_stops(self, monkeypatch):
+        # Deliberately broken failure detector: it never loses interest in
+        # a peer, so heartbeats tick forever on a fleet with nothing left
+        # to do — the queue stays live while every engine is quiesced.
+        monkeypatch.setattr(SessionLayer, "_needs_monitor",
+                            lambda self, peer: True)
+        spec = ChaosSpec.quick()
+        world = run_schedule(3, spec, generate_schedule(3, spec))
+        codes = {f.code for f in audit_run(world)}
+        assert "live-timers" in codes
+        assert "not-quiesced" not in codes
+
+    def test_auditor_catches_work_held_after_settle(self, monkeypatch):
+        # Deliberately broken optimizer: it never elects a packet, so the
+        # sender's window keeps its backlog (and its failure detector
+        # keeps probing) long after the settle window.
+        monkeypatch.setattr(AggregationStrategy, "select",
+                            lambda self, ctx: None)
+        spec = ChaosSpec.quick()
+        world = run_schedule(3, spec, generate_schedule(3, spec))
+        codes = {f.code for f in audit_run(world)}
+        assert "not-quiesced" in codes
+        assert "live-timers" not in codes
 
     def test_auditor_catches_unaccounted_delivery(self, monkeypatch):
         # Deliberately broken wire: every frame lands twice but the link

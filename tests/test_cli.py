@@ -180,7 +180,7 @@ class TestReportPartitionGroup:
 
         declared = {f.name for f in dataclasses.fields(EngineStats)}
         grouped = [f for _, fields in REPORT_STAT_GROUPS for f in fields]
-        assert len(grouped) == len(set(grouped)) == 34
+        assert len(grouped) == len(set(grouped)) == 33
         assert set(grouped) == declared == STATS_COUNTERS
         assert [g for g, _ in REPORT_STAT_GROUPS] == [
             "core", "reliability", "flow_control", "sessions", "partition",
@@ -283,6 +283,28 @@ class TestChaosCommand:
     def test_bad_seeds_rejected(self):
         with pytest.raises(SystemExit):
             run_cli("chaos", "--seeds", "0")
+
+
+class TestPerfCommand:
+    @pytest.mark.parametrize("bad", ["missing", "garbage"])
+    def test_unreadable_baseline_exits_before_the_suite(
+            self, bad, tmp_path, monkeypatch):
+        from repro.bench import perf
+
+        def never(**_kw):
+            raise AssertionError("the suite ran despite a bad baseline")
+
+        monkeypatch.setattr(perf, "run_suite", never)
+        baseline = tmp_path / "baseline.json"
+        if bad == "garbage":
+            baseline.write_text("{not json")
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("perf", "--quick", "--check", str(baseline),
+                    "--out", str(out))
+        assert str(exc.value).startswith(
+            f"cannot read perf baseline {baseline}: ")
+        assert not out.exists()
 
 
 class TestAdaptiveCli:

@@ -10,7 +10,7 @@ the packet backlog has reached a predefined threshold length [backlog]."
 
 import pytest
 
-from repro.core import EngineParams, NmadEngine, VirtualData
+from repro.core import EngineParams, NmadEngine, VirtualData, transfer
 from repro.netsim import Cluster, MX_MYRI10G, QUADRICS_QM500
 from repro.sim import Simulator
 
@@ -63,15 +63,17 @@ class TestAnticipate:
         busy_then_burst(sim, e0, e1)
         assert e0.stats.anticipated_hits == 0
 
-    def test_anticipation_saves_critical_path_time(self):
+    def test_anticipation_saves_critical_path_time(self, monkeypatch):
         # Make the pull cost expensive so the saving is unambiguous, and
         # measure when the *burst* lands (the big send's receive copy would
         # otherwise dominate the makespan and hide the refill saving).
+        monkeypatch.setattr(transfer, "PULL_COST_US", 2.0)
+
         def run(policy):
             # The opener is rendezvous-sized: an eager one's receive copy
             # would occupy the serialized copy queue and mask the refill
             # delta.
-            params = EngineParams(dispatch_policy=policy, pull_cost_us=2.0)
+            params = EngineParams(dispatch_policy=policy)
             sim, _, e0, e1 = make(params)
 
             def app():
@@ -228,22 +230,25 @@ class TestBacklogPolicy:
         assert e0.quiesced()
 
 
-class TestBoundedWindow:
+class TestAnticipatedOrder:
     @pytest.mark.parametrize("policy", ["anticipate", "backlog"])
-    def test_prepared_plan_survives_deferred_admissions(self, policy):
-        # Regression: preparing used to take the wraps out of the window,
-        # which let the bounded collect layer admit deferred sends and
-        # re-enter the preparation half-way (StrategyError: "not in the
-        # window").  A prepared plan now leaves the window alone.
+    def test_prepared_plan_delivers_in_order(self, policy):
+        # A prepared plan leaves its wraps in the window until hand-over,
+        # so sends submitted while it waits queue behind it: receives from
+        # any tag still see every message, byte-exact, in submission order.
+        # The sends trickle in so several packets are prepared while the
+        # NIC is busy.
         params = EngineParams(dispatch_policy=policy,
-                              backlog_flush_threshold=2,
-                              max_window_wraps=2, window_policy="block")
+                              backlog_flush_threshold=2)
         sim, _, e0, e1 = make(params)
         n = 12
 
         def app():
             recvs = [e1.irecv(src=0) for _ in range(n)]
-            sends = [e0.isend(1, bytes([i]) * 256, tag=i) for i in range(n)]
+            sends = []
+            for i in range(n):
+                sends.append(e0.isend(1, bytes([i]) * 256, tag=i))
+                yield sim.timeout(0.2)
             yield sim.all_of([r.done for r in recvs] + [s.done for s in sends])
             return recvs
 
@@ -251,7 +256,6 @@ class TestBoundedWindow:
         assert [r.actual_tag for r in recvs] == list(range(n))
         assert [r.data.tobytes() for r in recvs] == \
             [bytes([i]) * 256 for i in range(n)]
-        assert e0.stats.window_full_events > 0
-        assert e0.stats.anticipated_hits > 0
-        assert len(e0.window) == 0 and e0.window.peak_wraps <= 2
+        assert e0.stats.anticipated_hits > 1
+        assert len(e0.window) == 0
         assert e0.quiesced() and e1.quiesced()

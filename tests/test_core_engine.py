@@ -607,8 +607,6 @@ class TestEngineManagement:
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            EngineParams(pull_cost_us=-1)
-        with pytest.raises(ValueError):
             EngineParams(rdv_chunk_bytes=0)
 
     def test_per_mtu_cost_lookup(self):

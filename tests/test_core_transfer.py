@@ -183,10 +183,10 @@ class TestIdleEdge:
 
 
 class TestCosts:
-    def test_pull_cost_on_critical_path(self):
+    def test_pull_cost_on_critical_path(self, monkeypatch):
         def one_way(pull_cost):
-            params = EngineParams(pull_cost_us=pull_cost)
-            sim, _, e0, e1 = make(params=params)
+            monkeypatch.setattr(transfer, "PULL_COST_US", pull_cost)
+            sim, _, e0, e1 = make()
 
             def app():
                 e1.irecv(src=0)

@@ -1,9 +1,9 @@
-"""Overload protection: credit flow control, bounded windows, stall reports.
+"""Overload protection: credit flow control and stall reports.
 
 Covers the opt-in ``flow_control="credit"`` subsystem end to end — credit
-consumption/blocking/grants, bounded collect admission under both policies,
-and the kernel's stall reports naming a wedged peer — plus the guarantee
-the default mode stays inert (every new counter zero, no behaviour change).
+consumption/blocking/grants and the kernel's stall reports naming a wedged
+peer — plus the guarantee the default mode stays inert (every new counter
+zero, no behaviour change).
 """
 
 import pytest
@@ -11,9 +11,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EngineParams, NmadEngine, VirtualData
-from repro.errors import (
-    MpiError, PeerDeadError, SimulationError, WindowFullError,
-)
+from repro.errors import MpiError, PeerDeadError, SimulationError
 from repro.netsim import Cluster, MX_MYRI10G
 from repro.sim import Simulator
 
@@ -26,8 +24,7 @@ def make_pair(params, n_nodes=2):
     return sim, cluster, engines
 
 
-FC_COUNTERS = ("credit_stalls", "window_full_events", "credits_granted",
-               "nacks_sent")
+FC_COUNTERS = ("credit_stalls", "credits_granted", "nacks_sent")
 
 
 class TestDefaultsStayPaperFaithful:
@@ -55,10 +52,6 @@ class TestDefaultsStayPaperFaithful:
             EngineParams(flow_control="credit", credit_bytes=0)
         with pytest.raises(ValueError):
             EngineParams(flow_control="credit", credit_wraps=0)
-        with pytest.raises(ValueError):
-            EngineParams(max_window_wraps=-1)
-        with pytest.raises(ValueError):
-            EngineParams(max_window_wraps=4, window_policy="explode")
 
     def test_credit_budget_must_fit_one_eager_segment(self):
         sim = Simulator()
@@ -145,92 +138,6 @@ class TestCreditFlowControl:
         sim.run()
         assert e0.quiesced() and e1.quiesced()
         assert cluster.conservation_ok()
-
-
-class TestBoundedWindow:
-    def test_block_policy_defers_and_completes(self):
-        params = EngineParams(max_window_wraps=4)
-        sim, cluster, (e0, e1) = make_pair(params)
-        n = 40
-        reqs = [e0.isend(1, VirtualData(512), tag=i) for i in range(n)]
-        assert e0.window.backlog() <= 4
-        assert e0.collect.n_deferred == n - 4
-        assert e0.stats.window_full_events == n - 4
-
-        def rx():
-            for i in range(n):
-                req = e1.irecv(src=0, tag=i, nbytes=512)
-                yield req.done
-                assert req.actual_len == 512
-
-        sim.run_process(rx())
-        sim.run()
-        assert all(r.done.triggered for r in reqs)
-        assert e0.collect.n_deferred == 0
-        assert e0.quiesced() and e1.quiesced()
-        assert cluster.conservation_ok()
-
-    def test_byte_cap_defers_but_giant_wrap_still_admitted(self):
-        params = EngineParams(max_window_bytes=4096)
-        sim, cluster, (e0, e1) = make_pair(params)
-        # A wrap larger than the whole byte cap must still be admissible
-        # into an empty window, or it could never be sent.
-        e0.isend(1, VirtualData(16 * 1024), tag=0)
-        assert e0.collect.n_deferred == 0
-        e0.isend(1, VirtualData(2048), tag=1)
-        assert e0.collect.n_deferred == 1
-
-        def rx():
-            yield from e1.recv(src=0, tag=0)
-            yield from e1.recv(src=0, tag=1)
-
-        sim.run_process(rx())
-        sim.run()
-        assert e0.quiesced() and e1.quiesced()
-
-    def test_fifo_admission_order_is_preserved(self):
-        params = EngineParams(max_window_wraps=2)
-        sim, cluster, (e0, e1) = make_pair(params)
-        for i in range(10):
-            e0.isend(1, VirtualData(256), tag=i)
-        got = []
-
-        def rx():
-            for _ in range(10):
-                req = yield from e1.recv(src=0)
-                got.append(req.actual_tag)
-
-        sim.run_process(rx())
-        sim.run()
-        assert got == list(range(10))
-
-    def test_fail_policy_raises_window_full(self):
-        params = EngineParams(max_window_wraps=2, window_policy="fail")
-        sim, cluster, (e0, e1) = make_pair(params)
-        e0.isend(1, VirtualData(256), tag=0)
-        e0.isend(1, VirtualData(256), tag=1)
-        with pytest.raises(WindowFullError):
-            e0.isend(1, VirtualData(256), tag=2)
-        assert e0.stats.window_full_events == 1
-        # WindowFullError is an MpiError: MAD-MPI callers catch one type.
-        assert issubclass(WindowFullError, MpiError)
-
-    def test_deferred_send_can_be_cancelled(self):
-        params = EngineParams(max_window_wraps=1)
-        sim, cluster, (e0, e1) = make_pair(params)
-        e0.isend(1, VirtualData(256), tag=0)
-        deferred = e0.isend(1, VirtualData(256), tag=1)
-        assert e0.collect.n_deferred == 1
-        assert e0.cancel(deferred)
-        deferred.done.defuse()
-        assert e0.collect.n_deferred == 0
-
-        def rx():
-            yield from e1.recv(src=0, tag=0)
-
-        sim.run_process(rx())
-        sim.run()
-        assert e0.quiesced() and e1.quiesced()
 
 
 class TestStallDiagnosis:

@@ -33,21 +33,20 @@ MODES = [k for k in KNOBS if k[1].choices]
 
 #: Deleted knobs: the NACK-and-resend overflow path's two (the credit budget
 #: bounds the eager buffer alone), the progress watchdog's period (the
-#: kernel's deadlock and livelock reports carry its per-peer dump) and three
-#: receive-path costs only tests turned (now a copy on every eager receive
-#: and ``transfer.DEMUX_*_COST_US``). Each keeps its case in the per-knob
-#: checks below, where it must now be refused as an unknown name.
+#: kernel's deadlock and livelock reports carry its per-peer dump), four
+#: host costs only tests turned (now a copy on every eager receive,
+#: ``transfer.DEMUX_*_COST_US`` and ``transfer.PULL_COST_US``) and the
+#: bounded window's three (the paper's window is unbounded; credit bounds
+#: what a receiver buffers). Each keeps its case in the per-knob checks
+#: below, where it must now be refused as an unknown name.
 RETIRED = ["max_unexpected_bytes", "nack_delay_us", "watchdog_interval_us",
            "eager_copy_on_recv", "demux_packet_cost_us",
-           "demux_item_cost_us"]
+           "demux_item_cost_us", "pull_cost_us", "max_window_wraps",
+           "max_window_bytes", "window_policy"]
 
 #: Knobs no caller outside the tests sets, each with the reason it stays.
 #: Any other field must be set somewhere under :data:`CALLER_ROOTS`.
 TEST_ONLY = {
-    "pull_cost_us": "the paper's 5.1 pull cost, a measured constant",
-    "max_window_wraps": "a ROADMAP 3(a) lattice dimension (bounded window)",
-    "max_window_bytes": "a ROADMAP 3(a) lattice dimension (bounded window)",
-    "window_policy": "a ROADMAP 3(a) lattice dimension (bounded window)",
     "credit_bytes": "tests shrink it to provoke credit stalls at small scale",
     "credit_wraps": "tests shrink it to provoke credit stalls at small scale",
     "credit_grant_delay_us": "tests stretch it to provoke grant coalescing",

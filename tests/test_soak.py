@@ -70,20 +70,19 @@ def test_bidirectional_soak(strategy, rails):
 def test_flood_soak_credit_mode_stays_bounded(adaptive):
     """Four flooding senders vs one slow receiver under credit flow control.
 
-    The overload-protection claim in one run: every sender's window stays
-    bounded (deferred admission), the receiver's unexpected buffer never
-    exceeds what the senders' credit allows (credit is released only on
-    the match, so each sender has at most ``credit_bytes`` buffered
-    unexpected), and despite the stalls every byte is delivered exactly
-    once.  The ``rel-auto`` variant stacks the adaptive timing layer on
-    top (``reliability="ack"``, ``rel_timeout_us="auto"``): measured grant
-    pacing must not break a single overload invariant.
+    The overload-protection claim in one run: the receiver's unexpected
+    buffer never exceeds what the senders' credit allows (credit is
+    released only on the match, so each sender has at most
+    ``credit_bytes`` buffered unexpected), and despite the stalls every
+    byte is delivered exactly once.  The ``rel-auto`` variant stacks the
+    adaptive timing layer on top (``reliability="ack"``,
+    ``rel_timeout_us="auto"``): measured grant pacing must not break a
+    single overload invariant.
     """
     n_senders = 4
     n_msgs = 120
     credit_bytes = 32 * 1024
     credit_wraps = 8
-    max_wraps = 16
     sim = Simulator()
     cluster = Cluster(sim, n_nodes=n_senders + 1, rails=(MX_MYRI10G,))
     timing = ({"reliability": "ack", "rel_timeout_us": "auto",
@@ -92,7 +91,6 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive):
         flow_control="credit",
         credit_bytes=credit_bytes,
         credit_wraps=credit_wraps,
-        max_window_wraps=max_wraps,
         **timing,
     )
     engines = [NmadEngine(cluster.node(i), params=params)
@@ -129,13 +127,11 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive):
         assert engine.quiesced()
 
     # Bounded: the unexpected buffer holds at most every sender's credit
-    # (here the 8-wrap budget binds before the byte budget), the windows
-    # respect their wrap cap (slack covers per-wrap header bytes).
+    # (here the 8-wrap budget binds before the byte budget).
     assert rx.matcher.peak_unexpected_bytes <= n_senders * credit_bytes
     assert rx.matcher.peak_unexpected_bytes <= n_senders * credit_wraps * 2048
     assert rx.matcher.n_unexpected == 0 and rx.matcher.unexpected_bytes == 0
     for s in range(n_senders):
-        assert engines[s].window.peak_bytes <= max_wraps * (2048 + 256)
         assert engines[s].window.empty
 
     # Byte-exact despite the overload machinery kicking in: every message
@@ -146,10 +142,8 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive):
         total = sum(size for _i, size in plan[s])
         assert engines[s].stats.eager_bytes == total
 
-    # The protections were actually exercised.
+    # The protection was actually exercised.
     assert sum(engines[s].stats.credit_stalls for s in range(n_senders)) > 0
-    assert sum(engines[s].stats.window_full_events
-               for s in range(n_senders)) > 0
 
     if adaptive:
         # The estimator measured the flood, and on a loss-free fabric the
