@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from repro.core.data import SegmentData, VirtualData, as_data
 from repro.core.matching import Incoming, Matcher
 from repro.core.packet import RdvReqItem, SegItem
+from repro.core.rendezvous import RdvRecvState
 from repro.core.requests import ANY, RecvRequest
 from repro.errors import MpiError, ProtocolError
 from repro.madmpi.comm import Communicator
@@ -141,20 +142,15 @@ class _RdvSend:
         self.per_chunk_pack_us = per_chunk_pack_us
 
 
-class _RdvRecv:
-    """Receiver-side state of one rendezvous transfer."""
+class _RdvRecv(RdvRecvState):
+    """Receiver-side state of one rendezvous transfer, plus the packed
+    datatype stream still to dispatch into the typed buffer."""
 
-    __slots__ = ("req", "total", "received", "pieces", "tag", "src",
-                 "unpack_blocks", "unpack_free_at")
+    __slots__ = ("unpack_blocks", "unpack_free_at")
 
-    def __init__(self, req: RecvRequest, total: int, tag: int, src: int,
-                 unpack_blocks: list[int] | None) -> None:
-        self.req = req
-        self.total = total
-        self.received = 0
-        self.pieces: list[tuple[int, SegmentData]] = []
-        self.tag = tag
-        self.src = src
+    def __init__(self, req: RecvRequest, src: int, handle: int, total: int,
+                 tag: int, unpack_blocks: list[int] | None) -> None:
+        super().__init__(req, src, handle, total, tag)
         self.unpack_blocks = unpack_blocks
         self.unpack_free_at = 0.0
 
@@ -375,7 +371,8 @@ class BaselineMpi(MpiEndpoint):
         if isinstance(inc.item, RdvReqItem):
             key = (inc.item.src, inc.item.handle)
             self._rdv_incoming[key] = _RdvRecv(
-                sub, total=inc.item.nbytes, tag=inc.tag, src=inc.src,
+                sub, src=inc.src, handle=inc.item.handle,
+                total=inc.item.nbytes, tag=inc.tag,
                 unpack_blocks=unpack_blocks)
             ack = _RdvAck(src=self.node.node_id, handle=inc.item.handle)
             frame = Frame(src_node=self.node.node_id, dst_node=inc.item.src,
@@ -448,10 +445,7 @@ class BaselineMpi(MpiEndpoint):
             raise ProtocolError(
                 f"{self.params.name}: bulk for unknown rendezvous {key}"
             )
-        state.pieces.append((msg.offset, msg.data))
-        state.received += msg.data.nbytes
-        if state.received > state.total:
-            raise ProtocolError(f"{self.params.name}: rendezvous overrun")
+        state.land(msg.offset, msg.data)
         now = self.sim.now
         if state.unpack_blocks is not None:
             # The packed stream lands in a temporary area; dispatching it to
@@ -460,10 +454,10 @@ class BaselineMpi(MpiEndpoint):
             fraction = msg.data.nbytes / state.total
             cost = self.node.memory.unpack_time(state.unpack_blocks) * fraction
             state.unpack_free_at = now + self.node.serialize_copy(cost)
-        if state.received == state.total:
+        if state.complete:
             del self._rdv_incoming[key]
             finish_at = max(now, state.unpack_free_at)
-            data = self._assemble(state)
+            data = state.assemble()
 
             def _finish():
                 state.req.finish(data, src=state.src, tag=state.tag)
@@ -472,16 +466,6 @@ class BaselineMpi(MpiEndpoint):
                 self.sim.schedule(finish_at - now, _finish)
             else:
                 _finish()
-
-    @staticmethod
-    def _assemble(state: _RdvRecv) -> SegmentData:
-        if any(isinstance(d, VirtualData) for _, d in state.pieces):
-            return VirtualData(state.total)
-        from repro.core.data import Bytes
-        buf = bytearray(state.total)
-        for offset, data in state.pieces:
-            buf[offset:offset + data.nbytes] = data.tobytes()
-        return Bytes(bytes(buf))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{self.params.name} rank={self.rank} node={self.node.node_id}>"

@@ -29,7 +29,7 @@ from random import Random
 from typing import TYPE_CHECKING, Any
 
 from repro.chaos.schedule import ChaosFault, ChaosSpec, generate_schedule
-from repro.core.engine import EngineParams, NmadEngine
+from repro.core.engine import OPT_IN, EngineParams, NmadEngine
 from repro.core.requests import RecvRequest, SendRequest
 from repro.errors import PeerDeadError, ReproError
 from repro.netsim.fabric import FatTree
@@ -177,23 +177,14 @@ def _engine_params(spec: ChaosSpec) -> EngineParams:
     identical, so an adaptive run differs from its static twin only in
     how deadlines are derived — the fault schedule is the same.
     """
+    knobs: dict[str, Any] = {layer.knob: layer.on for layer in OPT_IN}
     if spec.adaptive:
-        return EngineParams(
-            reliability="ack",
-            flow_control="credit",
-            sessions="epoch",
-            rel_timeout_us="auto",
-            rel_rto_ceiling_us=spec.rel_rto_ceiling_us,
-            rel_ack_delay_us=10.0,
-            rel_retry_budget=spec.rel_retry_budget,
-            hb_interval_us=spec.hb_interval_us,
-            hb_timeout_us=spec.hb_timeout_us,
-        )
+        knobs.update(rel_timeout_us="auto",
+                     rel_rto_ceiling_us=spec.rel_rto_ceiling_us)
+    else:
+        knobs.update(rel_timeout_us=spec.rel_timeout_us)
     return EngineParams(
-        reliability="ack",
-        flow_control="credit",
-        sessions="epoch",
-        rel_timeout_us=spec.rel_timeout_us,
+        **knobs,
         rel_ack_delay_us=10.0,
         rel_retry_budget=spec.rel_retry_budget,
         hb_interval_us=spec.hb_interval_us,

@@ -27,7 +27,7 @@ from repro.bench import (
     run_figure3,
     run_figure4,
 )
-from repro.core.engine import EngineStats
+from repro.core.engine import OPT_IN, EngineStats
 from repro.netsim import KB, MB, MX_MYRI10G, PROFILES, QUADRICS_QM500
 
 __all__ = ["main", "build_parser"]
@@ -79,18 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     report = sub.add_parser(
         "report",
         help="replay a demo workload and print engine/NIC/fault statistics")
-    report.add_argument("--reliability", choices=("off", "ack"),
-                        default="off",
-                        help="transport reliability mode (default: off, "
-                             "the paper's no-retransmission engine)")
-    report.add_argument("--flow-control", choices=("off", "credit"),
-                        default="off",
-                        help="credit-based overload protection (default: "
-                             "off, the paper's unbounded engine)")
-    report.add_argument("--sessions", choices=("off", "epoch"),
-                        default="off",
-                        help="peer failure detection and session epochs "
-                             "(default: off, the paper's crash-free engine)")
+    for layer in OPT_IN:
+        doc = (layer.cls.__doc__ or "").splitlines()[0].rstrip(".")
+        report.add_argument("--" + layer.knob.replace("_", "-"),
+                            choices=("off", layer.on), default="off",
+                            help=f"{doc} (default: off, the paper's engine)")
     report.add_argument("--rel-timeout", default=None, metavar="US|auto",
                         dest="rel_timeout",
                         help="retransmit timeout: microseconds, or 'auto' "
@@ -306,9 +299,7 @@ def _report_payload(args, pair, messages, stalled) -> dict:
     return {
         "config": {
             "rails": args.rails,
-            "reliability": args.reliability,
-            "flow_control": args.flow_control,
-            "sessions": args.sessions,
+            **{layer.knob: getattr(args, layer.knob) for layer in OPT_IN},
             "rel_timeout": args.rel_timeout,
             "hedge": args.hedge,
             "messages": args.messages,
@@ -344,13 +335,6 @@ def _report(args, out) -> int:
     from repro.core import EngineParams
     from repro.errors import NetworkError, ReproError, SimulationError
     from repro.netsim import FaultPlan
-    from repro.netsim.stats import (
-        cluster_utilization,
-        render_adaptive,
-        render_fault_summary,
-        render_topology,
-        render_utilization,
-    )
 
     if args.messages < 1:
         raise SystemExit("--messages must be >= 1")
@@ -373,9 +357,8 @@ def _report(args, out) -> int:
     if args.hedge:
         timing["rel_hedge"] = "tail"
     try:
-        params = EngineParams(reliability=args.reliability,
-                              flow_control=args.flow_control,
-                              sessions=args.sessions, **timing)
+        params = EngineParams(**{layer.knob: getattr(args, layer.knob)
+                                 for layer in OPT_IN}, **timing)
     except (ReproError, ValueError) as exc:
         raise SystemExit(f"invalid engine configuration: {exc}") from None
     pair = make_backend_pair("madmpi", rails=rails, strategy=strategy,
@@ -410,43 +393,27 @@ def _report(args, out) -> int:
 
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 0 if stalled is None else 1
+    else:
+        for key, value in payload.items():
+            _print(out, "\n".join(_render(key, value)))
+        if stalled is not None:
+            _print(out, f"SIMULATION STALLED: {stalled}")
+    return 0 if stalled is None else 1
 
-    if stalled is None:
-        rep = payload["replay"]
-        _print(out, (f"replayed {rep['messages']} messages "
-                     f"({rep['payload_bytes']} payload bytes) "
-                     f"node0 -> node1 in {rep['elapsed_us']:.1f}us "
-                     f"[reliability={args.reliability} "
-                     f"flow_control={args.flow_control} "
-                     f"sessions={args.sessions}]"))
-    for eng in payload["engines"]:
-        lines = [f"-- engine stats: node{eng['node']} "
-                 f"(strategy={eng['strategy']}) --"]
-        for group, fields in REPORT_STAT_GROUPS:
-            lines.append(f"  [{group}]")
-            for field in fields:
-                lines.append(f"    {field:<22} {eng[group][field]}")
-        lines.append("  [matcher]")
-        for key, value in eng["matcher"].items():
-            lines.append(f"    {key:<22} {value}")
-        lines.append("  [window]")
-        for key, value in eng["window"].items():
-            lines.append(f"    {key:<22} {value}")
-        if eng["rtt"]:
-            lines.append("  [rtt]")
-            for row in render_adaptive(eng["rtt"]).splitlines():
-                lines.append("    " + row)
-        lines.append(f"  rails_ok: {eng['rails_ok']}")
-        _print(out, "\n".join(lines))
-    _print(out, render_utilization(cluster_utilization(pair.cluster)))
-    _print(out, render_fault_summary(pair.cluster))
-    if payload["topology"]["n_switches"]:
-        _print(out, render_topology(payload["topology"]))
-    if stalled is not None:
-        _print(out, f"SIMULATION STALLED: {stalled}")
-        return 1
-    return 0
+
+def _render(key: str, value, pad: str = "") -> list[str]:
+    """The text of ``repro report``: its JSON payload, one ``key: value``
+    line per leaf (values as JSON), a nested object indented under its
+    key, the i-th object of a list under ``key[i]``."""
+    import json
+
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return [line for i, item in enumerate(value)
+                for line in _render(f"{key}[{i}]", item, pad)]
+    if isinstance(value, dict) and value:
+        return [f"{pad}{key}:"] + [line for k, v in value.items()
+                                   for line in _render(k, v, pad + "  ")]
+    return [f"{pad}{key}: {json.dumps(value)}"]
 
 
 def _chaos(args, out) -> int:

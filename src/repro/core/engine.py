@@ -14,9 +14,9 @@ lives in :mod:`repro.core.interface`.
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field, fields
-from functools import partial
+from functools import cached_property, partial
 from typing import Any
 
 from repro.core.collect import CollectLayer
@@ -45,7 +45,8 @@ from repro.errors import (
 from repro.netsim.node import Node
 from repro.sim import Event, Tracer
 
-__all__ = ["EngineParams", "EngineStats", "NmadEngine"]
+__all__ = ["OPT_IN", "EngineParams", "EngineStats", "NmadEngine",
+           "OptInLayer"]
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,34 @@ _KNOBS = tuple((f.name, f.metadata["knob"]) for f in fields(EngineParams)
                if "knob" in f.metadata)
 
 
+@dataclass(frozen=True)
+class OptInLayer:
+    """One opt-in stage of the frame pipeline, as :data:`OPT_IN` lists it."""
+
+    knob: str                              # the EngineParams mode field
+    attr: str                              # the engine attribute holding it
+    cls: Callable[[NmadEngine], Layer]     # built when the mode is :attr:`on`
+    tx: int                                # position on the transmit path
+
+    @cached_property
+    def on(self) -> str:
+        """The mode that builds the layer: its knob's one choice but "off"."""
+        (mode,) = (c for c in dict(_KNOBS)[self.knob].choices if c != "off")
+        return str(mode)
+
+
+#: The opt-in layers, in receive order (wire first); the engine builds them
+#: in this order, so the reliability layer finds ``engine.sessions`` set.
+#: Transmit order (``tx``) is not the mirror image: the credit grant is
+#: stamped first, and the session gate precedes sequencing, so a parked
+#: frame draws its sequence number and ack snapshot when it actually leaves.
+OPT_IN: tuple[OptInLayer, ...] = (
+    OptInLayer("sessions", "sessions", SessionLayer, tx=1),
+    OptInLayer("reliability", "reliability", ReliabilityLayer, tx=2),
+    OptInLayer("flow_control", "flowcontrol", FlowControlLayer, tx=0),
+)
+
+
 @dataclass
 class EngineStats(ReliabilityStats, FlowControlStats, SessionStats):
     """Counters the tests, benches and ablations read: each declared once
@@ -118,6 +147,11 @@ class EngineStats(ReliabilityStats, FlowControlStats, SessionStats):
 
 class NmadEngine:
     """One node's NewMadeleine instance."""
+
+    #: The opt-in layers (set from :data:`OPT_IN`), ``None`` when off.
+    sessions: SessionLayer | None
+    reliability: ReliabilityLayer | None
+    flowcontrol: FlowControlLayer | None
 
     def __init__(
         self,
@@ -159,23 +193,19 @@ class NmadEngine:
         # The opt-in pipeline: a layer that is off is not constructed, so in
         # paper mode both tuples are empty and nothing sits between the
         # transfer layer and the NIC.
-        p = self.params
-        self.sessions = SessionLayer(self) if p.sessions == "epoch" else None
-        self.reliability = (ReliabilityLayer(self)
-                            if p.reliability == "ack" else None)
-        self.flowcontrol = (FlowControlLayer(self)
-                            if p.flow_control == "credit" else None)
+        built: list[tuple[int, Layer]] = []
+        for spec in OPT_IN:
+            on = getattr(self.params, spec.knob) == spec.on
+            layer = spec.cls(self) if on else None
+            setattr(self, spec.attr, layer)
+            if layer is not None:
+                built.append((spec.tx, layer))
         #: Receive order, wire first.  Halt, quiesce, teardown and the
         #: diagnostics iterate this tuple too.
-        self.layers: tuple[Layer, ...] = tuple(
-            layer for layer in (self.sessions, self.reliability,
-                                self.flowcontrol) if layer is not None)
-        #: Transmit order.  Not the mirror image: the session gate precedes
-        #: sequencing, so a parked frame draws its sequence number and ack
-        #: snapshot when it actually leaves.
+        self.layers: tuple[Layer, ...] = tuple(layer for _, layer in built)
+        #: Transmit order (``OptInLayer.tx``).
         self.tx_layers: tuple[Layer, ...] = tuple(
-            layer for layer in (self.flowcontrol, self.sessions,
-                                self.reliability) if layer is not None)
+            layer for _, layer in sorted(built, key=lambda entry: entry[0]))
         #: The per-packet and per-message hooks, in ``layers`` order: the
         #: bound method of each layer that overrides the ``Layer`` default.
         self.commit_hooks, self.match_hooks, self.post_hooks = (

@@ -151,6 +151,7 @@ class FlowControlLayer(Layer):
                 "be sent"
             )
         engine.window.gate_eager(exempt_floor)
+        engine.transfer.eager_budget = self.planning_budget
         self._credit_bytes = engine.params.credit_bytes
         self._credit_wraps = engine.params.credit_wraps
         self._grant_delay = engine.params.credit_grant_delay_us

@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 
-def _unconstrained(dest: int) -> tuple[int | None, int | None]:
+def unconstrained_budget(dest: int) -> tuple[int | None, int | None]:
     return (None, None)
 
 
@@ -65,7 +65,7 @@ class SchedulingContext:
     #: one aggregate — the flow-control layer then blocks the destination
     #: until credit returns, so the overdraft is self-correcting.
     eager_budget: Callable[[int], tuple[int | None, int | None]] = \
-        _unconstrained
+        unconstrained_budget
 
     @property
     def rdv_threshold(self) -> int:

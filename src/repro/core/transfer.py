@@ -46,7 +46,9 @@ from repro.core.packet import (
     SegItem,
     WireItem,
 )
-from repro.core.strategy import SchedulingContext, SendPlan
+from repro.core.strategy import (
+    SchedulingContext, SendPlan, unconstrained_budget,
+)
 from repro.errors import ProtocolError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -93,6 +95,11 @@ class TransferLayer:
                           for rail in range(len(self.nics))]
         self._contexts: list[SchedulingContext | None] = \
             [None] * len(self.nics)
+        #: What a strategy may still plan eagerly towards a peer
+        #: (``SchedulingContext.eager_budget``); the flow-control layer
+        #: installs its credit budget here.
+        self.eager_budget: Callable[[int], tuple[int | None, int | None]] = \
+            unconstrained_budget
         # Paper §3.2's second/third dispatch policies: at most one plan is
         # prepared while every NIC is busy.  It is only a plan: its wraps
         # stay in the window, nothing is spent, until a NIC takes it.
@@ -217,10 +224,8 @@ class TransferLayer:
                 now=self.engine.sim.now,
                 src_node=self.engine.node_id,
                 sent_wraps=self.sent_wraps,
+                eager_budget=self.eager_budget,
             )
-            fc = self.engine.flowcontrol
-            if fc is not None:
-                ctx.eager_budget = fc.planning_budget
             self._contexts[rail] = ctx
         else:
             ctx.now = self.engine.sim.now

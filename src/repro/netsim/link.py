@@ -462,8 +462,3 @@ class Link:
     def down(self) -> bool:
         """True once a ``down_at_us`` fault has taken the link down."""
         return self.down_since is not None
-
-    @property
-    def in_flight(self) -> int:
-        """Frames currently between the two NICs."""
-        return self.frames_sent - self.frames_delivered

@@ -16,9 +16,8 @@ from repro.netsim.nic import Nic
 from repro.netsim.topology import Cluster
 
 __all__ = ["NicUtilization", "SWITCH_COUNTERS", "RTT_SNAPSHOT_KEYS",
-           "nic_utilization", "cluster_utilization", "render_utilization",
-           "render_fault_summary", "topology_summary", "render_topology",
-           "adaptive_summary", "render_adaptive"]
+           "nic_utilization", "cluster_utilization", "topology_summary",
+           "adaptive_summary"]
 
 #: Every per-switch integer counter, in report order.  This is the
 #: NM304-style registry for the topology layer: the ``--json`` report and
@@ -77,49 +76,6 @@ def cluster_utilization(cluster: Cluster) -> list[NicUtilization]:
     horizon = cluster.sim.now
     return [nic_utilization(nic, horizon)
             for node in cluster.nodes for nic in node.nics]
-
-
-def render_utilization(utils: list[NicUtilization]) -> str:
-    """Aligned text table of per-NIC utilization."""
-    lines = [f"{'nic':<24} {'busy%':>7} {'tx MB/s':>9} {'frames':>8} "
-             f"{'bytes':>12}"]
-    for u in utils:
-        lines.append(
-            f"{u.name:<24} {100 * u.busy_fraction:>6.1f}% "
-            f"{u.achieved_tx_mbps:>9.1f} {u.frames_sent:>8} "
-            f"{u.bytes_sent:>12}"
-        )
-    return "\n".join(lines)
-
-
-def render_fault_summary(cluster: Cluster) -> str:
-    """One-line report of injected faults across the cluster's links."""
-    s = cluster.fault_summary()
-    conserved = cluster.conservation_ok(allow_faults=True)
-    slowed = (
-        f"{s['frames_slowed']} slowed on {s['links_slowed']} link(s), "
-        if s["frames_slowed"] else ""
-    )
-    duplicated = (
-        f"{s['frames_duplicated']} duplicated, "
-        if s["frames_duplicated"] else ""
-    )
-    reordered = (
-        f"{s['frames_reordered']} reordered, "
-        if s["frames_reordered"] else ""
-    )
-    partitioned = (
-        f"{s['frames_partition_dropped']} partition-dropped on "
-        f"{s['links_partitioned']} link(s), "
-        if s["frames_partition_dropped"] else ""
-    )
-    return (
-        f"faults: {s['frames_dropped']} dropped "
-        f"({s['bytes_dropped']}B), {s['frames_corrupted']} corrupted, "
-        f"{slowed}{duplicated}{reordered}{partitioned}"
-        f"{s['links_down']} link(s) down; "
-        f"conservation(with faults): {'ok' if conserved else 'VIOLATED'}"
-    )
 
 
 #: The tier whose load spread measures ECMP quality, per topology.
@@ -189,37 +145,3 @@ def adaptive_summary(
     special-case the mode.
     """
     return {str(peer): dict(entry) for peer, entry in snapshot.items()}
-
-
-def render_adaptive(peers: dict[str, dict[str, float | int]]) -> str:
-    """Aligned text table of per-peer RTT estimates (``repro report``)."""
-    lines = [f"{'peer':<6} {'srtt us':>9} {'rttvar us':>10} {'rto us':>9} "
-             f"{'samples':>8}"]
-    for peer in sorted(peers, key=int):
-        e = peers[peer]
-        lines.append(
-            f"{peer:<6} {e['srtt_us']:>9.2f} {e['rttvar_us']:>10.2f} "
-            f"{e['rto_us']:>9.2f} {e['samples']:>8}"
-        )
-    return "\n".join(lines)
-
-
-def render_topology(summary: dict[str, Any]) -> str:
-    """Aligned text table of per-switch forwarding counters."""
-    lines = [
-        f"topology {summary['name']}: {summary['n_switches']} switch(es), "
-        f"{summary['switches_down']} down, "
-        f"{summary['paths_rerouted']} path(s) rerouted, "
-        f"ecmp spread {summary['ecmp_spread']}",
-    ]
-    if summary["switches"]:
-        lines.append(f"{'switch':<24} {'tier':<7} {'fwd':>8} {'fwdB':>12} "
-                     f"{'drop':>6} {'rerte':>6} {'state':>6}")
-        for sw in summary["switches"]:
-            lines.append(
-                f"{sw['name']:<24} {sw['tier']:<7} "
-                f"{sw['frames_forwarded']:>8} {sw['bytes_forwarded']:>12} "
-                f"{sw['frames_dropped']:>6} {sw['paths_rerouted']:>6} "
-                f"{'up' if sw['up'] else 'DOWN':>6}"
-            )
-    return "\n".join(lines)

@@ -1,10 +1,6 @@
 # nm-path: repro/netsim/fixture_frames.py
-"""Fixture: a frame-kind registry with a dead entry.
-
-The virtual path is *not* ``repro/netsim/frames.py``, so the
-lifecycle-mirror coherence check stays out of the way and only the
-evidence checks run against this registry.
-"""
+"""Fixture: a frame-kind registry with a dead entry (the evidence checks
+run against every ``FrameKind`` class, wherever it lives)."""
 
 
 class FrameKind:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 from repro.core import EngineParams, NmadEngine
+from repro.core.engine import OPT_IN
 from repro.netsim import MX_MYRI10G, Cluster
 from repro.sim import Simulator
 
@@ -18,12 +19,12 @@ settings.load_profile("tier1")
 
 #: The reliability layer's sequence filter is the engine's only duplicate
 #: filter, so above the transport a replay must be loud in paper mode, with
-#: the reliability layer alone, and with the whole hardened stack.
+#: the reliability layer alone, and with every opt-in layer on.
 REPLAY_CONFIGS = {
     "paper": {},
     "ack": {"reliability": "ack"},
-    "ack-credit-epoch": {"reliability": "ack", "flow_control": "credit",
-                         "sessions": "epoch"},
+    "-".join(sorted(layer.on for layer in OPT_IN)):
+        {layer.knob: layer.on for layer in OPT_IN},
 }
 
 

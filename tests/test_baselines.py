@@ -1,5 +1,7 @@
 """Tests for the baseline MPI models (MPICH / OpenMPI behaviour)."""
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import (
@@ -11,12 +13,12 @@ from repro.baselines import (
     OpenMpi,
 )
 from repro.core import VirtualData
-from repro.errors import MpiError
+from repro.errors import MpiError, ProtocolError
 from repro.madmpi import (
     ANY, Communicator, Indexed, MpiRecv, MpiRequest, MpiSend,
     indexed_small_large,
 )
-from repro.netsim import Cluster, MX_MYRI10G, QUADRICS_QM500
+from repro.netsim import Cluster, FaultPlan, MX_MYRI10G, QUADRICS_QM500
 from repro.sim import Event, Simulator
 
 
@@ -259,6 +261,22 @@ class TestRendezvous:
 
         sim.run_process(app())
         assert m0.rdv_handshakes == 1
+
+    def test_chunk_landing_twice_does_not_tile(self):
+        # Two equal chunks; the wire delivers the first one twice, so the
+        # byte count completes while the second half never arrived.
+        params = dataclasses.replace(MPICH_MX, rdv_chunk_bytes=100_000)
+        sim, cluster, (m0, m1) = make_pair(params=params)
+        link = next(l for l in cluster.links if l.src.node_id == 0)
+        link.fault_plan = FaultPlan(dup_nth=(2,))  # rdv_req, then chunk 1
+
+        def app():
+            req = m1.irecv(source=0, tag=5)
+            m0.isend(bytes(range(200)) * 1000, dest=1, tag=5)
+            yield req.done
+
+        with pytest.raises(ProtocolError, match="do not tile"):
+            sim.run_process(app())
 
 
 class TestDatatypes:

@@ -35,7 +35,6 @@ from repro.core.strategies import AggregationStrategy
 from repro.errors import NetworkError, ReproError
 from repro.netsim import MX_MYRI10G, Cluster, FaultPlan
 from repro.netsim.link import Link
-from repro.netsim.stats import render_fault_summary
 from repro.sim import Simulator
 
 
@@ -79,7 +78,6 @@ class TestDuplicateFault:
         assert cluster.conservation_ok(allow_faults=True)
         summary = cluster.fault_summary()
         assert summary["frames_duplicated"] == 1
-        assert "duplicated" in render_fault_summary(cluster)
 
     def test_conservation_arithmetic_includes_duplicates(self):
         # sent + duplicated == delivered + dropped, per link.
@@ -122,7 +120,7 @@ class TestReorderFault:
         assert r0.complete and r1.complete
         assert link_between(cluster, 0, 1).frames_reordered == 1
         assert cluster.conservation_ok(allow_faults=True)
-        assert "reordered" in render_fault_summary(cluster)
+        assert cluster.fault_summary()["frames_reordered"] == 1
 
     def test_reorder_under_ack_mode_is_absorbed(self):
         sim, cluster, (e0, e1) = make_pair(EngineParams(**EPOCH))
@@ -252,7 +250,6 @@ class TestPartitionWindows:
         assert summary["frames_partition_dropped"] > 0
         assert summary["links_partitioned"] == 2
         assert cluster.conservation_ok(allow_faults=True)
-        assert "partition-dropped" in render_fault_summary(cluster)
 
 
 # -- partition tolerance: suspect != dead --------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -73,16 +74,16 @@ class TestReport:
     def test_clean_report(self):
         code, text = run_cli("report", "--messages", "10")
         assert code == 0
-        assert "replayed 10 messages" in text
+        assert "replay:\n  ok: true\n  messages: 10\n" in text
         assert "retransmits" in text
-        assert "conservation(with faults): ok" in text
+        assert "  conservation_ok: true" in text
 
     def test_ack_mode_with_drops_recovers(self):
         code, text = run_cli("report", "--reliability", "ack",
                              "--drop-nth", "1", "--messages", "10")
         assert code == 0
-        assert "replayed 10 messages" in text
-        assert "1 dropped" in text
+        assert "replay:\n  ok: true\n  messages: 10\n" in text
+        assert "  frames_dropped: 1\n" in text
 
     def test_off_mode_with_drop_reports_stall(self):
         code, text = run_cli("report", "--drop-nth", "1", "--messages", "5")
@@ -94,30 +95,30 @@ class TestReport:
         code, text = run_cli("report", "--reliability", "ack", "--rails", "2",
                              "--link-down-at", "100", "--messages", "10")
         assert code == 0
-        assert "replayed 10 messages" in text
-        assert "1 link(s) down" in text
+        assert "replay:\n  ok: true\n  messages: 10\n" in text
+        assert "  links_down: 1\n" in text
 
     def test_stats_table_prints_every_group(self):
         code, text = run_cli("report", "--messages", "10")
         assert code == 0
         for group, fields in REPORT_STAT_GROUPS:
-            assert f"[{group}]" in text
+            assert f"\n  {group}:\n" in text
             for field in fields:
-                assert field in text
-        assert "[matcher]" in text and "[window]" in text
+                assert f"\n    {field}: " in text
+        assert "\n  matcher:\n" in text and "\n  window:\n" in text
 
     def test_credit_mode_report(self):
         code, text = run_cli("report", "--flow-control", "credit",
                              "--messages", "20")
         assert code == 0
-        assert "flow_control=credit" in text
+        assert '\n  flow_control: "credit"\n' in text
         assert "credit_stalls" in text
 
     def test_slow_link_reports_degradation(self):
         code, text = run_cli("report", "--slow-link", "8", "--messages", "10")
         assert code == 0
-        assert "slowed on 1 link(s)" in text
-        assert "conservation(with faults): ok" in text
+        assert "  links_slowed: 1\n" in text
+        assert "  conservation_ok: true" in text
 
     def test_json_report_is_machine_readable(self):
         code, text = run_cli("report", "--messages", "10", "--json")
@@ -150,6 +151,33 @@ class TestReport:
         payload = json.loads(text)
         assert payload["replay"]["ok"] is False
         assert "no retransmission" in payload["replay"]["error"]
+
+    def test_text_is_the_json_payload_rendered(self):
+        # The two views carry the same facts: one ``key: value`` line per
+        # leaf of the JSON payload, value as JSON, and nothing else.
+        argv = ("report", "--topology", "fat-tree", "--reliability", "ack",
+                "--rel-timeout", "auto", "--drop-nth", "2", "--messages", "10")
+        code, text = run_cli(*argv)
+        json_code, dumped = run_cli(*argv, "--json")
+        assert code == json_code == 0
+
+        def leaves(key, value):
+            if isinstance(value, list) and value and isinstance(value[0], dict):
+                return [line for item in value for line in leaves(key, item)]
+            if isinstance(value, dict) and value:
+                return [line for k, v in value.items()
+                        for line in leaves(k, v)]
+            return [f"{key}: {json.dumps(value)}"]
+
+        payload = json.loads(dumped)
+        expected = Counter(line for key, value in payload.items()
+                           for line in leaves(key, value))
+        rendered = Counter(line.strip() for line in text.splitlines()
+                           if line.strip() and not line.endswith(":"))
+        assert rendered == expected
+        assert payload["faults"]["frames_dropped"] == 1
+        assert payload["topology"]["n_switches"] > 0
+        assert payload["engines"][0]["rtt"]
 
     def test_bad_slow_link_rejected(self):
         with pytest.raises(SystemExit):
@@ -312,8 +340,8 @@ class TestAdaptiveCli:
         code, text = run_cli("report", "--reliability", "ack",
                              "--rel-timeout", "auto", "--messages", "20")
         assert code == 0
-        assert "[adaptive]" in text and "[rtt]" in text
-        assert "srtt us" in text and "rttvar us" in text
+        assert "\n  adaptive:\n" in text and "\n  rtt:\n" in text
+        assert "srtt_us: " in text and "rttvar_us: " in text
 
     def test_auto_json_report_is_complete(self):
         from repro.netsim.stats import RTT_SNAPSHOT_KEYS

@@ -12,7 +12,6 @@ import pytest
 from repro.core import EngineParams, NmadEngine, VirtualData
 from repro.errors import NetworkError, SimulationError
 from repro.netsim import Cluster, FaultPlan, MX_MYRI10G
-from repro.netsim.stats import render_fault_summary
 from repro.sim import Simulator, Tracer
 
 
@@ -180,7 +179,6 @@ class TestSlowLink:
         s = cluster.fault_summary()
         assert s["frames_slowed"] > 0
         assert s["links_slowed"] == 1
-        assert "slowed on 1 link(s)" in render_fault_summary(cluster)
         # Nothing was lost: degradation is not corruption.
         assert cluster.conservation_ok()
 
@@ -200,7 +198,7 @@ class TestSlowLink:
         same, cluster = run_ping(slow_link=(50.0, 0.0, 1e-9))
         assert same == base
         assert cluster.fault_summary()["frames_slowed"] == 0
-        assert "slowed" not in render_fault_summary(cluster)
+        assert cluster.fault_summary()["links_slowed"] == 0
 
     def test_no_overtake_when_the_slow_window_ends_midflight(self):
         # Frame A enters the wire inside a x100 window; frame B enters

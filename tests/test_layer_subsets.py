@@ -1,41 +1,41 @@
 """The space between "all off" and "all on": every subset of the opt-in layers.
 
-Semantic transparency: with no fault injected, any subset of
-{reliability="ack", flow_control="credit", sessions="epoch"} must deliver
-exactly what paper mode delivers — the same messages, in the same
-per-stream order — and leave every engine quiesced.  The pipeline itself
-is checked too: ``engine.layers`` holds exactly the requested layers, in
-pipeline order, and nothing at all in paper mode.
+Semantic transparency: with no fault injected, any subset of the layers
+``repro.core.engine.OPT_IN`` declares must deliver exactly what paper mode
+delivers — the same messages, in the same per-stream order — and leave
+every engine quiesced.  The pipeline itself is checked too:
+``engine.layers`` holds exactly the requested layers, in pipeline order,
+and nothing at all in paper mode.  And the declaration is the only list:
+the engine, the transfer layer, the CLI and the chaos runner name no layer.
 """
 
+import ast
+import dataclasses
 import itertools
+import pathlib
 import random
 import struct
 from collections import Counter
 
 import pytest
 
-from repro.core import (
-    EngineParams,
-    FlowControlLayer,
-    NmadEngine,
-    ReliabilityLayer,
-    SessionLayer,
-)
+import repro
+from repro.core import EngineParams, NmadEngine, ReliabilityLayer
 from repro.core import engine as engine_module
+from repro.core.engine import OPT_IN
 from repro.core.protocols import Layer
 from repro.netsim import Cluster, MX_MYRI10G
 from repro.sim import Simulator
 
 N_NODES = 4
-#: knob -> (EngineParams overrides, layer class), in pipeline order.
-KNOBS = {
-    "epoch": ({"sessions": "epoch"}, SessionLayer),
-    "ack": ({"reliability": "ack"}, ReliabilityLayer),
-    "credit": ({"flow_control": "credit"}, FlowControlLayer),
-}
+#: on-value -> its layer's declaration, in pipeline order.
+KNOBS = {layer.on: layer for layer in OPT_IN}
 SUBSETS = [subset for r in range(len(KNOBS) + 1)
            for subset in itertools.combinations(KNOBS, r)]
+
+
+def overrides_for(subset):
+    return {KNOBS[on].knob: on for on in subset}
 
 
 def make_plan(seed=20240613, per_node=40):
@@ -60,12 +60,9 @@ PLAN = make_plan()
 
 
 def run_plan(subset):
-    overrides = {}
-    for knob in subset:
-        overrides.update(KNOBS[knob][0])
     sim = Simulator()
     cluster = Cluster(sim, n_nodes=N_NODES, rails=(MX_MYRI10G,))
-    params = EngineParams(**overrides)
+    params = EngineParams(**overrides_for(subset))
     engines = [NmadEngine(cluster.node(i), params=params)
                for i in range(N_NODES)]
     recvs = []
@@ -128,7 +125,7 @@ def test_every_layer_subset_delivers_what_paper_mode_delivers(
     # stream got the k-th message sent on it.
     assert per_stream_order(delivered) == per_stream_order(paper_mode)
     assert len(delivered) == len(PLAN)
-    expected = tuple(KNOBS[k][1] for k in KNOBS if k in subset)
+    expected = tuple(KNOBS[k].cls for k in KNOBS if k in subset)
     for engine in engines:
         assert engine.quiesced()
         assert tuple(type(layer) for layer in engine.layers) == expected
@@ -142,11 +139,9 @@ HOOKS = {"commit": "commit_hooks", "on_match": "match_hooks",
 
 @pytest.mark.parametrize("subset", SUBSETS, ids=lambda s: "+".join(s) or "off")
 def test_hooks_are_exactly_the_overrides(subset):
-    overrides = {}
-    for knob in subset:
-        overrides.update(KNOBS[knob][0])
     cluster = Cluster(Simulator(), n_nodes=2, rails=(MX_MYRI10G,))
-    engine = NmadEngine(cluster.node(0), params=EngineParams(**overrides))
+    engine = NmadEngine(cluster.node(0),
+                        params=EngineParams(**overrides_for(subset)))
     for hook, attr in HOOKS.items():
         default = getattr(Layer, hook)
         want = tuple(getattr(layer, hook) for layer in engine.layers
@@ -157,9 +152,9 @@ def test_hooks_are_exactly_the_overrides(subset):
     # The overrides today: credit spends and releases, sessions watch.
     for attr in ("commit_hooks", "match_hooks"):
         assert [h.__self__ for h in getattr(engine, attr)] \
-            == [engine.flowcontrol] * ("credit" in subset)
+            == [engine.flowcontrol] * (engine.flowcontrol is not None)
     assert [h.__self__ for h in engine.post_hooks] \
-        == [engine.sessions] * ("epoch" in subset)
+        == [engine.sessions] * (engine.sessions is not None)
 
 
 def test_inherited_hook_defaults_are_never_entered(monkeypatch):
@@ -180,7 +175,9 @@ def test_inherited_hook_defaults_are_never_entered(monkeypatch):
         def on_post(self, src):
             entered["CountingReliability.on_post"] += 1
 
-    monkeypatch.setattr(engine_module, "ReliabilityLayer", CountingReliability)
+    monkeypatch.setattr(engine_module, "OPT_IN", tuple(
+        dataclasses.replace(layer, cls=CountingReliability)
+        if layer.cls is ReliabilityLayer else layer for layer in OPT_IN))
     engines, delivered = run_plan(tuple(KNOBS))
     assert len(delivered) == len(PLAN)
     for engine in engines:
@@ -207,3 +204,30 @@ def test_invalid_layer_combinations_fail_at_construction(kwargs, message):
     with pytest.raises(ValueError) as exc:
         EngineParams(**kwargs)
     assert str(exc.value) == message
+
+
+def test_every_layer_has_one_mode_besides_off():
+    assert len(KNOBS) == len(OPT_IN) == 3
+    for layer in OPT_IN:
+        choices = dict(engine_module._KNOBS)[layer.knob].choices
+        assert set(choices) == {"off", layer.on}
+        assert getattr(EngineParams(), layer.knob) == "off"
+    assert sorted(layer.tx for layer in OPT_IN) == list(range(len(OPT_IN)))
+
+
+@pytest.mark.parametrize("path", ["core/engine.py", "core/transfer.py",
+                                  "cli.py", "chaos/runner.py"])
+def test_the_layers_are_listed_once(path):
+    # Everything past the declaration iterates it: no on-value and no
+    # command-line flag of a layer is spelled out, and the transfer layer
+    # reaches no layer through the engine.
+    tree = ast.parse((pathlib.Path(repro.__file__).parent / path).read_text())
+    spelled = ({layer.on for layer in OPT_IN}
+               | {"--" + layer.knob.replace("_", "-") for layer in OPT_IN})
+    constants = {node.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Constant)}
+    assert not constants & spelled
+    if path == "core/transfer.py":
+        attrs = {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)}
+        assert not attrs & {layer.attr for layer in OPT_IN}

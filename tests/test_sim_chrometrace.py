@@ -5,11 +5,7 @@ import json
 import pytest
 
 from repro.errors import ReproError
-from repro.netsim.stats import (
-    cluster_utilization,
-    nic_utilization,
-    render_utilization,
-)
+from repro.netsim.stats import cluster_utilization, nic_utilization
 from repro.sim import Tracer
 from repro.sim.chrometrace import to_chrome_trace, write_chrome_trace
 from repro.sim.trace import TraceRecord
@@ -146,6 +142,6 @@ class TestUtilization:
 
     def test_render_contains_all_nics(self):
         cluster = self._loaded_cluster()
-        text = render_utilization(cluster_utilization(cluster))
-        assert "node0.nic0.mx" in text and "node1.nic0.mx" in text
-        assert "busy%" in text
+        utils = cluster_utilization(cluster)
+        assert [u.name for u in utils] == ["node0.nic0.mx", "node1.nic0.mx"]
+        assert all(0.0 < u.busy_fraction <= 1.0 for u in utils)

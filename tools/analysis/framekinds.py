@@ -7,8 +7,7 @@ per-file NM304 catches typo'd *literals*; NM502 checks the round trip for
 every **registered** kind, resolving evidence across module boundaries:
 
 * **registry** — the ``FrameKind`` string-constant class is the source of
-  truth; for the real tree (``repro/netsim/frames.py``) it must also stay
-  in lockstep with the checker's own ``lifecycle.FRAME_KINDS`` mirror.
+  truth (NM304 reads the same class).
 * **demux evidence** — some handler dispatches on the kind: a
   ``.kind ==``/``!=`` comparison (literal or ``FrameKind.X``), a
   ``.kind in NAME`` membership where ``NAME`` resolves to a string set
@@ -45,11 +44,8 @@ from tools.analysis.callgraph import (
     kwarg_to_param,
     resolve_str_expr,
 )
-from tools.analysis.lifecycle import CHAOS_FAULT_KINDS, FRAME_KINDS
+from tools.analysis.lifecycle import CHAOS_FAULT_KINDS
 
-#: The real registry module; mirror coherence is only enforced there (a
-#: fixture registry under another virtual path skips the mirror check).
-REGISTRY_MODULE = "repro/netsim/frames.py"
 REGISTRY_CLASS = "FrameKind"
 
 #: Kinds demultiplexed structurally (by payload item type) in this
@@ -120,7 +116,6 @@ class FrameKindRule:
             return []
         evidence = {kind: _Evidence(anchor=anchor)
                     for kind, anchor in registry.items()}
-        self._check_mirror(registry)
         for mod in self.project.modules.values():
             if not mod.path.startswith("repro/"):
                 continue
@@ -150,29 +145,6 @@ class FrameKindRule:
                         out.setdefault(item.value.value,
                                        (mod.report_path, item.lineno))
         return out
-
-    def _check_mirror(self, registry: dict[str, tuple[str, int]]) -> None:
-        """The checker's own FRAME_KINDS mirror must match the real class."""
-        real = self.project.modules.get(REGISTRY_MODULE)
-        if real is None or REGISTRY_CLASS not in real.str_const_classes:
-            return
-        declared = frozenset(
-            real.str_const_classes[REGISTRY_CLASS].values())
-        for kind in sorted(declared - FRAME_KINDS):
-            path, line = registry[kind]
-            self.violations.append(Violation(
-                path=path, line=line, col=0, code="NM502",
-                message=f"frame kind {kind!r} is not mirrored in "
-                        "tools/analysis/lifecycle.FRAME_KINDS; the NM304 "
-                        "literal check cannot see it",
-                checker=self.name))
-        for kind in sorted(FRAME_KINDS - declared):
-            self.violations.append(Violation(
-                path=real.report_path, line=1, col=0, code="NM502",
-                message=f"tools/analysis/lifecycle.FRAME_KINDS registers "
-                        f"{kind!r} but FrameKind no longer defines it "
-                        "(stale mirror entry)",
-                checker=self.name))
 
     # -- evidence collection --------------------------------------------------
     def _scan_module(

@@ -27,10 +27,10 @@ different stories.  The rules:
   never inspects them), so a typo in a kind literal silently creates a
   frame no dispatcher matches.  Every kind used in a ``Frame(kind=...)``
   construction or a ``.kind == "..."`` comparison must be registered in
-  :data:`FRAME_KINDS` (mirroring ``repro.netsim.frames.FrameKind``).
+  ``repro.netsim.frames.FrameKind`` (:data:`FRAME_KINDS`).
   Inside ``repro/chaos/`` the same comparison shape dispatches on
   :class:`~repro.chaos.schedule.ChaosFault` kinds instead, so literals
-  there are checked against :data:`CHAOS_FAULT_KINDS`.
+  there are checked against ``repro.chaos.schedule.FAULT_KINDS``.
 * **NM305** — the chaos auditor deliberately crosses layer boundaries
   (it cross-checks the flow-control ledgers against each other), which
   is safe only while that stays read-only and in one place.  Within
@@ -42,6 +42,7 @@ different stories.  The rules:
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 
 from tools.analysis.base import Checker, assignment_targets, is_self_access
 from tools.analysis.counters import WINDOW_MODULE, WINDOW_PRIVATE
@@ -97,24 +98,33 @@ _WRITE_OWNERS: dict[str, frozenset[str]] = {
     }),
 }
 
-#: Registered on-wire frame kinds; mirrors ``repro.netsim.frames.FrameKind``.
-#: A new protocol (like the reliability layer's ``rel_ack`` or the
-#: flow-control ``credit`` frame) registers its kinds here so a typo'd kind
-#: literal cannot create a frame that every dispatcher silently ignores.
-FRAME_KINDS = frozenset({
-    "data", "rdv_req", "rdv_ack", "rdv_data",
-    "rel_ack", "credit",
-    "session_hello", "session_welcome", "heartbeat",
-})
+_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
-#: Registered chaos fault kinds; mirrors ``repro.chaos.schedule.FAULT_KINDS``.
-#: Within repro/chaos/ a ``.kind == "..."`` comparison dispatches on
-#: :class:`ChaosFault` records, not frames, so literals there are checked
-#: against this vocabulary instead (same typo failure mode, NM304).
-CHAOS_FAULT_KINDS = frozenset({
-    "drop", "burst", "corrupt", "slow", "dup", "reorder",
-    "jitter", "partition", "crash", "rack_partition", "switch_kill",
-})
+
+def _module_body(path: str) -> list[ast.stmt]:
+    return ast.parse((_SRC / path).read_text(encoding="utf-8")).body
+
+
+#: Registered on-wire frame kinds: the string constants of
+#: ``repro.netsim.frames.FrameKind``, read from the source (the lint runs
+#: without the package installed), so a typo'd kind literal cannot create
+#: a frame that every dispatcher silently ignores.
+FRAME_KINDS = frozenset(
+    stmt.value.value
+    for cls in _module_body("netsim/frames.py")
+    if isinstance(cls, ast.ClassDef) and cls.name == "FrameKind"
+    for stmt in cls.body
+    if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant))
+
+#: Registered chaos fault kinds: ``repro.chaos.schedule.FAULT_KINDS``, read
+#: from the source.  Within repro/chaos/ a ``.kind == "..."`` comparison
+#: dispatches on :class:`ChaosFault` records, not frames, so literals there
+#: are checked against this vocabulary instead (same typo failure mode).
+CHAOS_FAULT_KINDS = frozenset(next(
+    ast.literal_eval(stmt.value)
+    for stmt in _module_body("chaos/schedule.py")
+    if isinstance(stmt, ast.Assign)
+    and [ast.unparse(t) for t in stmt.targets] == ["FAULT_KINDS"]))
 
 #: The chaos package (NM305 scope) and its one sanctioned inspector.
 CHAOS_SCOPE = "repro/chaos/"
@@ -191,14 +201,12 @@ class LifecycleChecker(Checker):
             if node.value not in CHAOS_FAULT_KINDS:
                 self.report(node, "NM304",
                             f"chaos fault kind {node.value!r} is not "
-                            "registered; add it to schedule.FAULT_KINDS and "
-                            "tools/analysis/lifecycle.CHAOS_FAULT_KINDS "
+                            "registered; add it to schedule.FAULT_KINDS "
                             "(typo'd kinds dispatch nowhere)")
         elif node.value not in FRAME_KINDS:
             self.report(node, "NM304",
                         f"frame kind {node.value!r} is not registered; add "
-                        "it to FrameKind and to tools/analysis/lifecycle."
-                        "FRAME_KINDS (typo'd kinds dispatch nowhere)")
+                        "it to FrameKind (typo'd kinds dispatch nowhere)")
 
     def visit_Compare(self, node: ast.Compare) -> None:
         operands = [node.left, *node.comparators]
