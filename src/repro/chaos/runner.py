@@ -1,13 +1,13 @@
 """Run one chaos schedule end to end and capture the world for auditing.
 
 The runner owns everything between "a fault list" and "a quiesced
-simulation": it builds a two-plus-node cluster on the MX profile,
+simulation": it builds a two-node cluster on the MX profile,
 translates :class:`~repro.chaos.schedule.ChaosFault` records into
 :class:`~repro.netsim.link.FaultPlan` installations, and drives a
 deterministic tagged-message workload through the fully hardened engine
-configuration (``reliability="ack"``, ``flow_control="credit"``,
-``sessions="epoch"``).  The driver mirrors how a recovery-aware
-application uses the API (the PR-5 idiom): receives are posted up front,
+(:data:`~repro.chaos.schedule.HARDENED`, or its measured-RTO twin
+:data:`~repro.chaos.schedule.ADAPTIVE`).  The driver mirrors how a
+recovery-aware application uses the API: receives are posted up front,
 failed sends are re-issued a bounded number of times, failed or orphaned
 receives are re-posted, and crashed nodes are revived as fresh engine
 incarnations.
@@ -23,14 +23,17 @@ deliberately broken engines.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Generator
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass, field
 from random import Random
 from typing import TYPE_CHECKING, Any
 
-from repro.chaos.schedule import ChaosFault, ChaosSpec, generate_schedule
-from repro.core.engine import OPT_IN, EngineParams, NmadEngine
-from repro.core.requests import RecvRequest, SendRequest
+from repro.chaos.schedule import (
+    ADAPTIVE, HARDENED, MSG_MIN_BYTES, SEND_GAP_US, ChaosFault, ChaosSpec,
+    generate_schedule,
+)
+from repro.core.engine import EngineParams, NmadEngine
+from repro.core.requests import RecvRequest, Request, SendRequest
 from repro.errors import PeerDeadError, ReproError
 from repro.netsim.fabric import FatTree
 from repro.netsim.link import FaultPlan
@@ -52,6 +55,10 @@ _LINK_FAULTS = frozenset({
 #: The workload travels sender -> receiver on these fixed roles.
 _SENDER = 0
 _RECEIVER = 1
+#: Quiet time after the deadline, for retransmits and heals to drain.
+_SETTLE_US = 5_000.0
+#: Re-issues of a failed send before the driver gives the message up.
+_MAX_RESENDS = 4
 
 
 @dataclass
@@ -167,29 +174,15 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _engine_params(spec: ChaosSpec) -> EngineParams:
-    """The fully hardened configuration every chaos run exercises.
-
-    With ``spec.adaptive`` the static retransmit timeout is replaced by
-    the measured one (``rel_timeout_us="auto"``, clamped under the
-    spec's ``rel_rto_ceiling_us`` — the drill's fabric, not a switched
-    datacenter, sizes the cold-start RTO); everything else stays
-    identical, so an adaptive run differs from its static twin only in
-    how deadlines are derived — the fault schedule is the same.
-    """
-    knobs: dict[str, Any] = {layer.knob: layer.on for layer in OPT_IN}
-    if spec.adaptive:
-        knobs.update(rel_timeout_us="auto",
-                     rel_rto_ceiling_us=spec.rel_rto_ceiling_us)
-    else:
-        knobs.update(rel_timeout_us=spec.rel_timeout_us)
-    return EngineParams(
-        **knobs,
-        rel_ack_delay_us=10.0,
-        rel_retry_budget=spec.rel_retry_budget,
-        hb_interval_us=spec.hb_interval_us,
-        hb_timeout_us=spec.hb_timeout_us,
-    )
+def _stale(attempts: Sequence[tuple[NmadEngine, Request]]) -> bool:
+    """True when a message needs a fresh attempt: none yet, or the latest
+    failed or died with its engine incarnation."""
+    if not attempts:
+        return True
+    eng, req = attempts[-1]
+    if req.complete and not req.failed:
+        return False
+    return req.failed or eng.halted
 
 
 def _install_faults(
@@ -332,18 +325,17 @@ def run_schedule(
         # The builder seed follows the schedule seed so ECMP column choice
         # varies across the sweep, yet each seed replays bit-identically.
         topology = FatTree(k=spec.fat_tree_k, seed=seed)
-    cluster = Cluster(sim, n_nodes=spec.n_nodes, rails=[MX_MYRI10G],
-                      topology=topology)
-    params = _engine_params(spec)
+    cluster = Cluster(sim, n_nodes=2, rails=[MX_MYRI10G], topology=topology)
+    params = ADAPTIVE if spec.adaptive else HARDENED
     nodes: dict[int, list[NmadEngine]] = {
         node_id: [NmadEngine(cluster.node(node_id), params=params)]
-        for node_id in range(spec.n_nodes)
+        for node_id in (_SENDER, _RECEIVER)
     }
     _install_faults(sim, cluster, params, nodes, faults)
 
     tags: dict[int, TagState] = {}
     for tag in range(spec.n_messages):
-        size = rng.randint(spec.msg_min_bytes, spec.msg_max_bytes)
+        size = rng.randint(MSG_MIN_BYTES, spec.msg_max_bytes)
         tags[tag] = TagState(tag=tag, payload=rng.randbytes(size))
 
     given_up: set[int] = set()
@@ -369,28 +361,12 @@ def run_schedule(
             return  # receiver confirmed dead; retry after it revives
         tags[tag].sends.append((eng, req))
 
-    def _recv_stale(st: TagState) -> bool:
-        if not st.recvs:
-            return True
-        eng, req = st.recvs[-1]
-        if req.complete and not req.failed:
-            return False
-        return req.failed or eng.halted
-
-    def _send_stale(st: TagState) -> bool:
-        if not st.sends:
-            return True
-        eng, req = st.sends[-1]
-        if req.complete and not req.failed:
-            return False
-        return req.failed or eng.halted
-
     def driver() -> Generator[Event, None, None]:
         for tag in sorted(tags):
             _post_recv(tag)
         for tag in sorted(tags):
             _post_send(tag)
-            yield sim.timeout(spec.send_gap_us)
+            yield sim.timeout(SEND_GAP_US)
         while sim.now < spec.deadline_us:
             if all(tags[t].delivered() or t in given_up for t in tags):
                 break
@@ -398,18 +374,18 @@ def run_schedule(
                 st = tags[tag]
                 if st.delivered() or tag in given_up:
                     continue
-                if _send_stale(st):
-                    if len(st.sends) > spec.max_resends:
+                if _stale(st.sends):
+                    if len(st.sends) > _MAX_RESENDS:
                         given_up.add(tag)
                         continue
                     _post_send(tag)
-                if _recv_stale(st):
+                if _stale(st.recvs):
                     _post_recv(tag)
-            yield sim.timeout(spec.hb_interval_us)
+            yield sim.timeout(params.hb_interval_us)
 
     sim.spawn(driver())
     sim.run(until=spec.deadline_us)
-    sim.run(until=spec.deadline_us + spec.settle_us)
+    sim.run(until=spec.deadline_us + _SETTLE_US)
     drained = sim.peek() == float("inf")
 
     return ChaosWorld(

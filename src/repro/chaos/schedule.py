@@ -21,9 +21,11 @@ from dataclasses import dataclass
 from random import Random
 from typing import Any
 
+from repro.core.engine import OPT_IN, EngineParams
 from repro.errors import ReproError
 
-__all__ = ["FAULT_KINDS", "ChaosFault", "ChaosSpec", "generate_schedule"]
+__all__ = ["ADAPTIVE", "FAULT_KINDS", "HARDENED", "ChaosFault", "ChaosSpec",
+           "generate_schedule"]
 
 #: Every fault kind a schedule may contain.  ``crash`` only appears when
 #: :attr:`ChaosSpec.crashes` is set (restart-aware drivers only);
@@ -128,34 +130,51 @@ class ChaosFault:
         return out
 
 
+#: The engine every chaos run drives: all opt-in layers on, with timers
+#: sized for the drill's two-node MX fabric.  The schedule generator reads
+#: its heartbeat clocks, so fault windows scale with the detector.
+_ALL_ON: dict[str, Any] = {layer.knob: layer.on for layer in OPT_IN}
+HARDENED = EngineParams(
+    **_ALL_ON,
+    rel_timeout_us=100.0,
+    rel_ack_delay_us=10.0,
+    rel_retry_budget=64,
+    hb_interval_us=50.0,
+    hb_timeout_us=600.0,
+)
+#: :data:`HARDENED` with the measured retransmit timeout.  The ceiling is
+#: also the cold-start RTO: the engine default (10ms) is sized for switched
+#: fabrics with millisecond port queues, and a 10ms cold retransmit
+#: (doubled per backoff) would out-wait the drill's deadline and settle
+#: window, leaving stale timers the drain audit rightly flags.
+ADAPTIVE = dataclasses.replace(
+    HARDENED, rel_timeout_us="auto", rel_rto_ceiling_us=2_000.0)
+
+#: Every schedule carries at least this many faults.
+MIN_FAULTS = 2
+#: The workload's smallest message, in bytes.
+MSG_MIN_BYTES = 64
+#: Pause between two sends of the initial burst.
+SEND_GAP_US = 25.0
+
+
 @dataclass(frozen=True)
 class ChaosSpec:
     """Everything a chaos run is parameterized by, besides the seed.
 
-    The engine configuration is fixed to the full hardening stack
-    (``reliability="ack"``, ``flow_control="credit"``,
-    ``sessions="epoch"``); the spec only tunes workload size, fault
-    density and the detector clocks.  Fault windows are derived from
-    ``hb_timeout_us``: without ``crashes``, partitions stay short enough
+    Two nodes exchange the workload through :data:`HARDENED` (or
+    :data:`ADAPTIVE`); the spec only sizes the workload and the fault
+    density and picks the fabric.  Fault windows are derived from the
+    heartbeat timeout: without ``crashes``, partitions stay short enough
     (< 0.7 x timeout) that every suspicion must heal — a teardown in that
     regime is an engine bug, and the auditor treats it as one.
     """
 
-    n_nodes: int = 2
     n_messages: int = 16
-    msg_min_bytes: int = 64
     msg_max_bytes: int = 4096
-    send_gap_us: float = 25.0
-    min_faults: int = 2
     max_faults: int = 8
     crashes: bool = False
     deadline_us: float = 60_000.0
-    settle_us: float = 5_000.0
-    hb_interval_us: float = 50.0
-    hb_timeout_us: float = 600.0
-    rel_timeout_us: float = 100.0
-    rel_retry_budget: int = 64
-    max_resends: int = 4
     #: ``"mesh"`` (the default, byte-identical to the pre-topology engine)
     #: or ``"fat-tree"`` to route the workload through a switched fabric.
     topology: str = "mesh"
@@ -164,39 +183,28 @@ class ChaosSpec:
     #: capped so each core group keeps a survivor — the drill exercises
     #: rerouting, not a disconnected fabric.
     switch_kills: int = 0
-    #: Run the engines with ``rel_timeout_us="auto"`` (the adaptive RTT
-    #: estimator) instead of the static :attr:`rel_timeout_us`.  The
-    #: schedule generator never reads this flag, so two specs differing
-    #: only here expand to byte-identical fault lists — the basis of the
-    #: static-vs-adaptive comparison drill.
+    #: Run the engines as :data:`ADAPTIVE` instead of :data:`HARDENED`.
+    #: The schedule generator never reads this flag, so two specs
+    #: differing only here expand to byte-identical fault lists — the
+    #: basis of the static-vs-adaptive comparison drill.
     adaptive: bool = False
-    #: Clamp ceiling for the adaptive RTO (also the cold-start RTO while
-    #: the estimator warms up).  The engine default (10ms) is sized for
-    #: switched fabrics with millisecond port queues; the chaos drills
-    #: run fabrics whose drifted RTT stays well under a millisecond, and
-    #: a 10ms cold retransmit (doubled per backoff) would out-wait the
-    #: drill's own deadline+settle window, leaving stale timers in the
-    #: queue that the drain audit rightly flags.
-    rel_rto_ceiling_us: float = 2_000.0
     #: Append an RTT-drift drill to the schedule: a long slow-link ramp
     #: plus jitter windows on the workload path, sized so a static RTO
-    #: (``rel_timeout_us``) provably fires spuriously while an adaptive
-    #: one tracks the drift.  Composed from the existing ``slow`` and
-    #: ``jitter`` fault kinds — no new fault kind.
+    #: provably fires spuriously while an adaptive one tracks the drift.
+    #: Composed from the existing ``slow`` and ``jitter`` fault kinds — no
+    #: new fault kind.
     rtt_drift: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ReproError(f"chaos needs >= 2 nodes, got {self.n_nodes}")
         if self.n_messages < 1:
             raise ReproError("chaos needs at least one message")
-        if not 0 <= self.min_faults <= self.max_faults:
+        if self.max_faults < MIN_FAULTS:
             raise ReproError(
-                f"bad fault range [{self.min_faults}, {self.max_faults}]")
-        if self.msg_min_bytes < 1 or self.msg_max_bytes < self.msg_min_bytes:
+                f"max_faults must be >= {MIN_FAULTS}, got {self.max_faults}")
+        if self.msg_max_bytes < MSG_MIN_BYTES:
             raise ReproError(
-                f"bad message size range [{self.msg_min_bytes}, "
-                f"{self.msg_max_bytes}]")
+                f"msg_max_bytes must be >= {MSG_MIN_BYTES}, "
+                f"got {self.msg_max_bytes}")
         if self.topology not in ("mesh", "fat-tree"):
             raise ReproError(
                 f"unknown chaos topology {self.topology!r}; "
@@ -210,46 +218,16 @@ class ChaosSpec:
             raise ReproError(
                 "switch_kills needs a switched topology "
                 "(topology='fat-tree'); a mesh has no switches")
-        if self.rel_rto_ceiling_us <= 0:
-            raise ReproError(
-                f"rel_rto_ceiling_us must be positive, "
-                f"got {self.rel_rto_ceiling_us}")
 
     @classmethod
-    def quick(cls, crashes: bool = False, topology: str = "mesh",
-              fat_tree_k: int = 4, switch_kills: int = 0,
-              adaptive: bool = False, rtt_drift: bool = False) -> ChaosSpec:
+    def quick(cls, **kw: Any) -> ChaosSpec:
         """The CI sweep profile: smaller workload, same fault variety."""
         return cls(n_messages=8, msg_max_bytes=2048, max_faults=6,
-                   deadline_us=30_000.0, crashes=crashes,
-                   topology=topology, fat_tree_k=fat_tree_k,
-                   switch_kills=switch_kills, adaptive=adaptive,
-                   rtt_drift=rtt_drift)
-
-
-def _directed_pair(rng: Random, n_nodes: int) -> tuple[int, int]:
-    """A directed node pair, biased towards the 0->1 data path (and its
-    1->0 ack path) that carries the workload."""
-    if n_nodes == 2 or rng.random() < 0.7:
-        return (0, 1) if rng.random() < 0.6 else (1, 0)
-    src = rng.randrange(n_nodes)
-    dst = rng.randrange(n_nodes - 1)
-    if dst >= src:
-        dst += 1
-    return src, dst
-
-
-def _split_groups(rng: Random, n_nodes: int) -> tuple[tuple[int, ...], ...]:
-    """A deterministic 2-way split with nodes 0 and 1 on opposite sides
-    (so the partition always crosses the workload's path)."""
-    side_a, side_b = [0], [1]
-    for node in range(2, n_nodes):
-        (side_a if rng.random() < 0.5 else side_b).append(node)
-    return tuple(side_a), tuple(side_b)
+                   deadline_us=30_000.0, **kw)
 
 
 def _apart(start: float, duration: float,
-           earlier: tuple[float, float] | None, spec: ChaosSpec) -> float:
+           earlier: tuple[float, float] | None) -> float:
     """Start of a partition window that does not merge with ``earlier``.
 
     Each window alone stays below ``0.7 * hb_timeout_us``, but two windows
@@ -262,10 +240,10 @@ def _apart(start: float, duration: float,
     if earlier is None:
         return start
     lo, hi = earlier
-    gap = 2.0 * spec.hb_interval_us
+    gap = 2.0 * HARDENED.hb_interval_us
     end = start + duration
     near = start < hi + gap and end > lo - gap
-    if near and max(hi, end) - min(lo, start) > 0.7 * spec.hb_timeout_us:
+    if near and max(hi, end) - min(lo, start) > 0.7 * HARDENED.hb_timeout_us:
         return hi + gap
     return start
 
@@ -280,14 +258,14 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
     rng = Random(seed)
     # Rough window during which the wire is busy: the send ramp plus the
     # tail of retransmits/heals that trail the last injection.
-    active_us = (spec.n_messages * spec.send_gap_us
-                 + 4.0 * spec.hb_timeout_us)
+    active_us = (spec.n_messages * SEND_GAP_US
+                 + 4.0 * HARDENED.hb_timeout_us)
     # Arrivals on the busy link comfortably exceed the message count
     # (packing, acks, credits); aim fault indices at the real stream.
     est_arrivals = max(4, spec.n_messages * 2)
 
     faults: list[ChaosFault] = []
-    n_faults = rng.randint(spec.min_faults, spec.max_faults)
+    n_faults = rng.randint(MIN_FAULTS, spec.max_faults)
     n_partitions = 0
     partitioned: tuple[float, float] | None = None
     n_crashes = 0
@@ -299,13 +277,15 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
             # Healable by construction: suspicion needs timeout/2 of
             # silence, death a full timeout — 0.2..0.7 spans both sides
             # of suspicion while staying clear of the teardown cliff.
-            duration = rng.uniform(0.2, 0.7) * spec.hb_timeout_us
-            start = _apart(start, duration, partitioned, spec)
+            duration = rng.uniform(0.2, 0.7) * HARDENED.hb_timeout_us
+            start = _apart(start, duration, partitioned)
             partitioned = (start, start + duration)
             if spec.topology == "mesh":
+                # Nodes 0 and 1 on opposite sides: the partition always
+                # crosses the workload's path.
                 faults.append(ChaosFault(
                     kind="partition",
-                    groups=_split_groups(rng, spec.n_nodes),
+                    groups=((0,), (1,)),
                     from_us=round(start, 3),
                     until_us=round(start + duration, 3),
                     one_way=rng.random() < 0.3,
@@ -325,16 +305,17 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
         if spec.crashes and roll < 0.28 and n_crashes < 1:
             n_crashes += 1
             crash_at = rng.uniform(5.0, active_us * 0.4)
-            restart_gap = rng.uniform(1.5, 3.0) * spec.hb_timeout_us
+            restart_gap = rng.uniform(1.5, 3.0) * HARDENED.hb_timeout_us
             faults.append(ChaosFault(
                 kind="crash",
-                src=rng.randrange(spec.n_nodes),
+                src=rng.randrange(2),
                 from_us=round(crash_at, 3),
                 until_us=round(crash_at + restart_gap, 3),
             ))
             continue
         kind = rng.choice(_LINK_KINDS)
-        src, dst = _directed_pair(rng, spec.n_nodes)
+        # The 0->1 data path or its 1->0 ack path.
+        src, dst = (0, 1) if rng.random() < 0.6 else (1, 0)
         if kind == "drop":
             faults.append(ChaosFault(
                 kind="drop", src=src, dst=dst,
@@ -386,7 +367,7 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
     # to the list so the per-link singleton ``slow``/``jitter`` slots in
     # the runner (first-come wins) always belong to the drill.  The slow
     # factor is sized against the MX profile (~2us hops) so the default
-    # static RTO (100us in chaos specs) provably retransmits spuriously
+    # static RTO (100us in HARDENED) provably retransmits spuriously
     # inside the window, while a measured RTO rides it out.
     if spec.rtt_drift:
         start = round(rng.uniform(active_us * 0.05, active_us * 0.25), 3)

@@ -30,10 +30,6 @@ class ProtocolError(ReproError):
     """
 
 
-class MatchError(ReproError):
-    """Receive-side matching failed in a way the application can observe."""
-
-
 class TransportError(ReproError):
     """A reliable delivery could not be completed.
 

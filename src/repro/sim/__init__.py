@@ -5,7 +5,6 @@ from repro.sim.core import (
     AnyOf,
     Condition,
     Event,
-    Interrupt,
     Process,
     Simulator,
     Timeout,
@@ -18,7 +17,6 @@ __all__ = [
     "AnyOf",
     "Condition",
     "Event",
-    "Interrupt",
     "Process",
     "Simulator",
     "Timeout",

@@ -96,7 +96,6 @@ __all__ = [
     "Condition",
     "AllOf",
     "AnyOf",
-    "Interrupt",
     "Timer",
 ]
 
@@ -258,14 +257,6 @@ class Timeout(Event):
         return f"<Timeout({self.delay:g}) {state}>"
 
 
-class Interrupt(SimulationError):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(f"process interrupted (cause={cause!r})")
-        self.cause = cause
-
-
 class Process(Event):
     """A running coroutine over simulated time.
 
@@ -274,7 +265,7 @@ class Process(Event):
     processes can wait on each other by yielding them.
     """
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen",)
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = "") -> None:
         if not hasattr(gen, "send"):
@@ -284,7 +275,6 @@ class Process(Event):
             )
         super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
         self._gen = gen
-        self._waiting_on: Event | None = None
         # Kick off the process at the current time.
         init = Event(sim, name=f"init:{self.name}")
         init.add_callback(self._resume)
@@ -295,42 +285,16 @@ class Process(Event):
         """True while the underlying generator has not finished."""
         return self._ok is None
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The event the process was waiting on is abandoned (its callback is
-        disabled); the process decides how to recover.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self!r}")
-        if self._waiting_on is self:
-            raise SimulationError("a process cannot interrupt itself at spawn")
-        self.sim.schedule(0.0, lambda: self._throw(Interrupt(cause)))
-
     # -- internal -------------------------------------------------------
     def _resume(self, evt: Event) -> None:
-        if not self.is_alive:
-            # Stale wakeup of a finished process (e.g. the timeout it was
-            # interrupted out of finally fired).
-            if not evt._ok:
-                evt._defused = True
-            return
-        if self._waiting_on is not None and evt is not self._waiting_on:
-            # Stale wakeup from an event we abandoned after an interrupt.
-            return
-        self._waiting_on = None
+        # The one event the process yields is its only registration, so
+        # every wake-up is current.
         if evt._ok:
             self._step(self._gen.send, evt._value)
         else:
             evt._defused = True
             assert evt._exc is not None
             self._step(self._gen.throw, evt._exc)
-
-    def _throw(self, exc: BaseException) -> None:
-        if not self.is_alive:
-            return
-        self._waiting_on = None
-        self._step(self._gen.throw, exc)
 
     def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         try:
@@ -352,7 +316,6 @@ class Process(Event):
         if target.sim is not self.sim:
             self.fail(SimulationError("yielded event belongs to another simulator"))
             return
-        self._waiting_on = target
         target.add_callback(self._resume)
 
 

@@ -13,6 +13,7 @@ Three layers under test, mirroring the subsystem's structure:
   shrinker that minimizes failing schedules.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import (
+    HARDENED,
     ChaosFault,
     ChaosSpec,
     audit_run,
@@ -28,6 +30,7 @@ from repro.chaos import (
     run_schedule,
     shrink_schedule,
 )
+from repro.chaos.schedule import MIN_FAULTS, MSG_MIN_BYTES
 from repro.core import EngineParams, NmadEngine
 from repro.core.flowcontrol import FlowControlLayer
 from repro.core.sessions import SessionLayer
@@ -354,7 +357,7 @@ class TestScheduleGenerator:
             for fault in generate_schedule(seed, spec):
                 if fault.kind == "partition":
                     width = fault.until_us - fault.from_us
-                    assert width < 0.75 * spec.hb_timeout_us
+                    assert width < 0.75 * HARDENED.hb_timeout_us
 
     @pytest.mark.parametrize("topology", ["mesh", "fat-tree"])
     def test_adjacent_partitions_are_healable_together(self, topology):
@@ -362,7 +365,7 @@ class TestScheduleGenerator:
         # the detector: their union obeys the single-window bound.  Seeds
         # 783 and 5908 broke it on the fat-tree spec.
         spec = ChaosSpec.quick(topology=topology)
-        gap = 2.0 * spec.hb_interval_us
+        gap = 2.0 * HARDENED.hb_interval_us
         for seed in [*range(400), 783, 5908]:
             windows = sorted(
                 (f.from_us, f.until_us) for f in generate_schedule(seed, spec)
@@ -370,20 +373,20 @@ class TestScheduleGenerator:
             for (lo1, hi1), (lo2, hi2) in zip(windows, windows[1:]):
                 if lo2 < hi1 + gap:
                     assert (max(hi1, hi2) - lo1
-                            <= 0.7 * spec.hb_timeout_us + 1e-3), seed
+                            <= 0.7 * HARDENED.hb_timeout_us + 1e-3), seed
 
     def test_fault_bounds_respected(self):
-        spec = ChaosSpec(min_faults=1, max_faults=4)
+        spec = ChaosSpec(max_faults=4)
         for seed in range(30):
             faults = generate_schedule(seed, spec)
-            assert 1 <= len(faults) <= 4
+            assert 2 <= len(faults) <= 4
 
     def test_spec_validation(self):
-        with pytest.raises(ReproError):
+        with pytest.raises(TypeError):
             ChaosSpec(n_nodes=1)
-        with pytest.raises(ReproError):
+        with pytest.raises(TypeError):
             ChaosSpec(min_faults=5, max_faults=2)
-        with pytest.raises(ReproError):
+        with pytest.raises(TypeError):
             ChaosSpec(msg_min_bytes=100, msg_max_bytes=50)
         with pytest.raises(ReproError):
             run_schedule(0, ChaosSpec(),
@@ -419,8 +422,33 @@ class TestScheduleGenerator:
                         seed, ChaosSpec.quick(rtt_drift=True, adaptive=True)))
 
     def test_rto_ceiling_validation(self):
-        with pytest.raises(ReproError):
+        with pytest.raises(TypeError):
             ChaosSpec(rel_rto_ceiling_us=0.0)
+
+    def test_spec_bounds_follow_the_harness_constants(self):
+        assert ChaosSpec(max_faults=MIN_FAULTS).max_faults == MIN_FAULTS
+        assert (ChaosSpec(msg_max_bytes=MSG_MIN_BYTES).msg_max_bytes
+                == MSG_MIN_BYTES)
+        with pytest.raises(ReproError):
+            ChaosSpec(max_faults=MIN_FAULTS - 1)
+        with pytest.raises(ReproError):
+            ChaosSpec(msg_max_bytes=MSG_MIN_BYTES - 1)
+
+    @pytest.mark.parametrize("quick, digest", [
+        (None, "9f4f0f5487a67f76"),
+        ({}, "41b98a317bb528d2"),
+        ({"crashes": True}, "c14894b6c823bdaf"),
+        ({"topology": "fat-tree", "switch_kills": 2}, "98d2c19030c11f60"),
+        ({"rtt_drift": True}, "b4ffdc0e1c34ce7c"),
+    ], ids=["default", "quick", "crashes", "fat-tree", "rtt-drift"])
+    def test_schedule_stream_is_pinned(self, quick, digest):
+        # The first 500 seeds of each sweep profile expand to exactly the
+        # schedules they always did: a reported seed replays anywhere.
+        spec = ChaosSpec() if quick is None else ChaosSpec.quick(**quick)
+        blob = json.dumps([[f.to_jsonable()
+                            for f in generate_schedule(seed, spec)]
+                           for seed in range(500)], sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest()[:16] == digest
 
     def test_fault_jsonable_omits_defaults(self):
         fault = ChaosFault(kind="drop", src=0, dst=1, nth=3)
@@ -566,9 +594,7 @@ def test_reorder_dup_partition_exactly_once(data):
     """Under any composition of reorder, duplicate and healable-partition
     faults, the hardened stack delivers every message exactly once and
     byte-exact, with zero teardowns."""
-    spec = ChaosSpec(n_messages=6, msg_max_bytes=1024,
-                     min_faults=0, max_faults=0,
-                     deadline_us=20_000.0, settle_us=4_000.0)
+    spec = ChaosSpec(n_messages=6, msg_max_bytes=1024, deadline_us=20_000.0)
     faults = []
     for _ in range(data.draw(st.integers(0, 3), label="n_link_faults")):
         src, dst = data.draw(st.sampled_from([(0, 1), (1, 0)]), label="dir")
@@ -583,7 +609,7 @@ def test_reorder_dup_partition_exactly_once(data):
     if data.draw(st.booleans(), label="partition?"):
         start = data.draw(st.floats(0.0, 400.0), label="start")
         width = data.draw(
-            st.floats(0.2, 0.6), label="width") * spec.hb_timeout_us
+            st.floats(0.2, 0.6), label="width") * HARDENED.hb_timeout_us
         faults.append(ChaosFault(kind="partition", groups=((0,), (1,)),
                                  from_us=start, until_us=start + width,
                                  one_way=data.draw(st.booleans(),

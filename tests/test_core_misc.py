@@ -7,7 +7,6 @@ from repro.core.collect import CONTROL_FLOW
 from repro.core.packet import PacketWrap, RdvAckItem, RdvDataItem, RdvReqItem
 from repro.errors import (
     DatatypeError,
-    MatchError,
     MpiError,
     NetworkError,
     ProtocolError,
@@ -21,8 +20,8 @@ from repro.sim import Simulator
 
 class TestErrorHierarchy:
     @pytest.mark.parametrize("exc", [
-        SimulationError, NetworkError, ProtocolError, MatchError,
-        StrategyError, DatatypeError, MpiError,
+        SimulationError, NetworkError, ProtocolError, StrategyError,
+        DatatypeError, MpiError,
     ])
     def test_all_derive_from_repro_error(self, exc):
         assert issubclass(exc, ReproError)

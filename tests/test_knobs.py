@@ -5,7 +5,9 @@ later is covered without editing it: every scalar field must carry a
 ``knob()`` declaration, and every declaration must hold at construction —
 non-finite numbers, values past a declared bound and unknown mode strings
 all fail with :class:`ValueError`, never mid-run.  A knob exists only if a
-caller outside the tests sets it, or :data:`TEST_ONLY` says why not.
+caller outside the tests sets it, or :data:`TEST_ONLY` says why not.  The
+chaos harness's :class:`~repro.chaos.ChaosSpec` is held to the same rule,
+with no exceptions.
 """
 
 import ast
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import ChaosSpec
 from repro.cli import main
 from repro.core import EngineParams
 from repro.core.rttstat import RttEstimator
@@ -214,3 +217,26 @@ def test_every_knob_is_set_outside_the_tests_or_says_why_not():
     assert fields_ - set_by_callers == set(TEST_ONLY), (
         "a knob only tests set needs a TEST_ONLY reason (or a constant); "
         "a TEST_ONLY knob a caller now sets leaves the table")
+
+
+# -- ChaosSpec, the chaos harness's config object ---------------------------
+
+#: Fields no caller outside the tests set: harness constants now, or the
+#: engine timers that ``repro.chaos.HARDENED`` declares once.
+CHAOS_RETIRED = ["n_nodes", "msg_min_bytes", "send_gap_us", "min_faults",
+                 "settle_us", "max_resends", "hb_interval_us", "hb_timeout_us",
+                 "rel_timeout_us", "rel_retry_budget", "rel_rto_ceiling_us"]
+
+
+def test_every_chaos_spec_field_is_set_outside_the_tests():
+    fields_ = {f.name for f in fields(ChaosSpec)}
+    assert fields_ - names_set_by_callers() == set()
+    # The engine's own knobs live in EngineParams alone.
+    assert fields_ & {f.name for f in fields(EngineParams)} == set()
+
+
+@pytest.mark.parametrize("name", CHAOS_RETIRED)
+def test_retired_chaos_spec_fields_are_refused(name):
+    assert name not in {f.name for f in fields(ChaosSpec)}
+    with pytest.raises(TypeError):
+        ChaosSpec(**{name: 1})

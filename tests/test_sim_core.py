@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AnyOf, Event, Interrupt, Simulator, Timeout, Timer
+from repro.sim import AnyOf, Event, Simulator, Timeout, Timer
 
 
 @pytest.fixture()
@@ -264,47 +264,6 @@ class TestProcess:
 
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run_process(proc())
-
-    def test_interrupt_wakes_process(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-                return "slept"
-            except Interrupt as intr:
-                return f"interrupted:{intr.cause}@{sim.now}"
-
-        p = sim.spawn(sleeper())
-        sim.schedule(1.0, lambda: p.interrupt("wakeup"))
-        sim.run()
-        # The process observed the interrupt at t=1; the abandoned timeout
-        # still drains from the queue afterwards (nobody is listening).
-        assert p.value == "interrupted:wakeup@1.0"
-
-    def test_interrupt_finished_process_rejected(self, sim):
-        def quick():
-            return "x"
-            yield  # pragma: no cover
-
-        p = sim.spawn(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
-    def test_stale_wakeup_after_interrupt_ignored(self, sim):
-        def sleeper():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt:
-                yield sim.timeout(50.0)
-                return "recovered"
-
-        p = sim.spawn(sleeper())
-        sim.schedule(1.0, lambda: p.interrupt())
-        sim.run()
-        # The original 10us timeout fires at t=10 but must not resume the
-        # process, which is now sleeping until t=51.
-        assert p.value == "recovered"
-        assert sim.now == 51.0
 
     def test_is_alive_lifecycle(self, sim):
         def proc():

@@ -240,23 +240,6 @@ class TestWheelEdges:
         sim.run()
         assert fired == ["cb", "to", "cb2"]
 
-    def test_interrupt_during_same_timestamp_cascade(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            try:
-                yield sim.timeout(10.0)
-            except Exception as exc:  # Interrupt
-                log.append(("interrupted", sim.now, exc.cause))
-            yield sim.timeout(1.0)
-            log.append(("done", sim.now))
-
-        p = sim.spawn(proc())
-        sim.schedule(5.0, lambda: p.interrupt("poke"))
-        sim.run()
-        assert log == [("interrupted", 5.0, "poke"), ("done", 6.0)]
-
 
 # ---------------------------------------------------------------------------
 # schedule_batch: exactly consecutive schedule() calls, one queue entry.

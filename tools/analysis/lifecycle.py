@@ -50,7 +50,7 @@ from tools.analysis.counters import WINDOW_MODULE, WINDOW_PRIVATE
 #: Kernel-private Event/Process/Condition state, owner repro/sim/core.py.
 EVENT_PRIVATE = frozenset({
     "_ok", "_value", "_exc", "_defused", "_callbacks",
-    "_gen", "_waiting_on", "_n_left",
+    "_gen", "_n_left",
 })
 EVENT_MODULES = frozenset({"repro/sim/core.py"})
 #: What a simulator is called where one is held (``sim.now``,
