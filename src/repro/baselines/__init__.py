@@ -1,15 +1,21 @@
 """Baseline MPI models (the paper's comparators) over the same NIC substrate."""
 
-from repro.baselines.base import BaselineMpi, BaselineParams
-from repro.baselines.mpich import MPICH_MX, MPICH_QUADRICS, MpichMpi
-from repro.baselines.openmpi import OPENMPI_MX, OpenMpi
+from repro.baselines.base import (
+    MPICH_MX,
+    MPICH_QUADRICS,
+    OPENMPI_MX,
+    OPENMPI_QUADRICS,
+    BaselineMpi,
+    BaselineParams,
+    calibration,
+)
 
 __all__ = [
     "BaselineMpi",
     "BaselineParams",
     "MPICH_MX",
     "MPICH_QUADRICS",
-    "MpichMpi",
     "OPENMPI_MX",
-    "OpenMpi",
+    "OPENMPI_QUADRICS",
+    "calibration",
 ]

@@ -1,4 +1,4 @@
-"""Shared machinery for the baseline MPI models.
+"""The baseline MPI model (the paper's comparators) and its calibration rows.
 
 The baselines are *executable models of documented behaviour*, run over the
 exact same simulated NICs as the engine.  The behaviours come from the
@@ -24,14 +24,17 @@ paper itself:
   an unique transaction ... Data are received in a temporary memory area
   before being dispatched to their final destination."  The model charges
   the sender the full pack, ships the packed stream, and charges the
-  receiver the full unpack — both proportional to size.  A subclass knob
-  (``dt_pipeline_chunk``) turns this into the chunked, overlapped variant
-  we attribute to OpenMPI (the paper: "in the absence of related
+  receiver the full unpack — both proportional to size.  A calibration
+  field (``dt_pipeline_chunk``) turns this into the chunked, overlapped
+  variant we attribute to OpenMPI (the paper: "in the absence of related
   documentation, we guess that OpenMPI has the same behaviour" — but
   measures it distinctly faster than MPICH, which chunk overlap explains).
 
-The same request/communicator/datatype objects as MAD-MPI are used, so the
-benchmark harness drives every backend through one interface.
+MPICH and OpenMPI are one model, :class:`BaselineMpi`, with four
+calibration rows that :func:`calibration` picks.  It sends the engine's own
+wire records (:mod:`repro.core.packet`) and uses MAD-MPI's request,
+communicator and datatype objects, so the harness drives every backend
+through one interface.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 
 from repro.core.data import SegmentData, VirtualData, as_data
 from repro.core.matching import Incoming, Matcher
-from repro.core.packet import RdvReqItem, SegItem
+from repro.core.packet import RdvAckItem, RdvDataItem, RdvReqItem, SegItem
 from repro.core.rendezvous import RdvRecvState
 from repro.core.requests import ANY, RecvRequest
 from repro.errors import MpiError, ProtocolError
@@ -52,76 +55,79 @@ from repro.madmpi.endpoint import BufferLike, MpiEndpoint
 from repro.madmpi.request import MpiRecv, MpiRequest, MpiSend
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.node import Node
+from repro.netsim.units import KB
 from repro.sim import Tracer
 
-__all__ = ["BaselineParams", "BaselineMpi"]
+__all__ = ["BaselineParams", "BaselineMpi", "MPICH_MX", "MPICH_QUADRICS",
+           "OPENMPI_MX", "OPENMPI_QUADRICS", "RDV_CHUNK_BYTES", "calibration"]
+
+#: Bulk chunk size of a contiguous rendezvous stream (every row).
+RDV_CHUNK_BYTES = 512 * KB
 
 
 @dataclass(frozen=True)
 class BaselineParams:
-    """Tuning constants of one baseline implementation."""
+    """The constants of one (implementation, network) calibration row."""
 
     name: str
     sw_overhead_us: float        # per-message software cost, each side
     header_bytes: int            # per-message wire header
     eager_threshold: int         # eager/rendezvous switch point
-    rdv_chunk_bytes: int = 512 * 1024
     dt_pipeline_chunk: int | None = None  # None = pack-all-then-send
 
     def __post_init__(self) -> None:
         if self.sw_overhead_us < 0 or self.header_bytes < 0:
             raise ValueError(f"negative constant in {self.name!r}")
-        if self.eager_threshold <= 0 or self.rdv_chunk_bytes <= 0:
+        if self.eager_threshold <= 0:
             raise ValueError(f"bad threshold in {self.name!r}")
         if self.dt_pipeline_chunk is not None and self.dt_pipeline_chunk <= 0:
             raise ValueError(f"bad pipeline chunk in {self.name!r}")
 
 
-# ---------------------------------------------------------------------------
-# wire payloads (the baselines' private frame format)
-# ---------------------------------------------------------------------------
+# MPICH (MPICH-MX / MPICH-Quadrics in the paper's figures) is the behaviour
+# above with the pack-all-then-send datatype path of §5.3 / reference [5].
 
-@dataclass
-class _Eager:
-    src: int
-    flow: int
-    tag: int
-    seq: int
-    data: SegmentData
-    unpack_blocks: list[int] | None = None  # packed datatype stream
+#: MPICH 1.x-era MX channel: lean per-message software path.
+MPICH_MX = BaselineParams("MPICH-MX", sw_overhead_us=0.25, header_bytes=8,
+                          eager_threshold=32 * KB)
+
+#: MPICH over the Quadrics Elan driver.
+MPICH_QUADRICS = BaselineParams("MPICH-Quadrics", sw_overhead_us=0.30,
+                                header_bytes=8, eager_threshold=16 * KB)
+
+# OpenMPI 1.1 (OpenMPI-MX in the paper's figures) is the same protocol family
+# with a heavier per-message software path — Figure 2(a) shows OpenMPI-MX
+# above MPICH-MX at small sizes — and a chunk-pipelined datatype engine that
+# overlaps packing with injection: the mechanism consistent with Figure 4(a)
+# measuring OpenMPI clearly faster than MPICH on the indexed datatype yet
+# still ~2x slower than MAD-MPI's zero-copy schedule.
+
+#: OpenMPI 1.1 over MX.
+OPENMPI_MX = BaselineParams("OpenMPI-MX", sw_overhead_us=0.55, header_bytes=16,
+                            eager_threshold=32 * KB, dt_pipeline_chunk=64 * KB)
+
+#: OpenMPI over Quadrics (not in the paper's Quadrics figures, but available
+#: for completeness).
+OPENMPI_QUADRICS = BaselineParams("OpenMPI-Quadrics", sw_overhead_us=0.60,
+                                  header_bytes=16, eager_threshold=16 * KB,
+                                  dt_pipeline_chunk=64 * KB)
 
 
-@dataclass
-class _RdvReq:
-    src: int
-    flow: int
-    tag: int
-    seq: int
-    handle: int
-    nbytes: int
-    unpack_blocks: list[int] | None = None
+def calibration(backend: str, tech: str) -> BaselineParams:
+    """``backend``'s MX row on ``tech == "mx"``, its Quadrics row otherwise."""
+    mx, quadrics = {
+        "mpich": (MPICH_MX, MPICH_QUADRICS),
+        "openmpi": (OPENMPI_MX, OPENMPI_QUADRICS),
+    }[backend]
+    return mx if tech == "mx" else quadrics
 
 
 @dataclass(slots=True)
 class _Arrival(Incoming):
-    """A matcher descriptor that remembers its packed-datatype layout."""
+    """A matcher descriptor that remembers its packed-datatype layout (the
+    eager or rendezvous-request frame payload, built by the sender)."""
 
     unpack_blocks: list[int] | None = None
-
-
-@dataclass
-class _RdvAck:
-    src: int
-    handle: int
-
-
-@dataclass
-class _RdvData:
-    src: int
-    handle: int
-    offset: int
-    total: int
-    data: SegmentData
 
 
 class _RdvSend:
@@ -158,11 +164,9 @@ class _RdvRecv(RdvRecvState):
 class BaselineMpi(MpiEndpoint):
     """One rank of a baseline MPI implementation (rail 0 only).
 
-    Subclasses provide ``params`` via the constructor; the class itself is
-    fully functional and is what the tests exercise directly.
+    ``params`` is the calibration row (see :func:`calibration`) that makes
+    this rank MPICH or OpenMPI over MX or Quadrics.
     """
-
-    backend_name = "baseline"
 
     def __init__(self, node: Node, params: BaselineParams,
                  world: Communicator, tracer: Tracer | None = None) -> None:
@@ -219,11 +223,15 @@ class BaselineMpi(MpiEndpoint):
         seq = self._seq[(dest_node, flow)]
         self._seq[(dest_node, flow)] += 1
         req = MpiSend(self.sim, dest_node, flow, tag)
+        src = self.node.node_id
         if seg.nbytes <= self.params.eager_threshold:
-            msg = _Eager(src=self.node.node_id, flow=flow, tag=tag, seq=seq,
-                         data=seg, unpack_blocks=unpack_blocks)
+            msg = _Arrival(src=src, flow=flow, tag=tag, seq=seq,
+                           nbytes=seg.nbytes,
+                           item=SegItem(src=src, flow=flow, tag=tag, seq=seq,
+                                        data=seg),
+                           unpack_blocks=unpack_blocks)
             wire = self.params.header_bytes + seg.nbytes
-            frame = Frame(src_node=self.node.node_id, dst_node=dest_node,
+            frame = Frame(src_node=src, dst_node=dest_node,
                           kind=FrameKind.DATA, wire_size=wire, payload=msg,
                           payload_size=seg.nbytes)
             if pack_delay_us > 0:
@@ -234,7 +242,7 @@ class BaselineMpi(MpiEndpoint):
             return req
         # Rendezvous path.
         handle = next(self._handles)
-        chunk_size = self.params.rdv_chunk_bytes
+        chunk_size = RDV_CHUNK_BYTES
         per_chunk_pack = 0.0
         if pipeline_chunk is not None:
             # Chunked pack/send overlap: the pack cost is paid per chunk on
@@ -246,10 +254,11 @@ class BaselineMpi(MpiEndpoint):
         self._rdv_pending[handle] = _RdvSend(
             dest_node, seg, req, chunk_size, per_chunk_pack_us=per_chunk_pack)
         self.rdv_handshakes += 1
-        msg = _RdvReq(src=self.node.node_id, flow=flow, tag=tag, seq=seq,
-                      handle=handle, nbytes=seg.nbytes,
-                      unpack_blocks=unpack_blocks)
-        frame = Frame(src_node=self.node.node_id, dst_node=dest_node,
+        msg = _Arrival(src=src, flow=flow, tag=tag, seq=seq, nbytes=seg.nbytes,
+                       item=RdvReqItem(src=src, flow=flow, tag=tag, seq=seq,
+                                       handle=handle, nbytes=seg.nbytes),
+                       unpack_blocks=unpack_blocks)
+        frame = Frame(src_node=src, dst_node=dest_node,
                       kind=FrameKind.RDV_REQ,
                       wire_size=self.params.header_bytes + 24, payload=msg,
                       payload_size=0)
@@ -334,25 +343,11 @@ class BaselineMpi(MpiEndpoint):
     # ----------------------------------------------------------- frame path
     def _on_frame(self, frame: Frame) -> None:
         msg = frame.payload
-        now = self.sim.now
-        if isinstance(msg, _Eager):
-            item = SegItem(src=msg.src, flow=msg.flow, tag=msg.tag,
-                           seq=msg.seq, data=msg.data)
-            inc = _Arrival(src=msg.src, flow=msg.flow, tag=msg.tag,
-                           seq=msg.seq, nbytes=msg.data.nbytes, item=item,
-                           unpack_blocks=msg.unpack_blocks)
-            self.matcher.deliver(inc, now=now)
-        elif isinstance(msg, _RdvReq):
-            item = RdvReqItem(src=msg.src, flow=msg.flow, tag=msg.tag,
-                              seq=msg.seq, handle=msg.handle,
-                              nbytes=msg.nbytes)
-            inc = _Arrival(src=msg.src, flow=msg.flow, tag=msg.tag,
-                           seq=msg.seq, nbytes=msg.nbytes, item=item,
-                           unpack_blocks=msg.unpack_blocks)
-            self.matcher.deliver(inc, now=now)
-        elif isinstance(msg, _RdvAck):
+        if isinstance(msg, _Arrival):
+            self.matcher.deliver(msg, now=self.sim.now)
+        elif isinstance(msg, RdvAckItem):
             self._stream_granted(msg)
-        elif isinstance(msg, _RdvData):
+        elif isinstance(msg, RdvDataItem):
             self._on_bulk(msg)
         else:
             raise ProtocolError(
@@ -374,7 +369,7 @@ class BaselineMpi(MpiEndpoint):
                 sub, src=inc.src, handle=inc.item.handle,
                 total=inc.item.nbytes, tag=inc.tag,
                 unpack_blocks=unpack_blocks)
-            ack = _RdvAck(src=self.node.node_id, handle=inc.item.handle)
+            ack = RdvAckItem(src=self.node.node_id, handle=inc.item.handle)
             frame = Frame(src_node=self.node.node_id, dst_node=inc.item.src,
                           kind=FrameKind.RDV_ACK,
                           wire_size=self.params.header_bytes + 16,
@@ -398,7 +393,7 @@ class BaselineMpi(MpiEndpoint):
             delay, lambda: sub.finish(item.data, src=inc.src, tag=inc.tag))
 
     # -- rendezvous streaming ------------------------------------------------
-    def _stream_granted(self, ack: _RdvAck) -> None:
+    def _stream_granted(self, ack: RdvAckItem) -> None:
         state = self._rdv_pending.pop(ack.handle, None)
         if state is None:
             raise ProtocolError(
@@ -411,8 +406,9 @@ class BaselineMpi(MpiEndpoint):
         offset = state.next_offset
         n = min(chunk_size, state.total - offset)
         state.next_offset += n
-        msg = _RdvData(src=self.node.node_id, handle=handle, offset=offset,
-                       total=state.total, data=state.data.slice(offset, n))
+        msg = RdvDataItem(src=self.node.node_id, handle=handle,
+                          offset=offset, total=state.total,
+                          data=state.data.slice(offset, n))
         frame = Frame(src_node=self.node.node_id, dst_node=state.dest,
                       kind=FrameKind.RDV_DATA,
                       wire_size=self.params.header_bytes + 16 + n,
@@ -438,7 +434,7 @@ class BaselineMpi(MpiEndpoint):
         else:
             _after_pack()
 
-    def _on_bulk(self, msg: _RdvData) -> None:
+    def _on_bulk(self, msg: RdvDataItem) -> None:
         key = (msg.src, msg.handle)
         state = self._rdv_incoming.get(key)
         if state is None:

@@ -12,14 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.baselines import (
-    MPICH_MX,
-    MPICH_QUADRICS,
-    OPENMPI_MX,
-    BaselineParams,
-    MpichMpi,
-    OpenMpi,
-)
+from repro.baselines import BaselineMpi, calibration
 from repro.core import EngineParams, NmadEngine
 from repro.errors import ReproError
 from repro.madmpi import Communicator, MadMpi
@@ -30,17 +23,6 @@ __all__ = ["BackendPair", "make_backend_pair", "BACKENDS", "backend_label"]
 
 #: Known backend keys.
 BACKENDS = ("madmpi", "mpich", "openmpi", "madmpi-fifo")
-
-#: OpenMPI constants when running over Quadrics (not shown in the paper's
-#: Quadrics figures, but available for completeness).
-OPENMPI_QUADRICS = BaselineParams(
-    name="OpenMPI-Quadrics",
-    sw_overhead_us=0.60,
-    header_bytes=16,
-    eager_threshold=16 * 1024,
-    dt_pipeline_chunk=64 * 1024,
-)
-
 
 @dataclass
 class BackendPair:
@@ -90,7 +72,6 @@ def make_backend_pair(
     cluster = Cluster(sim, n_nodes=2, rails=tuple(rails), tracer=tracer,
                       topology=topology)
     world = Communicator([0, 1])
-    tech = rails[0].tech
     if backend == "madmpi" or backend == "madmpi-fifo":
         strat = "fifo" if backend == "madmpi-fifo" else strategy
         ranks = [
@@ -101,14 +82,10 @@ def make_backend_pair(
             )
             for i in range(2)
         ]
-    elif backend == "mpich":
-        params = MPICH_MX if tech == "mx" else MPICH_QUADRICS
-        ranks = [MpichMpi(cluster.node(i), world, params=params,
-                          tracer=tracer) for i in range(2)]
-    elif backend == "openmpi":
-        params = OPENMPI_MX if tech == "mx" else OPENMPI_QUADRICS
-        ranks = [OpenMpi(cluster.node(i), world, params=params,
-                         tracer=tracer) for i in range(2)]
+    elif backend in ("mpich", "openmpi"):
+        params = calibration(backend, rails[0].tech)
+        ranks = [BaselineMpi(cluster.node(i), params, world, tracer=tracer)
+                 for i in range(2)]
     else:
         raise ReproError(f"unknown backend {backend!r}; known: {BACKENDS}")
     return BackendPair(sim=sim, cluster=cluster, world=world, ranks=ranks,

@@ -292,10 +292,8 @@ def _install_faults(
                 one_way=fault.one_way,
             )
         elif fault.kind == "crash":
-            cluster.schedule_node_fault(fault.src, FaultPlan(
-                node_crash_at=fault.from_us,
-                node_restart_at=fault.until_us,
-            ))
+            cluster.schedule_node_fault(fault.src, fault.from_us,
+                                        fault.until_us)
 
             def _revive(node_id: int = fault.src) -> None:
                 nodes[node_id].append(

@@ -30,9 +30,6 @@ __all__ = ["MadMpi", "ANY"]
 class MadMpi(MpiEndpoint):
     """One rank's MPI endpoint, backed by a :class:`NmadEngine`."""
 
-    #: Backend identifier used in benchmark reports.
-    backend_name = "MadMPI"
-
     def __init__(self, engine: NmadEngine, world: Communicator) -> None:
         self.engine = engine
         self.sim = engine.sim

@@ -97,15 +97,9 @@ class FaultPlan:
       frame is dropped (``until_us=None`` = forever), counted separately
       from plain drops.  :meth:`~repro.netsim.topology.Cluster.partition`
       installs these across group boundaries;
-    * ``node_crash_at`` / ``node_restart_at`` — virtual times at which a
-      whole *node* fail-stops and (optionally) comes back as a new
-      incarnation.  These are node-level faults, not link-level ones:
-      ``decide`` ignores them; apply the plan through
-      :meth:`~repro.netsim.topology.Cluster.schedule_node_fault`;
     * ``switch_down_at`` — a virtual time at which a whole *switch*
-      fail-stops, taking every path through it with it.  Like the node
-      faults this is not a link-level decision: ``decide`` ignores it;
-      apply the plan through
+      fail-stops, taking every path through it with it.  This is not a
+      link-level decision: ``decide`` ignores it; apply the plan through
       :meth:`~repro.netsim.topology.Cluster.schedule_switch_fault`.
 
     Every factor, time and delay must be finite; ``None`` is how a plan
@@ -128,8 +122,6 @@ class FaultPlan:
         reorder: Sequence[tuple[int, float]] = (),
         jitter: tuple[float, int] | None = None,
         partitions: Sequence[tuple[float, float | None]] = (),
-        node_crash_at: float | None = None,
-        node_restart_at: float | None = None,
         switch_down_at: float | None = None,
     ) -> None:
         for n in tuple(drop_nth) + tuple(corrupt_nth) + tuple(dup_nth):
@@ -152,8 +144,7 @@ class FaultPlan:
             if until_us is not None and until_us <= from_us:
                 raise NetworkError(
                     f"empty slow_link window [{from_us}, {until_us})")
-        _check_finite(down_at_us, node_crash_at, node_restart_at,
-                      switch_down_at)
+        _check_finite(down_at_us, switch_down_at)
         if down_at_us is not None and down_at_us < 0:
             raise NetworkError(f"negative down_at_us {down_at_us}")
         reorder_map: dict[int, float] = {}
@@ -176,17 +167,6 @@ class FaultPlan:
         self.partitions: list[tuple[float, float | None]] = []
         for from_us, until_us in partitions:
             self.add_partition(from_us, until_us)
-        if node_crash_at is not None and node_crash_at < 0:
-            raise NetworkError(f"negative node_crash_at {node_crash_at}")
-        if node_restart_at is not None:
-            if node_crash_at is None:
-                raise NetworkError(
-                    "node_restart_at without node_crash_at (nothing to "
-                    "restart from)")
-            if node_restart_at <= node_crash_at:
-                raise NetworkError(
-                    f"node_restart_at ({node_restart_at}) must be after "
-                    f"node_crash_at ({node_crash_at})")
         if switch_down_at is not None and switch_down_at < 0:
             raise NetworkError(f"negative switch_down_at {switch_down_at}")
         self.drop_nth = frozenset(drop_nth)
@@ -201,8 +181,6 @@ class FaultPlan:
         self.jitter = jitter
         self._jitter_rng: Random | None = (
             Random(jitter[1]) if jitter is not None else None)
-        self.node_crash_at = node_crash_at
-        self.node_restart_at = node_restart_at
         self.switch_down_at = switch_down_at
         self._n = 0
         self._kind_counts: dict[str, int] = {}
@@ -292,10 +270,6 @@ class FaultPlan:
             parts.append(f"jitter={self.jitter}")
         if self.partitions:
             parts.append(f"partitions={self.partitions}")
-        if self.node_crash_at is not None:
-            parts.append(f"node_crash_at={self.node_crash_at}us")
-        if self.node_restart_at is not None:
-            parts.append(f"node_restart_at={self.node_restart_at}us")
         if self.switch_down_at is not None:
             parts.append(f"switch_down_at={self.switch_down_at}us")
         return f"<FaultPlan {' '.join(parts) or 'clean'}>"

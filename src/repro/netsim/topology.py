@@ -23,7 +23,7 @@ from repro.netsim.fabric import (
     resolve_topology,
     schedule_switch_fault,
 )
-from repro.netsim.link import FaultPlan, Link
+from repro.netsim.link import FaultPlan, Link, _check_finite
 from repro.netsim.nic import Nic
 from repro.netsim.node import Node
 from repro.netsim.profiles import HOST_2006_OPTERON, HostProfile, NicProfile
@@ -102,24 +102,28 @@ class Cluster:
             )
         return self.nodes[node_id]
 
-    def schedule_node_fault(self, node_id: int, plan: FaultPlan) -> None:
-        """Schedule ``plan``'s node crash (and optional restart) on a node.
+    def schedule_node_fault(self, node_id: int, crash_at: float,
+                            restart_at: float | None = None) -> None:
+        """Fail-stop a node at ``crash_at`` and (optionally) restart it.
 
-        Node faults live on :class:`~repro.netsim.link.FaultPlan` next to
-        the link faults so one plan describes a whole chaos scenario, but
-        they are applied here — a crash takes down every NIC of the node,
-        not one wire.  The restart only powers the NICs back up; whoever
-        owns the node (a test, the CLI) constructs a fresh engine on it to
-        re-install receive handlers for the new incarnation.
+        A crash takes down every NIC of the node, not one wire, so node
+        faults are scheduled here rather than on a link's
+        :class:`~repro.netsim.link.FaultPlan`.  The restart only powers the
+        NICs back up; whoever owns the node (a test, the CLI) constructs a
+        fresh engine on it to re-install receive handlers for the new
+        incarnation.
         """
-        if plan.node_crash_at is None:
+        _check_finite(crash_at, restart_at)
+        if crash_at < 0:
+            raise NetworkError(f"negative crash_at {crash_at}")
+        if restart_at is not None and restart_at <= crash_at:
             raise NetworkError(
-                f"{plan!r} has no node_crash_at; nothing to schedule")
+                f"restart_at ({restart_at}) must be after crash_at "
+                f"({crash_at})")
         node = self.node(node_id)
-        self.sim.schedule(max(0.0, plan.node_crash_at - self.sim.now),
-                          node.crash)
-        if plan.node_restart_at is not None:
-            self.sim.schedule(max(0.0, plan.node_restart_at - self.sim.now),
+        self.sim.schedule(max(0.0, crash_at - self.sim.now), node.crash)
+        if restart_at is not None:
+            self.sim.schedule(max(0.0, restart_at - self.sim.now),
                               node.restart)
 
     # -- switch / rack fault domains ----------------------------------------

@@ -8,25 +8,31 @@ from repro.baselines import (
     MPICH_MX,
     MPICH_QUADRICS,
     OPENMPI_MX,
+    OPENMPI_QUADRICS,
+    BaselineMpi,
     BaselineParams,
-    MpichMpi,
-    OpenMpi,
+    base,
+    calibration,
 )
+from repro.bench.backends import make_backend_pair
 from repro.core import VirtualData
 from repro.errors import MpiError, ProtocolError
 from repro.madmpi import (
     ANY, Communicator, Indexed, MpiRecv, MpiRequest, MpiSend,
     indexed_small_large,
 )
-from repro.netsim import Cluster, FaultPlan, MX_MYRI10G, QUADRICS_QM500
+from repro.netsim import PROFILES, Cluster, FaultPlan, MX_MYRI10G
 from repro.sim import Event, Simulator
 
 
-def make_pair(cls=MpichMpi, rails=(MX_MYRI10G,), params=None):
+ROWS = (MPICH_MX, MPICH_QUADRICS, OPENMPI_MX, OPENMPI_QUADRICS)
+
+
+def make_pair(row=MPICH_MX):
     sim = Simulator()
-    cluster = Cluster(sim, n_nodes=2, rails=rails)
+    cluster = Cluster(sim, n_nodes=2, rails=(MX_MYRI10G,))
     world = Communicator([0, 1])
-    mpis = [cls(cluster.node(i), world, params=params) for i in range(2)]
+    mpis = [BaselineMpi(cluster.node(i), row, world) for i in range(2)]
     return sim, cluster, mpis
 
 
@@ -111,18 +117,20 @@ class TestDirectMapping:
         return (req.source, req.tag, req.count,
                 None if data is None else data.tobytes())
 
-    def make_trio(self, cls=MpichMpi):
+    def make_trio(self):
         # World ranks 0, 1, 2 live on nodes 2, 0, 1.
         sim = Simulator()
         cluster = Cluster(sim, n_nodes=3, rails=(MX_MYRI10G,))
         world = Communicator([2, 0, 1])
-        by_rank = {world.rank_of(n): cls(cluster.node(n), world)
+        by_rank = {world.rank_of(n): BaselineMpi(cluster.node(n), MPICH_MX,
+                                                 world)
                    for n in range(3)}
         return sim, world, [by_rank[r] for r in range(3)]
 
-    @pytest.mark.parametrize("cls", [MpichMpi, OpenMpi])
-    def test_status_in_callback_and_after_wait(self, cls):
-        sim, _, (m0, m1) = make_pair(cls)
+    @pytest.mark.parametrize("row", [MPICH_MX, OPENMPI_MX],
+                             ids=["MpichMpi", "OpenMpi"])
+    def test_status_in_callback_and_after_wait(self, row):
+        sim, _, (m0, m1) = make_pair(row)
         seen = []
 
         def app():
@@ -144,9 +152,10 @@ class TestDirectMapping:
             (0, 3, 3, b"\x03\x03\x03")]
         assert all(len(r.block_data) == 0 for r in got)
 
-    @pytest.mark.parametrize("cls", [MpichMpi, OpenMpi])
-    def test_handles_are_their_own_completion_event(self, cls):
-        sim, _, (m0, m1) = make_pair(cls)
+    @pytest.mark.parametrize("row", [MPICH_MX, OPENMPI_MX],
+                             ids=["MpichMpi", "OpenMpi"])
+    def test_handles_are_their_own_completion_event(self, row):
+        sim, _, (m0, m1) = make_pair(row)
         dtype = Indexed([2, 2], [0, 4])
         rreq, sreq = m1.irecv(source=0, tag=1), m0.isend(b"ab", dest=1, tag=1)
         typed = m1.irecv(source=0, tag=2, datatype=dtype)
@@ -250,7 +259,7 @@ class TestRendezvous:
     def test_eager_threshold_respected(self):
         params = BaselineParams(name="t", sw_overhead_us=0.1, header_bytes=8,
                                 eager_threshold=1000)
-        sim, _, (m0, m1) = make_pair(params=params)
+        sim, _, (m0, m1) = make_pair(params)
 
         def app():
             r1 = m1.irecv(source=0, tag=1)
@@ -262,11 +271,11 @@ class TestRendezvous:
         sim.run_process(app())
         assert m0.rdv_handshakes == 1
 
-    def test_chunk_landing_twice_does_not_tile(self):
+    def test_chunk_landing_twice_does_not_tile(self, monkeypatch):
         # Two equal chunks; the wire delivers the first one twice, so the
         # byte count completes while the second half never arrived.
-        params = dataclasses.replace(MPICH_MX, rdv_chunk_bytes=100_000)
-        sim, cluster, (m0, m1) = make_pair(params=params)
+        monkeypatch.setattr(base, "RDV_CHUNK_BYTES", 100_000)
+        sim, cluster, (m0, m1) = make_pair()
         link = next(l for l in cluster.links if l.src.node_id == 0)
         link.fault_plan = FaultPlan(dup_nth=(2,))  # rdv_req, then chunk 1
 
@@ -325,8 +334,8 @@ class TestDatatypes:
         # large noncontiguous message (the Figure-4 baseline ordering).
         dtype = indexed_small_large(repeats=4)  # ~1MB
 
-        def run(cls):
-            sim, _, (m0, m1) = make_pair(cls=cls)
+        def run(row):
+            sim, _, (m0, m1) = make_pair(row)
 
             def app():
                 r = m1.irecv(source=0, datatype=dtype)
@@ -336,7 +345,7 @@ class TestDatatypes:
 
             return sim.run_process(app())
 
-        assert run(OpenMpi) < run(MpichMpi)
+        assert run(OPENMPI_MX) < run(MPICH_MX)
 
     def test_small_typed_message_stays_eager(self):
         sim, _, (m0, m1) = make_pair()
@@ -354,14 +363,12 @@ class TestDatatypes:
 
 class TestProfilesAndParams:
     def test_default_params_follow_nic_tech(self):
-        _, _, (mx0, _) = make_pair(rails=(MX_MYRI10G,))
-        assert mx0.params is MPICH_MX
-        _, _, (q0, _) = make_pair(rails=(QUADRICS_QM500,))
-        assert q0.params is MPICH_QUADRICS
+        assert calibration("mpich", "mx") is MPICH_MX
+        assert calibration("mpich", "elan") is MPICH_QUADRICS
 
     def test_openmpi_heavier_than_mpich_small(self):
-        def rtt(cls):
-            sim, _, (m0, m1) = make_pair(cls=cls)
+        def rtt(row):
+            sim, _, (m0, m1) = make_pair(row)
 
             def app():
                 m1pong = None
@@ -378,7 +385,7 @@ class TestProfilesAndParams:
 
             return sim.run_process(app())
 
-        assert rtt(OpenMpi) > rtt(MpichMpi)
+        assert rtt(OPENMPI_MX) > rtt(MPICH_MX)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -392,5 +399,29 @@ class TestProfilesAndParams:
                            eager_threshold=10, dt_pipeline_chunk=0)
 
     def test_openmpi_default_params(self):
-        _, _, (o0, _) = make_pair(cls=OpenMpi)
-        assert o0.params is OPENMPI_MX
+        assert calibration("openmpi", "mx") is OPENMPI_MX
+        assert calibration("openmpi", "elan") is OPENMPI_QUADRICS
+
+
+class TestCalibrationTable:
+    """MPICH and OpenMPI are one model; only the four rows tell them apart."""
+
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(BaselineParams)])
+    def test_every_field_varies_across_the_rows(self, field):
+        # A field with one value in every row is a constant in disguise.
+        assert len({getattr(row, field) for row in ROWS}) >= 2
+
+    def test_rdv_chunk_bytes_is_a_module_constant(self):
+        with pytest.raises(TypeError):
+            dataclasses.replace(MPICH_MX, rdv_chunk_bytes=100_000)
+
+    @pytest.mark.parametrize("profile", list(PROFILES.values()),
+                             ids=list(PROFILES))
+    @pytest.mark.parametrize("backend", ["mpich", "openmpi"])
+    def test_backend_pair_runs_the_calibration_row(self, backend, profile):
+        # OpenMPI over Quadrics included: the pair and the model once chose
+        # different rows for it.
+        pair = make_backend_pair(backend, rails=(profile,))
+        row = calibration(backend, profile.tech)
+        assert pair.m0.params is row and pair.m1.params is row

@@ -21,7 +21,7 @@ from repro.bench import (
     run_figure3,
     run_figure4,
 )
-from repro.baselines import MpichMpi, OpenMpi
+from repro.baselines import BaselineMpi
 from repro.errors import ReproError
 from repro.madmpi import MadMpi
 from repro.netsim import KB, MB, MX_MYRI10G, QUADRICS_QM500
@@ -116,10 +116,10 @@ class TestBackendFactory:
 
     def test_baseline_params_follow_rail_tech(self):
         pair = make_backend_pair("mpich", rails=(QUADRICS_QM500,))
-        assert isinstance(pair.m0, MpichMpi)
+        assert isinstance(pair.m0, BaselineMpi)
         assert pair.m0.params.name == "MPICH-Quadrics"
         pair2 = make_backend_pair("openmpi", rails=(QUADRICS_QM500,))
-        assert isinstance(pair2.m0, OpenMpi)
+        assert isinstance(pair2.m0, BaselineMpi)
         assert pair2.m0.params.name == "OpenMPI-Quadrics"
 
     def test_unknown_backend_rejected(self):

@@ -243,6 +243,10 @@ class TestSlowLink:
             FaultPlan(slow_link=(2.0, 10.0, 10.0))
 
 
+def _schedule_node_fault(*times):
+    Cluster(Simulator(), rails=(MX_MYRI10G,)).schedule_node_fault(0, *times)
+
+
 class TestFaultPlanValidation:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                        float("-inf")])
@@ -256,8 +260,8 @@ class TestFaultPlanValidation:
         lambda v: FaultPlan(partitions=((v, None),)),
         lambda v: FaultPlan(partitions=((0.0, v),)),
         lambda v: FaultPlan().add_partition(0.0, v),
-        lambda v: FaultPlan(node_crash_at=v),
-        lambda v: FaultPlan(node_crash_at=1.0, node_restart_at=v),
+        lambda v: _schedule_node_fault(v),
+        lambda v: _schedule_node_fault(1.0, v),
         lambda v: FaultPlan(switch_down_at=v),
     ], ids=["slow-factor", "slow-from", "slow-until", "down-at",
             "reorder-delay", "jitter", "partition-from", "partition-until",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from repro.baselines import MpichMpi
+from repro.baselines import MPICH_MX, BaselineMpi
 from repro.core import NmadEngine
 from repro.errors import MpiError
 from repro.madmpi import Communicator, MadMpi
@@ -31,7 +31,8 @@ def make_world(n, backend="madmpi", strategy="aggregation"):
         mpis = [MadMpi(NmadEngine(cluster.node(i), strategy=strategy), world)
                 for i in range(n)]
     else:
-        mpis = [MpichMpi(cluster.node(i), world) for i in range(n)]
+        mpis = [BaselineMpi(cluster.node(i), MPICH_MX, world)
+                for i in range(n)]
     return sim, world, mpis
 
 

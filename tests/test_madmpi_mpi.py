@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.baselines import MpichMpi
+from repro.baselines import MPICH_MX, BaselineMpi
 from repro.core import (
     EngineParams, NmadEngine, PacketWrap, RecvRequest, SendRequest,
     VirtualData,
@@ -584,7 +584,8 @@ def _mpich_pair():
     sim = Simulator()
     cluster = Cluster(sim, n_nodes=2, rails=(MX_MYRI10G,))
     world = Communicator([0, 1])
-    return sim, [MpichMpi(cluster.node(i), world) for i in range(2)]
+    return sim, [BaselineMpi(cluster.node(i), MPICH_MX, world)
+                 for i in range(2)]
 
 
 def _truncate(sim, m0, m1, datatype):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import MpichMpi
+from repro.baselines import MPICH_MX, BaselineMpi
 from repro.core import NmadEngine, VirtualData
 from repro.errors import MpiError
 from repro.madmpi import ANY, Communicator, MadMpi
@@ -17,7 +17,8 @@ def make_pair(backend="madmpi"):
     if backend == "madmpi":
         mpis = [MadMpi(NmadEngine(cluster.node(i)), world) for i in range(2)]
     else:
-        mpis = [MpichMpi(cluster.node(i), world) for i in range(2)]
+        mpis = [BaselineMpi(cluster.node(i), MPICH_MX, world)
+                for i in range(2)]
     return sim, world, mpis
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.core import EngineParams, NmadEngine, VirtualData
 from repro.errors import CommRevokedError, PeerDeadError, SimulationError
 from repro.madmpi import Communicator, MadMpi
-from repro.netsim import MX_MYRI10G, Cluster, FaultPlan
+from repro.netsim import MX_MYRI10G, Cluster
 from repro.netsim.frames import Frame, FrameKind
 from repro.sim import Simulator
 
@@ -143,7 +143,7 @@ class TestFailureDetection:
         params = EngineParams(**EPOCH)
         sim, cluster, (e0, e1) = make_pair(params)
         crash_at = 2.0
-        cluster.schedule_node_fault(1, FaultPlan(node_crash_at=crash_at))
+        cluster.schedule_node_fault(1, crash_at)
         outcome = {}
 
         def driver():
@@ -176,7 +176,7 @@ class TestFailureDetection:
     def test_new_requests_toward_a_dead_peer_raise_immediately(self):
         params = EngineParams(**EPOCH)
         sim, cluster, (e0, e1) = make_pair(params)
-        cluster.schedule_node_fault(1, FaultPlan(node_crash_at=2.0))
+        cluster.schedule_node_fault(1, 2.0)
 
         def driver():
             e0.isend(1, VirtualData(4096), tag=0)
@@ -194,7 +194,7 @@ class TestFailureDetection:
         params = EngineParams(**EPOCH)
         sim, cluster, (e0, e1) = make_pair(params)
         crash_at = 20.0
-        cluster.schedule_node_fault(0, FaultPlan(node_crash_at=crash_at))
+        cluster.schedule_node_fault(0, crash_at)
         # A pure receiver: the sourced post alone arms the detector (it
         # runs the handshake so the peer's silence is distinguishable).
         req = e1.irecv(src=0, tag=0)
@@ -208,7 +208,7 @@ class TestFailureDetection:
         params = EngineParams(**EPOCH)
         sim, cluster, (e0, e1) = make_pair(params)
         crash_at = 60.0
-        cluster.schedule_node_fault(1, FaultPlan(node_crash_at=crash_at))
+        cluster.schedule_node_fault(1, crash_at)
         # 256 KB >> the 32 KB threshold: rendezvous, ~200us on the wire,
         # so the crash lands mid-transfer with the grant outstanding.
         rreq = e1.irecv(src=0, tag=0, nbytes=256 * 1024)
@@ -402,7 +402,7 @@ class TestTeardownTimerHygiene:
                               flow_control="credit",
                               credit_bytes=64 * 1024, credit_wraps=256)
         sim, cluster, (e0, e1) = make_pair(params)
-        cluster.schedule_node_fault(1, FaultPlan(node_crash_at=30.0))
+        cluster.schedule_node_fault(1, 30.0)
         # 160 KB against a 64 KB budget; the receiver never posts, never
         # releases: the sender wedges on credit, then the peer dies.
         reqs = [e0.isend(1, VirtualData(4096), tag=i) for i in range(40)]
@@ -439,7 +439,7 @@ class TestQuiesce:
     def test_quiesce_times_out_while_a_handshake_hangs(self):
         params = EngineParams(**EPOCH)
         sim, cluster, (e0, e1) = make_pair(params)
-        cluster.schedule_node_fault(1, FaultPlan(node_crash_at=0.5))
+        cluster.schedule_node_fault(1, 0.5)
 
         def app():
             e0.isend(1, VirtualData(4096), tag=0)
@@ -465,8 +465,7 @@ class TestCrashRestartRecovery:
         # frame lands (~20us); restart *before* the sender's detector
         # fires, so its retransmits (stamped with the old view of the
         # receiver) land on the new incarnation and must be fenced.
-        cluster.schedule_node_fault(
-            1, FaultPlan(node_crash_at=10.0, node_restart_at=50.0))
+        cluster.schedule_node_fault(1, 10.0, restart_at=50.0)
 
         def revive():
             e1b = NmadEngine(node1, params=params)
@@ -537,8 +536,7 @@ class TestCrashRestartRecovery:
         node1 = cluster.node(1)
         restart_at = float(crash_at + restart_gap)
         end = restart_at + 2_500.0
-        cluster.schedule_node_fault(1, FaultPlan(
-            node_crash_at=float(crash_at), node_restart_at=restart_at))
+        cluster.schedule_node_fault(1, float(crash_at), restart_at)
         payloads = {t: bytes([t + 1]) * (512 + 97 * t) for t in range(n_msgs)}
 
         rx0 = [engines[1].irecv(src=0, tag=t, nbytes=len(payloads[t]))
@@ -604,7 +602,7 @@ class TestUlfmSurface:
 
     def test_peer_death_surfaces_then_revoke_and_shrink(self):
         sim, cluster, engines, world, (m0, m1, m2) = self.make_trio()
-        cluster.schedule_node_fault(2, FaultPlan(node_crash_at=2.0))
+        cluster.schedule_node_fault(2, 2.0)
         outcome = {}
 
         def app():
