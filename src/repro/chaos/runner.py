@@ -208,7 +208,6 @@ def _install_faults(
 
     for (src, dst), flist in sorted(by_link.items()):
         drop_nth: list[int] = []
-        bursts: list[tuple[int, int]] = []
         corrupt_nth: list[int] = []
         dup_nth: list[int] = []
         reorder: list[tuple[int, float]] = []
@@ -219,7 +218,7 @@ def _install_faults(
             if fault.kind == "drop":
                 drop_nth.append(fault.nth)
             elif fault.kind == "burst":
-                bursts.append((fault.nth, fault.length))
+                drop_nth.extend(range(fault.nth, fault.nth + fault.length))
             elif fault.kind == "corrupt":
                 corrupt_nth.append(fault.nth)
             elif fault.kind == "dup":
@@ -234,7 +233,7 @@ def _install_faults(
             elif jitter is None:
                 jitter = (fault.max_us, fault.rng_seed)
         plan = FaultPlan(
-            drop_nth=drop_nth, bursts=bursts, corrupt_nth=corrupt_nth,
+            drop_nth=drop_nth, corrupt_nth=corrupt_nth,
             dup_nth=dup_nth, reorder=reorder, slow_link=slow, jitter=jitter,
         )
         installed = False

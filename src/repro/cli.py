@@ -333,7 +333,12 @@ def _report(args, out) -> int:
     from repro.bench.backends import make_backend_pair
     from repro.bench.workloads import TrafficSpec, generate_messages, replay
     from repro.core import EngineParams
-    from repro.errors import NetworkError, ReproError, SimulationError
+    from repro.errors import (
+        NetworkError,
+        ReproError,
+        SimulationError,
+        TransportError,
+    )
     from repro.netsim import FaultPlan
 
     if args.messages < 1:
@@ -387,7 +392,7 @@ def _report(args, out) -> int:
     stalled = None
     try:
         replay(pair, messages, verify_content=True)
-    except SimulationError as exc:
+    except (SimulationError, TransportError) as exc:
         stalled = exc
     payload = _report_payload(args, pair, messages, stalled)
 

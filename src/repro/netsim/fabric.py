@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, ClassVar, Union
 
 from repro.errors import NetworkError
 from repro.netsim.frames import Frame
-from repro.netsim.link import FaultPlan, Link
+from repro.netsim.link import Link
 from repro.netsim.profiles import NicProfile
 from repro.sim import Simulator, Tracer
 
@@ -81,7 +81,7 @@ class _Port:
 
     __slots__ = (
         "switch", "port_id", "link", "next_hop", "bandwidth_mbps",
-        "_queue", "_busy", "_current", "frames_forwarded", "bytes_forwarded",
+        "_queue", "_busy", "_current",
     )
 
     def __init__(
@@ -100,18 +100,11 @@ class _Port:
         self._queue: deque[Frame] = deque()
         self._busy = False
         self._current: Frame | None = None
-        self.frames_forwarded = 0
-        self.bytes_forwarded = 0
 
     @property
     def alive(self) -> bool:
         """Usable for new flows: the far end is a host or a live switch."""
         return self.next_hop is None or self.next_hop.up
-
-    @property
-    def depth(self) -> int:
-        """Frames queued behind the one being serialized (contention)."""
-        return len(self._queue)
 
     def push(self, frame: Frame) -> None:
         self._queue.append(frame)
@@ -131,8 +124,6 @@ class _Port:
         if gen != self.switch.generation:
             return  # switch died mid-serialization; fail() accounted the frame
         self._current = None
-        self.frames_forwarded += 1
-        self.bytes_forwarded += frame.wire_size
         self.switch.frames_forwarded += 1
         self.switch.bytes_forwarded += frame.wire_size
         self.link.transmit(frame)
@@ -171,6 +162,7 @@ class Switch:
         self.tier = tier  # "edge" | "agg" | "core" | "router"
         self.rail = rail
         self.group = -1  # pod / core group / dragonfly group (builder sets)
+        self.rack = -1  # index into ``cluster.racks``; -1: no rack
         self.salt = salt
         self.tracer = tracer if tracer is not None else Tracer()
         self.up = True
@@ -298,6 +290,18 @@ def _link(cluster: "Cluster", src: "Nic | Switch", dst: "Nic | Switch",
     return link
 
 
+def _attach_host(cluster: "Cluster", host: int, rail_idx: int,
+                 switch: Switch, latency_us: float, bw: float) -> None:
+    """Wire ``host``'s NIC on ``rail_idx`` to ``switch``: uplink, then the
+    switch's down port and its route to the host."""
+    nic = cluster.nodes[host].nic(rail_idx)
+    uplink = _link(cluster, nic, switch, latency_us)
+    nic.set_uplink(uplink)
+    cluster.host_uplinks[(host, rail_idx)] = uplink
+    down = _link(cluster, switch, nic, latency_us)
+    switch.add_route(host, (switch.add_port(down, bw),))
+
+
 @dataclass(frozen=True)
 class Mesh:
     """The paper-faithful default: a full point-to-point mesh per rail."""
@@ -325,26 +329,19 @@ class Mesh:
 
 @dataclass(frozen=True)
 class FatTree:
-    """A k-ary fat-tree (k pods of k/2 edge + k/2 agg, (k/2)·m cores).
+    """A k-ary fat-tree: k pods of k/2 edge + k/2 agg, (k/2)² cores.
 
-    ``oversubscription`` trims the agg→core fan-out: each aggregation
-    switch keeps ``m = max(1, (k/2)//oversubscription)`` core uplinks, so
-    the spine shrinks while edge connectivity is preserved (every pod's
-    column-``a`` agg reaches the same ``m`` cores of group ``a``, so
-    up/down routing never black-holes on a healthy fabric).
+    Every pod's column-``a`` agg reaches the same k/2 cores of group
+    ``a``, so up/down routing never black-holes on a healthy fabric.
     """
 
     k: int = 4
-    oversubscription: int = 1
     seed: int = 0
     name: ClassVar[str] = "fat-tree"
 
     def __post_init__(self) -> None:
         if self.k < 2 or self.k % 2:
             raise NetworkError(f"fat-tree k must be even and >= 2, got {self.k}")
-        if self.oversubscription < 1:
-            raise NetworkError(
-                f"oversubscription must be >= 1, got {self.oversubscription}")
         if self.seed < 0:
             raise NetworkError(f"seed must be >= 0, got {self.seed}")
 
@@ -352,17 +349,13 @@ class FatTree:
     def half(self) -> int:
         return self.k // 2
 
-    @property
-    def cores_per_group(self) -> int:
-        return max(1, self.half // self.oversubscription)
-
     def capacity(self) -> int:
-        return self.k * self.half * self.half  # k^3/4 at oversub 1
+        return self.k * self.half * self.half  # k^3/4
 
     def build(self, cluster: "Cluster", rail_idx: int,
               profile: NicProfile) -> None:
         n_nodes = len(cluster.nodes)
-        k, half, m = self.k, self.half, self.cores_per_group
+        k, half = self.k, self.half
         lat = profile.latency_us
         bw = profile.bandwidth_mbps
         mk = cluster._new_switch
@@ -376,7 +369,7 @@ class FatTree:
                  for a in range(half)] for p in range(k)]
         cores = [[mk(f"ft{rail_idx}.core{g}.{c}", "core", rail_idx,
                      self.seed, group=g)
-                  for c in range(m)] for g in range(half)]
+                  for c in range(half)] for g in range(half)]
 
         # Hosts round-robin ACROSS pods first (host 0 -> pod0.edge0,
         # host 1 -> pod1.edge0, ...), so even a two-node drill crosses the
@@ -388,19 +381,15 @@ class FatTree:
             pe = edge_order[host % len(edge_order)]
             attach[host] = pe
             members[pe].append(host)
-        if rail_idx == 0:
-            cluster.racks = [members[pe] for pe in edge_order if members[pe]]
+        # A rack is one populated edge switch's hosts.
+        racks = [pe for pe in edge_order if members[pe]]
+        cluster.racks = [members[pe] for pe in racks]
+        for rack, (p, e) in enumerate(racks):
+            edges[p][e].rack = rack
 
-        # Host <-> edge wiring.
         for host in range(n_nodes):
             p, e = attach[host]
-            edge = edges[p][e]
-            nic = cluster.nodes[host].nic(rail_idx)
-            uplink = _link(cluster, nic, edge, lat)
-            nic.set_uplink(uplink)
-            cluster.host_uplinks[(host, rail_idx)] = uplink
-            down = _link(cluster, edge, nic, lat)
-            edge.add_route(host, (edge.add_port(down, bw),))
+            _attach_host(cluster, host, rail_idx, edges[p][e], lat, bw)
 
         # Edge <-> agg wiring (full bipartite within each pod).  Record the
         # agg-side down port towards each edge for the agg route table.
@@ -421,13 +410,12 @@ class FatTree:
                     if attach[host] != (p, e):
                         edge.add_route(host, ecmp)
 
-        # Agg <-> core wiring: column a talks to core group a, members 0..m-1.
+        # Agg <-> core wiring: column a talks to every core of group a.
         for p in range(k):
             for a in range(half):
                 agg = aggs[p][a]
                 core_ups = []
-                for c in range(m):
-                    core = cores[a][c]
+                for core in cores[a]:
                     core_ups.append(agg.add_port(
                         _link(cluster, agg, core, lat), bw, next_hop=core))
                     core.add_port(_link(cluster, core, agg, lat), bw,
@@ -442,9 +430,8 @@ class FatTree:
                         agg.add_route(host, ecmp_up)
 
         # Core routes: one down port per pod (to that pod's column-a agg).
-        for g in range(half):
-            for c in range(m):
-                core = cores[g][c]
+        for group in cores:
+            for core in group:
                 down_by_pod = {}
                 for port in core.ports:
                     assert port.next_hop is not None
@@ -452,19 +439,6 @@ class FatTree:
                 for host in range(n_nodes):
                     hp, _he = attach[host]
                     core.add_route(host, (down_by_pod[hp],))
-
-        # Rack fault-domain bookkeeping: a rack is one edge switch's hosts;
-        # its switch set spans every rail's copy of that edge.
-        rack_idx = 0
-        for pe in edge_order:
-            if not members[pe]:
-                continue
-            p, e = pe
-            if rail_idx == 0:
-                cluster._rack_switches.append([edges[p][e]])
-            else:
-                cluster._rack_switches[rack_idx].append(edges[p][e])
-            rack_idx += 1
 
 
 @dataclass(frozen=True)
@@ -517,19 +491,16 @@ class Dragonfly:
             r = (host // self.hosts_per_router) % self.routers
             attach[host] = (g, r)
             group_hosts[g].append(host)
-        if rail_idx == 0:
-            cluster.racks = [hosts for hosts in group_hosts if hosts]
+        # A rack is one populated group: its hosts and every router in it.
+        racks = [g for g in range(self.groups) if group_hosts[g]]
+        cluster.racks = [group_hosts[g] for g in racks]
+        for rack, g in enumerate(racks):
+            for router in routers[g]:
+                router.rack = rack
 
-        # Host <-> router wiring.
         for host in range(n_nodes):
             g, r = attach[host]
-            router = routers[g][r]
-            nic = cluster.nodes[host].nic(rail_idx)
-            uplink = _link(cluster, nic, router, lat)
-            nic.set_uplink(uplink)
-            cluster.host_uplinks[(host, rail_idx)] = uplink
-            down = _link(cluster, router, nic, lat)
-            router.add_route(host, (router.add_port(down, bw),))
+            _attach_host(cluster, host, rail_idx, routers[g][r], lat, bw)
 
         # Local all-to-all within each group.
         local_port: dict[tuple[int, int, int], int] = {}
@@ -581,17 +552,6 @@ class Dragonfly:
                             for gr, _far in gateway[(g, hg)] if gr != r)
                         router.add_route(host, gates)
 
-        if rail_idx == 0:
-            cluster._rack_switches.extend(
-                [list(routers[g]) for g in range(self.groups) if group_hosts[g]])
-        else:
-            rack_idx = 0
-            for g in range(self.groups):
-                if not group_hosts[g]:
-                    continue
-                cluster._rack_switches[rack_idx].extend(routers[g])
-                rack_idx += 1
-
 
 TopologySpec = Union[Mesh, FatTree, Dragonfly]
 
@@ -612,12 +572,3 @@ def resolve_topology(topology: str | TopologySpec) -> TopologySpec:
             f"unknown topology {topology!r} (choose from "
             f"{sorted(_BY_NAME)} or pass a spec)")
     return spec
-
-
-def schedule_switch_fault(cluster: "Cluster", switch: Switch,
-                          plan: FaultPlan) -> None:
-    """Apply a :class:`FaultPlan` with ``switch_down_at`` to one switch."""
-    if plan.switch_down_at is None:
-        raise NetworkError("FaultPlan has no switch_down_at")
-    delay = max(0.0, plan.switch_down_at - cluster.sim.now)
-    cluster.sim.schedule(delay, switch.fail)

@@ -13,7 +13,7 @@ delivered) that the property tests use to prove no packet is ever lost or
 duplicated by the scheduling engine above.
 
 Faults are modelled by a composable :class:`FaultPlan` (drop the nth
-frame, drop a fixed id set, drop bursts, corrupt payloads, slow the link
+frame, drop the nth frame of a kind, corrupt payloads, slow the link
 down over a time window, take the link permanently down at a given time,
 deliver an arrival twice, hold an arrival back past its successors,
 seeded latency jitter, and timed partition windows).  The engine — like
@@ -69,10 +69,8 @@ class FaultPlan:
 
     A plan combines any of:
 
-    * ``drop_nth`` — 1-based arrival indices to drop;
-    * ``drop_frame_ids`` — a fixed set of :attr:`Frame.frame_id` to drop;
-    * ``bursts`` — ``(first_n, length)`` pairs dropping ``length``
-      consecutive arrivals starting at arrival ``first_n``;
+    * ``drop_nth`` — 1-based arrival indices to drop (a burst of losses
+      is a run of consecutive indices);
     * ``corrupt_nth`` — arrival indices delivered with a failing checksum
       (the receiver discards them like a loss, but the bytes did travel);
     * ``drop_kind_nth`` — ``(kind, n)`` pairs dropping the nth frame *of
@@ -112,8 +110,6 @@ class FaultPlan:
     def __init__(
         self,
         drop_nth: Sequence[int] = (),
-        drop_frame_ids: Sequence[int] = (),
-        bursts: Sequence[tuple[int, int]] = (),
         corrupt_nth: Sequence[int] = (),
         drop_kind_nth: Sequence[tuple[str, int]] = (),
         slow_link: tuple[float, float, float | None] | None = None,
@@ -127,9 +123,6 @@ class FaultPlan:
         for n in tuple(drop_nth) + tuple(corrupt_nth) + tuple(dup_nth):
             if n < 1:
                 raise NetworkError(f"fault indices are 1-based, got {n}")
-        for first, length in bursts:
-            if first < 1 or length < 1:
-                raise NetworkError(f"bad burst ({first}, {length})")
         for kind, n in drop_kind_nth:
             if n < 1:
                 raise NetworkError(f"bad drop_kind_nth ({kind!r}, {n})")
@@ -170,8 +163,6 @@ class FaultPlan:
         if switch_down_at is not None and switch_down_at < 0:
             raise NetworkError(f"negative switch_down_at {switch_down_at}")
         self.drop_nth = frozenset(drop_nth)
-        self.drop_frame_ids = frozenset(drop_frame_ids)
-        self.bursts = tuple(bursts)
         self.corrupt_nth = frozenset(corrupt_nth)
         self.drop_kind_nth = frozenset(drop_kind_nth)
         self.slow_link = slow_link
@@ -207,10 +198,7 @@ class FaultPlan:
                 from_us <= now and (until_us is None or now < until_us)
                 for from_us, until_us in self.partitions):
             return DROP_PARTITION
-        if n in self.drop_nth or frame.frame_id in self.drop_frame_ids:
-            return DROP
-        if self.bursts and any(first <= n < first + length
-                               for first, length in self.bursts):
+        if n in self.drop_nth:
             return DROP
         if (frame.kind, kind_n) in self.drop_kind_nth:
             return DROP
@@ -250,10 +238,6 @@ class FaultPlan:
         parts = []
         if self.drop_nth:
             parts.append(f"drop_nth={sorted(self.drop_nth)}")
-        if self.drop_frame_ids:
-            parts.append(f"drop_ids={sorted(self.drop_frame_ids)}")
-        if self.bursts:
-            parts.append(f"bursts={list(self.bursts)}")
         if self.corrupt_nth:
             parts.append(f"corrupt_nth={sorted(self.corrupt_nth)}")
         if self.drop_kind_nth:

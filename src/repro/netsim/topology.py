@@ -17,12 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.errors import NetworkError
-from repro.netsim.fabric import (
-    Switch,
-    TopologySpec,
-    resolve_topology,
-    schedule_switch_fault,
-)
+from repro.netsim.fabric import Switch, TopologySpec, resolve_topology
 from repro.netsim.link import FaultPlan, Link, _check_finite
 from repro.netsim.nic import Nic
 from repro.netsim.node import Node
@@ -57,7 +52,6 @@ class Cluster:
         self.tracer = tracer if tracer is not None else Tracer()
         self.host = host
         self.rails: tuple[NicProfile, ...] = tuple(rails)
-        self.topology = spec
         self.topology_name = spec.name
         self.nodes: list[Node] = []
         self.links: list[Link] = []
@@ -67,8 +61,8 @@ class Cluster:
         self.host_uplinks: dict[tuple[int, int], Link] = {}
         #: Fault domains: rack -> member host ids (fat-tree: one rack per
         #: populated edge switch; dragonfly: one per group; mesh: none).
+        #: A rack's switches carry its index in ``Switch.rack``.
         self.racks: list[list[int]] = []
-        self._rack_switches: list[list[Switch]] = []
 
         for node_id in range(n_nodes):
             node = Node(sim, node_id, memory=host.memory, tracer=self.tracer)
@@ -138,33 +132,18 @@ class Cluster:
     def schedule_switch_fault(self, switch_id: int, plan: FaultPlan) -> None:
         """Schedule ``plan``'s ``switch_down_at`` fail-stop on one switch.
 
-        Like node faults, switch faults live on :class:`FaultPlan` so one
-        plan describes a whole scenario, but they are applied here: a dead
-        switch drops everything queued in its ports and black-holes
-        arrivals, and every flow whose primary ECMP path crossed it
-        reroutes at the upstream hop.
+        The plan is applied here, not by a link: a dead switch drops
+        everything queued in its ports and black-holes arrivals, and every
+        flow whose primary ECMP path crossed it reroutes at the upstream
+        hop.  A blast radius (a shared power feed, a rack top) is each of
+        its switches scheduled at the same time.
         """
         if plan.switch_down_at is None:
             raise NetworkError(
                 f"{plan!r} has no switch_down_at; nothing to schedule")
-        schedule_switch_fault(self, self.switch(switch_id), plan)
-
-    def fail_domain(self, switch_ids: Sequence[int], at_us: float) -> None:
-        """Fail a correlated group of switches as ONE event at ``at_us``.
-
-        This is the blast-radius primitive: a shared power feed or a rack
-        top dying takes every switch in the domain down at the same
-        virtual instant, not as independent coin flips.
-        """
-        switches = [self.switch(sid) for sid in switch_ids]
-        if not switches:
-            raise NetworkError("fail_domain needs at least one switch")
-
-        def _blast() -> None:
-            for sw in switches:
-                sw.fail()
-
-        self.sim.schedule(max(0.0, at_us - self.sim.now), _blast)
+        switch = self.switch(switch_id)
+        self.sim.schedule(max(0.0, plan.switch_down_at - self.sim.now),
+                          switch.fail)
 
     def rack_partition(self, rack: int, from_us: float,
                        until_us: float | None) -> int:
@@ -183,8 +162,7 @@ class Cluster:
         if not 0 <= rack < len(self.racks):
             raise NetworkError(
                 f"rack {rack} out of range (cluster has {len(self.racks)})")
-        rack_switches = self._rack_switches[rack]
-        interior = {sw.node_id for sw in rack_switches}
+        interior = {sw.node_id for sw in self.switches if sw.rack == rack}
         interior.update(self.racks[rack])
         installed = 0
         for link in self.links:

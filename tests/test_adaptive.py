@@ -320,9 +320,10 @@ class TestFatTreeFailover:
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500),
             strategy="multirail", topology="fat-tree")
-        rail1_cores = [s for s in cluster.switches
-                       if s.tier == "core" and s.rail == 1]
-        cluster.fail_domain([s.switch_id for s in rail1_cores], at_us=100.0)
+        for s in cluster.switches:
+            if s.tier == "core" and s.rail == 1:
+                cluster.schedule_switch_fault(
+                    s.switch_id, FaultPlan(switch_down_at=100.0))
         payload = bytes(range(256)) * 4096  # 1 MiB
 
         def app():

@@ -15,10 +15,10 @@ from repro.netsim import Cluster, FaultPlan, MX_MYRI10G
 from repro.sim import Simulator, Tracer
 
 
-def make_pair_with_drops(drop_frame_ids=(), drop_nth=()):
+def make_pair_with_drops(drop_nth=()):
     sim = Simulator()
     cluster = Cluster(sim, rails=(MX_MYRI10G,))
-    plan = FaultPlan(drop_nth=drop_nth, drop_frame_ids=drop_frame_ids)
+    plan = FaultPlan(drop_nth=drop_nth)
     # Install the plan on node0 -> node1 links only.
     for link in cluster.links:
         if link.src.node_id == 0:

@@ -8,12 +8,17 @@ Covers the PR's tentpole end to end:
 * ECMP — deterministic, hash-seed-immune path selection, with local
   reroute around a dead switch counted and observable;
 * fault domains — a spine kill mid-transfer heals byte-exactly, a rack
-  partition severs only boundary links, and ``fail_domain`` takes a
-  correlated group down as one event;
+  partition severs only boundary links, and a blast radius is each of
+  its switches scheduled at the same time;
+* wiring — link order, switch salts, route tables, racks and the
+  boundary links of every rack are pinned for four shapes, so a refactor
+  of the builders cannot move an event;
 * the drill harness — seeded fat-tree chaos schedules with switch kills
   pass the full 11-invariant audit (a Hypothesis property), and the
   report's topology group carries the switch counters.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -49,8 +54,7 @@ def make_pair(params, topology, rails=(MX_MYRI10G,), strategy="aggregation",
 
 def fat_tree_link_budget(spec: FatTree, n_nodes: int) -> int:
     """The exact number of directed links a fat-tree rail allocates."""
-    k, half, m = spec.k, spec.half, spec.cores_per_group
-    return 2 * n_nodes + 2 * k * half * half + 2 * k * half * m
+    return 2 * n_nodes + 4 * spec.k * spec.half ** 2
 
 
 # -- builders -----------------------------------------------------------------
@@ -85,19 +89,6 @@ class TestBuilders:
         budget = fat_tree_link_budget(spec, n)
         assert len(cluster.links) == budget
         assert budget < n * (n - 1) // 4  # far below the mesh's 4032
-
-    def test_oversubscription_trims_the_spine_only(self):
-        full = FatTree(k=4, oversubscription=1)
-        trimmed = FatTree(k=4, oversubscription=2)
-        assert full.cores_per_group == 2
-        assert trimmed.cores_per_group == 1
-        sim = Simulator()
-        cluster = Cluster(sim, n_nodes=4, rails=(MX_MYRI10G,),
-                          topology=trimmed)
-        cores = [s for s in cluster.switches if s.tier == "core"]
-        assert len(cores) == 2  # half groups x 1 member
-        # Edge connectivity is untouched: every cross-pod path still routes.
-        assert cluster.path(0, 1)[0].endswith("edge0")
 
     def test_two_hosts_cross_the_spine(self):
         # Hosts round-robin ACROSS pods, so even the two-node drill exercises
@@ -143,6 +134,52 @@ class TestBuilders:
         assert any(s.frames_forwarded for s in cluster.switches
                    if s.tier == "router")
         assert cluster.racks == [[0, 1], [2, 3]]
+
+
+# -- wiring pins --------------------------------------------------------------
+
+def wiring_digest(cluster: Cluster) -> str:
+    """Link order, switch salts and route tables, hashed.  Switch creation
+    order fixes the ids, the ids fix the ECMP salts, and link order is
+    event order: a builder refactor must leave this digest alone."""
+    links = "|".join(f"{l.src.name}>{l.dst.name}" for l in cluster.links)
+    switches = "|".join(f"{s.name}:{s.salt}:{sorted(s.routes.items())}"
+                        for s in cluster.switches)
+    return hashlib.sha256(f"{links}#{switches}".encode()).hexdigest()[:16]
+
+
+class TestWiringPins:
+    @pytest.mark.parametrize(
+        "spec, n, links, switches, racks, rack_switches, installed, digest", [
+            (FatTree(k=4, seed=3), 16, 192, 40,
+             [[h, h + 8] for h in range(8)], [2] * 8, [8] * 8,
+             "10749f18680a4838"),
+            (FatTree(k=4), 5, 148, 40,
+             [[h] for h in range(5)], [2] * 5, [8] * 5, "c92f66e5548678d9"),
+            (Dragonfly(), 16, 104, 16,
+             [list(range(g, g + 4)) for g in range(0, 16, 4)], [4] * 4,
+             [12] * 4, "59acb44ad13b5026"),
+            # Router g1.r1 has no hosts but sits in populated group 1, so
+            # it is inside rack 1 (on both rails): only the group's global
+            # links cross.  Leaving it out installs 12 windows too.
+            (Dragonfly(), 6, 64, 16,
+             [[0, 1, 2, 3], [4, 5]], [4, 4], [12, 12], "974d4c0e0ca89cf8"),
+        ], ids=["fat-tree-16", "fat-tree-5", "dragonfly-16", "dragonfly-6"])
+    def test_wiring_racks_and_rack_boundaries_are_pinned(
+            self, spec, n, links, switches, racks, rack_switches, installed,
+            digest):
+        def build():
+            return Cluster(Simulator(), n_nodes=n,
+                           rails=(MX_MYRI10G, QUADRICS_QM500), topology=spec)
+
+        cluster = build()
+        assert (len(cluster.links), len(cluster.switches)) == (links, switches)
+        assert wiring_digest(cluster) == digest
+        assert cluster.racks == racks
+        assert [sum(s.rack == r for s in cluster.switches)
+                for r in range(len(racks))] == rack_switches
+        assert [build().rack_partition(r, 10.0, 20.0)
+                for r in range(len(racks))] == installed
 
 
 # -- ECMP determinism ---------------------------------------------------------
@@ -309,18 +346,6 @@ class TestFaultDomains:
         assert core.name not in cluster.path(0, 1)
         assert cluster.conservation_ok(allow_faults=True)
 
-    def test_fail_domain_kills_the_group_as_one_event(self):
-        sim = Simulator()
-        cluster = Cluster(sim, n_nodes=4, rails=(MX_MYRI10G,),
-                          topology="fat-tree")
-        cores = [s for s in cluster.switches if s.tier == "core"
-                 and s.group == 0]
-        assert len(cores) == 2
-        cluster.fail_domain([s.switch_id for s in cores], at_us=10.0)
-        sim.run()
-        assert all(not s.up for s in cores)
-        assert cluster.fault_summary()["switches_down"] == 2
-
     def test_dead_ecmp_set_black_holes_with_accounting(self):
         # With the on-path core *group* dead, the upstream agg has no live
         # uplink for this flow: frames are dropped *and counted*.
@@ -412,9 +437,10 @@ class TestSwitchFailover:
         sim, cluster, (e0, e1) = make_pair(
             params, "fat-tree", rails=(MX_MYRI10G, QUADRICS_QM500),
             strategy="multirail")
-        rail1_cores = [s for s in cluster.switches
-                       if s.tier == "core" and s.rail == 1]
-        cluster.fail_domain([s.switch_id for s in rail1_cores], at_us=100.0)
+        for s in cluster.switches:
+            if s.tier == "core" and s.rail == 1:
+                cluster.schedule_switch_fault(
+                    s.switch_id, FaultPlan(switch_down_at=100.0))
         payload = bytes(range(256)) * 4096  # 1 MiB
 
         def app():
@@ -448,7 +474,7 @@ class TestTopologyReporting:
                   if isinstance(value, int) and not isinstance(value, bool)
                   and not name.startswith("_")
                   and name not in ("switch_id", "node_id", "rail", "group",
-                                   "salt", "generation")}
+                                   "rack", "salt", "generation")}
         assert actual == set(SWITCH_COUNTERS)
 
     def test_topology_summary_mesh_is_well_formed(self):
