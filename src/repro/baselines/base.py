@@ -361,7 +361,10 @@ class BaselineMpi(MpiEndpoint):
                 f"{self.params.name}: truncation — {inc.nbytes}B into "
                 f"{sub.capacity}B receive"
             ))
-            return
+            if not isinstance(inc.item, RdvReqItem):
+                return
+            # A rendezvous is granted anyway so its sender completes; the
+            # bulk is dropped as it lands (``RdvRecvState.drop``).
         unpack_blocks = inc.unpack_blocks
         if isinstance(inc.item, RdvReqItem):
             key = (inc.item.src, inc.item.handle)
@@ -442,6 +445,10 @@ class BaselineMpi(MpiEndpoint):
                 f"{self.params.name}: bulk for unknown rendezvous {key}"
             )
         state.land(msg.offset, msg.data)
+        if state.drop:
+            if state.complete:
+                del self._rdv_incoming[key]
+            return
         now = self.sim.now
         if state.unpack_blocks is not None:
             # The packed stream lands in a temporary area; dispatching it to

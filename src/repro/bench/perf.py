@@ -24,8 +24,11 @@ The benchmarks:
   simulated exchange), plus the simulated makespan as a fidelity guard.
 * ``random_traffic`` — irregular multi-flow replay wall-clock, the
   closest thing to a real application's host-side profile.
+* ``rendezvous`` — the announce → grant → bulk-chunk path
+  (:func:`rendezvous_exchange`): large and ``indexed_small_large`` typed
+  messages streamed over MX + Quadrics by the ``multirail`` strategy.
 
-  Both also report ``calls_per_msg``: Python-level calls per message,
+  All three also report ``calls_per_msg``: Python-level calls per message,
   counted by ``cProfile`` on a second, untimed run.  The count is exact
   for one interpreter version and independent of host speed, so the gate
   holds it to a 2 % rise where the wall-clock rates get 50 %.  And
@@ -59,6 +62,7 @@ import heapq
 import json
 import platform
 import pstats
+import random
 import sys
 import time
 from collections.abc import Callable
@@ -77,6 +81,8 @@ __all__ = [
     "bench_kernel_storm",
     "bench_pingpong",
     "bench_random_traffic",
+    "rendezvous_exchange",
+    "bench_rendezvous",
     "object_census",
     "bench_object_census",
     "run_suite",
@@ -311,6 +317,94 @@ def bench_random_traffic(n_messages: int = 300, seed: int = 7) -> dict:
     }
 
 
+#: The rendezvous exchange's fixed shape: its rank count and the seed of
+#: its message sizes.  Only the number of phases varies.
+_RDV_RANKS = 4
+_RDV_SEED = 1
+
+
+def rendezvous_exchange(
+    phases: int = 8,
+) -> tuple[Simulator, Callable[[], int]]:
+    """The rendezvous path end to end, built and not yet run.
+
+    :data:`_RDV_RANKS` MAD-MPI ranks on MX + Quadrics under the
+    ``multirail`` strategy.  Each phase every rank posts its receives from
+    its left neighbour, sends four messages of seeded log-uniform size
+    48 KB–1 MB to its right one (the fourth an :func:`indexed_small_large` datatype, the
+    paper's §5.3 shape) and waits for all eight.  Returns ``(sim, play)``:
+    ``play()`` runs the exchange to completion and returns the number of
+    messages, a typed one counting once.
+    """
+    from repro.core import NmadEngine
+    from repro.madmpi import Communicator, MadMpi, indexed_small_large
+    from repro.madmpi.datatype import Datatype
+    from repro.netsim import KB, MX_MYRI10G, QUADRICS_QM500, Cluster
+
+    rng = random.Random(_RDV_SEED)
+
+    def draw(lo: int) -> int:
+        """Log-uniform in ``[lo, lo * 1024 / 48)``: 48 KB–1 MB from 48 KB."""
+        return int(lo * (1024 / 48) ** rng.random())
+
+    plan = []   # per phase, per rank: (bytes, datatype or None) per send
+    for _ in range(phases):
+        phase = []
+        for _ in range(_RDV_RANKS):
+            sends: list[tuple[int, Datatype | None]] = [
+                (draw(48 * KB), None) for _ in range(3)]
+            typed = indexed_small_large(2, large=draw(24 * KB))
+            sends.append((typed.size, typed))
+            phase.append(sends)
+        plan.append(phase)
+    sim = Simulator()
+    cluster = Cluster(sim, n_nodes=_RDV_RANKS, rails=(MX_MYRI10G, QUADRICS_QM500))
+    world = Communicator(list(range(_RDV_RANKS)))
+    mpis = [MadMpi(NmadEngine(node, strategy="multirail"), world)
+            for node in cluster.nodes]
+
+    def rank(r: int):
+        mpi = mpis[r]
+        left, right = (r - 1) % _RDV_RANKS, (r + 1) % _RDV_RANKS
+        for phase in plan:
+            recvs = [mpi.irecv(source=left, tag=tag, datatype=dtype,
+                               nbytes=None if dtype else size)
+                     for tag, (size, dtype) in enumerate(phase[left])]
+            sends = [mpi.isend(VirtualData(size), dest=right, tag=tag,
+                               datatype=dtype)
+                     for tag, (size, dtype) in enumerate(phase[r])]
+            yield from mpi.wait_all(recvs + sends)
+
+    def play() -> int:
+        procs = [sim.spawn(rank(r)) for r in range(_RDV_RANKS)]
+        sim.run()
+        if not all(p.triggered and p.ok for p in procs):
+            raise ReproError("rendezvous exchange did not complete")
+        return _RDV_RANKS * phases * 4
+
+    return sim, play
+
+
+def bench_rendezvous(phases: int = 40) -> dict:
+    """The rendezvous exchange's wall-clock, with its simulated makespan as
+    the fidelity guard; calls and entries count the exchange, not the
+    build."""
+    sim, play = rendezvous_exchange(phases)
+    t0 = time.perf_counter()
+    messages = play()
+    wall_s = time.perf_counter() - t0
+    _, counted = rendezvous_exchange(phases)
+    return {
+        "phases": phases,
+        "messages": messages,
+        "wall_s": wall_s,
+        "messages_per_s": messages / wall_s,
+        "sim_us_makespan": sim.now,
+        "calls_per_msg": _profiled_calls(counted) / messages,
+        "events_per_msg": sim.events_processed / messages,
+    }
+
+
 def object_census(exchange: Callable[[list], int]) -> dict:
     """Exact per-message object budget of ``exchange(held)``.
 
@@ -403,6 +497,7 @@ def run_suite(quick: bool = False) -> dict:
         "kernel_storm": lambda: bench_kernel_storm(rounds=600),
         "pingpong": lambda: bench_pingpong(iters=30 if quick else 200),
         "random_traffic": lambda: bench_random_traffic(60 if quick else 300),
+        "rendezvous": lambda: bench_rendezvous(8 if quick else 40),
     }
 
     def rate(res: dict) -> float:
@@ -474,13 +569,18 @@ def render_perf(payload: dict) -> str:
         f"  random traffic:              "
         f"{r['random_traffic']['messages_per_s']:>12,.1f} msgs/s     "
         f"(sim makespan {r['random_traffic']['sim_us_makespan']:.1f} us)",
+        f"  rendezvous:                  "
+        f"{r['rendezvous']['messages_per_s']:>12,.1f} msgs/s     "
+        f"(sim makespan {r['rendezvous']['sim_us_makespan']:.1f} us)",
         f"  python calls / message:      "
         f"{r['pingpong']['calls_per_msg']:>12,.1f} ping-pong      "
         f"{r['random_traffic']['calls_per_msg']:,.1f} random traffic "
+        f"{r['rendezvous']['calls_per_msg']:,.1f} rendezvous "
         f"(exact for python {payload['python']})",
         f"  kernel entries / message:    "
         f"{r['pingpong']['events_per_msg']:>12,.2f} ping-pong      "
         f"{r['random_traffic']['events_per_msg']:,.2f} random traffic "
+        f"{r['rendezvous']['events_per_msg']:,.2f} rendezvous "
         f"(exact on any interpreter)",
         f"  objects / message:           "
         f"{r['object_census']['objects_per_msg']:>12,.2f} live, handles held "
@@ -530,6 +630,7 @@ _SHAPE_KEYS = {
     "kernel_storm": ("rounds", "fanout", "stragglers"),
     "pingpong": ("iters", "size"),
     "random_traffic": ("messages", "seed"),
+    "rendezvous": ("phases",),
     "object_census": ("messages",),
 }
 

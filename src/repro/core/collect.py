@@ -36,6 +36,9 @@ CONTROL_FLOW = -1
 #: Priority assigned to control wraps so grants overtake queued data.
 CONTROL_PRIORITY = 1_000_000
 
+#: The payload of every control wrap: none, so one instance serves them all.
+_NO_PAYLOAD = VirtualData(0)
+
 
 class CollectLayer:
     """Registers application data pieces and encapsulates their metadata."""
@@ -101,20 +104,20 @@ class CollectLayer:
     def submit_control(
         self, dest: int, item: WireItem, priority: int = CONTROL_PRIORITY
     ) -> PacketWrap:
-        """Queue an engine control record (e.g. a rendezvous grant).
+        """Queue an engine control record (a rendezvous grant, a cancel
+        tombstone).
 
         Control wraps carry no payload bytes, never consume a sequence
         number (they bypass the matcher) and travel at maximum priority so
-        grants are never stuck behind queued data.
+        grants are never stuck behind queued data.  Nobody waits on one, so
+        it carries no send request (``completion=None``).
         """
         engine = self.engine
         sim = engine.sim
-        req = SendRequest(sim, dest, CONTROL_FLOW, 0)
-        req.wrap = wrap = PacketWrap(
+        wrap = PacketWrap(
             dest=dest, flow=CONTROL_FLOW, tag=0, seq=0,
-            data=VirtualData(0), priority=priority,
-            is_control=True, control_item=item,
-            submitted_at=sim.now, completion=req,
+            data=_NO_PAYLOAD, priority=priority,
+            is_control=True, control_item=item, submitted_at=sim.now,
         )
         engine.window.submit(wrap)
         tracer = engine.tracer

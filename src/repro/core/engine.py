@@ -417,6 +417,10 @@ class NmadEngine:
                 f"{req.capacity}B receive"
             )
             req.fail_observed(err)
+            if isinstance(inc.item, RdvReqItem):
+                # The sender must not be stranded: grant anyway, and the
+                # bulk is dropped as it lands.
+                self.rendezvous.grant(inc.item, req)
             return
         if isinstance(inc.item, RdvReqItem):
             self.rendezvous.grant(inc.item, req)

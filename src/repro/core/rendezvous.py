@@ -37,7 +37,7 @@ __all__ = ["RendezvousManager", "RdvSendState", "RdvRecvState"]
 class RdvSendState:
     """Sender-side bookkeeping for one announced transfer."""
 
-    __slots__ = ("wrap", "handle", "origin_rail", "granted",
+    __slots__ = ("wrap", "handle", "origin_rail", "granted", "total",
                  "next_offset", "bytes_sent")
 
     def __init__(self, wrap: PacketWrap, handle: int, origin_rail: int) -> None:
@@ -45,22 +45,16 @@ class RdvSendState:
         self.handle = handle
         self.origin_rail = origin_rail
         self.granted = False
+        self.total = wrap.length  # the announced size
         self.next_offset = 0      # bytes carved into chunks so far
         self.bytes_sent = 0       # bytes whose frames completed transmission
-
-    @property
-    def total(self) -> int:
-        return self.wrap.length
-
-    @property
-    def fully_carved(self) -> bool:
-        return self.next_offset >= self.total
 
 
 class RdvRecvState:
     """Receiver-side bookkeeping for one granted transfer."""
 
-    __slots__ = ("req", "src", "handle", "total", "received", "pieces", "tag")
+    __slots__ = ("req", "src", "handle", "total", "received", "pieces", "tag",
+                 "drop")
 
     def __init__(
         self, req: RecvRequest, src: int, handle: int, total: int, tag: int = -1
@@ -72,6 +66,11 @@ class RdvRecvState:
         self.tag = tag
         self.received = 0
         self.pieces: list[tuple[int, SegmentData]] = []
+        #: The receive failed before the grant (too small for the message,
+        #: MPI_ERR_TRUNCATE): the transfer still runs, so the sender
+        #: completes, but what lands is dropped and the receive keeps its
+        #: error.
+        self.drop = req.triggered
 
     def land(self, offset: int, data: SegmentData) -> None:
         """Record one chunk, in any order (the transport filter lands each
@@ -82,7 +81,8 @@ class RdvRecvState:
                 f"transfer of {self.total}B (src={self.src} "
                 f"handle={self.handle})"
             )
-        self.pieces.append((offset, data))
+        if not self.drop:
+            self.pieces.append((offset, data))
         self.received += data.nbytes
         if self.received > self.total:
             raise ProtocolError(
@@ -98,6 +98,12 @@ class RdvRecvState:
         """Reconstruct the message; the chunks must tile ``[0, total)``."""
         if not self.complete:
             raise ProtocolError("assembling an incomplete rendezvous transfer")
+        if len(self.pieces) == 1:
+            # One chunk of ``total`` bytes that landed in bounds: it starts
+            # at 0, so it is the message.
+            data = self.pieces[0][1]
+            if isinstance(data, VirtualData):
+                return data
         pieces = sorted(self.pieces, key=lambda piece: piece[0])
         end = 0
         for offset, data in pieces:
@@ -190,7 +196,7 @@ class RendezvousManager:
                 self.engine.node_id, state.handle, state.next_offset,
                 state.total, state.wrap.data.slice(state.next_offset, chunk))
             state.next_offset += chunk
-            if state.fully_carved:
+            if state.next_offset >= state.total:
                 self._granted.remove(state)
             return state, item
         return None
@@ -242,7 +248,9 @@ class RendezvousManager:
         state.land(item.offset, item.data)
         if state.complete:
             del self._incoming[key]
-            state.req.finish(state.assemble(), src=item.src, tag=state.tag)
+            if not state.drop:
+                state.req.finish(state.assemble(), src=item.src,
+                                 tag=state.tag)
 
     # -- session-layer hooks --------------------------------------------------
     def fail_peer(self, peer: int, exc: BaseException) -> None:

@@ -175,9 +175,9 @@ class TransferLayer:
         pending = self._pull_pending
         for nic in self.nics:
             rail = nic.rail
-            if rail in quarantined:
+            if pending[rail] or rail in quarantined:
                 continue
-            if nic.idle and not pending[rail]:
+            if nic.idle:
                 pending[rail] = True
                 schedule(0.0, self._pull_fns[rail])
                 any_idle = True
@@ -481,25 +481,26 @@ class TransferLayer:
         engine = self.engine
         if engine.halted:
             return  # demuxed just before the crash; the item dies with us
-        now = engine.sim.now
-        if isinstance(item, SegItem):
+        # On the item's class, commonest first: eager segments, then the
+        # bulk chunks and grants of the rendezvous path.
+        if type(item) is SegItem:
             engine.matcher.deliver(
                 Incoming(item.src, item.flow, item.tag, item.seq,
-                         item.data.nbytes, item), now)
-        elif isinstance(item, RdvReqItem):
+                         item.data.nbytes, item), engine.sim.now)
+        elif type(item) is RdvDataItem:
+            engine.rendezvous.on_data(item)
+        elif type(item) is RdvAckItem:
+            engine.rendezvous.on_ack(item)
+        elif type(item) is RdvReqItem:
             engine.matcher.deliver(
                 Incoming(item.src, item.flow, item.tag, item.seq,
-                         item.nbytes, item), now)
-        elif isinstance(item, CancelItem):
+                         item.nbytes, item), engine.sim.now)
+        elif type(item) is CancelItem:
             engine.matcher.deliver(
                 Incoming(item.src, item.flow, item.tag, item.seq, 0, None,
-                         is_skip=True), now)
-        elif isinstance(item, RdvAckItem):
-            self.engine.rendezvous.on_ack(item)
-        elif isinstance(item, RdvDataItem):
-            self.engine.rendezvous.on_data(item)
+                         is_skip=True), engine.sim.now)
         else:
             raise ProtocolError(
-                f"node{self.engine.node_id}: unknown wire item "
+                f"node{engine.node_id}: unknown wire item "
                 f"{type(item).__name__}"
             )

@@ -12,7 +12,9 @@ MPI constructor algebra is implemented (contiguous, vector, hvector,
 indexed, hindexed, struct, and arbitrary nesting); :meth:`Datatype.flatten`
 normalizes to displacement order and merges adjacent blocks — the same
 canonicalization real MPI dataloop code performs before choosing a pack
-path.
+path.  A datatype is immutable (constructor sequences are copied into
+tuples), so it is normalized once, on first use, the way
+``MPI_Type_commit`` does it, and every typed send or receive reuses that.
 
 Displacements and lengths are in bytes (the base unit is :data:`BYTE`);
 typed elements are expressed by contiguous runs, which loses no generality
@@ -41,6 +43,9 @@ __all__ = [
 class Datatype:
     """Base class: a typemap with a size (bytes of data) and an extent."""
 
+    #: ``flatten()`` at offset 0, computed on first use.
+    _flat: tuple[tuple[int, int], ...] | None = None
+
     def blocks(self, offset: int = 0) -> list[tuple[int, int]]:
         """Raw ``(displacement, length)`` list, unnormalized."""
         raise NotImplementedError
@@ -63,8 +68,17 @@ class Datatype:
 
         Raises :class:`DatatypeError` on overlapping blocks — an overlap
         means the same byte would be sent twice, which is a construction
-        error.
+        error.  Each call returns a fresh list; offset 0 is normalized
+        once per datatype.
         """
+        if offset:
+            return self._normalize(offset)
+        flat = self._flat
+        if flat is None:
+            flat = self._flat = tuple(self._normalize(0))
+        return list(flat)
+
+    def _normalize(self, offset: int) -> list[tuple[int, int]]:
         blks = sorted(b for b in self.blocks(offset) if b[1] > 0)
         merged: list[tuple[int, int]] = []
         for disp, length in blks:
@@ -207,8 +221,8 @@ class Hindexed(Datatype):
             )
         for b in blocklens:
             _check_count(b, "blocklen")
-        self.blocklens = list(blocklens)
-        self.displs_bytes = list(displs_bytes)
+        self.blocklens = tuple(blocklens)
+        self.displs_bytes = tuple(displs_bytes)
         self.base = base
 
     def blocks(self, offset: int = 0) -> list[tuple[int, int]]:
@@ -236,9 +250,9 @@ class Struct(Datatype):
             raise DatatypeError("blocklens, displacements and types must align")
         for b in blocklens:
             _check_count(b, "blocklen")
-        self.blocklens = list(blocklens)
-        self.displs_bytes = list(displs_bytes)
-        self.types = list(types)
+        self.blocklens = tuple(blocklens)
+        self.displs_bytes = tuple(displs_bytes)
+        self.types = tuple(types)
 
     def blocks(self, offset: int = 0) -> list[tuple[int, int]]:
         out: list[tuple[int, int]] = []

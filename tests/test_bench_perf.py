@@ -17,6 +17,7 @@ from repro.bench.perf import (
     bench_object_census,
     bench_pingpong,
     bench_random_traffic,
+    bench_rendezvous,
     bench_window_ops,
     calibrate,
     check_bench,
@@ -47,6 +48,10 @@ def _payload() -> dict:
                            "sim_us_makespan": 8685.436,
                            "calls_per_msg": 166.81,
                            "events_per_msg": 10.21},
+        "rendezvous": {"phases": 40, "messages": 640,
+                       "wall_s": 0.1, "messages_per_s": 6400.0,
+                       "sim_us_makespan": 41703.52734505491,
+                       "calls_per_msg": 414.2, "events_per_msg": 20.61},
         "object_census": {"messages": 400, "objects_per_msg": 4.0,
                           "retained_bytes_per_msg": 625.34,
                           "cyclic_garbage_per_msg": 0.0},
@@ -114,7 +119,8 @@ class TestCheckBench:
 
     def test_moved_simulated_pin_fails(self):
         for bench, key in (("pingpong", "sim_us_oneway"),
-                           ("random_traffic", "sim_us_makespan")):
+                           ("random_traffic", "sim_us_makespan"),
+                           ("rendezvous", "sim_us_makespan")):
             fresh = _payload()
             fresh["results"][bench][key] += 1e-9
             failures, skipped = check_bench(fresh, _payload())
@@ -122,7 +128,7 @@ class TestCheckBench:
             assert f"{bench}: {key} drifted" in failures[0]
 
     def test_calls_per_message_may_fall_but_not_rise_past_two_percent(self):
-        for bench in ("pingpong", "random_traffic"):
+        for bench in ("pingpong", "random_traffic", "rendezvous"):
             fresh = _payload()
             fresh["results"][bench]["calls_per_msg"] *= 0.8
             assert check_bench(fresh, _payload()) == ([], [])
@@ -147,12 +153,13 @@ class TestCheckBench:
             "object_census: cyclic_garbage_per_msg",
             "object_census: objects_per_msg",
             "object_census: retained_bytes_per_msg",
-            "pingpong: calls_per_msg", "random_traffic: calls_per_msg"]
+            "pingpong: calls_per_msg", "random_traffic: calls_per_msg",
+            "rendezvous: calls_per_msg"]
         fresh["python"] = "3.11.9"   # a patch release counts the same calls
         assert len(check_bench(fresh, _payload())[0]) == 1
 
     def test_events_per_message_may_fall_but_not_rise_at_all(self):
-        for bench in ("pingpong", "random_traffic"):
+        for bench in ("pingpong", "random_traffic", "rendezvous"):
             base = _payload()["results"][bench]["events_per_msg"]
             fresh = _payload()
             fresh["results"][bench]["events_per_msg"] = base - 1.0
@@ -169,11 +176,24 @@ class TestCheckBench:
     def test_events_per_message_is_compared_across_python_versions(self):
         fresh = _payload()
         fresh["python"] = "3.12.1"
-        fresh["results"]["pingpong"]["events_per_msg"] += 1.0
+        for bench in ("pingpong", "rendezvous"):
+            fresh["results"][bench]["events_per_msg"] += 1.0
         failures, skipped = check_bench(fresh, _payload())
-        assert len(failures) == 1
+        assert len(failures) == 2
         assert "pingpong: events_per_msg" in failures[0]
+        assert "rendezvous: events_per_msg" in failures[1]
         assert not any("events_per_msg" in s for s in skipped)
+
+    def test_a_trajectory_without_the_rendezvous_row_does_not_gate_it(self):
+        old = _payload()
+        del old["results"]["rendezvous"]
+        fresh = _payload()
+        row = fresh["results"]["rendezvous"]
+        row["calls_per_msg"] *= 2
+        row["events_per_msg"] += 1.0
+        row["sim_us_makespan"] += 1.0
+        row["messages_per_cal"] /= 10
+        assert check_bench(fresh, old) == ([], [])
 
     def test_events_per_message_missing_on_one_side(self):
         # A trajectory recorded before the key existed does not gate it ...
@@ -282,9 +302,9 @@ class TestCheckBench:
         other = _payload()
         for res in other["results"].values():
             res["seed"] = res["rounds"] = res["events"] = res["iters"] = \
-                res["messages"] = -1
+                res["messages"] = res["phases"] = -1
         failures, skipped = check_bench(_payload(), other)
-        assert len(skipped) == 6
+        assert len(skipped) == 7
         assert any("nothing was compared" in f for f in failures)
 
     def test_benchmark_missing_from_the_fresh_run_fails(self):
@@ -344,6 +364,17 @@ class TestBenches:
         again = bench_random_traffic(n_messages=10)
         assert res["calls_per_msg"] == again["calls_per_msg"] > 0
         assert res["events_per_msg"] == again["events_per_msg"] > 0
+
+    def test_rendezvous(self):
+        res = bench_rendezvous(phases=1)
+        assert set(res) == {"phases", "messages", "wall_s", "messages_per_s",
+                            "sim_us_makespan", "calls_per_msg",
+                            "events_per_msg"}
+        assert res["messages"] == 16 and res["sim_us_makespan"] > 0.0
+        again = bench_rendezvous(phases=1)
+        assert res["calls_per_msg"] == again["calls_per_msg"] > 0
+        assert res["events_per_msg"] == again["events_per_msg"] > 0
+        assert res["sim_us_makespan"] == again["sim_us_makespan"]
 
     def test_object_census(self):
         res = bench_object_census(depth=4, rounds=2)

@@ -6,8 +6,9 @@ Five pins, none of which depends on how fast the host is:
   not inside ``emit``), in paper mode and with every opt-in layer on;
 * total Python calls per message, counted by ``cProfile`` (exact for a
   fixed workload), stay under a ceiling set 3 % above the value measured
-  when this file was written — in paper mode, and for the burst also with
-  the opt-in stack on and over a fat-tree fabric;
+  when this file was written — in paper mode, for the burst also with
+  the opt-in stack on and over a fat-tree fabric, and on the rendezvous
+  path;
 * kernel entries per message (``sim.events_processed`` / messages) on the
   same workloads, exact on any host and any interpreter, so the
   ceiling is the measured value itself: an entry either moves the
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.perf import object_census
+from repro.bench.perf import object_census, rendezvous_exchange
 from repro.core import Bytes, EngineParams, NmadEngine, VirtualData
 from repro.core.packet import PacketWrap
 from repro.core.requests import RecvRequest, SendRequest
@@ -49,18 +50,20 @@ HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
                 rel_timeout_us="auto", hb_interval_us=500.0,
                 hb_timeout_us=5000.0)
 
-#: Measured 183.8 / 81.4 calls per message at this commit on CPython 3.11
-#: (parent commit: 203.8 / 92.6); the ceilings are those values + 3 %.
+#: Measured 177.8 / 77.4 calls per message at this commit on CPython 3.11
+#: (parent commit: 180.8 / 79.4; 203.8 / 92.6 before the send path was
+#: trimmed); the ceilings are those values + 3 %.
 #: Lower them when the path gets shorter; never raise them.
-PINGPONG_CALLS_PER_MSG = 189.3
-BURST_CALLS_PER_MSG = 83.9
-#: The opt-in stack and the switched fabric, same rule: measured 94.78 for
-#: the 4 x 64 burst with ``HARDENED`` and 94.71 for a 16 x 64 ack + credit
-#: burst over ``FatTree(k=4, seed=1)`` (parent commit: 110.68 / 108.43,
-#: when credit was spent per wrap, every layer hook ran for every message,
-#: a per-peer ledger cost a method call and a switch hashed every frame).
-HARDENED_CALLS_PER_MSG = 97.6
-FABRIC_CALLS_PER_MSG = 97.6
+PINGPONG_CALLS_PER_MSG = 183.1
+BURST_CALLS_PER_MSG = 79.7
+#: The opt-in stack and the switched fabric, same rule: measured 92.40 for
+#: the 4 x 64 burst with ``HARDENED`` and 91.57 for a 16 x 64 ack + credit
+#: burst over ``FatTree(k=4, seed=1)`` (parent commit: 93.65 / 93.68;
+#: 110.68 / 108.43 when credit was spent per wrap, every layer hook ran for
+#: every message, a per-peer ledger cost a method call and a switch hashed
+#: every frame).
+HARDENED_CALLS_PER_MSG = 95.2
+FABRIC_CALLS_PER_MSG = 94.3
 #: Kernel entries per message, exactly as measured (parent commit: 10.01 /
 #: 4.140625).  Ping-pong: five timed hops (tx, link, rx, demux, match), the
 #: deferred pull, tx-done, and the completions of the send and the receive
@@ -74,6 +77,15 @@ BURST_ENTRIES_PER_MSG = 4.125
 HARDENED_ENTRIES_PER_MSG = 4.6875
 FABRIC_ENTRIES_PER_MSG = 5.03125
 FABRIC = dict(reliability="ack", flow_control="credit")
+#: The rendezvous path, same rules (``rendezvous_exchange``: large and
+#: ``indexed_small_large`` typed messages over MX + Quadrics, ``multirail``):
+#: measured 416.8 calls and 20.7421875 entries a message (parent commit:
+#: 474.7 / 21.9765625, when every grant and cancel tombstone carried a send
+#: request that was settled and dispatched for nobody, each typed isend and
+#: irecv normalised its datatype afresh, and demux ran an ``isinstance``
+#: chain in which a grant was the fourth arm and a bulk chunk the fifth).
+RENDEZVOUS_CALLS_PER_MSG = 429.3
+RENDEZVOUS_ENTRIES_PER_MSG = 20.7421875
 #: Tracked objects alive per delivered message while the application holds
 #: both handles: the send request, the receive request (each its own
 #: completion event and, under MAD-MPI, the MPI handle), the payload
@@ -217,6 +229,14 @@ def test_layered_burst_calls_per_message_under_budget(
     assert calls <= calls_ceiling, calls
 
 
+def test_rendezvous_calls_per_message_under_budget():
+    _, play = rendezvous_exchange()
+    profile = cProfile.Profile()
+    msgs = profile.runcall(play)
+    calls = pstats.Stats(profile).total_calls / msgs
+    assert calls <= RENDEZVOUS_CALLS_PER_MSG, calls
+
+
 def test_pingpong_kernel_entries_per_message_exact():
     sim, mpis = build(2)
     msgs = pingpong(sim, mpis, rounds=200)
@@ -235,6 +255,12 @@ def test_layered_burst_kernel_entries_per_message_exact(
     sim, mpis = build(n_ranks, params=params, topology=topology)
     msgs = burst(sim, mpis, depth=64)
     assert sim.events_processed / msgs <= entries
+
+
+def test_rendezvous_kernel_entries_per_message_exact():
+    sim, play = rendezvous_exchange()
+    msgs = play()
+    assert sim.events_processed / msgs <= RENDEZVOUS_ENTRIES_PER_MSG
 
 
 # -- (c) what a finished message leaves behind ---------------------------------

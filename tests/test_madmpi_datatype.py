@@ -95,8 +95,9 @@ class TestIndexed:
 
     def test_overlap_rejected(self):
         t = Hindexed([4, 4], [0, 2])
-        with pytest.raises(DatatypeError, match="overlap"):
-            t.flatten()
+        for _ in range(2):   # a failed normalisation is not memoised
+            with pytest.raises(DatatypeError, match="overlap"):
+                t.flatten()
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(DatatypeError):
@@ -180,3 +181,73 @@ class TestPaperDatatype:
     def test_fig4_custom_sizes(self):
         t = indexed_small_large(repeats=1, small=8, large=100, gap=4)
         assert t.flatten() == [(0, 8), (12, 100)]
+
+
+#: Blocks as ``(length, gap before it)``: zero lengths included, never
+#: overlapping, so every datatype built from them flattens.
+_BLOCKS = st.lists(st.tuples(st.integers(0, 40), st.integers(0, 20)),
+                   min_size=1, max_size=8)
+
+
+def _layout(spec):
+    """Block lengths and displacements from ``spec``."""
+    blocklens, displs, cursor = [], [], 0
+    for length, gap in spec:
+        displs.append(cursor + gap)
+        blocklens.append(length)
+        cursor += gap + length
+    return blocklens, displs
+
+
+def _build(kind, spec):
+    """``(datatype, the lists it was built from)`` for one constructor."""
+    blocklens, displs = _layout(spec)
+    if kind == "hindexed":
+        return Hindexed(blocklens, displs), [blocklens, displs]
+    if kind == "indexed":
+        return Indexed(blocklens, displs, Contiguous(3)), [blocklens, displs]
+    types = [Contiguous(1 + i % 3) for i in range(len(spec))]
+    # Struct displacements are bytes: space them for the widest type.
+    displs = [3 * d for d in displs]
+    return Struct(blocklens, displs, types), [blocklens, displs, types]
+
+
+class TestCommittedTypemap:
+    """A datatype is normalized once; nothing its caller holds can reach
+    the memo, and ``flatten`` at a nonzero offset is computed afresh."""
+
+    @pytest.mark.parametrize("kind", ["hindexed", "indexed", "struct"])
+    @given(spec=_BLOCKS, offset=st.integers(1, 1000))
+    def test_memoised_flatten_matches_a_fresh_twin(self, kind, spec, offset):
+        dtype, inputs = _build(kind, spec)
+        flat = dtype.flatten()
+        shifted = dtype.flatten(offset)
+        # Vandalise everything the caller still holds.
+        flat.append((10**6, 1))
+        flat[0] = (-5, 5)
+        shifted.clear()
+        for seq in inputs:
+            seq.reverse()
+            seq.append(seq[0])
+        twin, _ = _build(kind, spec)
+        want = twin.flatten()
+        assert dtype.flatten() == want
+        assert dtype.flatten() is not dtype.flatten()
+        assert dtype.flatten(offset) == [(d + offset, n) for d, n in want]
+        assert dtype.flatten(offset) == twin.flatten(offset)
+        assert dtype.flatten() == want   # the offset did not touch the memo
+        assert (dtype.size, dtype.extent) == (twin.size, twin.extent)
+        buf = bytes(range(256)) * (twin.extent // 256 + 1)
+        packed = dtype.pack(buf[:twin.extent])
+        assert packed == twin.pack(buf[:twin.extent])
+        out, twin_out = bytearray(twin.extent), bytearray(twin.extent)
+        dtype.unpack(packed, out)
+        twin.unpack(packed, twin_out)
+        assert out == twin_out
+
+    def test_extent_counts_blocks_as_before(self):
+        # A zero-length block contributes no byte, so no extent either.
+        t = Hindexed([4, 0], [0, 100])
+        assert (t.extent, t.size, t.flatten()) == (4, 4, [(0, 4)])
+        assert Struct([1, 1], [0, 50], [Contiguous(4), Contiguous(0)]) \
+            .extent == 4

@@ -588,18 +588,40 @@ def _mpich_pair():
                  for i in range(2)]
 
 
+def _rendezvous_state(mpi):
+    """What either backend still holds of unfinished rendezvous transfers."""
+    if isinstance(mpi, MadMpi):
+        rdv = mpi.engine.rendezvous
+        return rdv.n_pending + rdv.n_granted + rdv.n_incoming
+    return len(mpi._rdv_pending) + len(mpi._rdv_incoming)
+
+
+def _small_receive(m1, datatype):
+    return m1.irecv(source=0, tag=1, nbytes=4) if datatype is None \
+        else m1.irecv(source=0, tag=1, datatype=datatype)
+
+
+# Each provocation returns the failing receive, the error it must carry and
+# the sends it involves, which must all complete.
+
 def _truncate(sim, m0, m1, datatype):
     """A 64 B message into a 4 B receive."""
-    req = m1.irecv(source=0, tag=1, nbytes=4) if datatype is None \
-        else m1.irecv(source=0, tag=1, datatype=datatype)
-    m0.isend(bytes(64), dest=1, tag=1)
-    return req, MpiError, "truncation"
+    req = _small_receive(m1, datatype)
+    return req, MpiError, "truncation", [m0.isend(bytes(64), dest=1, tag=1)]
+
+
+def _truncate_rendezvous(sim, m0, m1, datatype):
+    """A 1 MiB message, far past the rendezvous threshold, into a 4 B
+    receive: the transfer is granted anyway and its bulk dropped."""
+    req = _small_receive(m1, datatype)
+    send = m0.isend(VirtualData(1 << 20), dest=1, tag=1)
+    return req, MpiError, "truncation", [send]
 
 
 def _expire(sim, m0, m1, datatype):
     """A deadline with no sender."""
     req = m1.irecv(source=0, tag=1, deadline_us=5.0, datatype=datatype)
-    return req, DeadlineExceededError, "deadline"
+    return req, DeadlineExceededError, "deadline", []
 
 
 def _peer_dies(sim, m0, m1, datatype):
@@ -607,14 +629,18 @@ def _peer_dies(sim, m0, m1, datatype):
     req = m1.irecv(source=0, tag=1, datatype=datatype)
     sim.schedule(3.0, lambda: m1.matcher.fail_src(
         0, PeerDeadError("node 0 confirmed dead"), now=sim.now))
-    return req, PeerDeadError, "confirmed dead"
+    return req, PeerDeadError, "confirmed dead", []
 
 
 _FAILURES = [
     pytest.param(_madmpi_pair, _truncate, id="madmpi-truncation"),
+    pytest.param(_madmpi_pair, _truncate_rendezvous,
+                 id="madmpi-rendezvous-truncation"),
     pytest.param(_madmpi_pair, _expire, id="madmpi-deadline"),
     pytest.param(_madmpi_pair, _peer_dies, id="madmpi-peer-dead"),
     pytest.param(_mpich_pair, _truncate, id="mpich-truncation"),
+    pytest.param(_mpich_pair, _truncate_rendezvous,
+                 id="mpich-rendezvous-truncation"),
     pytest.param(_mpich_pair, _peer_dies, id="mpich-peer-dead"),
 ]
 _SHAPES = [pytest.param(None, id="untyped"),
@@ -630,16 +656,27 @@ class TestFailedReceive:
     def test_polled_failure_does_not_crash_the_run(self, make_pair, provoke,
                                                    datatype):
         sim, (m0, m1) = make_pair()
-        req, kind, text = provoke(sim, m0, m1, datatype)
+        req, kind, text, _ = provoke(sim, m0, m1, datatype)
         sim.run()   # nobody waits: the simulation itself must not raise
         assert m1.test(req) and req.complete and req.failed
         assert isinstance(req.error, kind) and text in str(req.error)
         assert status(req) == (None, None, None, None)
         assert len(req.block_data) == 0
 
+    def test_no_sender_is_stranded(self, make_pair, provoke, datatype):
+        # MPI_ERR_TRUNCATE is the receiver's error alone: the send completes
+        # and neither side keeps rendezvous state.
+        sim, (m0, m1) = make_pair()
+        req, kind, text, sends = provoke(sim, m0, m1, datatype)
+        sim.run()
+        assert req.failed and isinstance(req.error, kind)
+        assert text in str(req.error)
+        assert all(s.complete and not s.failed for s in sends)
+        assert _rendezvous_state(m0) == _rendezvous_state(m1) == 0
+
     def test_waited_failure_still_raises(self, make_pair, provoke, datatype):
         sim, (m0, m1) = make_pair()
-        req, kind, text = provoke(sim, m0, m1, datatype)
+        req, kind, text, _ = provoke(sim, m0, m1, datatype)
 
         def waiter():
             with pytest.raises(kind, match=text):
