@@ -142,6 +142,7 @@ def _profiled_calls(fn: Callable[[], object]) -> int:
 
 def _make_wrap(i: int, n_dests: int, seq: int) -> PacketWrap:
     return PacketWrap(dest=i % n_dests, flow=0, tag=0, seq=seq,
+                      wrap_id=seq + 1,
                       data=VirtualData(64 + (i % 7) * 128))
 
 

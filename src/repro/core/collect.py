@@ -10,9 +10,11 @@ common list for automatized load-balancing."
 
 Concretely: :meth:`CollectLayer.submit` wraps user data into a
 :class:`~repro.core.packet.PacketWrap` with a fresh per-``(dest, flow)``
-sequence number, drops it into the optimization window (dedicated or common
-list) and kicks the transfer layer so an idle NIC picks it up immediately —
-requests only *accumulate* while the cards are busy (paper §3.1).
+sequence number and the engine's next wrap id (entered as outstanding in
+the transfer layer's :class:`~repro.core.transfer.WrapLedger`), drops it
+into the optimization window (dedicated or common list) and kicks the
+transfer layer so an idle NIC picks it up immediately — requests only
+*accumulate* while the cards are busy (paper §3.1).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ class CollectLayer:
         #: under it too).
         self.source = f"node{engine.node_id}.collect"
         self._seq: defaultdict[tuple[int, int], int] = defaultdict(int)
+        self._ledger = engine.transfer.sent_wraps
 
     def submit(
         self,
@@ -77,10 +80,13 @@ class CollectLayer:
         key = (dest, flow)
         seq = self._seq[key]
         self._seq[key] = seq + 1
+        ledger = self._ledger
+        ledger.issued = wrap_id = ledger.issued + 1
+        ledger.outstanding[wrap_id] = None
         req = request_cls(sim, dest, flow, tag)
         req.wrap = wrap = PacketWrap(
             dest, flow, tag, seq, seg, priority, allow_reorder, depends_on,
-            rail, sim.now, completion=req,
+            rail, sim.now, completion=req, wrap_id=wrap_id,
         )
         engine.window.submit(wrap)
         tracer = engine.tracer
@@ -114,8 +120,11 @@ class CollectLayer:
         """
         engine = self.engine
         sim = engine.sim
+        ledger = self._ledger
+        ledger.issued = wrap_id = ledger.issued + 1
+        ledger.outstanding[wrap_id] = None
         wrap = PacketWrap(
-            dest=dest, flow=CONTROL_FLOW, tag=0, seq=0,
+            dest=dest, flow=CONTROL_FLOW, tag=0, seq=0, wrap_id=wrap_id,
             data=_NO_PAYLOAD, priority=priority,
             is_control=True, control_item=item, submitted_at=sim.now,
         )

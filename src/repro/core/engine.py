@@ -178,7 +178,6 @@ class NmadEngine:
         self.matcher = Matcher(self._on_match, tracer=self.tracer,
                                name=f"node{self.node_id}.matcher")
         self.rendezvous = RendezvousManager(self)
-        self.collect = CollectLayer(self)
         # True once this engine's node crashed: every timer closure and
         # idle callback of the dead incarnation checks it and goes silent.
         self.halted = False
@@ -190,6 +189,8 @@ class NmadEngine:
         if self.params.rel_adaptive:
             self.rtt = RttEstimator(self.params.rel_rto_ceiling_us)
         self.transfer = TransferLayer(self)
+        # After the transfer layer: it issues wrap ids into its ledger.
+        self.collect = CollectLayer(self)
         # The opt-in pipeline: a layer that is off is not constructed, so in
         # paper mode both tuples are empty and nothing sits between the
         # transfer layer and the NIC.
@@ -238,6 +239,11 @@ class NmadEngine:
     ) -> SendRequest:
         """Nonblocking send; returns a handle (a ``request_cls``, its own
         completion event) that fires when the data has fully left this node.
+
+        ``depends_on`` holds the send back until another wrap has left the
+        node (paper §3.2's dependency attributes); it names a wrap of *this*
+        engine, ``req.wrap.wrap_id`` of an earlier send — wrap ids are
+        numbered per engine, so another engine's id means nothing here.
 
         ``deadline_us`` bounds the virtual time the request may stay
         pending: on expiry a send whose data has not left the node is
@@ -417,16 +423,16 @@ class NmadEngine:
                 f"{req.capacity}B receive"
             )
             req.fail_observed(err)
-            if isinstance(inc.item, RdvReqItem):
+            if type(inc.item) is RdvReqItem:
                 # The sender must not be stranded: grant anyway, and the
                 # bulk is dropped as it lands.
                 self.rendezvous.grant(inc.item, req)
             return
-        if isinstance(inc.item, RdvReqItem):
+        if type(inc.item) is RdvReqItem:
             self.rendezvous.grant(inc.item, req)
             return
         item = inc.item
-        assert isinstance(item, SegItem)
+        assert type(item) is SegItem
         data = item.data
         nbytes = data.nbytes
         if nbytes > 0:

@@ -251,7 +251,7 @@ class FlowControlLayer(Layer):
         # admitted segment is matched exactly once (whether it found a
         # posted receive or waited unexpected), so the credit releases
         # exactly once, truncation failures included.
-        if isinstance(inc.item, SegItem):
+        if type(inc.item) is SegItem:
             self.release(inc.src, inc.item.data.nbytes)
 
     def release(self, peer: int, nbytes: int) -> None:

@@ -48,7 +48,7 @@ class Incoming:
 
     @property
     def is_rdv(self) -> bool:
-        return isinstance(self.item, RdvReqItem)
+        return type(self.item) is RdvReqItem
 
 
 class Matcher:
@@ -151,7 +151,7 @@ class Matcher:
             return
         self._unexpected.append(inc)
         self.unexpected_total += 1
-        if isinstance(inc.item, SegItem):
+        if type(inc.item) is SegItem:
             self.unexpected_bytes += inc.item.data.nbytes
             if self.unexpected_bytes > self.peak_unexpected_bytes:
                 self.peak_unexpected_bytes = self.unexpected_bytes
@@ -166,7 +166,7 @@ class Matcher:
         for idx, inc in enumerate(self._unexpected):
             if req.flow == inc.flow and req.matches(inc.src, inc.tag):
                 del self._unexpected[idx]
-                if isinstance(inc.item, SegItem):
+                if type(inc.item) is SegItem:
                     self.unexpected_bytes -= inc.item.data.nbytes
                 if self.tracer.enabled:
                     self.tracer.emit(req.posted_at, self.name,
@@ -256,7 +256,7 @@ class Matcher:
         for inc in self._unexpected:
             if inc.src != src:
                 kept.append(inc)
-            elif isinstance(inc.item, SegItem):
+            elif type(inc.item) is SegItem:
                 self.unexpected_bytes -= inc.item.data.nbytes
         self._unexpected = kept
 

@@ -20,7 +20,6 @@ Two levels of "packet" exist in the engine, mirroring the paper:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -71,9 +70,6 @@ class HeaderSpec:
                 raise ValueError(f"negative header size for {f}")
 
 
-_wrap_ids = itertools.count(1)
-
-
 @dataclass(slots=True)
 class PacketWrap:
     """One collected application data piece waiting in the window."""
@@ -82,15 +78,20 @@ class PacketWrap:
     flow: int                       # logical channel (e.g. MPI communicator)
     tag: int                        # message tag within the flow
     seq: int                        # per-(dest, flow) submission sequence no.
+    #: Numbered 1, 2, 3, ... per engine by its collect layer, like the
+    #: rendezvous handles and the per-``(dest, flow)`` sequence numbers.
+    #: Keyword-only: every construction names it.
+    wrap_id: int = field(kw_only=True)
     data: SegmentData
     priority: int = 0               # higher = deliver earlier if possible
     allow_reorder: bool = True      # may the optimizer overtake with this?
-    depends_on: int | None = None  # wrap_id that must be *sent* first
+    #: The ``wrap_id`` of a wrap of the same engine that must be *sent*
+    #: first (paper §3.2's dependency attributes), or ``None``.
+    depends_on: int | None = None
     rail: int | None = None      # pinned rail (dedicated list) or None
     submitted_at: float = 0.0
     is_control: bool = False        # engine-internal control traffic
     control_item: WireItem | None = None  # the item a control wrap carries
-    wrap_id: int = field(default_factory=_wrap_ids.__next__)
     #: Settled when the send is over (``None``: nobody waits).
     completion: SendRequest | None = None
     #: Payload byte count, stamped once from ``data`` (which is never
@@ -112,7 +113,11 @@ class PacketWrap:
 
 
 class WireItem:
-    """One record inside a physical packet."""
+    """One record inside a physical packet.
+
+    The record classes below are never subclassed: the demux and match
+    paths dispatch on ``type(item) is ...``, not ``isinstance``.
+    """
 
     __slots__ = ()
 

@@ -80,7 +80,9 @@ class SendRequest(Request):
     Completion normally means the data left this node; with the
     reliability layer active it means the peer acknowledged delivery.
     ``wrap`` is the packet wrap while the send is pending (what ``cancel``
-    and ``depends_on=req.wrap.wrap_id`` work on), ``None`` once settled.
+    and ``depends_on=req.wrap.wrap_id`` work on — a dependency on a wrap
+    of the same engine, whose ids are numbered per engine), ``None`` once
+    settled.
     """
 
     __slots__ = ("wrap", "dest", "flow", "posted_tag")

@@ -23,7 +23,7 @@ attributes on the wraps), and the current time.  It returns a
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -57,7 +57,10 @@ class SchedulingContext:
     hdr: HeaderSpec
     now: float
     src_node: int = -1
-    sent_wraps: set[int] = field(default_factory=set)
+    #: Answers ``wrap_id in sent_wraps`` for the dependency attributes: the
+    #: engine's :class:`~repro.core.transfer.WrapLedger`, a plain set in
+    #: the tactics' unit tests.
+    sent_wraps: Container[int] = field(default_factory=set)
     #: ``eager_budget(dest)``: remaining eager credit ``(bytes, wraps)``
     #: towards ``dest``; ``(None, None)`` when flow control is off.  A
     #: credit-aware strategy caps its aggregate below both numbers;

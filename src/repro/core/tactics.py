@@ -8,7 +8,7 @@ free of engine state makes them individually property-testable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
 
 from repro.core.packet import PacketWrap
 
@@ -22,7 +22,7 @@ __all__ = [
 
 
 def deps_satisfied(
-    wrap: PacketWrap, sent: set[int], in_plan: Iterable[PacketWrap] = ()
+    wrap: PacketWrap, sent: Container[int], in_plan: Iterable[PacketWrap] = ()
 ) -> bool:
     """True if ``wrap``'s dependency (if any) was sent or precedes it in plan.
 
@@ -39,7 +39,7 @@ def deps_satisfied(
 
 
 def first_sendable_dest(
-    wraps: Iterable[PacketWrap], sent: set[int]
+    wraps: Iterable[PacketWrap], sent: Container[int]
 ) -> int | None:
     """Destination of the oldest wrap whose dependencies are satisfied.
 
@@ -96,7 +96,7 @@ def plan_aggregate(
     candidates: Sequence[PacketWrap],
     dest: int,
     rdv_threshold: int,
-    sent: set[int],
+    sent: Container[int],
     max_items: int | None = None,
     scan_past_blockage: bool = True,
     max_eager_bytes: int | None = None,

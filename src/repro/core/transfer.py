@@ -59,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.protocols import Layer
     from repro.core.rendezvous import RdvSendState
 
-__all__ = ["TransferLayer"]
+__all__ = ["TransferLayer", "WrapLedger"]
 
 #: Pull cost of synthesizing one packet on a NIC's idle edge: the paper's
 #: "extra operations on the critical path to inspect the 'ready list'"
@@ -76,6 +76,34 @@ DEMUX_PACKET_COST_US = 0.30
 DEMUX_ITEM_COST_US = 0.05
 
 
+class WrapLedger:
+    """Which of this engine's wraps have left the node, kept as the ones
+    that have not (paper §3.2's dependency attributes).
+
+    The collect layer numbers its wraps 1, 2, 3, ... (``issued`` is the
+    last id given out) and enters each in ``outstanding``; the transfer
+    layer removes it once the packet carrying the wrap (or its rendezvous
+    announcement) completed transmission.  An id is *sent* when this
+    engine issued it and it is no longer outstanding.  A retracted wrap —
+    cancelled, expired, on a failed packet, towards a peer torn down —
+    never left and stays outstanding for good, so its dependents stay
+    unsendable.  What is kept is the wraps in flight plus the retracted
+    ones, not the engine's history.
+    """
+
+    __slots__ = ("issued", "outstanding")
+
+    def __init__(self) -> None:
+        self.issued = 0
+        #: A dict used as a set: entering and leaving are a subscript store
+        #: and a ``del``, not a method call, on the per-message path.
+        self.outstanding: dict[int, None] = {}
+
+    def __contains__(self, wrap_id: object) -> bool:
+        return (isinstance(wrap_id, int) and 0 < wrap_id <= self.issued
+                and wrap_id not in self.outstanding)
+
+
 class TransferLayer:
     """Drives every NIC of one node on behalf of the engine."""
 
@@ -83,7 +111,9 @@ class TransferLayer:
         self.engine = engine
         self.nics = list(engine.node.nics)
         self._source = f"node{engine.node_id}.transfer"
-        self.sent_wraps: set[int] = set()
+        #: The dependency answer strategies consult (``SchedulingContext.
+        #: sent_wraps``); the collect layer issues into it.
+        self.sent_wraps = WrapLedger()
         #: Rails taken out of service (always empty in paper mode).
         self.quarantined: set[int] = set()
         self._pull_pending = [False] * len(self.nics)
@@ -212,7 +242,7 @@ class TransferLayer:
 
     def _context(self, rail: int) -> SchedulingContext:
         # All context fields except the clock are fixed per rail for the
-        # lifetime of the engine (sent_wraps is the live set object), so the
+        # lifetime of the engine (sent_wraps is the live ledger), so the
         # context is built once per rail and only ``now`` is refreshed.
         ctx = self._contexts[rail]
         if ctx is None:
@@ -363,14 +393,15 @@ class TransferLayer:
             self._maybe_prepare()
 
     def _plan_sent(self, plan: SendPlan) -> None:
+        outstanding = self.sent_wraps.outstanding
         for wrap in plan.taken:
-            self.sent_wraps.add(wrap.wrap_id)
+            del outstanding[wrap.wrap_id]
             if wrap.completion is not None:
                 wrap.completion.settle()
         for wrap in plan.announced:
             # The announcement left the node; ordering dependencies on this
             # wrap are satisfied (delivery order is restored by the matcher).
-            self.sent_wraps.add(wrap.wrap_id)
+            del outstanding[wrap.wrap_id]
 
     def _plan_failed(self, plan: SendPlan, items: list,
                      exc: BaseException) -> None:

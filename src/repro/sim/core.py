@@ -62,11 +62,11 @@ from random import Random
 from repro.errors import SimulationError
 from repro.sim.sanitizer import SanitizeConfig, active_sanitizer, shake_slot
 
-#: Event/Timeout freelist recycling relies on CPython reference counts to
-#: prove no condition, process, or user closure still holds the object.
+#: Timeout freelist recycling relies on CPython reference counts to prove
+#: no condition, process, or user closure still holds the object (without
+#: ``sys.getrefcount`` the proof never holds and nothing is recycled).
 #: Kept because it pays: with the freelist off the serial cascade runs 21%
 #: slower (docs/PERFORMANCE.md).
-_POOLING = sys.implementation.name == "cpython"
 _POOL_CAP = 4096
 _getrefcount: Callable[[Any], int] = getattr(sys, "getrefcount", lambda _o: -1)
 
@@ -120,10 +120,7 @@ class Event:
     cycle only the collector can free.
     """
 
-    __slots__ = (
-        "sim", "_callbacks", "_ok", "_value", "_exc", "_defused", "_name",
-        "_pooled",
-    )
+    __slots__ = ("sim", "_callbacks", "_ok", "_value", "_defused", "_name")
 
     def __init__(
         self, sim: Simulator, name: str | tuple[Any, ...] = ""
@@ -135,15 +132,11 @@ class Event:
         self._name = name
         self._callbacks: list[Callable[[Event], None]] | None = []
         self._ok: bool | None = None  # None=pending, True=succeeded, False=failed
+        # The success value, or a failed event's exception.
         self._value: Any = None
-        self._exc: BaseException | None = None
         # Failed events whose exception is never observed raise at run() end
         # unless "defused" (observed by a waiter or explicitly).
         self._defused = False
-        # Freelist-eligible (only kernel-created Timeouts set this; the run
-        # loop additionally proves via refcount that nobody else holds the
-        # object before recycling it).
-        self._pooled = False
 
     # -- state ----------------------------------------------------------
     @property
@@ -172,13 +165,12 @@ class Event:
         if self._ok:
             return self._value
         self._defused = True
-        assert self._exc is not None
-        raise self._exc
+        raise self._value
 
     @property
     def exception(self) -> BaseException | None:
         """The failure exception, or ``None`` (non-raising inspection)."""
-        return self._exc
+        return self._value if self._ok is False else None
 
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None) -> Event:
@@ -197,7 +189,7 @@ class Event:
         if not isinstance(exc, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._ok = False
-        self._exc = exc
+        self._value = exc
         self.sim._activate(self)
         return self
 
@@ -218,7 +210,7 @@ class Event:
         state = (
             "pending"
             if self._ok is None
-            else ("ok" if self._ok else f"failed({self._exc!r})")
+            else ("ok" if self._ok else f"failed({self._value!r})")
         )
         name = self.name
         label = f" {name!r}" if name else ""
@@ -228,10 +220,11 @@ class Event:
 class Timeout(Event):
     """An event that triggers ``delay`` time units after creation.
 
-    Completed timeouts with no remaining holders are recycled through
-    :attr:`Simulator._timeout_pool` (the name is left empty rather than the
-    old ``f"timeout({delay})"`` — the f-string alone was ~25% of timeout
-    creation cost; :meth:`__repr__` still shows the delay).
+    Completed plain timeouts (not a subclass's) with no remaining holders
+    are recycled through :attr:`Simulator._timeout_pool` (the name is left
+    empty rather than the old ``f"timeout({delay})"`` — the f-string alone
+    was ~25% of timeout creation cost; :meth:`__repr__` still shows the
+    delay).
     """
 
     __slots__ = ("delay",)
@@ -245,14 +238,13 @@ class Timeout(Event):
         # run loop pops it at now+delay (see Simulator.run), so `triggered`
         # and condition bookkeeping stay accurate in the meantime.
         self._value = value
-        self._pooled = _POOLING
         sim._schedule_event(delay, self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
             "pending"
             if self._ok is None
-            else ("ok" if self._ok else f"failed({self._exc!r})")
+            else ("ok" if self._ok else f"failed({self._value!r})")
         )
         return f"<Timeout({self.delay:g}) {state}>"
 
@@ -293,8 +285,7 @@ class Process(Event):
             self._step(self._gen.send, evt._value)
         else:
             evt._defused = True
-            assert evt._exc is not None
-            self._step(self._gen.throw, evt._exc)
+            self._step(self._gen.throw, evt._value)
 
     def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         try:
@@ -384,8 +375,7 @@ class AllOf(Condition):
             return
         if not evt._ok:
             evt._defused = True
-            assert evt._exc is not None
-            self.fail(evt._exc)
+            self.fail(evt._value)
             return
         self._n_left -= 1
         if not self._n_left:
@@ -406,8 +396,7 @@ class AnyOf(Condition):
             self.succeed(self._collect())
         else:
             evt._defused = True
-            assert evt._exc is not None
-            self.fail(evt._exc)
+            self.fail(evt._value)
 
 
 class Timer:
@@ -765,14 +754,15 @@ class Simulator:
         diagnostic carrying the current time, queue depth, the next few
         pending entries and the deadlock hints' diagnoses.
 
-        Hot loop notes: the now-queue, Event class and Timeout freelist are
-        bound to locals, and the processed counter is mirrored in a local
-        that flushes to ``_n_processed`` at every timestamp boundary — so
-        ``events_processed`` read from any timed callback (chaos audits,
-        heartbeat monitors) is exact for all prior timestamps, while the
-        per-event cost stays one integer add.  Monotonicity needs no
-        explicit check: delays are validated non-negative at push time and
-        the calendar pops in (time, seq) order.
+        Hot loop notes: the now-queue, the Event and Timeout classes and
+        the Timeout freelist are bound to locals, and the processed counter
+        is mirrored in a local that flushes to ``_n_processed`` at every
+        timestamp boundary — so ``events_processed`` read from any timed
+        callback (chaos audits, heartbeat monitors) is exact for all prior
+        timestamps, while the per-event cost stays one integer add.
+        Monotonicity needs no explicit check: delays are validated
+        non-negative at push time and the calendar pops in (time, seq)
+        order.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -780,6 +770,7 @@ class Simulator:
         now_q = self._now_q
         pop_now = now_q.popleft
         event_cls = Event
+        timeout_cls = Timeout
         list_cls = list
         pool = self._timeout_pool
         refcount = _getrefcount
@@ -805,10 +796,9 @@ class Simulator:
                             for fn in callbacks:
                                 fn(item)
                         if item._ok is False and not item._defused:
-                            assert item._exc is not None
-                            raise item._exc
+                            raise item._value
                         if (
-                            item._pooled
+                            item.__class__ is timeout_cls
                             and len(pool) < _POOL_CAP
                             and refcount(item) == 2
                         ):
@@ -816,9 +806,10 @@ class Simulator:
                             # hold this Timeout: no process, condition or
                             # user closure can ever see it again, so it is
                             # safe to recycle (reusing its callbacks list).
+                            # A subclass is never recycled: sim.timeout()
+                            # hands out plain Timeouts only.
                             item._ok = None
                             item._value = None
-                            item._exc = None
                             item._defused = False
                             if callbacks is not None:
                                 callbacks.clear()
@@ -879,16 +870,14 @@ class Simulator:
                             for fn in callbacks:
                                 fn(item)
                         if item._ok is False and not item._defused:
-                            assert item._exc is not None
-                            raise item._exc
+                            raise item._value
                         if (
-                            item._pooled
+                            item.__class__ is timeout_cls
                             and len(pool) < _POOL_CAP
                             and refcount(item) == 2
                         ):
                             item._ok = None
                             item._value = None
-                            item._exc = None
                             item._defused = False
                             if callbacks is not None:
                                 callbacks.clear()

@@ -62,17 +62,32 @@ class TestHeaderSpec:
 class TestPacketWrap:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PacketWrap(dest=-1, flow=0, tag=0, seq=0, data=VirtualData(1))
+            PacketWrap(dest=-1, flow=0, tag=0, seq=0, wrap_id=1,
+                       data=VirtualData(1))
         with pytest.raises(ValueError):
-            PacketWrap(dest=1, flow=0, tag=0, seq=-1, data=VirtualData(1))
+            PacketWrap(dest=1, flow=0, tag=0, seq=-1, wrap_id=1,
+                       data=VirtualData(1))
 
     def test_wrap_ids_unique_and_increasing(self):
-        a = PacketWrap(dest=1, flow=0, tag=0, seq=0, data=VirtualData(1))
-        b = PacketWrap(dest=1, flow=0, tag=0, seq=1, data=VirtualData(1))
-        assert b.wrap_id > a.wrap_id
+        # Each engine's collect layer numbers its wraps 1, 2, 3, ...,
+        # control wraps (here a cancel's tombstone) included; another
+        # engine's count is its own.
+        sim = Simulator()
+        cluster = Cluster(sim, rails=(MX_MYRI10G,))
+        e0, e1 = NmadEngine(cluster.node(0)), NmadEngine(cluster.node(1))
+        first = e0.isend(1, b"a")
+        assert first.wrap.wrap_id == 1
+        assert e0.cancel(first)                      # tombstone: wrap 2
+        assert e0.isend(1, b"b").wrap.wrap_id == 3
+        assert e1.isend(0, b"c").wrap.wrap_id == 1
+        sim.run()
+        assert e0.transfer.sent_wraps.issued == 3
+        with pytest.raises(TypeError):   # every construction names its id
+            PacketWrap(dest=1, flow=0, tag=0, seq=0, data=VirtualData(1))
 
     def test_length_is_payload_bytes(self):
-        w = PacketWrap(dest=1, flow=0, tag=0, seq=0, data=VirtualData(77))
+        w = PacketWrap(dest=1, flow=0, tag=0, seq=0, wrap_id=1,
+                       data=VirtualData(77))
         assert w.length == 77
 
 

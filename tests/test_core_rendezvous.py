@@ -25,7 +25,7 @@ class TestSenderSide:
         sim, e0, _ = make_engines()
         from repro.core.packet import PacketWrap
 
-        wraps = [PacketWrap(dest=1, flow=0, tag=0, seq=i,
+        wraps = [PacketWrap(dest=1, flow=0, tag=0, seq=i, wrap_id=i + 1,
                             data=VirtualData(100_000)) for i in range(5)]
         handles = {e0.rendezvous.announce(w, rail=0).handle for w in wraps}
         assert len(handles) == 5
@@ -47,7 +47,7 @@ class TestSenderSide:
         sim, e0, _ = make_engines(params=params)
         from repro.core.packet import PacketWrap
 
-        wrap = PacketWrap(dest=1, flow=0, tag=0, seq=0,
+        wrap = PacketWrap(dest=1, flow=0, tag=0, seq=0, wrap_id=1,
                           data=VirtualData(2500))
         req_item = e0.rendezvous.announce(wrap, rail=0)
         e0.rendezvous.on_ack(RdvAckItem(src=1, handle=req_item.handle))
@@ -66,7 +66,7 @@ class TestSenderSide:
         from repro.core.packet import PacketWrap
 
         req = SendRequest(sim, dest=1, flow=0, tag=0)
-        req.wrap = wrap = PacketWrap(dest=1, flow=0, tag=0, seq=0,
+        req.wrap = wrap = PacketWrap(dest=1, flow=0, tag=0, seq=0, wrap_id=1,
                                      data=VirtualData(2000), completion=req)
         item = e0.rendezvous.announce(wrap, rail=0)
         e0.rendezvous.on_ack(RdvAckItem(src=1, handle=item.handle))

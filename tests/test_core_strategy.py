@@ -1,5 +1,7 @@
 """Unit tests for the strategy interface, registry, and shipped strategies."""
 
+import itertools
+
 import pytest
 
 from repro.core.data import VirtualData
@@ -24,9 +26,13 @@ from repro.errors import StrategyError
 from repro.netsim import MX_MYRI10G
 
 
+#: Wrap ids for wraps built without an engine (an engine numbers its own).
+_wrap_ids = itertools.count(1)
+
+
 def wrap(dest=1, flow=0, tag=0, seq=0, size=100, **kw):
     return PacketWrap(dest=dest, flow=flow, tag=tag, seq=seq,
-                      data=VirtualData(size), **kw)
+                      wrap_id=next(_wrap_ids), data=VirtualData(size), **kw)
 
 
 def ctx(window, rail=0, profile=MX_MYRI10G, sent=None):
@@ -130,7 +136,8 @@ class TestFifo:
     def test_control_wrap_carries_its_item(self):
         win = OptimizationWindow(1)
         ack = RdvAckItem(src=0, handle=3)
-        w = PacketWrap(dest=1, flow=-1, tag=0, seq=0, data=VirtualData(0),
+        w = PacketWrap(dest=1, flow=-1, tag=0, seq=0, wrap_id=1,
+                       data=VirtualData(0),
                        is_control=True, control_item=ack)
         win.submit(w)
         plan = FifoStrategy().select(ctx(win))

@@ -88,6 +88,73 @@ class TestPullMachinery:
         assert cluster.node(0).nics[1].frames_sent == 1
 
 
+class TestWrapLedger:
+    """``sent_wraps`` keeps the wraps still in flight (and the retracted
+    ones), not every wrap the engine ever sent."""
+
+    def test_dependent_submitted_after_its_dependency_left_is_sent(self):
+        sim, _, e0, e1 = make()
+
+        def app():
+            recvs = [e1.irecv(src=0, tag=t) for t in range(2)]
+            first = e0.isend(1, b"first", tag=0)
+            wrap_id = first.wrap.wrap_id
+            yield first
+            # Gone from the ledger's outstanding ids: it counts as sent.
+            assert wrap_id not in e0.transfer.sent_wraps.outstanding
+            second = e0.isend(1, b"second", tag=1, depends_on=wrap_id)
+            yield sim.all_of(recvs + [second])
+            return second, recvs
+
+        second, recvs = sim.run_process(app())
+        assert second.complete and not second.failed
+        assert [r.data.tobytes() for r in recvs] == [b"first", b"second"]
+
+    def test_dependent_of_a_cancelled_wrap_stalls_as_an_orphan(self):
+        sim, _, e0, e1 = make()
+        ids = []
+
+        def app():
+            doomed = e0.isend(1, b"doomed", tag=0)   # still in the window
+            ids.append(doomed.wrap.wrap_id)
+            assert e0.cancel(doomed)
+            e0.isend(1, b"dependent", tag=1, depends_on=ids[0])
+            yield e1.irecv(src=0, tag=1)
+
+        from repro.errors import SimulationError
+        with pytest.raises(SimulationError, match="deadlock") as info:
+            sim.run_process(app())
+        # The same diagnosis as a dependency on an id never issued: the
+        # dependent is held in the window for good.
+        assert "peer 1: window backlog=1 wraps" in str(info.value)
+        ledger = e0.transfer.sent_wraps
+        assert ids[0] in ledger.outstanding and ids[0] not in ledger
+
+    def test_nothing_outstanding_after_a_clean_burst(self):
+        # Eager segments, rendezvous announcements and their grants (control
+        # wraps), every engine sending and receiving.
+        sim = Simulator()
+        cluster = Cluster(sim, n_nodes=4, rails=(MX_MYRI10G,))
+        engines = [NmadEngine(cluster.node(i)) for i in range(4)]
+        sizes = [48, 100_000] * 8
+
+        def rank(r):
+            e = engines[r]
+            recvs = [e.irecv(src=(r - 1) % 4, tag=t)
+                     for t in range(len(sizes))]
+            sends = [e.isend((r + 1) % 4, VirtualData(n), tag=t)
+                     for t, n in enumerate(sizes)]
+            yield sim.all_of(recvs + sends)
+
+        procs = [sim.spawn(rank(r)) for r in range(4)]
+        sim.run()
+        assert all(p.triggered and p.ok for p in procs)
+        for e in engines:
+            # Sixteen sends and eight grants issued, none still outstanding.
+            assert e.transfer.sent_wraps.issued == 24
+            assert e.transfer.sent_wraps.outstanding == {}
+
+
 class TestIdleEdge:
     """An idle edge posts a hop only if a pull could do something; the work
     the hop used to do must still get done (docs/PERFORMANCE.md)."""

@@ -1,5 +1,7 @@
 """Unit tests for the optimization window and the tactics toolbox."""
 
+import itertools
+
 import pytest
 
 from repro.core.data import VirtualData
@@ -14,9 +16,14 @@ from repro.core.window import OptimizationWindow
 from repro.errors import StrategyError
 
 
+#: Wrap ids for wraps built without an engine (an engine numbers its own).
+_wrap_ids = itertools.count(1)
+
+
 def wrap(dest=1, flow=0, tag=0, seq=0, size=100, priority=0,
          allow_reorder=True, depends_on=None, rail=None):
     return PacketWrap(dest=dest, flow=flow, tag=tag, seq=seq,
+                      wrap_id=next(_wrap_ids),
                       data=VirtualData(size), priority=priority,
                       allow_reorder=allow_reorder, depends_on=depends_on,
                       rail=rail)

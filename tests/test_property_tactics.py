@@ -20,6 +20,7 @@ def wrap_lists(draw, max_size=30):
             flow=draw(st.integers(0, 2)),
             tag=draw(st.integers(0, 2)),
             seq=i,
+            wrap_id=i + 1,
             data=VirtualData(draw(st.integers(0, 4096))),
             priority=draw(st.integers(0, 5)),
             allow_reorder=draw(st.booleans()),
@@ -140,6 +141,7 @@ class TestAggregateProperties:
     def test_dependency_on_an_earlier_wrap_of_the_same_aggregate(self):
         def wrap(seq, depends_on=None, nbytes=100):
             return PacketWrap(dest=1, flow=0, tag=0, seq=seq,
+                              wrap_id=seq + 1,
                               data=VirtualData(nbytes), depends_on=depends_on)
 
         head = wrap(0)
@@ -168,7 +170,8 @@ class TestAggregateProperties:
         wraps = []
         for i, (nbytes, dep, reorder) in enumerate(shape):
             wraps.append(PacketWrap(
-                dest=1, flow=0, tag=0, seq=i, data=VirtualData(nbytes),
+                dest=1, flow=0, tag=0, seq=i, wrap_id=i + 1,
+                data=VirtualData(nbytes),
                 allow_reorder=reorder,
                 depends_on=wraps[dep].wrap_id if 0 <= dep < i else
                 (None if dep < 0 else -1)))

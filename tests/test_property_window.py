@@ -82,6 +82,7 @@ def test_incremental_counters_match_brute_force(steps):
         if action < 45 or not live:
             # submit: fresh wrap, possibly pinned to a rail
             wrap = PacketWrap(dest=dest, flow=0, tag=0, seq=seq,
+                              wrap_id=seq + 1,
                               data=VirtualData(size), rail=rail)
             seq += 1
             win.submit(wrap)

@@ -153,6 +153,21 @@ class TestEvent:
         with pytest.raises(SimulationError):
             sim.timeout(-0.5)
 
+    def test_only_plain_timeouts_are_recycled(self, sim):
+        class Stamped(Timeout):
+            __slots__ = ()
+
+        # Neither is held once it fired: both are free to recycle, but
+        # sim.timeout() must only ever hand out a plain Timeout.
+        Stamped(sim, 1.0)
+        plain = id(sim.timeout(1.0))
+        sim.run()
+        fresh = [sim.timeout(1.0) for _ in range(2)]
+        assert [type(t) for t in fresh] == [Timeout, Timeout]
+        assert plain in {id(t) for t in fresh}   # the freelist still works
+        sim.run()
+        assert all(t.ok for t in fresh)
+
 
 class TestProcess:
     def test_process_runs_over_time(self, sim):

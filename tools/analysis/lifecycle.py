@@ -10,7 +10,7 @@ window, the rendezvous table and the completion event telling three
 different stories.  The rules:
 
 * **NM301** — the kernel-private fields of :class:`repro.sim.core.Event`
-  (``_ok``/``_value``/``_exc``/``_defused``/``_callbacks``/…) are
+  (``_ok``/``_value``/``_defused``/``_callbacks``/…) are
   touched only inside ``repro/sim/core.py``.  Outside the kernel, use
   ``triggered``/``ok``/``value``/``exception``/``defuse()``.
 * **NM302** — rendezvous transfer state (``granted``/``next_offset``/
@@ -49,7 +49,7 @@ from tools.analysis.counters import WINDOW_MODULE, WINDOW_PRIVATE
 
 #: Kernel-private Event/Process/Condition state, owner repro/sim/core.py.
 EVENT_PRIVATE = frozenset({
-    "_ok", "_value", "_exc", "_defused", "_callbacks",
+    "_ok", "_value", "_defused", "_callbacks",
     "_gen", "_n_left",
 })
 EVENT_MODULES = frozenset({"repro/sim/core.py"})
