@@ -18,8 +18,8 @@ The benchmarks:
 * ``kernel_storm`` — the large-cluster completion-storm profile: rounds
   of many same-timestamp NIC completions (posted through
   ``schedule_batch``, as the NIC layer does) plus straggler timers.  Its
-  rate over the serial cascade's is what batching buys; CI gates that
-  ratio at >= 10x.
+  rate over the serial cascade's is what ``schedule_batch`` buys; CI
+  gates that ratio at >= 10x.
 * ``pingpong`` — end-to-end MAD-MPI ping-pong wall-clock (host seconds per
   simulated exchange), plus the simulated makespan as a fidelity guard.
 * ``random_traffic`` — irregular multi-flow replay wall-clock, the
@@ -232,7 +232,8 @@ def bench_kernel_storm(
     :func:`repro.sim.sanitizer.post_storm`, the one the sanitizer
     fingerprints).  The serial cascade of :func:`bench_event_loop` pays a
     push and a dispatch per event; this rate over that one is what
-    batching buys.
+    ``schedule_batch`` buys (the queue itself does nothing special for a
+    same-timestamp burst: one heap entry per batch, like any other).
     """
     if rounds < 1 or fanout < 1 or stragglers < 0:
         raise ReproError(
@@ -595,8 +596,8 @@ def render_perf(payload: dict) -> str:
 
 
 #: Hard floor on completion-storm over serial-cascade throughput: what
-#: ``schedule_batch`` and the per-bucket sort must keep buying.  A kernel
-#: that pays a push and a pop per completion scores ~1.5 here.
+#: ``schedule_batch`` must keep buying.  A kernel that pays a push and a
+#: pop per completion scores ~1.5 here.
 STORM_VS_SERIAL_FLOOR = 10.0
 #: Hard floor on window ops/s at backlog 1000 over backlog 100.  The O(1)
 #: window measures 0.7-1.0; the seed's deque window, whose ``take`` is a

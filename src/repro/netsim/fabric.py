@@ -549,7 +549,7 @@ class Dragonfly:
                     else:
                         gates = tuple(
                             local_port[(g, r, gr)]
-                            for gr, _far in gateway[(g, hg)] if gr != r)
+                            for gr, _ in gateway[(g, hg)] if gr != r)
                         router.add_route(host, gates)
 
 

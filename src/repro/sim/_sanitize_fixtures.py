@@ -46,8 +46,8 @@ def batch_order_engine(sanitize: SanitizeConfig | None) -> str:
         arrival_order.append(name)
 
     def takeoff() -> None:
-        # Ten distinct timers, one shared future timestamp: the extracted
-        # calendar slot holds one equal-t run of ten entries.
+        # Ten distinct timers, one shared future timestamp: the clock
+        # reaches it with one equal-t run of ten queued entries.
         for i in range(10):
             sim.schedule(5.0, lambda i=i: land(f"pkt-{i}"))
 

@@ -20,39 +20,33 @@ same timestamp fire in FIFO scheduling order (a strictly increasing sequence
 number breaks ties), which makes every simulation and therefore every
 benchmark series exactly reproducible.
 
-The queue is a three-tier calendar structure rather than the seed's single
-binary heap (frozen as ``tests/seed_kernel.py``, the oracle of the
-ordering-equivalence property test):
+The queue has two parts, and one strictly increasing sequence number runs
+through both (the seed's single binary heap is frozen as
+``tests/seed_kernel.py``, the oracle of the ordering-equivalence property
+test):
 
 * a **now-queue** — a plain FIFO for occurrences at exactly the current
   timestamp (event activations, zero-delay schedules).  These are by far
   the most common push in the engine (every ``succeed`` travels through
   it) and need neither a tuple nor a heap: append order *is* ``(time,
   seq)`` order because the clock cannot move while they wait;
-* a **timer wheel** — ``wheel_buckets`` buckets of ``wheel_width_us``
-  (sized around the dominant NIC-latency granularity) covering the near
-  future.  A push is an O(1) list append; a bucket is sorted by ``(time,
-  seq)`` only when the clock reaches it, so a burst of same-timestamp
-  completions costs one extraction instead of N heap pops;
-* an **overflow heap** — far timers beyond the wheel horizon
-  (retransmission backoffs, heartbeats) fall back to a binary heap and
-  are merged per-bucket when the wheel reaches their epoch.
+* a **heap** of ``(time, seq, item)`` for everything later.  When the
+  now-queue drains, the clock moves to the heap top and every entry of
+  that timestamp is popped before the now-queue is served again: they
+  were all pushed before the clock got there, so their sequence numbers
+  are smaller than anything pushed at it.
 
-Ordering is exactly heap-equivalent: buckets partition the time axis, so
-cross-bucket order is free, and the per-bucket sort (plus bisect insertion
-for entries scheduled into the in-flight bucket) restores ``(time, seq)``
-within one.  ``tests/test_sim_wheel.py`` pins the equivalence with a
-Hypothesis property against the frozen seed kernel.
+``tests/test_sim_wheel.py`` pins the dispatch order to the seed heap's
+with a Hypothesis property.
 """
 
 from __future__ import annotations
 
 import sys
-from bisect import insort
 from collections import deque
 from collections.abc import Callable, Generator, Iterable
 from functools import partial
-from heapq import heappop, heappush
+from heapq import heappop, heappush, nsmallest
 from itertools import islice
 
 from typing import Any, ClassVar
@@ -60,7 +54,7 @@ from typing import Any, ClassVar
 from random import Random
 
 from repro.errors import SimulationError
-from repro.sim.sanitizer import SanitizeConfig, active_sanitizer, shake_slot
+from repro.sim.sanitizer import SanitizeConfig, active_sanitizer
 
 #: Timeout freelist recycling relies on CPython reference counts to prove
 #: no condition, process, or user closure still holds the object (without
@@ -70,21 +64,11 @@ from repro.sim.sanitizer import SanitizeConfig, active_sanitizer, shake_slot
 _POOL_CAP = 4096
 _getrefcount: Callable[[Any], int] = getattr(sys, "getrefcount", lambda _o: -1)
 
-#: Wheel geometry: 1024 buckets of 2us cover a ~2ms near-term horizon —
-#: wide enough that the dominant NIC-latency delays (sub-us CPU gaps,
-#: us-scale wire/DMA times) *and* heartbeat/retransmission timers all land
-#: in the wheel, with only pathological far timers overflowing to the
-#: heap; fine enough that one bucket extraction amortizes the sort over a
-#: dense burst without pulling in distant work.  Power-of-two bucket count
-#: keeps the slot index a mask instead of a modulo.
-_WHEEL_BITS = 10
-_NB = 1 << _WHEEL_BITS
-_MASK = _NB - 1
-_WIDTH_US = 2.0
-_INV_WIDTH = 1.0 / _WIDTH_US
-#: Push-time horizon guard: rejects inf/nan timestamps, which the epoch
-#: arithmetic (``int(t * _INV_WIDTH)``) cannot digest.  The seed heap
-#: silently accepted them; nothing in the engine ever scheduled one.
+#: Push-time horizon guard: rejects inf/nan timestamps.  A NaN compares
+#: false against everything and corrupts the heap's order for every entry
+#: pushed after it; an ``inf`` entry names no time at which it could fire.
+#: The seed heap silently accepted both; nothing in the engine ever
+#: scheduled one.
 _T_MAX = 1e300
 _INF = float("inf")
 
@@ -448,11 +432,10 @@ class Timer:
 class Simulator:
     """The event loop: a clock plus a deterministic priority queue.
 
-    The queue is the three-tier calendar structure described in the module
-    docstring (now-queue / timer wheel / far heap).  All three tiers share
-    one strictly increasing sequence counter, so the dispatch order is
-    exactly the ``(time, seq)`` order the seed's single heap produced —
-    the representation changed, the contract did not.
+    The queue is the now-queue plus one heap described in the module
+    docstring.  Both share one strictly increasing sequence counter, so
+    the dispatch order is exactly the ``(time, seq)`` order the seed's
+    single heap produced.
     """
 
     def __init__(self, sanitize: SanitizeConfig | None = None) -> None:
@@ -460,8 +443,8 @@ class Simulator:
         # falls back to the REPRO_SANITIZE environment variable so subprocess
         # harnesses can arm it without threading a parameter through every
         # experiment entry point.  The hooks live on cold paths only (mark,
-        # schedule_batch, slot refill) — the hot push paths are untouched
-        # either way.
+        # schedule_batch, one test per timestamp in run) — the hot push
+        # paths are untouched either way.
         if sanitize is None:
             sanitize = active_sanitizer()
         self._sanitize = sanitize
@@ -481,28 +464,12 @@ class Simulator:
         self._n_processed = 0
         self._last_t = 0.0
         self._deadlock_hints: list[Callable[[], str | None]] = []
-        # Tier 1: occurrences at exactly the current timestamp, FIFO.  Bare
+        # Occurrences at exactly the current timestamp, FIFO.  Bare
         # items — while the clock stands still, append order IS (time, seq)
         # order, so no tuple is built for the hottest push path.
         self._now_q: deque[Any] = deque()
-        # Tier 2: the timer wheel.  Bucket ``e & _MASK`` holds entries of
-        # exactly one epoch ``e = int(t * _INV_WIDTH)`` within the window
-        # [_cur_epoch, _wheel_end); the window invariant is what makes the
-        # per-slot sort-on-extract equivalent to a global heap.
-        self._buckets: list[list[tuple[float, int, Any]]] = [
-            [] for _ in range(_NB)
-        ]
-        self._cur_epoch = 0
-        self._wheel_end = _NB
-        self._n_wheel = 0
-        # Tier 3: far timers beyond the wheel horizon (plus, transiently,
-        # entries behind the cursor after an early run() exit).
-        self._far: list[tuple[float, int, Any]] = []
-        # The bucket currently being dispatched: sorted entries, a cursor,
-        # and the epoch it was extracted for (consumed slots become None).
-        self._batch: list[Any] = []
-        self._batch_i = 0
-        self._batch_epoch = -1
+        # Everything later, as (time, seq, item).
+        self._heap: list[tuple[float, int, Any]] = []
         # Freelist of completed, unreferenced Timeouts (see Simulator.run).
         self._timeout_pool: list[Timeout] = []
 
@@ -653,91 +620,29 @@ class Simulator:
         self._now_q.append(event)
 
     def _push(self, t: float, seq: int, item: Any) -> None:
-        """Insert a future occurrence into the wheel, batch, or far heap."""
+        """Insert a future occurrence into the heap."""
         if not t <= _T_MAX:
             raise SimulationError(
                 f"cannot schedule at t={t!r} (beyond the kernel horizon)"
             )
-        epoch = int(t * _INV_WIDTH)
-        if epoch == self._batch_epoch:
-            batch = self._batch
-            if self._batch_i < len(batch):
-                # The bucket being dispatched right now: bisect past the
-                # consumption cursor so the entry still fires in (t, seq)
-                # order (the consumed region holds Nones and is never
-                # compared).
-                insort(batch, (t, seq, item), lo=self._batch_i)
-                return
-            if epoch == self._cur_epoch and not self._n_wheel and not self._far:
-                # Serial-cascade fast path: the batch is exhausted and this
-                # is the only pending timed entry anywhere, so extending
-                # the batch in place is trivially the global (t, seq)
-                # order — and skips a full slot-extract/refill round trip.
-                batch.clear()
-                self._batch_i = 0
-                batch.append((t, seq, item))
-                return
-            # Exhausted batch: fall through to the window check below.  The
-            # batch may be a *behind-cursor* far extraction (after an early
-            # run() exit advanced the cursor), and then its epoch's slot
-            # belongs to epoch + _NB — appending there would strand the
-            # entry a full wheel revolution in the future.
-        if self._cur_epoch <= epoch < self._wheel_end:
-            self._buckets[epoch & _MASK].append((t, seq, item))
-            self._n_wheel += 1
-        else:
-            # Beyond the wheel horizon — or behind the cursor, which can
-            # happen after an early run() exit; _refill always takes
-            # min(wheel epoch, far epoch) so both cases stay ordered.
-            heappush(self._far, (t, seq, item))
+        heappush(self._heap, (t, seq, item))
 
-    def _refill(self) -> bool:
-        """Extract the next non-empty epoch into ``_batch`` (sorted).
+    def _shake(self, t: float, rng: Random) -> None:
+        """Sanitizer: permute the run of heap entries due at ``t``.
 
-        Returns ``False`` when every tier is empty.  The far heap may hold
-        entries of any epoch (far timers, behind-cursor pushes), so the
-        next epoch is always min(first non-empty wheel slot, far top); far
-        entries of that same epoch are merged into the extracted slot.
+        Called as the clock reaches ``t``, so the run holds every entry
+        pushed for ``t`` before then; its sequence numbers are dealt out
+        to the shuffled items, which keeps them ahead of anything pushed
+        at ``t`` and behind nothing earlier.
         """
-        far = self._far
-        slot: list[tuple[float, int, Any]]
-        if self._n_wheel:
-            buckets = self._buckets
-            e = self._cur_epoch
-            while True:
-                slot = buckets[e & _MASK]
-                if slot:
-                    break
-                e += 1
-            if far and int(far[0][0] * _INV_WIDTH) < e:
-                e = int(far[0][0] * _INV_WIDTH)
-                slot = []
-            else:
-                buckets[e & _MASK] = []
-                self._n_wheel -= len(slot)
-        elif far:
-            e = int(far[0][0] * _INV_WIDTH)
-            slot = []
-        else:
-            return False
-        while far and int(far[0][0] * _INV_WIDTH) == e:
-            slot.append(heappop(far))
-        slot.sort()
-        if self._shake_rng is not None and len(slot) > 1:
-            # Sanitizer: permute equal-timestamp runs so handlers that
-            # depend on intra-timestamp arrival order betray themselves.
-            shake_slot(slot, self._shake_rng)
-        self._batch = slot
-        self._batch_i = 0
-        self._batch_epoch = e
-        if e > self._cur_epoch:
-            # Advancing the window is safe: every slot between the old
-            # cursor and ``e`` was just scanned empty (or the wheel is
-            # empty entirely), so the one-epoch-per-slot invariant holds
-            # for the new window [e, e + _NB).
-            self._cur_epoch = e
-            self._wheel_end = e + _NB
-        return True
+        heap = self._heap
+        run: list[tuple[float, int, Any]] = []
+        while heap and heap[0][0] == t:
+            run.append(heappop(heap))
+        items = [entry[2] for entry in run]
+        rng.shuffle(items)
+        for (_t, seq, _item), item in zip(run, items):
+            heappush(heap, (t, seq, item))
 
     # -- run loop -------------------------------------------------------------
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> float:
@@ -754,15 +659,14 @@ class Simulator:
         diagnostic carrying the current time, queue depth, the next few
         pending entries and the deadlock hints' diagnoses.
 
-        Hot loop notes: the now-queue, the Event and Timeout classes and
-        the Timeout freelist are bound to locals, and the processed counter
+        Hot loop notes: the now-queue, the heap, the Event and Timeout
+        classes and the Timeout freelist are bound to locals, and the processed counter
         is mirrored in a local that flushes to ``_n_processed`` at every
         timestamp boundary — so ``events_processed`` read from any timed
         callback (chaos audits, heartbeat monitors) is exact for all prior
         timestamps, while the per-event cost stays one integer add.
         Monotonicity needs no explicit check: delays are validated
-        non-negative at push time and the calendar pops in (time, seq)
-        order.
+        non-negative at push time and the heap pops in (time, seq) order.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
@@ -774,12 +678,14 @@ class Simulator:
         list_cls = list
         pool = self._timeout_pool
         refcount = _getrefcount
+        heap = self._heap
+        shake = self._shake_rng
         base = self._n_processed
         limit = max_events
         n = 0
         try:
             while True:
-                # Tier 1: everything at the current timestamp, push order.
+                # Everything at the current timestamp, push order.
                 while now_q:
                     if n >= limit:
                         self._n_processed = base + n
@@ -829,37 +735,29 @@ class Simulator:
                 self._n_processed = base + n
                 if n:
                     self._last_t = self.now
-                # Tier 2/3: advance the clock to the next timed bucket.
-                batch = self._batch
-                i = self._batch_i
-                if i >= len(batch):
-                    if not self._refill():
-                        break
-                    batch = self._batch
-                    i = 0
-                t = batch[i][0]
+                # Advance the clock to the heap top.
+                if not heap:
+                    break
+                t = heap[0][0]
                 if until is not None and t > until:
                     break
                 self.now = t
+                if shake is not None:
+                    self._shake(t, shake)
                 # Dispatch the whole same-timestamp run before returning to
                 # the now-queue: these entries were pushed earlier (smaller
                 # seq) than anything their dispatch pushes at time t, so
-                # batch-first is exactly the heap's (time, seq) order.  The
+                # heap-first is exactly the (time, seq) order.  The
                 # dispatch body below repeats the now-queue's on purpose:
                 # moving the run into the now-queue to share one body costs
-                # 10% on the serial cascade (docs/PERFORMANCE.md).
+                # calls on every timed entry (docs/PERFORMANCE.md).
                 while True:
                     if n >= limit:
-                        self._batch_i = i
                         self._n_processed = base + n
                         raise SimulationError(self._livelock_report(limit))
-                    _t, _, item = batch[i]
-                    # Drop the tuple before dispatch: the freelist refcount
-                    # proof needs no stray queue reference to the item, and
-                    # insort above never compares the consumed region.
-                    batch[i] = None
-                    i += 1
-                    self._batch_i = i
+                    # The popped tuple dies here: the freelist refcount
+                    # proof needs no stray queue reference to the item.
+                    item = heappop(heap)[2]
                     if isinstance(item, event_cls):
                         n += 1
                         if item._ok is None:
@@ -892,49 +790,31 @@ class Simulator:
                     else:
                         n += 1
                         item()
-                    if i >= len(batch) or batch[i][0] != t:
+                    if not heap or heap[0][0] != t:
                         break
             if until is not None and until > self.now:
                 self.now = until
             return self.now
         finally:
             self._n_processed = base + n
-            batch = self._batch
-            i = self._batch_i
-            self._batch = []
-            self._batch_i = 0
-            self._batch_epoch = -1
-            if i < len(batch):
-                # run() exited mid-bucket (until cut, max_events, or a
-                # propagating failure): push the undispatched tail back
-                # into the wheel/far heap so the queue stays consistent
-                # and a later run() resumes exactly where this one stopped.
-                for entry in batch[i:]:
-                    epoch = int(entry[0] * _INV_WIDTH)
-                    if self._cur_epoch <= epoch < self._wheel_end:
-                        self._buckets[epoch & _MASK].append(entry)
-                        self._n_wheel += 1
-                    else:
-                        heappush(self._far, entry)
             self._running = False
 
     def _livelock_report(self, limit: int) -> str:
-        """Diagnostic for the max_events backstop: where/what is queued."""
-        batch = self._batch
-        pending = (
-            len(self._now_q)
-            + (len(batch) - self._batch_i)
-            + self._n_wheel
-            + len(self._far)
-        )
-        heads = [
-            f"(t={self.now:g}, {item!r})" for item in islice(self._now_q, 3)
-        ]
-        for entry in batch[self._batch_i : self._batch_i + 3 - len(heads)]:
-            heads.append(f"(t={entry[0]:g}, {entry[2]!r})")
+        """Diagnostic for the max_events backstop: where/what is queued.
+
+        "Next up" is what is queued at the current timestamp: the
+        now-queue first, then heap entries due now, at most three.
+        """
+        now = self.now
+        heads = [f"(t={now:g}, {item!r})" for item in islice(self._now_q, 3)]
+        for entry in nsmallest(3 - len(heads), self._heap):
+            if entry[0] != now:
+                break
+            heads.append(f"(t={now:g}, {entry[2]!r})")
         return (
-            f"exceeded max_events={limit} at t={self.now:g}us with "
-            f"{pending} entries still queued (likely a livelock); next up: "
+            f"exceeded max_events={limit} at t={now:g}us with "
+            f"{len(self._now_q) + len(self._heap)} entries still queued "
+            f"(likely a livelock); next up: "
             f"{', '.join(heads) if heads else 'n/a'}{self._hints()}"
         )
 
@@ -958,18 +838,6 @@ class Simulator:
         """Time of the next scheduled item, or ``inf`` if the queue is empty."""
         if self._now_q:
             return self.now
-        batch = self._batch
-        if self._batch_i < len(batch):
-            return float(batch[self._batch_i][0])
-        best = _INF
-        if self._n_wheel:
-            e = self._cur_epoch
-            while True:
-                slot = self._buckets[e & _MASK]
-                if slot:
-                    best = min(entry[0] for entry in slot)
-                    break
-                e += 1
-        if self._far and self._far[0][0] < best:
-            best = self._far[0][0]
-        return best
+        if self._heap:
+            return self._heap[0][0]
+        return _INF

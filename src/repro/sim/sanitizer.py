@@ -16,16 +16,18 @@ dependence while staying observably equivalent for correct code:
   coalescing is only legal when it is unobservable) — so any output
   difference under ``no_coalesce`` is a real bug in a coalescing guard.
 
-* ``shake_seed`` — after the calendar queue sorts an extracted slot, runs
-  of *equal-timestamp* entries are deterministically permuted by a
-  :class:`random.Random` seeded with ``shake_seed``.  Inter-timestamp
-  order is untouched.  Handlers whose observable writes depend on
-  intra-timestamp arrival order produce different fingerprints under
-  different shake seeds.  Unlike ``no_coalesce`` this is **not**
-  output-preserving in general — protocol layers may legitimately rely
-  on FIFO fairness within a timestamp — so the shake is applied to
-  workloads that are claimed order-insensitive (the kernel storm profile
-  and the sanitizer's own fixtures), not to the figure pipeline.
+* ``shake_seed`` — when the clock reaches a new timestamp, the run of
+  queued entries due at it is deterministically permuted by a
+  :class:`random.Random` seeded with ``shake_seed``.  The run holds every
+  entry pushed for that timestamp before the clock got there, however
+  early or late it was pushed; inter-timestamp order is untouched.
+  Handlers whose observable writes depend on intra-timestamp arrival
+  order produce different fingerprints under different shake seeds.
+  Unlike ``no_coalesce`` this is **not** output-preserving in general —
+  protocol layers may legitimately rely on FIFO fairness within a
+  timestamp — so the shake is applied to workloads that are claimed
+  order-insensitive (the kernel storm profile and the sanitizer's own
+  fixtures), not to the figure pipeline.
 
 * ``trace`` — every :class:`~repro.sim.trace.Tracer` is constructed
   enabled (records are built, then dropped), so each guarded
@@ -45,8 +47,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from random import Random
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - core imports this module
     from repro.sim.core import Simulator
@@ -56,7 +57,6 @@ __all__ = [
     "active_sanitizer",
     "parse_sanitize_spec",
     "post_storm",
-    "shake_slot",
     "storm_fingerprint",
 ]
 
@@ -118,29 +118,6 @@ def active_sanitizer() -> SanitizeConfig | None:
     return parse_sanitize_spec(os.environ.get(SANITIZE_ENV, ""))
 
 
-def shake_slot(slot: list[tuple[float, int, Any]], rng: Random) -> None:
-    """Permute runs of equal-timestamp entries of a sorted slot in place.
-
-    Entries are ``(t, seq, item)`` and the slot arrives sorted, so equal-t
-    runs are contiguous; only their internal order changes.  Because the
-    ``(t, seq)`` prefix is unique, later ``insort`` calls into the live
-    batch never compare payloads, and any bisection misplacement stays
-    inside the equal-t region — which is exactly the variance being
-    injected.
-    """
-    i, n = 0, len(slot)
-    while i < n:
-        t = slot[i][0]
-        j = i + 1
-        while j < n and slot[j][0] == t:
-            j += 1
-        if j - i > 1:
-            run = slot[i:j]
-            rng.shuffle(run)
-            slot[i:j] = run
-        i = j
-
-
 def post_storm(
     sim: Simulator, rounds: int, fanout: int, stragglers: int
 ) -> list[int]:
@@ -179,7 +156,7 @@ def storm_fingerprint(
 
     A correct kernel yields the same ``(final clock, events processed,
     completions)`` triple under every sanitize config, while a kernel
-    whose batching or intra-slot ordering leaks into observable state
+    whose batching or intra-timestamp ordering leaks into observable state
     does not.
     """
     from repro.sim.core import Simulator

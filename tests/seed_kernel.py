@@ -6,10 +6,12 @@ heap, a fresh ``(time, seq, item)`` tuple per occurrence, a fresh
 compare against it (``tests/seed_kernel.py``; nothing under ``src/``
 imports it, and the perf gate measures live code only).
 
-It is the ordering oracle: the Hypothesis equivalence property in
-``tests/test_sim_wheel.py`` replays random schedules on both kernels and
-requires identical dispatch sequences, which pins the timer wheel to the
-heap's exact ``(time, seq)`` FIFO semantics.
+It is the ordering oracle: the Hypothesis equivalence properties in
+``tests/test_sim_wheel.py`` replay random schedules on both kernels and
+require identical dispatch sequences, which pins the live kernel's
+now-queue, heap and ``schedule_batch`` to this heap's exact ``(time,
+seq)`` FIFO semantics — and, under the sanitizer's shake, the same
+timestamps dispatching the same entries in some order.
 
 Not for engine use.
 """

@@ -53,22 +53,24 @@ HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
                 rel_timeout_us="auto", hb_interval_us=500.0,
                 hb_timeout_us=5000.0)
 
-#: Measured 174.8 / 74.4 calls per message on CPython 3.11 (177.8 / 77.4
-#: while every sent wrap id was added to a set and the match path tested
-#: item classes with ``isinstance``; 203.8 / 92.6 before the send path was
-#: trimmed); the ceilings are those values + 3 %.
+#: Measured 158.14 / 73.11 calls per message on CPython 3.11 (174.8 / 74.4
+#: while the kernel kept a timer wheel, a far heap and an in-flight bucket
+#: beside its now-queue; 177.8 / 77.4 while every sent wrap id was added to
+#: a set and the match path tested item classes with ``isinstance``; 203.8 /
+#: 92.6 before the send path was trimmed); the ceilings are those values
+#: + 3 %.
 #: Lower them when the path gets shorter; never raise them.
-PINGPONG_CALLS_PER_MSG = 180.0
-BURST_CALLS_PER_MSG = 76.6
-#: The opt-in stack and the switched fabric, same rule: measured 88.40 for
-#: the 4 x 64 burst with ``HARDENED`` and 87.57 for a 16 x 64 ack + credit
-#: burst over ``FatTree(k=4, seed=1)`` (92.40 / 91.57 with the sent-wrap set
-#: and the ``isinstance`` tests, the credit release's included; 110.68 /
-#: 108.43 when credit was spent per wrap, every layer hook ran for every
-#: message, a per-peer ledger cost a method call and a switch hashed every
-#: frame).
-HARDENED_CALLS_PER_MSG = 91.1
-FABRIC_CALLS_PER_MSG = 90.2
+PINGPONG_CALLS_PER_MSG = 162.9
+BURST_CALLS_PER_MSG = 75.3
+#: The opt-in stack and the switched fabric, same rule: measured 86.79 for
+#: the 4 x 64 burst with ``HARDENED`` and 86.13 for a 16 x 64 ack + credit
+#: burst over ``FatTree(k=4, seed=1)`` (88.40 / 87.57 with the timer wheel;
+#: 92.40 / 91.57 with the sent-wrap set and the ``isinstance`` tests, the
+#: credit release's included; 110.68 / 108.43 when credit was spent per
+#: wrap, every layer hook ran for every message, a per-peer ledger cost a
+#: method call and a switch hashed every frame).
+HARDENED_CALLS_PER_MSG = 89.4
+FABRIC_CALLS_PER_MSG = 88.7
 #: Kernel entries per message, exactly as measured (parent commit: 10.01 /
 #: 4.140625).  Ping-pong: five timed hops (tx, link, rx, demux, match), the
 #: deferred pull, tx-done, and the completions of the send and the receive
@@ -84,13 +86,14 @@ FABRIC_ENTRIES_PER_MSG = 5.03125
 FABRIC = dict(reliability="ack", flow_control="credit")
 #: The rendezvous path, same rules (``rendezvous_exchange``: large and
 #: ``indexed_small_large`` typed messages over MX + Quadrics, ``multirail``):
-#: measured 410.4 calls and 20.7421875 entries a message (416.8 with the
-#: sent-wrap set and the match path's ``isinstance`` tests; 474.7 /
-#: 21.9765625 when every grant and cancel tombstone carried a send request
-#: that was settled and dispatched for nobody, each typed isend and irecv
-#: normalised its datatype afresh, and demux ran an ``isinstance`` chain in
-#: which a grant was the fourth arm and a bulk chunk the fifth).
-RENDEZVOUS_CALLS_PER_MSG = 422.7
+#: measured 373.5 calls and 20.7421875 entries a message (410.4 with the
+#: timer wheel; 416.8 with the sent-wrap set and the match path's
+#: ``isinstance`` tests; 474.7 / 21.9765625 when every grant and cancel
+#: tombstone carried a send request that was settled and dispatched for
+#: nobody, each typed isend and irecv normalised its datatype afresh, and
+#: demux ran an ``isinstance`` chain in which a grant was the fourth arm and
+#: a bulk chunk the fifth).
+RENDEZVOUS_CALLS_PER_MSG = 384.7
 RENDEZVOUS_ENTRIES_PER_MSG = 20.7421875
 #: Tracked objects alive per delivered message while the application holds
 #: both handles: the send request, the receive request (each its own

@@ -114,6 +114,34 @@ def test_batch_fixture_diverges_under_shake():
         "shake failed to perturb the intra-timestamp order bug"
 
 
+def test_shake_reaches_entries_pushed_late_into_a_timestamp():
+    """Every entry due at a timestamp is shaken, however late it was pushed.
+
+    Three entries go to t=1.5 from t=0; a t=1.0 callback pushes three
+    more.  The shake must permute all six as one run: a late entry can
+    come up ahead of an early one, and 40 seeds find far more orders
+    than the 3! = 6 a shake of the early three alone can produce.
+    """
+
+    def order(seed):
+        sim = Simulator(sanitize=SanitizeConfig(shake_seed=seed))
+        log = []
+        for i in range(3):
+            sim.schedule(1.5, lambda i=i: log.append(("early", i)))
+
+        def push_late():
+            for i in range(3):
+                sim.schedule(0.5, lambda i=i: log.append(("late", i)))
+
+        sim.schedule(1.0, push_late)
+        sim.run()
+        return tuple(log)
+
+    orders = {order(seed) for seed in range(40)}
+    assert len(orders) > 30, len(orders)
+    assert any(o.index(("late", 0)) < o.index(("early", 0)) for o in orders)
+
+
 def test_batch_fixture_is_stable_without_shake():
     assert batch_order_engine(None) == batch_order_engine(None)
     # Plain de-batching does not reorder: the bug is order *sensitivity*,

@@ -1,10 +1,12 @@
-"""Calendar-queue kernel: edge cases, bugfix regressions, and equivalence.
+"""Kernel queue: edge cases, bugfix regressions, and equivalence.
 
-The :class:`~repro.sim.Simulator` run queue is a three-tier calendar
-(now-queue, timer wheel, far heap) instead of the seed's single binary
-heap.  These tests pin the rewrite to the seed kernel's observable
-behaviour — exact (time, scheduling-order) dispatch — and lock in the
-three kernel bugfixes that rode along:
+The :class:`~repro.sim.Simulator` run queue is a now-queue for the current
+timestamp plus one heap for later ones; it once was a three-tier calendar
+(now-queue, timer wheel, far heap), and several edge cases below were
+found on that structure and still pin the order it had to keep.  These
+tests hold the queue to the seed kernel's observable behaviour — exact
+(time, scheduling-order) dispatch — and lock in the three kernel bugfixes
+that rode along with the first rewrite:
 
 * ``run(until=...)`` advances the clock to ``until`` even when the queue
   drains first (or was empty all along),
@@ -13,6 +15,9 @@ three kernel bugfixes that rode along:
 * the ``max_events`` backstop stops *before* dispatching entry
   ``limit + 1``, leaves the queue resumable, and reports where it
   stopped.
+
+The sanitizer's shake permutes the entries of one timestamp and nothing
+else; a property below holds it to the seed kernel's timestamps.
 
 The seed kernel is kept verbatim in ``tests/seed_kernel.py``, so the old
 bugs are *demonstrated* here, not just remembered.
@@ -26,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Simulator, Timer
+from repro.sim.sanitizer import SanitizeConfig
 from tests.seed_kernel import LegacySimulator
 
 
@@ -140,6 +146,8 @@ class TestMaxEventsBackstop:
         assert fired == [0, 1, 2, 3, 4, 5]
 
     def test_backstop_mid_wheel_batch_resumes_in_order(self):
+        """A backstop inside a same-timestamp run of timed entries leaves
+        the rest of the run queued, in order, for the next run()."""
         sim = Simulator()
         fired = []
         for i in range(5):
@@ -163,39 +171,39 @@ class TestMaxEventsBackstop:
 
 
 # ---------------------------------------------------------------------------
-# Calendar-queue edge cases.
+# Queue edge cases: until cuts, far timers, the horizon guard.
 # ---------------------------------------------------------------------------
 class TestWheelEdges:
     def test_behind_cursor_push_after_until_cut(self):
-        """Regression: a push into an exhausted behind-cursor far batch.
+        """A timer pushed after an ``until`` cut, and its follow-up, fire
+        in time order ahead of an entry queued before the cut.
 
-        ``run(until=...)`` can leave the wheel cursor *ahead* of the
-        clock (the cut aborts a refilled bucket after the cursor moved).
-        Entries scheduled next then live behind the cursor, are served
-        from the far heap, and a callback of theirs scheduling into the
-        same epoch after its batch is exhausted must ALSO go to the far
-        heap — the epoch's wheel slot now belongs to ``epoch + 1024``,
-        and appending there strands the event a full wheel revolution
-        (~2ms) in the future.  Exactly this stranding lost timed events
-        (NIC rx/tx completions) in chaos runs before the fix.
+        The cut parks the clock at 119 with an entry still queued for 120.
+        ``first`` lands at 119.2 and schedules ``b`` for 119.7 from inside
+        its own dispatch; both must fire before the 120 entry.  (The timer
+        wheel this kernel once used stranded ``b`` a full wheel revolution,
+        ~2ms, in the future here: its epoch's slot already belonged to the
+        next revolution.  That lost NIC rx/tx completions in chaos runs.)
         """
         sim = Simulator()
         fired = []
-        # Advance the wheel cursor far ahead, then cut just before the
-        # entry so it is repushed and the clock parks at 119.
+        # Cut just before the entry so the clock parks at 119 with it
+        # still queued.
         sim.schedule(120.0, lambda: fired.append(("far", sim.now)))
         assert sim.run(until=119.0) == 119.0
 
         def first():
             fired.append(("a", sim.now))
-            # Same epoch as `first`, pushed once its batch is exhausted.
+            # Pushed from inside first's dispatch, due before 120.
             sim.schedule(0.5, lambda: fired.append(("b", sim.now)))
 
-        sim.schedule(0.2, first)  # t=119.2: behind the cursor -> far heap
+        sim.schedule(0.2, first)  # t=119.2
         sim.run()
         assert fired == [("a", 119.2), ("b", 119.7), ("far", 120.0)]
 
     def test_until_cut_mid_same_timestamp_batch_resumes_in_order(self):
+        """A cut just short of a same-timestamp run leaves all of it for
+        the next run(), in scheduling order."""
         sim = Simulator()
         fired = []
         for i in range(4):
@@ -206,9 +214,11 @@ class TestWheelEdges:
         assert fired == [0, 1, 2, 3]
 
     def test_far_heap_interleaves_with_wheel_in_time_order(self):
+        """Far timers (past the ~2ms horizon the timer wheel once had)
+        and near work fire in time order, whatever order they were
+        pushed in."""
         sim = Simulator()
         fired = []
-        # Far beyond the wheel horizon (1024 slots x 2us), plus near work.
         sim.schedule(9000.0, lambda: fired.append("far2"))
         sim.schedule(3000.0, lambda: fired.append("far1"))
         sim.schedule(1.0, lambda: fired.append("near1"))
@@ -217,6 +227,7 @@ class TestWheelEdges:
         assert fired == ["near1", "near2", "far1", "far2"]
 
     def test_equal_far_times_keep_scheduling_order(self):
+        """Equal far timers fire in scheduling order."""
         sim = Simulator()
         fired = []
         for i in range(8):
@@ -328,18 +339,18 @@ class TestTimeoutPooling:
 
 
 # ---------------------------------------------------------------------------
-# Property tests: the calendar queue is observationally the seed heap.
+# Property tests: the queue is observationally the seed heap.
 # ---------------------------------------------------------------------------
 @st.composite
 def work_plans(draw):
     """Seed work items, some of which schedule follow-ups when they fire.
 
-    Delays span the now-queue (0), the wheel (small) and the far heap
-    (beyond the 2048us wheel horizon), with duplicates likely.  A drawn
-    share of the items (and their follow-ups) is posted as a ``Timeout``
-    with a callback instead of a plain ``schedule``: follow-ups are created
-    mid-run, after earlier timeouts have fired and been recycled, so they
-    come off the freelist.
+    Delays span the now-queue (0), short timers and far ones (2500 and
+    5000us, past the ~2ms horizon the timer wheel once had), with
+    duplicates likely.  A drawn share of the items (and their follow-ups)
+    is posted as a ``Timeout`` with a callback instead of a plain
+    ``schedule``: follow-ups are created mid-run, after earlier timeouts
+    have fired and been recycled, so they come off the freelist.
     """
     delay = st.one_of(
         st.just(0.0),
@@ -413,9 +424,10 @@ class TestHeapEquivalence:
         """run(until) cut-and-resume is invisible to the event order.
 
         This is the pattern the original equivalence property missed:
-        cutting a run leaves the wheel cursor ahead of the clock, and the
+        cutting a run parks the clock between queued entries, and the
         resumed run must still dispatch everything in (time, seq) order
-        (the behind-cursor regression above is the directed version).
+        (``test_behind_cursor_push_after_until_cut`` above is the directed
+        version).
         """
         uncut = Simulator()
         uncut_log = _execute(uncut, plan)
@@ -440,6 +452,24 @@ class TestHeapEquivalence:
         live.run()
         legacy.run()
         assert live_log == legacy_log
+
+
+class TestShakeScope:
+    @settings(max_examples=60, deadline=None)
+    @given(work_plans(), st.integers(min_value=0, max_value=2**16))
+    def test_shake_reorders_within_a_timestamp_never_across(self, plan, seed):
+        """Under ``shake:SEED`` the dispatch timestamps are the seed
+        kernel's, in the same sequence, and each timestamp dispatches the
+        same multiset of items: only the order inside one moves."""
+        live = Simulator(sanitize=SanitizeConfig(shake_seed=seed))
+        legacy = LegacySimulator()
+        live_log = _execute(live, plan)
+        legacy_log = _execute(legacy, plan)
+        live.run()
+        legacy.run()
+        assert [t for t, _ in live_log] == [t for t, _ in legacy_log]
+        assert sorted(live_log) == sorted(legacy_log)
+        assert live.events_processed == legacy.events_processed
 
 
 # ---------------------------------------------------------------------------
