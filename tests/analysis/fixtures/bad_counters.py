@@ -1,13 +1,7 @@
 # nm-path: repro/core/strategies/fixture_bad_counters.py
-"""Fixture: every counter-pairing violation the checker must catch."""
+"""Fixture: the window's incremental counters written from outside."""
 
 
-def tamper(ctx, engine):
-    ctx.window._count = 0  # NM201 (window-private write outside window.py)
-    ctx.window._by_dest.clear()
-    engine.stats.phys_packets += 1  # NM204 (stats bump inside a strategy)
-
-
-class ShadowWindow:
-    def __init__(self):
-        self.pending_bytes = 0  # NM202 (shadows the accessor surface)
+def tamper(ctx):
+    ctx.window._count = 0  # NM302 (window-private write outside window.py)
+    ctx.window._by_dest.clear()  # NM303 (window-private read)

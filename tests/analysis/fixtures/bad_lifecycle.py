@@ -3,7 +3,7 @@
 
 
 def poke_event(evt, exc):
-    evt._value = exc  # NM301 (kernel-private write)
+    evt._value = exc  # NM302 (the kernel owns Event state)
     evt._ok = False
     if evt._defused:  # NM301 (kernel-private read)
         return None

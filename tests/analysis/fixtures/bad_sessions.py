@@ -10,15 +10,3 @@ def poke_session(state):
 
 def reset_stats(engine):
     engine.stats.stale_frames_fenced = 0  # NM203 (counters are monotonic)
-
-
-def bump_from_strategy(engine):
-    engine.stats.heartbeats_sent += 1  # NM204 (strategies stay side-effect free)
-
-
-def make_typo_frame(Frame, peer):
-    return Frame(src_node=0, dst_node=peer, kind="sesion_hello", wire_size=8)  # NM304
-
-
-def is_heartbeat(frame):
-    return frame.kind == "heart_beat"  # NM304 (unregistered kind literal)

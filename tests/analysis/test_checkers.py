@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
 
 from tools.analysis.engine import check_file, check_source
+from tools.analysis.interproc import check_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -49,14 +51,12 @@ def test_good_determinism_alias_is_clean():
     assert report.ok, codes_of(report)
 
 
-# -- counter pairing (NM2xx) --------------------------------------------------
+# -- window counters and monotonic stats (NM302 window row, NM203) -----------
 
-def test_bad_counters_trips_write_shadow_and_strategy_bump():
+def test_bad_counters_trips_window_storage_write():
     report = run_fixture("bad_counters.py")
-    codes = codes_of(report)
-    assert "NM201" in codes  # window-private write outside window.py
-    assert "NM202" in codes  # accessor-name shadowing
-    assert "NM204" in codes  # stats bump inside a strategy
+    # The write is the ownership table's window row; the .clear() reads.
+    assert codes_of(report) == ["NM302", "NM303"]
 
 
 def test_bad_counters_reset_trips_non_increment():
@@ -74,12 +74,12 @@ def test_good_counters_is_clean():
 def test_bad_lifecycle_trips_every_rule():
     report = run_fixture("bad_lifecycle.py")
     codes = codes_of(report)
-    assert "NM301" in codes  # Event kernel-private access
-    assert "NM302" in codes  # transition field write outside its owner
+    assert "NM301" in codes  # Event kernel-private read
+    assert "NM302" in codes  # owned field written outside its owner
     assert "NM303" in codes  # window-private read
-    # Both rendezvous fields and both request fields are caught.
+    # Both Event fields, both rendezvous fields and both request fields.
     nm302 = [v for v in report.violations if v.code == "NM302"]
-    assert len(nm302) >= 4
+    assert len(nm302) == 6
 
 
 def test_good_lifecycle_is_clean():
@@ -111,17 +111,13 @@ def test_the_kernel_itself_may_move_the_clock():
 def test_bad_flowcontrol_trips_every_rule():
     report = run_fixture("bad_flowcontrol.py")
     codes = codes_of(report)
-    assert "NM201" in codes  # window gating storage written outside window.py
     assert "NM203" in codes  # flow-control stats counter reset
-    assert "NM204" in codes  # stats bump inside a strategy
-    assert "NM302" in codes  # credit totals written outside flowcontrol.py
+    assert "NM302" in codes  # credit totals and window gating storage
     assert "NM303" in codes  # window gating storage read
-    # Both the Frame(kind=...) construction and the .kind comparison with a
-    # typo'd literal are caught.
-    assert codes.count("NM304") == 2
-    # Credit totals, grant state and the matcher's budget gauge all flag.
+    # Credit totals, grant state, the matcher's budget gauge and the
+    # window's gate all flag.
     nm302 = [v for v in report.violations if v.code == "NM302"]
-    assert len(nm302) >= 3
+    assert len(nm302) >= 4
 
 
 def test_good_flowcontrol_is_clean():
@@ -135,11 +131,7 @@ def test_bad_sessions_trips_every_rule():
     report = run_fixture("bad_sessions.py")
     codes = codes_of(report)
     assert "NM203" in codes  # session stats counter reset
-    assert "NM204" in codes  # stats bump inside a strategy
     assert "NM302" in codes  # session state written outside sessions.py
-    # Both the Frame(kind=...) construction and the .kind comparison with a
-    # typo'd literal are caught.
-    assert codes.count("NM304") == 2
     # Handshake state, the incarnation fence and the liveness clock all flag.
     nm302 = [v for v in report.violations if v.code == "NM302"]
     assert len(nm302) >= 3
@@ -244,3 +236,83 @@ def test_window_module_itself_may_touch_its_storage(tmp_path):
     )
     report = check_file(str(mod), root=str(tmp_path))
     assert report.ok, codes_of(report)
+
+
+# -- the sabotage record ------------------------------------------------------
+
+#: Why each surviving rule exists: (code, module, old, new).  ``new`` plants
+#: the rule's defect in the live module it protects, on a path that tier-1,
+#: ``repro sanitize --figures --chaos`` and ``repro chaos --seeds 10 --quick``
+#: all miss (docs/STATIC_ANALYSIS.md, "The verdict table").  When a module
+#: drifts so that ``old`` no longer occurs once, re-plant the sabotage,
+#: re-run those three checks on it, and refresh the row and the table.
+SABOTAGES = [
+    ("NM101", "repro/netsim/fabric.py",
+     'self.tracer.emit(self.sim.now, self.name, "switch_down")',
+     'import time; self.tracer.emit(time.monotonic(), self.name, '
+     '"switch_down")'),
+    ("NM102", "repro/core/reliability.py",
+     "backoff = self._probe_backoff.get(rail, base)",
+     "import random; backoff = self._probe_backoff.get(rail, base) "
+     "* random.uniform(1.0, 1.5)"),
+    ("NM103", "repro/core/rendezvous.py",
+     "for handle in [h for h, s in self._pending.items()\n"
+     "                       if s.wrap.dest == peer]:",
+     "for handle in {h for h, s in self._pending.items()\n"
+     "                       if s.wrap.dest == peer}:"),
+    ("NM203", "repro/core/transfer.py",
+     "        stats.wire_bytes += wire", "        stats.wire_bytes = wire"),
+    ("NM301", "repro/netsim/fabric.py",
+     "self.generation += 1", "self.generation += 1; self.sim.now += 1.0"),
+    ("NM301", "repro/core/rendezvous.py",
+     "if not state.req.triggered:", "if not state.req._callbacks:"),
+    ("NM302", "repro/core/flowcontrol.py",
+     "self.engine.window.unblock_dest(peer)",
+     "self.engine.window._blocked_dests = set()"),
+    ("NM302", "repro/core/rendezvous.py",
+     "state.req.fail_observed(exc)",
+     "state.req._ok = False; state.req._value = exc"),
+    ("NM302", "repro/core/reliability.py",
+     "self._transfer.readmit(rail)", "self._transfer.quarantined = set()"),
+    ("NM303", "repro/core/engine.py",
+     "blocked = self.window.blocked_dests()",
+     "blocked = list(self.window._blocked_dests)"),
+    ("NM304", "repro/chaos/runner.py",
+     'if fault.kind == "rack_partition":', 'if fault.kind == "rack_partiton":'),
+    ("NM305", "repro/chaos/runner.py",
+     'drained = sim.peek() == float("inf")', "drained = not sim._heap"),
+    ("NM305", "repro/chaos/audit.py",
+     "for peer, ledger in sorted(fc._peers.items()):",
+     "for peer, ledger in sorted(fc._peers.items()):\n"
+     "            fc._peers = dict(fc._peers)"),
+    ("NM401", "repro/netsim/fabric.py",
+     "self.generation += 1",
+     'self.generation += 1; print(f"{self.name}: down at {self.sim.now}us")'),
+    ("NM402", "repro/netsim/fabric.py",
+     "if self.tracer.enabled:\n"
+     '            self.tracer.emit(self.sim.now, self.name, "switch_down")',
+     'self.tracer.emit(self.sim.now, self.name, "switch_down")'),
+    ("NM501", "repro/core/reliability.py",
+     "self._transfer.readmit(rail)",
+     "self._transfer.quarantined.discard(rail)"),
+]
+
+
+@pytest.mark.parametrize(
+    "code, module, old, new", SABOTAGES,
+    ids=[f"{code}-{module.rsplit('/', 1)[1][:-3]}"
+         for code, module, *_ in SABOTAGES])
+def test_recorded_sabotage_trips_its_rule(code, module, old, new, tmp_path):
+    source = (REPO_ROOT / "src" / module).read_text(encoding="utf-8")
+    assert source.count(old) == 1, f"{module} drifted: refresh the record"
+    sabotaged = source.replace(old, new)
+    if code == "NM501":
+        tree = tmp_path / "src" / "repro"
+        shutil.copytree(REPO_ROOT / "src" / "repro", tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (tmp_path / "src" / module).write_text(sabotaged, encoding="utf-8")
+        report = check_project([str(tree)], root=str(tmp_path))
+    else:
+        assert code not in codes_of(check_source(source, module))
+        report = check_source(sabotaged, module)
+    assert code in codes_of(report)

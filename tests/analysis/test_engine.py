@@ -90,10 +90,12 @@ def test_cli_list_describes_every_code(capsys):
     rc = main(["--list"])
     assert rc == 0
     out = capsys.readouterr().out
-    for code in ("NM000", "NM001", "NM101", "NM102", "NM103", "NM201",
-                 "NM202", "NM203", "NM204", "NM301", "NM302", "NM303",
-                 "NM401", "NM402", "NM501", "NM502", "NM504"):
+    for code in ("NM000", "NM001", "NM101", "NM102", "NM103", "NM203",
+                 "NM301", "NM302", "NM303", "NM304", "NM305", "NM401",
+                 "NM402", "NM501"):
         assert code in out
+    for gone in ("NM201", "NM202", "NM204", "NM502", "NM504"):
+        assert gone not in out
 
 
 def test_cli_json_output_matches_the_schema(capsys):
@@ -126,10 +128,10 @@ def test_cli_json_clean_tree_is_empty_and_exits_zero(capsys):
 
 def test_cli_json_with_interprocedural_includes_nm5xx(capsys):
     rc = main(["--json", "--interprocedural",
-               str(FIXTURES / "interproc" / "bad_statsbalance")])
+               str(FIXTURES / "interproc" / "bad_escape")])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert any(f["code"] == "NM504" for f in payload["violations"])
+    assert any(f["code"] == "NM501" for f in payload["violations"])
 
 
 def test_cli_subprocess_roundtrip():

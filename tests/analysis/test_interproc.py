@@ -1,4 +1,4 @@
-"""Interprocedural (NM5xx) pass: fixtures, resolution machinery, real tree."""
+"""Interprocedural (NM501) pass: fixtures, resolution machinery, real tree."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ from pathlib import Path
 
 from tools.analysis.callgraph import build_project
 from tools.analysis.escape import WriteOwnerEscapeRule
-from tools.analysis.framekinds import FrameKindRule
 from tools.analysis.interproc import INTERPROC_CHECKERS, check_project
-from tools.analysis.statsbalance import StatsBalanceRule
 
 FIXTURES = Path(__file__).parent / "fixtures" / "interproc"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -39,47 +37,6 @@ def test_good_escape_is_clean():
     assert report.ok, codes_of(report)
 
 
-# -- NM502: frame-kind exhaustiveness ------------------------------------------
-
-def test_bad_framekinds_flags_dead_registry_and_unregistered_dispatch():
-    report = run_rule("bad_framekinds", FrameKindRule)
-    assert set(codes_of(report)) == {"NM502"}
-    messages = [v.message for v in report.violations]
-    assert any("'ghost'" in m and "no demux handler" in m for m in messages)
-    assert any("'phantom'" in m and "not registered" in m for m in messages)
-    assert any("'heartbeat'" in m and "header bytes" in m for m in messages)
-
-
-def test_good_framekinds_is_clean():
-    report = run_rule("good_framekinds", FrameKindRule)
-    assert report.ok, [v.render() for v in report.violations]
-
-
-def test_framekinds_resolves_kind_parameters_through_call_sites():
-    # The good fixture's only producer takes the kind as a parameter; if
-    # call-site resolution broke, both kinds would lose their producer
-    # evidence and the fixture would light up.
-    project = build_project([str(FIXTURES / "good_framekinds")],
-                            root=str(REPO_ROOT))
-    rule = FrameKindRule(project)
-    assert rule.run() == []
-
-
-# -- NM504: stats balance on exception paths -----------------------------------
-
-def test_bad_statsbalance_flags_raise_between_pairs():
-    report = run_rule("bad_statsbalance", StatsBalanceRule)
-    assert codes_of(report) == ["NM504", "NM504"]
-    messages = "\n".join(v.message for v in report.violations)
-    assert "aggregated_segments" in messages
-    assert "recv_copy_bytes" in messages
-
-
-def test_good_statsbalance_is_clean():
-    report = run_rule("good_statsbalance", StatsBalanceRule)
-    assert report.ok, [v.render() for v in report.violations]
-
-
 # -- machinery -----------------------------------------------------------------
 
 def test_mutation_summaries_reach_fixpoint_through_forwarding():
@@ -95,17 +52,17 @@ def test_mutation_summaries_reach_fixpoint_through_forwarding():
 
 
 def test_interproc_suppression_applies_on_the_flagged_line(tmp_path):
-    src = (FIXTURES / "bad_statsbalance" / "transfer.py").read_text()
-    src = src.replace(
-        "self.stats.aggregated_packets += 1  # NM504: partner skippable",
-        "self.stats.aggregated_packets += 1  # nm: allow[NM504] -- fixture: justified",
-    )
     fixture_dir = tmp_path / "suppressed"
     fixture_dir.mkdir()
-    (fixture_dir / "transfer.py").write_text(src)
+    for mod in (FIXTURES / "bad_escape").iterdir():
+        src = mod.read_text().replace(
+            "q.pop()  # NM501: the alias does not transfer ownership",
+            "q.pop()  # nm: allow[NM501] -- fixture: justified",
+        )
+        (fixture_dir / mod.name).write_text(src)
     report = check_project([str(fixture_dir)], root=str(tmp_path),
-                           checkers=[StatsBalanceRule])
-    assert codes_of(report) == ["NM504"]  # only copy_in remains
+                           checkers=[WriteOwnerEscapeRule])
+    assert codes_of(report) == ["NM501"] * 5  # the other shapes remain
     assert len(report.suppressed) == 1
     assert report.suppressed[0].justification == "fixture: justified"
 
@@ -123,4 +80,4 @@ def test_interproc_checker_codes_are_declared_and_unique():
         for code in cls.codes:
             assert code not in seen, f"{code} claimed by {seen[code]}"
             seen[code] = cls.name
-    assert set(seen) == {"NM501", "NM502", "NM504"}
+    assert set(seen) == {"NM501"}

@@ -213,7 +213,7 @@ class TestReportPartitionGroup:
     def test_stat_groups_are_derived_from_the_counter_declarations(self):
         # One declaration (``counter(group)`` next to each layer) feeds the
         # report, its JSON and the lint: the report's groups and the set
-        # the NM203/NM204 rule reads off the source must both be exactly
+        # the NM203 rule reads off the source must both be exactly
         # the EngineStats fields, each in one group.
         import dataclasses
 

@@ -211,6 +211,51 @@ class TestFailover:
         assert e0.transfer.rail_ok(0) and e0.transfer.rail_ok(1)
         assert cluster.conservation_ok(allow_faults=True)
 
+    def test_quarantine_takes_the_rails_granted_bulk_with_it(self):
+        # Under ``aggregation`` the rendezvous grant pins the bulk to the
+        # rail that will carry it; when that rail is quarantined the bulk
+        # must re-home to the survivor (TransferLayer.quarantine), not sit
+        # granted on the dead rail until the half-open probe lifts the
+        # quarantine and sends it into the dead link again.  (``multirail``
+        # does not show the gap: it has nothing pinned to re-home.)
+        params = EngineParams(reliability="ack", rel_timeout_us=100.0,
+                              rel_ack_delay_us=10.0,
+                              rel_quarantine_threshold=2)
+        sim, cluster, (e0, e1) = make_pair(
+            params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="aggregation")
+        link_between(cluster, 0, 1, rail=0).fault_plan = \
+            FaultPlan(down_at_us=100.0)
+        payload = bytes(range(256)) * 8192  # 2 MiB
+        nic0 = cluster.nodes[0].nic(0)
+        post_send = nic0.post_send
+        quarantines_at_post = []
+
+        def recording_post_send(frame, cpu_gap_us=0.0):
+            quarantines_at_post.append(e0.stats.rails_quarantined)
+            return post_send(frame, cpu_gap_us)
+
+        nic0.post_send = recording_post_send
+
+        def app():
+            req = e1.irecv(src=0, tag=0)
+            sreq = e0.isend(1, payload, tag=0)
+            yield req.done
+            done = (sim.now, e0.stats.rails_reprobed)
+            if not sreq.complete:
+                yield sreq.done
+            return req, sreq, done
+
+        req, sreq, (recv_done_us, reprobes_by_then) = sim.run_process(app())
+        assert req.data.tobytes() == payload
+        assert not sreq.failed
+        assert e0.stats.rails_quarantined >= 1
+        # Nothing was posted on rail 0 once it was quarantined, and the
+        # message did not wait for the probe to lift the quarantine.
+        assert quarantines_at_post == [0, 0, 0, 0]
+        assert reprobes_by_then == 0
+        assert e0.stats.failovers == 3
+        assert recv_done_us == pytest.approx(2943.07, abs=0.01)
+
     def test_reprobe_disabled_with_infinite_delay(self):
         params = EngineParams(reliability="ack", rel_timeout_us=100.0,
                               rel_ack_delay_us=10.0,

@@ -1,45 +1,13 @@
 """Engine invariant checker: a repo-specific static-analysis pass.
 
 The scheduling engine's correctness rests on invariants no general-purpose
-linter knows about — deterministic simulation, paired incremental window
-counters, API-only lifecycle transitions, non-blocking kernel callbacks.
-This package makes them machine-checked on every PR:
+linter knows about and no test can see — deterministic simulation, state
+written only by its owner module, non-blocking kernel callbacks.  This
+package machine-checks them on every PR:
 
     python -m tools.analysis              # analyze src/repro
     python -m tools.analysis --list       # catalogue of checkers and codes
 
-See ``docs/STATIC_ANALYSIS.md`` for the invariant rationale and the
-suppression syntax.
+See ``docs/STATIC_ANALYSIS.md`` for the rules, the sabotage that justifies
+each one, and the suppression syntax.
 """
-
-from tools.analysis.base import Checker, FileContext, Violation
-from tools.analysis.blocking import BlockingChecker
-from tools.analysis.counters import CounterChecker
-from tools.analysis.determinism import DeterminismChecker
-from tools.analysis.engine import (
-    ALL_CHECKERS,
-    ENGINE_CODES,
-    Report,
-    check_file,
-    check_paths,
-    check_source,
-    describe_checkers,
-)
-from tools.analysis.lifecycle import LifecycleChecker
-
-__all__ = [
-    "ALL_CHECKERS",
-    "ENGINE_CODES",
-    "BlockingChecker",
-    "Checker",
-    "CounterChecker",
-    "DeterminismChecker",
-    "FileContext",
-    "LifecycleChecker",
-    "Report",
-    "Violation",
-    "check_file",
-    "check_paths",
-    "check_source",
-    "describe_checkers",
-]

@@ -32,8 +32,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tools.analysis",
         description="Static analysis of the nmad reproduction's engine "
-                    "invariants (determinism, counter pairing, lifecycle "
-                    "discipline, event-loop hygiene).",
+                    "invariants (determinism, monotonic counters, write "
+                    "ownership, event-loop hygiene).",
     )
     parser.add_argument("paths", nargs="*", default=["src/repro"],
                         help="files or directories to analyze "
@@ -44,8 +44,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="also print findings silenced by "
                              "`# nm: allow[...]` comments")
     parser.add_argument("--interprocedural", action="store_true",
-                        help="also run the project-wide NM5xx pass (call "
-                             "graph, alias tracking, cross-module evidence)")
+                        help="also run the project-wide NM501 pass (call "
+                             "graph, alias tracking, helper chains)")
     parser.add_argument("--json", action="store_true",
                         help="emit findings as a JSON object on stdout "
                              "instead of text lines")

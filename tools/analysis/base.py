@@ -16,7 +16,7 @@ comment in its first lines (see ``tests/analysis/fixtures/``).
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -103,23 +103,6 @@ def is_self_access(node: ast.Attribute) -> bool:
     return isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
 
 
-def assignment_targets(node: ast.AST) -> list[ast.expr]:
-    """The expressions written to by an assignment-like statement."""
-    if isinstance(node, ast.Assign):
-        out: list[ast.expr] = []
-        for target in node.targets:
-            out.extend(_flatten_target(target))
-        return out
-    if isinstance(node, ast.AugAssign | ast.AnnAssign):
-        return _flatten_target(node.target)
-    if isinstance(node, ast.Delete):
-        out = []
-        for target in node.targets:
-            out.extend(_flatten_target(target))
-        return out
-    return []
-
-
 def _flatten_target(target: ast.expr) -> list[ast.expr]:
     if isinstance(target, ast.Tuple | ast.List):
         out: list[ast.expr] = []
@@ -131,12 +114,21 @@ def _flatten_target(target: ast.expr) -> list[ast.expr]:
     return [target]
 
 
-@dataclass
-class ClassStack:
-    """Tracks whether the visitor currently sits inside a class body."""
+class WriteChecker(Checker):
+    """A checker that sees every attribute an assignment-like statement
+    writes (``=``, ``+=``, annotated, ``del``; tuple targets flattened)."""
 
-    classes: list[str] = field(default_factory=list)
+    def check_write(self, stmt: ast.stmt, target: ast.Attribute) -> None:
+        raise NotImplementedError
 
-    @property
-    def in_class_body(self) -> bool:
-        return bool(self.classes)
+    def _visit_write(self, node: ast.Assign | ast.AugAssign | ast.AnnAssign
+                     | ast.Delete) -> None:
+        targets = (node.targets if isinstance(node, ast.Assign | ast.Delete)
+                   else [node.target])
+        for target in (t for top in targets for t in _flatten_target(top)):
+            if isinstance(target, ast.Attribute):
+                self.check_write(node, target)
+        self.generic_visit(node)
+
+    visit_Assign = visit_AugAssign = visit_AnnAssign = visit_Delete = \
+        _visit_write

@@ -3,14 +3,10 @@
 The per-file checkers (NM1xx–NM4xx) see one module at a time, which an
 alias or a helper function silently defeats: ``d = win._by_dest`` followed
 by ``d.pop(k)`` is invisible to a write-owner rule that only matches
-attribute targets, and a frame kind passed as a *parameter* to the helper
-that builds the Frame is invisible to a literal check.  This module builds
-the whole-project view the interprocedural rules need:
+attribute targets.  This module builds the whole-project view NM501 needs:
 
-* a **symbol table** per module: module-level functions, classes with
-  their methods, module-level ``frozenset``/``set``/tuple constants of
-  strings (e.g. ``_SESSION_KINDS``), and classes of string constants
-  (e.g. ``FrameKind``);
+* a **symbol table** per module: module-level functions and classes with
+  their methods;
 * a **call graph**: best-effort resolution of ``name(...)``,
   ``self.meth(...)`` and ``obj.meth(...)`` call sites to project
   functions;
@@ -83,10 +79,6 @@ class ModuleInfo:
     tree: ast.Module
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, dict[str, FunctionInfo]] = field(default_factory=dict)
-    #: Module-level NAME = frozenset({...}) / set / tuple of resolvable strs.
-    str_sets: dict[str, frozenset[str]] = field(default_factory=dict)
-    #: Classes of string constants: class name -> attr -> value.
-    str_const_classes: dict[str, dict[str, str]] = field(default_factory=dict)
     #: line -> justified suppression on that line.
     suppressions: dict[int, Suppression] = field(default_factory=dict)
 
@@ -150,25 +142,6 @@ class Project:
             return list(self.methods_by_name.get(func.attr, []))
         return []
 
-    def resolve_str_set(
-        self, module: ModuleInfo, name: str
-    ) -> frozenset[str] | None:
-        """Resolve ``NAME`` to a set of strings (local module first)."""
-        if name in module.str_sets:
-            return module.str_sets[name]
-        for mod in self.modules.values():
-            if name in mod.str_sets:
-                return mod.str_sets[name]
-        return None
-
-    def resolve_class_str_const(self, cls: str, attr: str) -> str | None:
-        """Resolve ``Cls.ATTR`` to its string value, searching all modules."""
-        for mod in self.modules.values():
-            table = mod.str_const_classes.get(cls)
-            if table is not None and attr in table:
-                return table[attr]
-        return None
-
     # -- mutation summaries --------------------------------------------------
     def mutation_summaries(self) -> dict[int, frozenset[int]]:
         """``id(info.node) -> positional params mutated as containers``.
@@ -197,45 +170,6 @@ def arg_to_param(
     return None
 
 
-def kwarg_to_param(callee: FunctionInfo, keyword: str) -> int | None:
-    """Map a keyword argument name to the callee's positional param index."""
-    try:
-        return callee.params.index(keyword)
-    except ValueError:
-        return None
-
-
-def resolve_str_expr(
-    project: Project, module: ModuleInfo, expr: ast.expr
-) -> str | None:
-    """Resolve an expression to a string: a literal or ``Cls.CONST``."""
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return expr.value
-    if (isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)):
-        return project.resolve_class_str_const(expr.value.id, expr.attr)
-    return None
-
-
-def _resolve_str_collection(
-    project: Project, module: ModuleInfo, expr: ast.expr
-) -> frozenset[str] | None:
-    """Resolve set/frozenset/tuple displays (possibly wrapped) of strings."""
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name) \
-            and expr.func.id in ("frozenset", "set", "tuple") \
-            and len(expr.args) == 1 and not expr.keywords:
-        return _resolve_str_collection(project, module, expr.args[0])
-    if isinstance(expr, (ast.Set, ast.Tuple, ast.List)):
-        out = set()
-        for elt in expr.elts:
-            value = resolve_str_expr(project, module, elt)
-            if value is None:
-                return None
-            out.add(value)
-        return frozenset(out)
-    return None
-
-
 # -- project building ---------------------------------------------------------
 
 def _collect_module(path: str, real_path: str, source: str) -> ModuleInfo:
@@ -249,27 +183,12 @@ def _collect_module(path: str, real_path: str, source: str) -> ModuleInfo:
                 module=path, name=node.name, cls=None, node=node,
                 params=_positional_params(node))
         elif isinstance(node, ast.ClassDef):
-            methods: dict[str, FunctionInfo] = {}
-            consts: dict[str, str] = {}
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods[item.name] = FunctionInfo(
-                        module=path, name=item.name, cls=node.name,
-                        node=item, params=_positional_params(item))
-                elif (isinstance(item, ast.Assign)
-                      and len(item.targets) == 1
-                      and isinstance(item.targets[0], ast.Name)
-                      and isinstance(item.value, ast.Constant)
-                      and isinstance(item.value.value, str)):
-                    consts[item.targets[0].id] = item.value.value
-            mod.classes[node.name] = methods
-            if consts:
-                mod.str_const_classes[node.name] = consts
-        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
-              and isinstance(node.targets[0], ast.Name)):
-            # Collected in a second pass once the project exists (the
-            # elements may be Cls.CONST references to another module).
-            pass
+            mod.classes[node.name] = {
+                item.name: FunctionInfo(
+                    module=path, name=item.name, cls=node.name, node=item,
+                    params=_positional_params(item))
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
     return mod
 
 
@@ -278,17 +197,6 @@ def _positional_params(
 ) -> tuple[str, ...]:
     args = node.args
     return tuple(a.arg for a in (*args.posonlyargs, *args.args))
-
-
-def _second_pass_constants(project: Project) -> None:
-    """Resolve module-level string collections (may reference other modules)."""
-    for mod in project.modules.values():
-        for node in mod.tree.body:
-            if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)):
-                resolved = _resolve_str_collection(project, mod, node.value)
-                if resolved is not None:
-                    mod.str_sets[node.targets[0].id] = resolved
 
 
 def build_project(paths: list[str], root: str = ".") -> Project:
@@ -314,7 +222,6 @@ def build_project(paths: list[str], root: str = ".") -> Project:
         except SyntaxError:
             continue
         project.add_module(mod)
-    _second_pass_constants(project)
     return project
 
 

@@ -1,20 +1,15 @@
 """NM501: write-owner escape (interprocedural).
 
-The per-file owner rules (NM201/NM302) match *assignments to attributes*:
-``win._by_dest[d] = q`` from a strategy never matches, because the
-assignment target is a subscript; ``d = win._by_dest; d.pop(k)`` never
-matches, because the mutation happens through a local alias; and
-``helper(win._common)`` never matches if ``helper`` lives in another
-module and does the ``append`` there.  NM501 closes all three holes: an
-owned field of another layer may not be *container-mutated* outside its
-owner module, whether directly, through an alias, or through a helper
-chain (resolved via the project call graph's mutation summaries).
-
-Owner groups reuse the per-file configuration so the two passes cannot
-drift: the window's private storage, the event kernel's private state
-(both sanctioned owner modules), and every ``_WRITE_OWNERS`` field group.
-``self``-access is exempt, exactly as in NM201/NM301 — a layer may always
-mutate its *own* state; the rule is about reaching across a boundary.
+The per-file NM302 matches *assignments to attributes*:
+``win._by_dest[d] = q`` never matches, because the assignment target is a
+subscript; ``d = win._by_dest; d.pop(k)`` never matches, because the
+mutation happens through a local alias; and ``helper(win._common)`` never
+matches if ``helper`` lives in another module and does the ``append``
+there.  NM501 closes all three holes: an owned field (a
+``lifecycle.WRITE_OWNERS`` row, the table NM302 reads) may not be
+*container-mutated* outside its owner module, whether directly, through an
+alias, or through a helper chain (resolved via the project call graph's
+mutation summaries).  ``self``-access is exempt, exactly as in NM302.
 """
 
 from __future__ import annotations
@@ -29,22 +24,7 @@ from tools.analysis.callgraph import (
     Project,
     arg_to_param,
 )
-from tools.analysis.counters import WINDOW_MODULE, WINDOW_PRIVATE
-from tools.analysis.lifecycle import _WRITE_OWNERS, EVENT_MODULES, EVENT_PRIVATE
-
-#: (owner modules, owned fields, scope prefixes the rule applies to).
-#: The narrowed scopes mirror NM302: baseline models legitimately reuse
-#: engine field names for their own local state machines.
-_NM302_SCOPE = ("repro/core/", "repro/madmpi/", "repro/chaos/")
-OWNER_GROUPS: tuple[tuple[frozenset[str], frozenset[str],
-                          tuple[str, ...]], ...] = (
-    (frozenset({WINDOW_MODULE}), WINDOW_PRIVATE, ("repro/",)),
-    (EVENT_MODULES, EVENT_PRIVATE, ("repro/",)),
-    *(
-        (frozenset({owner}), fields, _NM302_SCOPE)
-        for owner, fields in sorted(_WRITE_OWNERS.items())
-    ),
-)
+from tools.analysis.lifecycle import foreign_owner
 
 
 class WriteOwnerEscapeRule:
@@ -63,26 +43,11 @@ class WriteOwnerEscapeRule:
 
     def run(self) -> list[Violation]:
         summaries = self.project.mutation_summaries()
-        for mod in self.project.modules.values():
-            if not any(mod.path.startswith(p) for p in self.scope):
-                continue
-            for info in _functions_of(mod):
+        for info in self.project.all_functions():
+            mod = self.project.modules[info.module]
+            if mod.path.startswith(self.scope):
                 self._check_function(mod, info, summaries)
         return self.violations
-
-    # -- per-function analysis ----------------------------------------------
-    def _owned_by_other(
-        self, mod: ModuleInfo, node: ast.Attribute
-    ) -> str | None:
-        """The owner module if ``node`` names a field owned elsewhere."""
-        if is_self_access(node):
-            return None
-        for owners, fields, scope in OWNER_GROUPS:
-            if node.attr not in fields or mod.path in owners:
-                continue
-            if any(mod.path.startswith(p) for p in scope):
-                return sorted(owners)[0]
-        return None
 
     def _check_function(
         self,
@@ -94,11 +59,9 @@ class WriteOwnerEscapeRule:
         tainted: dict[str, tuple[str, str]] = {}
 
         def taint_of(expr: ast.expr) -> tuple[str, str] | None:
-            if isinstance(expr, ast.Attribute):
-                owner = self._owned_by_other(mod, expr)
-                if owner is not None:
-                    return (expr.attr, owner)
-                return None
+            if isinstance(expr, ast.Attribute) and not is_self_access(expr):
+                owner = foreign_owner(mod.path, expr.attr)
+                return None if owner is None else (expr.attr, owner)
             if isinstance(expr, ast.Name):
                 return tainted.get(expr.id)
             return None
@@ -177,9 +140,3 @@ class WriteOwnerEscapeRule:
             checker=self.name,
         ))
 
-
-def _functions_of(mod: ModuleInfo) -> list[FunctionInfo]:
-    out = list(mod.functions.values())
-    for methods in mod.classes.values():
-        out.extend(methods.values())
-    return out

@@ -1,11 +1,11 @@
 """Driver for the interprocedural (NM5xx) pass.
 
-Unlike the per-file checkers, these rules need the whole project in view
+Unlike the per-file checkers, NM501 needs the whole project in view
 — a symbol table and call graph built by :mod:`tools.analysis.callgraph`
-— so they run as a separate pass over a :class:`Project` rather than a
+— so it runs as a separate pass over a :class:`Project` rather than a
 :class:`FileContext`.  ``python -m tools.analysis --interprocedural``
 adds this pass to the per-file one; tests call :func:`check_project`
-directly so fixture directories can exercise one rule without the
+directly so fixture directories can exercise the rule without the
 per-file codes contaminating the result.
 
 Suppression works exactly as in the per-file pass: a trailing
@@ -22,14 +22,8 @@ from tools.analysis.base import Violation
 from tools.analysis.callgraph import Project, build_project
 from tools.analysis.engine import Report
 from tools.analysis.escape import WriteOwnerEscapeRule
-from tools.analysis.framekinds import FrameKindRule
-from tools.analysis.statsbalance import StatsBalanceRule
 
-INTERPROC_CHECKERS = (
-    WriteOwnerEscapeRule,
-    FrameKindRule,
-    StatsBalanceRule,
-)
+INTERPROC_CHECKERS = (WriteOwnerEscapeRule,)
 
 
 def check_project(
