@@ -46,7 +46,7 @@ class PeerTable(dict[int, T]):
 
 def counter(group: str) -> int:
     """Declare an ``EngineStats`` counter (starts at 0): the one line
-    ``repro report``, its JSON and the NM203/NM204 lint all derive from."""
+    ``repro report``, its JSON and the NM203 lint all derive from."""
     return field(default=0, metadata={"group": group})
 
 

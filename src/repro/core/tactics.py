@@ -97,8 +97,6 @@ def plan_aggregate(
     dest: int,
     rdv_threshold: int,
     sent: Container[int],
-    max_items: int | None = None,
-    scan_past_blockage: bool = True,
     max_eager_bytes: int | None = None,
     max_eager_items: int | None = None,
 ) -> AggregateChoice:
@@ -112,11 +110,11 @@ def plan_aggregate(
     coalesces small blocks "with the rendez-vous requests of the large
     blocks").
 
-    With ``scan_past_blockage`` the tactic keeps scanning after a wrap that
-    does not fit, picking up later small wraps or announcements when
-    reordering is permitted — "reordered (to maximize the number of
-    aggregation operations)" (§7).  Scanning stops at the first
-    non-reorderable blocked wrap to honour ordering pins.
+    The tactic keeps scanning after a wrap that does not fit, picking up
+    later small wraps or announcements when reordering is permitted —
+    "reordered (to maximize the number of aggregation operations)" (§7).
+    Scanning stops at the first non-reorderable blocked wrap to honour
+    ordering pins.
 
     ``max_eager_bytes`` / ``max_eager_items`` are the credit flow-control
     allowance (:meth:`~repro.core.strategy.SchedulingContext.eager_budget`):
@@ -143,9 +141,7 @@ def plan_aggregate(
         dep = wrap.depends_on
         if dep is not None and dep not in sent and dep not in planned:
             # Unsendable (the deps_satisfied rule, against this aggregate);
-            # it also blocks later wraps unless scanning is on.
-            if not scan_past_blockage:
-                break
+            # it also blocks later wraps that may not overtake it.
             blocked = True
             continue
         if blocked and not wrap.allow_reorder:
@@ -162,12 +158,8 @@ def plan_aggregate(
             choice.eager.append(wrap)
             used += length
             n_credit += 1
-        elif not scan_past_blockage:
-            break
         else:
             blocked = True
             continue
         planned.add(wrap.wrap_id)
-        if max_items is not None and len(planned) >= max_items:
-            break
     return choice

@@ -3,18 +3,20 @@
 The paper's experiments run on flat point-to-point meshes (two hosts, one
 wire per rail), and :class:`~repro.netsim.topology.Cluster` keeps that as
 its default so every figure stays bit-identical.  This module adds the
-*structured* fabrics that ROADMAP item 5 asks for: traffic between node
-pairs traverses shared switch ports modeled as contention points, and a
-whole switch — or the rack behind it — can die as one correlated event.
+*structured* fabrics: traffic between node pairs traverses shared switch
+ports modeled as contention points, and a whole switch — or the rack
+behind it — can die as one correlated event.
 
 Design constraints, in order:
 
 * **Reuse the wire machinery.**  A :class:`Switch` is a lightweight frame
   forwarder that plugs into the existing :class:`~repro.netsim.link.Link`
   endpoints: links deliver into ``switch._arrive`` exactly as they deliver
-  into a NIC, and the switch re-transmits on an egress link after a FIFO
-  per-port serialization delay.  No frame is ever rewritten; addressing
-  stays end-to-end (``frame.dst_node`` is always a host).
+  into a NIC, and the switch forwards cut-through on an egress link, as
+  Myrinet and QsNet switches do — serialization is paid once, at the
+  source NIC, and a port only delays a frame while it is busy with
+  earlier ones.  No frame is ever rewritten; addressing stays end-to-end
+  (``frame.dst_node`` is always a host).
 * **Determinism.**  ECMP path choice hashes ``(src, dst, switch salt)``
   through an explicit integer mixer — never Python's ``hash()``, which the
   sanitize CI sweeps across ``PYTHONHASHSEED`` values.  The same flow takes
@@ -28,12 +30,11 @@ Builders are frozen specs (:class:`Mesh`, :class:`FatTree`,
 :class:`Dragonfly`) with a ``build`` method the cluster calls once per
 rail.  Port bandwidth and per-hop latency come from the rail's
 :class:`~repro.netsim.profiles.NicProfile`, so a fat-tree rail built from
-``MX_MYRI10G`` serializes at the same 1250 MB/s per hop as the flat wire.
+``MX_MYRI10G`` keeps each port busy at the same 1250 MB/s as the flat wire.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, ClassVar, Union
@@ -77,11 +78,15 @@ def flow_hash(src_node: int, dst_node: int, salt: int) -> int:
 
 
 class _Port:
-    """One egress port: a FIFO serialization queue in front of a link."""
+    """One egress port: a virtual-time resource in front of a link.
+
+    A frame's head leaves as soon as the port is free (at once, with no
+    kernel entry, when it is idle); the port then stays busy for the
+    frame's wire time until ``free_at``.
+    """
 
     __slots__ = (
-        "switch", "port_id", "link", "next_hop", "bandwidth_mbps",
-        "_queue", "_busy", "_current",
+        "switch", "port_id", "link", "next_hop", "bandwidth_mbps", "free_at",
     )
 
     def __init__(
@@ -97,9 +102,7 @@ class _Port:
         self.link = link
         self.next_hop = next_hop
         self.bandwidth_mbps = bandwidth_mbps
-        self._queue: deque[Frame] = deque()
-        self._busy = False
-        self._current: Frame | None = None
+        self.free_at = 0.0
 
     @property
     def alive(self) -> bool:
@@ -107,34 +110,31 @@ class _Port:
         return self.next_hop is None or self.next_hop.up
 
     def push(self, frame: Frame) -> None:
-        self._queue.append(frame)
-        if not self._busy:
-            self._start_next()
-
-    def _start_next(self) -> None:
-        frame = self._queue.popleft()
-        self._busy = True
-        self._current = frame
         switch = self.switch
+        now = switch.sim.now
+        start = self.free_at if self.free_at > now else now
         # ``wire_time_us``, inlined: both operands are validated upstream.
-        switch.sim.schedule(frame.wire_size / self.bandwidth_mbps,
-                            partial(self._finish, frame, switch.generation))
-
-    def _finish(self, frame: Frame, gen: int) -> None:
-        if gen != self.switch.generation:
-            return  # switch died mid-serialization; fail() accounted the frame
-        self._current = None
-        self.switch.frames_forwarded += 1
-        self.switch.bytes_forwarded += frame.wire_size
-        self.link.transmit(frame)
-        if self._queue:
-            self._start_next()
+        self.free_at = start + frame.wire_size / self.bandwidth_mbps
+        if start == now:
+            self._send(frame, switch.generation)
         else:
-            self._busy = False
+            switch.sim.schedule(start - now,
+                                partial(self._send, frame, switch.generation))
+
+    def _send(self, frame: Frame, gen: int) -> None:
+        switch = self.switch
+        if gen != switch.generation:
+            # The switch died while the frame waited for this port.
+            switch.frames_dropped += 1
+            switch.bytes_dropped += frame.wire_size
+            return
+        switch.frames_forwarded += 1
+        switch.bytes_forwarded += frame.wire_size
+        self.link.transmit(frame)
 
 
 class Switch:
-    """A frame forwarder: FIFO output ports plus a static ECMP route table.
+    """A frame forwarder: cut-through output ports plus a static ECMP route table.
 
     Switches sit *between* links: an ingress link's ``dst`` endpoint.  They
     never originate traffic, so ``node_id`` is a negative sentinel that can
@@ -166,7 +166,7 @@ class Switch:
         self.salt = salt
         self.tracer = tracer if tracer is not None else Tracer()
         self.up = True
-        #: Incarnation counter; bumping it voids in-flight port closures.
+        #: Incarnation counter; bumping it voids frames waiting for a port.
         self.generation = 0
         self.ports: list[_Port] = []
         #: dst host id -> candidate egress port ids (ECMP set).
@@ -255,21 +255,12 @@ class Switch:
 
     # -- fault domain -------------------------------------------------------
     def fail(self) -> None:
-        """Power off: every queued and in-flight frame is lost, idempotently."""
+        """Power off, idempotently: arrivals and frames still waiting for a
+        port are dropped (``_Port._send``); a frame whose head left is not."""
         if not self.up:
             return
         self.up = False
         self.generation += 1
-        for port in self.ports:
-            for frame in port._queue:
-                self.frames_dropped += 1
-                self.bytes_dropped += frame.wire_size
-            if port._current is not None:
-                self.frames_dropped += 1
-                self.bytes_dropped += port._current.wire_size
-            port._queue.clear()
-            port._busy = False
-            port._current = None
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, self.name, "switch_down")
 

@@ -132,10 +132,10 @@ class Cluster:
     def schedule_switch_fault(self, switch_id: int, plan: FaultPlan) -> None:
         """Schedule ``plan``'s ``switch_down_at`` fail-stop on one switch.
 
-        The plan is applied here, not by a link: a dead switch drops
-        everything queued in its ports and black-holes arrivals, and every
-        flow whose primary ECMP path crossed it reroutes at the upstream
-        hop.  A blast radius (a shared power feed, a rack top) is each of
+        The plan is applied here, not by a link: a dead switch drops every
+        frame still waiting for one of its ports and black-holes arrivals,
+        and every flow whose primary ECMP path crossed it reroutes at the
+        upstream hop.  A blast radius (a shared power feed, a rack top) is each of
         its switches scheduled at the same time.
         """
         if plan.switch_down_at is None:

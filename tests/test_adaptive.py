@@ -13,7 +13,8 @@ see ``tests/test_rttstat.py`` for that):
   ``cancel()``;
 * ``rel_hedge="tail"`` re-sends tail-latent frames on the second-best
   rail instead of letting the retransmit clock fire;
-* the fat-tree two-rail failover drill passes in auto mode with *no*
+* the fat-tree two-rail failover drill (a three-sender incast, so the
+  fabric has real port contention) passes in auto mode with *no*
   hand-tuned timeout, while the static default spuriously quarantines
   the healthy rail under the very same schedule;
 * under the chaos ``rtt-drift`` schedule the adaptive engine
@@ -308,60 +309,77 @@ class TestTailHedging:
 
 
 class TestFatTreeFailover:
-    """Satellite 1: the PR 9 failover drill without the hand-tuned 2ms."""
+    """The fat-tree two-rail failover drill without a hand-tuned timeout.
 
-    @staticmethod
-    def _run(rel_timeout_us):
+    An incast: ranks 0, 2 and 3 each send 1 MiB to rank 1 over the same
+    MX + QM500 ``multirail`` fat-tree, and rail 1's cores die at 100us.
+    The three flows queue at rank 1's last-hop edge port, so a healthy
+    frame can wait there far longer than one round trip.
+    """
+
+    SENDERS = (0, 2, 3)
+
+    @classmethod
+    def _run(cls, rel_timeout_us):
         params = EngineParams(reliability="ack",
                               rel_timeout_us=rel_timeout_us,
                               rel_ack_delay_us=10.0,
                               rel_quarantine_threshold=2,
                               rel_probe_after_us=float("inf"))
-        sim, cluster, (e0, e1) = make_pair(
-            params, rails=(MX_MYRI10G, QUADRICS_QM500),
-            strategy="multirail", topology="fat-tree")
+        sim = Simulator()
+        cluster = Cluster(sim, n_nodes=4,
+                          rails=(MX_MYRI10G, QUADRICS_QM500),
+                          topology="fat-tree")
+        engines = [NmadEngine(cluster.node(i), strategy="multirail",
+                              params=params) for i in range(4)]
         for s in cluster.switches:
             if s.tier == "core" and s.rail == 1:
                 cluster.schedule_switch_fault(
                     s.switch_id, FaultPlan(switch_down_at=100.0))
         payload = bytes(range(256)) * 4096  # 1 MiB
+        senders = [engines[rank] for rank in cls.SENDERS]
 
         def app():
-            req = e1.irecv(src=0, tag=0)
-            sreq = e0.isend(1, payload, tag=0)
-            yield req.done
-            if not sreq.complete:
-                yield sreq.done
-            return req, sreq
+            reqs = [engines[1].irecv(src=rank, tag=0) for rank in cls.SENDERS]
+            sreqs = [e.isend(1, payload, tag=0) for e in senders]
+            for req in reqs:
+                yield req.done
+            for sreq in sreqs:
+                if not sreq.complete:
+                    yield sreq.done
+            return reqs, sreqs
 
-        return sim, cluster, e0, payload, app
+        return sim, cluster, senders, payload, app
 
     def test_auto_mode_fails_over_with_no_hand_tuned_timeout(self):
-        # PR 9 needed rel_timeout_us=2_000.0 here — a constant hand-sized
-        # to this fabric's port queues.  The measured RTO replaces it: the
-        # cold ceiling rides out the queueing ramp, rail 1's black-holed
-        # frames are the only retransmits, and the healthy rail survives.
-        sim, cluster, e0, payload, app = self._run("auto")
-        req, sreq = sim.run_process(app())
-        assert req.data.tobytes() == payload
-        assert not sreq.failed
-        assert e0.stats.failovers >= 1
-        assert e0.stats.rails_quarantined == 1
-        assert e0.transfer.rail_ok(0)          # healthy rail kept
-        assert not e0.transfer.rail_ok(1)      # dead rail quarantined
+        # A static timeout would have to be hand-sized to this fabric's
+        # incast port contention.  The measured RTO replaces it: the cold
+        # ceiling rides out the queueing ramp, rail 1's black-holed frames
+        # are the only retransmits, and every sender keeps the healthy rail.
+        sim, cluster, senders, payload, app = self._run("auto")
+        reqs, sreqs = sim.run_process(app())
+        for req, sreq, e in zip(reqs, sreqs, senders):
+            assert req.data.tobytes() == payload
+            assert not sreq.failed
+            assert e.stats.failovers >= 1
+            assert e.stats.rails_quarantined == 1
+            assert e.transfer.rail_ok(0)          # healthy rail kept
+            assert not e.transfer.rail_ok(1)      # dead rail quarantined
         assert cluster.conservation_ok(allow_faults=True)
 
     def test_static_default_spuriously_quarantines_the_healthy_rail(self):
         # The companion drill: the *same* schedule under the static
-        # default (200us) — the retry clock cannot see the multi-hop port
-        # queues, fires at healthy in-flight frames, quarantines rail 0
-        # (the live one!), and the transfer strands on the dead rail.
-        sim, cluster, e0, payload, app = self._run(200.0)
+        # default (200us) — the retry clock cannot see the incast port
+        # contention, fires at healthy queued frames, quarantines rail 0
+        # (the live one!) on every sender, and the transfers strand on
+        # the dead rail.
+        sim, cluster, senders, payload, app = self._run(200.0)
         with pytest.raises(SimulationError):
             sim.run_process(app())
-        assert not e0.transfer.rail_ok(0)      # healthy rail condemned
-        assert e0.transfer.rail_ok(1)          # dead rail trusted
-        assert e0.stats.retransmits > 2           # spurious, not the 2 real
+        for e in senders:
+            assert not e.transfer.rail_ok(0)      # healthy rail condemned
+            assert e.transfer.rail_ok(1)          # dead rail trusted
+            assert e.stats.retransmits > 2        # spurious, not the 2 real
 
 
 class TestDriftComparison:

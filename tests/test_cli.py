@@ -261,10 +261,6 @@ class TestTopologyCli:
         assert topo["switches_down"] == 0
         assert sum(sw["frames_forwarded"] for sw in topo["switches"]) > 0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known red cell: on a switched fabric node 1 declares node 0 dead "
-        "after ~535 us of silence against hb_timeout_us=500; suspected "
-        "cause: rendezvous chunks store-and-forwarded ahead of heartbeats"))
     @pytest.mark.parametrize("topology", ["fat-tree", "dragonfly"])
     def test_report_with_sessions_replays_on_a_clean_fabric(self, topology):
         code, text = run_cli("report", "--topology", topology,

@@ -207,8 +207,7 @@ class TestPlanAggregate:
 
     def test_respects_threshold(self):
         ws = [wrap(size=400) for _ in range(5)]
-        choice = plan_aggregate(ws, dest=1, rdv_threshold=1000, sent=set(),
-                                scan_past_blockage=False)
+        choice = plan_aggregate(ws, dest=1, rdv_threshold=1000, sent=set())
         assert len(choice.eager) == 2  # 800 <= 1000, third would be 1200
 
     def test_oversized_becomes_announcement(self):
@@ -223,16 +222,8 @@ class TestPlanAggregate:
         blocker = wrap(size=600)   # does not fit after a
         c = wrap(size=300)         # fits
         choice = plan_aggregate([a, blocker, c], dest=1, rdv_threshold=1000,
-                                sent=set(), scan_past_blockage=True)
+                                sent=set())
         assert choice.eager == [a, c]
-
-    def test_no_scan_stops_at_blockage(self):
-        a = wrap(size=600)
-        blocker = wrap(size=600)
-        c = wrap(size=300)
-        choice = plan_aggregate([a, blocker, c], dest=1, rdv_threshold=1000,
-                                sent=set(), scan_past_blockage=False)
-        assert choice.eager == [a]
 
     def test_non_reorderable_stops_scan(self):
         a = wrap(size=600)
@@ -261,12 +252,6 @@ class TestPlanAggregate:
         choice = plan_aggregate([first, second], dest=1, rdv_threshold=1000,
                                 sent=set())
         assert choice.eager == [first, second]
-
-    def test_max_items_cap(self):
-        ws = [wrap(size=10) for _ in range(10)]
-        choice = plan_aggregate(ws, dest=1, rdv_threshold=1000, sent=set(),
-                                max_items=3)
-        assert len(choice.eager) == 3
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):

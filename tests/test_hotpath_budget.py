@@ -63,14 +63,15 @@ HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
 PINGPONG_CALLS_PER_MSG = 162.9
 BURST_CALLS_PER_MSG = 75.3
 #: The opt-in stack and the switched fabric, same rule: measured 86.79 for
-#: the 4 x 64 burst with ``HARDENED`` and 86.13 for a 16 x 64 ack + credit
-#: burst over ``FatTree(k=4, seed=1)`` (88.40 / 87.57 with the timer wheel;
+#: the 4 x 64 burst with ``HARDENED`` and 84.62 for a 16 x 64 ack + credit
+#: burst over ``FatTree(k=4, seed=1)`` (86.13 while switch ports stored and
+#: forwarded each frame; 88.40 / 87.57 with the timer wheel;
 #: 92.40 / 91.57 with the sent-wrap set and the ``isinstance`` tests, the
 #: credit release's included; 110.68 / 108.43 when credit was spent per
 #: wrap, every layer hook ran for every message, a per-peer ledger cost a
 #: method call and a switch hashed every frame).
 HARDENED_CALLS_PER_MSG = 89.4
-FABRIC_CALLS_PER_MSG = 88.7
+FABRIC_CALLS_PER_MSG = 87.2
 #: Kernel entries per message, exactly as measured (parent commit: 10.01 /
 #: 4.140625).  Ping-pong: five timed hops (tx, link, rx, demux, match), the
 #: deferred pull, tx-done, and the completions of the send and the receive
@@ -80,9 +81,10 @@ PINGPONG_ENTRIES_PER_MSG = 9.01
 BURST_ENTRIES_PER_MSG = 4.125
 #: The same two bursts' entries, unchanged by the shorter call path: the
 #: hardened one adds acks, credit grants and session timers, the fabric one
-#: a serialization per switch hop.
+#: a delivery per extra wire and an entry per frame that waits for a busy
+#: switch port (5.03125 when every switch hop serialized every frame).
 HARDENED_ENTRIES_PER_MSG = 4.6875
-FABRIC_ENTRIES_PER_MSG = 5.03125
+FABRIC_ENTRIES_PER_MSG = 4.7294921875
 FABRIC = dict(reliability="ack", flow_control="credit")
 #: The rendezvous path, same rules (``rendezvous_exchange``: large and
 #: ``indexed_small_large`` typed messages over MX + Quadrics, ``multirail``):

@@ -79,10 +79,10 @@ class TestReorderProperties:
 
 
 class TestAggregateProperties:
-    @given(wrap_lists(), st.integers(64, 8192), st.booleans())
-    def test_eager_total_within_threshold(self, wraps, threshold, scan):
+    @given(wrap_lists(), st.integers(64, 8192))
+    def test_eager_total_within_threshold(self, wraps, threshold):
         choice = plan_aggregate(wraps, dest=1, rdv_threshold=threshold,
-                                sent=set(), scan_past_blockage=scan)
+                                sent=set())
         assert sum(w.length for w in choice.eager) <= threshold
 
     @given(wrap_lists(), st.integers(64, 8192))
@@ -94,17 +94,16 @@ class TestAggregateProperties:
         for w in choice.eager:
             assert w.length <= threshold
 
-    @given(wrap_lists(), st.integers(64, 8192), st.booleans())
-    def test_only_requested_destination(self, wraps, threshold, scan):
+    @given(wrap_lists(), st.integers(64, 8192))
+    def test_only_requested_destination(self, wraps, threshold):
         choice = plan_aggregate(wraps, dest=2, rdv_threshold=threshold,
-                                sent=set(), scan_past_blockage=scan)
+                                sent=set())
         assert all(w.dest == 2 for w in choice.all_wraps())
 
-    @given(wrap_lists(), st.integers(64, 8192), st.booleans())
-    def test_selection_is_subset_without_duplicates(self, wraps, threshold,
-                                                    scan):
+    @given(wrap_lists(), st.integers(64, 8192))
+    def test_selection_is_subset_without_duplicates(self, wraps, threshold):
         choice = plan_aggregate(wraps, dest=1, rdv_threshold=threshold,
-                                sent=set(), scan_past_blockage=scan)
+                                sent=set())
         ids = [w.wrap_id for w in choice.all_wraps()]
         assert len(ids) == len(set(ids))
         assert set(ids) <= {w.wrap_id for w in wraps}
@@ -118,25 +117,6 @@ class TestAggregateProperties:
         for group in (choice.eager, choice.announce):
             indices = [order[w.wrap_id] for w in group]
             assert indices == sorted(indices)
-
-    @given(wrap_lists(), st.integers(64, 8192), st.integers(1, 5))
-    def test_max_items_respected(self, wraps, threshold, cap):
-        choice = plan_aggregate(wraps, dest=1, rdv_threshold=threshold,
-                                sent=set(), max_items=cap)
-        assert len(choice.all_wraps()) <= cap
-
-    @given(wrap_lists(), st.integers(64, 8192))
-    def test_no_scan_takes_a_prefix(self, wraps, threshold):
-        # Without scanning, the eager choice is a prefix of the dest-1
-        # candidates (stops at the first thing that does not fit).
-        choice = plan_aggregate(wraps, dest=1, rdv_threshold=threshold,
-                                sent=set(), scan_past_blockage=False)
-        mine = [w for w in wraps if w.dest == 1]
-        k = len(choice.all_wraps())
-        # all_wraps() groups eager before announcements, so compare the
-        # *set*: exactly the first k dest-1 candidates were chosen.
-        assert {w.wrap_id for w in choice.all_wraps()} == \
-            {w.wrap_id for w in mine[:k]}
 
     def test_dependency_on_an_earlier_wrap_of_the_same_aggregate(self):
         def wrap(seq, depends_on=None, nbytes=100):
@@ -161,10 +141,8 @@ class TestAggregateProperties:
         assert choice.eager == [late]
 
     @given(st.lists(st.tuples(st.integers(0, 2000), st.integers(-1, 12),
-                              st.booleans()), max_size=12),
-           st.integers(1, 12), st.booleans())
-    def test_in_plan_dependencies_match_the_list_scanning_rule(
-            self, shape, cap, scan):
+                              st.booleans()), max_size=12))
+    def test_in_plan_dependencies_match_the_list_scanning_rule(self, shape):
         # Oracle: the dependency rule spelled with deps_satisfied over the
         # aggregate-so-far, which plan_aggregate tracks as a running id set.
         wraps = []
@@ -176,13 +154,10 @@ class TestAggregateProperties:
                 depends_on=wraps[dep].wrap_id if 0 <= dep < i else
                 (None if dep < 0 else -1)))
         choice = plan_aggregate(wraps, dest=1, rdv_threshold=1024,
-                                sent=set(), max_items=cap,
-                                scan_past_blockage=scan)
+                                sent=set())
         planned, used, blocked = [], 0, False
         for w in wraps:
             if not deps_satisfied(w, set(), in_plan=planned):
-                if not scan:
-                    break
                 blocked = True
                 continue
             if blocked and not w.allow_reorder:
@@ -190,11 +165,7 @@ class TestAggregateProperties:
             if w.length > 1024 or used + w.length <= 1024:
                 planned.append(w)
                 used += w.length if w.length <= 1024 else 0
-            elif not scan:
-                break
             else:
                 blocked = True
-            if len(planned) >= cap:
-                break
         assert sorted(w.wrap_id for w in choice.all_wraps()) == \
             sorted(w.wrap_id for w in planned)

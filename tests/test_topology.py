@@ -37,6 +37,7 @@ from repro.netsim import (
     Switch,
     flow_hash,
 )
+from repro.netsim.frames import Frame
 from repro.netsim.stats import SWITCH_COUNTERS, topology_summary
 from repro.sim import Simulator
 
@@ -420,6 +421,76 @@ class TestFaultDomains:
         assert sw.generation == gen  # second power-off is a no-op
 
 
+# -- cut-through ports --------------------------------------------------------
+
+#: One 4 KiB frame's wire time on MX, the unit a busy port delays a frame by.
+WIRE_4K_US = 4096 / MX_MYRI10G.bandwidth_mbps
+
+
+def send_4k(topology, n_nodes, srcs, dst, fail_at=None):
+    """Post one raw 4 KiB frame from each of ``srcs`` to ``dst``; with
+    ``fail_at``, the first switch fails at that time.  Returns the
+    simulator, the cluster and the frames' arrival times at ``dst``."""
+    sim = Simulator()
+    cluster = Cluster(sim, n_nodes=n_nodes, rails=(MX_MYRI10G,),
+                      topology=topology)
+    arrivals = []
+    cluster.node(dst).nic().set_receive_handler(
+        lambda frame: arrivals.append(sim.now))
+    for src in srcs:
+        cluster.node(src).nic().post_send(
+            Frame(src_node=src, dst_node=dst, kind="data", wire_size=4096))
+    if fail_at is not None:
+        sim.schedule(fail_at, cluster.switches[0].fail)
+    sim.run()
+    return sim, cluster, arrivals
+
+
+#: Three hosts behind one router: two senders share its port to the third.
+ONE_ROUTER = Dragonfly(groups=2, routers=1, hosts_per_router=3,
+                       global_links=1)
+
+
+class TestCutThroughPorts:
+    """A port is busy for each frame's wire time; it never holds a frame
+    for its own serialisation, which the source NIC already paid."""
+
+    def test_idle_path_adds_only_latency_and_no_kernel_entry(self):
+        lat = MX_MYRI10G.latency_us
+        _, _, [t_mesh] = send_4k("mesh", 2, [0], 1)
+        _, cluster, [t_tree] = send_4k(FatTree(k=4), 2, [0], 1)
+        assert len(cluster.path(0, 1)) == 5
+        assert t_tree == pytest.approx(t_mesh + 5 * lat)  # 12.5768us
+        # Two frames: each of the five extra wires costs one delivery
+        # entry per frame, and the switches none.
+        mesh_sim, _, _ = send_4k("mesh", 2, [0, 0], 1)
+        tree_sim, _, _ = send_4k(FatTree(k=4), 2, [0, 0], 1)
+        assert tree_sim.events_processed == mesh_sim.events_processed + 10
+        assert tree_sim.events_processed == 18
+
+    def test_a_busy_port_delays_the_second_frame_one_wire_time(self):
+        _, _, [t_mesh] = send_4k("mesh", 2, [0], 1)
+        _, cluster, arrivals = send_4k(ONE_ROUTER, 3, [0, 1], 2)
+        assert cluster.path(0, 2) == cluster.path(1, 2) == ["df0.g0.r0"]
+        idle = t_mesh + MX_MYRI10G.latency_us
+        assert arrivals == [pytest.approx(idle, abs=1e-9),
+                            pytest.approx(idle + WIRE_4K_US, abs=1e-9)]
+
+    def test_failed_switch_drops_the_waiting_frame_once(self):
+        # Both frames reach the router together; it forwards the first at
+        # once and dies while the second waits for the port.
+        reach = (MX_MYRI10G.send_overhead_us + WIRE_4K_US
+                 + MX_MYRI10G.latency_us)
+        _, cluster, arrivals = send_4k(ONE_ROUTER, 3, [0, 1], 2,
+                                       fail_at=reach + WIRE_4K_US / 2)
+        router = cluster.switches[0]
+        assert not router.up
+        assert len(arrivals) == 1  # the head had left: delivered
+        assert (router.frames_dropped, router.bytes_dropped) == (1, 4096)
+        assert router.frames_forwarded == 1
+        assert cluster.conservation_ok(allow_faults=True)
+
+
 # -- multirail failover around a dead switch ----------------------------------
 
 class TestSwitchFailover:
@@ -427,10 +498,9 @@ class TestSwitchFailover:
         # Two fat-tree rails; rail 1's entire spine dies mid-transfer.  The
         # reliability layer quarantines rail 1 (its frames black-hole) and
         # the transfer completes on rail 0 — rerouting *around a switch*,
-        # not a link.  The RTO must budget for fabric port queueing (the
-        # retry clock starts at tx completion and cannot see the 5-hop
-        # switch queues), or healthy-rail frames time out spuriously.
-        params = EngineParams(reliability="ack", rel_timeout_us=2_000.0,
+        # not a link.  Cut-through ports add only latency to a lone flow's
+        # 5-hop path, so the stock retry timeout needs no fabric budget.
+        params = EngineParams(reliability="ack",
                               rel_ack_delay_us=10.0,
                               rel_quarantine_threshold=2,
                               rel_probe_after_us=float("inf"))
