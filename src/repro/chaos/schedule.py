@@ -142,13 +142,11 @@ HARDENED = EngineParams(
     hb_interval_us=50.0,
     hb_timeout_us=600.0,
 )
-#: :data:`HARDENED` with the measured retransmit timeout.  The ceiling is
-#: also the cold-start RTO: the engine default (10ms) is sized for switched
-#: fabrics with millisecond port queues, and a 10ms cold retransmit
-#: (doubled per backoff) would out-wait the drill's deadline and settle
-#: window, leaving stale timers the drain audit rightly flags.
-ADAPTIVE = dataclasses.replace(
-    HARDENED, rel_timeout_us="auto", rel_rto_ceiling_us=2_000.0)
+#: :data:`HARDENED` with the measured retransmit timeout.  Until a peer is
+#: measured the RTO is the engine's cold one, derived from its rails
+#: (twice the wire time of a rendezvous chunk plus the path latency: about
+#: 0.84ms on the drill's MX mesh), so no timer needs sizing here.
+ADAPTIVE = dataclasses.replace(HARDENED, rel_timeout_us="auto")
 
 #: Every schedule carries at least this many faults.
 MIN_FAULTS = 2

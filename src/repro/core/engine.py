@@ -42,6 +42,7 @@ from repro.core.window import OptimizationWindow
 from repro.errors import (
     DeadlineExceededError, MpiError, PeerDeadError, SimulationError,
 )
+from repro.netsim.fabric import route_links
 from repro.netsim.node import Node
 from repro.sim import Event, Tracer
 
@@ -187,7 +188,7 @@ class NmadEngine:
         # check for it, so static-mode behaviour is provably untouched.
         self.rtt: RttEstimator | None = None
         if self.params.rel_adaptive:
-            self.rtt = RttEstimator(self.params.rel_rto_ceiling_us)
+            self.rtt = RttEstimator(self.silence_us)
         self.transfer = TransferLayer(self)
         # After the transfer layer: it issues wrap ids into its ledger.
         self.collect = CollectLayer(self)
@@ -214,6 +215,26 @@ class NmadEngine:
                   if getattr(type(layer), hook) is not getattr(Layer, hook))
             for hook in ("commit", "on_match", "on_post"))
         self.sim.add_deadlock_hint(self._deadlock_hint)
+
+    @cached_property
+    def silence_us(self) -> float:
+        """The longest silence a healthy peer can cause: the wire time of
+        the largest frame (a rendezvous chunk with every header it can
+        carry) plus one link latency per hop of the longest route, on the
+        rail where that sum is largest.
+
+        A frame is delivered only once fully serialised, so while one is
+        on the wire its receiver hears nothing from the sender.  Computed
+        once, for two uses: the cold adaptive RTO, and the session layer's
+        heartbeat floor while a rendezvous with the peer is live.
+        """
+        hdr = self.params.hdr
+        frame = (self.params.rdv_chunk_bytes + hdr.global_header
+                 + hdr.rdv_data_header + hdr.rel_header + hdr.checksum
+                 + hdr.credit_header + hdr.session_header)
+        return max(frame / nic.profile.bandwidth_mbps
+                   + route_links(nic) * nic.profile.latency_us
+                   for nic in self.node.nics)
 
     # -- strategy management (paper abstract: dynamically extensible) -----
     def set_strategy(self, strategy: str | Strategy, **params: Any) -> None:

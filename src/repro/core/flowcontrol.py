@@ -9,7 +9,8 @@ This module is the opt-in hardening layer (``flow_control="credit"``)
 that bounds both ends of an eager stream:
 
 * each peer holds a **credit budget** for eager traffic towards us
-  (``credit_bytes`` payload bytes and ``credit_wraps`` packet wraps);
+  (:data:`CREDIT_BYTES` payload bytes and :data:`CREDIT_WRAPS` packet
+  wraps);
 * the sender **consumes** credit when a strategy commits an eager wrap
   to a physical packet; a destination whose budget is exhausted is
   **blocked** in the optimization window — wraps keep accumulating, but
@@ -19,8 +20,8 @@ that bounds both ends of an eager stream:
   message, and advertises releases as cumulative
   ``(released_bytes_total, released_wraps_total)`` grants, piggybacked
   on any reverse frame (``fc_grant``, ``credit_header`` wire bytes) or
-  as a small standalone ``credit`` frame after ``credit_grant_delay_us``
-  of reverse silence — a :class:`~repro.sim.Timer` per ledger, like the
+  as a small standalone ``credit`` frame after
+  :data:`CREDIT_GRANT_DELAY_US` of reverse silence — a :class:`~repro.sim.Timer` per ledger, like the
   reliability layer's standalone acks;
 * cumulative totals make grants **idempotent**: a duplicated, reordered
   or retransmitted grant applies as a componentwise max, so the layer
@@ -28,8 +29,8 @@ that bounds both ends of an eager stream:
 
 The budget is also the receiver's memory bound.  Credit is spent when a
 packet commits and released only when the message matches, so a sender
-never has more than ``credit_bytes`` of eager payload buffered unexpected
-at a receiver: at most ``(peers - 1) * credit_bytes`` in all.
+never has more than :data:`CREDIT_BYTES` of eager payload buffered
+unexpected at a receiver: at most ``(peers - 1) * CREDIT_BYTES`` in all.
 
 Rendezvous traffic is credit-exempt: announcements are tiny control
 records, and the bulk data only flows after the receiver granted it —
@@ -57,7 +58,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
     from repro.core.strategy import SendPlan
 
-__all__ = ["FlowControlLayer", "FlowControlParams", "FlowControlStats"]
+__all__ = ["FlowControlLayer", "FlowControlParams", "FlowControlStats",
+           "CREDIT_BYTES", "CREDIT_WRAPS", "CREDIT_GRANT_DELAY_US"]
+
+#: Per-peer eager credit budget: payload bytes and wrap count a sender may
+#: have outstanding (unconsumed by the receiving application).  The bytes
+#: must hold one maximal eager segment (the largest rendezvous threshold
+#: of the engine's rails), which the layer checks at construction.
+CREDIT_BYTES = 256 * 1024
+CREDIT_WRAPS = 256
+#: Reverse-silence window before a standalone credit frame carries a
+#: pending grant (grants otherwise piggyback on any reverse frame).
+CREDIT_GRANT_DELAY_US = 25.0
 
 
 @dataclass(frozen=True)
@@ -70,13 +82,6 @@ class FlowControlParams:
     #: credit flow control for eager traffic (rendezvous traffic is
     #: self-paced by its grant).
     flow_control: str = knob("off", choices=("off", "credit"))
-    #: Per-peer eager credit budget: payload bytes and wrap count a sender
-    #: may have outstanding (unconsumed by the receiving application).
-    credit_bytes: int = knob(256 * 1024, lo=1)
-    credit_wraps: int = knob(256, lo=1)
-    #: Reverse-silence window before a standalone credit frame carries a
-    #: pending grant (grants otherwise piggyback on any reverse frame).
-    credit_grant_delay_us: float = knob(25.0, lo=0.0)
 
 
 @dataclass
@@ -143,18 +148,15 @@ class FlowControlLayer(Layer):
         # and a maximal eager segment must fit the budget, or it could
         # never be sent at all.
         exempt_floor = max(n.profile.rdv_threshold for n in self.nics)
-        if self.params.credit_bytes < exempt_floor:
+        if CREDIT_BYTES < exempt_floor:
             raise MpiError(
-                f"{engine.node.name}: credit_bytes={self.params.credit_bytes} "
+                f"{engine.node.name}: CREDIT_BYTES={CREDIT_BYTES} "
                 f"is smaller than the largest rendezvous threshold "
                 f"({exempt_floor}B); a maximal eager segment could never "
                 "be sent"
             )
         engine.window.gate_eager(exempt_floor)
         engine.transfer.eager_budget = self.planning_budget
-        self._credit_bytes = engine.params.credit_bytes
-        self._credit_wraps = engine.params.credit_wraps
-        self._grant_delay = engine.params.credit_grant_delay_us
         self._peers = PeerTable(partial(_PeerCredit, layer=self))
         self._name = f"node{engine.node_id}.flowcontrol"
 
@@ -182,11 +184,11 @@ class FlowControlLayer(Layer):
         """Remaining eager ``(bytes, wraps)`` allowance towards ``dest``."""
         st = self._peers.get(dest)
         if st is None:
-            return (self._credit_bytes, self._credit_wraps)
+            return (CREDIT_BYTES, CREDIT_WRAPS)
         return (
-            max(0, self._credit_bytes
+            max(0, CREDIT_BYTES
                 - (st.sent_bytes_total - st.peer_released_bytes)),
-            max(0, self._credit_wraps
+            max(0, CREDIT_WRAPS
                 - (st.sent_wraps_total - st.peer_released_wraps)),
         )
 
@@ -199,9 +201,8 @@ class FlowControlLayer(Layer):
         the packet, not after the wrap that tipped it.
         """
         exhausted = (
-            st.sent_bytes_total - st.peer_released_bytes >= self._credit_bytes
-            or st.sent_wraps_total - st.peer_released_wraps
-            >= self._credit_wraps
+            st.sent_bytes_total - st.peer_released_bytes >= CREDIT_BYTES
+            or st.sent_wraps_total - st.peer_released_wraps >= CREDIT_WRAPS
         )
         if exhausted and not st.blocked:
             st.blocked = True
@@ -293,20 +294,20 @@ class FlowControlLayer(Layer):
     def _grant_delay_us(self, peer: int) -> float:
         """Coalescing delay before a standalone credit grant to ``peer``.
 
-        The configured ``credit_grant_delay_us`` unless the adaptive
+        :data:`CREDIT_GRANT_DELAY_US` unless the adaptive
         timing layer (``rel_timeout_us="auto"``) holds a warm estimate
         for the peer: then half the smoothed RTT, floored at 1us — waiting longer
         than a plausible reverse frame forfeits the piggyback *and* stalls
         the sender, so a measured fast path releases credit sooner.  The
-        configured value stays the ceiling (never slower than static).
+        constant stays the ceiling (never slower than static).
         """
         rtt = self.engine.rtt
         if rtt is None or not rtt.warm(peer):
-            return self._grant_delay
+            return CREDIT_GRANT_DELAY_US
         srtt = rtt.srtt_us(peer)
         if srtt is None:
-            return self._grant_delay
-        return min(self._grant_delay, max(1.0, srtt / 2.0))
+            return CREDIT_GRANT_DELAY_US
+        return min(CREDIT_GRANT_DELAY_US, max(1.0, srtt / 2.0))
 
     def _send_credit(self, st: _PeerCredit) -> None:
         """Emit a standalone grant (``st.grant_timer``'s callback: a reverse
@@ -370,7 +371,7 @@ class FlowControlLayer(Layer):
         out_w = st.sent_wraps_total - st.peer_released_wraps
         return (
             f"credit: outstanding={out_b}B/{out_w}w of "
-            f"{self._credit_bytes}B/{self._credit_wraps}w"
+            f"{CREDIT_BYTES}B/{CREDIT_WRAPS}w"
             f"{' [blocked]' if st.blocked else ''}, "
             f"released-out={st.released_bytes_total}B/"
             f"{st.released_wraps_total}w"

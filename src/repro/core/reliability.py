@@ -19,15 +19,15 @@ the engine survive lossy links and failing rails:
 * the receive side **suppresses duplicates** before the demultiplexer, so
   the matcher and the rendezvous reassembly never see a frame twice;
 * each retransmit timeout scores a loss against the rail the frame last
-  used; ``rel_quarantine_threshold`` consecutive losses **quarantine**
+  used; :data:`QUARANTINE_THRESHOLD` consecutive losses **quarantine**
   the rail (if another healthy rail exists) — subsequent traffic,
   retransmits, and not-yet-carved rendezvous chunks fail over to the
   surviving rails;
 * a quarantined rail is **re-probed half-open** after a backoff window
-  (``rel_probe_after_us``, default 32x the retransmit timeout, doubling
-  on every re-quarantine): it rejoins the candidate set one loss short
-  of the threshold, so a still-dead rail is ejected on the very next
-  timeout while a healed one carries traffic again;
+  (:data:`PROBE_AFTER_RTOS` base retransmit timeouts, doubling on every
+  re-quarantine): it rejoins the candidate set one loss short of the
+  threshold, so a still-dead rail is ejected on the very next timeout
+  while a healed one carries traffic again;
 * among healthy rails, election is **congestion-aware**: the least
   congested rail by NIC queue depth (pending window bytes as tie-break)
   wins, sticky to the previous rail on ties — shortest-queue failover
@@ -51,7 +51,6 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.protocols import Layer, PeerTable, counter, knob
-from repro.core.rttstat import RTO_FLOOR_US
 from repro.errors import RailDownError, TransportError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -64,6 +63,14 @@ __all__ = ["ReliabilityLayer", "ReliabilityParams", "ReliabilityStats"]
 
 #: Retransmit-timeout multiplier per retry (RFC 6298 doubling).
 RTO_BACKOFF = 2.0
+#: Consecutive retransmit-timeouts that quarantine a rail (when another
+#: healthy rail exists): one loss is noise, three in a row with no ack
+#: in between is a rail that stopped carrying traffic.
+QUARANTINE_THRESHOLD = 3
+#: Half-open recovery: a quarantined rail is re-probed after this many
+#: base retransmit timeouts (the measured one in auto mode), doubling per
+#: re-quarantine of the same rail.
+PROBE_AFTER_RTOS = 32.0
 
 
 @dataclass(frozen=True)
@@ -81,11 +88,9 @@ class ReliabilityParams:
     #: static constant with a measured one: per-peer Jacobson SRTT/RTTVAR
     #: estimation (see :mod:`repro.core.rttstat`) derives the RTO as
     #: ``RTO_HEADROOM * (srtt + 4*rttvar)`` clamped into
-    #: ``[RTO_FLOOR_US, rel_rto_ceiling_us]``.
+    #: ``[RTO_FLOOR_US, RTO_CEILING_US]``, seeded from the engine's rails
+    #: until a peer is measured.
     rel_timeout_us: float | str = knob(200.0, gt=0.0, choices=("auto",))
-    #: Upper clamp of the ``"auto"`` RTO, and the conservative RTO until a
-    #: peer is measured.
-    rel_rto_ceiling_us: float = knob(10_000.0, gt=0.0)
     #: Opt-in tail hedging (requires ``rel_timeout_us="auto"`` and >= 2
     #: rails): ``"tail"`` re-sends a frame on the *second-best* rail once
     #: it has been outstanding past a p99-ish quantile of that rail's
@@ -97,14 +102,6 @@ class ReliabilityParams:
     rel_retry_budget: int = knob(8, lo=1)
     #: Reverse-silence window before a standalone ack frame is emitted.
     rel_ack_delay_us: float = knob(25.0, lo=0.0)
-    #: Consecutive retransmit-timeouts that quarantine a rail (when another
-    #: healthy rail exists).
-    rel_quarantine_threshold: int = knob(3, lo=1)
-    #: Half-open recovery: delay before a quarantined rail is re-probed.
-    #: ``0`` derives 32x ``rel_timeout_us``; ``float("inf")`` disables
-    #: probing (a quarantined rail then stays out for good, the pre-probe
-    #: behaviour).  The delay doubles per re-quarantine of the same rail.
-    rel_probe_after_us: float = knob(0.0, lo=0.0, inf_ok=True)
 
     def _check_reliability(self) -> None:
         """The rules between fields; each field's own range is its knob."""
@@ -113,8 +110,6 @@ class ReliabilityParams:
                 "rel_timeout_us='auto' needs reliability='ack': the "
                 "RTT estimator samples the ack machinery"
             )
-        if self.rel_rto_ceiling_us < RTO_FLOOR_US:
-            raise ValueError("RTO ceiling must be >= floor")
         if self.rel_hedge == "tail" and self.rel_timeout_us != "auto":
             raise ValueError(
                 "rel_hedge='tail' needs rel_timeout_us='auto': the hedge "
@@ -424,7 +419,7 @@ class ReliabilityLayer(Layer):
         self.rail_losses[rail] = self.rail_losses.get(rail, 0) + 1
         rail_ok = self._transfer.rail_ok
         if (rail_ok(rail)
-                and self.rail_losses[rail] >= self.params.rel_quarantine_threshold
+                and self.rail_losses[rail] >= QUARANTINE_THRESHOLD
                 and any(rail_ok(r)
                         for r in range(len(self.nics)) if r != rail)):
             self._quarantine(rail)
@@ -451,14 +446,12 @@ class ReliabilityLayer(Layer):
         self._transfer.quarantine(rail)
 
     def _probe_base_us(self) -> float:
-        """The first half-open probe delay (0 in params = auto-derive)."""
-        configured = self.params.rel_probe_after_us
-        if configured > 0.0:
-            return configured
+        """The first half-open probe delay: :data:`PROBE_AFTER_RTOS` base
+        RTOs, the most conservative peer's in auto mode."""
         if self._rtt is not None:
-            return 32.0 * self._rtt.global_rto_us()
+            return PROBE_AFTER_RTOS * self._rtt.global_rto_us()
         assert self._static_rto_us is not None
-        return 32.0 * self._static_rto_us
+        return PROBE_AFTER_RTOS * self._static_rto_us
 
     def _schedule_probe(self, rail: int) -> None:
         """Arm the half-open recovery probe for a freshly quarantined rail.
@@ -468,8 +461,6 @@ class ReliabilityLayer(Layer):
         rail is probed ever more lazily while a healed one rejoins fast.
         """
         base = self._probe_base_us()
-        if base == float("inf"):  # probing off
-            return
         backoff = self._probe_backoff.get(rail, base)
         self._probe_backoff[rail] = min(backoff * 2.0, 64.0 * base)
         tracer = self.engine.tracer
@@ -488,7 +479,7 @@ class ReliabilityLayer(Layer):
         """
         if self._transfer.rail_ok(rail):
             return
-        self.rail_losses[rail] = self.params.rel_quarantine_threshold - 1
+        self.rail_losses[rail] = QUARANTINE_THRESHOLD - 1
         self.engine.stats.rails_reprobed += 1
         tracer = self.engine.tracer
         if tracer.enabled:

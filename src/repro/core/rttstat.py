@@ -4,9 +4,10 @@ The reliability, session, and flow-control layers all run on virtual-time
 deadlines.  Through PR 9 those were *static* knobs (``rel_timeout_us``,
 ``hb_timeout_us``, the credit grant delay), which forces the operator to
 hand-budget for path conditions the transport could simply measure — the
-documented fat-tree failure mode: the retry clock starts at transmit
-completion and cannot see switch-port queueing, so a static RTO sized for
-a flat mesh spuriously quarantines healthy rails on a switched fabric.
+documented fat-tree failure mode: switch ports forward cut-through, but
+several flows converging on one egress port queue behind each other
+(incast port contention), and a static RTO sized for an idle path
+spuriously quarantines healthy rails when they do.
 
 :class:`RttEstimator` is the measurement core: Jacobson-style EWMA of
 smoothed RTT and RTT variance (RFC 6298 constants, ``alpha=1/8``,
@@ -25,14 +26,19 @@ granularities:
   makes the derived timeout more conservative, never trigger-happy.
 
 The derived retransmit timeout is ``RTO_HEADROOM * (srtt + 4 * rttvar)``
-clamped into ``[RTO_FLOOR_US, ceiling]``; until a peer has accumulated
-:data:`RTO_MIN_SAMPLES` measurements it is the ceiling (RFC 6298's
-"conservative until measured" stance, hardened: trusting the very first
-sample is how a pre-congestion 20us RTT turns into a 116us RTO right as
-a megabyte burst builds millisecond switch queues — the estimator then
-starves, because every spurious retransmit is Karn-ambiguous, and the
-healthy rail gets quarantined.  In virtual time a large early RTO costs
-nothing but simulated microseconds).  The hedge
+clamped into ``[RTO_FLOOR_US, RTO_CEILING_US]``.  Until a peer has
+accumulated :data:`RTO_MIN_SAMPLES` measurements it is the *cold* RTO:
+twice the longest silence a healthy peer can cause on this engine's rails
+(:attr:`~repro.core.engine.NmadEngine.silence_us`: the largest frame's
+wire time on the slowest rail plus the longest route's latency), in the
+same clamp.  That is RFC 6298 §2.1's "seed with a constant", with the
+constant derived from the rails instead of hand-tuned: no ack of a frame
+in flight can be later than that unless the path is congested or broken.
+The first samples are still not trusted on their own: trusting one
+would turn a pre-congestion 20us RTT into a 116us RTO right as a
+megabyte burst builds port queues, and the estimator would then starve
+(every spurious retransmit is Karn-ambiguous) while the healthy rail gets
+quarantined.  The hedge
 delay is a p99-ish tail estimate ``srtt + HEDGE_DEVS * rttvar``, not
 floored (it must fire *before* the RTO to be useful), and is only
 offered once a rail has :data:`HEDGE_MIN_SAMPLES` samples — hedging on a
@@ -48,8 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["RttEstimator", "RttState", "ALPHA", "BETA", "RTO_DEVS",
-           "RTO_HEADROOM", "RTO_FLOOR_US", "HEDGE_DEVS", "HEDGE_MIN_SAMPLES",
-           "RTO_MIN_SAMPLES"]
+           "RTO_HEADROOM", "RTO_FLOOR_US", "RTO_CEILING_US", "HEDGE_DEVS",
+           "HEDGE_MIN_SAMPLES", "RTO_MIN_SAMPLES"]
 
 #: EWMA gains (RFC 6298): srtt tracks slowly, rttvar tracks faster.
 ALPHA = 1.0 / 8.0
@@ -62,6 +68,8 @@ RTO_DEVS = 4.0
 RTO_HEADROOM = 2.0
 #: Lower clamp of the derived RTO: no retry clock runs tighter than this.
 RTO_FLOOR_US = 50.0
+#: Upper clamp of every derived timeout, the cold RTO included.
+RTO_CEILING_US = 10_000.0
 #: Deviation multiplier for the hedge (tail) delay — deliberately tighter
 #: than the RTO: a hedge is cheap (duplicate suppression absorbs it), a
 #: retransmit pollutes the loss accounting.
@@ -69,7 +77,7 @@ HEDGE_DEVS = 3.0
 #: Samples a rail must accumulate before hedging is offered on it.
 HEDGE_MIN_SAMPLES = 8
 #: Samples a peer must accumulate before the measured RTO (and the other
-#: adaptive deadlines derived from it) is trusted over the ceiling.
+#: adaptive deadlines derived from it) is trusted over the cold RTO.
 RTO_MIN_SAMPLES = 8
 
 
@@ -96,18 +104,18 @@ class RttState:
 class RttEstimator:
     """Measured path timing for one engine: per-peer and per-rail tracks.
 
-    Every derived timeout lands in ``[RTO_FLOOR_US, ceiling_us]``; the
-    ceiling is the one bound a caller sets (the conservative RTO while a
-    peer is cold), the floor and :data:`RTO_HEADROOM` are constants of the
-    algorithm.
+    Every derived timeout lands in ``[RTO_FLOOR_US, RTO_CEILING_US]``.
+    ``silence_us`` is the one input from outside: the longest silence a
+    healthy peer can cause, which sets the cold RTO (twice it, clamped).
     """
 
-    __slots__ = ("ceiling_us", "_peers", "_rails")
+    __slots__ = ("cold_us", "_peers", "_rails")
 
-    def __init__(self, ceiling_us: float) -> None:
-        if not ceiling_us >= RTO_FLOOR_US:
-            raise ValueError("RTO ceiling must be >= floor")
-        self.ceiling_us = ceiling_us
+    def __init__(self, silence_us: float) -> None:
+        if not 0.0 <= silence_us < float("inf"):
+            raise ValueError(f"silence bound must be finite and >= 0, "
+                             f"got {silence_us}")
+        self.cold_us = self._clamp(2.0 * silence_us)
         self._peers: dict[int, RttState] = {}
         self._rails: dict[tuple[int, int], RttState] = {}
 
@@ -128,8 +136,9 @@ class RttEstimator:
         rail_state.update(rtt_us)
 
     # -- derived timeouts --------------------------------------------------
-    def _clamp(self, value_us: float) -> float:
-        return min(self.ceiling_us, max(RTO_FLOOR_US, value_us))
+    @staticmethod
+    def _clamp(value_us: float) -> float:
+        return min(RTO_CEILING_US, max(RTO_FLOOR_US, value_us))
 
     def warm(self, peer: int) -> bool:
         """True once the peer's estimate is trustworthy — the gate every
@@ -141,22 +150,23 @@ class RttEstimator:
         """Retransmit timeout for the peer's channel (any rail).
 
         ``RTO_HEADROOM * (srtt + 4 * rttvar)`` clamped into
-        ``[RTO_FLOOR_US, ceiling_us]``; the ceiling until the peer is
-        :meth:`warm` — a couple of pre-congestion samples must not arm a
-        hair-trigger retry clock.
+        ``[RTO_FLOOR_US, RTO_CEILING_US]``; :attr:`cold_us` until the peer
+        is :meth:`warm` — a couple of pre-congestion samples must not arm
+        a hair-trigger retry clock.
         """
         st = self._peers.get(peer)
         if st is None or st.samples < RTO_MIN_SAMPLES:
-            return self.ceiling_us
+            return self.cold_us
         return self._clamp(
             RTO_HEADROOM * (st.srtt_us + RTO_DEVS * st.rttvar_us))
 
     def global_rto_us(self) -> float:
         """Most conservative per-peer RTO (peer-agnostic derivations such
-        as the half-open probe window use it); the ceiling while cold."""
+        as the half-open probe window use it); the cold RTO while no peer
+        has a sample."""
         rtos = [self.rto_us(peer) for peer, st in self._peers.items()
                 if st.samples]
-        return max(rtos) if rtos else self.ceiling_us
+        return max(rtos) if rtos else self.cold_us
 
     def hedge_delay_us(self, peer: int, rail: int) -> float | None:
         """Tail threshold after which a hedge on another rail is worthwhile;
@@ -170,7 +180,7 @@ class RttEstimator:
         st = self._rails.get((peer, rail))
         if st is None or st.samples < HEDGE_MIN_SAMPLES:
             return None
-        return min(self.ceiling_us, st.srtt_us + HEDGE_DEVS * st.rttvar_us)
+        return min(RTO_CEILING_US, st.srtt_us + HEDGE_DEVS * st.rttvar_us)
 
     # -- introspection -----------------------------------------------------
     def srtt_us(self, peer: int) -> float | None:
@@ -209,4 +219,5 @@ class RttEstimator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<RttEstimator peers={len(self._peers)} "
-                f"clamp=[{RTO_FLOOR_US:g},{self.ceiling_us:g}]us>")
+                f"cold={self.cold_us:g}us "
+                f"clamp=[{RTO_FLOOR_US:g},{RTO_CEILING_US:g}]us>")

@@ -27,7 +27,11 @@ process failure:
   virtual-time timers: after ``hb_timeout_us/2`` of silence a peer is
   *suspected*, after ``hb_timeout_us`` it is *confirmed dead* (under
   ``rel_timeout_us="auto"`` the budget tightens per peer to four
-  adaptive RTOs, with the configured value as the ceiling);
+  adaptive RTOs, with the configured value as the ceiling).  While a
+  rendezvous with the peer is live the budget is floored at twice the
+  engine's :attr:`~repro.core.engine.NmadEngine.silence_us`: a bulk
+  chunk is one frame, heard only once fully serialised, and on a slow
+  rail that takes longer than the default timeout;
 * a suspected peer is **not** a dead peer: new outbound frames towards a
   suspect are *parked* in the same per-peer FIFO the handshake uses
   (``frames_parked``) while heartbeats keep probing.  When contact
@@ -172,6 +176,8 @@ class SessionLayer(Layer):
         #: Frozen at construction: a restarted node gets a *new* engine,
         #: whose session layer speaks for the new incarnation.
         self.incarnation = engine.node.incarnation
+        #: The silence budget never drops below this while bulk flows.
+        self._rdv_floor_us = 2.0 * engine.silence_us
         self._peers = PeerTable(partial(_PeerSession, layer=self))
         self._name = f"node{engine.node_id}.sessions"
 
@@ -483,12 +489,24 @@ class SessionLayer(Layer):
         a hand-tuned constant.  Clamped to at least ``4 * hb_interval_us`` so the
         idle-prober gets several shots before the verdict, and never
         above the configured static bound (the operator's ceiling).
+
+        While a rendezvous with ``peer`` is live, the budget is at least
+        twice the engine's ``silence_us``: one bulk chunk on the wire
+        silences a healthy sender that long.  Without live bulk the floor
+        does not apply, so an idle or eager-only peer is judged as fast
+        as before.
         """
         rtt = self.engine.rtt
         if rtt is None or not rtt.warm(peer):
-            return self.params.hb_timeout_us
-        eff = max(4.0 * rtt.rto_us(peer), 4.0 * self.params.hb_interval_us)
-        return min(eff, self.params.hb_timeout_us)
+            timeout = self.params.hb_timeout_us
+        else:
+            timeout = min(max(4.0 * rtt.rto_us(peer),
+                              4.0 * self.params.hb_interval_us),
+                          self.params.hb_timeout_us)
+        if (timeout < self._rdv_floor_us
+                and self.engine.rendezvous.involves_peer(peer)):
+            return self._rdv_floor_us
+        return timeout
 
     def _arm_monitor(self, st: _PeerSession) -> None:
         """Wake a dormant monitor, and restart the silence clock with it:

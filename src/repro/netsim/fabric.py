@@ -57,6 +57,7 @@ __all__ = [
     "TopologySpec",
     "resolve_topology",
     "flow_hash",
+    "route_links",
 ]
 
 
@@ -268,6 +269,29 @@ class Switch:
         state = "up" if self.up else "DOWN"
         return (f"<Switch {self.name} {state} ports={len(self.ports)} "
                 f"fwd={self.frames_forwarded}>")
+
+
+def route_links(nic: "Nic") -> int:
+    """Links on the longest route out of ``nic``: 1 over a mesh's direct
+    wires; on a switched fabric the uplink plus the deepest ECMP candidate
+    path to any other host.  Structural: dead switches are not skipped."""
+    uplink = nic.uplink
+    if uplink is None:
+        return 1
+    first = uplink.dst
+    assert isinstance(first, Switch)
+    depth: dict[tuple[int, int], int] = {}
+
+    def links(switch: Switch, dst: int) -> int:
+        key = (switch.switch_id, dst)
+        if key not in depth:
+            hops = [switch.ports[p].next_hop for p in switch.routes[dst]]
+            depth[key] = 1 + max(
+                0 if hop is None else links(hop, dst) for hop in hops)
+        return depth[key]
+
+    return 1 + max((links(first, dst) for dst in first.routes
+                    if dst != nic.node_id), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ Covers the PR's tentpole through the engine (not just the estimator —
 see ``tests/test_rttstat.py`` for that):
 
 * ``rel_timeout_us="auto"`` samples acked frames, warms per peer, and
-  stays ceiling-conservative until warm;
+  holds the cold RTO derived from the rails until warm;
 * Karn's rule in the ack machinery — retransmitted frames never feed
   the estimator;
 * ``deadline_us`` on ``isend``/``irecv`` fails the request with
@@ -16,7 +16,8 @@ see ``tests/test_rttstat.py`` for that):
 * the fat-tree two-rail failover drill (a three-sender incast, so the
   fabric has real port contention) passes in auto mode with *no*
   hand-tuned timeout, while the static default spuriously quarantines
-  the healthy rail under the very same schedule;
+  the healthy rail under the very same schedule and delivers only once
+  the half-open probe readmits it;
 * under the chaos ``rtt-drift`` schedule the adaptive engine
   retransmits strictly less than its static twin (the acceptance
   comparison, asserted on a byte-identical fault list).
@@ -26,7 +27,8 @@ import pytest
 
 from repro.chaos import ChaosSpec, generate_schedule, run_chaos, run_schedule
 from repro.core import EngineParams, NmadEngine, VirtualData
-from repro.core.rttstat import RTO_FLOOR_US, RTO_MIN_SAMPLES
+from repro.core import reliability
+from repro.core.rttstat import RTO_CEILING_US, RTO_FLOOR_US, RTO_MIN_SAMPLES
 from repro.errors import DeadlineExceededError, MpiError, SimulationError
 from repro.madmpi import Communicator, MadMpi, Vector
 from repro.netsim import MX_MYRI10G, QUADRICS_QM500, Cluster, FaultPlan
@@ -72,24 +74,42 @@ class TestAutoMode:
         assert e0.rtt is not None and e0.rtt.warm(1)
         snap = e0.rtt.snapshot()
         assert list(snap) == [1]
-        # The measured RTO left the ceiling and sits in the clamp band.
-        assert (RTO_FLOOR_US <= snap[1]["rto_us"]
-                < e0.params.rel_rto_ceiling_us)
+        # The measured RTO left the cold value and sits in the clamp band.
+        assert RTO_FLOOR_US <= snap[1]["rto_us"] < e0.rtt.cold_us
         assert e0.quiesced() and e1.quiesced()
 
-    def test_cold_rto_is_the_ceiling_not_the_static_default(self):
+    def test_cold_rto_is_twice_the_silence_bound(self):
+        # Cold, the RTO is derived from the rails: twice the wire time of
+        # a rendezvous chunk with all its headers plus one link latency
+        # (a mesh route is one wire) -- not the static default, and not
+        # the ceiling.
         sim, cluster, (e0, e1) = make_pair(EngineParams(**AUTO))
-        assert e0.rtt is not None
-        assert e0.reliability._rto_base_us(1) == e0.params.rel_rto_ceiling_us
+        hdr = e0.params.hdr
+        chunk = (e0.params.rdv_chunk_bytes + hdr.global_header
+                 + hdr.rdv_data_header + hdr.rel_header + hdr.checksum
+                 + hdr.credit_header + hdr.session_header)
+        silence = (chunk / MX_MYRI10G.bandwidth_mbps
+                   + MX_MYRI10G.latency_us)
+        assert e0.silence_us == pytest.approx(silence)
+        assert e0.reliability._rto_base_us(1) == pytest.approx(2 * silence)
+        assert e0.rtt is not None and e0.rtt.global_rto_us() == (
+            e0.reliability._rto_base_us(1))
+        assert RTO_FLOOR_US < 2 * silence < RTO_CEILING_US
+
+    def test_cold_rto_counts_every_hop_of_the_longest_route(self):
+        # Host 0 of a fat-tree reaches the other pods over six wires.
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**AUTO),
+                                           topology="fat-tree")
+        _, _, (m0, _) = make_pair(EngineParams(**AUTO))
+        assert e0.silence_us == pytest.approx(
+            m0.silence_us + 5 * MX_MYRI10G.latency_us)
+        assert e0.rtt.cold_us == pytest.approx(2 * e0.silence_us)
 
     def test_auto_requires_ack_mode(self):
         with pytest.raises(ValueError):
             EngineParams(rel_timeout_us="auto")
         with pytest.raises(ValueError):
             EngineParams(reliability="ack", rel_timeout_us="bogus")
-        with pytest.raises(ValueError):
-            EngineParams(reliability="ack", rel_timeout_us="auto",
-                         rel_rto_ceiling_us=RTO_FLOOR_US / 2)
 
     def test_hedge_requires_auto(self):
         with pytest.raises(ValueError):
@@ -107,8 +127,7 @@ class TestKarnsRule:
     def test_retransmitted_frame_never_feeds_the_estimator(self):
         # First frame dropped: its ack (after retransmission) is ambiguous
         # and must not produce a sample; the next clean message must.
-        params = EngineParams(**AUTO, rel_rto_ceiling_us=500.0)
-        sim, cluster, (e0, e1) = make_pair(params)
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**AUTO))
         link_between(cluster, 0, 1).fault_plan = FaultPlan(drop_nth=(1,))
         r0 = e1.irecv(src=0, tag=0, nbytes=32)
         e0.isend(1, b"x" * 32, tag=0)
@@ -314,18 +333,22 @@ class TestFatTreeFailover:
     An incast: ranks 0, 2 and 3 each send 1 MiB to rank 1 over the same
     MX + QM500 ``multirail`` fat-tree, and rail 1's cores die at 100us.
     The three flows queue at rank 1's last-hop edge port, so a healthy
-    frame can wait there far longer than one round trip.
+    frame can wait there far longer than one round trip.  Two straight
+    losses quarantine a rail (the constant is three), so the drill fits
+    in a few milliseconds.
     """
 
     SENDERS = (0, 2, 3)
+
+    @pytest.fixture(autouse=True)
+    def _two_strikes(self, monkeypatch):
+        monkeypatch.setattr(reliability, "QUARANTINE_THRESHOLD", 2)
 
     @classmethod
     def _run(cls, rel_timeout_us):
         params = EngineParams(reliability="ack",
                               rel_timeout_us=rel_timeout_us,
-                              rel_ack_delay_us=10.0,
-                              rel_quarantine_threshold=2,
-                              rel_probe_after_us=float("inf"))
+                              rel_ack_delay_us=10.0)
         sim = Simulator()
         cluster = Cluster(sim, n_nodes=4,
                           rails=(MX_MYRI10G, QUADRICS_QM500),
@@ -338,48 +361,56 @@ class TestFatTreeFailover:
                     s.switch_id, FaultPlan(switch_down_at=100.0))
         payload = bytes(range(256)) * 4096  # 1 MiB
         senders = [engines[rank] for rank in cls.SENDERS]
-
-        def app():
-            reqs = [engines[1].irecv(src=rank, tag=0) for rank in cls.SENDERS]
-            sreqs = [e.isend(1, payload, tag=0) for e in senders]
-            for req in reqs:
-                yield req.done
-            for sreq in sreqs:
-                if not sreq.complete:
-                    yield sreq.done
-            return reqs, sreqs
-
-        return sim, cluster, senders, payload, app
+        reqs = [engines[1].irecv(src=rank, tag=0) for rank in cls.SENDERS]
+        sreqs = [e.isend(1, payload, tag=0) for e in senders]
+        return sim, cluster, senders, payload, reqs, sreqs
 
     def test_auto_mode_fails_over_with_no_hand_tuned_timeout(self):
         # A static timeout would have to be hand-sized to this fabric's
         # incast port contention.  The measured RTO replaces it: the cold
-        # ceiling rides out the queueing ramp, rail 1's black-holed frames
-        # are the only retransmits, and every sender keeps the healthy rail.
-        sim, cluster, senders, payload, app = self._run("auto")
-        reqs, sreqs = sim.run_process(app())
-        for req, sreq, e in zip(reqs, sreqs, senders):
+        # RTO (twice a QM500 chunk's wire time plus six hops) rides out the
+        # queueing ramp, rail 1's black-holed frames are the only
+        # retransmits, and every sender keeps the healthy rail.
+        sim, cluster, senders, payload, reqs, sreqs = self._run("auto")
+
+        def app():
+            for req in reqs:
+                yield req.done
+            # The rails as the transfers finish; much later the half-open
+            # probe readmits rail 1, with nothing left to carry.
+            return [(e.transfer.rail_ok(0), e.transfer.rail_ok(1))
+                    for e in senders]
+
+        rails = sim.run_process(app())
+        for req, sreq, e, (ok0, ok1) in zip(reqs, sreqs, senders, rails):
             assert req.data.tobytes() == payload
-            assert not sreq.failed
+            assert sreq.complete and not sreq.failed
             assert e.stats.failovers >= 1
             assert e.stats.rails_quarantined == 1
-            assert e.transfer.rail_ok(0)          # healthy rail kept
-            assert not e.transfer.rail_ok(1)      # dead rail quarantined
+            assert e.stats.retransmits == 2       # the two real losses
+            assert ok0                            # healthy rail kept
+            assert not ok1                        # dead rail quarantined
         assert cluster.conservation_ok(allow_faults=True)
 
     def test_static_default_spuriously_quarantines_the_healthy_rail(self):
         # The companion drill: the *same* schedule under the static
         # default (200us) — the retry clock cannot see the incast port
-        # contention, fires at healthy queued frames, quarantines rail 0
-        # (the live one!) on every sender, and the transfers strand on
-        # the dead rail.
-        sim, cluster, senders, payload, app = self._run(200.0)
-        with pytest.raises(SimulationError):
-            sim.run_process(app())
+        # contention, fires at healthy queued frames and quarantines rail
+        # 0 (the live one!) on every sender, so the transfers strand on
+        # the dead rail until the half-open probe readmits rail 0, 32
+        # retransmit timeouts after its quarantine.
+        sim, cluster, senders, payload, reqs, sreqs = self._run(200.0)
+        sim.run(until=reliability.PROBE_AFTER_RTOS * 200.0)
+        assert not any(req.triggered for req in reqs)
         for e in senders:
             assert not e.transfer.rail_ok(0)      # healthy rail condemned
             assert e.transfer.rail_ok(1)          # dead rail trusted
             assert e.stats.retransmits > 2        # spurious, not the 2 real
+        sim.run()
+        for req, e in zip(reqs, senders):
+            assert req.data.tobytes() == payload  # late, through the probe
+            assert e.stats.rails_reprobed >= 1
+        assert cluster.conservation_ok(allow_faults=True)
 
 
 class TestDriftComparison:

@@ -13,6 +13,7 @@ Three layers under test, mirroring the subsystem's structure:
   shrinker that minimizes failing schedules.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import (
+    ADAPTIVE,
     HARDENED,
     ChaosFault,
     ChaosSpec,
@@ -422,8 +424,15 @@ class TestScheduleGenerator:
                         seed, ChaosSpec.quick(rtt_drift=True, adaptive=True)))
 
     def test_rto_ceiling_validation(self):
+        # Neither the spec nor the engine takes a ceiling: the adaptive
+        # twin differs from HARDENED in its retransmit timeout alone, and
+        # its cold RTO comes from the rails.
         with pytest.raises(TypeError):
             ChaosSpec(rel_rto_ceiling_us=0.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(HARDENED, rel_rto_ceiling_us=2_000.0)
+        assert ADAPTIVE == dataclasses.replace(HARDENED,
+                                               rel_timeout_us="auto")
 
     def test_spec_bounds_follow_the_harness_constants(self):
         assert ChaosSpec(max_faults=MIN_FAULTS).max_faults == MIN_FAULTS

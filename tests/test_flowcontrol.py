@@ -6,11 +6,15 @@ peer — plus the guarantee the default mode stays inert (every new counter
 zero, no behaviour change).
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import EngineParams, NmadEngine, VirtualData
+from repro.core import flowcontrol
+from repro.core.flowcontrol import CREDIT_BYTES, CREDIT_WRAPS
 from repro.errors import MpiError, PeerDeadError, SimulationError
 from repro.netsim import Cluster, MX_MYRI10G
 from repro.sim import Simulator
@@ -25,6 +29,14 @@ def make_pair(params, n_nodes=2):
 
 
 FC_COUNTERS = ("credit_stalls", "credits_granted", "nacks_sent")
+CREDIT = EngineParams(flow_control="credit")
+
+
+def budget(nbytes, wraps):
+    """Shrink the per-peer credit budget (module constants) so a handful
+    of messages exhausts it; a decorator or a ``with`` block."""
+    return mock.patch.multiple(flowcontrol, CREDIT_BYTES=nbytes,
+                               CREDIT_WRAPS=wraps)
 
 
 class TestDefaultsStayPaperFaithful:
@@ -48,24 +60,26 @@ class TestDefaultsStayPaperFaithful:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             EngineParams(flow_control="tokens")
-        with pytest.raises(ValueError):
-            EngineParams(flow_control="credit", credit_bytes=0)
-        with pytest.raises(ValueError):
-            EngineParams(flow_control="credit", credit_wraps=0)
 
     def test_credit_budget_must_fit_one_eager_segment(self):
+        # A rail whose rendezvous threshold exceeds the budget would let
+        # a maximal eager segment wait for credit that can never exist.
+        # The rails come from outside, so the check stays.
+        wide = MX_MYRI10G.with_overrides(name="wide",
+                                         rdv_threshold=CREDIT_BYTES + 1)
         sim = Simulator()
-        cluster = Cluster(sim, rails=(MX_MYRI10G,))
-        params = EngineParams(flow_control="credit", credit_bytes=1024)
-        with pytest.raises(MpiError):
-            NmadEngine(cluster.node(0), params=params)
+        cluster = Cluster(sim, rails=(wide,))
+        with pytest.raises(MpiError, match="CREDIT_BYTES"):
+            NmadEngine(cluster.node(0), params=CREDIT)
+        at_budget = wide.with_overrides(rdv_threshold=CREDIT_BYTES)
+        cluster = Cluster(Simulator(), rails=(at_budget,))
+        assert NmadEngine(cluster.node(0), params=CREDIT).flowcontrol
 
 
 class TestCreditFlowControl:
+    @budget(64 * 1024, 4)
     def test_sender_stalls_and_resumes_on_grants(self):
-        params = EngineParams(flow_control="credit",
-                              credit_bytes=64 * 1024, credit_wraps=4)
-        sim, cluster, (e0, e1) = make_pair(params)
+        sim, cluster, (e0, e1) = make_pair(CREDIT)
         n = 100
         for i in range(n):
             e0.isend(1, VirtualData(1024), tag=i)
@@ -87,10 +101,9 @@ class TestCreditFlowControl:
         # All credit returned once the run quiesced.
         assert e0.flowcontrol.planning_budget(1) == (64 * 1024, 4)
 
+    @budget(48 * 1024, 8)
     def test_in_flight_bounded_by_credit_budget(self):
-        params = EngineParams(flow_control="credit",
-                              credit_bytes=48 * 1024, credit_wraps=8)
-        sim, cluster, (e0, e1) = make_pair(params)
+        sim, cluster, (e0, e1) = make_pair(CREDIT)
         n = 120
         for i in range(n):
             e0.isend(1, VirtualData(2048), tag=i)
@@ -109,14 +122,13 @@ class TestCreditFlowControl:
         assert cluster.conservation_ok()
         assert e0.quiesced() and e1.quiesced()
 
+    @budget(32 * 1024, 2)
     def test_large_messages_are_credit_exempt(self):
         # A credit-blocked destination still serves rendezvous traffic: the
         # grant protocol is the large-message flow control.  The large
         # message travels on its own flow — per-flow FIFO means it could
         # never overtake credit-blocked eager traffic on the *same* flow.
-        params = EngineParams(flow_control="credit",
-                              credit_bytes=32 * 1024, credit_wraps=2)
-        sim, cluster, (e0, e1) = make_pair(params)
+        sim, cluster, (e0, e1) = make_pair(CREDIT)
         for i in range(4):
             e0.isend(1, VirtualData(1024), tag=i)
         big = e0.isend(1, VirtualData(256 * 1024), tag=99, flow=1)
@@ -149,9 +161,13 @@ class TestStallDiagnosis:
                  "credit: outstanding=2048B/2w of 32768B/2w [blocked], "
                  "released-out=0B/0w")
 
+    @pytest.fixture(autouse=True)
+    def _small_budget(self):
+        with budget(32 * 1024, 2):
+            yield
+
     def wedge(self, **extra):
-        params = EngineParams(flow_control="credit",
-                              credit_bytes=32 * 1024, credit_wraps=2, **extra)
+        params = EngineParams(flow_control="credit", **extra)
         sim, cluster, (e0, e1) = make_pair(params)
         # The receiver never posts and never consumes: credit is never
         # released, the sender wedges with a full backlog.
@@ -209,10 +225,9 @@ class TestCreditConservation:
            gap=st.floats(min_value=0.0, max_value=5.0))
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
+    @budget(48 * 1024, 8)
     def test_granted_equals_consumed_plus_outstanding(self, sizes, gap):
-        params = EngineParams(flow_control="credit",
-                              credit_bytes=48 * 1024, credit_wraps=8)
-        sim, cluster, (e0, e1) = make_pair(params)
+        sim, cluster, (e0, e1) = make_pair(CREDIT)
         for i, size in enumerate(sizes):
             e0.isend(1, VirtualData(size), tag=i)
 
@@ -272,9 +287,14 @@ class TestPerPacketCreditGate:
               suppress_health_check=[HealthCheck.too_slow])
     def test_gate_matches_the_ledger_after_every_packet(
             self, credit_bytes, credit_wraps, bursts, recv_gap):
-        params = EngineParams(flow_control="credit", credit_bytes=credit_bytes,
-                              credit_wraps=credit_wraps)
-        sim, cluster, engines = make_pair(params, n_nodes=3)
+        with budget(credit_bytes, credit_wraps):
+            self._gate_matches_the_ledger(credit_bytes, credit_wraps,
+                                          bursts, recv_gap)
+
+    @staticmethod
+    def _gate_matches_the_ledger(credit_bytes, credit_wraps, bursts,
+                                 recv_gap):
+        sim, cluster, engines = make_pair(CREDIT, n_nodes=3)
         e0 = engines[0]
         fc, window = e0.flowcontrol, e0.window
         stalls = []
@@ -342,8 +362,7 @@ class TestPreparedPlanSpendsNoCredit:
     sender's cumulative ``sent_*`` totals only ever grow.
     """
 
-    PARAMS = dict(flow_control="credit", credit_bytes=64 * 1024,
-                  credit_wraps=8, dispatch_policy="anticipate")
+    PARAMS = dict(flow_control="credit", dispatch_policy="anticipate")
 
     @given(sizes=st.lists(st.integers(min_value=1, max_value=4096),
                           min_size=1, max_size=8),
@@ -401,7 +420,8 @@ class TestPreparedPlanSpendsNoCredit:
         assert snd.sent_wraps_total == 1 + len(kept)
         assert snd.sent_bytes_total == snd.peer_released_bytes
         assert snd.sent_wraps_total == snd.peer_released_wraps
-        assert e0.flowcontrol.planning_budget(1) == (64 * 1024, 8)
+        assert e0.flowcontrol.planning_budget(1) == (CREDIT_BYTES,
+                                                     CREDIT_WRAPS)
 
     def test_peer_teardown_while_a_plan_is_prepared(self):
         # Node 0's only NIC streams a rendezvous chunk to node 2 (~400us)
@@ -442,7 +462,8 @@ class TestPreparedPlanSpendsNoCredit:
         assert all(isinstance(s.error, PeerDeadError) for s in small)
         assert big.complete and not big.failed
         # Nothing had been spent towards node 1, and nothing is owed.
-        assert outcome["budget"] == ((64 * 1024, 8), (64 * 1024, 8))
+        full = (CREDIT_BYTES, CREDIT_WRAPS)
+        assert outcome["budget"] == (full, full)
         snd = e0.flowcontrol._peers.get(1)
         assert snd is None or (snd.sent_bytes_total, snd.sent_wraps_total) \
             == (0, 0)

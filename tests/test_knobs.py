@@ -5,9 +5,9 @@ later is covered without editing it: every scalar field must carry a
 ``knob()`` declaration, and every declaration must hold at construction —
 non-finite numbers, values past a declared bound and unknown mode strings
 all fail with :class:`ValueError`, never mid-run.  A knob exists only if a
-caller outside the tests sets it, or :data:`TEST_ONLY` says why not.  The
-chaos harness's :class:`~repro.chaos.ChaosSpec` is held to the same rule,
-with no exceptions.
+caller outside the tests sets it: what only tests turn is a module
+constant they patch.  The chaos harness's :class:`~repro.chaos.ChaosSpec`
+is held to the same rule.
 """
 
 import ast
@@ -38,24 +38,22 @@ MODES = [k for k in KNOBS if k[1].choices]
 #: bounds the eager buffer alone), the progress watchdog's period (the
 #: kernel's deadlock and livelock reports carry its per-peer dump), four
 #: host costs only tests turned (now a copy on every eager receive,
-#: ``transfer.DEMUX_*_COST_US`` and ``transfer.PULL_COST_US``) and the
+#: ``transfer.DEMUX_*_COST_US`` and ``transfer.PULL_COST_US``), the
 #: bounded window's three (the paper's window is unbounded; credit bounds
-#: what a receiver buffers). Each keeps its case in the per-knob checks
-#: below, where it must now be refused as an unknown name.
+#: what a receiver buffers), and six only tests turned: the credit budget
+#: and grant delay (``flowcontrol.CREDIT_*``), the quarantine threshold
+#: (``reliability.QUARANTINE_THRESHOLD``), the probe delay (always
+#: ``reliability.PROBE_AFTER_RTOS`` base RTOs) and the RTO ceiling
+#: (``rttstat.RTO_CEILING_US``; the cold RTO comes from the rails). Each
+#: keeps its case in the per-knob checks below, where it must now be
+#: refused as an unknown name.
 RETIRED = ["max_unexpected_bytes", "nack_delay_us", "watchdog_interval_us",
            "eager_copy_on_recv", "demux_packet_cost_us",
            "demux_item_cost_us", "pull_cost_us", "max_window_wraps",
-           "max_window_bytes", "window_policy"]
-
-#: Knobs no caller outside the tests sets, each with the reason it stays.
-#: Any other field must be set somewhere under :data:`CALLER_ROOTS`.
-TEST_ONLY = {
-    "credit_bytes": "tests shrink it to provoke credit stalls at small scale",
-    "credit_wraps": "tests shrink it to provoke credit stalls at small scale",
-    "credit_grant_delay_us": "tests stretch it to provoke grant coalescing",
-    "rel_quarantine_threshold": "tests lower it to quarantine a rail quickly",
-    "rel_probe_after_us": "tests shorten it to probe a quarantined rail",
-}
+           "max_window_bytes", "window_policy", "credit_bytes",
+           "credit_wraps", "credit_grant_delay_us",
+           "rel_quarantine_threshold", "rel_probe_after_us",
+           "rel_rto_ceiling_us"]
 
 #: Where the non-test callers live, relative to the repository root.
 CALLER_ROOTS = ("src/repro", "benchmarks", "examples")
@@ -210,13 +208,11 @@ def names_set_by_callers():
     return names
 
 
-def test_every_knob_is_set_outside_the_tests_or_says_why_not():
+def test_every_knob_is_set_outside_the_tests():
     fields_ = {f.name for f in fields(EngineParams)}
-    assert set(TEST_ONLY) <= fields_, set(TEST_ONLY) - fields_
-    set_by_callers = names_set_by_callers()
-    assert fields_ - set_by_callers == set(TEST_ONLY), (
-        "a knob only tests set needs a TEST_ONLY reason (or a constant); "
-        "a TEST_ONLY knob a caller now sets leaves the table")
+    assert fields_ - names_set_by_callers() == set(), (
+        "a knob only tests set becomes a module constant they patch")
+    assert len(fields_) == 13
 
 
 # -- ChaosSpec, the chaos harness's config object ---------------------------

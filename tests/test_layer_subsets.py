@@ -3,7 +3,8 @@
 Semantic transparency: with no fault injected, any subset of the layers
 ``repro.core.engine.OPT_IN`` declares must deliver exactly what paper mode
 delivers — the same messages, in the same per-stream order — and leave
-every engine quiesced.  The pipeline itself is checked too:
+every engine quiesced; and the paper's nine claims must all hold with the
+layers under the MAD-MPI pairs of every figure sweep.  The pipeline itself is checked too:
 ``engine.layers`` holds exactly the requested layers, in pipeline order,
 and nothing at all in paper mode.  And the declaration is the only list:
 the engine, the transfer layer, the CLI and the chaos runner name no layer.
@@ -11,6 +12,7 @@ the engine, the transfer layer, the CLI and the chaos runner name no layer.
 
 import ast
 import dataclasses
+import functools
 import itertools
 import pathlib
 import random
@@ -20,6 +22,9 @@ from collections import Counter
 import pytest
 
 import repro
+from repro.bench import pingpong
+from repro.bench.backends import make_backend_pair
+from repro.bench.claims import CLAIMS, evaluate_claims
 from repro.core import EngineParams, NmadEngine, ReliabilityLayer
 from repro.core import engine as engine_module
 from repro.core.engine import OPT_IN
@@ -131,6 +136,22 @@ def test_every_layer_subset_delivers_what_paper_mode_delivers(
         assert tuple(type(layer) for layer in engine.layers) == expected
         if not subset:
             assert engine.layers == () and engine.tx_layers == ()
+
+
+@pytest.mark.parametrize("subset", SUBSETS, ids=lambda s: "+".join(s) or "off")
+def test_every_layer_subset_reproduces_the_paper_claims(subset, monkeypatch):
+    # The figure sweeps build their pairs through one factory: hand every
+    # pair the subset's engine (the baselines ignore it).  With sessions
+    # on, Fig. 2's 1 and 2 MiB Quadrics points stream 576us chunks, longer
+    # than the default heartbeat timeout; the bulk floor keeps them alive.
+    params = EngineParams(**overrides_for(subset))
+    monkeypatch.setattr(pingpong, "make_backend_pair", functools.partial(
+        make_backend_pair, engine_params=params))
+    verdicts = evaluate_claims()
+    assert [v.claim for v in verdicts] == list(CLAIMS)
+    failed = [(v.claim.claim_id, v.measured) for v in verdicts
+              if not v.passed]
+    assert not failed, (subset, failed)
 
 
 HOOKS = {"commit": "commit_hooks", "on_match": "match_hooks",

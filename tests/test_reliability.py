@@ -10,9 +10,10 @@ undeliverable frame fails only its own request.
 import pytest
 
 from repro.core import EngineParams, NmadEngine, ReliabilityLayer
+from repro.core import reliability
 from repro.errors import SimulationError, TransportError
 from repro.netsim import MX_MYRI10G, QUADRICS_QM500, Cluster, FaultPlan
-from repro.sim import Simulator
+from repro.sim import Simulator, Tracer
 
 ACK = dict(reliability="ack", rel_timeout_us=100.0, rel_ack_delay_us=10.0)
 
@@ -135,8 +136,7 @@ class TestEagerRecovery:
 class TestFailover:
     def test_link_down_mid_rendezvous_completes_on_survivor(self):
         params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                              rel_ack_delay_us=10.0,
-                              rel_quarantine_threshold=2)
+                              rel_ack_delay_us=10.0)
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="multirail")
         link_between(cluster, 0, 1, rail=1).fault_plan = \
@@ -171,9 +171,7 @@ class TestFailover:
         # the link, let the half-open probe lift the quarantine, then prove
         # a second transfer actually delivers frames over that rail again.
         params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                              rel_ack_delay_us=10.0,
-                              rel_quarantine_threshold=2,
-                              rel_probe_after_us=1_000.0)
+                              rel_ack_delay_us=10.0)
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="multirail")
         rail1 = link_between(cluster, 0, 1, rail=1)
@@ -211,16 +209,18 @@ class TestFailover:
         assert e0.transfer.rail_ok(0) and e0.transfer.rail_ok(1)
         assert cluster.conservation_ok(allow_faults=True)
 
-    def test_quarantine_takes_the_rails_granted_bulk_with_it(self):
+    def test_quarantine_takes_the_rails_granted_bulk_with_it(
+            self, monkeypatch):
         # Under ``aggregation`` the rendezvous grant pins the bulk to the
         # rail that will carry it; when that rail is quarantined the bulk
         # must re-home to the survivor (TransferLayer.quarantine), not sit
         # granted on the dead rail until the half-open probe lifts the
         # quarantine and sends it into the dead link again.  (``multirail``
-        # does not show the gap: it has nothing pinned to re-home.)
+        # does not show the gap: it has nothing pinned to re-home.)  Two
+        # straight losses quarantine, so the chunk timings stay small.
+        monkeypatch.setattr(reliability, "QUARANTINE_THRESHOLD", 2)
         params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                              rel_ack_delay_us=10.0,
-                              rel_quarantine_threshold=2)
+                              rel_ack_delay_us=10.0)
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="aggregation")
         link_between(cluster, 0, 1, rail=0).fault_plan = \
@@ -256,31 +256,35 @@ class TestFailover:
         assert e0.stats.failovers == 3
         assert recv_done_us == pytest.approx(2943.07, abs=0.01)
 
-    def test_reprobe_disabled_with_infinite_delay(self):
-        params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                              rel_ack_delay_us=10.0,
-                              rel_quarantine_threshold=2,
-                              rel_probe_after_us=float("inf"))
-        sim, cluster, (e0, e1) = make_pair(
-            params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="multirail")
-        link_between(cluster, 0, 1, rail=1).fault_plan = \
-            FaultPlan(down_at_us=100.0)
-        payload = bytes(range(256)) * 8192  # 2 MiB
-
-        def app():
+    def test_reprobe_fires_probe_after_rtos_base_timeouts_later(self):
+        # No knob and no "never" value: a quarantined rail is re-probed
+        # PROBE_AFTER_RTOS base retransmit timeouts after its quarantine --
+        # the static constant, or the measured (here still cold) one in
+        # auto mode.
+        for timeout in (100.0, "auto"):
+            tracer = Tracer(enabled=True)
+            sim = Simulator()
+            cluster = Cluster(sim, rails=(MX_MYRI10G, QUADRICS_QM500))
+            params = EngineParams(reliability="ack", rel_timeout_us=timeout,
+                                  rel_ack_delay_us=10.0)
+            e0, e1 = (NmadEngine(cluster.node(i), strategy="multirail",
+                                 params=params, tracer=tracer)
+                      for i in range(2))
+            link_between(cluster, 0, 1, rail=1).fault_plan = \
+                FaultPlan(down_at_us=100.0)
+            payload = bytes(range(256)) * 8192  # 2 MiB
             req = e1.irecv(src=0, tag=0)
-            sreq = e0.isend(1, payload, tag=0)
-            yield req.done
-            if not sreq.complete:
-                yield sreq.done
-            yield sim.timeout(500_000.0)  # far beyond any probe backoff
-            return req
-
-        req = sim.run_process(app())
-        assert req.complete
-        assert e0.stats.rails_quarantined == 1
-        assert e0.stats.rails_reprobed == 0   # probing opted out
-        assert not e0.transfer.rail_ok(1)  # quarantine is permanent
+            e0.isend(1, payload, tag=0)
+            sim.run()
+            assert req.data.tobytes() == payload
+            base = e0.rtt.cold_us if e0.rtt is not None else timeout
+            quarantine, = (r for r in tracer.records
+                           if r.kind == "quarantine")
+            reprobe, = (r for r in tracer.records if r.kind == "reprobe")
+            assert reprobe.time - quarantine.time == pytest.approx(
+                reliability.PROBE_AFTER_RTOS * base)
+            assert e0.stats.rails_quarantined == 1
+            assert e0.stats.rails_reprobed == 1
 
     def test_congestion_aware_election_prefers_shorter_queue(self):
         # Unit-level: with both rails healthy, the election leaves a sticky
@@ -308,17 +312,18 @@ class TestFailover:
         assert rel.choose_rail(1, prefer=0) == 0
 
     def test_probe_delay_validation(self):
-        with pytest.raises(ValueError):
-            EngineParams(rel_probe_after_us=-1.0)
-        # inf (disabled) and 0 (auto-derive) are both legal.
-        EngineParams(rel_probe_after_us=float("inf"))
-        EngineParams(rel_probe_after_us=0.0)
+        # The probe delay is derived, not configured: the retired knob is
+        # refused, and with it its "0 = derive" and "inf = never" values.
+        for value in (-1.0, 0.0, float("inf"), 1_000.0):
+            with pytest.raises(TypeError):
+                EngineParams(rel_probe_after_us=value)
+        assert 0 < reliability.PROBE_AFTER_RTOS < float("inf")
 
     def test_quarantine_skipped_without_surviving_rail(self):
         # A single-rail engine never self-quarantines: it keeps retrying on
         # the only rail it has until the budget decides.
         params = EngineParams(reliability="ack", rel_timeout_us=50.0,
-                              rel_quarantine_threshold=1, rel_retry_budget=3)
+                              rel_retry_budget=3)
         sim, cluster, (e0, e1) = make_pair(params)
         link_between(cluster, 0, 1).fault_plan = FaultPlan(down_at_us=0.0)
 
@@ -487,5 +492,3 @@ class TestOffModeUnchanged:
             EngineParams(rel_timeout_us=0.0)
         with pytest.raises(ValueError):
             EngineParams(rel_retry_budget=0)
-        with pytest.raises(ValueError):
-            EngineParams(rel_quarantine_threshold=0)

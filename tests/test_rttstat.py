@@ -2,7 +2,8 @@
 
 Pure-bookkeeping unit tests plus Hypothesis properties pinning the
 behaviour the adaptive timing layer depends on: the derived RTO always
-lands inside ``[floor, ceiling]``, converges to the Jacobson formula
+lands inside ``[floor, ceiling]`` and is twice the engine's silence
+bound until warm, converges to the Jacobson formula
 under a stable sample stream, and the hedge delay stays a *tail*
 estimate — offered only on warm rails and never inflated to the RTO
 floor (it must fire before the RTO to be useful).
@@ -19,6 +20,7 @@ from repro.core.rttstat import (
     BETA,
     HEDGE_DEVS,
     HEDGE_MIN_SAMPLES,
+    RTO_CEILING_US as CEILING,
     RTO_DEVS,
     RTO_FLOOR_US as FLOOR,
     RTO_HEADROOM as HEADROOM,
@@ -28,11 +30,14 @@ from repro.core.rttstat import (
 )
 from repro.netsim.stats import RTT_SNAPSHOT_KEYS
 
-CEILING = 10_000.0
+#: The longest silence a healthy peer causes (an engine derives it from
+#: its rails); the cold RTO is twice it.
+SILENCE = 400.0
+COLD = 2 * SILENCE
 
 
 def make():
-    return RttEstimator(ceiling_us=CEILING)
+    return RttEstimator(SILENCE)
 
 
 class TestRttState:
@@ -62,28 +67,33 @@ class TestRttState:
 
 
 class TestRttEstimator:
-    def test_cold_rto_is_ceiling(self):
+    def test_cold_rto_is_twice_the_silence_bound(self):
         est = make()
-        assert est.rto_us(peer=1) == CEILING
-        assert est.global_rto_us() == CEILING
+        assert est.cold_us == COLD
+        assert est.rto_us(peer=1) == COLD
+        assert est.global_rto_us() == COLD
         assert est.srtt_us(1) is None
         assert est.rttvar_us(1) is None
         assert est.samples(1) == 0
+        # Clamped into the same band as a measured RTO.
+        assert RttEstimator(0.0).cold_us == FLOOR
+        assert RttEstimator(CEILING).cold_us == CEILING
 
     def test_rto_trusted_only_once_warm(self):
         # A couple of pre-congestion samples must not arm a hair-trigger
-        # retry clock: the RTO stays at the ceiling until RTO_MIN_SAMPLES
+        # retry clock: the RTO stays cold until RTO_MIN_SAMPLES
         # measurements are in, even though srtt/rttvar are already live.
         est = make()
         for i in range(RTO_MIN_SAMPLES - 1):
             est.sample(1, 0, 100.0)
             assert not est.warm(1)
-            assert est.rto_us(1) == CEILING
+            assert est.rto_us(1) == COLD
+            assert est.global_rto_us() == COLD
             assert est.samples(1) == i + 1
             assert est.srtt_us(1) == pytest.approx(100.0)
         est.sample(1, 0, 100.0)
         assert est.warm(1)
-        assert est.rto_us(1) < CEILING
+        assert est.rto_us(1) < COLD
 
     def test_rto_formula_and_clamps(self):
         est = make()
@@ -110,10 +120,9 @@ class TestRttEstimator:
         assert est.global_rto_us() > est.rto_us(1)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RttEstimator(ceiling_us=FLOOR / 2)
-        with pytest.raises(ValueError):
-            RttEstimator(ceiling_us=float("nan"))
+        for silence in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                RttEstimator(silence)
         with pytest.raises(ValueError):
             make().sample(1, 0, -1.0)
 
@@ -163,7 +172,7 @@ class TestRttEstimator:
             est.sample(2, 0, 100.0)
         est.forget_peer(1)
         assert est.samples(1) == 0
-        assert est.rto_us(1) == CEILING
+        assert est.rto_us(1) == COLD
         assert est.hedge_delay_us(1, 0) is None
         # Peer 2 untouched.
         assert est.samples(2) == HEDGE_MIN_SAMPLES

@@ -15,12 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.backends import make_backend_pair
+from repro.bench.pingpong import pingpong_single_on
 from repro.core import EngineParams, NmadEngine, VirtualData
+from repro.core import flowcontrol
 from repro.errors import CommRevokedError, PeerDeadError, SimulationError
 from repro.madmpi import Communicator, MadMpi
-from repro.netsim import MX_MYRI10G, Cluster
+from repro.netsim import MB, MX_MYRI10G, QUADRICS_QM500, Cluster
 from repro.netsim.frames import Frame, FrameKind
-from repro.sim import Simulator
+from repro.sim import Simulator, Tracer
 
 
 def make_pair(params, n_nodes=2):
@@ -253,6 +256,53 @@ class TestFailureDetection:
         assert e1.stats.phys_packets == frames
 
 
+class TestBulkSilenceFloor:
+    """A rendezvous chunk is one frame, heard only once fully serialised.
+
+    On QM500 a 512 KiB chunk is ~576us on the wire, longer than the
+    default 500us ``hb_timeout_us``: while a rendezvous with the peer is
+    live, the detector's budget is floored at twice the engine's
+    ``silence_us``, so a healthy sender is never condemned for streaming
+    and a dead one is still condemned within that floor.
+    """
+
+    @pytest.mark.parametrize("size", [1 * MB, 2 * MB], ids=["1MiB", "2MiB"])
+    def test_quadrics_pingpong_passes_at_the_default_timeout(self, size):
+        params = EngineParams(sessions="epoch")
+        pair = make_backend_pair("madmpi", rails=(QUADRICS_QM500,),
+                                 engine_params=params)
+        engines = [rank.engine for rank in pair.ranks]
+        assert params.hb_timeout_us == 500.0   # the default, not raised
+        assert engines[0].silence_us > params.hb_timeout_us
+        assert pingpong_single_on(pair, size) > 0
+        for engine in engines:
+            assert engine.stats.peers_dead == 0
+            assert not engine.dead_peers
+
+    def test_sender_crashing_mid_rendezvous_is_declared_dead(self):
+        tracer = Tracer(enabled=True)
+        sim = Simulator()
+        cluster = Cluster(sim, rails=(QUADRICS_QM500,))
+        params = EngineParams(sessions="epoch")
+        e0, e1 = (NmadEngine(cluster.node(i), params=params, tracer=tracer)
+                  for i in range(2))
+        crash_at = 700.0   # the second chunk is on the wire
+        cluster.schedule_node_fault(0, crash_at)
+        rreq = e1.irecv(src=0, tag=0)
+        e0.isend(1, VirtualData(2 * MB), tag=0)
+        sim.run(until=10_000.0)
+        assert rreq.failed and isinstance(rreq.error, PeerDeadError)
+        assert e1.dead_peers == {0}
+        dead, = (r for r in tracer.records
+                 if r.kind == "peer_dead" and r.source == "node1.sessions")
+        floor = 2 * e1.silence_us
+        # The floor held (the default 500us would have fired first), and
+        # it is all the detector waited: a dead peer is not immortal.
+        assert floor <= dead.detail["silence"] <= floor + params.hb_interval_us
+        assert dead.time <= crash_at + floor + params.hb_interval_us
+        assert e1.quiesced()
+
+
 class TestSilenceClock:
     """A detector can only accuse a peer it has *listened to* for
     ``hb_timeout_us``: the silence clock restarts when a dormant monitor
@@ -355,16 +405,18 @@ class TestSilenceClock:
 
 
 class TestTeardownTimerHygiene:
-    def test_credit_grant_timer_is_cancelled_on_peer_death(self):
+    def test_credit_grant_timer_is_cancelled_on_peer_death(
+            self, monkeypatch):
         # The mirror image on the receiver side: a delayed credit grant
         # scheduled toward a peer that then dies must never fire.  Unless
         # reset_peer cancels the ledger's grant timer, credits_granted
-        # grows at t = grant_delay and the frame goes to a corpse.
+        # grows at t = grant_delay and the frame goes to a corpse.  The
+        # delay is stretched so the grant is still pending at the death.
+        monkeypatch.setattr(flowcontrol, "CREDIT_GRANT_DELAY_US", 2_000.0)
         params = EngineParams(sessions="epoch", reliability="ack",
                               rel_timeout_us=100.0, rel_ack_delay_us=5.0,
                               hb_interval_us=25.0, hb_timeout_us=50.0,
-                              flow_control="credit",
-                              credit_grant_delay_us=2_000.0)
+                              flow_control="credit")
         sim, cluster, (e0, e1) = make_pair(params)
         outcome = {}
 
@@ -393,14 +445,16 @@ class TestTeardownTimerHygiene:
         assert isinstance(outcome["pending_req"].error, PeerDeadError)
         assert e0.quiesced()
 
-    def test_credit_blocked_sender_fails_over_cleanly_on_death(self):
+    def test_credit_blocked_sender_fails_over_cleanly_on_death(
+            self, monkeypatch):
         # Crash with credit outstanding: the blocked backlog fails, the
-        # ledger zeroes, the window gate lifts — nothing leaks.
+        # ledger zeroes, the window gate lifts — nothing leaks.  The budget
+        # is shrunk so the sender wedges before the detector fires.
+        monkeypatch.setattr(flowcontrol, "CREDIT_BYTES", 64 * 1024)
         params = EngineParams(sessions="epoch", reliability="ack",
                               rel_timeout_us=100.0, rel_ack_delay_us=10.0,
                               hb_interval_us=50.0, hb_timeout_us=200.0,
-                              flow_control="credit",
-                              credit_bytes=64 * 1024, credit_wraps=256)
+                              flow_control="credit")
         sim, cluster, (e0, e1) = make_pair(params)
         cluster.schedule_node_fault(1, 30.0)
         # 160 KB against a 64 KB budget; the receiver never posts, never

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.core import EngineParams, NmadEngine, VirtualData
+from repro.core import flowcontrol
 from repro.netsim import Cluster, MX_MYRI10G, QUADRICS_QM500
 from repro.sim import Simulator
 
@@ -67,32 +68,30 @@ def test_bidirectional_soak(strategy, rails):
 
 @pytest.mark.parametrize("adaptive", [False, True],
                          ids=["static", "rel-auto"])
-def test_flood_soak_credit_mode_stays_bounded(adaptive):
+def test_flood_soak_credit_mode_stays_bounded(adaptive, monkeypatch):
     """Four flooding senders vs one slow receiver under credit flow control.
 
     The overload-protection claim in one run: the receiver's unexpected
     buffer never exceeds what the senders' credit allows (credit is
     released only on the match, so each sender has at most
-    ``credit_bytes`` buffered unexpected), and despite the stalls every
+    ``CREDIT_BYTES`` buffered unexpected), and despite the stalls every
     byte is delivered exactly once.  The ``rel-auto`` variant stacks the
     adaptive timing layer on top (``reliability="ack"``,
     ``rel_timeout_us="auto"``): measured grant pacing must not break a
-    single overload invariant.
+    single overload invariant.  The budget is shrunk so it binds within
+    the run.
     """
     n_senders = 4
     n_msgs = 120
     credit_bytes = 32 * 1024
     credit_wraps = 8
+    monkeypatch.setattr(flowcontrol, "CREDIT_BYTES", credit_bytes)
+    monkeypatch.setattr(flowcontrol, "CREDIT_WRAPS", credit_wraps)
     sim = Simulator()
     cluster = Cluster(sim, n_nodes=n_senders + 1, rails=(MX_MYRI10G,))
     timing = ({"reliability": "ack", "rel_timeout_us": "auto",
                "rel_ack_delay_us": 10.0} if adaptive else {})
-    params = EngineParams(
-        flow_control="credit",
-        credit_bytes=credit_bytes,
-        credit_wraps=credit_wraps,
-        **timing,
-    )
+    params = EngineParams(flow_control="credit", **timing)
     engines = [NmadEngine(cluster.node(i), params=params)
                for i in range(n_senders + 1)]
     rx = engines[n_senders]

@@ -500,10 +500,7 @@ class TestSwitchFailover:
         # the transfer completes on rail 0 — rerouting *around a switch*,
         # not a link.  Cut-through ports add only latency to a lone flow's
         # 5-hop path, so the stock retry timeout needs no fabric budget.
-        params = EngineParams(reliability="ack",
-                              rel_ack_delay_us=10.0,
-                              rel_quarantine_threshold=2,
-                              rel_probe_after_us=float("inf"))
+        params = EngineParams(reliability="ack", rel_ack_delay_us=10.0)
         sim, cluster, (e0, e1) = make_pair(
             params, "fat-tree", rails=(MX_MYRI10G, QUADRICS_QM500),
             strategy="multirail")
