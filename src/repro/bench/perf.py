@@ -15,11 +15,6 @@ The benchmarks:
   the two rates is the window's O(1) claim, measured.
 * ``event_loop`` — raw :class:`~repro.sim.Simulator` throughput: schedule
   and drain a long serial cascade of callbacks and timeouts.
-* ``kernel_storm`` — the large-cluster completion-storm profile: rounds
-  of many same-timestamp NIC completions (posted through
-  ``schedule_batch``, as the NIC layer does) plus straggler timers.  Its
-  rate over the serial cascade's is what ``schedule_batch`` buys; CI
-  gates that ratio at >= 10x.
 * ``pingpong`` — end-to-end MAD-MPI ping-pong wall-clock (host seconds per
   simulated exchange), plus the simulated makespan as a fidelity guard.
 * ``random_traffic`` — irregular multi-flow replay wall-clock, the
@@ -49,7 +44,7 @@ vary between hosts and runs.  :func:`check_bench` compares a fresh run
 against the committed ``BENCH_perf.json`` trajectory.  Everything it
 gates is measured on live code on one host: each rate divided by the
 host's speed on a fixed stdlib job (:func:`calibrate`, the ``*_per_cal``
-fields), two same-run ratios with hard floors, and the exact simulated
+fields), one same-run ratio with a hard floor, and the exact simulated
 readings — so the gate travels between machines without a frozen copy of
 old code to race against.
 """
@@ -72,13 +67,11 @@ from repro.core.packet import PacketWrap
 from repro.core.window import OptimizationWindow
 from repro.errors import ReproError
 from repro.sim import Simulator
-from repro.sim.sanitizer import post_storm
 
 __all__ = [
     "calibrate",
     "bench_window_ops",
     "bench_event_loop",
-    "bench_kernel_storm",
     "bench_pingpong",
     "bench_random_traffic",
     "rendezvous_exchange",
@@ -90,7 +83,6 @@ __all__ = [
     "write_bench",
     "check_bench",
     "SCHEMA",
-    "STORM_VS_SERIAL_FLOOR",
     "WINDOW_FLATNESS_FLOOR",
     "CALLS_PER_MSG_TOLERANCE",
 ]
@@ -214,45 +206,6 @@ def bench_event_loop(n_events: int = 200_000) -> dict:
         "events": processed,
         "wall_s": wall_s,
         "events_per_s": processed / wall_s,
-    }
-
-
-def bench_kernel_storm(
-    rounds: int = 120,
-    fanout: int = 1024,
-    stragglers: int = 8,
-) -> dict:
-    """Large-cluster completion-storm kernel profile.
-
-    Every round models one scheduling epoch of a big cluster: ``fanout``
-    NIC completions land at the same timestamp, posted through
-    :meth:`~repro.sim.Simulator.schedule_batch` exactly as the batched NIC
-    refill/rx paths do — one queue entry, one dispatch — plus a few
-    straggler timers spread across the epoch (the workload is
-    :func:`repro.sim.sanitizer.post_storm`, the one the sanitizer
-    fingerprints).  The serial cascade of :func:`bench_event_loop` pays a
-    push and a dispatch per event; this rate over that one is what
-    ``schedule_batch`` buys (the queue itself does nothing special for a
-    same-timestamp burst: one heap entry per batch, like any other).
-    """
-    if rounds < 1 or fanout < 1 or stragglers < 0:
-        raise ReproError(
-            f"bad storm shape rounds={rounds} fanout={fanout} "
-            f"stragglers={stragglers}"
-        )
-    sim = Simulator()
-    count = post_storm(sim, rounds, fanout, stragglers)
-    gc.collect()  # a pending collection mid-run would skew a ms-scale rep
-    t0 = time.perf_counter()
-    sim.run()
-    wall_s = time.perf_counter() - t0
-    return {
-        "rounds": rounds,
-        "fanout": fanout,
-        "stragglers": stragglers,
-        "completions": count[0],
-        "wall_s": wall_s,
-        "events_per_s": count[0] / wall_s,
     }
 
 
@@ -493,10 +446,6 @@ def run_suite(quick: bool = False) -> dict:
         "window_ops": lambda: bench_window_ops(1000, rounds),
         "window_shallow": lambda: bench_window_ops(100, rounds),
         "event_loop": lambda: bench_event_loop(20_000 if quick else 200_000),
-        # The storm keeps its full shape even in quick mode: the batching
-        # win scales with fanout, the whole thing is milliseconds long
-        # anyway, and the 10x floor must hold for quick CI runs too.
-        "kernel_storm": lambda: bench_kernel_storm(rounds=600),
         "pingpong": lambda: bench_pingpong(iters=30 if quick else 200),
         "random_traffic": lambda: bench_random_traffic(60 if quick else 300),
         "rendezvous": lambda: bench_rendezvous(8 if quick else 40),
@@ -538,11 +487,6 @@ def run_suite(quick: bool = False) -> dict:
     }
 
 
-def _storm_vs_serial(results: dict) -> float:
-    return (results["kernel_storm"]["events_per_s"]
-            / results["event_loop"]["events_per_s"])
-
-
 def _window_flatness(results: dict) -> float:
     w = results["window_ops"]
     return w["ops_per_s"] / w["shallow_ops_per_s"]
@@ -562,9 +506,6 @@ def render_perf(payload: dict) -> str:
         f"{w['shallow_backlog']})",
         f"  event loop:                  "
         f"{r['event_loop']['events_per_s']:>12,.0f} events/s",
-        f"  kernel storm (fanout {r['kernel_storm']['fanout']}):   "
-        f"{r['kernel_storm']['events_per_s']:>12,.0f} events/s   "
-        f"({_storm_vs_serial(r):.1f}x the serial event loop)",
         f"  ping-pong ({r['pingpong']['size']}B):            "
         f"{r['pingpong']['exchanges_per_s']:>12,.1f} exchanges/s "
         f"(sim {r['pingpong']['sim_us_oneway']:.3f} us one-way)",
@@ -595,10 +536,6 @@ def render_perf(payload: dict) -> str:
     return "\n".join(lines)
 
 
-#: Hard floor on completion-storm over serial-cascade throughput: what
-#: ``schedule_batch`` must keep buying.  A kernel that pays a push and a
-#: pop per completion scores ~1.5 here.
-STORM_VS_SERIAL_FLOOR = 10.0
 #: Hard floor on window ops/s at backlog 1000 over backlog 100.  The O(1)
 #: window measures 0.7-1.0; the seed's deque window, whose ``take`` is a
 #: linear ``remove``, measured 0.11 on the same host.
@@ -629,7 +566,6 @@ _INTERPRETER_NEUTRAL = frozenset({"events_per_msg"})
 _SHAPE_KEYS = {
     "window_ops": ("backlog", "shallow_backlog", "rounds"),
     "event_loop": ("events",),
-    "kernel_storm": ("rounds", "fanout", "stragglers"),
     "pingpong": ("iters", "size"),
     "random_traffic": ("messages", "seed"),
     "rendezvous": ("phases",),
@@ -648,8 +584,8 @@ def check_bench(
     * every ``*_per_cal`` rate (operations per :func:`calibrate` job on
       the same host) must be at least ``(1 - tolerance)`` of the committed
       ``baseline`` value,
-    * the fresh run must clear :data:`STORM_VS_SERIAL_FLOOR` and
-      :data:`WINDOW_FLATNESS_FLOOR`, whatever the baseline recorded, and
+    * the fresh run must clear :data:`WINDOW_FLATNESS_FLOOR`, whatever
+      the baseline recorded, and
     * the deterministic simulated readings (ping-pong one-way latency,
       replay makespan) must match the baseline exactly — a
       performance PR must not move simulated time, and
@@ -734,12 +670,6 @@ def check_bench(
         failures.append(
             "nothing was compared: the baseline shares no benchmark of the "
             "same shape with the fresh run"
-        )
-    storm = _storm_vs_serial(fresh)
-    if storm < STORM_VS_SERIAL_FLOOR:
-        failures.append(
-            f"kernel_storm: {storm:.2f}x the serial event loop is below "
-            f"the hard {STORM_VS_SERIAL_FLOOR:.0f}x floor"
         )
     flat = _window_flatness(fresh)
     if flat < WINDOW_FLATNESS_FLOOR:

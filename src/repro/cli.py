@@ -72,8 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--check", metavar="PATH", default=None,
                       help="gate the fresh run against a committed "
                            "BENCH_perf.json trajectory (rates per "
-                           "same-host calibration job, storm/serial and "
-                           "window-flatness floors, simulated-time pins); "
+                           "same-host calibration job, the window-flatness "
+                           "floor, simulated-time pins); "
                            "exit 1 on regression")
 
     report = sub.add_parser(
@@ -163,11 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize = sub.add_parser(
         "sanitize",
         help="hunt hash- and order-nondeterminism: forced hash "
-             "randomization, a de-coalesced kernel, and intra-timestamp "
-             "shaking (opt-in; normal runs never take these paths)")
+             "randomization and intra-timestamp shaking (opt-in; normal "
+             "runs never take these paths)")
     sanitize.add_argument("--figures", action="store_true",
                           help="byte-compare `repro figures --quick` across "
-                               "hash seeds and under the no-coalesce kernel")
+                               "hash seeds")
     sanitize.add_argument("--chaos", action="store_true",
                           help="byte-compare `repro chaos --seed N --quick` "
                                "the same way")
@@ -176,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default: 42, the CI pin)")
     sanitize.add_argument("--storm", action="store_true",
                           help="fingerprint the in-process completion-storm "
-                               "workload across every sanitize config "
-                               "(default when no target is given)")
+                               "workload unshaken and under three shake "
+                               "seeds (default when no target is given)")
     sanitize.add_argument("--trace", action="store_true",
                           help="also byte-compare the selected targets "
                                "(both, when neither is given) with every "
@@ -560,10 +560,6 @@ def _sanitize(args, out) -> int:
                 failures.append(f"{label}: output differs between "
                                 f"PYTHONHASHSEED={hash_seeds[0]} and {s} "
                                 "(hash-order dependence)")
-        if run_child(cmd, hash_seeds[0], spec="nocoalesce") != baseline:
-            failures.append(f"{label}: output differs under the "
-                            "no-coalesce kernel (a coalescing guard is "
-                            "not order-equivalent)")
         if args.trace and \
                 run_child(cmd, hash_seeds[0], spec="trace") != baseline:
             failures.append(f"{label}: output differs with tracing on "
@@ -571,14 +567,12 @@ def _sanitize(args, out) -> int:
                             "details, changes state)")
         if not any(f.startswith(label + ":") for f in failures):
             _print(out, f"{label}: byte-identical over {len(hash_seeds)} "
-                        f"hash seeds + no-coalesce kernel"
-                        + (" + tracing on" if args.trace else ""))
+                        "hash seeds" + (" + tracing on" if args.trace else ""))
 
     # -- in-process storm fingerprints ----------------------------------------
     if args.storm or not targets:
         configs: list[tuple[str, SanitizeConfig | None]] = [
             ("default", None),
-            ("nocoalesce", SanitizeConfig(no_coalesce=True)),
             ("shake:1", SanitizeConfig(shake_seed=1)),
             ("shake:2", SanitizeConfig(shake_seed=2)),
             ("shake:3", SanitizeConfig(shake_seed=3)),

@@ -66,15 +66,18 @@ class MadMpi(MpiEndpoint):
                                      priority=priority,
                                      deadline_us=deadline_us,
                                      request_cls=MpiSend)
-        # One engine request per datatype block (paper §5.3).
+        # One engine request per datatype block (paper §5.3).  Every block
+        # is sliced before the first is submitted: a buffer too short for
+        # the datatype must not leave earlier blocks on the wire.
         blocks = datatype.flatten()
         if not blocks:
             raise MpiError("cannot send an empty datatype")
+        seg = as_data(data)
+        parts = [self._block_data(seg, disp, length) for disp, length in blocks]
         sub = [
-            self.engine.isend(node, self._block_data(data, disp, length),
-                              tag=tag, flow=comm.id, priority=priority,
-                              deadline_us=deadline_us)
-            for disp, length in blocks
+            self.engine.isend(node, part, tag=tag, flow=comm.id,
+                              priority=priority, deadline_us=deadline_us)
+            for part in parts
         ]
         req = MpiRequest(self.sim, "send", datatype, len(sub))
         for block in sub:
@@ -130,9 +133,8 @@ class MadMpi(MpiEndpoint):
 
     # -- helpers --------------------------------------------------------------------
     @staticmethod
-    def _block_data(data: BufferLike, disp: int, length: int) -> SegmentData:
+    def _block_data(seg: SegmentData, disp: int, length: int) -> SegmentData:
         """Slice one datatype block out of the user buffer."""
-        seg = as_data(data)
         if isinstance(seg, VirtualData):
             return VirtualData(length)
         if disp + length > seg.nbytes:

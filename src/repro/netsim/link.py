@@ -395,9 +395,7 @@ class Link:
         if action == DUPLICATE:
             # The wire echoes the frame: a second, independent delivery of
             # the same bytes right behind the first (FIFO tie-break keeps
-            # the original in front).  Both copies ride one queue entry —
-            # schedule_batch is exactly equivalent to two back-to-back
-            # schedule() calls but costs a single push and dispatch.
+            # the original in front).
             self.frames_duplicated += 1
             self.bytes_duplicated += frame.wire_size
             if tracer.enabled:

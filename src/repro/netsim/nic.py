@@ -79,14 +79,6 @@ class Nic:
         # handler from the previous incarnation.
         self.up = True
         self._gen = 0
-        # Receive coalescing: adjacent same-timestamp arrivals append to one
-        # pending handler batch (one queue entry, one dispatch) when the
-        # kernel's mark() proves nothing else was scheduled in between —
-        # see _arrive for the exact guard.
-        self._rx_batch: list[Frame] | None = None
-        self._rx_mark = -1
-        self._rx_due = -1.0
-        self._rx_gen = -1
         # Statistics (exercised by tests and utilization benches).
         self.frames_sent = 0
         self.frames_received = 0
@@ -278,7 +270,6 @@ class Nic:
         self._rx_handler = None
         self._idle_callbacks.clear()
         self._idle_wanted.clear()
-        self._rx_batch = None
         self.up = False
         self._gen += 1
         if self.tracer.enabled:
@@ -302,56 +293,26 @@ class Nic:
             self.tracer.emit(self.sim.now, self.name, "rx_start",
                              frame=frame.frame_id, fkind=frame.kind,
                              size=frame.wire_size)
-        sim = self.sim
-        gen = self._gen
-        due = sim.now + self.profile.recv_overhead_us
-        batch = self._rx_batch
-        if (
-            batch is not None
-            and sim.mark() == self._rx_mark
-            and due == self._rx_due
-            and gen == self._rx_gen
-        ):
-            # Same handler timestamp, same card incarnation, and the kernel
-            # mark proves NOTHING was scheduled since the pending batch was
-            # pushed — so this frame's hypothetical own queue entry would
-            # sit immediately behind the batch with no entry in between.
-            # Appending is therefore order-identical to a separate dispatch
-            # and saves one push + one dispatch (a burst of same-timestamp
-            # completions costs one dispatch total).
-            batch.append(frame)
-            return
-        batch = [frame]
-        self._rx_batch = batch
-        self._rx_gen = gen
-        self._rx_due = due
-        sim.schedule(self.profile.recv_overhead_us,
-                     partial(self._handle_batch, batch, gen))
-        self._rx_mark = sim.mark()
+        self.sim.schedule(self.profile.recv_overhead_us,
+                          partial(self._handle, frame, self._gen))
 
-    def _handle_batch(self, frames: list[Frame], gen: int) -> None:
+    def _handle(self, frame: Frame, gen: int) -> None:
         if gen != self._gen:
-            # Card crashed between arrival and handler dispatch: the whole
-            # batch belongs to the dead incarnation.
-            if self._rx_batch is frames:
-                self._rx_batch = None
+            # The card crashed while the frame was inside its receive
+            # overhead: it is lost with the incarnation that took it in.
+            self.frames_lost += 1
             return
-        if self._rx_batch is frames:
-            self._rx_batch = None  # no appends once dispatch has begun
-        for frame in frames:
-            if gen != self._gen:
-                return  # card crashed mid-batch (a handler can kill the card)
-            self.frames_received += 1
-            self.bytes_received += frame.wire_size
-            if self.tracer.enabled:
-                self.tracer.emit(self.sim.now, self.name, "rx_done",
-                                 frame=frame.frame_id)
-            if self._rx_handler is None:
-                raise NetworkError(
-                    f"{self.name}: frame {frame!r} arrived but no receive "
-                    "handler is installed"
-                )
-            self._rx_handler(frame)
+        self.frames_received += 1
+        self.bytes_received += frame.wire_size
+        if self.tracer.enabled:
+            self.tracer.emit(self.sim.now, self.name, "rx_done",
+                             frame=frame.frame_id)
+        if self._rx_handler is None:
+            raise NetworkError(
+                f"{self.name}: frame {frame!r} arrived but no receive "
+                "handler is installed"
+            )
+        self._rx_handler(frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "idle" if self.idle else f"busy(q={len(self._queue)})"

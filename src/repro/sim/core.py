@@ -20,21 +20,21 @@ same timestamp fire in FIFO scheduling order (a strictly increasing sequence
 number breaks ties), which makes every simulation and therefore every
 benchmark series exactly reproducible.
 
-The queue has two parts, and one strictly increasing sequence number runs
-through both (the seed's single binary heap is frozen as
-``tests/seed_kernel.py``, the oracle of the ordering-equivalence property
-test):
+Every queue entry is one callback or one event, and the queue has two
+parts (the seed's single binary heap is frozen as ``tests/seed_kernel.py``,
+the oracle of the ordering-equivalence property test):
 
 * a **now-queue** — a plain FIFO for occurrences at exactly the current
   timestamp (event activations, zero-delay schedules).  These are by far
   the most common push in the engine (every ``succeed`` travels through
-  it) and need neither a tuple nor a heap: append order *is* ``(time,
-  seq)`` order because the clock cannot move while they wait;
-* a **heap** of ``(time, seq, item)`` for everything later.  When the
-  now-queue drains, the clock moves to the heap top and every entry of
-  that timestamp is popped before the now-queue is served again: they
-  were all pushed before the clock got there, so their sequence numbers
-  are smaller than anything pushed at it.
+  it) and need neither a tuple nor a heap: append order *is* scheduling
+  order because the clock cannot move while they wait;
+* a **heap** of ``(time, seq, item)`` for everything later, ``seq`` a
+  counter bumped by each heap push to break ties in push order.  When
+  the now-queue drains, the clock moves to the heap top and every entry
+  of that timestamp is popped before the now-queue is served again: they
+  were all pushed before the clock got there, so they come before
+  anything pushed at it.
 
 ``tests/test_sim_wheel.py`` pins the dispatch order to the seed heap's
 with a Hypothesis property.
@@ -397,9 +397,9 @@ class Timer:
     user tests ``armed`` instead of keeping a flag.  One
     :meth:`Simulator.schedule` per ``arm``, none per ``cancel``.
 
-    The device-incarnation fences (``Nic._gen`` / ``_rx_gen``,
-    ``Switch.generation``) are a different thing: they void *many*
-    in-flight per-frame closures at once, not one re-armable timer.
+    The device-incarnation fences (``Nic._gen``, ``Switch.generation``)
+    are a different thing: they void *many* in-flight per-frame closures
+    at once, not one re-armable timer.
     """
 
     __slots__ = ("_sim", "_fn", "_gen", "armed")
@@ -433,22 +433,18 @@ class Simulator:
     """The event loop: a clock plus a deterministic priority queue.
 
     The queue is the now-queue plus one heap described in the module
-    docstring.  Both share one strictly increasing sequence counter, so
-    the dispatch order is exactly the ``(time, seq)`` order the seed's
-    single heap produced.
+    docstring; the dispatch order is exactly the ``(time, seq)`` order
+    the seed's single heap produced.
     """
 
     def __init__(self, sanitize: SanitizeConfig | None = None) -> None:
         # Determinism-sanitizer mode (see repro.sim.sanitizer): default-off,
         # falls back to the REPRO_SANITIZE environment variable so subprocess
         # harnesses can arm it without threading a parameter through every
-        # experiment entry point.  The hooks live on cold paths only (mark,
-        # schedule_batch, one test per timestamp in run) — the hot push
-        # paths are untouched either way.
+        # experiment entry point.  The one kernel hook is a test per
+        # timestamp in run — the push paths are untouched either way.
         if sanitize is None:
             sanitize = active_sanitizer()
-        self._sanitize = sanitize
-        self._no_coalesce = sanitize is not None and sanitize.no_coalesce
         self._shake_rng = (
             Random(sanitize.shake_seed)
             if sanitize is not None and sanitize.shake_seed is not None
@@ -465,7 +461,7 @@ class Simulator:
         self._last_t = 0.0
         self._deadlock_hints: list[Callable[[], str | None]] = []
         # Occurrences at exactly the current timestamp, FIFO.  Bare
-        # items — while the clock stands still, append order IS (time, seq)
+        # items — while the clock stands still, append order IS scheduling
         # order, so no tuple is built for the hottest push path.
         self._now_q: deque[Any] = deque()
         # Everything later, as (time, seq, item).
@@ -542,89 +538,47 @@ class Simulator:
         return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
-    # Each entry point does the tie-breaking sequence increment and the
-    # now-queue fast path itself; every timed occurrence then goes through
-    # the one _push.  (A private copy of it in each entry point saves the
-    # method call: ~5% on the serial-cascade micro-bench, nothing on the
-    # storm, nothing resolvable end to end — docs/PERFORMANCE.md.)
-    # Every push — including now-queue appends — bumps the sequence counter,
-    # which is what keeps mark() an exact "nothing happened in between"
-    # witness for the netsim coalescing guards.
+    # Each entry point does the now-queue fast path itself; every timed
+    # occurrence then goes through the one _push.  (A private copy of it in
+    # each entry point saves the method call: ~5% on the serial-cascade
+    # micro-bench, nothing resolvable end to end — docs/PERFORMANCE.md.)
     def schedule(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` after ``delay`` time units (0 = this timestamp)."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._seq = seq = self._seq + 1
         t = self.now + delay
         if t <= self.now:
             self._now_q.append(fn)
         else:
-            self._push(t, seq, fn)
+            self._push(t, fn)
 
     def schedule_batch(self, delay: float, fns: list[Callable[[], None]]) -> None:
-        """Run ``fns`` back-to-back after ``delay``, as ONE queue entry.
+        """Run ``fns`` back-to-back after ``delay``: one queue entry each.
 
-        Exactly equivalent to *consecutive* ``schedule(delay, fn)`` calls
-        (nothing can interleave between back-to-back pushes in a
-        single-threaded kernel, so collapsing the run of adjacent sequence
-        numbers into one entry is unobservable) but costs one push and one
-        dispatch; each ``fn`` still counts as one processed event.  The
-        kernel takes ownership of the list — callers must not mutate it
-        afterwards.  This is the primitive the NIC layers use to make a
-        burst of same-timestamp completions cost one dispatch.
+        Exactly consecutive ``schedule(delay, fn)`` calls; ``Link`` posts
+        a wire duplicate's two deliveries through it.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if not fns:
-            return
-        if self._no_coalesce:
-            # Sanitizer: exercise the documented equivalence — a batch IS
-            # its consecutive individual pushes; any observable difference
-            # is a kernel or caller bug the sanitize run exists to catch.
-            for fn in fns:
-                self.schedule(delay, fn)
-            return
-        self._seq = seq = self._seq + 1
-        t = self.now + delay
-        if t <= self.now:
-            self._now_q.append(fns)
-        else:
-            self._push(t, seq, fns)
-
-    def mark(self) -> int:
-        """Opaque, strictly increasing stamp of the latest queue push.
-
-        Two equal marks prove no occurrence was scheduled in between; the
-        netsim layers use this to coalesce adjacent same-timestamp
-        completions into one batched dispatch without reordering anything.
-
-        Under the ``no_coalesce`` sanitizer every call returns a *fresh*
-        stamp, so no two marks ever compare equal and each mark-guarded
-        fast path is forced onto its (claimed-equivalent) slow path.
-        """
-        if self._no_coalesce:
-            self._seq += 1
-        return self._seq
+        for fn in fns:
+            self.schedule(delay, fn)
 
     def _schedule_event(self, delay: float, event: Event) -> None:
-        self._seq = seq = self._seq + 1
         t = self.now + delay
         if t <= self.now:
             self._now_q.append(event)
         else:
-            self._push(t, seq, event)
+            self._push(t, event)
 
     def _activate(self, event: Event) -> None:
         """Queue a triggered event's callbacks for execution *now*."""
-        self._seq += 1
         self._now_q.append(event)
 
-    def _push(self, t: float, seq: int, item: Any) -> None:
+    def _push(self, t: float, item: Any) -> None:
         """Insert a future occurrence into the heap."""
         if not t <= _T_MAX:
             raise SimulationError(
                 f"cannot schedule at t={t!r} (beyond the kernel horizon)"
             )
+        self._seq = seq = self._seq + 1
         heappush(self._heap, (t, seq, item))
 
     def _shake(self, t: float, rng: Random) -> None:
@@ -675,7 +629,6 @@ class Simulator:
         pop_now = now_q.popleft
         event_cls = Event
         timeout_cls = Timeout
-        list_cls = list
         pool = self._timeout_pool
         refcount = _getrefcount
         heap = self._heap
@@ -691,8 +644,8 @@ class Simulator:
                         self._n_processed = base + n
                         raise SimulationError(self._livelock_report(limit))
                     item = pop_now()
+                    n += 1
                     if isinstance(item, event_cls):
-                        n += 1
                         if item._ok is None:
                             # A Timeout reaching its due time: trigger now.
                             item._ok = True
@@ -723,14 +676,7 @@ class Simulator:
                             else:
                                 item._callbacks = []
                             pool.append(item)
-                    elif item.__class__ is list_cls:
-                        # A schedule_batch entry: one dispatch, len(fns)
-                        # logical events.
-                        n += len(item)
-                        for fn in item:
-                            fn()
                     else:
-                        n += 1
                         item()
                 self._n_processed = base + n
                 if n:
@@ -745,12 +691,12 @@ class Simulator:
                 if shake is not None:
                     self._shake(t, shake)
                 # Dispatch the whole same-timestamp run before returning to
-                # the now-queue: these entries were pushed earlier (smaller
-                # seq) than anything their dispatch pushes at time t, so
-                # heap-first is exactly the (time, seq) order.  The
-                # dispatch body below repeats the now-queue's on purpose:
-                # moving the run into the now-queue to share one body costs
-                # calls on every timed entry (docs/PERFORMANCE.md).
+                # the now-queue: these entries were pushed before anything
+                # their dispatch pushes at time t, so heap-first is exactly
+                # the (time, seq) order.  The dispatch body below repeats
+                # the now-queue's on purpose: moving the run into the
+                # now-queue to share one body costs calls on every timed
+                # entry (docs/PERFORMANCE.md).
                 while True:
                     if n >= limit:
                         self._n_processed = base + n
@@ -758,8 +704,8 @@ class Simulator:
                     # The popped tuple dies here: the freelist refcount
                     # proof needs no stray queue reference to the item.
                     item = heappop(heap)[2]
+                    n += 1
                     if isinstance(item, event_cls):
-                        n += 1
                         if item._ok is None:
                             item._ok = True
                         callbacks = item._callbacks
@@ -783,12 +729,7 @@ class Simulator:
                             else:
                                 item._callbacks = []
                             pool.append(item)
-                    elif item.__class__ is list_cls:
-                        n += len(item)
-                        for fn in item:
-                            fn()
                     else:
-                        n += 1
                         item()
                     if not heap or heap[0][0] != t:
                         break

@@ -7,15 +7,6 @@ iteration order and generation guards; this module hunts the rest
 **dynamically**, by making the kernel actively hostile to latent order
 dependence while staying observably equivalent for correct code:
 
-* ``no_coalesce`` — :meth:`~repro.sim.core.Simulator.mark` returns a
-  fresh stamp on every call, so no two marks ever compare equal and every
-  mark-guarded coalescing fast path (the NIC rx/refill batching) is
-  forced onto its slow path; ``schedule_batch`` is likewise de-batched
-  into consecutive ``schedule`` calls.  Both rewrites are equivalent *by
-  the kernel's own contract* (a batch is defined as consecutive pushes;
-  coalescing is only legal when it is unobservable) — so any output
-  difference under ``no_coalesce`` is a real bug in a coalescing guard.
-
 * ``shake_seed`` — when the clock reaches a new timestamp, the run of
   queued entries due at it is deterministically permuted by a
   :class:`random.Random` seeded with ``shake_seed``.  The run holds every
@@ -23,11 +14,11 @@ dependence while staying observably equivalent for correct code:
   early or late it was pushed; inter-timestamp order is untouched.
   Handlers whose observable writes depend on intra-timestamp arrival
   order produce different fingerprints under different shake seeds.
-  Unlike ``no_coalesce`` this is **not** output-preserving in general —
-  protocol layers may legitimately rely on FIFO fairness within a
-  timestamp — so the shake is applied to workloads that are claimed
-  order-insensitive (the kernel storm profile and the sanitizer's own
-  fixtures), not to the figure pipeline.
+  This is **not** output-preserving in general — protocol layers may
+  legitimately rely on FIFO fairness within a timestamp — so the shake is
+  applied to workloads that are claimed order-insensitive (the
+  completion-storm profile and the sanitizer's own fixtures), not to the
+  figure pipeline.
 
 * ``trace`` — every :class:`~repro.sim.trace.Tracer` is constructed
   enabled (records are built, then dropped), so each guarded
@@ -68,15 +59,12 @@ SANITIZE_ENV = "REPRO_SANITIZE"
 class SanitizeConfig:
     """Kernel sanitize mode: which determinism hazards to provoke."""
 
-    no_coalesce: bool = False
     shake_seed: int | None = None
     trace: bool = False
 
     def spec(self) -> str:
         """The ``REPRO_SANITIZE`` string that reproduces this config."""
         parts = []
-        if self.no_coalesce:
-            parts.append("nocoalesce")
         if self.shake_seed is not None:
             parts.append(f"shake:{self.shake_seed}")
         if self.trace:
@@ -85,8 +73,7 @@ class SanitizeConfig:
 
 
 def parse_sanitize_spec(spec: str) -> SanitizeConfig | None:
-    """Parse ``"nocoalesce"``, ``"shake:SEED"``, ``"trace"``, or a comma
-    combination.
+    """Parse ``"shake:SEED"``, ``"trace"``, or a comma combination.
 
     An empty/blank spec means "not sanitizing" (returns ``None``); an
     unknown token raises, so a typo'd CI variable cannot silently run the
@@ -95,22 +82,18 @@ def parse_sanitize_spec(spec: str) -> SanitizeConfig | None:
     spec = spec.strip()
     if not spec:
         return None
-    no_coalesce = False
     shake_seed: int | None = None
     trace = False
     for token in spec.split(","):
         token = token.strip()
-        if token == "nocoalesce":
-            no_coalesce = True
-        elif token.startswith("shake:"):
+        if token.startswith("shake:"):
             shake_seed = int(token[len("shake:"):])
         elif token == "trace":
             trace = True
         else:
             raise ValueError(f"unknown sanitize token {token!r} (expected "
-                             "'nocoalesce', 'shake:SEED' or 'trace')")
-    return SanitizeConfig(no_coalesce=no_coalesce, shake_seed=shake_seed,
-                          trace=trace)
+                             "'shake:SEED' or 'trace')")
+    return SanitizeConfig(shake_seed=shake_seed, trace=trace)
 
 
 def active_sanitizer() -> SanitizeConfig | None:
@@ -123,12 +106,10 @@ def post_storm(
 ) -> list[int]:
     """Post the completion-storm workload on ``sim``; run it with ``sim.run()``.
 
-    Per round, ``fanout`` same-timestamp completions go through
-    ``schedule_batch`` (one queue entry, one dispatch — the way the batched
-    NIC refill/rx paths post them) plus ``stragglers`` timers spread across
-    the epoch.  Completions only count, so the workload is order-insensitive
-    by construction.  Returns the one-cell completion counter.  Shared by
-    :func:`storm_fingerprint` and ``repro.bench.perf.bench_kernel_storm``.
+    Per round, ``fanout`` same-timestamp completions plus ``stragglers``
+    timers spread across the epoch.  Completions only count, so the
+    workload is order-insensitive by construction.  Returns the one-cell
+    completion counter.
     """
     count = [0]
 
@@ -156,8 +137,7 @@ def storm_fingerprint(
 
     A correct kernel yields the same ``(final clock, events processed,
     completions)`` triple under every sanitize config, while a kernel
-    whose batching or intra-timestamp ordering leaks into observable state
-    does not.
+    whose intra-timestamp ordering leaks into observable state does not.
     """
     from repro.sim.core import Simulator
 

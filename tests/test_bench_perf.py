@@ -13,7 +13,6 @@ import pytest
 from repro.bench.perf import (
     SCHEMA,
     bench_event_loop,
-    bench_kernel_storm,
     bench_object_census,
     bench_pingpong,
     bench_random_traffic,
@@ -36,9 +35,6 @@ def _payload() -> dict:
                        "shallow_ops_per_s": 290_000.0},
         "event_loop": {"events": 200_000, "wall_s": 0.2,
                        "events_per_s": 1_000_000.0},
-        "kernel_storm": {"rounds": 600, "fanout": 1024, "stragglers": 8,
-                         "completions": 619_200, "wall_s": 0.04,
-                         "events_per_s": 16_000_000.0},
         "pingpong": {"iters": 200, "size": 1024, "wall_s": 0.03,
                      "exchanges_per_s": 6000.0,
                      "sim_us_oneway": 5.082577777777872,
@@ -98,16 +94,6 @@ class TestCheckBench:
                 res[key] /= 2
                 res[key[:-1] + "cal"] = res[key] * fresh["calibration_s"]
         assert check_bench(fresh, _payload()) == ([], [])
-
-    def test_storm_below_ten_times_serial_fails(self):
-        # A kernel paying a push and a pop per completion: storm ~ serial.
-        fresh = _slowed(_payload(), "kernel_storm", "events_per_s", 0.55)
-        failures, _ = check_bench(fresh, _payload())
-        assert any("kernel_storm" in f and "10x floor" in f for f in failures)
-        # ...and the floor is absolute: recording the slow storm as the
-        # baseline does not make it pass.
-        failures, _ = check_bench(fresh, fresh)
-        assert len(failures) == 1 and "10x floor" in failures[0]
 
     def test_window_rate_that_falls_with_backlog_fails(self):
         # An O(n) ``take``: ops/s at backlog 1000 is a fraction of the rate
@@ -304,7 +290,7 @@ class TestCheckBench:
             res["seed"] = res["rounds"] = res["events"] = res["iters"] = \
                 res["messages"] = res["phases"] = -1
         failures, skipped = check_bench(_payload(), other)
-        assert len(skipped) == 7
+        assert len(skipped) == len(other["results"]) == 6
         assert any("nothing was compared" in f for f in failures)
 
     def test_benchmark_missing_from_the_fresh_run_fails(self):
@@ -335,14 +321,6 @@ class TestBenches:
         res = bench_event_loop(n_events=50)
         assert set(res) == {"events", "wall_s", "events_per_s"}
         assert res["events"] == 50
-
-    def test_kernel_storm(self):
-        res = bench_kernel_storm(rounds=3, fanout=16, stragglers=2)
-        assert set(res) == {"rounds", "fanout", "stragglers", "completions",
-                            "wall_s", "events_per_s"}
-        assert res["completions"] == 3 * (16 + 2)
-        with pytest.raises(ReproError):
-            bench_kernel_storm(rounds=0)
 
     def test_pingpong(self):
         res = bench_pingpong(iters=3, size=64)
@@ -438,7 +416,6 @@ class TestBenches:
             assert set(res) == set(_payload()["results"][name]), name
             for key in [k for k in res if k.endswith("_per_s")]:
                 assert res[key[:-1] + "cal"] == res[key] * cal_s
-        assert "kernel storm" in render_perf(payload)
         assert "python calls / message" in render_perf(payload)
         assert "kernel entries / message" in render_perf(payload)
         assert "objects / message" in render_perf(payload)

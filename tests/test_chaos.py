@@ -33,7 +33,7 @@ from repro.chaos import (
     shrink_schedule,
 )
 from repro.chaos.schedule import MIN_FAULTS, MSG_MIN_BYTES
-from repro.core import EngineParams, NmadEngine
+from repro.core import EngineParams, NmadEngine, SendRequest
 from repro.core.flowcontrol import FlowControlLayer
 from repro.core.sessions import SessionLayer
 from repro.core.strategies import AggregationStrategy
@@ -592,6 +592,61 @@ class TestChaosHarness:
         sender = world.nodes[0][-1]
         sender.stats.retransmits += 10_000
         assert "rto-thrash" not in {f.code for f in audit_run(world)}
+
+
+def _flip_a_payload_byte(world):
+    st = world.tags[min(world.tags)]
+    st.payload = bytes([st.payload[0] ^ 0xFF]) + st.payload[1:]
+
+
+def _repeat_a_completed_receive(world):
+    st = world.tags[min(world.tags)]
+    st.recvs.append(st.completions()[0])
+
+
+def _forget_every_receive_of_a_tag(world):
+    world.tags[min(world.tags)].recvs.clear()
+
+
+def _leave_a_send_pending(world):
+    tag = min(world.tags)
+    sender = world.nodes[0][-1]
+    world.tags[tag].sends.append(
+        (sender, SendRequest(world.sim, dest=1, flow=0, tag=tag)))
+
+
+def _declare_a_peer_dead(world):
+    world.nodes[0][-1].stats.peers_dead += 1
+
+
+def _shrink_the_receivers_release_ledger(world):
+    # The sender then holds more released credit than the receiver ever
+    # released (raising the sender's copy would also trip credit-leak).
+    world.nodes[1][-1].flowcontrol._peers[0].released_bytes_total -= 1
+
+
+def _recover_an_unsuspected_peer(world):
+    stats = world.nodes[0][-1].stats
+    stats.peers_recovered = stats.peers_suspected + 1
+
+
+@pytest.mark.parametrize("code, mutate", [
+    ("payload-mismatch", _flip_a_payload_byte),
+    ("double-delivery", _repeat_a_completed_receive),
+    ("undelivered", _forget_every_receive_of_a_tag),
+    ("stuck-send", _leave_a_send_pending),
+    ("unexpected-teardown", _declare_a_peer_dead),
+    ("credit-ledger", _shrink_the_receivers_release_ledger),
+    ("stats-ledger", _recover_an_unsuspected_peer),
+])
+def test_each_finding_code_fires_on_its_own_mutation(code, mutate):
+    """A clean run plus one post-run mutation reads as exactly one code:
+    each invariant that a healthy sweep never trips is shown red once."""
+    spec = ChaosSpec.quick()
+    world = run_schedule(42, spec, generate_schedule(42, spec))
+    assert audit_run(world) == []
+    mutate(world)
+    assert [f.code for f in audit_run(world)] == [code]
 
 
 # -- property: byte-exact exactly-once under random fault composition ----------

@@ -53,25 +53,29 @@ HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
                 rel_timeout_us="auto", hb_interval_us=500.0,
                 hb_timeout_us=5000.0)
 
-#: Measured 158.14 / 73.11 calls per message on CPython 3.11 (174.8 / 74.4
-#: while the kernel kept a timer wheel, a far heap and an in-flight bucket
-#: beside its now-queue; 177.8 / 77.4 while every sent wrap id was added to
-#: a set and the match path tested item classes with ``isinstance``; 203.8 /
-#: 92.6 before the send path was trimmed); the ceilings are those values
-#: + 3 %.
+#: Measured 157.14 / 74.07 calls per message on CPython 3.11 (158.14 / 74.09
+#: while the NIC coalesced same-timestamp arrivals behind a kernel mark;
+#: 174.8 / 74.4 while the kernel kept a timer wheel, a far heap and an
+#: in-flight bucket beside its now-queue; 177.8 / 77.4 while every sent wrap
+#: id was added to a set and the match path tested item classes with
+#: ``isinstance``; 203.8 / 92.6 before the send path was trimmed); the
+#: ceilings are those values + 3 %, the burst's kept from an earlier, lower
+#: measurement.
 #: Lower them when the path gets shorter; never raise them.
-PINGPONG_CALLS_PER_MSG = 162.9
+PINGPONG_CALLS_PER_MSG = 161.9
 BURST_CALLS_PER_MSG = 75.3
-#: The opt-in stack and the switched fabric, same rule: measured 86.79 for
-#: the 4 x 64 burst with ``HARDENED`` and 84.62 for a 16 x 64 ack + credit
-#: burst over ``FatTree(k=4, seed=1)`` (86.13 while switch ports stored and
-#: forwarded each frame; 88.40 / 87.57 with the timer wheel;
+#: The opt-in stack and the switched fabric, same rule: measured 87.50 for
+#: the 4 x 64 burst with ``HARDENED`` (its ceiling kept from an earlier,
+#: lower measurement) and 84.54 for a 16 x 64 ack + credit burst over
+#: ``FatTree(k=4, seed=1)`` (87.67 / 84.62 with receive coalescing; 86.13
+#: for the fabric while switch ports stored and forwarded each frame;
+#: 88.40 / 87.57 with the timer wheel;
 #: 92.40 / 91.57 with the sent-wrap set and the ``isinstance`` tests, the
 #: credit release's included; 110.68 / 108.43 when credit was spent per
 #: wrap, every layer hook ran for every message, a per-peer ledger cost a
 #: method call and a switch hashed every frame).
 HARDENED_CALLS_PER_MSG = 89.4
-FABRIC_CALLS_PER_MSG = 87.2
+FABRIC_CALLS_PER_MSG = 87.1
 #: Kernel entries per message, exactly as measured (parent commit: 10.01 /
 #: 4.140625).  Ping-pong: five timed hops (tx, link, rx, demux, match), the
 #: deferred pull, tx-done, and the completions of the send and the receive
@@ -88,14 +92,15 @@ FABRIC_ENTRIES_PER_MSG = 4.7294921875
 FABRIC = dict(reliability="ack", flow_control="credit")
 #: The rendezvous path, same rules (``rendezvous_exchange``: large and
 #: ``indexed_small_large`` typed messages over MX + Quadrics, ``multirail``):
-#: measured 373.5 calls and 20.7421875 entries a message (410.4 with the
-#: timer wheel; 416.8 with the sent-wrap set and the match path's
-#: ``isinstance`` tests; 474.7 / 21.9765625 when every grant and cancel
-#: tombstone carried a send request that was settled and dispatched for
-#: nobody, each typed isend and irecv normalised its datatype afresh, and
-#: demux ran an ``isinstance`` chain in which a grant was the fourth arm and
-#: a bulk chunk the fifth).
-RENDEZVOUS_CALLS_PER_MSG = 384.7
+#: measured 370.9 calls and 20.7421875 entries a message (374.3 with
+#: receive coalescing and each typed isend coercing its buffer once per
+#: block; 410.4 with the timer wheel; 416.8 with the sent-wrap set and the
+#: match path's ``isinstance`` tests; 474.7 / 21.9765625 when every grant
+#: and cancel tombstone carried a send request that was settled and
+#: dispatched for nobody, each typed isend and irecv normalised its
+#: datatype afresh, and demux ran an ``isinstance`` chain in which a grant
+#: was the fourth arm and a bulk chunk the fifth).
+RENDEZVOUS_CALLS_PER_MSG = 382.0
 RENDEZVOUS_ENTRIES_PER_MSG = 20.7421875
 #: Tracked objects alive per delivered message while the application holds
 #: both handles: the send request, the receive request (each its own

@@ -328,6 +328,19 @@ class TestDatatypes:
         with pytest.raises(MpiError, match="exceeds"):
             m0.isend(b"short", dest=1, datatype=dtype)
 
+    def test_short_buffer_sends_no_block_before_the_error(self):
+        # Block 0 (64 B) fits the 200-byte buffer, block 1 does not: the
+        # send must fail before block 0 is submitted, or it sits unexpected
+        # at the receiver as the flow's sequence 0.
+        sim, _, (m0, m1) = make_mpi_pair()
+        dtype = indexed_small_large(2, small=64, large=4096)
+        with pytest.raises(MpiError, match="exceeds"):
+            m0.isend(bytes(200), dest=1, datatype=dtype)
+        sim.run()
+        assert len(m0.engine.window) == 0
+        assert m0.engine.stats.phys_packets == 0
+        assert m1.matcher.n_unexpected == 0
+
     def test_scatter_before_completion_rejected(self):
         _, _, (_, m1) = make_mpi_pair()
         req = m1.irecv(source=0, datatype=Contiguous(4))

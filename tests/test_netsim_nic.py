@@ -260,6 +260,23 @@ class TestBusyIdle:
         # to veto the new registrant's edge.
         assert asked == [] and len(idles) == 1
 
+    def test_crash_inside_the_receive_overhead_counts_the_frame_lost(
+            self, sim):
+        # The frame lands at 2.65 us (send overhead + wire + latency) and
+        # its handler is due 0.45 us later; the node dies in between.
+        cluster = make_cluster(sim)
+        got = []
+        cluster.node(1).nic().set_receive_handler(got.append)
+        arrive = (MX_MYRI10G.send_overhead_us + 1000 / MX_MYRI10G.bandwidth_mbps
+                  + MX_MYRI10G.latency_us)
+        cluster.schedule_node_fault(
+            1, crash_at=arrive + MX_MYRI10G.recv_overhead_us / 2)
+        cluster.node(0).nic().post_send(frame(size=1000))
+        sim.run()
+        assert got == []
+        assert cluster.node(1).nic().frames_lost == 1
+        assert cluster.fault_summary()["nic_frames_lost"] == 1
+
     def test_pipelined_burst_uses_gap_not_full_overhead(self, sim):
         # A queued burst must be faster than the same frames sent one at a
         # time with a full injection overhead each (MPICH's efficient

@@ -33,18 +33,16 @@ def test_empty_spec_means_not_sanitizing():
 
 def test_spec_round_trips_through_config():
     for config in (
-        SanitizeConfig(no_coalesce=True),
         SanitizeConfig(shake_seed=7),
-        SanitizeConfig(no_coalesce=True, shake_seed=3),
         SanitizeConfig(trace=True),
-        SanitizeConfig(no_coalesce=True, trace=True),
+        SanitizeConfig(shake_seed=3, trace=True),
     ):
         assert parse_sanitize_spec(config.spec()) == config
 
 
 def test_unknown_token_raises_instead_of_silently_passing():
-    with pytest.raises(ValueError, match="nocoalesce"):
-        parse_sanitize_spec("nocoalesec")
+    with pytest.raises(ValueError, match="shake:SEED"):
+        parse_sanitize_spec("trcae")
     with pytest.raises(ValueError):
         parse_sanitize_spec("shake")  # missing :SEED
 
@@ -52,9 +50,8 @@ def test_unknown_token_raises_instead_of_silently_passing():
 def test_active_sanitizer_reads_the_environment(monkeypatch):
     monkeypatch.delenv(SANITIZE_ENV, raising=False)
     assert active_sanitizer() is None
-    monkeypatch.setenv(SANITIZE_ENV, "nocoalesce,shake:9")
-    assert active_sanitizer() == SanitizeConfig(no_coalesce=True,
-                                                shake_seed=9)
+    monkeypatch.setenv(SANITIZE_ENV, "trace,shake:9")
+    assert active_sanitizer() == SanitizeConfig(shake_seed=9, trace=True)
 
 
 # -- default-off guarantee -----------------------------------------------------
@@ -62,14 +59,12 @@ def test_active_sanitizer_reads_the_environment(monkeypatch):
 def test_plain_simulator_is_not_sanitized(monkeypatch):
     monkeypatch.delenv(SANITIZE_ENV, raising=False)
     sim = Simulator()
-    assert sim._no_coalesce is False
     assert sim._shake_rng is None
 
 
 def test_explicit_config_wins_over_the_environment(monkeypatch):
     monkeypatch.setenv(SANITIZE_ENV, "shake:1")
-    sim = Simulator(sanitize=SanitizeConfig(no_coalesce=True))
-    assert sim._no_coalesce is True
+    sim = Simulator(sanitize=SanitizeConfig(trace=True))
     assert sim._shake_rng is None
 
 
@@ -86,7 +81,7 @@ def test_trace_token_switches_default_tracers_on_and_drops_records(
     asked = Tracer(enabled=True)     # its owner wants the records
     asked.emit(1.0, "x", "k")
     assert len(asked) == 1
-    assert Simulator()._no_coalesce is False   # the kernel is untouched
+    assert Simulator()._shake_rng is None   # the kernel is untouched
 
 
 # -- equivalence on a clean workload -------------------------------------------
@@ -94,10 +89,9 @@ def test_trace_token_switches_default_tracers_on_and_drops_records(
 def test_storm_fingerprint_is_invariant_across_sanitize_configs():
     configs = [
         None,
-        SanitizeConfig(no_coalesce=True),
         SanitizeConfig(shake_seed=1),
         SanitizeConfig(shake_seed=2),
-        SanitizeConfig(no_coalesce=True, shake_seed=3),
+        SanitizeConfig(shake_seed=3),
     ]
     prints = {storm_fingerprint(c, rounds=10) for c in configs}
     assert len(prints) == 1, \
@@ -144,10 +138,9 @@ def test_shake_reaches_entries_pushed_late_into_a_timestamp():
 
 def test_batch_fixture_is_stable_without_shake():
     assert batch_order_engine(None) == batch_order_engine(None)
-    # Plain de-batching does not reorder: the bug is order *sensitivity*,
-    # and nocoalesce alone preserves FIFO within the timestamp.
-    no_coalesce = SanitizeConfig(no_coalesce=True)
-    assert batch_order_engine(no_coalesce) == batch_order_engine(None)
+    # Tracing observes, it does not reorder: the bug is order *sensitivity*.
+    assert batch_order_engine(SanitizeConfig(trace=True)) == \
+        batch_order_engine(None)
 
 
 def test_hash_fixture_diverges_across_hash_seeds():
