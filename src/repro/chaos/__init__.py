@@ -4,8 +4,8 @@ auditor, and a greedy schedule shrinker.
 The subsystem has three moving parts, each its own module:
 
 * :mod:`repro.chaos.schedule` — :data:`HARDENED` (the one engine
-  configuration every run drives, :data:`ADAPTIVE` its measured-RTO
-  twin), :class:`ChaosSpec` (workload size, fault density and fabric)
+  configuration every run drives), :class:`ChaosSpec` (workload size,
+  fault density and fabric)
   and :func:`generate_schedule`, which expands a seed into a concrete
   list of :class:`ChaosFault` records (drops, bursts, corruption, slow
   links, duplicates, reorders, jitter, partitions, crash/restarts);
@@ -28,7 +28,6 @@ verdict (``python -m repro chaos --seed S`` is bit-deterministic).
 from repro.chaos.audit import Finding, audit_run
 from repro.chaos.runner import ChaosReport, run_chaos, run_schedule
 from repro.chaos.schedule import (
-    ADAPTIVE,
     FAULT_KINDS,
     HARDENED,
     ChaosFault,
@@ -38,7 +37,6 @@ from repro.chaos.schedule import (
 from repro.chaos.shrink import ShrinkResult, shrink_schedule
 
 __all__ = [
-    "ADAPTIVE",
     "FAULT_KINDS",
     "HARDENED",
     "ChaosFault",

@@ -29,10 +29,10 @@ whole point of the hardening layers.  The auditor walks the quiesced
   link mangled was discarded by exactly one engine (less any mangled
   frames that died inside a downed switch or in a later hop's drop
   window — bounded by the fabric's and the links' own drop counters);
-* **rto-thrash** — adaptive-RTO runs (``spec.adaptive``) never
-  retransmit beyond their loss evidence plus a small ambiguity budget:
-  the measured timeout must not fire at healthy-but-slow frames, which
-  is exactly what a static RTO does under an RTT-drift schedule.
+* **rto-thrash** — no run retransmits beyond its loss evidence plus a
+  small ambiguity budget: the measured timeout must not fire at
+  healthy-but-slow frames, which is exactly what a constant RTO does
+  under an RTT-drift schedule.
 
 This is the **only** module allowed to read other layers' private state
 (the flow-control ledgers): it inspects, never mutates.  The repo lint
@@ -203,20 +203,18 @@ def _check_stats_ledger(world: ChaosWorld, out: list[Finding]) -> None:
                 f"{switch_drops}, wire ate {wire_eaten} flagged)"))
 
 
-def _check_adaptive(world: ChaosWorld, out: list[Finding]) -> None:
-    """Adaptive-RTO runs must not retransmit beyond their loss evidence.
+def _check_rto(world: ChaosWorld, out: list[Finding]) -> None:
+    """No run may retransmit beyond its loss evidence.
 
     The point of measuring the RTT is to stop firing the retry clock at
-    healthy-but-queued frames, so under ``spec.adaptive`` every
-    retransmit has to be attributable to an actual wire event — a link
-    or switch drop (partitions included) or a corrupt discard — plus a
-    small ambiguity budget (a retransmission racing its own late ack is
-    legitimate).  A static-RTO run under the same drift schedule blows
-    through this bound by construction; an adaptive run that does too is
-    thrashing, the regression this invariant pins.
+    healthy-but-queued frames, so every retransmit has to be
+    attributable to an actual wire event — a link or switch drop
+    (partitions included) or a corrupt discard — plus a small ambiguity
+    budget (a retransmission racing its own late ack is legitimate).  A
+    constant RTO sized for the idle path blows through this bound under
+    a drift schedule; a measured one that does too is thrashing, the
+    regression this invariant pins.
     """
-    if not world.spec.adaptive:
-        return
     wire_losses = sum(link.frames_dropped for link in world.cluster.links)
     switch_drops = sum(sw.frames_dropped for sw in world.cluster.switches)
     corrupts = world.total("corrupt_discards")
@@ -225,7 +223,7 @@ def _check_adaptive(world: ChaosWorld, out: list[Finding]) -> None:
     if retrans > wire_losses + switch_drops + corrupts + budget:
         out.append(Finding(
             "rto-thrash",
-            f"adaptive run retransmitted {retrans} frame(s) against "
+            f"run retransmitted {retrans} frame(s) against "
             f"{wire_losses} wire drop(s), {switch_drops} switch drop(s), "
             f"{corrupts} corrupt discard(s) and a budget of {budget} — "
             "the measured RTO is firing at healthy frames"))
@@ -241,5 +239,5 @@ def audit_run(world: ChaosWorld) -> list[Finding]:
     _check_credit(world, findings)
     _check_drain(world, findings)
     _check_stats_ledger(world, findings)
-    _check_adaptive(world, findings)
+    _check_rto(world, findings)
     return findings

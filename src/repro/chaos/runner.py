@@ -5,8 +5,7 @@ simulation": it builds a two-node cluster on the MX profile,
 translates :class:`~repro.chaos.schedule.ChaosFault` records into
 :class:`~repro.netsim.link.FaultPlan` installations, and drives a
 deterministic tagged-message workload through the fully hardened engine
-(:data:`~repro.chaos.schedule.HARDENED`, or its measured-RTO twin
-:data:`~repro.chaos.schedule.ADAPTIVE`).  The driver mirrors how a
+(:data:`~repro.chaos.schedule.HARDENED`).  The driver mirrors how a
 recovery-aware application uses the API: receives are posted up front,
 failed sends are re-issued a bounded number of times, failed or orphaned
 receives are re-posted, and crashed nodes are revived as fresh engine
@@ -29,10 +28,10 @@ from random import Random
 from typing import TYPE_CHECKING, Any
 
 from repro.chaos.schedule import (
-    ADAPTIVE, HARDENED, MSG_MIN_BYTES, SEND_GAP_US, ChaosFault, ChaosSpec,
+    HARDENED, MSG_MIN_BYTES, SEND_GAP_US, ChaosFault, ChaosSpec,
     generate_schedule,
 )
-from repro.core.engine import EngineParams, NmadEngine
+from repro.core.engine import NmadEngine
 from repro.core.requests import RecvRequest, Request, SendRequest
 from repro.errors import PeerDeadError, ReproError
 from repro.netsim.fabric import FatTree
@@ -188,7 +187,6 @@ def _stale(attempts: Sequence[tuple[NmadEngine, Request]]) -> bool:
 def _install_faults(
     sim: Simulator,
     cluster: Cluster,
-    params: EngineParams,
     nodes: dict[int, list[NmadEngine]],
     faults: list[ChaosFault],
 ) -> None:
@@ -296,7 +294,7 @@ def _install_faults(
 
             def _revive(node_id: int = fault.src) -> None:
                 nodes[node_id].append(
-                    NmadEngine(cluster.node(node_id), params=params))
+                    NmadEngine(cluster.node(node_id), params=HARDENED))
 
             sim.schedule(fault.until_us + 1.0, _revive)
 
@@ -323,12 +321,11 @@ def run_schedule(
         # varies across the sweep, yet each seed replays bit-identically.
         topology = FatTree(k=spec.fat_tree_k, seed=seed)
     cluster = Cluster(sim, n_nodes=2, rails=[MX_MYRI10G], topology=topology)
-    params = ADAPTIVE if spec.adaptive else HARDENED
     nodes: dict[int, list[NmadEngine]] = {
-        node_id: [NmadEngine(cluster.node(node_id), params=params)]
+        node_id: [NmadEngine(cluster.node(node_id), params=HARDENED)]
         for node_id in (_SENDER, _RECEIVER)
     }
-    _install_faults(sim, cluster, params, nodes, faults)
+    _install_faults(sim, cluster, nodes, faults)
 
     tags: dict[int, TagState] = {}
     for tag in range(spec.n_messages):
@@ -378,7 +375,7 @@ def run_schedule(
                     _post_send(tag)
                 if _stale(st.recvs):
                     _post_recv(tag)
-            yield sim.timeout(params.hb_interval_us)
+            yield sim.timeout(HARDENED.hb_interval_us)
 
     sim.spawn(driver())
     sim.run(until=spec.deadline_us)

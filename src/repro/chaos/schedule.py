@@ -24,7 +24,7 @@ from typing import Any
 from repro.core.engine import OPT_IN, EngineParams
 from repro.errors import ReproError
 
-__all__ = ["ADAPTIVE", "FAULT_KINDS", "HARDENED", "ChaosFault", "ChaosSpec",
+__all__ = ["FAULT_KINDS", "HARDENED", "ChaosFault", "ChaosSpec",
            "generate_schedule"]
 
 #: Every fault kind a schedule may contain.  ``crash`` only appears when
@@ -130,23 +130,21 @@ class ChaosFault:
         return out
 
 
-#: The engine every chaos run drives: all opt-in layers on, with timers
-#: sized for the drill's two-node MX fabric.  The schedule generator reads
-#: its heartbeat clocks, so fault windows scale with the detector.
+#: The engine every chaos run drives: all opt-in layers on, with the
+#: heartbeat sized for the drill's two-node MX fabric.  The schedule
+#: generator reads its heartbeat clocks, so fault windows scale with the
+#: detector.  The retransmit timeout is the measured one: until a peer is
+#: measured it is the engine's cold RTO, derived from its rails (twice
+#: the wire time of a rendezvous chunk plus the path latency: about
+#: 0.84ms on the drill's MX mesh), so no retry timer needs sizing here.
 _ALL_ON: dict[str, Any] = {layer.knob: layer.on for layer in OPT_IN}
 HARDENED = EngineParams(
     **_ALL_ON,
-    rel_timeout_us=100.0,
     rel_ack_delay_us=10.0,
     rel_retry_budget=64,
     hb_interval_us=50.0,
     hb_timeout_us=600.0,
 )
-#: :data:`HARDENED` with the measured retransmit timeout.  Until a peer is
-#: measured the RTO is the engine's cold one, derived from its rails
-#: (twice the wire time of a rendezvous chunk plus the path latency: about
-#: 0.84ms on the drill's MX mesh), so no timer needs sizing here.
-ADAPTIVE = dataclasses.replace(HARDENED, rel_timeout_us="auto")
 
 #: Every schedule carries at least this many faults.
 MIN_FAULTS = 2
@@ -160,12 +158,12 @@ SEND_GAP_US = 25.0
 class ChaosSpec:
     """Everything a chaos run is parameterized by, besides the seed.
 
-    Two nodes exchange the workload through :data:`HARDENED` (or
-    :data:`ADAPTIVE`); the spec only sizes the workload and the fault
-    density and picks the fabric.  Fault windows are derived from the
-    heartbeat timeout: without ``crashes``, partitions stay short enough
-    (< 0.7 x timeout) that every suspicion must heal — a teardown in that
-    regime is an engine bug, and the auditor treats it as one.
+    Two nodes exchange the workload through :data:`HARDENED`; the spec
+    only sizes the workload and the fault density and picks the fabric.
+    Fault windows are derived from the heartbeat timeout: without
+    ``crashes``, partitions stay short enough (< 0.7 x timeout, less
+    next to lost frames) that every suspicion must heal — a teardown in
+    that regime is an engine bug, and the auditor treats it as one.
     """
 
     n_messages: int = 16
@@ -181,14 +179,10 @@ class ChaosSpec:
     #: capped so each core group keeps a survivor — the drill exercises
     #: rerouting, not a disconnected fabric.
     switch_kills: int = 0
-    #: Run the engines as :data:`ADAPTIVE` instead of :data:`HARDENED`.
-    #: The schedule generator never reads this flag, so two specs
-    #: differing only here expand to byte-identical fault lists — the
-    #: basis of the static-vs-adaptive comparison drill.
-    adaptive: bool = False
     #: Append an RTT-drift drill to the schedule: a long slow-link ramp
-    #: plus jitter windows on the workload path, sized so a static RTO
-    #: provably fires spuriously while an adaptive one tracks the drift.
+    #: plus jitter windows on the workload path, sized so a constant RTO
+    #: sized for the idle path would fire spuriously; the measured one
+    #: must track the drift (the auditor's ``rto-thrash`` check).
     #: Composed from the existing ``slow`` and ``jitter`` fault kinds — no
     #: new fault kind.
     rtt_drift: bool = False
@@ -224,16 +218,21 @@ class ChaosSpec:
                    deadline_us=30_000.0, **kw)
 
 
+#: The longest partition window a schedule draws, as a share of the
+#: heartbeat timeout: clear of the teardown cliff with room to spare.
+HEALABLE_SHARE = 0.7
+
+
 def _apart(start: float, duration: float,
-           earlier: tuple[float, float] | None) -> float:
+           earlier: tuple[float, float] | None, bound: float) -> float:
     """Start of a partition window that does not merge with ``earlier``.
 
-    Each window alone stays below ``0.7 * hb_timeout_us``, but two windows
-    closer than a heartbeat round read to the failure detector as one
-    silence.  When their union would pass that bound the later window
-    moves to ``2 * hb_interval_us`` past the earlier one's end, so the
-    detector hears the peer between them.  No rng draw: the stream, and
-    every schedule with at most one partition, is unchanged.
+    Each window alone stays below ``bound``, but two windows closer than
+    a heartbeat round read to the failure detector as one silence.  When
+    their union would pass that bound the later window moves to
+    ``2 * hb_interval_us`` past the earlier one's end, so the detector
+    hears the peer between them.  No rng draw: the stream, and every
+    schedule with at most one partition, is unchanged.
     """
     if earlier is None:
         return start
@@ -241,9 +240,56 @@ def _apart(start: float, duration: float,
     gap = 2.0 * HARDENED.hb_interval_us
     end = start + duration
     near = start < hi + gap and end > lo - gap
-    if near and max(hi, end) - min(lo, start) > 0.7 * HARDENED.hb_timeout_us:
+    if near and max(hi, end) - min(lo, start) > bound:
         return hi + gap
     return start
+
+
+def _lost_run(faults: list[ChaosFault]) -> int:
+    """Longest run of consecutive arrivals one directed wire loses (drops,
+    bursts and corruptions, merged)."""
+    lost: dict[tuple[int, int], set[int]] = {}
+    for f in faults:
+        length = {"drop": 1, "corrupt": 1, "burst": f.length}.get(f.kind, 0)
+        lost.setdefault((f.src, f.dst), set()).update(
+            range(f.nth, f.nth + length))
+    run = 0
+    for nths in lost.values():
+        for first in nths - {nth + 1 for nth in nths}:
+            last = first
+            while last + 1 in nths:
+                last += 1
+            run = max(run, last - first + 1)
+    return run
+
+
+def _healable(faults: list[ChaosFault]) -> list[ChaosFault]:
+    """Shorten the partitions a run of lost frames could stretch into a
+    death.
+
+    The lost frames may bracket a partition window (the last ack before
+    it, the heartbeat replies after it), and each one stretches the
+    peer's silence by up to a heartbeat round.  So the windows, and the
+    union of two near ones, stay below ``hb_timeout_us`` less the run and
+    two rounds of slack.  A run of at most one frame leaves that bound
+    above :data:`HEALABLE_SHARE` of the timeout, so such a schedule is
+    returned unchanged; so is one without a partition.  No rng draw.
+    """
+    hb = HARDENED.hb_interval_us
+    bound = HARDENED.hb_timeout_us - (_lost_run(faults) + 2) * hb
+    if bound >= HEALABLE_SHARE * HARDENED.hb_timeout_us:
+        return faults
+    out: list[ChaosFault] = []
+    earlier: tuple[float, float] | None = None
+    for f in faults:
+        if f.kind in ("partition", "rack_partition"):
+            duration = min(f.until_us - f.from_us, max(bound, 0.0))
+            start = _apart(f.from_us, duration, earlier, bound)
+            earlier = (start, start + duration)
+            f = dataclasses.replace(f, from_us=round(start, 3),
+                                    until_us=round(start + duration, 3))
+        out.append(f)
+    return out
 
 
 def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
@@ -274,9 +320,12 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
             start = rng.uniform(0.0, active_us * 0.5)
             # Healable by construction: suspicion needs timeout/2 of
             # silence, death a full timeout — 0.2..0.7 spans both sides
-            # of suspicion while staying clear of the teardown cliff.
-            duration = rng.uniform(0.2, 0.7) * HARDENED.hb_timeout_us
-            start = _apart(start, duration, partitioned)
+            # of suspicion while staying clear of the teardown cliff
+            # (:func:`_healable` shortens it further next to lost frames).
+            duration = (rng.uniform(0.2, HEALABLE_SHARE)
+                        * HARDENED.hb_timeout_us)
+            start = _apart(start, duration, partitioned,
+                           HEALABLE_SHARE * HARDENED.hb_timeout_us)
             partitioned = (start, start + duration)
             if spec.topology == "mesh":
                 # Nodes 0 and 1 on opposite sides: the partition always
@@ -364,9 +413,9 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
     # rng stream leaves non-drift schedules byte-identical, but PREPENDED
     # to the list so the per-link singleton ``slow``/``jitter`` slots in
     # the runner (first-come wins) always belong to the drill.  The slow
-    # factor is sized against the MX profile (~2us hops) so the default
-    # static RTO (100us in HARDENED) provably retransmits spuriously
-    # inside the window, while a measured RTO rides it out.
+    # factor is sized against the MX profile (~2us hops) so a constant
+    # 100us RTO would retransmit spuriously inside the window, while the
+    # measured RTO rides it out.
     if spec.rtt_drift:
         start = round(rng.uniform(active_us * 0.05, active_us * 0.25), 3)
         drift = [
@@ -386,4 +435,4 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
                 rng_seed=rng.randrange(1 << 30)),
         ]
         faults[:0] = drift
-    return faults
+    return _healable(faults)

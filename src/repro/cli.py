@@ -84,16 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
         report.add_argument("--" + layer.knob.replace("_", "-"),
                             choices=("off", layer.on), default="off",
                             help=f"{doc} (default: off, the paper's engine)")
-    report.add_argument("--rel-timeout", default=None, metavar="US|auto",
-                        dest="rel_timeout",
-                        help="retransmit timeout: microseconds, or 'auto' "
-                             "for the adaptive RTT estimator (requires "
-                             "--reliability ack; default: the engine's "
-                             "static default)")
     report.add_argument("--hedge", action="store_true",
                         help="opt-in tail hedging: after a p99-ish RTT the "
                              "frame is re-sent on the second-best rail "
-                             "(requires --rel-timeout auto and --rails 2)")
+                             "(requires --reliability ack and --rails 2)")
     report.add_argument("--rails", type=int, choices=(1, 2), default=1,
                         help="1 = MX only; 2 = MX + Quadrics multirail")
     report.add_argument("--topology",
@@ -146,14 +140,10 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="fat_tree_k",
                        help="fat-tree arity for --topology fat-tree "
                             "(even, >= 4; default: 4)")
-    chaos.add_argument("--adaptive", action="store_true",
-                       help="run the engines with rel_timeout_us='auto' "
-                            "(the measured RTO) instead of the spec's "
-                            "static timeout")
     chaos.add_argument("--rtt-drift", action="store_true", dest="rtt_drift",
                        help="append an RTT-drift drill (slow-link ramp + "
-                            "jitter) to every schedule, sized so a static "
-                            "RTO fires spuriously")
+                            "jitter) to every schedule, sized so an RTO "
+                            "that did not track it would fire spuriously")
     chaos.add_argument("--shrink", action="store_true",
                        help="minimize each failing schedule and print a "
                             "standalone repro snippet")
@@ -289,7 +279,7 @@ def _report_payload(args, pair, messages, stalled) -> dict:
                 "peak_unexpected_bytes": engine.matcher.peak_unexpected_bytes,
             },
             "window": {"peak_bytes": engine.window.peak_bytes},
-            # Per-peer RTT estimates: empty outside rel_timeout_us="auto",
+            # Per-peer RTT estimates: empty outside reliability="ack",
             # so the JSON shape is mode-independent.
             "rtt": (adaptive_summary(engine.rtt.snapshot())
                     if engine.rtt is not None else {}),
@@ -300,7 +290,6 @@ def _report_payload(args, pair, messages, stalled) -> dict:
         "config": {
             "rails": args.rails,
             **{layer.knob: getattr(args, layer.knob) for layer in OPT_IN},
-            "rel_timeout": args.rel_timeout,
             "hedge": args.hedge,
             "messages": args.messages,
             "seed": args.seed,
@@ -346,21 +335,7 @@ def _report(args, out) -> int:
     rails = ((MX_MYRI10G,) if args.rails == 1
              else (MX_MYRI10G, QUADRICS_QM500))
     strategy = "aggregation" if args.rails == 1 else "multirail"
-    timing: dict = {}
-    if args.rel_timeout is not None:
-        if args.rel_timeout == "auto":
-            timing["rel_timeout_us"] = "auto"
-        else:
-            try:
-                timing["rel_timeout_us"] = float(args.rel_timeout)
-            except ValueError:
-                raise SystemExit(
-                    f"--rel-timeout must be a number or 'auto', "
-                    f"got {args.rel_timeout!r}") from None
-        # Echo the parsed value (not the raw flag string) in the report.
-        args.rel_timeout = timing["rel_timeout_us"]
-    if args.hedge:
-        timing["rel_hedge"] = "tail"
+    timing = {"rel_hedge": "tail"} if args.hedge else {}
     try:
         params = EngineParams(**{layer.knob: getattr(args, layer.knob)
                                  for layer in OPT_IN}, **timing)
@@ -432,8 +407,7 @@ def _chaos(args, out) -> int:
     if args.seeds < 1:
         raise SystemExit("--seeds must be >= 1")
     topo = dict(topology=args.topology, fat_tree_k=args.fat_tree_k,
-                switch_kills=args.switch_kills, adaptive=args.adaptive,
-                rtt_drift=args.rtt_drift)
+                switch_kills=args.switch_kills, rtt_drift=args.rtt_drift)
     try:
         spec = (ChaosSpec.quick(crashes=args.crashes, **topo) if args.quick
                 else ChaosSpec(crashes=args.crashes, **topo))

@@ -182,13 +182,6 @@ class NmadEngine:
         # True once this engine's node crashed: every timer closure and
         # idle callback of the dead incarnation checks it and goes silent.
         self.halted = False
-        # Adaptive timing (rel_timeout_us="auto"): one estimator shared by
-        # the reliability RTO, the session failure detector, and the
-        # flow-control pacing timers.  None in static mode — the layers
-        # check for it, so static-mode behaviour is provably untouched.
-        self.rtt: RttEstimator | None = None
-        if self.params.rel_adaptive:
-            self.rtt = RttEstimator(self.silence_us)
         self.transfer = TransferLayer(self)
         # After the transfer layer: it issues wrap ids into its ledger.
         self.collect = CollectLayer(self)
@@ -214,6 +207,11 @@ class NmadEngine:
             tuple(getattr(layer, hook) for layer in self.layers
                   if getattr(type(layer), hook) is not getattr(Layer, hook))
             for hook in ("commit", "on_match", "on_post"))
+        #: The reliability layer's RTT estimator, ``None`` without that
+        #: layer (nothing else measures a round trip): flow control paces
+        #: its grants on it and ``repro report`` prints it.
+        self.rtt: RttEstimator | None = (
+            self.reliability.rtt if self.reliability is not None else None)
         self.sim.add_deadlock_hint(self._deadlock_hint)
 
     @cached_property
@@ -225,7 +223,7 @@ class NmadEngine:
 
         A frame is delivered only once fully serialised, so while one is
         on the wire its receiver hears nothing from the sender.  Computed
-        once, for two uses: the cold adaptive RTO, and the session layer's
+        once, for two uses: the cold RTO, and the session layer's
         heartbeat floor while a rendezvous with the peer is live.
         """
         hdr = self.params.hdr

@@ -294,12 +294,12 @@ class FlowControlLayer(Layer):
     def _grant_delay_us(self, peer: int) -> float:
         """Coalescing delay before a standalone credit grant to ``peer``.
 
-        :data:`CREDIT_GRANT_DELAY_US` unless the adaptive
-        timing layer (``rel_timeout_us="auto"``) holds a warm estimate
+        :data:`CREDIT_GRANT_DELAY_US` unless the engine's RTT estimator
+        (built with ``reliability="ack"``) holds a warm estimate
         for the peer: then half the smoothed RTT, floored at 1us — waiting longer
         than a plausible reverse frame forfeits the piggyback *and* stalls
         the sender, so a measured fast path releases credit sooner.  The
-        constant stays the ceiling (never slower than static).
+        constant stays the ceiling (never slower than unmeasured).
         """
         rtt = self.engine.rtt
         if rtt is None or not rtt.warm(peer):

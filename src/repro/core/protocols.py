@@ -57,20 +57,20 @@ class Knob:
     numeric: bool                 # the default is a number
     lo: float | None              # inclusive lower bound
     gt: float | None              # exclusive lower bound
-    choices: tuple[Any, ...]      # named values accepted as they are
-    inf_ok: bool                  # +inf is a meaningful number here
+    choices: tuple[Any, ...]      # the named values a mode field admits
 
     def check(self, name: str, value: Any) -> None:
         """Raise :class:`ValueError` unless ``value`` is admissible."""
-        if value in self.choices:
+        if not self.numeric:
+            if value not in self.choices:
+                raise ValueError(
+                    f"unknown {name.replace('_', ' ')} {value!r}; "
+                    f"expected {' | '.join(str(c) for c in self.choices)}")
             return
-        if not self.numeric or not isinstance(value, (int, float)):
-            expected = [str(c) for c in self.choices]
-            if self.numeric:
-                expected.insert(0, "a number")
+        if not isinstance(value, (int, float)):
             raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}; "
-                             f"expected {' | '.join(expected)}")
-        if not (math.isfinite(value) or self.inf_ok and value == math.inf):
+                             f"expected a number")
+        if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
         # Written so that a comparison with NaN fails.
         if self.lo is not None and not self.lo <= value:
@@ -80,19 +80,19 @@ class Knob:
 
 
 def knob(default: T, *, lo: float | None = None, gt: float | None = None,
-         choices: tuple[Any, ...] = (), inf_ok: bool = False) -> T:
+         choices: tuple[Any, ...] = ()) -> T:
     """Declare an ``EngineParams`` field: its default and what it admits.
 
-    A number must be finite (``+inf`` too when ``inf_ok``), ``>= lo`` and
-    ``> gt``; a value in ``choices`` (a mode string, ``"auto"``) is taken
-    as it is, and a field whose default is not a number admits nothing
-    else.  ``EngineParams.__post_init__`` checks every declaration, so a
-    NaN or an unknown mode fails at construction, never mid-run.
+    A field whose default is a number admits a finite number ``>= lo``
+    and ``> gt``; any other field is a mode and admits exactly its
+    ``choices``.  ``EngineParams.__post_init__`` checks every
+    declaration, so a NaN or an unknown mode fails at construction,
+    never mid-run.
     """
     numeric = (isinstance(default, (int, float))
                and not isinstance(default, bool))
     return field(default=default, metadata={
-        "knob": Knob(numeric, lo, gt, choices, inf_ok)})
+        "knob": Knob(numeric, lo, gt, choices)})
 
 
 @runtime_checkable

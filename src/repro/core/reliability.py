@@ -14,8 +14,11 @@ the engine survive lossy links and failing rails:
   piggybacked on any reverse frame, or as a small standalone ack frame
   after ``rel_ack_delay_us`` of reverse silence;
 * unacked frames are kept in a per-peer send buffer and retransmitted on
-  an **exponential-backoff timer** (``rel_timeout_us``, doubled per
-  retry), over the healthiest rail with a link to the peer;
+  an **exponential-backoff timer**: the peer's measured retransmit
+  timeout (:class:`~repro.core.rttstat.RttEstimator`, cold until the
+  peer is measured), doubled per retry up to
+  :data:`~repro.core.rttstat.RTO_CEILING_US`, over the healthiest rail
+  with a link to the peer;
 * the receive side **suppresses duplicates** before the demultiplexer, so
   the matcher and the rendezvous reassembly never see a frame twice;
 * each retransmit timeout scores a loss against the rail the frame last
@@ -51,6 +54,7 @@ from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.protocols import Layer, PeerTable, counter, knob
+from repro.core.rttstat import RTO_CEILING_US, RttEstimator
 from repro.errors import RailDownError, TransportError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -61,15 +65,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ReliabilityLayer", "ReliabilityParams", "ReliabilityStats"]
 
-#: Retransmit-timeout multiplier per retry (RFC 6298 doubling).
+#: Retransmit-timeout multiplier per retry (RFC 6298 doubling, capped at
+#: :data:`~repro.core.rttstat.RTO_CEILING_US` as §5.5 caps the backoff).
 RTO_BACKOFF = 2.0
 #: Consecutive retransmit-timeouts that quarantine a rail (when another
 #: healthy rail exists): one loss is noise, three in a row with no ack
 #: in between is a rail that stopped carrying traffic.
 QUARANTINE_THRESHOLD = 3
 #: Half-open recovery: a quarantined rail is re-probed after this many
-#: base retransmit timeouts (the measured one in auto mode), doubling per
-#: re-quarantine of the same rail.
+#: base (measured) retransmit timeouts, doubling per re-quarantine of the
+#: same rail.
 PROBE_AFTER_RTOS = 32.0
 
 
@@ -83,15 +88,14 @@ class ReliabilityParams:
     #: turns on the sliding-window ack/retransmit protocol with rail
     #: failover.
     reliability: str = knob("off", choices=("off", "ack"))
-    #: Initial retransmit timeout, doubled (:data:`RTO_BACKOFF`) per retry.
-    #: The string ``"auto"`` (requires ``reliability="ack"``) replaces the
-    #: static constant with a measured one: per-peer Jacobson SRTT/RTTVAR
-    #: estimation (see :mod:`repro.core.rttstat`) derives the RTO as
-    #: ``RTO_HEADROOM * (srtt + 4*rttvar)`` clamped into
+    #: Always ``"auto"``; kept because benchmarks/macro/workloads.py passes
+    #: it by name.  The retransmit timeout is always the measured one:
+    #: per-peer Jacobson SRTT/RTTVAR estimation (:mod:`repro.core.rttstat`)
+    #: derives it as ``RTO_HEADROOM * (srtt + 4*rttvar)`` clamped into
     #: ``[RTO_FLOOR_US, RTO_CEILING_US]``, seeded from the engine's rails
     #: until a peer is measured.
-    rel_timeout_us: float | str = knob(200.0, gt=0.0, choices=("auto",))
-    #: Opt-in tail hedging (requires ``rel_timeout_us="auto"`` and >= 2
+    rel_timeout_us: str = knob("auto", choices=("auto",))
+    #: Opt-in tail hedging (requires ``reliability="ack"`` and >= 2
     #: rails): ``"tail"`` re-sends a frame on the *second-best* rail once
     #: it has been outstanding past a p99-ish quantile of that rail's
     #: observed RTT, while the original stays in flight — duplicate
@@ -105,21 +109,11 @@ class ReliabilityParams:
 
     def _check_reliability(self) -> None:
         """The rules between fields; each field's own range is its knob."""
-        if self.rel_timeout_us == "auto" and self.reliability != "ack":
+        if self.rel_hedge == "tail" and self.reliability != "ack":
             raise ValueError(
-                "rel_timeout_us='auto' needs reliability='ack': the "
-                "RTT estimator samples the ack machinery"
+                "rel_hedge='tail' needs reliability='ack': the hedge "
+                "delay is a quantile of the RTT the acks measure"
             )
-        if self.rel_hedge == "tail" and self.rel_timeout_us != "auto":
-            raise ValueError(
-                "rel_hedge='tail' needs rel_timeout_us='auto': the hedge "
-                "delay is a quantile of the measured RTT"
-            )
-
-    @property
-    def rel_adaptive(self) -> bool:
-        """True when the retransmit timeout is measured, not configured."""
-        return self.rel_timeout_us == "auto"
 
 
 @dataclass
@@ -134,9 +128,8 @@ class ReliabilityStats:
     acks_sent: int = counter("reliability")
     corrupt_discards: int = counter("reliability")  # at the rx entry: any mode
     transport_failures: int = counter("reliability")
-    # Adaptive timing (all zero outside rel_timeout_us="auto").
+    # Adaptive timing (all zero outside reliability="ack").
     rtt_samples: int = counter("adaptive")   # acks that fed the estimator
-    rto_backoffs: int = counter("adaptive")  # retransmits doubling an auto RTO
     hedges_sent: int = counter("adaptive")   # tail re-sends on another rail
     hedges_won: int = counter("adaptive")    # hedges whose ack beat the original
 
@@ -178,7 +171,7 @@ class _Channel:
         # Transmit half.
         self.next_seq = 0
         self.unacked: dict[int, _Pending] = {}
-        self.rto_us = layer._rto_base_us(peer)
+        self.rto_us = layer.rtt.rto_us(peer)
         self.retry_timer = Timer(layer.sim, partial(layer._on_timer, self))
         # Receive half.
         self.rx_cum = 0                 # every seq < rx_cum was received
@@ -211,12 +204,9 @@ class ReliabilityLayer(Layer):
         # Standalone acks bypass the transmit pipeline (no sequence number)
         # yet need the epoch header to pass the peer's fence, if any.
         self._sessions = engine.sessions
-        # Adaptive timing: the engine-owned estimator, or None in static
-        # mode.  _static_rto_us is the configured constant when static.
-        self._rtt = engine.rtt
-        self._static_rto_us: float | None = (
-            None if engine.params.rel_adaptive
-            else float(engine.params.rel_timeout_us))
+        #: The measured timing: this layer's acks feed it, every retry
+        #: clock runs on its RTO, and flow control paces grants on it.
+        self.rtt = RttEstimator(engine.silence_us)
         self._channels = PeerTable(partial(_Channel, layer=self))
         #: Consecutive retransmit-timeouts per rail (reset on any ack).
         self.rail_losses: dict[int, int] = {}
@@ -244,15 +234,6 @@ class ReliabilityLayer(Layer):
     def describe_peer(self, peer: int) -> str:
         ch = self._channels.get(peer)
         return f"reliability: unacked={len(ch.unacked) if ch else 0}"
-
-    def _rto_base_us(self, peer: int) -> float:
-        """The un-backed-off retransmit timeout towards ``peer``: the
-        measured (clamped, headroomed) estimate in auto mode, the
-        configured constant otherwise."""
-        if self._rtt is not None:
-            return self._rtt.rto_us(peer)
-        assert self._static_rto_us is not None
-        return self._static_rto_us
 
     # -- transmit side ------------------------------------------------------
     def send(
@@ -304,11 +285,11 @@ class ReliabilityLayer(Layer):
         suppression absorbs whichever copy loses; the hedge never scores a
         loss, never counts as a retransmit, and never feeds the estimator.
         """
-        if self.params.rel_hedge != "tail" or self._rtt is None:
+        if self.params.rel_hedge != "tail":
             return
         if len(self.nics) < 2:
             return
-        delay = self._rtt.hedge_delay_us(ch.peer, pending.rail)
+        delay = self.rtt.hedge_delay_us(ch.peer, pending.rail)
         if delay is None:
             return  # estimate too cold to call anything a tail
         self.sim.schedule(delay, partial(self._hedge_fire, ch, pending))
@@ -380,10 +361,7 @@ class ReliabilityLayer(Layer):
                             seq=pending.seq, peer=ch.peer,
                             from_rail=pending.rail, to_rail=rail)
             pending.rail = rail
-        ch.rto_us = min(ch.rto_us * RTO_BACKOFF,
-                        64.0 * self._rto_base_us(ch.peer))
-        if self._rtt is not None:
-            self.engine.stats.rto_backoffs += 1
+        ch.rto_us = min(ch.rto_us * RTO_BACKOFF, RTO_CEILING_US)
         pending.deadline = None
         frame = pending.frame
         frame.rel_ack = self._ack_snapshot(ch)
@@ -445,22 +423,16 @@ class ReliabilityLayer(Layer):
         self._schedule_probe(rail)
         self._transfer.quarantine(rail)
 
-    def _probe_base_us(self) -> float:
-        """The first half-open probe delay: :data:`PROBE_AFTER_RTOS` base
-        RTOs, the most conservative peer's in auto mode."""
-        if self._rtt is not None:
-            return PROBE_AFTER_RTOS * self._rtt.global_rto_us()
-        assert self._static_rto_us is not None
-        return PROBE_AFTER_RTOS * self._static_rto_us
-
     def _schedule_probe(self, rail: int) -> None:
         """Arm the half-open recovery probe for a freshly quarantined rail.
 
-        The backoff doubles on every re-quarantine of the same rail (capped
-        at 64x) and resets the next time an ack succeeds on it, so a flapping
-        rail is probed ever more lazily while a healed one rejoins fast.
+        The first probe waits :data:`PROBE_AFTER_RTOS` base RTOs, the most
+        conservative peer's.  The backoff doubles on every re-quarantine of
+        the same rail (capped at 64x) and resets the next time an ack
+        succeeds on it, so a flapping rail is probed ever more lazily while
+        a healed one rejoins fast.
         """
-        base = self._probe_base_us()
+        base = PROBE_AFTER_RTOS * self.rtt.global_rto_us()
         backoff = self._probe_backoff.get(rail, base)
         self._probe_backoff[rail] = min(backoff * 2.0, 64.0 * base)
         tracer = self.engine.tracer
@@ -536,13 +508,13 @@ class ReliabilityLayer(Layer):
             # Proof of life: the rail carried an acked frame, so the next
             # quarantine (if any) starts from the base probe window again.
             self._probe_backoff.pop(pending.rail, None)
-            if self._rtt is not None and pending.sent_at is not None:
+            if pending.sent_at is not None:
                 if pending.retries == 0 and pending.hedged_at is None:
                     # Karn's rule: only a frame transmitted exactly once
                     # (never retried, never hedged) yields an unambiguous
                     # RTT measurement.
-                    self._rtt.sample(peer, pending.rail,
-                                     now - pending.sent_at)
+                    self.rtt.sample(peer, pending.rail,
+                                    now - pending.sent_at)
                     self.engine.stats.rtt_samples += 1
                 elif pending.hedged_at is not None and pending.retries == 0:
                     # Attribution heuristic: the hedge "won" when the ack
@@ -553,7 +525,7 @@ class ReliabilityLayer(Layer):
                         self.engine.stats.hedges_won += 1
             if pending.on_delivered is not None:
                 pending.on_delivered()
-        ch.rto_us = self._rto_base_us(peer)  # fresh RTT evidence
+        ch.rto_us = self.rtt.rto_us(peer)  # fresh RTT evidence
         self._arm_timer(ch)
 
     # -- acknowledgement generation ------------------------------------------
@@ -592,9 +564,8 @@ class ReliabilityLayer(Layer):
             return
         pendings = sorted(ch.unacked.values(), key=lambda p: p.seq)
         ch.silence()
-        if self._rtt is not None:
-            # The next incarnation's path may be nothing like this one's.
-            self._rtt.forget_peer(peer)
+        # The next incarnation's path may be nothing like this one's.
+        self.rtt.forget_peer(peer)
         tracer = self.engine.tracer
         if tracer.enabled:
             tracer.emit(self.sim.now, self._name, "reset_peer",

@@ -1,13 +1,13 @@
-"""Per-peer round-trip-time estimation for the adaptive timing layer.
+"""Per-peer round-trip-time estimation: the one retransmit clock.
 
-The reliability, session, and flow-control layers all run on virtual-time
-deadlines.  Through PR 9 those were *static* knobs (``rel_timeout_us``,
-``hb_timeout_us``, the credit grant delay), which forces the operator to
-hand-budget for path conditions the transport could simply measure — the
-documented fat-tree failure mode: switch ports forward cut-through, but
-several flows converging on one egress port queue behind each other
-(incast port contention), and a static RTO sized for an idle path
-spuriously quarantines healthy rails when they do.
+With ``reliability="ack"`` the retransmit timeout is measured, never
+configured.  A hand-set constant forces the operator to budget for path
+conditions the transport can simply measure — the documented fat-tree
+failure mode: switch ports forward cut-through, but several flows
+converging on one egress port queue behind each other (incast port
+contention), and a constant RTO sized for an idle path spuriously
+quarantines healthy rails when they do.  Once warm, the same estimate
+also paces flow-control grants.
 
 :class:`RttEstimator` is the measurement core: Jacobson-style EWMA of
 smoothed RTT and RTT variance (RFC 6298 constants, ``alpha=1/8``,
@@ -20,8 +20,8 @@ granularities:
 * per ``(peer, rail)`` — rails can have wildly different media (MX vs
   Quadrics) and fault exposure; the hedging decision ("has the original
   rail blown past its own tail?") needs the per-rail view;
-* per peer (every eligible sample, any rail) — the retransmit timeout,
-  session deadlines, and grant pacing act on the peer's channel,
+* per peer (every eligible sample, any rail) — the retransmit timeout
+  and grant pacing act on the peer's channel,
   which spans rails; mixing rails inflates the variance term, which only
   makes the derived timeout more conservative, never trigger-happy.
 
@@ -38,9 +38,11 @@ The first samples are still not trusted on their own: trusting one
 would turn a pre-congestion 20us RTT into a 116us RTO right as a
 megabyte burst builds port queues, and the estimator would then starve
 (every spurious retransmit is Karn-ambiguous) while the healthy rail gets
-quarantined.  The hedge
-delay is a p99-ish tail estimate ``srtt + HEDGE_DEVS * rttvar``, not
-floored (it must fire *before* the RTO to be useful), and is only
+quarantined.  Each retry doubles a channel's RTO, never past
+:data:`RTO_CEILING_US` (RFC 6298 §5.5 caps the backoff the same way).
+The hedge delay is a p99-ish tail estimate
+``srtt + HEDGE_DEVS * rttvar``, not floored (it must fire *before* the
+RTO to be useful), and is only
 offered once a rail has :data:`HEDGE_MIN_SAMPLES` samples — hedging on a
 cold estimate would just double-send everything.
 
@@ -68,7 +70,8 @@ RTO_DEVS = 4.0
 RTO_HEADROOM = 2.0
 #: Lower clamp of the derived RTO: no retry clock runs tighter than this.
 RTO_FLOOR_US = 50.0
-#: Upper clamp of every derived timeout, the cold RTO included.
+#: Upper clamp of every derived timeout, the cold RTO and the backed-off
+#: retransmit timeout included.
 RTO_CEILING_US = 10_000.0
 #: Deviation multiplier for the hedge (tail) delay — deliberately tighter
 #: than the RTO: a hedge is cheap (duplicate suppression absorbs it), a
@@ -76,8 +79,8 @@ RTO_CEILING_US = 10_000.0
 HEDGE_DEVS = 3.0
 #: Samples a rail must accumulate before hedging is offered on it.
 HEDGE_MIN_SAMPLES = 8
-#: Samples a peer must accumulate before the measured RTO (and the other
-#: adaptive deadlines derived from it) is trusted over the cold RTO.
+#: Samples a peer must accumulate before the measured RTO (and the grant
+#: pacing derived from it) is trusted over the cold RTO.
 RTO_MIN_SAMPLES = 8
 
 
@@ -141,8 +144,8 @@ class RttEstimator:
         return min(RTO_CEILING_US, max(RTO_FLOOR_US, value_us))
 
     def warm(self, peer: int) -> bool:
-        """True once the peer's estimate is trustworthy — the gate every
-        adaptive consumer (RTO, session deadlines, grant pacing) shares."""
+        """True once the peer's estimate is trustworthy — the gate both
+        consumers (RTO, grant pacing) share."""
         st = self._peers.get(peer)
         return st is not None and st.samples >= RTO_MIN_SAMPLES
 

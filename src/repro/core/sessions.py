@@ -25,9 +25,9 @@ process failure:
   flight).  Heartbeats are idle-only — reverse traffic counts as
   liveness, like the reliability layer's piggybacked acks — and run on
   virtual-time timers: after ``hb_timeout_us/2`` of silence a peer is
-  *suspected*, after ``hb_timeout_us`` it is *confirmed dead* (under
-  ``rel_timeout_us="auto"`` the budget tightens per peer to four
-  adaptive RTOs, with the configured value as the ceiling).  While a
+  *suspected*, after ``hb_timeout_us`` it is *confirmed dead*, whatever
+  the measured round trip (a budget scaled down to a fast path would
+  turn a partition shorter than ``hb_timeout_us`` into a death).  While a
   rendezvous with the peer is live the budget is floored at twice the
   engine's :attr:`~repro.core.engine.NmadEngine.silence_us`: a bulk
   chunk is one frame, heard only once fully serialised, and on a slow
@@ -479,16 +479,11 @@ class SessionLayer(Layer):
         )
 
     def _hb_timeout_us(self, peer: int) -> float:
-        """Effective silence budget before declaring ``peer`` dead.
+        """Silence budget before declaring ``peer`` dead: ``hb_timeout_us``.
 
-        The static ``hb_timeout_us`` unless the engine runs the adaptive
-        timing layer (``rel_timeout_us="auto"``) *and* holds a warm
-        estimate for the peer: then the deadline tightens to four
-        adaptive RTOs — long enough that a lost heartbeat round does not
-        kill a healthy peer, yet scaled to the measured path instead of
-        a hand-tuned constant.  Clamped to at least ``4 * hb_interval_us`` so the
-        idle-prober gets several shots before the verdict, and never
-        above the configured static bound (the operator's ceiling).
+        The budget is the session contract, so it never shrinks with the
+        measured round trip: a partition shorter than ``hb_timeout_us``
+        must stay invisible however fast the path was before it.
 
         While a rendezvous with ``peer`` is live, the budget is at least
         twice the engine's ``silence_us``: one bulk chunk on the wire
@@ -496,13 +491,7 @@ class SessionLayer(Layer):
         does not apply, so an idle or eager-only peer is judged as fast
         as before.
         """
-        rtt = self.engine.rtt
-        if rtt is None or not rtt.warm(peer):
-            timeout = self.params.hb_timeout_us
-        else:
-            timeout = min(max(4.0 * rtt.rto_us(peer),
-                              4.0 * self.params.hb_interval_us),
-                          self.params.hb_timeout_us)
+        timeout = self.params.hb_timeout_us
         if (timeout < self._rdv_floor_us
                 and self.engine.rendezvous.involves_peer(peer)):
             return self._rdv_floor_us

@@ -140,8 +140,8 @@ def adaptive_summary(
     Takes the raw per-peer dump from
     :meth:`~repro.core.rttstat.RttEstimator.snapshot` and stringifies the
     peer keys (JSON objects cannot have integer keys); entries keep
-    exactly the :data:`RTT_SNAPSHOT_KEYS`.  An engine without the
-    adaptive layer contributes an empty dict, so consumers never
-    special-case the mode.
+    exactly the :data:`RTT_SNAPSHOT_KEYS`.  An engine without an
+    estimator (no ``reliability="ack"``) contributes an empty dict, so
+    consumers never special-case the mode.
     """
     return {str(peer): dict(entry) for peer, entry in snapshot.items()}

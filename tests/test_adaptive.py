@@ -1,11 +1,11 @@
-"""The adaptive timing layer end to end: measured RTO, Karn's rule,
-per-request deadlines, tail hedging, and the static-vs-adaptive drills.
+"""The measured timing end to end: RTO, Karn's rule, per-request
+deadlines, tail hedging, and the fat-tree and drift drills.
 
-Covers the PR's tentpole through the engine (not just the estimator —
-see ``tests/test_rttstat.py`` for that):
+Covers the timing through the engine (not just the estimator — see
+``tests/test_rttstat.py`` for that):
 
-* ``rel_timeout_us="auto"`` samples acked frames, warms per peer, and
-  holds the cold RTO derived from the rails until warm;
+* ``reliability="ack"`` samples acked frames, warms per peer, and holds
+  the cold RTO derived from the rails until warm;
 * Karn's rule in the ack machinery — retransmitted frames never feed
   the estimator;
 * ``deadline_us`` on ``isend``/``irecv`` fails the request with
@@ -14,18 +14,15 @@ see ``tests/test_rttstat.py`` for that):
 * ``rel_hedge="tail"`` re-sends tail-latent frames on the second-best
   rail instead of letting the retransmit clock fire;
 * the fat-tree two-rail failover drill (a three-sender incast, so the
-  fabric has real port contention) passes in auto mode with *no*
-  hand-tuned timeout, while the static default spuriously quarantines
-  the healthy rail under the very same schedule and delivers only once
-  the half-open probe readmits it;
-* under the chaos ``rtt-drift`` schedule the adaptive engine
-  retransmits strictly less than its static twin (the acceptance
-  comparison, asserted on a byte-identical fault list).
+  fabric has real port contention) fails over with *no* hand-tuned
+  timeout and keeps the healthy rail;
+* under the chaos ``rtt-drift`` schedule the measured RTO retransmits
+  only against real losses.
 """
 
 import pytest
 
-from repro.chaos import ChaosSpec, generate_schedule, run_chaos, run_schedule
+from repro.chaos import ChaosSpec, audit_run, generate_schedule, run_schedule
 from repro.core import EngineParams, NmadEngine, VirtualData
 from repro.core import reliability
 from repro.core.rttstat import RTO_CEILING_US, RTO_FLOOR_US, RTO_MIN_SAMPLES
@@ -34,7 +31,7 @@ from repro.madmpi import Communicator, MadMpi, Vector
 from repro.netsim import MX_MYRI10G, QUADRICS_QM500, Cluster, FaultPlan
 from repro.sim import Simulator
 
-AUTO = dict(reliability="ack", rel_timeout_us="auto", rel_ack_delay_us=10.0)
+ACK = dict(reliability="ack", rel_ack_delay_us=10.0)
 #: Deadlines a request must refuse before it has any side effect.
 BAD_DEADLINES = [-5.0, 0.0, float("nan"), float("inf")]
 
@@ -58,7 +55,7 @@ def link_between(cluster, src, dst, rail=0):
 
 class TestAutoMode:
     def test_auto_samples_and_warms(self):
-        sim, cluster, (e0, e1) = make_pair(EngineParams(**AUTO))
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK))
         n = 20
         reqs = [e1.irecv(src=0, tag=t, nbytes=64) for t in range(n)]
 
@@ -81,9 +78,9 @@ class TestAutoMode:
     def test_cold_rto_is_twice_the_silence_bound(self):
         # Cold, the RTO is derived from the rails: twice the wire time of
         # a rendezvous chunk with all its headers plus one link latency
-        # (a mesh route is one wire) -- not the static default, and not
-        # the ceiling.
-        sim, cluster, (e0, e1) = make_pair(EngineParams(**AUTO))
+        # (a mesh route is one wire) -- not a constant, and not the
+        # ceiling.
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK))
         hdr = e0.params.hdr
         chunk = (e0.params.rdv_chunk_bytes + hdr.global_header
                  + hdr.rdv_data_header + hdr.rel_header + hdr.checksum
@@ -91,43 +88,47 @@ class TestAutoMode:
         silence = (chunk / MX_MYRI10G.bandwidth_mbps
                    + MX_MYRI10G.latency_us)
         assert e0.silence_us == pytest.approx(silence)
-        assert e0.reliability._rto_base_us(1) == pytest.approx(2 * silence)
-        assert e0.rtt is not None and e0.rtt.global_rto_us() == (
-            e0.reliability._rto_base_us(1))
+        assert e0.rtt.rto_us(1) == pytest.approx(2 * silence)
+        assert e0.rtt.global_rto_us() == e0.rtt.rto_us(1)
         assert RTO_FLOOR_US < 2 * silence < RTO_CEILING_US
 
     def test_cold_rto_counts_every_hop_of_the_longest_route(self):
         # Host 0 of a fat-tree reaches the other pods over six wires.
-        sim, cluster, (e0, e1) = make_pair(EngineParams(**AUTO),
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK),
                                            topology="fat-tree")
-        _, _, (m0, _) = make_pair(EngineParams(**AUTO))
+        _, _, (m0, _) = make_pair(EngineParams(**ACK))
         assert e0.silence_us == pytest.approx(
             m0.silence_us + 5 * MX_MYRI10G.latency_us)
         assert e0.rtt.cold_us == pytest.approx(2 * e0.silence_us)
 
     def test_auto_requires_ack_mode(self):
-        with pytest.raises(ValueError):
-            EngineParams(rel_timeout_us="auto")
-        with pytest.raises(ValueError):
-            EngineParams(reliability="ack", rel_timeout_us="bogus")
+        # "auto" is the only retransmit timeout there is, and only the ack
+        # machinery measures it: without reliability="ack" the engine
+        # builds no estimator, and a number is refused.
+        _, _, (paper, _) = make_pair(EngineParams())
+        assert paper.rtt is None and paper.reliability is None
+        _, _, (acked, _) = make_pair(EngineParams(reliability="ack"))
+        assert acked.rtt is not None
+        assert EngineParams(reliability="ack",
+                            rel_timeout_us="auto").rel_timeout_us == "auto"
+        for value in (100.0, "bogus"):
+            with pytest.raises(ValueError):
+                EngineParams(reliability="ack", rel_timeout_us=value)
 
     def test_hedge_requires_auto(self):
+        # The hedge delay is a quantile of the measured RTT, which only
+        # ack mode measures.
         with pytest.raises(ValueError):
-            EngineParams(reliability="ack", rel_timeout_us=100.0,
-                         rel_hedge="tail")
-
-    def test_static_mode_has_no_estimator(self):
-        sim, cluster, (e0, e1) = make_pair(
-            EngineParams(reliability="ack", rel_timeout_us=100.0))
-        assert e0.rtt is None
-        assert e0.stats.rtt_samples == 0
+            EngineParams(rel_hedge="tail")
+        assert EngineParams(reliability="ack",
+                            rel_hedge="tail").rel_hedge == "tail"
 
 
 class TestKarnsRule:
     def test_retransmitted_frame_never_feeds_the_estimator(self):
         # First frame dropped: its ack (after retransmission) is ambiguous
         # and must not produce a sample; the next clean message must.
-        sim, cluster, (e0, e1) = make_pair(EngineParams(**AUTO))
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK))
         link_between(cluster, 0, 1).fault_plan = FaultPlan(drop_nth=(1,))
         r0 = e1.irecv(src=0, tag=0, nbytes=32)
         e0.isend(1, b"x" * 32, tag=0)
@@ -145,7 +146,7 @@ class TestKarnsRule:
 
 class TestDeadlines:
     def test_recv_deadline_expires_without_sender(self):
-        sim, cluster, (e0, e1) = make_pair(EngineParams(**AUTO))
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK))
         req = e1.irecv(src=0, tag=0, nbytes=64, deadline_us=100.0)
 
         def app():
@@ -189,7 +190,7 @@ class TestDeadlines:
         assert e0.quiesced() and e1.quiesced()
 
     def test_met_deadline_is_invisible(self):
-        sim, cluster, (e0, e1) = make_pair(EngineParams(**AUTO))
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK))
         req = e1.irecv(src=0, tag=0, nbytes=64, deadline_us=50_000.0)
         sreq = e0.isend(1, b"z" * 64, tag=0, deadline_us=50_000.0)
         sim.run()
@@ -245,7 +246,7 @@ class TestTailHedging:
         # hedge re-sends it on the healthy one *before* the RTO can fire —
         # zero retransmits, duplicate suppression absorbing the copies
         # that lose the race.
-        params = EngineParams(**AUTO, rel_hedge="tail")
+        params = EngineParams(**ACK, rel_hedge="tail")
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="multirail")
         n_warm, n_tail = 30, 20
@@ -276,7 +277,7 @@ class TestTailHedging:
         assert e0.quiesced() and e1.quiesced()
 
     def test_hedge_never_fires_on_a_single_rail(self):
-        params = EngineParams(**AUTO, rel_hedge="tail")
+        params = EngineParams(**ACK, rel_hedge="tail")
         sim, cluster, (e0, e1) = make_pair(params)
         reqs = [e1.irecv(src=0, tag=t, nbytes=64)
                 for t in range(2 * RTO_MIN_SAMPLES)]
@@ -297,7 +298,7 @@ class TestTailHedging:
         # A hedge is a one-shot entry nobody cancels: once the peer is torn
         # down or the engine halts, its frame is gone from the send buffer
         # and the entry must find that out on its own.
-        params = EngineParams(**AUTO, rel_hedge="tail")
+        params = EngineParams(**ACK, rel_hedge="tail")
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="multirail")
         n_warm = 30
@@ -345,10 +346,8 @@ class TestFatTreeFailover:
         monkeypatch.setattr(reliability, "QUARANTINE_THRESHOLD", 2)
 
     @classmethod
-    def _run(cls, rel_timeout_us):
-        params = EngineParams(reliability="ack",
-                              rel_timeout_us=rel_timeout_us,
-                              rel_ack_delay_us=10.0)
+    def _run(cls):
+        params = EngineParams(reliability="ack", rel_ack_delay_us=10.0)
         sim = Simulator()
         cluster = Cluster(sim, n_nodes=4,
                           rails=(MX_MYRI10G, QUADRICS_QM500),
@@ -366,12 +365,14 @@ class TestFatTreeFailover:
         return sim, cluster, senders, payload, reqs, sreqs
 
     def test_auto_mode_fails_over_with_no_hand_tuned_timeout(self):
-        # A static timeout would have to be hand-sized to this fabric's
-        # incast port contention.  The measured RTO replaces it: the cold
-        # RTO (twice a QM500 chunk's wire time plus six hops) rides out the
-        # queueing ramp, rail 1's black-holed frames are the only
-        # retransmits, and every sender keeps the healthy rail.
-        sim, cluster, senders, payload, reqs, sreqs = self._run("auto")
+        # A constant timeout would have to be hand-sized to this fabric's
+        # incast port contention (200us fires at healthy queued frames and
+        # quarantines the live rail on every sender).  The measured RTO
+        # replaces it: the cold RTO (twice a QM500 chunk's wire time plus
+        # six hops) rides out the queueing ramp, rail 1's black-holed
+        # frames are the only retransmits, and every sender keeps the
+        # healthy rail.
+        sim, cluster, senders, payload, reqs, sreqs = self._run()
 
         def app():
             for req in reqs:
@@ -392,53 +393,20 @@ class TestFatTreeFailover:
             assert not ok1                        # dead rail quarantined
         assert cluster.conservation_ok(allow_faults=True)
 
-    def test_static_default_spuriously_quarantines_the_healthy_rail(self):
-        # The companion drill: the *same* schedule under the static
-        # default (200us) — the retry clock cannot see the incast port
-        # contention, fires at healthy queued frames and quarantines rail
-        # 0 (the live one!) on every sender, so the transfers strand on
-        # the dead rail until the half-open probe readmits rail 0, 32
-        # retransmit timeouts after its quarantine.
-        sim, cluster, senders, payload, reqs, sreqs = self._run(200.0)
-        sim.run(until=reliability.PROBE_AFTER_RTOS * 200.0)
-        assert not any(req.triggered for req in reqs)
-        for e in senders:
-            assert not e.transfer.rail_ok(0)      # healthy rail condemned
-            assert e.transfer.rail_ok(1)          # dead rail trusted
-            assert e.stats.retransmits > 2        # spurious, not the 2 real
-        sim.run()
-        for req, e in zip(reqs, senders):
-            assert req.data.tobytes() == payload  # late, through the probe
-            assert e.stats.rails_reprobed >= 1
-        assert cluster.conservation_ok(allow_faults=True)
-
 
 class TestDriftComparison:
-    """The acceptance drill: adaptive strictly beats static under drift."""
-
-    def test_schedules_are_identical_across_the_adaptive_flag(self):
-        static = ChaosSpec.quick(rtt_drift=True)
-        adaptive = ChaosSpec.quick(rtt_drift=True, adaptive=True)
-        for seed in range(10):
-            assert (generate_schedule(seed, static)
-                    == generate_schedule(seed, adaptive))
+    """The drift drill: the measured RTO rides out a slowing path."""
 
     @pytest.mark.parametrize("seed", [7, 42])
     def test_adaptive_retransmits_strictly_less_under_drift(self, seed):
-        static = ChaosSpec.quick(rtt_drift=True)
-        adaptive = ChaosSpec.quick(rtt_drift=True, adaptive=True)
-        schedule = generate_schedule(seed, static)
-        assert schedule == generate_schedule(seed, adaptive)
-
-        w_static = run_schedule(seed, static, schedule)
-        w_adaptive = run_schedule(seed, adaptive, schedule)
-        r_static = run_chaos(seed, static)
-        r_adaptive = run_chaos(seed, adaptive)
-        assert r_static.ok, [f.detail for f in r_static.findings]
-        assert r_adaptive.ok, [f.detail for f in r_adaptive.findings]
-
-        # Both twins deliver everything; the static one pays for it with
-        # spurious retransmits the measured RTO provably avoids.
-        assert w_static.total("retransmits") > 0
-        assert (w_adaptive.total("retransmits")
-                < w_static.total("retransmits"))
+        # A constant 100us RTO retransmits at the healthy frames the drift
+        # ramp slows down (seed 42: five retransmits against four wire
+        # drops).  The measured one tracks the ramp: it retransmits
+        # strictly less than the wire lost, and everything is delivered.
+        spec = ChaosSpec.quick(rtt_drift=True)
+        world = run_schedule(seed, spec, generate_schedule(seed, spec))
+        assert audit_run(world) == []
+        assert all(st.delivered() for st in world.tags.values())
+        drops = sum(link.frames_dropped for link in world.cluster.links)
+        assert world.total("rtt_samples") > 0
+        assert world.total("retransmits") < drops

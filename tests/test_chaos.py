@@ -22,7 +22,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import (
-    ADAPTIVE,
     HARDENED,
     ChaosFault,
     ChaosSpec,
@@ -32,7 +31,9 @@ from repro.chaos import (
     run_schedule,
     shrink_schedule,
 )
-from repro.chaos.schedule import MIN_FAULTS, MSG_MIN_BYTES
+from repro.chaos.schedule import (
+    HEALABLE_SHARE, MIN_FAULTS, MSG_MIN_BYTES, _healable, _lost_run,
+)
 from repro.core import EngineParams, NmadEngine, SendRequest
 from repro.core.flowcontrol import FlowControlLayer
 from repro.core.sessions import SessionLayer
@@ -57,8 +58,7 @@ def link_between(cluster, src, dst):
 
 
 #: Reliability + sessions with fast clocks (the test-suite idiom).
-EPOCH = dict(sessions="epoch", reliability="ack",
-             rel_timeout_us=100.0, rel_ack_delay_us=10.0,
+EPOCH = dict(sessions="epoch", reliability="ack", rel_ack_delay_us=10.0,
              hb_interval_us=50.0, hb_timeout_us=200.0)
 
 
@@ -66,8 +66,7 @@ EPOCH = dict(sessions="epoch", reliability="ack",
 
 class TestDuplicateFault:
     def test_duplicate_is_delivered_twice_and_suppressed_once(self):
-        params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                              rel_ack_delay_us=10.0)
+        params = EngineParams(reliability="ack", rel_ack_delay_us=10.0)
         sim, cluster, (e0, e1) = make_pair(params)
         link_between(cluster, 0, 1).fault_plan = FaultPlan(dup_nth=[1])
         req = e1.irecv(src=0, tag=0, nbytes=64)
@@ -86,8 +85,7 @@ class TestDuplicateFault:
 
     def test_conservation_arithmetic_includes_duplicates(self):
         # sent + duplicated == delivered + dropped, per link.
-        params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                              rel_ack_delay_us=10.0)
+        params = EngineParams(reliability="ack", rel_ack_delay_us=10.0)
         sim, cluster, (e0, e1) = make_pair(params)
         link_between(cluster, 0, 1).fault_plan = FaultPlan(
             dup_nth=[1], drop_nth=[3])
@@ -311,9 +309,11 @@ class TestSuspectParking:
         to stay suspected forever once the reliability layer gave up and
         the monitor went dormant — parking every later send towards a
         perfectly healthy peer."""
+        # 64 KiB chunks make the cold RTO about 108us (the default 512 KiB
+        # chunk makes it 842us, past the death threshold below).
         params = EngineParams(sessions="epoch", reliability="ack",
-                              rel_timeout_us=100.0, rel_ack_delay_us=10.0,
-                              rel_retry_budget=2,
+                              rel_ack_delay_us=10.0,
+                              rel_retry_budget=2, rdv_chunk_bytes=64 * 1024,
                               hb_interval_us=50.0, hb_timeout_us=1000.0)
         sim, cluster, (e0, e1) = make_pair(params)
 
@@ -324,9 +324,11 @@ class TestSuspectParking:
         assert r0.complete
 
         # Then a long symmetric partition: the send below is lost, its
-        # retransmit budget (2 retries) is exhausted around t=770 —
-        # *after* suspicion (~570) but *before* the death threshold
-        # (1070) — so the monitor goes dormant while the peer is suspect.
+        # retransmit budget (2 retries, the RTO doubling each time) is
+        # exhausted 7 cold RTOs after it leaves, around t=815 — *after*
+        # suspicion (~570) but *before* the death threshold (1070) — so
+        # the monitor goes dormant while the peer is suspect.
+        assert 570.0 < 60.0 + 7 * e0.rtt.cold_us < 1070.0
         cluster.partition([[0], [1]], 60.0, 2000.0)
         doomed = e0.isend(1, b"x" * 64, tag=1)
         sim.run(until=1500.0)
@@ -377,6 +379,40 @@ class TestScheduleGenerator:
                     assert (max(hi1, hi2) - lo1
                             <= 0.7 * HARDENED.hb_timeout_us + 1e-3), seed
 
+    @pytest.mark.parametrize("topology", ["mesh", "fat-tree"])
+    def test_lost_frames_shorten_the_partitions_next_to_them(self, topology):
+        # A run of lost frames may bracket a window, each one stretching
+        # the silence by up to a heartbeat round, so the window leaves room
+        # for the run plus two rounds.  Quick seeds 53 and 153 broke it.
+        spec = ChaosSpec.quick(topology=topology)
+        hb, timeout = HARDENED.hb_interval_us, HARDENED.hb_timeout_us
+        for seed in [*range(400), 53, 153]:
+            faults = generate_schedule(seed, spec)
+            bound = min(HEALABLE_SHARE * timeout,
+                        timeout - (_lost_run(faults) + 2) * hb)
+            for f in faults:
+                if f.kind in ("partition", "rack_partition"):
+                    assert f.until_us - f.from_us <= bound + 1e-3, seed
+
+    def test_a_lone_lost_frame_leaves_the_schedule_alone(self):
+        hb, timeout = HARDENED.hb_interval_us, HARDENED.hb_timeout_us
+        window = ChaosFault(kind="partition", groups=((0,), (1,)),
+                            from_us=100.0, until_us=519.0)
+        lone = [window, ChaosFault(kind="drop", src=0, dst=1, nth=3),
+                ChaosFault(kind="corrupt", src=0, dst=1, nth=5),
+                ChaosFault(kind="burst", src=1, dst=0, nth=4, length=1)]
+        assert _lost_run(lone) == 1
+        assert _healable(lone) is lone
+        # A burst of three and the drop right after it: four arrivals in
+        # a row, so the window shrinks to leave six heartbeat rounds.
+        run = [window, ChaosFault(kind="burst", src=0, dst=1, nth=3, length=3),
+               ChaosFault(kind="drop", src=0, dst=1, nth=6)]
+        assert _lost_run(run) == 4
+        healed = _healable(run)
+        assert healed[1:] == run[1:]
+        assert (healed[0].from_us, healed[0].until_us) == (
+            100.0, 100.0 + timeout - 6 * hb)
+
     def test_fault_bounds_respected(self):
         spec = ChaosSpec(max_faults=4)
         for seed in range(30):
@@ -415,24 +451,17 @@ class TestScheduleGenerator:
                 assert (jit.src, jit.dst) == pair
                 assert jit.max_us > 0.0
 
-    def test_adaptive_flag_never_reaches_the_generator(self):
-        # The basis of the static-vs-adaptive comparison: two specs
-        # differing only in `adaptive` expand to identical fault lists.
-        for seed in range(20):
-            assert (generate_schedule(seed, ChaosSpec.quick(rtt_drift=True))
-                    == generate_schedule(
-                        seed, ChaosSpec.quick(rtt_drift=True, adaptive=True)))
-
     def test_rto_ceiling_validation(self):
-        # Neither the spec nor the engine takes a ceiling: the adaptive
-        # twin differs from HARDENED in its retransmit timeout alone, and
-        # its cold RTO comes from the rails.
+        # Neither the spec nor the engine takes a ceiling or a constant
+        # timeout: HARDENED runs the measured RTO, whose cold value comes
+        # from the rails.
         with pytest.raises(TypeError):
             ChaosSpec(rel_rto_ceiling_us=0.0)
         with pytest.raises(TypeError):
             dataclasses.replace(HARDENED, rel_rto_ceiling_us=2_000.0)
-        assert ADAPTIVE == dataclasses.replace(HARDENED,
-                                               rel_timeout_us="auto")
+        with pytest.raises(ValueError):
+            dataclasses.replace(HARDENED, rel_timeout_us=100.0)
+        assert HARDENED.rel_timeout_us == "auto"
 
     def test_spec_bounds_follow_the_harness_constants(self):
         assert ChaosSpec(max_faults=MIN_FAULTS).max_faults == MIN_FAULTS
@@ -444,11 +473,11 @@ class TestScheduleGenerator:
             ChaosSpec(msg_max_bytes=MSG_MIN_BYTES - 1)
 
     @pytest.mark.parametrize("quick, digest", [
-        (None, "9f4f0f5487a67f76"),
-        ({}, "41b98a317bb528d2"),
-        ({"crashes": True}, "c14894b6c823bdaf"),
-        ({"topology": "fat-tree", "switch_kills": 2}, "98d2c19030c11f60"),
-        ({"rtt_drift": True}, "b4ffdc0e1c34ce7c"),
+        (None, "402ee124067d5458"),
+        ({}, "9c9bd86c7bc58013"),
+        ({"crashes": True}, "465b373c001eef96"),
+        ({"topology": "fat-tree", "switch_kills": 2}, "de0492267c335627"),
+        ({"rtt_drift": True}, "db6002bec0985799"),
     ], ids=["default", "quick", "crashes", "fat-tree", "rtt-drift"])
     def test_schedule_stream_is_pinned(self, quick, digest):
         # The first 500 seeds of each sweep profile expand to exactly the
@@ -477,6 +506,31 @@ class TestChaosHarness:
             assert report.ok, [f.detail for f in report.findings]
             assert report.delivered == report.n_messages
             assert report.drained
+
+    @pytest.mark.parametrize("seed, spec", [
+        # A 331us partition, well inside hb_timeout_us (600us): a session
+        # deadline that tightened to four warm RTOs (about 200us) declared
+        # the healthy peer dead.
+        (9, ChaosSpec()),
+        # A spine killed: twelve retransmits backed one channel's RTO off
+        # to 64 cold RTOs (55ms), so its last frame was due after the
+        # settle window and the send stuck.  The backoff now stops at
+        # RTO_CEILING_US.
+        (17, ChaosSpec.quick(topology="fat-tree", switch_kills=1)),
+        # Node 0's last ack before a 419us partition and its three
+        # heartbeat replies after it are lost; seven frames in a row
+        # around a 375us one.  Drawn as they were, each silence outlasted
+        # hb_timeout_us and killed a healthy peer.
+        (53, ChaosSpec.quick()),
+        (153, ChaosSpec.quick()),
+    ], ids=["full-9", "fat-tree-17", "quick-53", "quick-153"])
+    def test_a_healable_schedule_kills_no_peer_and_strands_no_send(
+            self, seed, spec):
+        report = run_chaos(seed, spec)
+        assert report.ok, [f.detail for f in report.findings]
+        assert report.delivered == report.n_messages
+        assert all(stats["peers_dead"] == 0
+                   for stats in report.stats.values())
 
     def test_report_is_bit_deterministic(self):
         first = json.dumps(run_chaos(2, ChaosSpec.quick()).to_jsonable(),
@@ -567,31 +621,24 @@ class TestChaosHarness:
         assert result.runs == 1
 
     def test_drift_drill_is_clean_in_both_modes(self):
-        # The CI sweep's drift drill: both twins of the comparison pass
-        # the full audit (the adaptive one under the spurious-retransmit
-        # budget the rto-thrash invariant enforces).
-        for adaptive in (False, True):
-            spec = ChaosSpec.quick(rtt_drift=True, adaptive=adaptive)
-            report = run_chaos(42, spec)
+        # The CI sweep's drift drill passes the full audit on both chaos
+        # fabrics, under the spurious-retransmit budget the rto-thrash
+        # invariant enforces.
+        for topology in ("mesh", "fat-tree"):
+            report = run_chaos(42, ChaosSpec.quick(rtt_drift=True,
+                                                   topology=topology))
             assert report.ok, [f.detail for f in report.findings]
             assert report.delivered == report.n_messages
 
     def test_auditor_catches_rto_thrash(self):
-        # A thrashing adaptive engine retransmits far beyond its loss
-        # evidence; the audit must pin it — and must hold the *adaptive*
-        # run only (a static run under drift blows the bound by design).
-        spec = ChaosSpec.quick(rtt_drift=True, adaptive=True)
+        # A thrashing engine retransmits far beyond its loss evidence;
+        # the audit must pin it on every run.
+        spec = ChaosSpec.quick(rtt_drift=True)
         world = run_schedule(42, spec, generate_schedule(42, spec))
         assert "rto-thrash" not in {f.code for f in audit_run(world)}
         sender = world.nodes[0][-1]
         sender.stats.retransmits += 10_000  # simulate a thrashing clock
         assert "rto-thrash" in {f.code for f in audit_run(world)}
-
-        static = ChaosSpec.quick(rtt_drift=True)
-        world = run_schedule(42, static, generate_schedule(42, static))
-        sender = world.nodes[0][-1]
-        sender.stats.retransmits += 10_000
-        assert "rto-thrash" not in {f.code for f in audit_run(world)}
 
 
 def _flip_a_payload_byte(world):

@@ -170,7 +170,7 @@ class TestReport:
         # The two views carry the same facts: one ``key: value`` line per
         # leaf of the JSON payload, value as JSON, and nothing else.
         argv = ("report", "--topology", "fat-tree", "--reliability", "ack",
-                "--rel-timeout", "auto", "--drop-nth", "2", "--messages", "10")
+                "--drop-nth", "2", "--messages", "10")
         code, text = run_cli(*argv)
         json_code, dumped = run_cli(*argv, "--json")
         assert code == json_code == 0
@@ -222,7 +222,7 @@ class TestReportPartitionGroup:
 
         declared = {f.name for f in dataclasses.fields(EngineStats)}
         grouped = [f for _, fields in REPORT_STAT_GROUPS for f in fields]
-        assert len(grouped) == len(set(grouped)) == 33
+        assert len(grouped) == len(set(grouped)) == 32
         assert set(grouped) == declared == STATS_COUNTERS
         assert [g for g, _ in REPORT_STAT_GROUPS] == [
             "core", "reliability", "flow_control", "sessions", "partition",
@@ -358,7 +358,7 @@ class TestPerfCommand:
 class TestAdaptiveCli:
     def test_auto_report_exposes_rtt_estimates(self):
         code, text = run_cli("report", "--reliability", "ack",
-                             "--rel-timeout", "auto", "--messages", "20")
+                             "--messages", "20")
         assert code == 0
         assert "\n  adaptive:\n" in text and "\n  rtt:\n" in text
         assert "srtt_us: " in text and "rttvar_us: " in text
@@ -367,11 +367,10 @@ class TestAdaptiveCli:
         from repro.netsim.stats import RTT_SNAPSHOT_KEYS
 
         code, text = run_cli("report", "--reliability", "ack",
-                             "--rel-timeout", "auto", "--messages", "20",
-                             "--json")
+                             "--messages", "20", "--json")
         assert code == 0
         payload = json.loads(text)
-        assert payload["config"]["rel_timeout"] == "auto"
+        assert "rel_timeout" not in payload["config"]  # always measured
         assert payload["config"]["hedge"] is False
         sender = payload["engines"][0]
         assert sender["adaptive"]["rtt_samples"] > 0
@@ -380,21 +379,20 @@ class TestAdaptiveCli:
             assert set(entry) == set(RTT_SNAPSHOT_KEYS)
 
     def test_static_override_and_cold_reports_stay_clean(self):
-        code, text = run_cli("report", "--reliability", "ack",
-                             "--rel-timeout", "500", "--messages", "10",
-                             "--json")
+        # No constant overrides the measured RTO any more.
+        with pytest.raises(SystemExit):
+            run_cli("report", "--reliability", "ack", "--rel-timeout", "500")
+        code, text = run_cli("report", "--messages", "10", "--json")
         assert code == 0
         payload = json.loads(text)
-        assert payload["config"]["rel_timeout"] == 500.0
-        # No estimator in static mode: the rtt block is empty, the
-        # adaptive group all-zero — but both keys are always present.
+        # No estimator without reliability="ack": the rtt block is empty,
+        # the adaptive group all-zero — but both keys are always present.
         for eng in payload["engines"]:
             assert eng["rtt"] == {}
             assert eng["adaptive"]["rtt_samples"] == 0
 
     def test_hedged_report_runs_on_two_rails(self):
-        code, text = run_cli("report", "--reliability", "ack",
-                             "--rel-timeout", "auto", "--hedge",
+        code, text = run_cli("report", "--reliability", "ack", "--hedge",
                              "--rails", "2", "--messages", "20", "--json")
         assert code == 0
         payload = json.loads(text)
@@ -402,17 +400,17 @@ class TestAdaptiveCli:
         assert "hedges_sent" in payload["engines"][0]["adaptive"]
 
     def test_bad_timing_flags_rejected(self):
+        # The retransmit timeout is always measured: no flag sets it.
         with pytest.raises(SystemExit):
-            run_cli("report", "--reliability", "ack",
-                    "--rel-timeout", "bogus")
+            run_cli("report", "--reliability", "ack", "--rel-timeout", "auto")
         with pytest.raises(SystemExit):
-            run_cli("report", "--rel-timeout", "auto")  # needs ack mode
-        with pytest.raises(SystemExit):
-            run_cli("report", "--reliability", "ack", "--hedge")  # needs auto
+            run_cli("chaos", "--seed", "42", "--quick", "--adaptive")
+        with pytest.raises(SystemExit, match="invalid engine configuration"):
+            run_cli("report", "--hedge")  # needs ack mode
 
     def test_chaos_drift_drill_is_clean(self):
         code, text = run_cli("chaos", "--seed", "42", "--quick",
-                             "--adaptive", "--rtt-drift")
+                             "--rtt-drift")
         assert code == 0
         assert "1/1 seed(s) clean" in text
         assert "slow x" in text  # the drift ramp was injected

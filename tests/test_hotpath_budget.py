@@ -50,8 +50,7 @@ GOLDEN = Path(__file__).with_name("hotpath_trace_golden.json")
 
 PAPER: dict = {}
 HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
-                rel_timeout_us="auto", hb_interval_us=500.0,
-                hb_timeout_us=5000.0)
+                hb_interval_us=500.0, hb_timeout_us=5000.0)
 
 #: Measured 157.14 / 74.07 calls per message on CPython 3.11 (158.14 / 74.09
 #: while the NIC coalesced same-timestamp arrivals behind a kernel mark;
@@ -64,10 +63,13 @@ HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
 #: Lower them when the path gets shorter; never raise them.
 PINGPONG_CALLS_PER_MSG = 161.9
 BURST_CALLS_PER_MSG = 75.3
-#: The opt-in stack and the switched fabric, same rule: measured 87.50 for
-#: the 4 x 64 burst with ``HARDENED`` (its ceiling kept from an earlier,
-#: lower measurement) and 84.54 for a 16 x 64 ack + credit burst over
-#: ``FatTree(k=4, seed=1)`` (87.67 / 84.62 with receive coalescing; 86.13
+#: The opt-in stack and the switched fabric, same rule: measured 87.43 for
+#: the 4 x 64 burst with ``HARDENED`` (87.50 while the reliability layer
+#: tested for a static RTO mode; its ceiling kept from an earlier, lower
+#: measurement) and 84.80 for a 16 x 64 ack + credit burst over
+#: ``FatTree(k=4, seed=1)`` (84.54 with a constant 200us RTO, which fed no
+#: estimator and paced no credit grant; 87.67 / 84.62 with receive
+#: coalescing; 86.13
 #: for the fabric while switch ports stored and forwarded each frame;
 #: 88.40 / 87.57 with the timer wheel;
 #: 92.40 / 91.57 with the sent-wrap set and the ``isinstance`` tests, the

@@ -719,8 +719,7 @@ def _send_into_dead_links(datatype):
     for link in cluster.links:
         link.fault_plan = FaultPlan(down_at_us=0.0)
     world = Communicator([0, 1])
-    params = EngineParams(reliability="ack", rel_retry_budget=1,
-                          rel_timeout_us=20.0)
+    params = EngineParams(reliability="ack", rel_retry_budget=1)
     m0 = MadMpi(NmadEngine(cluster.node(0), params=params), world)
     MadMpi(NmadEngine(cluster.node(1), params=params), world)
     req = m0.isend(bytes(40_320), dest=1, tag=1, datatype=datatype)

@@ -167,8 +167,8 @@ def test_ack_mode_delivers_exactly_once_under_random_loss(
 
     from repro.core import EngineParams
 
-    params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                          rel_ack_delay_us=10.0, rel_retry_budget=20)
+    params = EngineParams(reliability="ack", rel_ack_delay_us=10.0,
+                          rel_retry_budget=20)
     pair = make_backend_pair("madmpi", rails=(MX_MYRI10G,),
                              engine_params=params)
     rng = random.Random(drop_seed)
@@ -214,8 +214,7 @@ def test_two_rail_replays_stop_at_the_transport(data):
     from repro.netsim import Cluster
     from repro.sim import Simulator
 
-    params = EngineParams(reliability="ack", rel_timeout_us="auto",
-                          rel_hedge="tail")
+    params = EngineParams(reliability="ack", rel_hedge="tail")
     sim = Simulator()
     cluster = Cluster(sim, rails=(MX_MYRI10G, QUADRICS_QM500))
     e0, e1 = (NmadEngine(cluster.node(i), strategy="multirail", params=params)

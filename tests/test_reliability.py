@@ -11,11 +11,12 @@ import pytest
 
 from repro.core import EngineParams, NmadEngine, ReliabilityLayer
 from repro.core import reliability
+from repro.core.rttstat import RTO_CEILING_US
 from repro.errors import SimulationError, TransportError
 from repro.netsim import MX_MYRI10G, QUADRICS_QM500, Cluster, FaultPlan
 from repro.sim import Simulator, Tracer
 
-ACK = dict(reliability="ack", rel_timeout_us=100.0, rel_ack_delay_us=10.0)
+ACK = dict(reliability="ack", rel_ack_delay_us=10.0)
 
 
 def link_between(cluster, src, dst, rail=0):
@@ -135,8 +136,7 @@ class TestEagerRecovery:
 
 class TestFailover:
     def test_link_down_mid_rendezvous_completes_on_survivor(self):
-        params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                              rel_ack_delay_us=10.0)
+        params = EngineParams(reliability="ack", rel_ack_delay_us=10.0)
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="multirail")
         link_between(cluster, 0, 1, rail=1).fault_plan = \
@@ -170,8 +170,7 @@ class TestFailover:
         # forever.  Kill rail 1 mid-transfer so it gets quarantined, heal
         # the link, let the half-open probe lift the quarantine, then prove
         # a second transfer actually delivers frames over that rail again.
-        params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                              rel_ack_delay_us=10.0)
+        params = EngineParams(reliability="ack", rel_ack_delay_us=10.0)
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="multirail")
         rail1 = link_between(cluster, 0, 1, rail=1)
@@ -219,8 +218,7 @@ class TestFailover:
         # does not show the gap: it has nothing pinned to re-home.)  Two
         # straight losses quarantine, so the chunk timings stay small.
         monkeypatch.setattr(reliability, "QUARANTINE_THRESHOLD", 2)
-        params = EngineParams(reliability="ack", rel_timeout_us=100.0,
-                              rel_ack_delay_us=10.0)
+        params = EngineParams(reliability="ack", rel_ack_delay_us=10.0)
         sim, cluster, (e0, e1) = make_pair(
             params, rails=(MX_MYRI10G, QUADRICS_QM500), strategy="aggregation")
         link_between(cluster, 0, 1, rail=0).fault_plan = \
@@ -250,41 +248,41 @@ class TestFailover:
         assert not sreq.failed
         assert e0.stats.rails_quarantined >= 1
         # Nothing was posted on rail 0 once it was quarantined, and the
-        # message did not wait for the probe to lift the quarantine.
-        assert quarantines_at_post == [0, 0, 0, 0]
+        # message did not wait for the probe to lift the quarantine.  The
+        # timings follow the cold RTO (twice a QM500 chunk's wire time):
+        # the second chunk on rail 0 leaves the NIC at 877.4us, and its
+        # loss, one cold RTO later, quarantines the rail at 2031.9us --
+        # after rail 0 took its fifth and last frame at 1313.1us.
+        assert e0.rtt.cold_us == pytest.approx(1154.44, abs=0.01)
+        assert quarantines_at_post == [0, 0, 0, 0, 0]
         assert reprobes_by_then == 0
-        assert e0.stats.failovers == 3
-        assert recv_done_us == pytest.approx(2943.07, abs=0.01)
+        assert e0.stats.failovers == 4
+        assert recv_done_us == pytest.approx(3966.55, abs=0.01)
 
     def test_reprobe_fires_probe_after_rtos_base_timeouts_later(self):
         # No knob and no "never" value: a quarantined rail is re-probed
         # PROBE_AFTER_RTOS base retransmit timeouts after its quarantine --
-        # the static constant, or the measured (here still cold) one in
-        # auto mode.
-        for timeout in (100.0, "auto"):
-            tracer = Tracer(enabled=True)
-            sim = Simulator()
-            cluster = Cluster(sim, rails=(MX_MYRI10G, QUADRICS_QM500))
-            params = EngineParams(reliability="ack", rel_timeout_us=timeout,
-                                  rel_ack_delay_us=10.0)
-            e0, e1 = (NmadEngine(cluster.node(i), strategy="multirail",
-                                 params=params, tracer=tracer)
-                      for i in range(2))
-            link_between(cluster, 0, 1, rail=1).fault_plan = \
-                FaultPlan(down_at_us=100.0)
-            payload = bytes(range(256)) * 8192  # 2 MiB
-            req = e1.irecv(src=0, tag=0)
-            e0.isend(1, payload, tag=0)
-            sim.run()
-            assert req.data.tobytes() == payload
-            base = e0.rtt.cold_us if e0.rtt is not None else timeout
-            quarantine, = (r for r in tracer.records
-                           if r.kind == "quarantine")
-            reprobe, = (r for r in tracer.records if r.kind == "reprobe")
-            assert reprobe.time - quarantine.time == pytest.approx(
-                reliability.PROBE_AFTER_RTOS * base)
-            assert e0.stats.rails_quarantined == 1
-            assert e0.stats.rails_reprobed == 1
+        # the measured (here still cold) one.
+        tracer = Tracer(enabled=True)
+        sim = Simulator()
+        cluster = Cluster(sim, rails=(MX_MYRI10G, QUADRICS_QM500))
+        params = EngineParams(reliability="ack", rel_ack_delay_us=10.0)
+        e0, e1 = (NmadEngine(cluster.node(i), strategy="multirail",
+                             params=params, tracer=tracer)
+                  for i in range(2))
+        link_between(cluster, 0, 1, rail=1).fault_plan = \
+            FaultPlan(down_at_us=100.0)
+        payload = bytes(range(256)) * 8192  # 2 MiB
+        req = e1.irecv(src=0, tag=0)
+        e0.isend(1, payload, tag=0)
+        sim.run()
+        assert req.data.tobytes() == payload
+        quarantine, = (r for r in tracer.records if r.kind == "quarantine")
+        reprobe, = (r for r in tracer.records if r.kind == "reprobe")
+        assert reprobe.time - quarantine.time == pytest.approx(
+            reliability.PROBE_AFTER_RTOS * e0.rtt.cold_us)
+        assert e0.stats.rails_quarantined == 1
+        assert e0.stats.rails_reprobed == 1
 
     def test_congestion_aware_election_prefers_shorter_queue(self):
         # Unit-level: with both rails healthy, the election leaves a sticky
@@ -322,8 +320,7 @@ class TestFailover:
     def test_quarantine_skipped_without_surviving_rail(self):
         # A single-rail engine never self-quarantines: it keeps retrying on
         # the only rail it has until the budget decides.
-        params = EngineParams(reliability="ack", rel_timeout_us=50.0,
-                              rel_retry_budget=3)
+        params = EngineParams(reliability="ack", rel_retry_budget=3)
         sim, cluster, (e0, e1) = make_pair(params)
         link_between(cluster, 0, 1).fault_plan = FaultPlan(down_at_us=0.0)
 
@@ -341,8 +338,8 @@ class TestFailover:
 
 class TestRetryExhaustion:
     def test_budget_exhaustion_fails_only_affected_request(self):
-        params = EngineParams(reliability="ack", rel_timeout_us=50.0,
-                              rel_retry_budget=2, rel_ack_delay_us=5.0)
+        params = EngineParams(reliability="ack", rel_retry_budget=2,
+                              rel_ack_delay_us=5.0)
         sim = Simulator()
         cluster = Cluster(sim, n_nodes=3, rails=(MX_MYRI10G,))
         link_between(cluster, 0, 1).fault_plan = FaultPlan(down_at_us=0.0)
@@ -368,8 +365,7 @@ class TestRetryExhaustion:
         assert not r_lost.complete
 
     def test_exhausted_rendezvous_fails_the_big_send(self):
-        params = EngineParams(reliability="ack", rel_timeout_us=50.0,
-                              rel_retry_budget=2)
+        params = EngineParams(reliability="ack", rel_retry_budget=2)
         sim, cluster, (e0, e1) = make_pair(params)
         link_between(cluster, 0, 1).fault_plan = FaultPlan(down_at_us=0.0)
 
@@ -409,8 +405,7 @@ class TestDeadlockDiagnosis:
         assert repr(held[1].done) == "<SendRequest 'send:1/0/0' ok>"
 
     def test_exhausted_budget_named_in_deadlock(self):
-        params = EngineParams(reliability="ack", rel_timeout_us=50.0,
-                              rel_retry_budget=1)
+        params = EngineParams(reliability="ack", rel_retry_budget=1)
         sim, cluster, (e0, e1) = make_pair(params)
         link_between(cluster, 0, 1).fault_plan = FaultPlan(down_at_us=0.0)
 
@@ -457,6 +452,32 @@ class TestRetryTimer:
         assert not channels[-1].retry_timer.armed
         assert entered == []
         assert e0.quiesced() and e1.quiesced()
+
+
+    def test_a_channel_that_keeps_losing_never_arms_past_the_ceiling(self):
+        # RFC 6298 §5.5 caps the doubling: a frame retried into a dead
+        # link waits 1, 2, 4 and 8 cold RTOs, then RTO_CEILING_US each
+        # time -- never 16 or 64 cold RTOs (13ms, 54ms), a retry later than
+        # any settle window waits.
+        tracer = Tracer(enabled=True)
+        sim = Simulator()
+        cluster = Cluster(sim, rails=(MX_MYRI10G,))
+        params = EngineParams(**ACK)
+        e0, e1 = (NmadEngine(cluster.node(i), params=params, tracer=tracer)
+                  for i in range(2))
+        link_between(cluster, 0, 1).fault_plan = FaultPlan(down_at_us=0.0)
+        sreq = e0.isend(1, b"lost" * 16, tag=0)
+        sim.run()
+        assert sreq.failed and isinstance(sreq.error, TransportError)
+        tries = [r.time for r in tracer.records
+                 if r.source == "node0.reliability"
+                 and r.kind in ("retransmit", "give_up")]
+        assert len(tries) == params.rel_retry_budget + 1
+        gaps = [later - earlier for earlier, later in zip(tries, tries[1:])]
+        cold = e0.rtt.cold_us
+        assert 16 * cold > RTO_CEILING_US
+        assert gaps == pytest.approx(
+            [2 * cold, 4 * cold, 8 * cold] + [RTO_CEILING_US] * 5, abs=1.0)
 
 
 class TestOffModeUnchanged:

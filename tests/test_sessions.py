@@ -37,8 +37,7 @@ def make_pair(params, n_nodes=2):
 #: Paper-faithful reliability + sessions, with a detection window small
 #: enough that tests stay fast but large enough that live traffic (acks,
 #: pongs) always refreshes liveness well inside hb_timeout_us.
-EPOCH = dict(sessions="epoch", reliability="ack",
-             rel_timeout_us=100.0, rel_ack_delay_us=10.0,
+EPOCH = dict(sessions="epoch", reliability="ack", rel_ack_delay_us=10.0,
              hb_interval_us=50.0, hb_timeout_us=200.0)
 
 SESSION_COUNTERS = ("peers_suspected", "peers_dead", "epochs_started",
@@ -414,8 +413,8 @@ class TestTeardownTimerHygiene:
         # delay is stretched so the grant is still pending at the death.
         monkeypatch.setattr(flowcontrol, "CREDIT_GRANT_DELAY_US", 2_000.0)
         params = EngineParams(sessions="epoch", reliability="ack",
-                              rel_timeout_us=100.0, rel_ack_delay_us=5.0,
-                              hb_interval_us=25.0, hb_timeout_us=50.0,
+                              rel_ack_delay_us=5.0, hb_interval_us=25.0,
+                              hb_timeout_us=50.0,
                               flow_control="credit")
         sim, cluster, (e0, e1) = make_pair(params)
         outcome = {}
@@ -452,8 +451,8 @@ class TestTeardownTimerHygiene:
         # is shrunk so the sender wedges before the detector fires.
         monkeypatch.setattr(flowcontrol, "CREDIT_BYTES", 64 * 1024)
         params = EngineParams(sessions="epoch", reliability="ack",
-                              rel_timeout_us=100.0, rel_ack_delay_us=10.0,
-                              hb_interval_us=50.0, hb_timeout_us=200.0,
+                              rel_ack_delay_us=10.0, hb_interval_us=50.0,
+                              hb_timeout_us=200.0,
                               flow_control="credit")
         sim, cluster, (e0, e1) = make_pair(params)
         cluster.schedule_node_fault(1, 30.0)

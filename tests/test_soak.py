@@ -76,8 +76,8 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive, monkeypatch):
     released only on the match, so each sender has at most
     ``CREDIT_BYTES`` buffered unexpected), and despite the stalls every
     byte is delivered exactly once.  The ``rel-auto`` variant stacks the
-    adaptive timing layer on top (``reliability="ack"``,
-    ``rel_timeout_us="auto"``): measured grant pacing must not break a
+    reliability layer and its measured timing on top
+    (``reliability="ack"``): measured grant pacing must not break a
     single overload invariant.  The budget is shrunk so it binds within
     the run.
     """
@@ -89,8 +89,8 @@ def test_flood_soak_credit_mode_stays_bounded(adaptive, monkeypatch):
     monkeypatch.setattr(flowcontrol, "CREDIT_WRAPS", credit_wraps)
     sim = Simulator()
     cluster = Cluster(sim, n_nodes=n_senders + 1, rails=(MX_MYRI10G,))
-    timing = ({"reliability": "ack", "rel_timeout_us": "auto",
-               "rel_ack_delay_us": 10.0} if adaptive else {})
+    timing = ({"reliability": "ack", "rel_ack_delay_us": 10.0}
+              if adaptive else {})
     params = EngineParams(flow_control="credit", **timing)
     engines = [NmadEngine(cluster.node(i), params=params)
                for i in range(n_senders + 1)]

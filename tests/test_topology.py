@@ -41,7 +41,7 @@ from repro.netsim.frames import Frame
 from repro.netsim.stats import SWITCH_COUNTERS, topology_summary
 from repro.sim import Simulator
 
-ACK = dict(reliability="ack", rel_timeout_us=100.0, rel_ack_delay_us=10.0)
+ACK = dict(reliability="ack", rel_ack_delay_us=10.0)
 
 
 def make_pair(params, topology, rails=(MX_MYRI10G,), strategy="aggregation",
