@@ -182,9 +182,10 @@ class ChaosSpec:
     #: Append an RTT-drift drill to the schedule: a long slow-link ramp
     #: plus jitter windows on the workload path, sized so a constant RTO
     #: sized for the idle path would fire spuriously; the measured one
-    #: must track the drift (the auditor's ``rto-thrash`` check).
-    #: Composed from the existing ``slow`` and ``jitter`` fault kinds — no
-    #: new fault kind.
+    #: must track the drift (the auditor's ``rto-thrash`` check).  The
+    #: drill also loses both opening session hellos, wire losses that
+    #: owe no retransmit.  Composed from the existing ``slow``, ``jitter``
+    #: and ``drop`` fault kinds — no new fault kind.
     rtt_drift: bool = False
 
     def __post_init__(self) -> None:
@@ -415,7 +416,12 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
     # the runner (first-come wins) always belong to the drill.  The slow
     # factor is sized against the MX profile (~2us hops) so a constant
     # 100us RTO would retransmit spuriously inside the window, while the
-    # measured RTO rides it out.
+    # measured RTO rides it out.  Each wire's first arrival is the
+    # session hello its sender opens with; the drill drops both.  The
+    # session layer re-sends a hello itself, unsequenced, so these are
+    # wire losses a well-measured RTO answers with no retransmit at all:
+    # a drill that loses nothing cannot tell tracking from luck.  They
+    # take no rng draw.
     if spec.rtt_drift:
         start = round(rng.uniform(active_us * 0.05, active_us * 0.25), 3)
         drift = [
@@ -433,6 +439,8 @@ def generate_schedule(seed: int, spec: ChaosSpec) -> list[ChaosFault]:
                 kind="jitter", src=1, dst=0,
                 max_us=round(rng.uniform(15.0, 45.0), 3),
                 rng_seed=rng.randrange(1 << 30)),
+            ChaosFault(kind="drop", src=0, dst=1, nth=1),
+            ChaosFault(kind="drop", src=1, dst=0, nth=1),
         ]
         faults[:0] = drift
     return _healable(faults)

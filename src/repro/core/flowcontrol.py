@@ -19,13 +19,22 @@ that bounds both ends of an eager stream:
 * the receiver **releases** credit when the application consumes a
   message, and advertises releases as cumulative
   ``(released_bytes_total, released_wraps_total)`` grants, piggybacked
-  on any reverse frame (``fc_grant``, ``credit_header`` wire bytes) or
-  as a small standalone ``credit`` frame after
-  :data:`CREDIT_GRANT_DELAY_US` of reverse silence — a :class:`~repro.sim.Timer` per ledger, like the
-  reliability layer's standalone acks;
+  on any reverse frame (``fc_grant``, ``credit_header`` wire bytes),
+  standalone acks included;
+* a release arms a :class:`~repro.sim.Timer` per ledger: if no reverse
+  frame carried the grant within :data:`CREDIT_GRANT_DELAY_US` (half the
+  measured RTT, when there is one), the grant goes out on the ack the
+  reliability layer owes the peer, sent early
+  (:meth:`~repro.core.reliability.ReliabilityLayer.flush_ack`), as TCP
+  puts the window update in the ack.  Only when no ack is owed (a late
+  receive releasing credit after its data was acked, or
+  ``reliability="off"``) does a standalone ``credit`` frame go out;
 * cumulative totals make grants **idempotent**: a duplicated, reordered
   or retransmitted grant applies as a componentwise max, so the layer
-  composes with ``reliability="ack"`` without extra state.
+  composes with ``reliability="ack"`` without extra state.  A lost
+  grant-bearing ack needs no timer of its own: the ack was owed for a
+  frame the peer retransmits until acked, and the duplicate is answered
+  at once by an ack carrying the cumulative grant again.
 
 The budget is also the receiver's memory bound.  Credit is spent when a
 packet commits and released only when the message matches, so a sender
@@ -67,9 +76,12 @@ __all__ = ["FlowControlLayer", "FlowControlParams", "FlowControlStats",
 #: of the engine's rails), which the layer checks at construction.
 CREDIT_BYTES = 256 * 1024
 CREDIT_WRAPS = 256
-#: Reverse-silence window before a standalone credit frame carries a
-#: pending grant (grants otherwise piggyback on any reverse frame).
+#: Reverse-silence window before a pending grant goes out on the owed ack,
+#: or on a standalone credit frame (grants otherwise piggyback on any
+#: reverse frame).
 CREDIT_GRANT_DELAY_US = 25.0
+#: Frame kinds :meth:`FlowControlLayer.accept` absorbs.
+_CONTROL_KINDS = frozenset({FrameKind.CREDIT, FrameKind.REL_ACK})
 
 
 @dataclass(frozen=True)
@@ -125,7 +137,7 @@ class _PeerCredit:
         self.released_wraps_total = 0
         self.adv_bytes = 0
         self.adv_wraps = 0
-        #: Armed while a standalone grant waits out the reverse silence.
+        #: Armed while a released grant waits for a reverse frame to carry it.
         self.grant_timer = Timer(layer.sim, partial(layer._send_credit, self))
 
 
@@ -224,11 +236,12 @@ class FlowControlLayer(Layer):
 
     # -- receive path --------------------------------------------------------
     def accept(self, rail: int, frame: Frame) -> bool:
-        """Apply the piggybacked grant; absorb credit frames."""
+        """Apply the piggybacked grant; absorb credit frames and the
+        grant-bearing acks the reliability layer passes on."""
         if frame.fc_grant is not None:
             self._apply_grant(frame.src_node, frame.fc_grant)
-        # A credit frame is pure control: nothing to demultiplex.
-        return frame.kind != FrameKind.CREDIT
+        # Both are pure control: nothing to demultiplex.
+        return frame.kind not in _CONTROL_KINDS
 
     on_frame = accept  # the Layer receive hook
 
@@ -292,7 +305,7 @@ class FlowControlLayer(Layer):
         return False
 
     def _grant_delay_us(self, peer: int) -> float:
-        """Coalescing delay before a standalone credit grant to ``peer``.
+        """Coalescing delay before a grant to ``peer`` goes out on its own.
 
         :data:`CREDIT_GRANT_DELAY_US` unless the engine's RTT estimator
         (built with ``reliability="ack"``) holds a warm estimate
@@ -310,8 +323,16 @@ class FlowControlLayer(Layer):
         return min(CREDIT_GRANT_DELAY_US, max(1.0, srtt / 2.0))
 
     def _send_credit(self, st: _PeerCredit) -> None:
-        """Emit a standalone grant (``st.grant_timer``'s callback: a reverse
-        frame that piggybacks the grant first cancels the timer)."""
+        """Send a due grant (``st.grant_timer``'s callback: a reverse frame
+        that piggybacks the grant first cancels the timer).
+
+        The ack the reliability layer owes the peer carries it, if one is
+        owed; otherwise a standalone credit frame, which the reliability
+        layer (when on) sequences like any engine frame.
+        """
+        rel = self.engine.reliability
+        if rel is not None and rel.flush_ack(st.peer):
+            return
         hdr = self.params.hdr
         rail = self.engine.transfer.choose_rail(st.peer, prefer=0)
         frame = Frame(

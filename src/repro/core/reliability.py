@@ -12,7 +12,9 @@ the engine survive lossy links and failing rails:
   to its wire size);
 * the receiver acknowledges with a **cumulative + selective** record,
   piggybacked on any reverse frame, or as a small standalone ack frame
-  after ``rel_ack_delay_us`` of reverse silence;
+  after ``rel_ack_delay_us`` of reverse silence — sooner when a credit
+  grant comes due, which then rides the ack
+  (:meth:`ReliabilityLayer.flush_ack`);
 * unacked frames are kept in a per-peer send buffer and retransmitted on
   an **exponential-backoff timer**: the peer's measured retransmit
   timeout (:class:`~repro.core.rttstat.RttEstimator`, cold until the
@@ -466,7 +468,10 @@ class ReliabilityLayer(Layer):
             cum, sacks = frame.rel_ack
             self._handle_ack(frame.src_node, cum, sacks)
         if frame.kind == FrameKind.REL_ACK:
-            return False
+            # An ack that carries a credit grant goes on to flow control,
+            # the next receive stage, which applies the grant and absorbs it.
+            return (frame.fc_grant is not None
+                    and self.engine.flowcontrol is not None)
         if frame.rel_seq is None:
             return True  # a peer running reliability="off": tolerate
         ch = self._channels[frame.src_node]
@@ -529,9 +534,25 @@ class ReliabilityLayer(Layer):
         self._arm_timer(ch)
 
     # -- acknowledgement generation ------------------------------------------
+    def flush_ack(self, peer: int) -> bool:
+        """Send the ack owed to ``peer`` now, if one is owed.
+
+        Flow control calls this when a credit grant comes due: the grant
+        rides the ack instead of a reliable ``credit`` frame of its own.
+        """
+        ch = self._channels.get(peer)
+        if ch is None or not ch.ack_timer.armed:
+            return False
+        self._send_ack(ch)
+        return True
+
     def _send_ack(self, ch: _Channel) -> None:
         """Emit a standalone ack now (``ch.ack_timer``'s callback: a
-        reverse frame that piggybacks the ack first cancels the timer)."""
+        reverse frame that piggybacks the ack first cancels the timer).
+
+        With flow control on it carries the current credit grant, so an
+        ack that answers a retransmitted duplicate re-sends a lost grant.
+        """
         ch.ack_timer.cancel()
         hdr = self.params.hdr
         rail = self._transfer.choose_rail(ch.peer, prefer=0)
@@ -543,6 +564,8 @@ class ReliabilityLayer(Layer):
         )
         if self._sessions is not None:
             self._sessions.stamp(frame)
+        if self.engine.flowcontrol is not None:
+            self.engine.flowcontrol.stamp(frame)
         self.engine.stats.acks_sent += 1
         tracer = self.engine.tracer
         if tracer.enabled:

@@ -400,9 +400,10 @@ class TestDriftComparison:
     @pytest.mark.parametrize("seed", [7, 42])
     def test_adaptive_retransmits_strictly_less_under_drift(self, seed):
         # A constant 100us RTO retransmits at the healthy frames the drift
-        # ramp slows down (seed 42: five retransmits against four wire
-        # drops).  The measured one tracks the ramp: it retransmits
-        # strictly less than the wire lost, and everything is delivered.
+        # ramp slows down.  The measured one tracks the ramp: it
+        # retransmits strictly less than the wire lost, and everything is
+        # delivered.  The drill loses both opening session hellos, which
+        # owe no retransmit, so the wire always lost something.
         spec = ChaosSpec.quick(rtt_drift=True)
         world = run_schedule(seed, spec, generate_schedule(seed, spec))
         assert audit_run(world) == []

@@ -437,12 +437,13 @@ class TestScheduleGenerator:
         for seed in range(20):
             base = generate_schedule(seed, plain)
             drifted = generate_schedule(seed, drift)
-            # Three prepended faults: a slow-link ramp on the workload
-            # path plus a jitter window per direction — composed from
-            # existing fault kinds, drawn *after* the base schedule so
-            # the rng prefix (and thus the base faults) is untouched.
-            assert drifted[3:] == base
-            ramp, j01, j10 = drifted[:3]
+            # Five prepended faults: a slow-link ramp on the workload
+            # path, a jitter window per direction and the loss of each
+            # direction's opening session hello — composed from existing
+            # fault kinds, drawn *after* the base schedule so the rng
+            # prefix (and thus the base faults) is untouched.
+            assert drifted[5:] == base
+            ramp, j01, j10, hello01, hello10 = drifted[:5]
             assert ramp.kind == "slow" and (ramp.src, ramp.dst) == (0, 1)
             assert 48.0 <= ramp.factor <= 80.0
             assert ramp.until_us > ramp.from_us > 0.0
@@ -450,6 +451,9 @@ class TestScheduleGenerator:
                 assert jit.kind == "jitter"
                 assert (jit.src, jit.dst) == pair
                 assert jit.max_us > 0.0
+            for hello, pair in ((hello01, (0, 1)), (hello10, (1, 0))):
+                assert hello.kind == "drop" and hello.nth == 1
+                assert (hello.src, hello.dst) == pair
 
     def test_rto_ceiling_validation(self):
         # Neither the spec nor the engine takes a ceiling or a constant
@@ -477,7 +481,7 @@ class TestScheduleGenerator:
         ({}, "9c9bd86c7bc58013"),
         ({"crashes": True}, "465b373c001eef96"),
         ({"topology": "fat-tree", "switch_kills": 2}, "de0492267c335627"),
-        ({"rtt_drift": True}, "db6002bec0985799"),
+        ({"rtt_drift": True}, "7a430bb9e0b2d348"),
     ], ids=["default", "quick", "crashes", "fat-tree", "rtt-drift"])
     def test_schedule_stream_is_pinned(self, quick, digest):
         # The first 500 seeds of each sweep profile expand to exactly the

@@ -16,7 +16,8 @@ from repro.core import EngineParams, NmadEngine, VirtualData
 from repro.core import flowcontrol
 from repro.core.flowcontrol import CREDIT_BYTES, CREDIT_WRAPS
 from repro.errors import MpiError, PeerDeadError, SimulationError
-from repro.netsim import Cluster, MX_MYRI10G
+from repro.netsim import Cluster, FaultPlan, MX_MYRI10G
+from repro.netsim.frames import FrameKind
 from repro.sim import Simulator
 
 
@@ -152,6 +153,105 @@ class TestCreditFlowControl:
         assert cluster.conservation_ok()
 
 
+ACK_CREDIT = EngineParams(reliability="ack", flow_control="credit")
+
+
+def record_kinds(engine):
+    """Wrap ``engine``'s NICs: the returned list gets every frame they post."""
+    posted = []
+    for nic in engine.node.nics:
+        def recording_post_send(frame, cpu_gap_us=0.0,
+                                post_send=nic.post_send):
+            posted.append(frame)
+            return post_send(frame, cpu_gap_us)
+
+        nic.post_send = recording_post_send
+    return posted
+
+
+def assert_ledgers_balance(sender, receiver):
+    snd = sender.flowcontrol._peers[receiver.node_id]
+    rcv = receiver.flowcontrol._peers[sender.node_id]
+    assert (snd.peer_released_bytes, snd.peer_released_wraps) == \
+        (rcv.released_bytes_total, rcv.released_wraps_total)
+    assert (snd.sent_bytes_total, snd.sent_wraps_total) == \
+        (rcv.released_bytes_total, rcv.released_wraps_total)
+    assert not snd.blocked
+
+
+class TestGrantsRideTheAck:
+    """With ``reliability="ack"`` a due grant rides the ack the receiver
+    owes; a standalone ``credit`` frame is left for a grant no ack can
+    carry.  Liveness needs no timer of its own: the ack was owed for a
+    frame the peer retransmits until acked."""
+
+    N = 12
+
+    def blocked_burst(self, drop_nth=()):
+        """A sender ``N`` messages deep against a four-wrap budget, the
+        receives posted up front; ``drop_nth`` on the reverse wire."""
+        sim, cluster, (e0, e1) = make_pair(ACK_CREDIT)
+        for link in cluster.links:
+            if link.src.node_id == 1:
+                link.fault_plan = FaultPlan(drop_nth=drop_nth)
+        reverse = record_kinds(e1)
+        # Whether the sender sat at its budget as each retransmit fired.
+        blocked_at_retransmit = []
+
+        def retransmit(ch, pending, inner=e0.reliability._retransmit):
+            blocked_at_retransmit.append(e0.window.is_blocked(1))
+            inner(ch, pending)
+
+        e0.reliability._retransmit = retransmit
+        recvs = [e1.irecv(src=0, tag=i, nbytes=1024) for i in range(self.N)]
+        sends = [e0.isend(1, VirtualData(1024), tag=i) for i in range(self.N)]
+        sim.run()
+        assert all(r.complete and not r.failed for r in recvs + sends)
+        assert e0.stats.credit_stalls > 0
+        assert e0.quiesced() and e1.quiesced()
+        assert_ledgers_balance(e0, e1)
+        return cluster, e0, e1, reverse, blocked_at_retransmit
+
+    @budget(64 * 1024, 4)
+    def test_grant_only_an_ack_carries_is_applied(self):
+        # The receiver sends no data, and every release finds an ack owed,
+        # so acks are the only frames that ever carry a grant back.
+        _, e0, e1, reverse, _ = self.blocked_burst()
+        assert {f.kind for f in reverse} == {FrameKind.REL_ACK}
+        assert any(f.fc_grant != (0, 0) for f in reverse)
+        assert e1.stats.credits_granted > 0
+
+    @budget(64 * 1024, 4)
+    def test_lost_grant_bearing_ack_is_resent_on_the_duplicate(self):
+        # The first reverse frame is the ack carrying the grant that
+        # unblocks the sender.  Lost, the sender's retransmit draws a
+        # duplicate, answered at once by an ack with the grant again.
+        cluster, e0, e1, reverse, blocked = self.blocked_burst(drop_nth=(1,))
+        first = reverse[0]
+        assert first.kind == FrameKind.REL_ACK and first.fc_grant != (0, 0)
+        assert sum(link.frames_dropped for link in cluster.links) == 1
+        assert blocked[0]  # at its budget until the retransmit
+        assert e1.stats.duplicates_suppressed >= 1
+        assert FrameKind.CREDIT not in {f.kind for f in reverse}
+
+    def test_late_receive_releases_credit_on_a_credit_frame(self):
+        # Data acked before its receive is posted: no ack is owed when the
+        # release comes due, so a sequenced credit frame carries the grant.
+        sim, cluster, (e0, e1) = make_pair(ACK_CREDIT)
+        reverse = record_kinds(e1)
+        e0.isend(1, VirtualData(1024), tag=0)
+        sim.run()
+        assert [f.kind for f in reverse] == [FrameKind.REL_ACK]
+        assert not e1.reliability.has_outstanding(0)
+        sim.run_process(e1.recv(src=0, tag=0))
+        sim.run()
+        credit, = [f for f in reverse if f.kind == FrameKind.CREDIT]
+        assert credit.rel_seq is not None
+        assert credit.fc_grant == (1024, 1)
+        assert e0.quiesced() and e1.quiesced()
+        assert_ledgers_balance(e0, e1)
+
+
 class TestStallDiagnosis:
     """A credit-wedged sender is named peer by peer by whichever kernel
     backstop sees the stall: the deadlock report when the queue drains,
@@ -252,11 +352,8 @@ class TestCreditConservation:
         # grant reached the sender — granted == consumed + outstanding(0).
         assert snd.sent_bytes_total == sum(eager)
         assert snd.sent_wraps_total == len(eager)
-        assert rcv.released_bytes_total == snd.sent_bytes_total
-        assert rcv.released_wraps_total == snd.sent_wraps_total
-        assert snd.peer_released_bytes == rcv.released_bytes_total
-        assert snd.peer_released_wraps == rcv.released_wraps_total
-        assert not snd.blocked
+        assert rcv is not None
+        assert_ledgers_balance(e0, e1)
 
 
 class TestPerPacketCreditGate:

@@ -63,11 +63,12 @@ HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
 #: Lower them when the path gets shorter; never raise them.
 PINGPONG_CALLS_PER_MSG = 161.9
 BURST_CALLS_PER_MSG = 75.3
-#: The opt-in stack and the switched fabric, same rule: measured 87.43 for
-#: the 4 x 64 burst with ``HARDENED`` (87.50 while the reliability layer
-#: tested for a static RTO mode; its ceiling kept from an earlier, lower
-#: measurement) and 84.80 for a 16 x 64 ack + credit burst over
-#: ``FatTree(k=4, seed=1)`` (84.54 with a constant 200us RTO, which fed no
+#: The opt-in stack and the switched fabric, same rule: measured 85.00 for
+#: the 4 x 64 burst with ``HARDENED`` and 80.76 for a 16 x 64 ack + credit
+#: burst over ``FatTree(k=4, seed=1)`` (87.43 / 84.80 while a due grant
+#: went out as a sequenced credit frame that drew an ack of its own; 87.50
+#: for the burst while the reliability layer tested for a static RTO mode;
+#: 84.54 for the fabric with a constant 200us RTO, which fed no
 #: estimator and paced no credit grant; 87.67 / 84.62 with receive
 #: coalescing; 86.13
 #: for the fabric while switch ports stored and forwarded each frame;
@@ -76,8 +77,8 @@ BURST_CALLS_PER_MSG = 75.3
 #: credit release's included; 110.68 / 108.43 when credit was spent per
 #: wrap, every layer hook ran for every message, a per-peer ledger cost a
 #: method call and a switch hashed every frame).
-HARDENED_CALLS_PER_MSG = 89.4
-FABRIC_CALLS_PER_MSG = 87.1
+HARDENED_CALLS_PER_MSG = 87.6
+FABRIC_CALLS_PER_MSG = 83.2
 #: Kernel entries per message, exactly as measured (parent commit: 10.01 /
 #: 4.140625).  Ping-pong: five timed hops (tx, link, rx, demux, match), the
 #: deferred pull, tx-done, and the completions of the send and the receive
@@ -85,12 +86,14 @@ FABRIC_CALLS_PER_MSG = 87.1
 #: messages.  An integer count needs no slack.
 PINGPONG_ENTRIES_PER_MSG = 9.01
 BURST_ENTRIES_PER_MSG = 4.125
-#: The same two bursts' entries, unchanged by the shorter call path: the
-#: hardened one adds acks, credit grants and session timers, the fabric one
-#: a delivery per extra wire and an entry per frame that waits for a busy
-#: switch port (5.03125 when every switch hop serialized every frame).
-HARDENED_ENTRIES_PER_MSG = 4.6875
-FABRIC_ENTRIES_PER_MSG = 4.7294921875
+#: The same two bursts' entries: the hardened one adds acks, credit grants
+#: and session timers, the fabric one a delivery per extra wire and an
+#: entry per frame that waits for a busy switch port (4.6875 /
+#: 4.7294921875 while a due grant went out as a sequenced credit frame
+#: that drew an ack of its own; 5.03125 for the fabric when every switch
+#: hop serialized every frame).
+HARDENED_ENTRIES_PER_MSG = 4.53125
+FABRIC_ENTRIES_PER_MSG = 4.416015625
 FABRIC = dict(reliability="ack", flow_control="credit")
 #: The rendezvous path, same rules (``rendezvous_exchange``: large and
 #: ``indexed_small_large`` typed messages over MX + Quadrics, ``multirail``):
