@@ -84,10 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         report.add_argument("--" + layer.knob.replace("_", "-"),
                             choices=("off", layer.on), default="off",
                             help=f"{doc} (default: off, the paper's engine)")
-    report.add_argument("--hedge", action="store_true",
-                        help="opt-in tail hedging: after a p99-ish RTT the "
-                             "frame is re-sent on the second-best rail "
-                             "(requires --reliability ack and --rails 2)")
     report.add_argument("--rails", type=int, choices=(1, 2), default=1,
                         help="1 = MX only; 2 = MX + Quadrics multirail")
     report.add_argument("--topology",
@@ -290,7 +286,6 @@ def _report_payload(args, pair, messages, stalled) -> dict:
         "config": {
             "rails": args.rails,
             **{layer.knob: getattr(args, layer.knob) for layer in OPT_IN},
-            "hedge": args.hedge,
             "messages": args.messages,
             "seed": args.seed,
             "topology": args.topology,
@@ -335,10 +330,9 @@ def _report(args, out) -> int:
     rails = ((MX_MYRI10G,) if args.rails == 1
              else (MX_MYRI10G, QUADRICS_QM500))
     strategy = "aggregation" if args.rails == 1 else "multirail"
-    timing = {"rel_hedge": "tail"} if args.hedge else {}
     try:
         params = EngineParams(**{layer.knob: getattr(args, layer.knob)
-                                 for layer in OPT_IN}, **timing)
+                                 for layer in OPT_IN})
     except (ReproError, ValueError) as exc:
         raise SystemExit(f"invalid engine configuration: {exc}") from None
     pair = make_backend_pair("madmpi", rails=rails, strategy=strategy,

@@ -80,7 +80,6 @@ class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
     def __post_init__(self) -> None:
         for name, spec in _KNOBS:
             spec.check(name, getattr(self, name))
-        self._check_reliability()
         self._check_sessions()
 
 

@@ -97,25 +97,10 @@ class ReliabilityParams:
     #: ``[RTO_FLOOR_US, RTO_CEILING_US]``, seeded from the engine's rails
     #: until a peer is measured.
     rel_timeout_us: str = knob("auto", choices=("auto",))
-    #: Opt-in tail hedging (requires ``reliability="ack"`` and >= 2
-    #: rails): ``"tail"`` re-sends a frame on the *second-best* rail once
-    #: it has been outstanding past a p99-ish quantile of that rail's
-    #: observed RTT, while the original stays in flight — duplicate
-    #: suppression absorbs whichever copy loses.  ``"off"`` (default)
-    #: never hedges.
-    rel_hedge: str = knob("off", choices=("off", "tail"))
     #: Retransmissions per frame before the send fails with TransportError.
     rel_retry_budget: int = knob(8, lo=1)
     #: Reverse-silence window before a standalone ack frame is emitted.
     rel_ack_delay_us: float = knob(25.0, lo=0.0)
-
-    def _check_reliability(self) -> None:
-        """The rules between fields; each field's own range is its knob."""
-        if self.rel_hedge == "tail" and self.reliability != "ack":
-            raise ValueError(
-                "rel_hedge='tail' needs reliability='ack': the hedge "
-                "delay is a quantile of the RTT the acks measure"
-            )
 
 
 @dataclass
@@ -132,15 +117,13 @@ class ReliabilityStats:
     transport_failures: int = counter("reliability")
     # Adaptive timing (all zero outside reliability="ack").
     rtt_samples: int = counter("adaptive")   # acks that fed the estimator
-    hedges_sent: int = counter("adaptive")   # tail re-sends on another rail
-    hedges_won: int = counter("adaptive")    # hedges whose ack beat the original
 
 
 class _Pending:
     """One unacknowledged frame in a peer channel's send buffer."""
 
     __slots__ = ("seq", "frame", "cpu_gap_us", "on_delivered", "on_failed",
-                 "rail", "retries", "deadline", "sent_at", "hedged_at")
+                 "rail", "retries", "deadline", "sent_at")
 
     def __init__(self, seq: int, frame: Frame, cpu_gap_us: float,
                  on_delivered: Callable[[], None] | None,
@@ -156,10 +139,9 @@ class _Pending:
         self.deadline: float | None = None  # None while queued/in tx
         # First-transmission completion time: the RTT sample anchor.  Karn's
         # rule falls out of the bookkeeping — a retransmitted (retries > 0)
-        # or hedged (hedged_at set) frame never feeds the estimator, because
-        # its ack cannot be attributed to one transmission.
+        # frame never feeds the estimator, because its ack cannot be
+        # attributed to one transmission.
         self.sent_at: float | None = None
-        self.hedged_at: float | None = None
 
 
 class _Channel:
@@ -182,8 +164,7 @@ class _Channel:
         self.ack_timer = Timer(layer.sim, partial(layer._send_ack, self))
 
     def silence(self) -> None:
-        """Teardown/halt: no timer of this channel fires again, and an
-        in-flight hedge finds its frame gone."""
+        """Teardown/halt: no timer of this channel fires again."""
         self.retry_timer.cancel()
         self.ack_timer.cancel()
         self.unacked.clear()
@@ -270,64 +251,10 @@ class ReliabilityLayer(Layer):
         """A (re)transmission fully left the NIC: start its retry clock."""
         if pending.seq not in ch.unacked:
             return  # acked while still queued on the card
-        if pending.retries == 0 and pending.sent_at is None:
+        if pending.retries == 0:
             pending.sent_at = self.sim.now
-            self._maybe_arm_hedge(ch, pending)
         pending.deadline = self.sim.now + ch.rto_us
         self._arm_timer(ch)
-
-    # -- tail hedging ---------------------------------------------------------
-    def _maybe_arm_hedge(self, ch: _Channel, pending: _Pending) -> None:
-        """Arm the tail re-send for a freshly transmitted frame.
-
-        Only in ``rel_hedge="tail"`` mode with a warm estimate for the
-        frame's rail: once the frame has been outstanding past a p99-ish
-        quantile of that rail's observed RTT, one copy goes out on the
-        second-best rail while the original stays in flight.  Duplicate
-        suppression absorbs whichever copy loses; the hedge never scores a
-        loss, never counts as a retransmit, and never feeds the estimator.
-        """
-        if self.params.rel_hedge != "tail":
-            return
-        if len(self.nics) < 2:
-            return
-        delay = self.rtt.hedge_delay_us(ch.peer, pending.rail)
-        if delay is None:
-            return  # estimate too cold to call anything a tail
-        self.sim.schedule(delay, partial(self._hedge_fire, ch, pending))
-
-    def _hedge_fire(self, ch: _Channel, pending: _Pending) -> None:
-        # One-shot per frame and never cancelled: teardown and halt empty
-        # ``ch.unacked`` and a channel never reuses a sequence number, so
-        # a frame still listed here is the live one.
-        if (pending.seq not in ch.unacked or pending.retries
-                or pending.hedged_at is not None):
-            return  # gone (acked, torn down), retransmitting, or hedged
-        rail = self._second_best_rail(ch.peer, exclude=pending.rail)
-        if rail is None:
-            return  # no healthy alternative rail to hedge on
-        pending.hedged_at = self.sim.now
-        self.engine.stats.hedges_sent += 1
-        frame = pending.frame
-        frame.rel_ack = self._ack_snapshot(ch)
-        ch.ack_timer.cancel()
-        tracer = self.engine.tracer
-        if tracer.enabled:
-            tracer.emit(self.sim.now, self._name, "hedge",
-                        seq=pending.seq, peer=ch.peer,
-                        from_rail=pending.rail, to_rail=rail)
-        # The original keeps its retry clock and its loss attribution; the
-        # hedge copy is fire-and-forget (same seq, so the receiver dedups).
-        self.nics[rail].post_send(frame, cpu_gap_us=pending.cpu_gap_us)
-
-    def _second_best_rail(self, peer: int, exclude: int) -> int | None:
-        """Least-congested healthy rail other than ``exclude``, if any."""
-        candidates = [r for r, nic in enumerate(self.nics)
-                      if r != exclude and self._transfer.rail_ok(r)
-                      and nic.has_peer(peer)]
-        if not candidates:
-            return None
-        return min(candidates, key=self._transfer.rail_score)
 
     def _arm_timer(self, ch: _Channel) -> None:
         deadlines = [p.deadline for p in ch.unacked.values()
@@ -513,21 +440,11 @@ class ReliabilityLayer(Layer):
             # Proof of life: the rail carried an acked frame, so the next
             # quarantine (if any) starts from the base probe window again.
             self._probe_backoff.pop(pending.rail, None)
-            if pending.sent_at is not None:
-                if pending.retries == 0 and pending.hedged_at is None:
-                    # Karn's rule: only a frame transmitted exactly once
-                    # (never retried, never hedged) yields an unambiguous
-                    # RTT measurement.
-                    self.rtt.sample(peer, pending.rail,
-                                    now - pending.sent_at)
-                    self.engine.stats.rtt_samples += 1
-                elif pending.hedged_at is not None and pending.retries == 0:
-                    # Attribution heuristic: the hedge "won" when the ack
-                    # materialized faster after the hedge went out than the
-                    # original had managed in its entire head start.
-                    if (now - pending.hedged_at
-                            < pending.hedged_at - pending.sent_at):
-                        self.engine.stats.hedges_won += 1
+            if pending.sent_at is not None and pending.retries == 0:
+                # Karn's rule: only a frame transmitted exactly once yields
+                # an unambiguous RTT measurement.
+                self.rtt.sample(peer, now - pending.sent_at)
+                self.engine.stats.rtt_samples += 1
             if pending.on_delivered is not None:
                 pending.on_delivered()
         ch.rto_us = self.rtt.rto_us(peer)  # fresh RTT evidence

@@ -13,17 +13,12 @@ also paces flow-control grants.
 smoothed RTT and RTT variance (RFC 6298 constants, ``alpha=1/8``,
 ``beta=1/4``) with the retransmission-ambiguity rule due to Karn applied
 by the *caller* (the reliability layer only feeds samples from frames
-that were transmitted exactly once and never hedged, so an ack can always
-be attributed to one transmission).  Samples are kept at two
-granularities:
-
-* per ``(peer, rail)`` — rails can have wildly different media (MX vs
-  Quadrics) and fault exposure; the hedging decision ("has the original
-  rail blown past its own tail?") needs the per-rail view;
-* per peer (every eligible sample, any rail) — the retransmit timeout
-  and grant pacing act on the peer's channel,
-  which spans rails; mixing rails inflates the variance term, which only
-  makes the derived timeout more conservative, never trigger-happy.
+that were transmitted exactly once, so an ack can always be attributed
+to one transmission).  There is one track per peer, fed by every
+eligible sample on any rail: the retransmit timeout and grant pacing act
+on the peer's channel, which spans rails; mixing rails (MX and Quadrics
+are wildly different media) inflates the variance term, which only makes
+the derived timeout more conservative, never trigger-happy.
 
 The derived retransmit timeout is ``RTO_HEADROOM * (srtt + 4 * rttvar)``
 clamped into ``[RTO_FLOOR_US, RTO_CEILING_US]``.  Until a peer has
@@ -40,11 +35,6 @@ megabyte burst builds port queues, and the estimator would then starve
 (every spurious retransmit is Karn-ambiguous) while the healthy rail gets
 quarantined.  Each retry doubles a channel's RTO, never past
 :data:`RTO_CEILING_US` (RFC 6298 §5.5 caps the backoff the same way).
-The hedge delay is a p99-ish tail estimate
-``srtt + HEDGE_DEVS * rttvar``, not floored (it must fire *before* the
-RTO to be useful), and is only
-offered once a rail has :data:`HEDGE_MIN_SAMPLES` samples — hedging on a
-cold estimate would just double-send everything.
 
 Pure bookkeeping: no simulator access, no wall clock, no randomness —
 the module is trivially deterministic and the Hypothesis suite in
@@ -56,8 +46,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["RttEstimator", "RttState", "ALPHA", "BETA", "RTO_DEVS",
-           "RTO_HEADROOM", "RTO_FLOOR_US", "RTO_CEILING_US", "HEDGE_DEVS",
-           "HEDGE_MIN_SAMPLES", "RTO_MIN_SAMPLES"]
+           "RTO_HEADROOM", "RTO_FLOOR_US", "RTO_CEILING_US",
+           "RTO_MIN_SAMPLES"]
 
 #: EWMA gains (RFC 6298): srtt tracks slowly, rttvar tracks faster.
 ALPHA = 1.0 / 8.0
@@ -73,12 +63,6 @@ RTO_FLOOR_US = 50.0
 #: Upper clamp of every derived timeout, the cold RTO and the backed-off
 #: retransmit timeout included.
 RTO_CEILING_US = 10_000.0
-#: Deviation multiplier for the hedge (tail) delay — deliberately tighter
-#: than the RTO: a hedge is cheap (duplicate suppression absorbs it), a
-#: retransmit pollutes the loss accounting.
-HEDGE_DEVS = 3.0
-#: Samples a rail must accumulate before hedging is offered on it.
-HEDGE_MIN_SAMPLES = 8
 #: Samples a peer must accumulate before the measured RTO (and the grant
 #: pacing derived from it) is trusted over the cold RTO.
 RTO_MIN_SAMPLES = 8
@@ -105,14 +89,14 @@ class RttState:
 
 
 class RttEstimator:
-    """Measured path timing for one engine: per-peer and per-rail tracks.
+    """Measured path timing for one engine: one track per peer.
 
     Every derived timeout lands in ``[RTO_FLOOR_US, RTO_CEILING_US]``.
     ``silence_us`` is the one input from outside: the longest silence a
     healthy peer can cause, which sets the cold RTO (twice it, clamped).
     """
 
-    __slots__ = ("cold_us", "_peers", "_rails")
+    __slots__ = ("cold_us", "_peers")
 
     def __init__(self, silence_us: float) -> None:
         if not 0.0 <= silence_us < float("inf"):
@@ -120,23 +104,17 @@ class RttEstimator:
                              f"got {silence_us}")
         self.cold_us = self._clamp(2.0 * silence_us)
         self._peers: dict[int, RttState] = {}
-        self._rails: dict[tuple[int, int], RttState] = {}
 
     # -- sampling ----------------------------------------------------------
-    def sample(self, peer: int, rail: int, rtt_us: float) -> None:
+    def sample(self, peer: int, rtt_us: float) -> None:
         """Feed one eligible ack measurement (caller enforces Karn's rule:
-        never a retransmitted or hedged frame)."""
+        never a retransmitted frame)."""
         if rtt_us < 0:
             raise ValueError(f"negative RTT sample {rtt_us}")
-        peer_state = self._peers.get(peer)
-        if peer_state is None:
-            peer_state = self._peers[peer] = RttState(0.0, 0.0, 0)
-        peer_state.update(rtt_us)
-        key = (peer, rail)
-        rail_state = self._rails.get(key)
-        if rail_state is None:
-            rail_state = self._rails[key] = RttState(0.0, 0.0, 0)
-        rail_state.update(rtt_us)
+        st = self._peers.get(peer)
+        if st is None:
+            st = self._peers[peer] = RttState(0.0, 0.0, 0)
+        st.update(rtt_us)
 
     # -- derived timeouts --------------------------------------------------
     @staticmethod
@@ -171,20 +149,6 @@ class RttEstimator:
                 if st.samples]
         return max(rtos) if rtos else self.cold_us
 
-    def hedge_delay_us(self, peer: int, rail: int) -> float | None:
-        """Tail threshold after which a hedge on another rail is worthwhile;
-        ``None`` while the rail's estimate is too cold to trust.
-
-        Deliberately *not* floored like the RTO: the floor exists to stop
-        a trigger-happy retransmit clock, but a hedge is not a retransmit
-        — it must beat the RTO to be useful, so a warm fast rail hedges at
-        its measured tail (``srtt + 3 * rttvar``), capped at the ceiling.
-        """
-        st = self._rails.get((peer, rail))
-        if st is None or st.samples < HEDGE_MIN_SAMPLES:
-            return None
-        return min(RTO_CEILING_US, st.srtt_us + HEDGE_DEVS * st.rttvar_us)
-
     # -- introspection -----------------------------------------------------
     def srtt_us(self, peer: int) -> float | None:
         st = self._peers.get(peer)
@@ -217,8 +181,6 @@ class RttEstimator:
         """Drop a peer's history (teardown / epoch change): the next
         incarnation's path may be nothing like the old one's."""
         self._peers.pop(peer, None)
-        for key in [k for k in self._rails if k[0] == peer]:
-            del self._rails[key]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<RttEstimator peers={len(self._peers)} "

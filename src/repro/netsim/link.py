@@ -13,10 +13,10 @@ delivered) that the property tests use to prove no packet is ever lost or
 duplicated by the scheduling engine above.
 
 Faults are modelled by a composable :class:`FaultPlan` (drop the nth
-frame, drop the nth frame of a kind, corrupt payloads, slow the link
-down over a time window, take the link permanently down at a given time,
-deliver an arrival twice, hold an arrival back past its successors,
-seeded latency jitter, and timed partition windows).  The engine — like
+frame, corrupt payloads, slow the link down over a time window, take the
+link permanently down at a given time, deliver an arrival twice, hold an
+arrival back past its successors, seeded latency jitter, and timed
+partition windows).  The engine — like
 the real NewMadeleine, which targets reliable system-area networks (MX,
 Elan, SCI) — performs **no retransmission** by default; fault injection
 exists so tests can prove that a loss surfaces as a visible failure (stuck
@@ -73,8 +73,6 @@ class FaultPlan:
       is a run of consecutive indices);
     * ``corrupt_nth`` — arrival indices delivered with a failing checksum
       (the receiver discards them like a loss, but the bytes did travel);
-    * ``drop_kind_nth`` — ``(kind, n)`` pairs dropping the nth frame *of
-      that kind* (e.g. ``("rel_ack", 1)`` to lose the first ack);
     * ``slow_link`` — ``(factor, from_us, until_us)`` multiplying the
       link's propagation latency by ``factor`` for frames entering the
       wire in ``[from_us, until_us)`` (``until_us=None`` = forever): a
@@ -111,7 +109,6 @@ class FaultPlan:
         self,
         drop_nth: Sequence[int] = (),
         corrupt_nth: Sequence[int] = (),
-        drop_kind_nth: Sequence[tuple[str, int]] = (),
         slow_link: tuple[float, float, float | None] | None = None,
         down_at_us: float | None = None,
         dup_nth: Sequence[int] = (),
@@ -123,9 +120,6 @@ class FaultPlan:
         for n in tuple(drop_nth) + tuple(corrupt_nth) + tuple(dup_nth):
             if n < 1:
                 raise NetworkError(f"fault indices are 1-based, got {n}")
-        for kind, n in drop_kind_nth:
-            if n < 1:
-                raise NetworkError(f"bad drop_kind_nth ({kind!r}, {n})")
         if slow_link is not None:
             factor, from_us, until_us = slow_link
             _check_finite(factor, from_us, until_us)
@@ -164,7 +158,6 @@ class FaultPlan:
             raise NetworkError(f"negative switch_down_at {switch_down_at}")
         self.drop_nth = frozenset(drop_nth)
         self.corrupt_nth = frozenset(corrupt_nth)
-        self.drop_kind_nth = frozenset(drop_kind_nth)
         self.slow_link = slow_link
         self.down_at_us = down_at_us
         self.dup_nth = frozenset(dup_nth)
@@ -174,7 +167,6 @@ class FaultPlan:
             Random(jitter[1]) if jitter is not None else None)
         self.switch_down_at = switch_down_at
         self._n = 0
-        self._kind_counts: dict[str, int] = {}
 
     def add_partition(self, from_us: float, until_us: float | None) -> None:
         """Validate and append one partition window (the constructor's too)."""
@@ -186,12 +178,10 @@ class FaultPlan:
                 f"empty partition window [{from_us}, {until_us})")
         self.partitions.append((from_us, until_us))
 
-    def decide(self, frame: Frame, now: float) -> str:
+    def decide(self, now: float) -> str:
         """Classify the next arrival: deliver, drop, duplicate, or corrupt."""
         self._n += 1
         n = self._n
-        kind_n = self._kind_counts.get(frame.kind, 0) + 1
-        self._kind_counts[frame.kind] = kind_n
         if self.down_at_us is not None and now >= self.down_at_us:
             return DROP
         if self.partitions and any(
@@ -199,8 +189,6 @@ class FaultPlan:
                 for from_us, until_us in self.partitions):
             return DROP_PARTITION
         if n in self.drop_nth:
-            return DROP
-        if (frame.kind, kind_n) in self.drop_kind_nth:
             return DROP
         if n in self.dup_nth:
             return DUPLICATE
@@ -240,8 +228,6 @@ class FaultPlan:
             parts.append(f"drop_nth={sorted(self.drop_nth)}")
         if self.corrupt_nth:
             parts.append(f"corrupt_nth={sorted(self.corrupt_nth)}")
-        if self.drop_kind_nth:
-            parts.append(f"drop_kind_nth={sorted(self.drop_kind_nth)}")
         if self.slow_link is not None:
             parts.append(f"slow_link={self.slow_link}")
         if self.down_at_us is not None:
@@ -331,7 +317,7 @@ class Link:
         now = sim.now
         tracer = self.tracer
         plan = self.fault_plan
-        action = DELIVER if plan is None else plan.decide(frame, now=now)
+        action = DELIVER if plan is None else plan.decide(now)
         if action in (DROP, DROP_PARTITION):
             self.frames_dropped += 1
             self.bytes_dropped += frame.wire_size

@@ -63,9 +63,11 @@ HARDENED = dict(reliability="ack", flow_control="credit", sessions="epoch",
 #: Lower them when the path gets shorter; never raise them.
 PINGPONG_CALLS_PER_MSG = 161.9
 BURST_CALLS_PER_MSG = 75.3
-#: The opt-in stack and the switched fabric, same rule: measured 85.00 for
-#: the 4 x 64 burst with ``HARDENED`` and 80.76 for a 16 x 64 ack + credit
-#: burst over ``FatTree(k=4, seed=1)`` (87.43 / 84.80 while a due grant
+#: The opt-in stack and the switched fabric, same rule: measured 84.95 for
+#: the 4 x 64 burst with ``HARDENED`` and 80.71 for a 16 x 64 ack + credit
+#: burst over ``FatTree(k=4, seed=1)`` (85.00 / 80.76 while every first
+#: transmission asked whether to arm a tail hedge and every RTT sample
+#: also fed a per-rail track; 87.43 / 84.80 while a due grant
 #: went out as a sequenced credit frame that drew an ack of its own; 87.50
 #: for the burst while the reliability layer tested for a static RTO mode;
 #: 84.54 for the fabric with a constant 200us RTO, which fed no
@@ -77,8 +79,8 @@ BURST_CALLS_PER_MSG = 75.3
 #: credit release's included; 110.68 / 108.43 when credit was spent per
 #: wrap, every layer hook ran for every message, a per-peer ledger cost a
 #: method call and a switch hashed every frame).
-HARDENED_CALLS_PER_MSG = 87.6
-FABRIC_CALLS_PER_MSG = 83.2
+HARDENED_CALLS_PER_MSG = 87.5
+FABRIC_CALLS_PER_MSG = 83.1
 #: Kernel entries per message, exactly as measured (parent commit: 10.01 /
 #: 4.140625).  Ping-pong: five timed hops (tx, link, rx, demux, match), the
 #: deferred pull, tx-done, and the completions of the send and the receive

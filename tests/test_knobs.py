@@ -49,16 +49,10 @@ RETIRED = ["max_unexpected_bytes", "nack_delay_us", "watchdog_interval_us",
            "max_window_bytes", "window_policy", "credit_bytes",
            "credit_wraps", "credit_grant_delay_us",
            "rel_quarantine_threshold", "rel_probe_after_us",
-           "rel_rto_ceiling_us"]
+           "rel_rto_ceiling_us", "rel_hedge"]
 
 #: Where the non-test callers live, relative to the repository root.
 CALLER_ROOTS = ("src/repro", "benchmarks", "examples")
-
-#: What a value needs from the other fields to pass the cross-field rules.
-CONTEXT = {
-    "tail": {"reliability": "ack"},
-}
-
 
 def with_retired(knobs):
     """Cases for ``knobs`` plus one per retired knob (spec ``None``)."""
@@ -73,11 +67,11 @@ def retired(name, value):
         EngineParams(**{name: value})
 
 
-def rejected(name, value, **context):
+def rejected(name, value):
     """Construct with ``name=value``; the declaration of ``name`` must be
     what refuses it (not some cross-field rule)."""
     with pytest.raises(ValueError) as exc:
-        EngineParams(**context, **{name: value})
+        EngineParams(**{name: value})
     message = str(exc.value)
     assert name in message or name.replace("_", " ") in message, message
 
@@ -131,7 +125,7 @@ def test_mode_fields_accept_their_choices_and_nothing_else(
         return
     rejected(name, "bogus")
     for choice in spec.choices:
-        params = EngineParams(**CONTEXT.get(choice, {}), **{name: choice})
+        params = EngineParams(**{name: choice})
         assert getattr(params, name) == choice
 
 
@@ -184,7 +178,7 @@ def test_every_knob_is_set_outside_the_tests():
     fields_ = {f.name for f in fields(EngineParams)}
     assert fields_ - names_set_by_callers() == set(), (
         "a knob only tests set becomes a module constant they patch")
-    assert len(fields_) == 13
+    assert len(fields_) == 12
 
 
 # -- ChaosSpec, the chaos harness's config object ---------------------------

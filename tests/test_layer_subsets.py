@@ -213,17 +213,6 @@ def test_paper_mode_streams_are_in_send_order(paper_mode):
         assert seqs == list(range(len(seqs)))
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"rel_hedge": "tail"},
-     "rel_hedge='tail' needs reliability='ack': the hedge delay is a "
-     "quantile of the RTT the acks measure"),
-], ids=["hedge-without-ack"])
-def test_invalid_layer_combinations_fail_at_construction(kwargs, message):
-    with pytest.raises(ValueError) as exc:
-        EngineParams(**kwargs)
-    assert str(exc.value) == message
-
-
 def test_every_layer_has_one_mode_besides_off():
     assert len(KNOBS) == len(OPT_IN) == 3
     for layer in OPT_IN:

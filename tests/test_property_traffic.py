@@ -205,7 +205,7 @@ def test_two_rail_replays_stop_at_the_transport(data):
     """Exactly-once over two rails with nothing but the transport's filter.
 
     Drops, wire echoes and reorders on every link of both rails make the
-    reliability layer retransmit, fail over and hedge, so grants, eager
+    reliability layer retransmit and fail over, so grants, eager
     segments and bulk chunks are replayed on either rail.  The per-peer
     sequence filter is the only duplicate filter in the engine; above it
     a replay would raise out of ``run()``.
@@ -214,7 +214,7 @@ def test_two_rail_replays_stop_at_the_transport(data):
     from repro.netsim import Cluster
     from repro.sim import Simulator
 
-    params = EngineParams(reliability="ack", rel_hedge="tail")
+    params = EngineParams(reliability="ack")
     sim = Simulator()
     cluster = Cluster(sim, rails=(MX_MYRI10G, QUADRICS_QM500))
     e0, e1 = (NmadEngine(cluster.node(i), strategy="multirail", params=params)

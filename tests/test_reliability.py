@@ -27,6 +27,20 @@ def link_between(cluster, src, dst, rail=0):
     raise AssertionError(f"no link node{src}->node{dst} rail{rail}")
 
 
+def arrivals(link):
+    """The kind of every frame entering ``link``, in arrival order (the
+    1-based ``drop_nth`` index of an arrival is its position here + 1)."""
+    kinds = []
+    transmit = link.transmit
+
+    def logging_transmit(frame):
+        kinds.append(frame.kind)
+        transmit(frame)
+
+    link.transmit = logging_transmit
+    return kinds
+
+
 def make_pair(params, rails=(MX_MYRI10G,), strategy="aggregation"):
     sim = Simulator()
     cluster = Cluster(sim, rails=rails)
@@ -86,10 +100,9 @@ class TestEagerRecovery:
         # The PR's acceptance scenario: one dropped data frame and one
         # dropped ack frame; the exchange still completes byte-identical.
         sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK))
-        link_between(cluster, 0, 1).fault_plan = FaultPlan(
-            drop_nth=(1,),                        # the ping data frame
-            drop_kind_nth=(("rel_ack", 1),),      # the standalone pong ack
-        )
+        link = link_between(cluster, 0, 1)
+        link.fault_plan = FaultPlan(drop_nth=(1, 3))
+        kinds = arrivals(link)
 
         def app():
             rp = e1.irecv(src=0, tag=0)
@@ -106,6 +119,8 @@ class TestEagerRecovery:
         rp, rq = sim.run_process(app())
         assert rp.data.tobytes() == b"ping"
         assert rq.data.tobytes() == b"pong"
+        # The drops hit the ping data frame and the standalone pong ack.
+        assert (kinds[0], kinds[2]) == ("data", "rel_ack")
         assert e0.stats.retransmits >= 1          # the lost ping
         assert e1.stats.retransmits >= 1          # pong re-sent after ack loss
         assert e0.stats.duplicates_suppressed >= 1  # the replayed pong
@@ -116,8 +131,9 @@ class TestEagerRecovery:
         # Losing only the ack means the payload is delivered twice on the
         # wire; the matcher must see it exactly once.
         sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK))
-        link_between(cluster, 1, 0).fault_plan = FaultPlan(
-            drop_kind_nth=(("rel_ack", 1),))
+        link = link_between(cluster, 1, 0)
+        link.fault_plan = FaultPlan(drop_nth=(1,))
+        kinds = arrivals(link)
 
         def app():
             req = e1.irecv(src=0, tag=0)
@@ -129,6 +145,7 @@ class TestEagerRecovery:
 
         req = sim.run_process(app())
         assert req.data.tobytes() == b"once"
+        assert kinds[0] == "rel_ack"  # the dropped arrival was the ack
         assert e1.stats.duplicates_suppressed >= 1
         assert e1.matcher.delivered == 1
         assert e0.quiesced() and e1.quiesced()

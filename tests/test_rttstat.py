@@ -1,12 +1,10 @@
-"""The RTT estimator: Jacobson EWMA math, clamps, and the hedge quantile.
+"""The RTT estimator: Jacobson EWMA math and clamps.
 
 Pure-bookkeeping unit tests plus Hypothesis properties pinning the
 behaviour the adaptive timing layer depends on: the derived RTO always
 lands inside ``[floor, ceiling]`` and is twice the engine's silence
-bound until warm, converges to the Jacobson formula
-under a stable sample stream, and the hedge delay stays a *tail*
-estimate — offered only on warm rails and never inflated to the RTO
-floor (it must fire before the RTO to be useful).
+bound until warm, and converges to the Jacobson formula under a stable
+sample stream.
 """
 
 import math
@@ -18,8 +16,6 @@ from hypothesis import strategies as st
 from repro.core.rttstat import (
     ALPHA,
     BETA,
-    HEDGE_DEVS,
-    HEDGE_MIN_SAMPLES,
     RTO_CEILING_US as CEILING,
     RTO_DEVS,
     RTO_FLOOR_US as FLOOR,
@@ -85,37 +81,37 @@ class TestRttEstimator:
         # measurements are in, even though srtt/rttvar are already live.
         est = make()
         for i in range(RTO_MIN_SAMPLES - 1):
-            est.sample(1, 0, 100.0)
+            est.sample(1, 100.0)
             assert not est.warm(1)
             assert est.rto_us(1) == COLD
             assert est.global_rto_us() == COLD
             assert est.samples(1) == i + 1
             assert est.srtt_us(1) == pytest.approx(100.0)
-        est.sample(1, 0, 100.0)
+        est.sample(1, 100.0)
         assert est.warm(1)
         assert est.rto_us(1) < COLD
 
     def test_rto_formula_and_clamps(self):
         est = make()
         for _ in range(RTO_MIN_SAMPLES):
-            est.sample(1, 0, 100.0)  # constant stream: srtt -> 100
+            est.sample(1, 100.0)  # constant stream: srtt -> 100
         st_ = est._peers[1]
         expected = HEADROOM * (st_.srtt_us + RTO_DEVS * st_.rttvar_us)
         assert est.rto_us(1) == pytest.approx(expected)
         # A tiny stable RTT clamps up to the floor...
         for _ in range(200):
-            est.sample(2, 0, 1.0)
+            est.sample(2, 1.0)
         assert est.rto_us(2) == FLOOR
         # ...and a huge one clamps down to the ceiling.
         for _ in range(RTO_MIN_SAMPLES):
-            est.sample(3, 0, 1e9)
+            est.sample(3, 1e9)
         assert est.rto_us(3) == CEILING
 
     def test_global_rto_is_most_conservative_peer(self):
         est = make()
         for _ in range(50):
-            est.sample(1, 0, 10.0)
-            est.sample(2, 0, 500.0)
+            est.sample(1, 10.0)
+            est.sample(2, 500.0)
         assert est.global_rto_us() == est.rto_us(2)
         assert est.global_rto_us() > est.rto_us(1)
 
@@ -124,59 +120,30 @@ class TestRttEstimator:
             with pytest.raises(ValueError):
                 RttEstimator(silence)
         with pytest.raises(ValueError):
-            make().sample(1, 0, -1.0)
-
-    def test_hedge_needs_warm_rail(self):
-        est = make()
-        for _ in range(HEDGE_MIN_SAMPLES - 1):
-            est.sample(1, 0, 100.0)
-        assert est.hedge_delay_us(1, 0) is None  # one short of warm
-        assert est.hedge_delay_us(1, 1) is None  # other rail still cold
-        est.sample(1, 0, 100.0)
-        assert est.hedge_delay_us(1, 0) is not None
-
-    def test_hedge_is_per_rail_and_not_floored(self):
-        # The whole point of the hedge: a warm, fast, *stable* rail hedges
-        # at its measured tail (srtt + 3*rttvar), which may sit well below
-        # the RTO floor — flooring it would make the hedge fire after the
-        # retransmit clock it exists to pre-empt.
-        est = make()
-        for _ in range(50):
-            est.sample(1, 0, 2.0)
-        delay = est.hedge_delay_us(1, 0)
-        assert delay is not None
-        assert delay < FLOOR
-        assert delay < est.rto_us(1)
-        assert delay == pytest.approx(
-            est._rails[(1, 0)].srtt_us
-            + HEDGE_DEVS * est._rails[(1, 0)].rttvar_us)
-        # But never above the ceiling.
-        for _ in range(50):
-            est.sample(2, 0, 1e8)
-        assert est.hedge_delay_us(2, 0) == CEILING
+            make().sample(1, -1.0)
 
     def test_snapshot_matches_report_registry(self):
         est = make()
-        est.sample(1, 0, 100.0)
-        est.sample(3, 1, 50.0)
+        est.sample(1, 100.0)
+        est.sample(3, 50.0)
         snap = est.snapshot()
         assert list(snap) == [1, 3]  # sorted, cold peers omitted
         for entry in snap.values():
             assert set(entry) == set(RTT_SNAPSHOT_KEYS)
         assert snap[1]["rto_us"] == est.rto_us(1)
 
-    def test_forget_peer_drops_both_granularities(self):
+    def test_forget_peer_drops_only_that_peer(self):
         est = make()
-        for _ in range(HEDGE_MIN_SAMPLES):
-            est.sample(1, 0, 100.0)
-            est.sample(2, 0, 100.0)
+        for _ in range(RTO_MIN_SAMPLES):
+            est.sample(1, 100.0)
+            est.sample(2, 100.0)
         est.forget_peer(1)
         assert est.samples(1) == 0
+        assert not est.warm(1)
         assert est.rto_us(1) == COLD
-        assert est.hedge_delay_us(1, 0) is None
         # Peer 2 untouched.
-        assert est.samples(2) == HEDGE_MIN_SAMPLES
-        assert est.hedge_delay_us(2, 0) is not None
+        assert est.samples(2) == RTO_MIN_SAMPLES
+        assert est.warm(2)
 
 
 # -- properties ----------------------------------------------------------------
@@ -191,7 +158,7 @@ class TestProperties:
     def test_rto_always_inside_clamp_bounds(self, samples):
         est = make()
         for r in samples:
-            est.sample(1, 0, r)
+            est.sample(1, r)
             assert FLOOR <= est.rto_us(1) <= CEILING
             assert FLOOR <= est.global_rto_us() <= CEILING
 
@@ -204,7 +171,7 @@ class TestProperties:
         # exposed RTO is exactly clamp(headroom * (srtt + 4*rttvar)).
         est = make()
         for _ in range(300):
-            est.sample(1, 0, base + seedling.uniform(0.0, jitter))
+            est.sample(1, base + seedling.uniform(0.0, jitter))
         srtt, rttvar = est.srtt_us(1), est.rttvar_us(1)
         assert srtt is not None and rttvar is not None
         assert base <= srtt <= base + jitter + 1e-9
@@ -217,7 +184,7 @@ class TestProperties:
     def test_internal_state_stays_finite_and_consistent(self, samples):
         est = make()
         for i, r in enumerate(samples, start=1):
-            est.sample(1, 0, r)
+            est.sample(1, r)
             assert est.samples(1) == i
             srtt, rttvar = est.srtt_us(1), est.rttvar_us(1)
             assert math.isfinite(srtt) and math.isfinite(rttvar)
