@@ -310,13 +310,11 @@ class BaselineMpi(MpiEndpoint):
         comm = self._live_comm(comm)
         src_node = ANY if source == ANY else comm.node_of(source)
         if datatype is None:
-            req = MpiRecv(self.sim, src_node, comm.id, tag, nbytes,
-                          self.sim.now)
+            req = MpiRecv(self.sim, src_node, comm.id, tag, nbytes)
             req.comm = comm
-            self.matcher.post(req)
+            self.matcher.post(req, self.sim.now)
             return req
-        sub = RecvRequest(self.sim, src_node, comm.id, tag, datatype.size,
-                          self.sim.now)
+        sub = RecvRequest(self.sim, src_node, comm.id, tag, datatype.size)
 
         def _publish(typed: MpiRequest) -> None:
             # The packed stream landed: expose its blocks and status.
@@ -327,7 +325,7 @@ class BaselineMpi(MpiEndpoint):
 
         req = MpiRequest(self.sim, "recv", datatype, 1, _publish)
         sub.add_callback(req.part_done)
-        self.matcher.post(sub)
+        self.matcher.post(sub, self.sim.now)
         return req
 
     @staticmethod

@@ -309,8 +309,8 @@ class NmadEngine:
             )
         if deadline_us is not None:
             self._check_deadline(deadline_us)
-        req = request_cls(self.sim, src, flow, tag, nbytes, self.sim.now)
-        self.matcher.post(req)
+        req = request_cls(self.sim, src, flow, tag, nbytes)
+        self.matcher.post(req, self.sim.now)
         if src != ANY:
             for hook in self.post_hooks:
                 hook(src)
@@ -344,8 +344,8 @@ class NmadEngine:
             if not self.matcher.unpost(req, now=self.sim.now):
                 return  # already matched: the data is landing, let it
             err = DeadlineExceededError(
-                f"node{self.node_id}: receive (src={req.posted_src} "
-                f"flow={req.flow} tag={req.posted_tag}) unmatched after its "
+                f"node{self.node_id}: receive (src={req.match_src} "
+                f"flow={req.flow} tag={req.match_tag}) unmatched after its "
                 f"{deadline_us:g}us deadline"
             )
             self.stats.deadlines_expired += 1
@@ -353,7 +353,7 @@ class NmadEngine:
             if self.tracer.enabled:
                 self.tracer.emit(self.sim.now, self._source,
                                  "deadline_expired", side="recv",
-                                 tag=req.posted_tag)
+                                 tag=req.match_tag)
             return
         err = DeadlineExceededError(
             f"node{self.node_id}: send {req.wrap!r} still pending after "

@@ -161,15 +161,16 @@ class Matcher:
                              seq=inc.seq)
 
     # -- receive posting ----------------------------------------------------
-    def post(self, req: RecvRequest) -> None:
-        """Post a receive; matches the oldest waiting descriptor if any."""
+    def post(self, req: RecvRequest, now: float = 0.0) -> None:
+        """Post a receive at ``now``; matches the oldest waiting descriptor
+        if any."""
         for idx, inc in enumerate(self._unexpected):
             if req.flow == inc.flow and req.matches(inc.src, inc.tag):
                 del self._unexpected[idx]
                 if type(inc.item) is SegItem:
                     self.unexpected_bytes -= inc.item.data.nbytes
                 if self.tracer.enabled:
-                    self.tracer.emit(req.posted_at, self.name,
+                    self.tracer.emit(now, self.name,
                                      "match_unexpected", src=inc.src,
                                      flow=inc.flow, tag=inc.tag)
                 self._on_match(inc, req)
@@ -189,8 +190,8 @@ class Matcher:
         except ValueError:
             return False
         if self.tracer.enabled:
-            self.tracer.emit(now, self.name, "unpost", src=req.posted_src,
-                             flow=req.flow, tag=req.posted_tag)
+            self.tracer.emit(now, self.name, "unpost", src=req.match_src,
+                             flow=req.flow, tag=req.match_tag)
         return True
 
     # -- probing (MPI_Probe / MPI_Iprobe support) ----------------------------
@@ -269,18 +270,18 @@ class Matcher:
         """
         kept = []
         for req in self._posted:
-            if req.posted_src == src:
+            if req.match_src == src:
                 req.fail_observed(exc)
                 if self.tracer.enabled:
                     self.tracer.emit(now, self.name, "fail_src", src=src,
-                                     flow=req.flow, tag=req.posted_tag)
+                                     flow=req.flow, tag=req.match_tag)
             else:
                 kept.append(req)
         self._posted = kept
 
     def has_posted_from(self, src: int) -> bool:
         """Any posted receive pinned to ``src`` (liveness interest)?"""
-        return any(req.posted_src == src for req in self._posted)
+        return any(req.match_src == src for req in self._posted)
 
     # -- introspection -------------------------------------------------------
     @property

@@ -9,12 +9,15 @@ equivalent operations of NewMadeleine").
 A nonblocking operation is *one object*: the handle is its own completion
 event (``yield req``, ``sim.all_of(reqs)``; ``req.done`` is the request
 itself).  The event carries an outcome and no value; what was received is
-read off the request (``data``, ``actual_*``).  A handle pins that status
-and the data, never its packet wrap: a pending send and its wrap point at
-each other, and :meth:`SendRequest.settle` drops the request's side the
-moment the send is over, so no finished message sits in a reference cycle
-waiting for the cycle collector.  Debug labels (``send:dest/flow/tag``) are
-rendered from the request's own fields on demand, never stored.
+read off the request (``data``, ``actual_*``).  A finished handle holds
+its outcome, its status and its data — a receive's status is the
+``(src, tag)`` pair it was posted with, overwritten by the match, and its
+length is the data's — and never its packet wrap: a pending send and its
+wrap point at each other, and :meth:`SendRequest.settle` drops the
+request's side the moment the send is over, so no finished message sits
+in a reference cycle waiting for the cycle collector.  Debug labels
+(``send:dest/flow/tag``) are rendered from the request's own fields on
+demand, never stored.
 """
 
 from __future__ import annotations
@@ -114,19 +117,20 @@ class SendRequest(Request):
 class RecvRequest(Request):
     """Handle on a posted receive.
 
-    ``posted_src``/``posted_tag`` are the selectors the receive was posted
-    with and may be :data:`ANY`.  ``capacity`` bounds the acceptable
+    ``match_src``/``match_tag`` are one ``(src, tag)`` pair: while the
+    receive is pending, the selectors it was posted with (either may be
+    :data:`ANY`); once it completed, the status — the matched message's
+    source and tag — replaces them.  ``capacity`` bounds the acceptable
     message length (``None`` = unbounded); a longer incoming message fails
     the request with a truncation error, like MPI_ERR_TRUNCATE.
 
-    After completion, ``data``, ``actual_src``, ``actual_tag`` and
-    ``actual_len`` describe the received message (the MPI_Status analogue).
+    ``data`` is the received payload, ``None`` until a successful
+    completion; ``actual_src``, ``actual_tag`` and ``actual_len`` (the
+    MPI_Status analogue) read ``None`` until then too, so a wildcard
+    selector never shows as a status.
     """
 
-    __slots__ = (
-        "posted_src", "flow", "posted_tag", "capacity", "posted_at",
-        "data", "actual_src", "actual_tag", "actual_len",
-    )
+    __slots__ = ("flow", "match_src", "match_tag", "capacity", "data")
 
     def __init__(
         self,
@@ -135,34 +139,44 @@ class RecvRequest(Request):
         flow: int,
         tag: int,
         capacity: int | None,
-        posted_at: float = 0.0,
     ) -> None:
         if capacity is not None and capacity < 0:
             raise MpiError(f"negative receive capacity {capacity}")
         Event.__init__(self, sim)
-        self.posted_src = src
         self.flow = flow
-        self.posted_tag = tag
+        self.match_src = src
+        self.match_tag = tag
         self.capacity = capacity
-        self.posted_at = posted_at
         self.data: SegmentData | None = None
-        self.actual_src: int | None = None
-        self.actual_tag: int | None = None
-        self.actual_len: int | None = None
 
     @property
     def name(self) -> str:
-        return f"recv:{self.posted_src}/{self.flow}/{self.posted_tag}"
+        return f"recv:{self.match_src}/{self.flow}/{self.match_tag}"
+
+    @property
+    def actual_src(self) -> int | None:
+        """The matched message's source, once received."""
+        return None if self.data is None else self.match_src
+
+    @property
+    def actual_tag(self) -> int | None:
+        """The matched message's tag, once received."""
+        return None if self.data is None else self.match_tag
+
+    @property
+    def actual_len(self) -> int | None:
+        """The matched message's length in bytes, once received."""
+        data = self.data
+        return None if data is None else data.nbytes
 
     def matches(self, src: int, tag: int) -> bool:
         """Does an incoming (src, tag) satisfy this posted receive?"""
-        return (self.posted_src in (ANY, src)
-                and self.posted_tag in (ANY, tag))
+        return (self.match_src in (ANY, src)
+                and self.match_tag in (ANY, tag))
 
     def finish(self, data: SegmentData, src: int, tag: int) -> None:
         """Record the message and trigger completion (engine-internal)."""
         self.data = data
-        self.actual_src = src
-        self.actual_tag = tag
-        self.actual_len = data.nbytes
+        self.match_src = src
+        self.match_tag = tag
         self.succeed()

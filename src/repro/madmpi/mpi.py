@@ -120,10 +120,12 @@ class MadMpi(MpiEndpoint):
         ]
 
         def _publish(typed: MpiRequest) -> None:
-            typed.block_data = [s.data for s in subs]
-            typed.source = comm.rank_of(subs[0].actual_src)
-            typed.tag = subs[0].actual_tag
-            typed.count = sum(s.actual_len for s in subs)
+            # Every block succeeded: each part's (src, tag) pair is its
+            # status, and its data is there.
+            blocks = typed.block_data = [s.data for s in subs]
+            typed.source = comm.rank_of(subs[0].match_src)
+            typed.tag = subs[0].match_tag
+            typed.count = sum(d.nbytes for d in blocks)
 
         req = MpiRequest(self.sim, "recv", datatype, 1, _publish)
         # One part, the blocks' join: the handle fires a hop after the last

@@ -14,8 +14,12 @@ its own completion event.  Only a derived-datatype operation, which really
 does finish after several library requests, is a further object
 (:class:`MpiRequest`).  Every handle is an :class:`~repro.sim.Event` whose
 ``done`` is itself, so ``yield req``, ``wait_all(mixed)`` and
-``sim.all_of(reqs)`` take handles as they are.  A completed handle pins the
-status and the data, nothing else.
+``sim.all_of(reqs)`` take handles as they are.  A finished handle holds
+its outcome, its status and its data, nothing else: on 64-bit CPython an
+:class:`MpiRecv` is 112 bytes (the event core, the ``(src, tag)`` pair that
+is its status, the flow, the capacity, the data and the communicator), an
+:class:`MpiSend` 96 (the event core, the wrap slot it has let go of, the
+destination, the flow and the posted tag).
 """
 
 from __future__ import annotations
@@ -67,18 +71,20 @@ class MpiRecv(_Untyped, RecvRequest):
     @property
     def source(self) -> int | None:
         """Sender's rank in the request's communicator."""
-        node = self.actual_src
-        return None if node is None else self.comm.rank_of(node)
+        if self.data is None:
+            return None
+        return self.comm.rank_of(self.match_src)
 
     @property
     def tag(self) -> int | None:
         """The matched message's tag."""
-        return self.actual_tag
+        return None if self.data is None else self.match_tag
 
     @property
     def count(self) -> int | None:
         """Bytes received."""
-        return self.actual_len
+        data = self.data
+        return None if data is None else data.nbytes
 
 
 class MpiRequest(Request):

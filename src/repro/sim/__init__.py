@@ -5,6 +5,7 @@ from repro.sim.core import (
     AnyOf,
     Condition,
     Event,
+    NamedEvent,
     Process,
     Simulator,
     Timeout,
@@ -17,6 +18,7 @@ __all__ = [
     "AnyOf",
     "Condition",
     "Event",
+    "NamedEvent",
     "Process",
     "Simulator",
     "Timeout",

@@ -8,7 +8,8 @@ kernel is deliberately small and SimPy-flavoured:
 * :class:`Simulator` owns a monotonically non-decreasing clock (``now``, in
   microseconds by convention) and a deterministic priority queue.
 * :class:`Event` is a one-shot occurrence that callbacks and processes can
-  wait on.  :class:`Timeout` is an event scheduled at ``now + delay``.
+  wait on (:class:`NamedEvent` is one with a debug label).
+  :class:`Timeout` is an event scheduled at ``now + delay``.
 * :class:`Process` wraps a generator; the generator yields events (or other
   processes, or :class:`AllOf`/:class:`AnyOf` conditions) and is resumed with
   the event's value when it triggers.  This lets the ping-pong applications,
@@ -75,6 +76,7 @@ _INF = float("inf")
 __all__ = [
     "Simulator",
     "Event",
+    "NamedEvent",
     "Timeout",
     "Process",
     "Condition",
@@ -82,6 +84,12 @@ __all__ = [
     "AnyOf",
     "Timer",
 ]
+
+
+#: ``Event._ok`` once a failure was observed (by a waiter, :attr:`value`
+#: or :meth:`Event.defuse`).  Falsy like ``False`` (a failure) but not
+#: ``False``, so ``_ok is False`` alone means "failed, nobody told".
+_OBSERVED = 0
 
 
 class Event:
@@ -94,6 +102,16 @@ class Event:
     scheduled to run immediately (still via the event queue, preserving
     determinism).
 
+    The core is four fields: the simulator, the callback list (``None``
+    once processed), the outcome and the value.  The outcome is one of
+    pending (``None``), succeeded (``True``), failed and not yet observed
+    (``False``) and failed and observed (:data:`_OBSERVED`); run()
+    re-raises a failure that is still unobserved once its callbacks ran.
+    A processed event therefore holds its outcome and its value (or
+    exception), nothing else.  The base event has no label: the kinds
+    that carry one are :class:`NamedEvent` (what :meth:`Simulator.event`
+    returns), :class:`Process` and :class:`Condition`.
+
     Subclassing (an operation that *is* its completion event, like the
     engine's requests): add ``__slots__``, call :meth:`Event.__init__`, and
     use the public surface only — ``triggered``/``ok``/``exception``/
@@ -104,32 +122,20 @@ class Event:
     cycle only the collector can free.
     """
 
-    __slots__ = ("sim", "_callbacks", "_ok", "_value", "_defused", "_name")
+    __slots__ = ("sim", "_callbacks", "_ok", "_value")
 
-    def __init__(
-        self, sim: Simulator, name: str | tuple[Any, ...] = ""
-    ) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        # A tuple is a lazy label ``(template, *args)``: per-message events
-        # are named for diagnostics only, so the string is built when
-        # somebody reads :attr:`name`, not once per message.
-        self._name = name
         self._callbacks: list[Callable[[Event], None]] | None = []
-        self._ok: bool | None = None  # None=pending, True=succeeded, False=failed
+        self._ok: bool | int | None = None  # the outcome (class docstring)
         # The success value, or a failed event's exception.
         self._value: Any = None
-        # Failed events whose exception is never observed raise at run() end
-        # unless "defused" (observed by a waiter or explicitly).
-        self._defused = False
 
     # -- state ----------------------------------------------------------
     @property
     def name(self) -> str:
-        """Debug label (a lazy ``(template, *args)`` is rendered here)."""
-        name = self._name
-        if name.__class__ is tuple:
-            return name[0] % name[1:]
-        return name
+        """Debug label: none here (see the labelled kinds above)."""
+        return ""
 
     @property
     def triggered(self) -> bool:
@@ -148,13 +154,14 @@ class Event:
             raise SimulationError(f"value of pending event {self!r}")
         if self._ok:
             return self._value
-        self._defused = True
+        self._ok = _OBSERVED
         raise self._value
 
     @property
     def exception(self) -> BaseException | None:
         """The failure exception, or ``None`` (non-raising inspection)."""
-        return self._value if self._ok is False else None
+        ok = self._ok
+        return None if ok is None or ok else self._value
 
     # -- triggering -----------------------------------------------------
     def succeed(self, value: Any = None) -> Event:
@@ -178,8 +185,16 @@ class Event:
         return self
 
     def defuse(self) -> None:
-        """Mark a failed event as observed so run() does not re-raise it."""
-        self._defused = True
+        """Mark a failed event as observed so run() does not re-raise it.
+
+        A no-op on a succeeded event.  A pending event has no failure to
+        observe yet, and the outcome field has no place to remember one
+        ahead of time: defuse it once it failed.
+        """
+        if self._ok is None:
+            raise SimulationError(f"defuse() of pending event {self!r}")
+        if self._ok is False:
+            self._ok = _OBSERVED
 
     # -- waiting --------------------------------------------------------
     def add_callback(self, fn: Callable[[Event], None]) -> None:
@@ -199,6 +214,36 @@ class Event:
         name = self.name
         label = f" {name!r}" if name else ""
         return f"<{type(self).__name__}{label} {state}>"
+
+
+class NamedEvent(Event):
+    """An event with a debug label: what :meth:`Simulator.event` returns.
+
+    ``name`` may be a lazy label ``(template, *args)``: per-message events
+    are named for diagnostics only, so the string is built when somebody
+    reads :attr:`name`, not once per message.
+    """
+
+    __slots__ = ("_name",)
+
+    def __init__(
+        self, sim: Simulator, name: str | tuple[Any, ...] = ""
+    ) -> None:
+        # Event.__init__ inlined: a NIC builds one of these per frame, and
+        # a chained constructor would be a second call for each.
+        self.sim = sim
+        self._callbacks = []
+        self._ok = None
+        self._value = None
+        self._name = name
+
+    @property
+    def name(self) -> str:
+        """Debug label (a lazy ``(template, *args)`` is rendered here)."""
+        name = self._name
+        if name.__class__ is tuple:
+            return name[0] % name[1:]
+        return name
 
 
 class Timeout(Event):
@@ -233,7 +278,7 @@ class Timeout(Event):
         return f"<Timeout({self.delay:g}) {state}>"
 
 
-class Process(Event):
+class Process(NamedEvent):
     """A running coroutine over simulated time.
 
     A process *is* an event: it triggers with the generator's return value
@@ -249,10 +294,10 @@ class Process(Event):
                 f"Process requires a generator, got {type(gen).__name__}; "
                 "did you call the function instead of passing its generator?"
             )
-        super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
+        super().__init__(sim, name or getattr(gen, "__name__", "process"))
         self._gen = gen
         # Kick off the process at the current time.
-        init = Event(sim, name=f"init:{self.name}")
+        init = NamedEvent(sim, f"init:{self.name}")
         init.add_callback(self._resume)
         init.succeed()
 
@@ -268,7 +313,7 @@ class Process(Event):
         if evt._ok:
             self._step(self._gen.send, evt._value)
         else:
-            evt._defused = True
+            evt._ok = _OBSERVED
             self._step(self._gen.throw, evt._value)
 
     def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
@@ -315,7 +360,7 @@ class Condition(Event):
     _counts_successes: ClassVar[bool] = False
 
     def __init__(self, sim: Simulator, events: Iterable[Event]) -> None:
-        super().__init__(sim, name=type(self).__name__)
+        super().__init__(sim)
         self.events: tuple[Event, ...] = tuple(events)
         for evt in self.events:
             if evt.sim is not sim:
@@ -331,6 +376,11 @@ class Condition(Event):
                 child_done(evt)
             else:
                 evt.add_callback(child_done)
+
+    @property
+    def name(self) -> str:
+        """Debug label: the condition's kind."""
+        return type(self).__name__
 
     def _collect(self) -> dict[Event, Any]:
         return {e: e._value for e in self.events if e._ok}
@@ -355,10 +405,10 @@ class AllOf(Condition):
     def _child_done(self, evt: Event) -> None:
         if self._ok is not None:
             if not evt._ok:
-                evt._defused = True
+                evt._ok = _OBSERVED
             return
         if not evt._ok:
-            evt._defused = True
+            evt._ok = _OBSERVED
             self.fail(evt._value)
             return
         self._n_left -= 1
@@ -374,12 +424,12 @@ class AnyOf(Condition):
     def _child_done(self, evt: Event) -> None:
         if self._ok is not None:
             if not evt._ok:
-                evt._defused = True
+                evt._ok = _OBSERVED
             return
         if evt._ok:
             self.succeed(self._collect())
         else:
-            evt._defused = True
+            evt._ok = _OBSERVED
             self.fail(evt._value)
 
 
@@ -504,13 +554,13 @@ class Simulator:
         return self._last_t
 
     # -- event construction ------------------------------------------------
-    def event(self, name: str | tuple[Any, ...] = "") -> Event:
-        """Create a fresh pending :class:`Event`.
+    def event(self, name: str | tuple[Any, ...] = "") -> NamedEvent:
+        """Create a fresh pending :class:`NamedEvent`.
 
         ``name`` may be a lazy label ``(template, *args)``, rendered as
         ``template % args`` only when :attr:`Event.name` is read.
         """
-        return Event(self, name)
+        return NamedEvent(self, name)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers after ``delay`` time units."""
@@ -654,7 +704,7 @@ class Simulator:
                         if callbacks:
                             for fn in callbacks:
                                 fn(item)
-                        if item._ok is False and not item._defused:
+                        if item._ok is False:
                             raise item._value
                         if (
                             item.__class__ is timeout_cls
@@ -669,7 +719,6 @@ class Simulator:
                             # hands out plain Timeouts only.
                             item._ok = None
                             item._value = None
-                            item._defused = False
                             if callbacks is not None:
                                 callbacks.clear()
                                 item._callbacks = callbacks
@@ -713,7 +762,7 @@ class Simulator:
                         if callbacks:
                             for fn in callbacks:
                                 fn(item)
-                        if item._ok is False and not item._defused:
+                        if item._ok is False:
                             raise item._value
                         if (
                             item.__class__ is timeout_cls
@@ -722,7 +771,6 @@ class Simulator:
                         ):
                             item._ok = None
                             item._value = None
-                            item._defused = False
                             if callbacks is not None:
                                 callbacks.clear()
                                 item._callbacks = callbacks

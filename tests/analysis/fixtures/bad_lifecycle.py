@@ -5,7 +5,7 @@
 def poke_event(evt, exc):
     evt._value = exc  # NM302 (the kernel owns Event state)
     evt._ok = False
-    if evt._defused:  # NM301 (kernel-private read)
+    if evt._ok is not False:  # NM301 (kernel-private read of the outcome)
         return None
     return evt._value
 
@@ -16,8 +16,8 @@ def poke_rendezvous(state, n):
 
 
 def poke_request(req, src, tag):
-    req.actual_src = src  # NM302 (result owned by RecvRequest.finish)
-    req.actual_tag = tag
+    req.match_src = src  # NM302 (status owned by RecvRequest.finish)
+    req.match_tag = tag
 
 
 def peek_window(window):

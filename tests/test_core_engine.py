@@ -527,14 +527,16 @@ class TestRequestIsItsCompletionEvent:
         assert (sreq.name, rreq.name) == ("send:1/3/5", "recv:-1/3/-1")
         assert repr(rreq) == "<RecvRequest 'recv:-1/3/-1' pending>"
         # Pending: selectors as posted, no status yet (no wildcard leaks).
-        assert (rreq.posted_src, rreq.posted_tag) == (ANY, ANY)
+        assert (rreq.match_src, rreq.match_tag) == (ANY, ANY)
         assert (rreq.data, rreq.actual_src, rreq.actual_tag,
                 rreq.actual_len) == (None, None, None, None)
         assert sreq.wrap.completion is sreq
         sim.run()
         assert sreq.complete and rreq.complete and sreq.wrap is None
         assert (rreq.actual_src, rreq.actual_tag, rreq.actual_len) == (0, 5, 7)
-        assert (rreq.posted_src, rreq.posted_tag) == (ANY, ANY)
+        # Complete: the status replaced the selectors in the one pair.
+        assert (rreq.match_src, rreq.match_tag) == (0, 5)
+        assert rreq.name == "recv:0/3/5"
         assert repr(sreq) == "<SendRequest 'send:1/3/5' ok>"
 
     def test_yield_and_conditions_take_the_handle_itself(self):

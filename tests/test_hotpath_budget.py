@@ -31,6 +31,7 @@ import cProfile
 import gc
 import json
 import pstats
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -41,8 +42,8 @@ import repro.core
 from repro.bench.perf import object_census, rendezvous_exchange
 from repro.core import Bytes, EngineParams, NmadEngine, VirtualData
 from repro.core.packet import PacketWrap
-from repro.core.requests import RecvRequest, SendRequest
-from repro.madmpi import Communicator, MadMpi
+from repro.core.requests import ANY, RecvRequest, SendRequest
+from repro.madmpi import Communicator, MadMpi, MpiRecv, MpiSend
 from repro.netsim import MX_MYRI10G, Cluster, FatTree
 from repro.sim import Event, Simulator, Tracer
 
@@ -115,12 +116,22 @@ RENDEZVOUS_ENTRIES_PER_MSG = 20.7421875
 #: wrapper, and the application's own ``(send, recv)`` record.  The parent
 #: commit kept 7.
 OBJECTS_PER_MSG = 4.0
-#: Bytes still allocated per such message (``tracemalloc``): measured 467.0
-#: in paper mode and 474.8 hardened on the 4 x 32 burst below, + 3 % (492.5 /
-#: 500.3 while the engine kept the id of every wrap it ever sent; 784.5 /
-#: 820.3 when a request was three objects).  34.5 of them are the wrap
-#: ledger's dict table, resized within the measured burst like the window's.
-RETAINED_BYTES_PER_MSG = 489.1
+#: Bytes still allocated per such message (``tracemalloc``): measured 400.1
+#: in paper mode and 402.6 hardened on the 4 x 32 burst below, + 3 % (464.1 /
+#: 466.6 while the event core kept a defuse flag and a label and a receive
+#: kept its selectors, its status and its length apart; 467.0 / 474.8 before
+#: the credit grant rode the ack; 492.5 / 500.3 while the engine kept the id
+#: of every wrap it ever sent; 784.5 / 820.3 when a request was three
+#: objects).  34.5 of them are the wrap ledger's dict table, resized within
+#: the measured burst like the window's.
+RETAINED_BYTES_PER_MSG = 414.7
+#: ``sys.getsizeof`` of a completed untyped MPI handle: the four-slot event
+#: core plus a receive's ``(src, tag)`` pair, flow, capacity, data and
+#: communicator, or a send's wrap, destination, flow and tag (160 / 112
+#: while the core kept a defuse flag and a label, and a receive its posted
+#: selectors, its post time, its status and its length apart).
+MPI_RECV_BYTES = 112
+MPI_SEND_BYTES = 96
 
 
 class CountingTracer(Tracer):
@@ -301,6 +312,18 @@ def test_finished_message_object_budget(params):
     assert census["retained_bytes_per_msg"] <= RETAINED_BYTES_PER_MSG, census
     # No request is in a cycle with its event, held or dropped.
     assert census["cyclic_garbage_per_msg"] == 0, census
+
+
+def test_a_completed_handle_is_its_outcome_status_and_data():
+    sim, mpis = build(2)
+    rreq = mpis[1].irecv(source=ANY, tag=ANY)
+    sreq = mpis[0].isend(b"payload", dest=1, tag=5)
+    sim.run()
+    assert type(rreq) is MpiRecv and type(sreq) is MpiSend
+    assert rreq.ok and sreq.ok
+    assert (rreq.source, rreq.tag, rreq.count) == (0, 5, 7)
+    assert sys.getsizeof(rreq) <= MPI_RECV_BYTES
+    assert sys.getsizeof(sreq) <= MPI_SEND_BYTES
 
 
 @pytest.mark.parametrize("params", [PAPER, HARDENED],

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import AnyOf, Event, Simulator, Timeout, Timer
+from repro.sim import AnyOf, Event, NamedEvent, Simulator, Timeout, Timer
 
 
 @pytest.fixture()
@@ -84,7 +84,8 @@ class TestClockAndScheduling:
             "send:1/0/5"
         with pytest.raises(SimulationError) as exc:
             sim.run(max_events=0)
-        assert "next up: (t=0, <Event 'send:1/0/5' ok>)" in str(exc.value)
+        assert "next up: (t=0, <NamedEvent 'send:1/0/5' ok>)" in \
+            str(exc.value)
 
     def test_events_processed_counter(self, sim):
         for _ in range(5):
@@ -140,6 +141,45 @@ class TestEvent:
         evt.fail(RuntimeError("ignored"))
         evt.defuse()
         sim.run()  # no raise
+
+    def test_the_outcome_field_carries_observation(self, sim):
+        # One field: pending, succeeded, failed unobserved, failed observed.
+        ok, failed, seen = sim.event(), sim.event(), sim.event()
+        assert ok._ok is failed._ok is None
+        ok.succeed()
+        ok.defuse()                       # nothing to observe: no-op
+        assert ok._ok is True
+        failed.fail(RuntimeError("unseen"))
+        assert failed._ok is False        # the run loop's one compare
+        seen.fail(RuntimeError("seen"))
+        with pytest.raises(RuntimeError):
+            _ = seen.value                # reading it observes it
+        assert seen._ok is not False and seen.triggered and not seen.ok
+        assert str(seen.exception) == "seen"
+        with pytest.raises(RuntimeError, match="unseen"):
+            sim.run()
+        failed.defuse()
+        assert failed._ok is not False and not failed.ok
+        assert str(failed.exception) == "unseen"
+
+    def test_defusing_a_pending_event_is_rejected(self, sim):
+        # The outcome has no place to hold "observed" before a failure.
+        evt = sim.event()
+        with pytest.raises(SimulationError, match="pending"):
+            evt.defuse()
+        evt.fail(RuntimeError("later"))
+        with pytest.raises(RuntimeError, match="later"):
+            sim.run()
+
+    def test_only_the_labelled_kinds_carry_a_name(self, sim):
+        # The base event keeps four fields; a label is a fifth slot on the
+        # kind sim.event() returns, and a Condition's is its class name.
+        assert Event.__slots__ == ("sim", "_callbacks", "_ok", "_value")
+        assert type(sim.event()) is NamedEvent
+        assert sim.event("x").name == "x" and sim.timeout(1.0).name == ""
+        assert sim.all_of([]).name == "AllOf"
+        assert sim.spawn((x for x in ()), name="p").name == "p"
+        sim.run()
 
     def test_timeout_value_passthrough(self, sim):
         t = sim.timeout(2.0, value="payload")

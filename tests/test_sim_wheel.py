@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from repro.errors import SimulationError
 from repro.sim import Simulator, Timer
 from repro.sim.sanitizer import SanitizeConfig
-from tests.seed_kernel import LegacySimulator
+from tests.seed_kernel import LegacyEvent, LegacySimulator
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +516,15 @@ class _Boom(Exception):
     pass
 
 
+def _observed(evt):
+    """Was the failed ``evt`` observed?  The seed kernel keeps a flag; the
+    live one folds it into the outcome, which stays ``False`` only while
+    nobody has seen the failure."""
+    if isinstance(evt, LegacyEvent):
+        return evt._defused
+    return evt._ok is not False
+
+
 def _play_condition(sim, program):
     """Run ``program`` on ``sim``; returns everything an observer can see."""
     kind, specs, timeouts_first, horizons = program
@@ -589,7 +598,8 @@ def _play_condition(sim, program):
     seen.update(
         raised=raised, entries=sim.events_processed,
         triggered=cond.triggered,
-        defused=[c._defused for c in children if c._ok is False])
+        defused=[_observed(c) for c in children
+                 if c.triggered and not c.ok])
     return seen
 
 

@@ -50,7 +50,7 @@ WINDOW_PRIVATE = frozenset({
 EVENT_MODULE = "repro/sim/core.py"
 #: Kernel-private Event/Process/Condition state.
 EVENT_PRIVATE = frozenset({
-    "_ok", "_value", "_defused", "_callbacks", "_gen", "_n_left",
+    "_ok", "_value", "_callbacks", "_gen", "_n_left",
 })
 #: What a simulator is called where one is held (``sim.now``,
 #: ``self.sim.now``, ``engine.sim.now``, ``self._sim.now``).
@@ -70,9 +70,10 @@ WRITE_OWNERS: tuple[tuple[str, frozenset[str], tuple[str, ...]], ...] = (
     ("repro/core/rendezvous.py", frozenset({
         "granted", "next_offset", "bytes_sent", "received",
     }), _ENGINE_STATE),
-    # Receive results, set by RecvRequest.finish.
+    # A receive's (src, tag) pair: the posted selectors until
+    # RecvRequest.finish overwrites them with the status.
     ("repro/core/requests.py", frozenset({
-        "actual_src", "actual_tag", "actual_len",
+        "match_src", "match_tag",
     }), _ENGINE_STATE),
     # Credit-conservation totals: idempotent under duplicated grants only
     # while every mutation goes through consume/release/_apply_grant.
