@@ -38,6 +38,13 @@ The benchmarks:
   ``cyclic_garbage_per_msg`` (objects only ``gc.collect()`` can free,
   during the exchange and after the handles are dropped).  Exact like
   ``calls_per_msg``, and gated the same way: none may rise.
+* ``startup`` — what a paper-mode process loads: a fresh interpreter
+  builds a two-node MAD-MPI pair with the engine's defaults and runs a
+  ping-pong (:func:`startup_modules`); ``paper_modules`` counts the
+  ``repro`` modules it then holds and ``paper_source_lines`` their source
+  lines, which a checkout without bytecode compiles on every start.  Exact
+  on any interpreter, like ``events_per_msg``: either may fall, neither
+  may rise.
 
 All workloads are deterministic (seeded); only the wall-clock readings
 vary between hosts and runs.  :func:`check_bench` compares a fresh run
@@ -55,9 +62,11 @@ import cProfile
 import gc
 import heapq
 import json
+import os
 import platform
 import pstats
 import random
+import subprocess
 import sys
 import time
 from collections.abc import Callable
@@ -78,6 +87,8 @@ __all__ = [
     "bench_rendezvous",
     "object_census",
     "bench_object_census",
+    "startup_modules",
+    "bench_startup",
     "run_suite",
     "render_perf",
     "write_bench",
@@ -439,6 +450,79 @@ def bench_object_census(depth: int = 50, rounds: int = 4) -> dict:
     return object_census(exchange)
 
 
+#: The start-up probe, run by a fresh interpreter: a two-node MAD-MPI pair
+#: on MX built with ``EngineParams(**json.loads(argv[1]))``, ``argv[2]``
+#: ping-pong round trips, then each loaded ``repro`` module and its source
+#: lines.
+_STARTUP_PROBE = """\
+import json, sys
+from repro.core.engine import EngineParams, NmadEngine
+from repro.madmpi import Communicator, MadMpi
+from repro.netsim import MX_MYRI10G, Cluster
+from repro.sim import Simulator
+
+sim = Simulator()
+cluster = Cluster(sim, n_nodes=2, rails=(MX_MYRI10G,))
+params = EngineParams(**json.loads(sys.argv[1]))
+iters = int(sys.argv[2])
+world = Communicator([0, 1])
+m0, m1 = (MadMpi(NmadEngine(cluster.node(i), params=params), world)
+          for i in range(2))
+
+def ping():
+    for tag in range(iters):
+        m0.isend(bytes(64), dest=1, tag=tag)
+        yield from m0.recv(source=1, tag=tag)
+
+def pong():
+    for tag in range(iters):
+        yield from m1.recv(source=0, tag=tag)
+        m1.isend(bytes(64), dest=0, tag=tag)
+
+procs = [sim.spawn(ping()), sim.spawn(pong())]
+sim.run()
+if not all(p.triggered and p.ok for p in procs):
+    sys.exit("the start-up probe's ping-pong did not complete")
+loaded = {}
+for name, module in sorted(sys.modules.items()):
+    if name == "repro" or name.startswith("repro."):
+        with open(module.__file__, encoding="utf-8") as fh:
+            loaded[name] = sum(1 for _ in fh)
+print(json.dumps(loaded))
+"""
+
+
+#: Ping-pong round trips the start-up probe runs before it counts.
+_STARTUP_ITERS = 8
+
+
+def startup_modules(**params: str) -> dict[str, int]:
+    """``repro`` module -> source lines, for every module a fresh
+    interpreter has loaded once it built a MAD-MPI pair with ``params``
+    (the engine's defaults: paper mode) and ran a ping-pong on it."""
+    import repro  # the package this module belongs to, wherever it lives
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(params),
+         str(_STARTUP_ITERS)],
+        env=env, capture_output=True, text=True, check=False)
+    if out.returncode != 0:
+        raise ReproError(f"start-up probe failed:\n{out.stderr}")
+    loaded: dict[str, int] = json.loads(out.stdout)
+    return loaded
+
+
+def bench_startup() -> dict:
+    """What a paper-mode process loads: ``repro`` modules and their lines."""
+    loaded = startup_modules()
+    return {"iters": _STARTUP_ITERS, "paper_modules": len(loaded),
+            "paper_source_lines": sum(loaded.values())}
+
+
 def run_suite(quick: bool = False) -> dict:
     """Run every microbenchmark; returns the ``BENCH_perf.json`` payload."""
     rounds = 500 if quick else 5000
@@ -467,8 +551,9 @@ def run_suite(quick: bool = False) -> dict:
             if name not in results or rate(res) > rate(results[name]):
                 results[name] = res
         cal_s = min(cal_s, calibrate())
-    # Exact, so measured once; it has no rate to calibrate.
+    # Exact, so measured once; they have no rate to calibrate.
     results["object_census"] = bench_object_census()
+    results["startup"] = bench_startup()
     shallow = results.pop("window_shallow")
     results["window_ops"]["shallow_backlog"] = shallow["backlog"]
     results["window_ops"]["shallow_ops_per_s"] = shallow["ops_per_s"]
@@ -532,6 +617,10 @@ def render_perf(payload: dict) -> str:
         f"  retained bytes / message:    "
         f"{r['object_census']['retained_bytes_per_msg']:>12,.2f} "
         f"allocated, handles held (tracemalloc, exact)",
+        f"  paper-mode start-up:         "
+        f"{r['startup']['paper_modules']:>12,d} repro modules  "
+        f"{r['startup']['paper_source_lines']:,d} source lines loaded "
+        f"(exact on any interpreter)",
     ]
     return "\n".join(lines)
 
@@ -554,12 +643,16 @@ _EXACT_COUNTS = {
     "retained_bytes_per_msg": "a finished message keeps more memory allocated",
     "cyclic_garbage_per_msg":
         "a finished message leaves reference cycles for the collector",
+    "paper_modules": "a paper-mode process loads more modules",
+    "paper_source_lines": "a paper-mode process compiles more source lines",
 }
 
 #: The exact counts the interpreter has no say in: compared whatever the
-#: Python versions, and with no slack — a count of queue entries has no
-#: noise, and a new entry per message is a decision, not a small addition.
-_INTERPRETER_NEUTRAL = frozenset({"events_per_msg"})
+#: Python versions, and with no slack — a count of queue entries or of
+#: loaded modules has no noise, and one more is a decision, not a small
+#: addition.
+_INTERPRETER_NEUTRAL = frozenset(
+    {"events_per_msg", "paper_modules", "paper_source_lines"})
 
 #: The inputs that fix each workload; two results compare only when these
 #: agree (a ``--quick`` run is another shape).
@@ -570,6 +663,7 @@ _SHAPE_KEYS = {
     "random_traffic": ("messages", "seed"),
     "rendezvous": ("phases",),
     "object_census": ("messages",),
+    "startup": ("iters",),
 }
 
 
@@ -593,9 +687,10 @@ def check_bench(
       ``cyclic_garbage_per_msg`` must not rise by more than :data:`CALLS_PER_MSG_TOLERANCE`; the
       counts depend on the interpreter's minor version, so they are
       compared only when that matches the baseline's (and named in
-      ``skipped`` otherwise).  ``events_per_msg`` does not, so it is
-      compared always and must not rise at all.  A baseline recorded
-      before a count existed simply does not gate it.
+      ``skipped`` otherwise).  ``events_per_msg`` and the two
+      ``startup`` counts do not, so they are compared always and must not
+      rise at all.  A baseline recorded before a count existed simply does
+      not gate it.
 
     Returns ``(failures, skipped)``, both human-readable: an empty
     ``failures`` means pass; ``skipped`` names each benchmark left

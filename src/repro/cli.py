@@ -80,10 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
         "report",
         help="replay a demo workload and print engine/NIC/fault statistics")
     for layer in OPT_IN:
-        doc = (layer.cls.__doc__ or "").splitlines()[0].rstrip(".")
+        # Named, not imported: a paper-mode run never loads a layer.
         report.add_argument("--" + layer.knob.replace("_", "-"),
                             choices=("off", layer.on), default="off",
-                            help=f"{doc} (default: off, the paper's engine)")
+                            help=f"build the opt-in {layer.name} "
+                                 f"(default: off, the paper's engine)")
     report.add_argument("--rails", type=int, choices=(1, 2), default=1,
                         help="1 = MX only; 2 = MX + Quadrics multirail")
     report.add_argument("--topology",
@@ -246,7 +247,8 @@ def _profiles(out) -> None:
 
 
 #: The report's engine-stats table, grouped by subsystem: derived from the
-#: counter declarations themselves (``counter(group)`` next to each layer),
+#: counter declarations themselves (``counter(group)``, each layer's in its
+#: mixin in :mod:`repro.core.protocols`),
 #: so a new counter cannot fall out of the report.
 REPORT_STAT_GROUPS = EngineStats.groups()
 

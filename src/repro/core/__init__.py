@@ -3,7 +3,6 @@
 import repro.core.strategies  # noqa: F401  (registers the built-in strategies)
 from repro.core.data import Bytes, SegmentData, VirtualData, as_data
 from repro.core.engine import EngineParams, EngineStats, NmadEngine
-from repro.core.flowcontrol import FlowControlLayer
 from repro.core.interface import (
     PackMessage,
     UnpackMessage,
@@ -21,9 +20,7 @@ from repro.core.packet import (
     SegItem,
     WireItem,
 )
-from repro.core.reliability import ReliabilityLayer
 from repro.core.requests import ANY, RecvRequest, SendRequest
-from repro.core.sessions import SessionLayer
 from repro.core.strategies import (
     AdaptiveStrategy,
     AggregationStrategy,
@@ -52,7 +49,6 @@ __all__ = [
     "EngineParams",
     "EngineStats",
     "FifoStrategy",
-    "FlowControlLayer",
     "HeaderSpec",
     "MultirailStrategy",
     "NmadEngine",
@@ -64,13 +60,11 @@ __all__ = [
     "RdvDataItem",
     "RdvReqItem",
     "RecvRequest",
-    "ReliabilityLayer",
     "SchedulingContext",
     "SegItem",
     "SegmentData",
     "SendPlan",
     "SendRequest",
-    "SessionLayer",
     "Strategy",
     "UnpackMessage",
     "VirtualData",

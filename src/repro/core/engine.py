@@ -17,25 +17,21 @@ import math
 from collections.abc import Callable, Generator
 from dataclasses import dataclass, field, fields
 from functools import cached_property, partial
-from typing import Any
+from importlib import import_module
+from typing import TYPE_CHECKING, Any, cast
 
 from repro.core.collect import CollectLayer
 from repro.core.data import SegmentData
-from repro.core.flowcontrol import (
-    FlowControlLayer, FlowControlParams, FlowControlStats,
-)
 from repro.core.matching import Incoming, Matcher
 from repro.core.packet import (
     CancelItem, HeaderSpec, RdvReqItem, SegItem,
 )
-from repro.core.protocols import Layer, counter, knob
-from repro.core.reliability import (
-    ReliabilityLayer, ReliabilityParams, ReliabilityStats,
+from repro.core.protocols import (
+    FlowControlParams, FlowControlStats, Layer, ReliabilityParams,
+    ReliabilityStats, SessionParams, SessionStats, counter, knob,
 )
 from repro.core.rendezvous import RendezvousManager
 from repro.core.requests import ANY, RecvRequest, SendRequest
-from repro.core.rttstat import RttEstimator
-from repro.core.sessions import SessionLayer, SessionParams, SessionStats
 from repro.core.strategy import Strategy, create
 from repro.core.transfer import TransferLayer
 from repro.core.window import OptimizationWindow
@@ -45,6 +41,13 @@ from repro.errors import (
 from repro.netsim.fabric import route_links
 from repro.netsim.node import Node
 from repro.sim import Event, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    # Imported when a layer is built, never by a paper-mode engine.
+    from repro.core.flowcontrol import FlowControlLayer
+    from repro.core.reliability import ReliabilityLayer
+    from repro.core.rttstat import RttEstimator
+    from repro.core.sessions import SessionLayer
 
 __all__ = ["OPT_IN", "EngineParams", "EngineStats", "NmadEngine",
            "OptInLayer"]
@@ -64,7 +67,8 @@ class EngineParams(ReliabilityParams, FlowControlParams, SessionParams):
 
     Every scalar field is a :func:`~repro.core.protocols.knob`, its range
     checked at construction; the opt-in layers' knobs are inherited from
-    the mixin next to each layer.
+    their mixins in :mod:`repro.core.protocols`, so declaring them loads
+    no layer.
     """
 
     hdr: HeaderSpec = field(default_factory=HeaderSpec)
@@ -92,10 +96,19 @@ _KNOBS = tuple((f.name, f.metadata["knob"]) for f in fields(EngineParams)
 class OptInLayer:
     """One opt-in stage of the frame pipeline, as :data:`OPT_IN` lists it."""
 
-    knob: str                              # the EngineParams mode field
-    attr: str                              # the engine attribute holding it
-    cls: Callable[[NmadEngine], Layer]     # built when the mode is :attr:`on`
-    tx: int                                # position on the transmit path
+    knob: str      # the EngineParams mode field
+    attr: str      # the engine attribute holding it
+    module: str    # the module defining it, imported when the mode is on
+    name: str      # the layer class in ``module``
+    tx: int        # position on the transmit path
+
+    @property
+    def cls(self) -> Callable[[NmadEngine], Layer]:
+        """The layer class, built when the mode is :attr:`on`.  Its module
+        is imported on first use and the class looked up on every call, so
+        a paper-mode process never loads it."""
+        return cast("Callable[[NmadEngine], Layer]",
+                    getattr(import_module(self.module), self.name))
 
     @cached_property
     def on(self) -> str:
@@ -110,16 +123,20 @@ class OptInLayer:
 #: stamped first, and the session gate precedes sequencing, so a parked
 #: frame draws its sequence number and ack snapshot when it actually leaves.
 OPT_IN: tuple[OptInLayer, ...] = (
-    OptInLayer("sessions", "sessions", SessionLayer, tx=1),
-    OptInLayer("reliability", "reliability", ReliabilityLayer, tx=2),
-    OptInLayer("flow_control", "flowcontrol", FlowControlLayer, tx=0),
+    OptInLayer("sessions", "sessions", "repro.core.sessions", "SessionLayer",
+               tx=1),
+    OptInLayer("reliability", "reliability", "repro.core.reliability",
+               "ReliabilityLayer", tx=2),
+    OptInLayer("flow_control", "flowcontrol", "repro.core.flowcontrol",
+               "FlowControlLayer", tx=0),
 )
 
 
 @dataclass
 class EngineStats(ReliabilityStats, FlowControlStats, SessionStats):
     """Counters the tests, benches and ablations read: each declared once
-    with :func:`counter`, here or in the mixin next to its opt-in layer."""
+    with :func:`counter`, here or in its opt-in layer's mixin in
+    :mod:`repro.core.protocols`."""
 
     phys_packets: int = counter("core")
     items_sent: int = counter("core")
@@ -184,9 +201,9 @@ class NmadEngine:
         self.transfer = TransferLayer(self)
         # After the transfer layer: it issues wrap ids into its ledger.
         self.collect = CollectLayer(self)
-        # The opt-in pipeline: a layer that is off is not constructed, so in
-        # paper mode both tuples are empty and nothing sits between the
-        # transfer layer and the NIC.
+        # The opt-in pipeline: a layer that is off is not constructed (nor
+        # its module imported), so in paper mode both tuples are empty and
+        # nothing sits between the transfer layer and the NIC.
         built: list[tuple[int, Layer]] = []
         for spec in OPT_IN:
             on = getattr(self.params, spec.knob) == spec.on

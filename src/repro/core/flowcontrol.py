@@ -3,8 +3,11 @@
 The paper's engine assumes a well-behaved peer: eager traffic is pushed
 as fast as the NICs allow and lands in the receiver's unexpected-message
 state without bound.  The default ``EngineParams.flow_control="off"``
-keeps that paper-faithful behaviour (this layer is then not constructed
-and received frames pass straight to the demultiplexer).
+keeps that paper-faithful behaviour (this layer is then not constructed,
+this module not imported, and received frames pass straight to the
+demultiplexer; its knobs and counters are declared in
+:mod:`repro.core.protocols` as ``FlowControlParams`` /
+``FlowControlStats``).
 This module is the opt-in hardening layer (``flow_control="credit"``)
 that bounds both ends of an eager stream:
 
@@ -51,12 +54,11 @@ deadlock the very protocols that release credit.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.core.packet import SegItem
-from repro.core.protocols import Layer, PeerTable, counter, knob
+from repro.core.protocols import Layer, PeerTable
 from repro.errors import MpiError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -67,8 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
     from repro.core.strategy import SendPlan
 
-__all__ = ["FlowControlLayer", "FlowControlParams", "FlowControlStats",
-           "CREDIT_BYTES", "CREDIT_WRAPS", "CREDIT_GRANT_DELAY_US"]
+__all__ = ["FlowControlLayer", "CREDIT_BYTES", "CREDIT_WRAPS",
+           "CREDIT_GRANT_DELAY_US"]
 
 #: Per-peer eager credit budget: payload bytes and wrap count a sender may
 #: have outstanding (unconsumed by the receiving application).  The bytes
@@ -82,28 +84,6 @@ CREDIT_WRAPS = 256
 CREDIT_GRANT_DELAY_US = 25.0
 #: Frame kinds :meth:`FlowControlLayer.accept` absorbs.
 _CONTROL_KINDS = frozenset({FrameKind.CREDIT, FrameKind.REL_ACK})
-
-
-@dataclass(frozen=True)
-class FlowControlParams:
-    """Flow-control knobs (``EngineParams`` inherits them)."""
-
-    #: Overload protection.  The paper's engine assumes well-behaved peers
-    #: and unbounded buffering, so ``"off"`` is the default and keeps every
-    #: benchmark figure bit-identical; ``"credit"`` turns on receive-side
-    #: credit flow control for eager traffic (rendezvous traffic is
-    #: self-paced by its grant).
-    flow_control: str = knob("off", choices=("off", "credit"))
-
-
-@dataclass
-class FlowControlStats:
-    """Overload-protection counters (``EngineStats`` inherits them)."""
-
-    credit_stalls: int = counter("flow_control")    # dest became credit-blocked
-    credits_granted: int = counter("flow_control")  # grants of released credit
-    # Always 0; kept because benchmarks/macro/one_run.py reads it by name.
-    nacks_sent: int = counter("flow_control")
 
 
 class _PeerCredit:

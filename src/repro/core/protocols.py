@@ -8,6 +8,12 @@
 * :func:`counter` — the one-line declaration of an ``EngineStats`` counter.
 * :func:`knob` — the one-line declaration of an ``EngineParams`` field and
   its admissible range.
+* The opt-in layers' declarations: :class:`ReliabilityParams` /
+  :class:`ReliabilityStats`, :class:`FlowControlParams` /
+  :class:`FlowControlStats`, :class:`SessionParams` /
+  :class:`SessionStats`, the mixins ``EngineParams`` and ``EngineStats``
+  inherit.  They live here, not beside each layer, because this module
+  imports no layer: the engine loads a layer's module only to build it.
 * :class:`PeerTable` — a layer's per-peer state, built on first lookup.
 """
 
@@ -24,7 +30,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.frames import Frame
     from repro.netsim.nic import Nic
 
-__all__ = ["Knob", "Layer", "PeerTable", "counter", "knob"]
+__all__ = ["FlowControlParams", "FlowControlStats", "Knob", "Layer",
+           "PeerTable", "ReliabilityParams", "ReliabilityStats",
+           "SessionParams", "SessionStats", "counter", "knob"]
 
 T = TypeVar("T")
 
@@ -93,6 +101,107 @@ def knob(default: T, *, lo: float | None = None, gt: float | None = None,
                and not isinstance(default, bool))
     return field(default=default, metadata={
         "knob": Knob(numeric, lo, gt, choices)})
+
+
+@dataclass(frozen=True)
+class ReliabilityParams:
+    """Reliability knobs (``EngineParams`` inherits them)."""
+
+    #: Transport reliability.  The paper's engine targets reliable
+    #: system-area networks and performs no retransmission, so ``"off"`` is
+    #: the default and keeps every benchmark number unchanged; ``"ack"``
+    #: turns on the sliding-window ack/retransmit protocol with rail
+    #: failover.
+    reliability: str = knob("off", choices=("off", "ack"))
+    #: Always ``"auto"``; kept because benchmarks/macro/workloads.py passes
+    #: it by name.  The retransmit timeout is always the measured one:
+    #: per-peer Jacobson SRTT/RTTVAR estimation (:mod:`repro.core.rttstat`)
+    #: derives it as ``RTO_HEADROOM * (srtt + 4*rttvar)`` clamped into
+    #: ``[RTO_FLOOR_US, RTO_CEILING_US]``, seeded from the engine's rails
+    #: until a peer is measured.
+    rel_timeout_us: str = knob("auto", choices=("auto",))
+    #: Retransmissions per frame before the send fails with TransportError.
+    rel_retry_budget: int = knob(8, lo=1)
+    #: Reverse-silence window before a standalone ack frame is emitted.
+    rel_ack_delay_us: float = knob(25.0, lo=0.0)
+
+
+@dataclass
+class ReliabilityStats:
+    """Reliability counters (``EngineStats`` inherits them)."""
+
+    retransmits: int = counter("reliability")
+    duplicates_suppressed: int = counter("reliability")
+    failovers: int = counter("reliability")
+    rails_quarantined: int = counter("reliability")
+    rails_reprobed: int = counter("reliability")  # probes that lifted a quarantine
+    acks_sent: int = counter("reliability")
+    corrupt_discards: int = counter("reliability")  # at the rx entry: any mode
+    transport_failures: int = counter("reliability")
+    # Adaptive timing (all zero outside reliability="ack").
+    rtt_samples: int = counter("adaptive")   # acks that fed the estimator
+
+
+@dataclass(frozen=True)
+class FlowControlParams:
+    """Flow-control knobs (``EngineParams`` inherits them)."""
+
+    #: Overload protection.  The paper's engine assumes well-behaved peers
+    #: and unbounded buffering, so ``"off"`` is the default and keeps every
+    #: benchmark figure bit-identical; ``"credit"`` turns on receive-side
+    #: credit flow control for eager traffic (rendezvous traffic is
+    #: self-paced by its grant).
+    flow_control: str = knob("off", choices=("off", "credit"))
+
+
+@dataclass
+class FlowControlStats:
+    """Overload-protection counters (``EngineStats`` inherits them)."""
+
+    credit_stalls: int = counter("flow_control")    # dest became credit-blocked
+    credits_granted: int = counter("flow_control")  # grants of released credit
+    # Always 0; kept because benchmarks/macro/one_run.py reads it by name.
+    nacks_sent: int = counter("flow_control")
+
+
+@dataclass(frozen=True)
+class SessionParams:
+    """Session knobs (``EngineParams`` inherits them)."""
+
+    #: Failure detection and session epochs.  The paper's engine assumes
+    #: every peer stays alive, so ``"off"`` is the default and keeps every
+    #: benchmark figure bit-identical; ``"epoch"`` stamps a session header
+    #: on every frame, runs a hello/welcome handshake per peer, and
+    #: confirms peers dead after ``hb_timeout_us`` of silence.
+    sessions: str = knob("off", choices=("off", "epoch"))
+    #: Heartbeat/monitor period: how often a watched peer's silence is
+    #: re-examined and (when the line is otherwise idle) probed.
+    hb_interval_us: float = knob(50.0, gt=0.0)
+    #: Silence before a peer is confirmed dead; at half of this the peer
+    #: becomes *suspected* (counted, traced, not yet acted on).
+    hb_timeout_us: float = knob(500.0, gt=0.0)
+
+    def _check_sessions(self) -> None:
+        """The rule between fields; each field's own range is its knob."""
+        if self.hb_timeout_us < 2 * self.hb_interval_us:
+            raise ValueError(
+                "hb_timeout_us must be at least 2*hb_interval_us: a "
+                "timeout shorter than two monitor ticks declares a peer "
+                "dead before a single probe could round-trip"
+            )
+
+
+@dataclass
+class SessionStats:
+    """Session counters (``EngineStats`` inherits them)."""
+
+    peers_suspected: int = counter("sessions")  # crossed half the hb timeout
+    peers_dead: int = counter("sessions")       # confirmed dead by the detector
+    epochs_started: int = counter("sessions")   # sessions established
+    stale_frames_fenced: int = counter("sessions")  # stale-incarnation discards
+    heartbeats_sent: int = counter("sessions")  # idle probes and probe replies
+    peers_recovered: int = counter("partition")  # suspects that resumed contact
+    frames_parked: int = counter("partition")   # frames held for a suspect peer
 
 
 @runtime_checkable

@@ -3,7 +3,11 @@
 The real NewMadeleine targets reliable system-area networks (MX, Elan,
 SCI) and performs **no retransmission** — the default
 ``EngineParams.reliability="off"`` keeps that paper-faithful behaviour,
-and every Figure 2/3/4 number is produced in that mode.  This module is
+and every Figure 2/3/4 number is produced in that mode: the layer is then
+not constructed and this module (with :mod:`repro.core.rttstat`) is not
+even imported; its knobs and counters are declared in
+:mod:`repro.core.protocols` (``ReliabilityParams`` /
+``ReliabilityStats``).  This module is
 the opt-in production-hardening layer (``reliability="ack"``) that makes
 the engine survive lossy links and failing rails:
 
@@ -50,12 +54,11 @@ so cross-rail replays deduplicate exactly like same-rail ones.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 from typing import TYPE_CHECKING
 
-from repro.core.protocols import Layer, PeerTable, counter, knob
+from repro.core.protocols import Layer, PeerTable
 from repro.core.rttstat import RTO_CEILING_US, RttEstimator
 from repro.errors import RailDownError, TransportError
 from repro.netsim.frames import Frame, FrameKind
@@ -65,7 +68,7 @@ from repro.sim import Timer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
 
-__all__ = ["ReliabilityLayer", "ReliabilityParams", "ReliabilityStats"]
+__all__ = ["ReliabilityLayer"]
 
 #: Retransmit-timeout multiplier per retry (RFC 6298 doubling, capped at
 #: :data:`~repro.core.rttstat.RTO_CEILING_US` as §5.5 caps the backoff).
@@ -78,45 +81,6 @@ QUARANTINE_THRESHOLD = 3
 #: base (measured) retransmit timeouts, doubling per re-quarantine of the
 #: same rail.
 PROBE_AFTER_RTOS = 32.0
-
-
-@dataclass(frozen=True)
-class ReliabilityParams:
-    """Reliability knobs (``EngineParams`` inherits them)."""
-
-    #: Transport reliability.  The paper's engine targets reliable
-    #: system-area networks and performs no retransmission, so ``"off"`` is
-    #: the default and keeps every benchmark number unchanged; ``"ack"``
-    #: turns on the sliding-window ack/retransmit protocol with rail
-    #: failover.
-    reliability: str = knob("off", choices=("off", "ack"))
-    #: Always ``"auto"``; kept because benchmarks/macro/workloads.py passes
-    #: it by name.  The retransmit timeout is always the measured one:
-    #: per-peer Jacobson SRTT/RTTVAR estimation (:mod:`repro.core.rttstat`)
-    #: derives it as ``RTO_HEADROOM * (srtt + 4*rttvar)`` clamped into
-    #: ``[RTO_FLOOR_US, RTO_CEILING_US]``, seeded from the engine's rails
-    #: until a peer is measured.
-    rel_timeout_us: str = knob("auto", choices=("auto",))
-    #: Retransmissions per frame before the send fails with TransportError.
-    rel_retry_budget: int = knob(8, lo=1)
-    #: Reverse-silence window before a standalone ack frame is emitted.
-    rel_ack_delay_us: float = knob(25.0, lo=0.0)
-
-
-@dataclass
-class ReliabilityStats:
-    """Reliability counters (``EngineStats`` inherits them)."""
-
-    retransmits: int = counter("reliability")
-    duplicates_suppressed: int = counter("reliability")
-    failovers: int = counter("reliability")
-    rails_quarantined: int = counter("reliability")
-    rails_reprobed: int = counter("reliability")  # probes that lifted a quarantine
-    acks_sent: int = counter("reliability")
-    corrupt_discards: int = counter("reliability")  # at the rx entry: any mode
-    transport_failures: int = counter("reliability")
-    # Adaptive timing (all zero outside reliability="ack").
-    rtt_samples: int = counter("adaptive")   # acks that fed the estimator
 
 
 class _Pending:

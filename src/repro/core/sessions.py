@@ -6,8 +6,10 @@ the opt-in reliability and flow-control layers inherit that — a silently
 crashed peer leaves senders retrying into the void until the retry budget
 burns, leaks credit, and a restarted peer would happily accept stale
 frames from its previous life.  The default ``EngineParams.sessions="off"``
-keeps the paper-faithful behaviour (this layer is then not constructed and
-every figure stays bit-identical).  This module is the opt-in hardening
+keeps the paper-faithful behaviour (this layer is then not constructed,
+this module not imported, and every figure stays bit-identical; its knobs
+and counters are declared in :mod:`repro.core.protocols` as
+``SessionParams`` / ``SessionStats``).  This module is the opt-in hardening
 layer (``sessions="epoch"``) that gives the engine a ULFM-style notion of
 process failure:
 
@@ -65,12 +67,11 @@ frame from a *newer* incarnation revives the peer.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
 
 from typing import TYPE_CHECKING
 
-from repro.core.protocols import Layer, PeerTable, counter, knob
+from repro.core.protocols import Layer, PeerTable
 from repro.errors import PeerDeadError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
@@ -79,47 +80,8 @@ from repro.sim import Timer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
 
-__all__ = ["SessionLayer", "SessionParams", "SessionStats"]
+__all__ = ["SessionLayer"]
 
-
-@dataclass(frozen=True)
-class SessionParams:
-    """Session knobs (``EngineParams`` inherits them)."""
-
-    #: Failure detection and session epochs.  The paper's engine assumes
-    #: every peer stays alive, so ``"off"`` is the default and keeps every
-    #: benchmark figure bit-identical; ``"epoch"`` stamps a session header
-    #: on every frame, runs a hello/welcome handshake per peer, and
-    #: confirms peers dead after ``hb_timeout_us`` of silence.
-    sessions: str = knob("off", choices=("off", "epoch"))
-    #: Heartbeat/monitor period: how often a watched peer's silence is
-    #: re-examined and (when the line is otherwise idle) probed.
-    hb_interval_us: float = knob(50.0, gt=0.0)
-    #: Silence before a peer is confirmed dead; at half of this the peer
-    #: becomes *suspected* (counted, traced, not yet acted on).
-    hb_timeout_us: float = knob(500.0, gt=0.0)
-
-    def _check_sessions(self) -> None:
-        """The rule between fields; each field's own range is its knob."""
-        if self.hb_timeout_us < 2 * self.hb_interval_us:
-            raise ValueError(
-                "hb_timeout_us must be at least 2*hb_interval_us: a "
-                "timeout shorter than two monitor ticks declares a peer "
-                "dead before a single probe could round-trip"
-            )
-
-
-@dataclass
-class SessionStats:
-    """Session counters (``EngineStats`` inherits them)."""
-
-    peers_suspected: int = counter("sessions")  # crossed half the hb timeout
-    peers_dead: int = counter("sessions")       # confirmed dead by the detector
-    epochs_started: int = counter("sessions")   # sessions established
-    stale_frames_fenced: int = counter("sessions")  # stale-incarnation discards
-    heartbeats_sent: int = counter("sessions")  # idle probes and probe replies
-    peers_recovered: int = counter("partition")  # suspects that resumed contact
-    frames_parked: int = counter("partition")   # frames held for a suspect peer
 
 #: Frame kinds owned by this layer (never reach reliability or demux).
 _SESSION_KINDS = frozenset({

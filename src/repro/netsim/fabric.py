@@ -14,8 +14,10 @@ Design constraints, in order:
   endpoints: links deliver into ``switch._arrive`` exactly as they deliver
   into a NIC, and the switch forwards cut-through on an egress link, as
   Myrinet and QsNet switches do — serialization is paid once, at the
-  source NIC, and a port only delays a frame while it is busy with
-  earlier ones.  No frame is ever rewritten; addressing stays end-to-end
+  source NIC, and a port only delays a frame whose head found it still
+  busy with earlier ones.  A frame is delivered whole, so its head
+  reached the port one wire time before it: the port charges the frame
+  from there.  No frame is ever rewritten; addressing stays end-to-end
   (``frame.dst_node`` is always a host).
 * **Determinism.**  ECMP path choice hashes ``(src, dst, switch salt)``
   through an explicit integer mixer — never Python's ``hash()``, which the
@@ -81,9 +83,12 @@ def flow_hash(src_node: int, dst_node: int, salt: int) -> int:
 class _Port:
     """One egress port: a virtual-time resource in front of a link.
 
-    A frame's head leaves as soon as the port is free (at once, with no
-    kernel entry, when it is idle); the port then stays busy for the
-    frame's wire time until ``free_at``.
+    A frame is charged from its head, which reached the port one wire time
+    before the frame (delivered whole) arrived.  If the port was free by
+    then, the frame moves on at once, with no kernel entry; otherwise its
+    head starts when the port frees and the frame moves on one wire time
+    after that.  Either way the port stays busy until ``free_at``, when
+    the frame's tail has left.
     """
 
     __slots__ = (
@@ -113,14 +118,17 @@ class _Port:
     def push(self, frame: Frame) -> None:
         switch = self.switch
         now = switch.sim.now
-        start = self.free_at if self.free_at > now else now
+        # The head reached the port at ``now - wire`` and starts when the
+        # port frees, so the tail leaves at ``max(free_at + wire, now)``.
         # ``wire_time_us``, inlined: both operands are validated upstream.
-        self.free_at = start + frame.wire_size / self.bandwidth_mbps
-        if start == now:
-            self._send(frame, switch.generation)
-        else:
-            switch.sim.schedule(start - now,
+        tail = self.free_at + frame.wire_size / self.bandwidth_mbps
+        if tail > now:
+            self.free_at = tail
+            switch.sim.schedule(tail - now,
                                 partial(self._send, frame, switch.generation))
+        else:
+            self.free_at = now
+            self._send(frame, switch.generation)
 
     def _send(self, frame: Frame, gen: int) -> None:
         switch = self.switch

@@ -17,6 +17,7 @@ from repro.bench.perf import (
     bench_pingpong,
     bench_random_traffic,
     bench_rendezvous,
+    bench_startup,
     bench_window_ops,
     calibrate,
     check_bench,
@@ -51,6 +52,8 @@ def _payload() -> dict:
         "object_census": {"messages": 400, "objects_per_msg": 4.0,
                           "retained_bytes_per_msg": 625.34,
                           "cyclic_garbage_per_msg": 0.0},
+        "startup": {"iters": 8, "paper_modules": 43,
+                    "paper_source_lines": 8563},
     }
     for res in results.values():
         for key in [k for k in res if k.endswith("_per_s")]:
@@ -228,6 +231,27 @@ class TestCheckBench:
         assert "object_census: cyclic_garbage_per_msg" in failures[0]
         assert "reference cycles" in failures[0]
 
+    def test_startup_counts_may_fall_but_not_rise_on_any_python(self):
+        for key in ("paper_modules", "paper_source_lines"):
+            fresh = _payload()
+            fresh["python"] = "3.12.1"
+            fresh["results"]["startup"][key] -= 4
+            assert check_bench(fresh, _payload())[0] == []
+            # One module more, or one line: no slack, whatever the Python.
+            fresh["results"]["startup"][key] += 5
+            failures, skipped = check_bench(fresh, _payload())
+            assert len(failures) == 1
+            assert f"startup: {key}" in failures[0]
+            assert "a paper-mode process" in failures[0]
+            assert not any("startup" in s for s in skipped)
+
+    def test_a_trajectory_without_the_startup_row_does_not_gate_it(self):
+        old = _payload()
+        del old["results"]["startup"]
+        fresh = _payload()
+        fresh["results"]["startup"]["paper_modules"] += 4
+        assert check_bench(fresh, old) == ([], [])
+
     def test_object_counts_missing_on_one_side(self):
         # A trajectory recorded before the census existed still checks (and
         # does not gate what it never measured) ...
@@ -290,7 +314,7 @@ class TestCheckBench:
             res["seed"] = res["rounds"] = res["events"] = res["iters"] = \
                 res["messages"] = res["phases"] = -1
         failures, skipped = check_bench(_payload(), other)
-        assert len(skipped) == len(other["results"]) == 6
+        assert len(skipped) == len(other["results"]) == 7
         assert any("nothing was compared" in f for f in failures)
 
     def test_benchmark_missing_from_the_fresh_run_fails(self):
@@ -405,6 +429,12 @@ class TestBenches:
         assert quiet == first == second
         assert gc.isenabled()
 
+    def test_startup(self):
+        res = bench_startup()
+        assert set(res) == set(_payload()["results"]["startup"])
+        assert res["paper_source_lines"] > 100 * res["paper_modules"] > 0
+        assert bench_startup() == res   # exact
+
     def test_quick_suite_payload(self):
         payload = run_suite(quick=True)
         assert payload["schema"] == SCHEMA and payload["quick"] is True
@@ -419,3 +449,4 @@ class TestBenches:
         assert "python calls / message" in render_perf(payload)
         assert "kernel entries / message" in render_perf(payload)
         assert "objects / message" in render_perf(payload)
+        assert "paper-mode start-up" in render_perf(payload)

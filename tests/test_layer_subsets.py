@@ -11,7 +11,6 @@ the engine, the transfer layer, the CLI and the chaos runner name no layer.
 """
 
 import ast
-import dataclasses
 import functools
 import itertools
 import pathlib
@@ -25,10 +24,12 @@ import repro
 from repro.bench import pingpong
 from repro.bench.backends import make_backend_pair
 from repro.bench.claims import CLAIMS, evaluate_claims
-from repro.core import EngineParams, NmadEngine, ReliabilityLayer
+from repro.core import EngineParams, NmadEngine
 from repro.core import engine as engine_module
+from repro.core import reliability as reliability_module
 from repro.core.engine import OPT_IN
 from repro.core.protocols import Layer
+from repro.core.reliability import ReliabilityLayer
 from repro.netsim import Cluster, MX_MYRI10G
 from repro.sim import Simulator
 
@@ -196,9 +197,8 @@ def test_inherited_hook_defaults_are_never_entered(monkeypatch):
         def on_post(self, src):
             entered["CountingReliability.on_post"] += 1
 
-    monkeypatch.setattr(engine_module, "OPT_IN", tuple(
-        dataclasses.replace(layer, cls=CountingReliability)
-        if layer.cls is ReliabilityLayer else layer for layer in OPT_IN))
+    monkeypatch.setattr(reliability_module, "ReliabilityLayer",
+                        CountingReliability)
     engines, delivered = run_plan(tuple(KNOBS))
     assert len(delivered) == len(PLAN)
     for engine in engines:

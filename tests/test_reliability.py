@@ -9,8 +9,9 @@ undeliverable frame fails only its own request.
 
 import pytest
 
-from repro.core import EngineParams, NmadEngine, ReliabilityLayer
+from repro.core import EngineParams, NmadEngine
 from repro.core import reliability
+from repro.core.reliability import ReliabilityLayer
 from repro.core.rttstat import RTO_CEILING_US
 from repro.errors import SimulationError, TransportError
 from repro.netsim import MX_MYRI10G, QUADRICS_QM500, Cluster, FaultPlan

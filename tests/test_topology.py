@@ -476,6 +476,37 @@ class TestCutThroughPorts:
         assert arrivals == [pytest.approx(idle, abs=1e-9),
                             pytest.approx(idle + WIRE_4K_US, abs=1e-9)]
 
+    @pytest.mark.parametrize("topology, n_nodes", [
+        (FatTree(k=4), 2),
+        (Dragonfly(), Dragonfly().capacity()),
+    ], ids=["fat-tree", "dragonfly"])
+    def test_a_port_charges_a_frame_from_its_head(self, topology, n_nodes):
+        # One flow on one rail and nothing else on its path: a 64 KiB frame,
+        # then a small one right behind it on the same NIC.  Every port was
+        # free by the time the small frame's head reached it, so the small
+        # frame is handed over one link latency per link, plus the receive
+        # overhead, after its NIC finished sending it.  A port that charged a frame from its tail would hold
+        # the small one until the large one's wire time had passed there,
+        # late by the two frames' wire-time difference less the pipeline gap.
+        dst = n_nodes - 1
+        sim = Simulator()
+        cluster = Cluster(sim, n_nodes=n_nodes, rails=(MX_MYRI10G,),
+                          topology=topology)
+        arrivals, tx_done = [], []
+        cluster.node(dst).nic().set_receive_handler(
+            lambda frame: arrivals.append(sim.now))
+        for size in (64 * 1024, 64):
+            cluster.node(0).nic().post_send(
+                Frame(src_node=0, dst_node=dst, kind="data", wire_size=size)
+            ).add_callback(lambda evt: tx_done.append(sim.now))
+        sim.run()
+        links = len(cluster.path(0, dst)) + 1
+        assert links >= 3
+        route_us = (links * MX_MYRI10G.latency_us
+                    + MX_MYRI10G.recv_overhead_us)
+        assert arrivals == [pytest.approx(t + route_us, abs=1e-9)
+                            for t in tx_done]
+
     def test_failed_switch_drops_the_waiting_frame_once(self):
         # Both frames reach the router together; it forwards the first at
         # once and dies while the second waits for the port.
