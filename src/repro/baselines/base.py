@@ -293,9 +293,9 @@ class BaselineMpi(MpiEndpoint):
 
     def _post(self, frame: Frame, req: MpiSend | None) -> None:
         self.frames_sent += 1
-        done = self.nic.post_send(frame, cpu_gap_us=self.params.sw_overhead_us)
         if req is not None:
-            done.add_callback(lambda _e: req.settle())
+            frame.on_sent = req.settle
+        self.nic.post_send(frame, cpu_gap_us=self.params.sw_overhead_us)
 
     # -------------------------------------------------------------- receive
     def irecv(
@@ -417,9 +417,8 @@ class BaselineMpi(MpiEndpoint):
 
         def _after_pack():
             self.frames_sent += 1
-            done = self.nic.post_send(frame,
-                                      cpu_gap_us=self.params.sw_overhead_us)
-            done.add_callback(lambda _e: _chunk_done())
+            frame.on_sent = _chunk_done
+            self.nic.post_send(frame, cpu_gap_us=self.params.sw_overhead_us)
 
         def _chunk_done():
             state.bytes_done += n

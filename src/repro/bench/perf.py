@@ -379,7 +379,12 @@ def object_census(exchange: Callable[[list], int]) -> dict:
     and returns the number of messages.  It is called twice: once to let
     lazily built state settle, then with the cycle collector disabled — so
     the counts say what the exchange allocated and kept, not when a
-    collection happened to run.  ``tracemalloc`` watches the same interval:
+    collection happened to run.  The settle also collects until the number
+    of tracked objects stops falling: one collection untracks only one
+    level of nested all-atomic tuples (and the dicts holding only such
+    values), so in a fresh interpreter the measured interval's own
+    collection would untrack the next level of module constants and read
+    low.  ``tracemalloc`` watches the same interval:
     ``retained_bytes_per_msg`` is what the held handles keep allocated, the
     untracked parts (payload bytes, floats) included.  The collector is
     left as it was found: nothing outside this module's measurements ever
@@ -389,6 +394,13 @@ def object_census(exchange: Callable[[list], int]) -> dict:
 
     exchange([])
     held: list = []
+    for _ in range(16):
+        tracked = len(gc.get_objects())
+        gc.collect()
+        if len(gc.get_objects()) == tracked:
+            break
+    # Last, a collection: it empties the freelists, so the counting above
+    # leaves no list object behind for the measured interval to reuse.
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()

@@ -120,12 +120,15 @@ class _Channel:
         self.next_seq = 0
         self.unacked: dict[int, _Pending] = {}
         self.rto_us = layer.rtt.rto_us(peer)
-        self.retry_timer = Timer(layer.sim, partial(layer._on_timer, self))
+        # The timers are bound by peer, not by the channel: a channel that
+        # referenced itself through its timers would be left for the
+        # collector when a peer teardown drops it.
+        self.retry_timer = Timer(layer.sim, partial(layer._on_timer, peer))
         # Receive half.
         self.rx_cum = 0                 # every seq < rx_cum was received
         self.rx_sacks: set[int] = set() # received beyond the cumulative edge
         #: Armed while a standalone ack waits out the reverse silence.
-        self.ack_timer = Timer(layer.sim, partial(layer._send_ack, self))
+        self.ack_timer = Timer(layer.sim, partial(layer._send_ack, peer))
 
     def silence(self) -> None:
         """Teardown/halt: no timer of this channel fires again."""
@@ -207,13 +210,19 @@ class ReliabilityLayer(Layer):
         pending = _Pending(frame.rel_seq, frame, cpu_gap_us,
                            on_delivered, on_failed, rail=nic.rail)
         ch.unacked[pending.seq] = pending
-        done = nic.post_send(frame, cpu_gap_us=cpu_gap_us)
-        done.add_callback(lambda _evt: self._tx_done(ch, pending))
+        frame.on_sent = partial(self._tx_done, ch, pending.seq)
+        nic.post_send(frame, cpu_gap_us=cpu_gap_us)
         return True
 
-    def _tx_done(self, ch: _Channel, pending: _Pending) -> None:
-        """A (re)transmission fully left the NIC: start its retry clock."""
-        if pending.seq not in ch.unacked:
+    def _tx_done(self, ch: _Channel, seq: int) -> None:
+        """A (re)transmission fully left the NIC: start its retry clock.
+
+        Bound by ``seq``, not by the :class:`_Pending`: the pending holds
+        the frame, and a frame lost queued on a crashed card keeps its
+        cookie, so a cookie holding the pending would be a cycle.
+        """
+        pending = ch.unacked.get(seq)
+        if pending is None:
             return  # acked while still queued on the card
         if pending.retries == 0:
             pending.sent_at = self.sim.now
@@ -229,7 +238,8 @@ class ReliabilityLayer(Layer):
             return
         ch.retry_timer.arm(max(0.0, min(deadlines) - self.sim.now))
 
-    def _on_timer(self, ch: _Channel) -> None:
+    def _on_timer(self, peer: int) -> None:
+        ch = self._channels[peer]
         now = self.sim.now
         expired = [p for p in ch.unacked.values()
                    if p.deadline is not None and p.deadline <= now]
@@ -264,8 +274,8 @@ class ReliabilityLayer(Layer):
             tracer.emit(self.sim.now, self._name, "retransmit",
                         seq=pending.seq, peer=ch.peer, rail=rail,
                         attempt=pending.retries)
-        done = self.nics[rail].post_send(frame, cpu_gap_us=pending.cpu_gap_us)
-        done.add_callback(lambda _evt: self._tx_done(ch, pending))
+        frame.on_sent = partial(self._tx_done, ch, pending.seq)
+        self.nics[rail].post_send(frame, cpu_gap_us=pending.cpu_gap_us)
 
     def _give_up(self, ch: _Channel, pending: _Pending) -> None:
         del ch.unacked[pending.seq]
@@ -373,7 +383,7 @@ class ReliabilityLayer(Layer):
                 tracer.emit(self.sim.now, self._name, "dup_suppress",
                             seq=frame.rel_seq, peer=frame.src_node)
             # The peer is clearly missing our ack: resend it right away.
-            self._send_ack(ch)
+            self._send_ack(ch.peer)
             return False
         if not ch.ack_timer.armed:
             ch.ack_timer.arm(self.params.rel_ack_delay_us)
@@ -424,21 +434,23 @@ class ReliabilityLayer(Layer):
         ch = self._channels.get(peer)
         if ch is None or not ch.ack_timer.armed:
             return False
-        self._send_ack(ch)
+        self._send_ack(peer)
         return True
 
-    def _send_ack(self, ch: _Channel) -> None:
-        """Emit a standalone ack now (``ch.ack_timer``'s callback: a
-        reverse frame that piggybacks the ack first cancels the timer).
+    def _send_ack(self, peer: int) -> None:
+        """Emit a standalone ack to ``peer`` now (its channel's
+        ``ack_timer`` callback: a reverse frame that piggybacks the ack
+        first cancels the timer).
 
         With flow control on it carries the current credit grant, so an
         ack that answers a retransmitted duplicate re-sends a lost grant.
         """
+        ch = self._channels[peer]
         ch.ack_timer.cancel()
         hdr = self.params.hdr
-        rail = self._transfer.choose_rail(ch.peer, prefer=0)
+        rail = self._transfer.choose_rail(peer, prefer=0)
         frame = Frame(
-            src_node=self.engine.node_id, dst_node=ch.peer,
+            src_node=self.engine.node_id, dst_node=peer,
             kind=FrameKind.REL_ACK,
             wire_size=hdr.rel_header + hdr.checksum,
             rel_ack=self._ack_snapshot(ch),

@@ -52,7 +52,6 @@ from repro.core.strategy import (
 from repro.errors import ProtocolError
 from repro.netsim.frames import Frame, FrameKind
 from repro.netsim.nic import Nic
-from repro.sim import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import NmadEngine
@@ -469,13 +468,8 @@ class TransferLayer:
         for layer in layers:
             if layer.send(nic, frame, cpu_gap_us, on_delivered, on_failed):
                 return
-        done = nic.post_send(frame, cpu_gap_us=cpu_gap_us)
-        if on_delivered is not None:
-            done.add_callback(partial(self._tx_done, on_delivered))
-
-    @staticmethod
-    def _tx_done(on_delivered: Callable[[], None], _evt: Event) -> None:
-        on_delivered()
+        frame.on_sent = on_delivered
+        nic.post_send(frame, cpu_gap_us=cpu_gap_us)
 
     def receive(self, rail: int, frame: Frame) -> None:
         """NIC upcall: every arrival enters the engine here."""

@@ -10,6 +10,7 @@ reusable by the NewMadeleine engine and by the baseline MPI models alike.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -64,6 +65,9 @@ class Frame:
     receiver fences any frame whose view of it is stale — that is how no
     duplicate or ghost delivery crosses a crash/restart boundary.  Stays
     ``None`` in the paper-faithful default mode.
+
+    ``on_sent`` is the sender's completion cookie (a verbs ``wr_id``): the
+    NIC queues it at tx end and clears it first, so no copy ever carries it.
     """
 
     src_node: int
@@ -78,6 +82,7 @@ class Frame:
     session: tuple[int, int] | None = None
     corrupted: bool = False
     frame_id: int = field(default_factory=_frame_ids.__next__)
+    on_sent: Callable[[], None] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.wire_size < 0:

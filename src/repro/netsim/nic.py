@@ -16,7 +16,10 @@ exactly the two things the engine's transfer layer consumes:
 Frames are delivered to the peer NIC through a :class:`~repro.netsim.link.Link`
 after the wire latency, where the receive handler runs after
 ``recv_overhead``.  Reception is full-duplex (does not block transmission),
-like the real hardware.
+like the real hardware.  Send completion rides the frame, like a verbs
+``wr_id``: at tx end the card takes ``frame.on_sent`` off the frame before
+the link sees it (the cookie never travels) and queues it ahead of the
+idle edge.
 
 The same device serves the baselines: they simply push frames into the tx
 queue (the hardware pipelines them back-to-back with ``pipeline_gap_us``
@@ -36,7 +39,7 @@ from repro.errors import NetworkError
 from repro.netsim.frames import Frame
 from repro.netsim.link import Link
 from repro.netsim.profiles import NicProfile
-from repro.sim import Event, Simulator, Tracer
+from repro.sim import Simulator, Tracer
 
 __all__ = ["Nic"]
 
@@ -67,7 +70,7 @@ class Nic:
         # instead of a link per peer; it is the routing fallback for any
         # destination without a direct point-to-point link.
         self._uplink: Link | None = None
-        self._queue: deque[tuple[Frame, float, Event]] = deque()
+        self._queue: deque[tuple[Frame, float]] = deque()
         self._transmitting = False
         self._rx_handler: Callable[[Frame], None] | None = None
         self._idle_callbacks: list[Callable[[Nic], None]] = []
@@ -159,14 +162,14 @@ class Nic:
         return len(self._queue)
 
     # -- transmission -----------------------------------------------------------
-    def post_send(self, frame: Frame, cpu_gap_us: float = 0.0) -> Event:
-        """Queue ``frame`` for transmission; returns a tx-completion event.
+    def post_send(self, frame: Frame, cpu_gap_us: float = 0.0) -> None:
+        """Queue ``frame``; a set ``frame.on_sent`` is its completion.
 
-        The returned event succeeds when the frame has fully left the card
-        (serialization done), *not* when it arrives — matching how drivers
-        report send completion.  ``cpu_gap_us`` charges extra host CPU time
-        on the critical path for this frame (the engine uses it for its
-        per-frame scheduler inspection cost, paper §5.1).
+        The card clears the cookie and queues ``on_sent()`` once the frame
+        has left the card (not when it arrives, as drivers report it),
+        after the heap entries due then and before the idle edge; a lost
+        frame never runs it.  ``cpu_gap_us`` charges extra host CPU time on
+        the critical path (the engine's per-frame inspection cost, §5.1).
         """
         if frame.src_node != self.node_id:
             raise NetworkError(
@@ -179,20 +182,17 @@ class Nic:
             )
         if cpu_gap_us < 0:
             raise NetworkError(f"negative cpu gap {cpu_gap_us}")
-        done = self.sim.event(("txdone:%s", frame.frame_id))
         if not self.up:
-            # A send racing the crash is benign: the frame is lost and the
-            # completion event never fires, exactly as if the power died
-            # one microsecond later.
+            # A send racing the crash is benign: the frame is lost, exactly
+            # as if the power died one microsecond later.
             self.frames_lost += 1
-            return done
-        self._queue.append((frame, cpu_gap_us, done))
+            return
+        self._queue.append((frame, cpu_gap_us))
         if not self._transmitting:
             self._start_next(first_of_burst=True)
-        return done
 
     def _start_next(self, first_of_burst: bool) -> None:
-        frame, cpu_gap, done = self._queue.popleft()
+        frame, cpu_gap = self._queue.popleft()
         self._transmitting = True
         self._tx_started_at = self.sim.now
         profile = self.profile
@@ -211,10 +211,9 @@ class Nic:
             self.tracer.emit(self.sim.now, self.name, "tx_start",
                              frame=frame.frame_id, fkind=frame.kind,
                              size=frame.wire_size, tx_time=round(tx_time, 4))
-        self.sim.schedule(
-            tx_time, partial(self._finish_tx, frame, done, self._gen))
+        self.sim.schedule(tx_time, partial(self._finish_tx, frame, self._gen))
 
-    def _finish_tx(self, frame: Frame, done: Event, gen: int) -> None:
+    def _finish_tx(self, frame: Frame, gen: int) -> None:
         if gen != self._gen:
             return  # card crashed mid-serialization; frame never hit the wire
         self.frames_sent += 1
@@ -223,11 +222,16 @@ class Nic:
         link = self._route(frame.dst_node)
         if link is None:  # pragma: no cover - post_send already validated
             raise NetworkError(f"{self.name}: lost route to {frame.dst_node}")
+        on_sent = frame.on_sent  # the sender's: no copy may carry it
+        frame.on_sent = None
         link.transmit(frame)
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, self.name, "tx_done",
                              frame=frame.frame_id)
-        done.succeed(frame)
+        if on_sent is not None:
+            # Queued, not called: inline, the requests it completes would
+            # run ahead of the idle edge's pull and change aggregation.
+            self.sim.schedule(0.0, on_sent)
         if self._queue:
             self._start_next(first_of_burst=False)
         else:
@@ -237,13 +241,10 @@ class Nic:
     def _notify_idle(self) -> None:
         if self.tracer.enabled:
             self.tracer.emit(self.sim.now, self.name, "idle")
-        # Deliver via the queue so refill decisions are deterministic and may
-        # themselves post sends re-entrantly — but as ONE queued dispatch for
-        # the whole list instead of one closure per callback, and none when
-        # no registrant wants this edge.  _run_idle_callbacks re-checks
-        # ``idle`` before each callback, exactly like the old per-closure
-        # guard did: if an earlier callback posts a send, the rest become
-        # no-ops for this idle edge and fire again at the next one.
+        # One queued dispatch for the whole list (refills may post sends
+        # re-entrantly), none when no registrant wants this edge.  Each
+        # callback re-checks ``idle``: once one posts a send, the rest wait
+        # for the next edge.
         for wanted in self._idle_wanted:
             if wanted is None or wanted():
                 self.sim.schedule(0.0, self._run_idle_callbacks)
@@ -259,7 +260,7 @@ class Nic:
         """Lose power: drop queued and in-flight frames, detach the host.
 
         Frames already accepted by ``post_send`` (queued or on the card)
-        are lost — their completion events never fire, which is exactly
+        are lost — their ``on_sent`` cookies never run, which is exactly
         the ambiguity real senders face.  The receive handler and idle
         callbacks are detached so a restarted node's *new* engine can
         install its own without the old engine's closures lingering.

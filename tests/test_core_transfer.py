@@ -110,6 +110,31 @@ class TestWrapLedger:
         assert second.complete and not second.failed
         assert [r.data.tobytes() for r in recvs] == [b"first", b"second"]
 
+    def test_dependent_submitted_in_the_same_instant_leaves_at_the_drain(
+            self):
+        # The dependency's send completion must be recorded before the
+        # idle edge pulls: the dependent then leaves the instant the card
+        # drains.  A completion queued behind the pull would find the
+        # dependent still blocked at that edge.
+        tracer = Tracer(enabled=True)
+        sim = Simulator()
+        cluster = Cluster(sim, rails=(MX_MYRI10G,), tracer=tracer)
+        e0, e1 = (NmadEngine(cluster.node(i), strategy="fifo", tracer=tracer)
+                  for i in range(2))
+        recvs = [e1.irecv(src=0, tag=t) for t in range(2)]
+        first = e0.isend(1, VirtualData(4096), tag=0)
+        e0.isend(1, VirtualData(64), tag=1, depends_on=first.wrap.wrap_id)
+        sim.run()
+        assert all(r.ok for r in recvs)
+        nic = cluster.node(0).nic().name
+        times = [(r.kind, r.time) for r in tracer.records
+                 if r.source == nic and r.kind in ("tx_start", "tx_done")]
+        assert times == [("tx_start", 0.0),
+                         ("tx_done", pytest.approx(4.2424, abs=1e-9)),
+                         ("tx_start", pytest.approx(4.2424, abs=1e-9)),
+                         ("tx_done", pytest.approx(5.1392, abs=1e-9))]
+        assert sim.now == pytest.approx(11.2246222, abs=1e-6)
+
     def test_dependent_of_a_cancelled_wrap_stalls_as_an_orphan(self):
         sim, _, e0, e1 = make()
         ids = []

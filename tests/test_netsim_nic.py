@@ -5,6 +5,7 @@ import pytest
 from repro.errors import NetworkError
 from repro.netsim import (
     Cluster,
+    FaultPlan,
     Frame,
     FrameKind,
     MX_MYRI10G,
@@ -24,9 +25,11 @@ def make_cluster(sim, rails=(MX_MYRI10G,), n_nodes=2, tracer=None):
     return Cluster(sim, n_nodes=n_nodes, rails=rails, tracer=tracer)
 
 
-def frame(src=0, dst=1, size=1000, payload=None, kind=FrameKind.DATA):
+def frame(src=0, dst=1, size=1000, payload=None, kind=FrameKind.DATA,
+          on_sent=None):
     return Frame(src_node=src, dst_node=dst, kind=kind,
-                 wire_size=size, payload=payload, payload_size=size)
+                 wire_size=size, payload=payload, payload_size=size,
+                 on_sent=on_sent)
 
 
 class TestFrame:
@@ -182,15 +185,66 @@ class TestBusyIdle:
         cluster.node(1).nic().set_receive_handler(lambda f: None)
         calls = []
         nic.add_idle_callback(lambda n: calls.append(n.idle))
-        done = nic.post_send(frame(size=1000))
-        done.add_callback(lambda e: nic.post_send(frame(size=1000)))
+        first = frame(size=1000)
+        first.on_sent = lambda: nic.post_send(frame(size=1000))
+        nic.post_send(first)
         sim.run()
-        # Two drains happened; callbacks only ever observed a truly idle NIC.
-        assert all(calls)
+        # Two drains happened; the first was requeued by the cookie before
+        # its idle hop ran, so only the second reached the callback.
+        assert calls == [True]
+
+    def test_cookie_runs_after_the_instants_heap_entries_before_idle(
+            self, sim):
+        # The tx end of a 1000 B frame is shared by a heap entry pushed
+        # before the frame was posted and one pushed after, and the edge is
+        # wanted.  The cookie runs after both (every heap entry due at that
+        # instant) and before the idle callbacks: where the send's
+        # completion always ran, so a refill still sees every completion.
+        cluster = make_cluster(sim)
+        nic = cluster.node(0).nic()
+        cluster.node(1).nic().set_receive_handler(lambda f: None)
+        order = []
+        tx_end = (MX_MYRI10G.send_overhead_us + 0.0
+                  + 1000 / MX_MYRI10G.bandwidth_mbps)
+        sim.schedule(tx_end, lambda: order.append("heap, pushed before"))
+        nic.add_idle_callback(lambda n: order.append("idle"))
+        nic.post_send(frame(size=1000,
+                            on_sent=lambda: order.append("cookie")))
+        sim.schedule(tx_end, lambda: order.append("heap, pushed after"))
+        sim.run()
+        assert order == ["heap, pushed before", "heap, pushed after",
+                         "cookie", "idle"]
+
+    def test_cookie_never_travels(self, sim):
+        # The link corrupts the frame, so what arrives is a copy made
+        # inside the transmission: it must not carry the sender's cookie.
+        cluster = make_cluster(sim)
+        cluster.links[0].fault_plan = FaultPlan(corrupt_nth=(1,))
+        got, sent = [], []
+        cluster.node(1).nic().set_receive_handler(got.append)
+        f = frame(on_sent=lambda: sent.append(f.on_sent))
+        cluster.node(0).nic().post_send(f)
+        sim.run()
+        assert sent == [None]
+        [copy] = got
+        assert copy is not f and copy.corrupted and copy.on_sent is None
+
+    def test_a_frame_lost_to_a_crash_never_runs_its_cookie(self, sim):
+        cluster = make_cluster(sim)
+        nic = cluster.node(0).nic()
+        cluster.node(1).nic().set_receive_handler(lambda f: None)
+        sent = []
+        for tag in ("on the card", "queued"):
+            nic.post_send(frame(on_sent=lambda tag=tag: sent.append(tag)))
+        nic.crash()
+        nic.restart()
+        sim.run()
+        assert sent == [] and nic.frames_lost == 2
 
     def test_unwanted_idle_edge_schedules_nothing(self):
-        # With nobody registered a transmission is four kernel entries (tx
-        # finish, tx-done, link delivery, receive handler).  A registrant
+        # With nobody registered a transmission is three kernel entries (tx
+        # finish, link delivery, receive handler): a frame without a
+        # send-completion cookie queues nothing at tx end.  A registrant
         # whose predicate says no adds none; one without a predicate — or
         # whose predicate says yes — adds exactly the queued idle hop.
         def entries(register):
@@ -205,6 +259,7 @@ class TestBusyIdle:
             return s.events_processed, len(calls)
 
         bare, _ = entries(lambda nic, calls: None)
+        assert bare == 3
         assert entries(lambda nic, calls: nic.add_idle_callback(
             calls.append, wanted=lambda: False)) == (bare, 0)
         assert entries(lambda nic, calls: nic.add_idle_callback(

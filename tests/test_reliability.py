@@ -7,6 +7,8 @@ never reach the application, a dead rail fails over mid-transfer, and an
 undeliverable frame fails only its own request.
 """
 
+import gc
+
 import pytest
 
 from repro.core import EngineParams, NmadEngine
@@ -444,9 +446,9 @@ class TestRetryTimer:
         entered = []
         on_timer = ReliabilityLayer._on_timer
 
-        def counting_on_timer(self, ch):
-            entered.append(ch.peer)
-            on_timer(self, ch)
+        def counting_on_timer(self, peer):
+            entered.append(peer)
+            on_timer(self, peer)
 
         monkeypatch.setattr(ReliabilityLayer, "_on_timer", counting_on_timer)
         sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK))
@@ -496,6 +498,48 @@ class TestRetryTimer:
         assert 16 * cold > RTO_CEILING_US
         assert gaps == pytest.approx(
             [2 * cold, 4 * cold, 8 * cold] + [RTO_CEILING_US] * 5, abs=1.0)
+
+
+class TestTeardownLeavesNoCycle:
+    def test_frames_queued_on_a_crashed_card_leave_nothing_for_the_collector(
+            self):
+        # Frames lost queued on a crashed card keep their send-completion
+        # cookies.  A cookie that held its _Pending (which holds the frame)
+        # would be a cycle, and so would a channel whose timers held the
+        # channel: once the peer is torn down, reference counting alone
+        # must free the lot.
+        sim, cluster, (e0, e1) = make_pair(EngineParams(**ACK),
+                                           strategy="fifo")
+        rreq = e1.irecv(src=0, tag=99)
+        sreq = e0.isend(1, b"warm", tag=99)   # per-peer state exists now
+        sim.run()
+        assert rreq.ok and sreq.ok
+        del rreq, sreq
+        nic = cluster.node(0).nic()
+        link_between(cluster, 0, 1).fault_plan = FaultPlan(
+            drop_nth=tuple(range(1, 64)))
+        gc.collect()
+        gc.disable()
+        try:
+            sends = [e0.isend(1, b"x" * 8000, tag=t) for t in range(8)]
+            sim.run(until=sim.now + 100.0)
+            assert nic.idle and e0.reliability.n_unacked == 8
+            # A 24 us first transmission goes on the card just before the
+            # first retry clock expires, so the retransmits queue behind
+            # it: the card dies holding both kinds, on the wire and queued.
+            unacked = e0.reliability._channels[1].unacked.values()
+            sim.run(until=min(p.deadline for p in unacked) - 5.0)
+            sends.append(e0.isend(1, b"y" * 30_000, tag=8))
+            sim.run(until=sim.now + 16.0)
+            assert nic.queued == e0.stats.retransmits == 2
+            nic.crash()
+            e0.reliability.reset_peer(1, TransportError("peer torn down"))
+            sim.run()
+            assert all(isinstance(s.error, TransportError) for s in sends)
+            del sends
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestOffModeUnchanged:
